@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <memory>
 
 namespace orco::common {
 
@@ -43,41 +45,56 @@ void ThreadPool::parallel_for(
     const std::function<void(std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
-  const std::size_t chunks = std::min(n, workers_.size());
+  const std::size_t parts = std::min(n, workers_.size());
+  const std::size_t chunk_size = (n + parts - 1) / parts;
+  const std::size_t chunks = (n + chunk_size - 1) / chunk_size;
   if (chunks <= 1) {
     fn(begin, end);
     return;
   }
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
 
-  std::atomic<std::size_t> remaining{0};
-  Mutex done_mu;
-  std::condition_variable done_cv;
-
-  std::size_t launched = 0;
+  // Chunks are claimed from a shared counter by this thread and by up to
+  // chunks - 1 pool workers, so the call completes even when no worker
+  // wakes in time (the caller then runs every chunk itself). The handshake
+  // state is shared with the helper tasks: a helper that starts after the
+  // last chunk was claimed finds nothing to do and touches only this state,
+  // never `fn` or the caller's frame, which may be gone by then.
+  struct Shared {
+    std::atomic<std::size_t> next{0};
+    Mutex mu;
+    std::condition_variable cv;
+    std::size_t done ORCO_GUARDED_BY(mu) = 0;
+    std::exception_ptr error ORCO_GUARDED_BY(mu);
+  };
+  const auto shared = std::make_shared<Shared>();
+  const auto drain = [&fn, begin, end, chunk_size, chunks](Shared& state) {
+    for (std::size_t c = state.next.fetch_add(1); c < chunks;
+         c = state.next.fetch_add(1)) {
+      const std::size_t lo = begin + c * chunk_size;
+      std::exception_ptr error;
+      try {
+        fn(lo, std::min(end, lo + chunk_size));
+      } catch (...) {
+        error = std::current_exception();
+      }
+      MutexLock lock(state.mu);
+      if (error && !state.error) state.error = error;
+      if (++state.done == chunks) state.cv.notify_one();
+    }
+  };
   {
     MutexLock lock(mu_);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t lo = begin + c * chunk_size;
-      if (lo >= end) break;
-      const std::size_t hi = std::min(end, lo + chunk_size);
-      ++launched;
-      tasks_.emplace([&, lo, hi] {
-        fn(lo, hi);
-        if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          MutexLock done_lock(done_mu);
-          done_cv.notify_one();
-        }
-      });
+    for (std::size_t h = 1; h < chunks; ++h) {
+      tasks_.emplace([shared, drain] { drain(*shared); });
     }
-    remaining.store(launched, std::memory_order_release);
   }
-  cv_.notify_all();
+  for (std::size_t h = 1; h < chunks; ++h) cv_.notify_one();
 
-  MutexLock done_lock(done_mu);
-  while (remaining.load(std::memory_order_acquire) != 0) {
-    done_cv.wait(done_lock.native());
-  }
+  Shared& state = *shared;
+  drain(state);
+  MutexLock lock(state.mu);
+  while (state.done != chunks) state.cv.wait(lock.native());
+  if (state.error) std::rethrow_exception(state.error);
 }
 
 ThreadPool& ThreadPool::global() {

@@ -37,6 +37,10 @@ class ThreadPool {
 
   /// Runs fn(begin..end) split into roughly `size()` contiguous chunks and
   /// blocks until all chunks finish. fn receives [chunk_begin, chunk_end).
+  /// The calling thread runs chunks too, claiming them with the workers
+  /// from a shared counter, so a busy or slow-to-wake pool delays the call
+  /// by at most the chunks it already took. An exception thrown by fn is
+  /// rethrown here once every chunk has finished.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 

@@ -48,6 +48,7 @@ class DataAggregator {
 
   nn::Sequential& encoder() noexcept { return *encoder_; }
   const nn::Sequential& encoder() const noexcept { return *encoder_; }
+  const nn::Sgd& optimizer() const noexcept { return *optimizer_; }
 
   /// FLOPs charged to the aggregator for one training round on `batch`
   /// samples: encoder forward + backward (2x forward).

@@ -58,6 +58,7 @@ class EdgeServer {
 
   nn::Sequential& decoder() noexcept { return *decoder_; }
   const nn::Sequential& decoder() const noexcept { return *decoder_; }
+  const nn::Sgd& optimizer() const noexcept { return *optimizer_; }
 
   /// The compiled inference plan the decode paths execute — the registry-
   /// free equivalent of a snapshot's plan. Compiled lazily on first decode

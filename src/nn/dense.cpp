@@ -23,7 +23,12 @@ Dense::Dense(std::size_t in_features, std::size_t out_features,
 
 Tensor Dense::forward(const Tensor& input, bool /*training*/) {
   input_ = input;
-  return infer(input);
+  // The training pass skips the prepack cache: every optimizer step
+  // invalidates it, so it would repack the whole weight each round. The
+  // unpacked fused GEMM is bitwise-equal (Backend::gemm_prepacked).
+  Tensor out;
+  fused_into(input, out, tensor::EpilogueAct::kNone, 0.01f);
+  return out;
 }
 
 void Dense::infer_into(const Tensor& input, Tensor& out,
@@ -34,6 +39,15 @@ void Dense::infer_into(const Tensor& input, Tensor& out,
 void Dense::infer_fused_into(const Tensor& input, Tensor& out,
                              tensor::EpilogueAct act, float leaky_alpha,
                              InferContext& /*ctx*/) const {
+  if (prepack_) {
+    infer_packed_into(input, out, *packed_weights(), act, leaky_alpha);
+    return;
+  }
+  fused_into(input, out, act, leaky_alpha);
+}
+
+void Dense::fused_into(const Tensor& input, Tensor& out,
+                       tensor::EpilogueAct act, float leaky_alpha) const {
   ORCO_CHECK(input.rank() == 2 && input.dim(1) == in_,
              "Dense expects (batch, " << in_ << "), got "
                                       << tensor::shape_to_string(input.shape()));
@@ -45,19 +59,11 @@ void Dense::infer_fused_into(const Tensor& input, Tensor& out,
   epi.bias_per_row = false;
   epi.act = act;
   epi.leaky_alpha = leaky_alpha;
-  const tensor::Backend& backend = tensor::current_backend();
-  const std::uint64_t flops = 2ull * batch * in_ * out_;
-  if (prepack_) {
-    const auto packed = packed_weights();
-    OBS_SCOPED_SPAN(obs::KernelOp::kGemmPrepacked, flops);
-    backend.gemm_prepacked(input.data().data(), *packed, out.data().data(),
-                           batch, in_, out_, epi);  // (B, out)
-    return;
-  }
   // y = x·Wᵀ with W stored (out, in): W is the transposed-B operand.
-  OBS_SCOPED_SPAN(obs::KernelOp::kGemmFused, flops);
-  backend.gemm_fused(input.data().data(), w_.data().data(), out.data().data(),
-                     batch, in_, out_, /*transpose_b=*/true, epi);  // (B, out)
+  OBS_SCOPED_SPAN(obs::KernelOp::kGemmFused, 2ull * batch * in_ * out_);
+  tensor::current_backend().gemm_fused(input.data().data(), w_.data().data(),
+                                       out.data().data(), batch, in_, out_,
+                                       /*transpose_b=*/true, epi);  // (B, out)
 }
 
 void Dense::infer_quantized_into(const std::uint8_t* codes,
@@ -135,9 +141,16 @@ Tensor Dense::backward(const Tensor& grad_output) {
   ORCO_CHECK(grad_output.rank() == 2 && grad_output.dim(1) == out_ &&
                  grad_output.dim(0) == input_.dim(0),
              "Dense backward shape mismatch");
-  // dW += dY^T X ; db += column sums of dY ; dX = dY W
-  gw_ += tensor::matmul_tn(grad_output, input_);
-  for (std::size_t i = 0; i < grad_output.dim(0); ++i) {
+  // dW += dY^T X ; db += column sums of dY ; dX = dY W. gemm_tn
+  // accumulates dW straight into the gradient, with no product temporary.
+  const std::size_t batch = grad_output.dim(0);
+  {
+    OBS_SCOPED_SPAN(obs::KernelOp::kGemmTN, 2ull * batch * in_ * out_);
+    tensor::current_backend().gemm_tn(grad_output.data().data(),
+                                      input_.data().data(), gw_.data().data(),
+                                      out_, batch, in_);
+  }
+  for (std::size_t i = 0; i < batch; ++i) {
     const auto r = grad_output.row(i);
     for (std::size_t j = 0; j < out_; ++j) gb_[j] += r[j];
   }

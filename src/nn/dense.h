@@ -82,6 +82,7 @@ class Dense : public Layer {
   /// When enabled, infer()/infer_fused() cache the current backend's
   /// packed weight panels keyed on a weight version and reuse them across
   /// calls (see Layer::set_weight_prepack for the invalidation contract).
+  /// The training forward() never reads the cache.
   void set_weight_prepack(bool enabled) override { prepack_ = enabled; }
   void invalidate_weight_cache() override {
     weight_version_.fetch_add(1, std::memory_order_acq_rel);
@@ -118,6 +119,11 @@ class Dense : public Layer {
   /// Current backend's packed weight panels, repacked lazily whenever the
   /// weight version or the selected backend changed since the last call.
   std::shared_ptr<const tensor::PackedWeights> packed_weights() const;
+
+  /// act(x·Wᵀ + b) through the current backend's gemm_fused on the
+  /// unpacked weight — the training forward and the prepack-off inference.
+  void fused_into(const Tensor& input, Tensor& out, tensor::EpilogueAct act,
+                  float leaky_alpha) const;
 
   std::size_t in_, out_;
   Tensor w_, b_, gw_, gb_;

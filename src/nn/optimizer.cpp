@@ -1,8 +1,11 @@
 #include "nn/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
+#include "tensor/backend.h"
 
 namespace orco::nn {
 
@@ -17,7 +20,14 @@ Optimizer::Optimizer(std::vector<ParamView> params)
 }
 
 void Optimizer::zero_grad() {
-  for (auto& p : params_) p.grad->fill(0.0f);
+  for (auto& p : params_) {
+    float* g = p.grad->data().data();
+    const std::size_t n = p.grad->numel();
+    common::parallel_for(tensor::elementwise_pool(n), 0, n, /*grain=*/1,
+                         [g](std::size_t lo, std::size_t hi) {
+                           std::fill(g + lo, g + hi, 0.0f);
+                         });
+  }
 }
 
 std::size_t Optimizer::parameter_count() const {
@@ -48,23 +58,29 @@ void Sgd::set_learning_rate(float lr) {
 
 void Sgd::step() {
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto& value = *params_[i].value;
-    auto& grad = *params_[i].grad;
-    auto vd = value.data();
-    const auto gd = grad.data();
-    if (momentum_ > 0.0f) {
-      auto mv = velocity_[i].data();
-      for (std::size_t j = 0; j < vd.size(); ++j) {
-        const float g = gd[j] + weight_decay_ * vd[j];
-        mv[j] = momentum_ * mv[j] + g;
-        vd[j] -= lr_ * mv[j];
+    float* vd = params_[i].value->data().data();
+    const float* gd = params_[i].grad->data().data();
+    float* mv = momentum_ > 0.0f ? velocity_[i].data().data() : nullptr;
+    const float lr = lr_, momentum = momentum_, decay = weight_decay_;
+    // Each element's update reads only its own slots, so chunks of the
+    // sweep may run on the pool in any order.
+    auto update = [=](std::size_t lo, std::size_t hi) {
+      if (mv != nullptr) {
+        for (std::size_t j = lo; j < hi; ++j) {
+          const float g = gd[j] + decay * vd[j];
+          mv[j] = momentum * mv[j] + g;
+          vd[j] -= lr * mv[j];
+        }
+      } else {
+        for (std::size_t j = lo; j < hi; ++j) {
+          const float g = gd[j] + decay * vd[j];
+          vd[j] -= lr * g;
+        }
       }
-    } else {
-      for (std::size_t j = 0; j < vd.size(); ++j) {
-        const float g = gd[j] + weight_decay_ * vd[j];
-        vd[j] -= lr_ * g;
-      }
-    }
+    };
+    const std::size_t n = params_[i].value->numel();
+    common::parallel_for(tensor::elementwise_pool(n), 0, n, /*grain=*/1,
+                         update);
   }
 }
 

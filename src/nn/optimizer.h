@@ -38,6 +38,10 @@ class Sgd : public Optimizer {
   float learning_rate() const noexcept { return lr_; }
   void set_learning_rate(float lr);
 
+  /// Momentum buffers, one per parameter in construction order (empty
+  /// when momentum is 0).
+  const std::vector<Tensor>& velocities() const noexcept { return velocity_; }
+
  private:
   float lr_, momentum_, weight_decay_;
   std::vector<Tensor> velocity_;

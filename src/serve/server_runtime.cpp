@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "obs/trace.h"
+#include "tensor/backend.h"
 
 namespace orco::serve {
 
@@ -171,7 +172,11 @@ void ServerRuntime::start() {
   workers_.reserve(shards_.size());
   for (auto& shard : shards_) {
     ClusterShard* s = shard.get();
-    workers_.push_back(pool_.submit([s] { s->run(); }));
+    workers_.push_back(pool_.submit([s] {
+      // The shards already hold the cores: keep this shard's GEMMs inline.
+      tensor::set_thread_gemm_parallelism(false);
+      s->run();
+    }));
   }
   start_flusher();
 }

@@ -20,8 +20,23 @@ namespace {
 std::atomic<bool> g_parallel{true};
 thread_local bool t_parallel = true;
 
-// Minimum row*col product before we bother waking the thread pool.
-constexpr std::size_t kParallelThreshold = 64 * 1024;
+// Minimum multiply-adds (m·n·k) before a GEMM splits across the pool,
+// about 1 ms on one core. Waking sleeping workers costs ~0.1 ms on a
+// 4-vCPU VM, and when the host deschedules a worker mid-task the whole
+// GEMM waits for it: on a contended host, splitting the MNIST training
+// GEMMs (64x456x784, 23M, and smaller) made those rounds ~40% slower, while
+// every GTSRB one (59M and up) still gained ~1.8x.
+constexpr std::size_t kParallelThreshold = std::size_t{1} << 25;
+
+// Minimum elements before an elementwise sweep (an SGD step, zeroing a
+// gradient) splits across the pool, by the same reasoning: ~1M floats.
+constexpr std::size_t kElementwiseThreshold = std::size_t{1} << 20;
+
+// The shared pool when this thread may use it, else nullptr.
+common::ThreadPool* enabled_pool() {
+  return g_parallel.load() && t_parallel ? &common::ThreadPool::global()
+                                         : nullptr;
+}
 
 using detail::apply_act;
 using detail::gemm_pool;
@@ -52,7 +67,7 @@ class ReferenceBackend final : public Backend {
 
   void gemm(const float* a, const float* b, float* c, std::size_t m,
             std::size_t k, std::size_t n) const override {
-    common::parallel_for(gemm_pool(m, n), 0, m, /*grain=*/8,
+    common::parallel_for(gemm_pool(m, n, k), 0, m, /*grain=*/8,
                          [&](std::size_t lo, std::size_t hi) {
                            ref_gemm_rows(a, b, c, lo, hi, k, n);
                          });
@@ -148,10 +163,9 @@ class BlockedBackend final : public Backend {
                                      nullptr, nullptr);
   }
 
-  // Prepacking walks the exact (pc, jc) / (pc, blk) panel order of
-  // panel_run, so gemm_prepacked streams the stored panels at the offsets
-  // the on-the-fly path would have packed them to — the micro-kernel sees
-  // identical bytes and the result matches pack-on-the-fly bitwise.
+  // Prepacking stores every strip with the bytes the on-the-fly path packs
+  // for it, and panel_task indexes the strips in place — the micro-kernel
+  // sees identical bytes and the result matches pack-on-the-fly bitwise.
   PackedWeights pack_b(const float* b, std::size_t k, std::size_t n,
                        bool transpose_b) const override {
     PackedWeights packed;
@@ -453,12 +467,14 @@ bool gemm_parallelism() { return g_parallel.load(); }
 void set_thread_gemm_parallelism(bool enabled) { t_parallel = enabled; }
 bool thread_gemm_parallelism() { return t_parallel; }
 
+common::ThreadPool* elementwise_pool(std::size_t count) {
+  return count >= kElementwiseThreshold ? enabled_pool() : nullptr;
+}
+
 namespace detail {
 
-common::ThreadPool* gemm_pool(std::size_t m, std::size_t n) {
-  return (g_parallel.load() && t_parallel && m * n >= kParallelThreshold)
-             ? &common::ThreadPool::global()
-             : nullptr;
+common::ThreadPool* gemm_pool(std::size_t m, std::size_t n, std::size_t k) {
+  return m * n * k >= kParallelThreshold ? enabled_pool() : nullptr;
 }
 
 }  // namespace detail

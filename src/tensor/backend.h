@@ -35,6 +35,10 @@
 #include <string>
 #include <vector>
 
+namespace orco::common {
+class ThreadPool;
+}
+
 namespace orco::tensor {
 
 /// Activation applied by a fused GEMM epilogue. Semantics match the
@@ -216,22 +220,31 @@ class BackendScope {
 void apply_epilogue(float* c, std::size_t m, std::size_t n,
                     const Epilogue& epilogue);
 
-/// Enables/disables thread-pool parallelism for GEMM (default on). Tests
-/// that need bit-exact serial reductions can turn it off. (Row-partitioned
-/// parallelism never changes values — this exists for determinism of
-/// scheduling-sensitive measurements.)
+/// Enables/disables thread-pool parallelism for GEMMs and the optimizer's
+/// elementwise sweeps (default on). A pooled GEMM splits C into disjoint
+/// row-block × column-strip tasks, each reducing its elements in the same
+/// ascending-k chain, so the switch never changes a value — it exists for
+/// scheduling-sensitive measurements and for tests that pin exactly that.
 void set_gemm_parallelism(bool enabled);
 bool gemm_parallelism();
 
-/// Per-thread opt-out from pooled GEMM parallelism: kernels invoked from a
+/// Per-thread opt-out from pooled parallelism: kernels invoked from a
 /// thread that disabled it run inline on that thread instead of borrowing
 /// the shared pool's workers. train::TrainerRuntime turns this off on its
 /// (deprioritized) worker threads so background fine-tuning compute
 /// inherits their scheduling priority — routed through the normal-priority
 /// pool it would preempt serve decode batches and head-of-line-block the
-/// pool queue. Values are unchanged either way (row partitioning never
-/// alters a reduction). Default on.
+/// pool queue; serve::ServerRuntime turns it off on its shard workers,
+/// which already occupy the cores. Values are unchanged either way.
+/// Default on.
 void set_thread_gemm_parallelism(bool enabled);
 bool thread_gemm_parallelism();
+
+/// The shared pool an elementwise sweep over `count` values (an optimizer
+/// step, zeroing gradients) should split across, or nullptr to run it
+/// inline: small sweeps, and threads or processes that turned pooled
+/// parallelism off above. The sweep has no reduction, so splitting it
+/// never changes a value.
+common::ThreadPool* elementwise_pool(std::size_t count);
 
 }  // namespace orco::tensor

@@ -44,10 +44,10 @@
 
 namespace orco::tensor::detail {
 
-/// The pool GEMMs row-parallelise on, or nullptr when the problem is small
-/// or parallelism is disabled (set_gemm_parallelism /
+/// The pool a GEMM of m·n·k multiply-adds splits across, or nullptr when
+/// the problem is small or parallelism is disabled (set_gemm_parallelism /
 /// set_thread_gemm_parallelism). Defined in backend.cpp.
-common::ThreadPool* gemm_pool(std::size_t m, std::size_t n);
+common::ThreadPool* gemm_pool(std::size_t m, std::size_t n, std::size_t k);
 
 constexpr std::size_t round_up(std::size_t v, std::size_t t) {
   return (v + t - 1) / t * t;
@@ -241,9 +241,9 @@ std::size_t packed_a_floats(std::size_t m, std::size_t k) {
   return total;
 }
 
-/// Fills a PackedWeights with B panels in the exact (pc, jc) order
-/// panel_run walks, so the prepacked GEMM streams the stored panels at the
-/// offsets the on-the-fly path would have packed them to.
+/// Fills a PackedWeights with B panels in (pc, jc) order: every kNr strip
+/// holds the bytes pack_b_panel would produce for it per call, at the
+/// offset panel_task indexes it by.
 template <class Traits>
 void pack_b_full(const Backend* owner, const float* b, std::size_t k,
                  std::size_t n, bool transpose_b, PackedWeights& packed) {
@@ -288,12 +288,101 @@ void pack_a_full(const Backend* owner, const float* a, std::size_t m,
   }
 }
 
-/// The panel walk: k split into kKc panels, n into kNc panels (B packed
-/// per (pc, jc) into kNr strips), rows into kMc blocks (A packed into kMr
-/// strips, parallelised over blocks), Traits::tile() on every micro-tile.
-/// packed_a / packed_b point at pack_a_full/pack_b_full layouts; non-null
-/// skips the corresponding per-call packing. `epi` is applied on the last
-/// k panel only.
+/// How panel_run splits C across the pool: `rows` parts of whole row
+/// blocks times `cols` parts of whole column strips.
+struct TaskGrid {
+  std::size_t rows = 1;
+  std::size_t cols = 1;
+};
+
+/// Among grids of at most `workers` tasks, the one whose largest task
+/// covers the fewest C elements, so no worker is left with a lopsided
+/// share. Ties keep fewer row parts: every row part packs its own copy of
+/// the B strips it covers.
+inline TaskGrid choose_grid(std::size_t workers, std::size_t m, std::size_t n,
+                            std::size_t row_blocks, std::size_t block_rows,
+                            std::size_t strips, std::size_t strip_cols) {
+  TaskGrid best;
+  std::size_t best_area = m * n;
+  for (std::size_t r = 1; r <= workers && r <= row_blocks; ++r) {
+    const std::size_t c = workers / r < strips ? workers / r : strips;
+    const std::size_t task_rows = (row_blocks + r - 1) / r * block_rows;
+    const std::size_t task_cols = (strips + c - 1) / c * strip_cols;
+    const std::size_t area =
+        (task_rows < m ? task_rows : m) * (task_cols < n ? task_cols : n);
+    if (area < best_area) {
+      best = {r, c};
+      best_area = area;
+    }
+  }
+  return best;
+}
+
+/// One task of the panel walk: C[i0:i1, j0:j1] (i0 a multiple of kMc, j0
+/// of kNr) over every k panel in ascending order. Per k panel the task
+/// packs B in kNc-wide chunks of its own kNr strips, then for each kMc row
+/// block packs A into kMr strips and runs Traits::tile() on every
+/// micro-tile. packed_a / packed_b point at pack_a_full/pack_b_full
+/// layouts and are indexed in place: within k panel pc, row i's kMr strip
+/// sits i*kc floats and column j's kNr strip j*kc floats past the panel
+/// base (kMc and kNc are whole strips, so panel boundaries add no gaps).
+/// `epi` is applied on the last k panel only.
+template <class Traits>
+void panel_task(const AView& a, const float* b, std::size_t ldb, bool tb,
+                float* c, std::size_t m, std::size_t k, std::size_t n,
+                const Epilogue* epi, const float* packed_a,
+                const float* packed_b, std::size_t i0, std::size_t i1,
+                std::size_t j0, std::size_t j1) {
+  constexpr std::size_t kMr = Traits::kMr;
+  constexpr std::size_t kNr = Traits::kNr;
+  constexpr std::size_t kKc = Traits::kKc;
+  constexpr std::size_t kMc = Traits::kMc;
+  constexpr std::size_t kNc = Traits::kNc;
+  thread_local std::vector<float> ap_buf;
+  thread_local std::vector<float> bp_buf;
+  for (std::size_t pc = 0; pc < k; pc += kKc) {
+    const std::size_t kc = k - pc < kKc ? k - pc : kKc;
+    const Epilogue* tile_epi = pc + kc == k ? epi : nullptr;
+    for (std::size_t jc = j0; jc < j1; jc += kNc) {
+      const std::size_t nc = j1 - jc < kNc ? j1 - jc : kNc;
+      const float* bp;
+      if (packed_b != nullptr) {
+        bp = packed_b + round_up(n, kNr) * pc + jc * kc;
+      } else {
+        bp_buf.resize(round_up(nc, kNr) * kc);
+        pack_b_panel<kNr>(b, ldb, tb, pc, jc, kc, nc, bp_buf.data());
+        bp = bp_buf.data();
+      }
+      for (std::size_t ic = i0; ic < i1; ic += kMc) {
+        const std::size_t mc = i1 - ic < kMc ? i1 - ic : kMc;
+        const float* ap;
+        if (packed_a != nullptr) {
+          ap = packed_a + round_up(m, kMr) * pc + ic * kc;
+        } else {
+          ap_buf.resize(round_up(mc, kMr) * kc);
+          pack_a_panel<kMr>(a, ic, pc, mc, kc, ap_buf.data());
+          ap = ap_buf.data();
+        }
+        for (std::size_t jr = 0; jr < nc; jr += kNr) {
+          const float* bpan = bp + (jr / kNr) * (kNr * kc);
+          const std::size_t cols = nc - jr < kNr ? nc - jr : kNr;
+          for (std::size_t ir = 0; ir < mc; ir += kMr) {
+            const std::size_t rows = mc - ir < kMr ? mc - ir : kMr;
+            Traits::tile(ap + (ir / kMr) * (kMr * kc), bpan, kc,
+                         c + (ic + ir) * n + jc + jr, n, rows, cols, tile_epi,
+                         ic + ir, jc + jr);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The GEMM driver. C is split once into a TaskGrid of row-block ×
+/// column-strip tasks sized to the pool (one task — the whole of C, run
+/// inline — when gemm_pool declines), and each task runs panel_task over
+/// its own rectangle. Tasks write disjoint parts of C and each walks the k
+/// panels in ascending order, so the split never changes a value.
 template <class Traits>
 void panel_run(const AView& a, const float* b, std::size_t ldb, bool tb,
                float* c, std::size_t m, std::size_t k, std::size_t n,
@@ -301,68 +390,35 @@ void panel_run(const AView& a, const float* b, std::size_t ldb, bool tb,
                const float* packed_b) {
   constexpr std::size_t kMr = Traits::kMr;
   constexpr std::size_t kNr = Traits::kNr;
-  constexpr std::size_t kKc = Traits::kKc;
   constexpr std::size_t kMc = Traits::kMc;
-  constexpr std::size_t kNc = Traits::kNc;
   static_assert(kMc % kMr == 0, "row blocks must be whole micro-tiles");
+  static_assert(Traits::kNc % kNr == 0, "col panels must be whole strips");
   if (m == 0 || n == 0) return;
   if (k == 0) {
     if (epi) apply_epilogue(c, m, n, *epi);
     return;
   }
-  thread_local std::vector<float> bp_buf;
-  std::size_t b_off = 0;   // walk of the prepacked B panels (pc-major)
-  std::size_t a_base = 0;  // prepacked A offset of the current k panel
-  for (std::size_t pc = 0; pc < k; pc += kKc) {
-    const std::size_t kc = k - pc < kKc ? k - pc : kKc;
-    const bool last_panel = pc + kc == k;
-    for (std::size_t jc = 0; jc < n; jc += kNc) {
-      const std::size_t nc = n - jc < kNc ? n - jc : kNc;
-      const float* bp;
-      if (packed_b != nullptr) {
-        bp = packed_b + b_off;
-      } else {
-        bp_buf.resize(round_up(nc, kNr) * kc);
-        pack_b_panel<kNr>(b, ldb, tb, pc, jc, kc, nc, bp_buf.data());
-        bp = bp_buf.data();
-      }
-      b_off += round_up(nc, kNr) * kc;
-
-      const std::size_t row_blocks = (m + kMc - 1) / kMc;
-      common::parallel_for(
-          gemm_pool(m, n), 0, row_blocks, /*grain=*/1,
-          [&](std::size_t blk0, std::size_t blk1) {
-            thread_local std::vector<float> ap_buf;
-            for (std::size_t blk = blk0; blk < blk1; ++blk) {
-              const std::size_t ic = blk * kMc;
-              const std::size_t mc = m - ic < kMc ? m - ic : kMc;
-              const float* apan;
-              if (packed_a != nullptr) {
-                // Block `blk` starts ic rows into the panel; full blocks
-                // are kMr-aligned (kMc % kMr == 0), so its offset is
-                // exactly ic*kc floats past the panel base.
-                apan = packed_a + a_base + ic * kc;
-              } else {
-                ap_buf.resize(round_up(mc, kMr) * kc);
-                pack_a_panel<kMr>(a, ic, pc, mc, kc, ap_buf.data());
-                apan = ap_buf.data();
-              }
-              for (std::size_t jr = 0; jr < nc; jr += kNr) {
-                const float* bpan = bp + (jr / kNr) * (kNr * kc);
-                const std::size_t cols = nc - jr < kNr ? nc - jr : kNr;
-                for (std::size_t ir = 0; ir < mc; ir += kMr) {
-                  const std::size_t rows = mc - ir < kMr ? mc - ir : kMr;
-                  Traits::tile(apan + (ir / kMr) * (kMr * kc), bpan, kc,
-                               c + (ic + ir) * n + jc + jr, n, rows, cols,
-                               (epi && last_panel) ? epi : nullptr, ic + ir,
-                               jc + jr);
-                }
-              }
-            }
-          });
+  const std::size_t row_blocks = (m + kMc - 1) / kMc;
+  const std::size_t strips = (n + kNr - 1) / kNr;
+  common::ThreadPool* pool = gemm_pool(m, n, k);
+  const TaskGrid grid =
+      pool == nullptr ? TaskGrid{}
+                      : choose_grid(pool->size(), m, n, row_blocks, kMc,
+                                    strips, kNr);
+  auto run_tasks = [&](std::size_t t0, std::size_t t1) {
+    for (std::size_t t = t0; t < t1; ++t) {
+      const std::size_t r = t / grid.cols;
+      const std::size_t s = t % grid.cols;
+      const std::size_t i0 = row_blocks * r / grid.rows * kMc;
+      const std::size_t i1 = row_blocks * (r + 1) / grid.rows * kMc;
+      const std::size_t j0 = strips * s / grid.cols * kNr;
+      const std::size_t j1 = strips * (s + 1) / grid.cols * kNr;
+      panel_task<Traits>(a, b, ldb, tb, c, m, k, n, epi, packed_a, packed_b,
+                         i0, i1 < m ? i1 : m, j0, j1 < n ? j1 : n);
     }
-    a_base += round_up(m, kMr) * kc;
-  }
+  };
+  common::parallel_for(pool, 0, grid.rows * grid.cols, /*grain=*/2,
+                       run_tasks);
 }
 
 }  // namespace orco::tensor::detail

@@ -2,6 +2,9 @@
 // plus fine-tuning, on a small synthetic-MNIST workload.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "core/orcodcs.h"
 #include "data/drift.h"
 #include "data/metrics.h"
@@ -72,6 +75,68 @@ TEST(SystemTest, TrainingIsDeterministicPerSeed) {
   ASSERT_EQ(sa.rounds.size(), sb.rounds.size());
   for (std::size_t i = 0; i < sa.rounds.size(); ++i) {
     EXPECT_FLOAT_EQ(sa.rounds[i].loss, sb.rounds[i].loss);
+  }
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.numel() * sizeof(float)) == 0;
+}
+
+// Pooled training kernels (the split GEMMs, dW accumulated in place, the
+// pooled SGD step and zero_grad, the unpacked training forward) must train
+// exactly as the serial ones do: same losses, weights and velocities.
+TEST(SystemTest, PooledTrainingRoundsMatchSerialBitwise) {
+  // MNIST data (784 -> 128, batch 64) through a decoder 128 -> 2048 -> 784:
+  // wide enough that its second layer's forward, dW and dX GEMMs (103M
+  // multiply-adds) and its 1.6M-value SGD sweep run on the pool.
+  SystemConfig cfg = small_system();
+  cfg.orco.latent_dim = 128;
+  cfg.orco.batch_size = 64;
+  cfg.orco.decoder_layers = 2;
+  cfg.orco.decoder_hidden_dim = 2048;
+  constexpr std::size_t kRounds = 3;
+  const auto train = small_mnist(kRounds * cfg.orco.batch_size);
+  struct Trained {
+    std::vector<float> losses;
+    std::vector<Tensor> state;  // weights, then SGD velocities
+  };
+  auto run = [&](bool pooled) {
+    tensor::set_gemm_parallelism(pooled);
+    OrcoDcsSystem sys(cfg);
+    Trained out;
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      const std::size_t b = cfg.orco.batch_size;
+      out.losses.push_back(sys.orchestrator()
+                               .train_round(train.images().slice_rows(
+                                   r * b, (r + 1) * b))
+                               .loss);
+    }
+    for (nn::Sequential* model :
+         {&sys.aggregator().encoder(), &sys.edge().decoder()}) {
+      for (const auto& p : model->params()) out.state.push_back(*p.value);
+    }
+    for (const nn::Sgd* sgd :
+         {&sys.aggregator().optimizer(), &sys.edge().optimizer()}) {
+      EXPECT_FALSE(sgd->velocities().empty());
+      for (const Tensor& v : sgd->velocities()) out.state.push_back(v);
+    }
+    return out;
+  };
+  for (const char* backend : {"blocked", "simd"}) {
+    SCOPED_TRACE(backend);
+    cfg.orco.backend = backend;
+    const Trained serial = run(false);
+    const Trained pooled = run(true);
+    ASSERT_EQ(serial.losses.size(), pooled.losses.size());
+    EXPECT_EQ(std::memcmp(serial.losses.data(), pooled.losses.data(),
+                          serial.losses.size() * sizeof(float)),
+              0);
+    ASSERT_EQ(serial.state.size(), pooled.state.size());
+    for (std::size_t i = 0; i < serial.state.size(); ++i) {
+      EXPECT_TRUE(same_bits(serial.state[i], pooled.state[i])) << "tensor " << i;
+    }
   }
 }
 

@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "tensor/im2col.h"
@@ -213,16 +217,91 @@ TEST(MatmulTest, DimensionMismatchThrows) {
                std::invalid_argument);
 }
 
+/// Runs `gemm` (writing into its argument) once with pooled GEMMs off and
+/// once on, and reports whether the two results agree bit for bit.
+template <typename Gemm>
+bool pooled_equals_serial(std::size_t m, std::size_t n, Gemm&& gemm) {
+  std::vector<float> serial(m * n, 0.5f), pooled(m * n, 0.5f);
+  set_gemm_parallelism(false);
+  gemm(serial.data());
+  set_gemm_parallelism(true);
+  gemm(pooled.data());
+  return std::memcmp(serial.data(), pooled.data(),
+                     serial.size() * sizeof(float)) == 0;
+}
+
 TEST(MatmulTest, ParallelMatchesSerial) {
   common::Pcg32 rng(23);
-  // Big enough to cross the parallel threshold.
-  const Tensor a = Tensor::randn({256, 300}, rng);
-  const Tensor b = Tensor::randn({300, 280}, rng);
-  set_gemm_parallelism(false);
-  const Tensor serial = matmul(a, b);
-  set_gemm_parallelism(true);
-  const Tensor parallel = matmul(a, b);
-  EXPECT_TRUE(serial.allclose(parallel, 1e-4f));
+  // The Backend contract: thread count never changes a value.
+  {
+    const Tensor a = Tensor::randn({256, 300}, rng);
+    const Tensor b = Tensor::randn({300, 280}, rng);
+    set_gemm_parallelism(false);
+    const Tensor serial = matmul(a, b);
+    set_gemm_parallelism(true);
+    EXPECT_TRUE(serial.allclose(matmul(a, b), 0.0f));
+  }
+  // Shapes the pooled split cuts differently: a few rows, part of a row
+  // block, a 2-D grid and several row blocks over few strips (row parts);
+  // n never a whole number of strips and k spanning several k panels.
+  // Every shape but m = 1 clears the pool's 2^25 multiply-add threshold;
+  // at test-sized memory a single row stays below it and runs inline.
+  struct Shape3 {
+    std::size_t m, n, k;
+  };
+  const Shape3 shapes[] = {{1, 1001, 4200},  {8, 1001, 4200},
+                           {64, 1001, 530},  {127, 1001, 270},
+                           {256, 64, 2100},  {700, 45, 1100}};
+  Epilogue epi;
+  epi.act = EpilogueAct::kLeakyReLU;
+  for (const Backend* backend : {&blocked_backend(), &simd_backend()}) {
+    for (const Shape3& shape : shapes) {
+      const std::size_t m = shape.m, n = shape.n, k = shape.k;
+      SCOPED_TRACE(backend->name() + " m=" + std::to_string(m) +
+                   " n=" + std::to_string(n) + " k=" + std::to_string(k));
+      const Tensor a = Tensor::randn({m, k}, rng);    // A, and Aᵀ's source
+      const Tensor b = Tensor::randn({k, n}, rng);    // B
+      const Tensor bt = Tensor::randn({n, k}, rng);   // Bᵀ's source
+      const Tensor at = Tensor::randn({k, m}, rng);   // Aᵀ's source
+      const Tensor bias = Tensor::randn({n}, rng);
+      epi.bias = bias.data().data();
+      const float* pa = a.data().data();
+      const float* pb = b.data().data();
+      const float* pbt = bt.data().data();
+      EXPECT_TRUE(pooled_equals_serial(m, n, [&](float* c) {
+        backend->gemm(pa, pb, c, m, k, n);
+      }));
+      EXPECT_TRUE(pooled_equals_serial(m, n, [&](float* c) {
+        backend->gemm_nt(pa, pbt, c, m, k, n);
+      }));
+      EXPECT_TRUE(pooled_equals_serial(m, n, [&](float* c) {
+        backend->gemm_tn(at.data().data(), pb, c, m, k, n);
+      }));
+      EXPECT_TRUE(pooled_equals_serial(m, n, [&](float* c) {
+        backend->gemm_fused(pa, pbt, c, m, k, n, /*transpose_b=*/true, epi);
+      }));
+      const PackedWeights packed_b =
+          backend->pack_b(pbt, k, n, /*transpose_b=*/true);
+      EXPECT_TRUE(pooled_equals_serial(m, n, [&](float* c) {
+        backend->gemm_prepacked(pa, packed_b, c, m, k, n, epi);
+      }));
+      const PackedWeights packed_a = backend->pack_a(pa, m, k);
+      EXPECT_TRUE(pooled_equals_serial(m, n, [&](float* c) {
+        backend->gemm_prepacked(pb, packed_a, c, m, k, n, epi);
+      }));
+      std::vector<std::uint8_t> codes(m * k);
+      for (auto& q : codes) q = static_cast<std::uint8_t>(rng.next());
+      std::vector<float> lo(m), scale(m);
+      for (std::size_t i = 0; i < m; ++i) {
+        lo[i] = -1.0f + 0.01f * static_cast<float>(i);
+        scale[i] = 2.0f / 255.0f;
+      }
+      const QuantHeader qh{lo.data(), scale.data()};
+      EXPECT_TRUE(pooled_equals_serial(m, n, [&](float* c) {
+        backend->gemm_quantized(codes.data(), qh, packed_b, c, m, k, n, epi);
+      }));
+    }
+  }
 }
 
 TEST(MatvecTest, MatchesMatmul) {

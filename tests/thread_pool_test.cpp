@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -52,6 +53,22 @@ TEST(ThreadPoolChunkingTest, EmptyAndInvertedRangesAreNoops) {
   pool.parallel_for(5, 5, [&](std::size_t, std::size_t) { called = true; });
   pool.parallel_for(9, 3, [&](std::size_t, std::size_t) { called = true; });
   EXPECT_FALSE(called);
+}
+
+// A worker may still be signalling a call's completion, or only start its
+// helper task, after that call returned. Back-to-back calls with trivial
+// chunks are where such a worker would race the next call's handshake if
+// the handshake lived on the caller's stack (TSan reports it).
+TEST(ThreadPoolChunkingTest, BackToBackTinyCallsEachCompleteFully) {
+  ThreadPool pool(4);
+  std::atomic<std::size_t> visited{0};
+  constexpr std::size_t kCalls = 20000;
+  for (std::size_t c = 0; c < kCalls; ++c) {
+    pool.parallel_for(0, 4, [&](std::size_t lo, std::size_t hi) {
+      visited.fetch_add(hi - lo, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(visited.load(), 4 * kCalls);
 }
 
 TEST(ThreadPoolHelperTest, NullPoolRunsSerially) {
@@ -143,6 +160,42 @@ TEST(ThreadPoolSubmitTest, LongRunningTasksDoNotBlockParallelFor) {
   EXPECT_EQ(count.load(), 8);
   release.store(true);
   blocker.get();
+}
+
+TEST(ThreadPoolSubmitTest, ParallelForCompletesWithEveryWorkerBusy) {
+  // The caller claims chunks itself, so a pool whose workers are all held
+  // by long-running tasks still finishes the loop, on the calling thread.
+  ThreadPool pool(2);
+  std::atomic<bool> release{false};
+  std::vector<std::future<void>> blockers;
+  for (int i = 0; i < 2; ++i) {
+    blockers.push_back(pool.submit([&] {
+      while (!release.load()) std::this_thread::yield();
+    }));
+  }
+  const auto tid = std::this_thread::get_id();
+  bool on_caller = true;
+  int covered = 0;
+  pool.parallel_for(0, 8, [&](std::size_t lo, std::size_t hi) {
+    on_caller = on_caller && std::this_thread::get_id() == tid;
+    covered += static_cast<int>(hi - lo);
+  });
+  EXPECT_TRUE(on_caller);
+  EXPECT_EQ(covered, 8);
+  release.store(true);
+  for (auto& b : blockers) b.get();
+}
+
+TEST(ThreadPoolSubmitTest, ParallelForRethrowsAfterEveryChunkFinished) {
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(pool.parallel_for(0, 4,
+                                 [&](std::size_t lo, std::size_t) {
+                                   if (lo == 2) throw std::runtime_error("x");
+                                   finished.fetch_add(1);
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);
 }
 
 TEST(ThreadPoolGlobalTest, GlobalPoolIsStableAcrossCalls) {

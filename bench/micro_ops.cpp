@@ -82,39 +82,17 @@ void BM_GemmPrepackedSmallBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmPrepackedSmallBatch)->Arg(1)->Arg(4)->Arg(32);
 
-/// The serving decoder (latent 128 -> 456 -> 784, the trainer's export
-/// shape) with weight prepack on — shared by the decode-path benchmarks.
-std::unique_ptr<nn::Sequential> make_decode_model() {
-  common::Pcg32 rng(19);
-  auto model = std::make_unique<nn::Sequential>();
-  model->emplace<nn::Dense>(128, 456, rng);
-  model->emplace<nn::ReLU>();
-  model->emplace<nn::Dense>(456, 784, rng);
-  model->emplace<nn::Sigmoid>();
-  model->set_weight_prepack(true);
-  return model;
-}
-
-void BM_SequentialDecode(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  const auto model = make_decode_model();
-  common::Pcg32 rng(23);
-  const Tensor x = Tensor::randn({batch, 128}, rng);
-  tensor::BackendScope scope(&tensor::simd_backend());
-  nn::InferContext ctx;
-  Tensor out;
-  model->infer_into(x, out, ctx);  // warm: buffers + weight packs
-  for (auto _ : state) {
-    model->infer_into(x, out, ctx);
-    benchmark::DoNotOptimize(out.data().data());
-  }
-}
-BENCHMARK(BM_SequentialDecode)->Arg(1)->Arg(4);
-
 void BM_PlanDecode(benchmark::State& state) {
+  // The serving decoder (latent 128 -> 456 -> 784, the trainer's export
+  // shape) through its compiled plan on the simd backend.
   const auto batch = static_cast<std::size_t>(state.range(0));
-  const auto model = make_decode_model();
-  const auto plan = nn::InferPlan::compile(*model, &tensor::simd_backend());
+  common::Pcg32 model_rng(19);
+  nn::Sequential model;
+  model.emplace<nn::Dense>(128, 456, model_rng);
+  model.emplace<nn::ReLU>();
+  model.emplace<nn::Dense>(456, 784, model_rng);
+  model.emplace<nn::Sigmoid>();
+  const auto plan = nn::InferPlan::compile(model, &tensor::simd_backend());
   common::Pcg32 rng(23);
   const Tensor x = Tensor::randn({batch, 128}, rng);
   tensor::BackendScope scope(&tensor::simd_backend());
@@ -416,77 +394,6 @@ void emit_bench_gemm_json() {
          << (i + 1 < pcount ? "," : "") << "\n";
   }
   json << "  ],\n";
-
-  // Whole-decoder decode (latent 128 -> 456 -> 784) through the compiled
-  // InferPlan vs Sequential::infer_into, both warmed through one context on
-  // the simd backend. The plan removes the per-call chain walk, fusion
-  // peephole (a dynamic_cast chain per step) and prepack-cache probe (a
-  // lock + version compare per layer) — pure overhead at batch 1, a ~1%
-  // effect under a GEMM-bound decode, so the two are timed in alternating
-  // pairs and the committed ratio is the median over pairs (the same
-  // frequency-drift-cancelling protocol serve_throughput uses for the
-  // finetune-overlap p99 ratio). plan_vs_sequential >= 1 at batch 1 is
-  // this PR's acceptance bar. Rows land under "planned_decode".
-  {
-    const auto model = make_decode_model();
-    const auto plan =
-        nn::InferPlan::compile(*model, &tensor::simd_backend());
-    tensor::BackendScope scope(&tensor::simd_backend());
-    const double decode_flop =
-        2.0 * (128.0 * 456.0 + 456.0 * 784.0);  // per decoded row
-    common::print_section(std::cout, "Planned decode vs Sequential");
-    Table dtable({"batch", "sequential us", "plan us",
-                  "plan/sequential (median of pairs)"});
-    json << "  \"planned_decode\": [\n";
-    constexpr int kPairs = 9;
-    const std::size_t batches[] = {1, 4};
-    common::Pcg32 rng(23);
-    for (std::size_t i = 0; i < 2; ++i) {
-      const std::size_t batch = batches[i];
-      const Tensor x = Tensor::randn({batch, 128}, rng);
-      const double flop = decode_flop * static_cast<double>(batch);
-      nn::InferContext seq_ctx, plan_ctx;
-      Tensor seq_out, plan_out;
-      model->infer_into(x, seq_out, seq_ctx);  // warm both executors
-      plan->run(x, plan_out, plan_ctx);
-      // Chunk size targeting ~0.1 s per side so one pair straddles only a
-      // narrow window of machine state.
-      common::Stopwatch probe;
-      for (int it = 0; it < 16; ++it) model->infer_into(x, seq_out, seq_ctx);
-      const int chunk = std::max(
-          16, static_cast<int>(0.1 / (probe.seconds() / 16.0)));
-      std::vector<double> ratios;
-      double best_seq = 0.0, best_plan = 0.0;
-      for (int pair = 0; pair < kPairs; ++pair) {
-        common::Stopwatch seq_sw;
-        for (int it = 0; it < chunk; ++it) {
-          model->infer_into(x, seq_out, seq_ctx);
-        }
-        const double seq_s = seq_sw.seconds();
-        common::Stopwatch plan_sw;
-        for (int it = 0; it < chunk; ++it) plan->run(x, plan_out, plan_ctx);
-        const double plan_s = plan_sw.seconds();
-        ratios.push_back(seq_s / plan_s);
-        best_seq = std::max(best_seq, chunk / seq_s);
-        best_plan = std::max(best_plan, chunk / plan_s);
-      }
-      std::sort(ratios.begin(), ratios.end());
-      const double ratio = ratios[ratios.size() / 2];
-      const double seq_us = 1e6 / best_seq;
-      const double plan_us = 1e6 / best_plan;
-      (void)flop;
-      dtable.add_row({std::to_string(batch), Table::num(seq_us, 2),
-                      Table::num(plan_us, 2), Table::num(ratio, 3)});
-      json << "    {\"batch\": " << batch << ", \"sequential_us\": " << seq_us
-           << ", \"plan_us\": " << plan_us
-           << ", \"plan_vs_sequential\": " << ratio
-           << ", \"pairs\": " << kPairs << "}"
-           << (i + 1 < 2 ? "," : "") << "\n";
-    }
-    json << "  ],\n";
-    dtable.print(std::cout);
-    std::cout << "\n";
-  }
 
   // Uplink cost of the int8 decode path at the serving latent width: a
   // float32 latent is 4 bytes/element; the kFixed8 payload is an 8-byte

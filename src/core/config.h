@@ -62,15 +62,6 @@ struct OrcoConfig {
   // same as the explicit-dequantize path). Opt-in per tenant.
   bool int8_decode = false;
 
-  // Cache the decoder's backend-packed weight panels across inference
-  // decodes (Layer::set_weight_prepack): packing the weight dominates
-  // small-batch steady-state decode. Training never reads the cache (the
-  // training forward runs on the unpacked weight), and EdgeServer
-  // invalidates it after every train_step, so it is always coherent within
-  // the orchestration protocol; disable only when mutating decoder weights
-  // behind EdgeServer's back without calling invalidate_weight_cache().
-  bool prepack_decoder = true;
-
   std::size_t decoder_hidden() const {
     return decoder_hidden_dim != 0 ? decoder_hidden_dim
                                    : (input_dim + latent_dim) / 2;

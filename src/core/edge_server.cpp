@@ -22,10 +22,6 @@ EdgeServer::EdgeServer(std::unique_ptr<nn::Sequential> decoder,
   optimizer_ = std::make_unique<nn::Sgd>(decoder_->params(),
                                          config.learning_rate,
                                          config.momentum);
-  // Steady-state decode reuses backend-packed decoder weights; train_step
-  // invalidates the cache after each optimizer step, so decodes between
-  // rounds never see stale panels.
-  if (config.prepack_decoder) decoder_->set_weight_prepack(true);
 }
 
 ReconstructionMsg EdgeServer::reconstruct(const LatentBatchMsg& msg,
@@ -85,9 +81,9 @@ LatentGradMsg EdgeServer::train_step(const ResidualMsg& msg) {
   Tensor latent_grad = decoder_->backward(grad);
   optimizer_->step();
   // The step mutated the decoder weights through ParamView pointers the
-  // layers cannot observe: drop every cached weight pack and advance the
-  // decoder generation (release-ordered so a reader that sees the new
-  // version also sees the invalidated cache).
+  // layers cannot observe: bump every layer's weight version (so the lazy
+  // decode plan reports weights_stale() and recompiles) and advance the
+  // decoder generation.
   decoder_->invalidate_weight_cache();
   model_version_.fetch_add(1, std::memory_order_acq_rel);
   round_open_ = false;

@@ -34,23 +34,24 @@ class EdgeServer {
   /// applies one SGD step, and returns dL/d(latents) plus the loss.
   LatentGradMsg train_step(const ResidualMsg& msg);
 
-  /// Noise-free decoding for evaluation / steady-state reconstruction.
-  /// Const and cache-free (nn::Layer::infer path): one decoder can serve
-  /// batched read-only decode traffic without perturbing training state.
+  /// Noise-free decoding for evaluation / steady-state reconstruction
+  /// through the decoder's lazily compiled InferPlan (recompiled when a
+  /// training step made it stale): one decoder can serve batched read-only
+  /// decode traffic without perturbing training state.
   Tensor decode_inference(const Tensor& latents) const;
 
   /// Zero-allocation variant: decodes into `out` using the caller's
-  /// long-lived InferContext (nn::Layer::infer_into path). The serving
-  /// shards and the background trainer's validation loop call this so a
-  /// steady-state decode touches no allocator after warmup. Same
-  /// concurrency contract as above, with one context per calling thread.
+  /// long-lived InferContext (nn::InferPlan::run). The serving shards and
+  /// the background trainer's validation loop call this so a steady-state
+  /// decode touches no allocator after warmup. Same concurrency contract as
+  /// above, with one context per calling thread.
   void decode_inference(const Tensor& latents, Tensor& out,
                         nn::InferContext& ctx) const;
 
   /// Decodes straight from uint8 latent codes (batch × latent_dim) with
   /// per-row affine headers — the int8 uplink fast path (see
   /// OrcoConfig::int8_decode for the accuracy contract). Same zero-alloc
-  /// and concurrency contract as the infer_into overload above.
+  /// and concurrency contract as the InferContext overload above.
   void decode_inference_quantized(const std::uint8_t* codes,
                                   const tensor::QuantHeader& qh,
                                   std::size_t batch, Tensor& out,

@@ -273,9 +273,8 @@ void EdgeFleet::publish_snapshot(Cell& cell, ClusterId id,
   const core::OrcoConfig& orco = system.config().orco;
   auto snapshot = std::make_shared<train::ModelSnapshot>();
   snapshot->version = system.edge().model_version();
-  std::unique_ptr<nn::Sequential> decoder = system.export_decoder_clone();
-  if (orco.prepack_decoder) decoder->set_weight_prepack(true);
-  snapshot->decoder = std::shared_ptr<const nn::Sequential>(std::move(decoder));
+  snapshot->decoder =
+      std::shared_ptr<const nn::Sequential>(system.export_decoder_clone());
   {
     // Compile the snapshot's plan (packing the weights) under the backend
     // shards will decode on, so the first post-publish decode pays no

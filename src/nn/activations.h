@@ -71,7 +71,7 @@ class Identity : public Layer {
   Tensor backward(const Tensor& grad_output) override;
   void infer_into(const Tensor& input, Tensor& out,
                   InferContext& ctx) const override;
-  /// Pass-through at inference: Sequential::infer_into skips it entirely.
+  /// Pass-through at inference: InferPlan::compile drops it entirely.
   bool infer_is_identity() const override { return true; }
   std::string name() const override { return "Identity"; }
   std::size_t output_features(std::size_t f) const override { return f; }
@@ -85,7 +85,7 @@ LayerPtr make_activation(Activation kind);
 
 /// If `layer` is one of the elementwise activations above, returns the
 /// GEMM-epilogue equivalent (Identity -> kNone) and fills `leaky_alpha` for
-/// LeakyReLU; nullopt otherwise. Sequential::infer uses this to fuse a
+/// LeakyReLU; nullopt otherwise. InferPlan::compile uses this to fuse a
 /// Dense/Conv2d layer with its following activation into one backend pass.
 std::optional<tensor::EpilogueAct> activation_epilogue(const Layer& layer,
                                                        float& leaky_alpha);

@@ -37,9 +37,7 @@ void Conv2d::infer_into(const Tensor& input, Tensor& out,
 void Conv2d::infer_fused_into(const Tensor& input, Tensor& out,
                               tensor::EpilogueAct act, float leaky_alpha,
                               InferContext& ctx) const {
-  std::shared_ptr<const tensor::PackedWeights> packed;
-  if (prepack_) packed = packed_weights();
-  fused_into_impl(input, out, packed.get(), tensor::current_backend(), act,
+  fused_into_impl(input, out, nullptr, tensor::current_backend(), act,
                   leaky_alpha, ctx);
 }
 
@@ -97,25 +95,13 @@ void Conv2d::fused_into_impl(const Tensor& input, Tensor& out,
   }
 }
 
-std::shared_ptr<const tensor::PackedWeights> Conv2d::packed_weights() const {
-  std::uint64_t version = 0;
-  return plan_pack(tensor::current_backend(), version);
-}
-
 std::shared_ptr<const tensor::PackedWeights> Conv2d::plan_pack(
     const tensor::Backend& backend, std::uint64_t& version_out) const {
-  const std::uint64_t version =
-      weight_version_.load(std::memory_order_acquire);
-  version_out = version;
-  common::MutexLock lock(pack_mu_);
-  if (packed_ == nullptr || packed_->owner != &backend ||
-      packed_version_ != version) {
-    packed_ = std::make_shared<tensor::PackedWeights>(backend.pack_a(
-        w_.data().data(), out_channels_,
-        geom_.in_channels * geom_.kernel_h * geom_.kernel_w));
-    packed_version_ = version;
-  }
-  return packed_;
+  version_out = weight_version_.load(std::memory_order_acquire);
+  // The filter is the GEMM's left operand, reused across every sample.
+  return std::make_shared<tensor::PackedWeights>(backend.pack_a(
+      w_.data().data(), out_channels_,
+      geom_.in_channels * geom_.kernel_h * geom_.kernel_w));
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
@@ -146,7 +132,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
 
 std::vector<ParamView> Conv2d::params() {
   // The views hand out mutable weight pointers (optimizers, model_io
-  // loading); conservatively drop any cached pack.
+  // loading); conservatively bump the weight version.
   invalidate_weight_cache();
   return {{"weight", &w_, &gw_}, {"bias", &b_, &gb_}};
 }

@@ -9,9 +9,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
-
 #include "nn/layer.h"
 #include "tensor/backend.h"
 #include "tensor/im2col.h"
@@ -29,26 +26,26 @@ class Conv2d : public Layer {
   void infer_into(const Tensor& input, Tensor& out,
                   InferContext& ctx) const override;
 
-  /// act(W·cols + b) per sample in one fused backend pass (bias per output
-  /// channel row), the im2col columns living in the context's scratch
-  /// arena and the GEMM writing each sample's output row in place.
-  /// infer_into() is infer_fused_into(kNone); Sequential::infer_into
-  /// peepholes a following activation layer into `act`.
+  /// act(W·cols + b) per sample in one fused backend pass on the unpacked
+  /// filter (bias per output channel row), the im2col columns living in the
+  /// context's scratch arena and the GEMM writing each sample's output row
+  /// in place. infer_into() is infer_fused_into(kNone); InferPlan folds a
+  /// following activation layer into `act`.
   void infer_fused_into(const Tensor& input, Tensor& out,
                         tensor::EpilogueAct act, float leaky_alpha,
                         InferContext& ctx) const override;
 
   /// infer_fused_into() against caller-supplied packed filter panels — the
-  /// InferPlan executor entry: no prepack-cache probe, no version check, no
-  /// lock. `packed` must come from plan_pack() (or pack_a) for this layer's
-  /// current filter; the GEMM runs on `packed.owner`.
+  /// InferPlan executor entry. `packed` must come from plan_pack() (or
+  /// pack_a) for this layer's current filter; the GEMM runs on
+  /// `packed.owner`.
   void infer_packed_into(const Tensor& input, Tensor& out,
                          const tensor::PackedWeights& packed,
                          tensor::EpilogueAct act, float leaky_alpha,
                          InferContext& ctx) const;
 
   /// Packs this layer's filter for `backend` and reports the captured
-  /// weight version (see Dense::plan_pack; same cache-sharing contract).
+  /// weight version (see Dense::plan_pack).
   std::shared_ptr<const tensor::PackedWeights> plan_pack(
       const tensor::Backend& backend, std::uint64_t& version_out) const;
 
@@ -57,11 +54,6 @@ class Conv2d : public Layer {
     return weight_version_.load(std::memory_order_acquire);
   }
 
-  /// When enabled, infer()/infer_fused() cache the current backend's
-  /// packed filter-matrix panels keyed on a weight version (see
-  /// Layer::set_weight_prepack for the invalidation contract). The filter
-  /// is the GEMM's left operand, reused across every sample and call.
-  void set_weight_prepack(bool enabled) override { prepack_ = enabled; }
   void invalidate_weight_cache() override {
     weight_version_.fetch_add(1, std::memory_order_acq_rel);
   }
@@ -85,10 +77,6 @@ class Conv2d : public Layer {
   }
 
  private:
-  /// Current backend's packed filter panels, repacked lazily whenever the
-  /// weight version or the selected backend changed since the last call.
-  std::shared_ptr<const tensor::PackedWeights> packed_weights() const;
-
   /// Shared body of the fused/packed entries: im2col per sample into the
   /// context arena, GEMM on `backend` into the sample's output row, with
   /// `packed` panels when non-null.
@@ -103,12 +91,7 @@ class Conv2d : public Layer {
   Tensor b_;   // (outC)
   Tensor gw_, gb_;
   Tensor input_;  // cached (B, inC*H*W); im2col recomputed in backward
-  bool prepack_ = false;
   std::atomic<std::uint64_t> weight_version_{1};
-  mutable common::Mutex pack_mu_;
-  mutable std::shared_ptr<const tensor::PackedWeights> packed_
-      ORCO_GUARDED_BY(pack_mu_);
-  mutable std::uint64_t packed_version_ ORCO_GUARDED_BY(pack_mu_) = 0;
 };
 
 }  // namespace orco::nn

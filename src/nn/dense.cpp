@@ -23,12 +23,7 @@ Dense::Dense(std::size_t in_features, std::size_t out_features,
 
 Tensor Dense::forward(const Tensor& input, bool /*training*/) {
   input_ = input;
-  // The training pass skips the prepack cache: every optimizer step
-  // invalidates it, so it would repack the whole weight each round. The
-  // unpacked fused GEMM is bitwise-equal (Backend::gemm_prepacked).
-  Tensor out;
-  fused_into(input, out, tensor::EpilogueAct::kNone, 0.01f);
-  return out;
+  return infer(input);
 }
 
 void Dense::infer_into(const Tensor& input, Tensor& out,
@@ -39,15 +34,6 @@ void Dense::infer_into(const Tensor& input, Tensor& out,
 void Dense::infer_fused_into(const Tensor& input, Tensor& out,
                              tensor::EpilogueAct act, float leaky_alpha,
                              InferContext& /*ctx*/) const {
-  if (prepack_) {
-    infer_packed_into(input, out, *packed_weights(), act, leaky_alpha);
-    return;
-  }
-  fused_into(input, out, act, leaky_alpha);
-}
-
-void Dense::fused_into(const Tensor& input, Tensor& out,
-                       tensor::EpilogueAct act, float leaky_alpha) const {
   ORCO_CHECK(input.rank() == 2 && input.dim(1) == in_,
              "Dense expects (batch, " << in_ << "), got "
                                       << tensor::shape_to_string(input.shape()));
@@ -64,16 +50,6 @@ void Dense::fused_into(const Tensor& input, Tensor& out,
   tensor::current_backend().gemm_fused(input.data().data(), w_.data().data(),
                                        out.data().data(), batch, in_, out_,
                                        /*transpose_b=*/true, epi);  // (B, out)
-}
-
-void Dense::infer_quantized_into(const std::uint8_t* codes,
-                                 const tensor::QuantHeader& qh,
-                                 std::size_t batch, Tensor& out,
-                                 tensor::EpilogueAct act, float leaky_alpha,
-                                 InferContext& /*ctx*/) const {
-  const auto packed = packed_weights();
-  infer_quantized_packed_into(codes, qh, batch, out, *packed, act,
-                              leaky_alpha);
 }
 
 void Dense::infer_packed_into(const Tensor& input, Tensor& out,
@@ -104,7 +80,7 @@ void Dense::infer_quantized_packed_into(const std::uint8_t* codes,
                                         float leaky_alpha) const {
   ORCO_CHECK(codes != nullptr && qh.row_lo != nullptr &&
                  qh.row_scale != nullptr,
-             "infer_quantized_into needs codes and per-row headers");
+             "infer_quantized_packed_into needs codes and per-row headers");
   out.resize(batch, out_);
   tensor::Epilogue epi;
   epi.bias = b_.data().data();
@@ -118,23 +94,10 @@ void Dense::infer_quantized_packed_into(const std::uint8_t* codes,
 
 std::shared_ptr<const tensor::PackedWeights> Dense::plan_pack(
     const tensor::Backend& backend, std::uint64_t& version_out) const {
-  const std::uint64_t version =
-      weight_version_.load(std::memory_order_acquire);
-  version_out = version;
-  common::MutexLock lock(pack_mu_);
-  if (packed_ == nullptr || packed_->owner != &backend ||
-      packed_version_ != version) {
-    // y = x·Wᵀ with W stored (out, in): W is the transposed-B operand.
-    packed_ = std::make_shared<tensor::PackedWeights>(
-        backend.pack_b(w_.data().data(), in_, out_, /*transpose_b=*/true));
-    packed_version_ = version;
-  }
-  return packed_;
-}
-
-std::shared_ptr<const tensor::PackedWeights> Dense::packed_weights() const {
-  std::uint64_t version = 0;
-  return plan_pack(tensor::current_backend(), version);
+  version_out = weight_version_.load(std::memory_order_acquire);
+  // y = x·Wᵀ with W stored (out, in): W is the transposed-B operand.
+  return std::make_shared<tensor::PackedWeights>(
+      backend.pack_b(w_.data().data(), in_, out_, /*transpose_b=*/true));
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {
@@ -159,7 +122,7 @@ Tensor Dense::backward(const Tensor& grad_output) {
 
 std::vector<ParamView> Dense::params() {
   // The views hand out mutable weight pointers (optimizers, model_io
-  // loading); conservatively drop any cached pack.
+  // loading); conservatively bump the weight version.
   invalidate_weight_cache();
   return {{"weight", &w_, &gw_}, {"bias", &b_, &gb_}};
 }

@@ -3,9 +3,9 @@
 // Layer::infer_into() computes into caller-owned output tensors; the
 // context supplies everything else a forward pass needs transiently:
 //
-//   * two ping-pong activation buffers Sequential::infer_into alternates
-//     between layer boundaries (each keeps its high-water capacity, so a
-//     steady-state pass through the same model re-uses the same storage);
+//   * two ping-pong activation buffers InferPlan::run alternates between
+//     op boundaries (each keeps its high-water capacity, so a steady-state
+//     pass through the same plan re-uses the same storage);
 //   * a Workspace arena for kernel scratch — im2col column matrices,
 //     epilogue temporaries — bump-allocated per layer and rewound on exit.
 //
@@ -13,9 +13,9 @@
 // batches (ClusterShard owns one per shard worker, TrainerRuntime one per
 // tenant). A context must never be shared between threads concurrently —
 // it is deliberately unsynchronized, mirroring the serve path's "no locks
-// on decode" rule. The compatibility wrappers Layer::infer()/infer_fused()
-// construct a fresh context per call, which is correct everywhere but pays
-// the allocations this type exists to remove.
+// on decode" rule. The one-off wrapper Layer::infer() constructs a fresh
+// context per call, which is correct everywhere but pays the allocations
+// this type exists to remove.
 #pragma once
 
 #include <cstddef>
@@ -41,9 +41,9 @@ class InferContext {
   tensor::Tensor& buffer(std::size_t i) noexcept { return buf_[i & 1]; }
 
   /// By convention the batch-assembly buffer: callers that build a batched
-  /// input in place (ClusterShard) write it here and pass it as infer_into's
-  /// input; Sequential then ping-pongs away from whichever buffer the input
-  /// aliases.
+  /// input in place (ClusterShard) write it here and pass it as the plan's
+  /// input; InferPlan::run then ping-pongs away from whichever buffer the
+  /// input aliases.
   tensor::Tensor& input() noexcept { return buf_[0]; }
 
   /// The ping-pong partner: whichever buffer `t` is NOT. Returns buffer 0

@@ -38,10 +38,9 @@ std::shared_ptr<const InferPlan> InferPlan::compile(
   auto plan = std::shared_ptr<InferPlan>(new InferPlan());
   plan->backend_ = &be;
   const std::vector<const Layer*>& chain = model.inference_chain();
-  // Identical walk to Sequential::run_chain: skip identity layers, fuse a
-  // following elementwise activation into the producing op. Matching the
-  // walk exactly is what makes run() trivially bitwise-identical — the
-  // plan issues the same kernel calls in the same order.
+  // Skip identity layers and fuse a following elementwise activation into
+  // the producing op: the epilogue applies the same function the
+  // activation layer would, so the fused op keeps the layer-by-layer bits.
   for (std::size_t i = 0; i < chain.size(); ++i) {
     if (chain[i]->infer_is_identity()) continue;
     PlanOp op;
@@ -110,8 +109,7 @@ void InferPlan::run_ops(const Tensor* cur, std::size_t start, Tensor& out,
     Tensor& dst = (i + 1 == n) ? out : ctx.other_than(*cur);
     const std::uint64_t t0 = profile ? obs::KernelTimer::now_ns() : 0;
     if (op.packed != nullptr && op.packed->owner == &be) {
-      // Pre-attached panels, valid for the executing backend: the direct
-      // packed entries skip the per-call prepack-cache probe entirely.
+      // Pre-attached panels, valid for the executing backend.
       if (op.dense != nullptr) {
         op.dense->infer_packed_into(*cur, dst, *op.packed, op.act,
                                     op.leaky_alpha);
@@ -121,8 +119,7 @@ void InferPlan::run_ops(const Tensor* cur, std::size_t start, Tensor& out,
       }
     } else if (op.fused) {
       // Backend differs from the compile backend (a BackendScope override)
-      // or the layer has no packable weight: same fused kernels Sequential
-      // issues.
+      // or the layer has no packable weight: the unpacked fused kernel.
       op.layer->infer_fused_into(*cur, dst, op.act, op.leaky_alpha, ctx);
     } else {
       op.layer->infer_into(*cur, dst, ctx);
@@ -146,7 +143,8 @@ void InferPlan::run_quantized(const std::uint8_t* codes,
                  qh.row_scale != nullptr,
              "run_quantized needs codes and per-row headers");
   // Dequantizes with the exact expression the fused kernel applies
-  // (x = lo + q*scale, single-float) — see Sequential::infer_quantized_into.
+  // (x = lo + q*scale, single-float), so both routes below produce the same
+  // head-input values.
   const auto dequant_to = [&](Tensor& dst) {
     dst.resize(batch, features);
     for (std::size_t i = 0; i < batch; ++i) {
@@ -172,11 +170,15 @@ void InferPlan::run_quantized(const std::uint8_t* codes,
     ctx.scratch().reserve(scratch_floats_);
   }
   const PlanOp& head = ops_.front();
-  if (head.dense == nullptr) {
-    // No Dense head to feed codes into: dequantize into the context's
-    // input buffer and run the float plan.
-    dequant_to(ctx.input());
-    run_ops(&ctx.input(), 0, out, ctx);
+  const tensor::Backend& be = tensor::current_backend();
+  if (head.dense == nullptr || head.packed->owner != &be) {
+    // No Dense head to feed codes into, or its panels belong to another
+    // backend (a BackendScope override): dequantize and run the float plan.
+    // Stage in the buffer `out` is not — a single-op plan may write a
+    // context buffer.
+    Tensor& staged = ctx.other_than(out);
+    dequant_to(staged);
+    run_ops(&staged, 0, out, ctx);
     return;
   }
   ORCO_CHECK(features == head.dense->in_features(),
@@ -189,17 +191,10 @@ void InferPlan::run_quantized(const std::uint8_t* codes,
   // the plan to ping-pong from.
   const bool last = ops_.size() == 1;
   Tensor& dst = last ? out : ctx.input();
-  const tensor::Backend& be = tensor::current_backend();
   const bool profile = obs::kernel_profiling_enabled();
   const std::uint64_t t0 = profile ? obs::KernelTimer::now_ns() : 0;
-  if (head.packed != nullptr && head.packed->owner == &be) {
-    head.dense->infer_quantized_packed_into(codes, qh, batch, dst,
-                                            *head.packed, head.act,
-                                            head.leaky_alpha);
-  } else {
-    head.dense->infer_quantized_into(codes, qh, batch, dst, head.act,
-                                     head.leaky_alpha, ctx);
-  }
+  head.dense->infer_quantized_packed_into(codes, qh, batch, dst, *head.packed,
+                                          head.act, head.leaky_alpha);
   if (profile) {
     obs::OpTimer& timer = timers_[0];
     timer.ns.fetch_add(obs::KernelTimer::now_ns() - t0,

@@ -1,27 +1,25 @@
 // InferPlan — a compile-once, execute-many inference plan for a frozen
-// layer chain.
+// layer chain, and the only whole-chain inference executor: serving shards,
+// EdgeServer, trainer evaluation and Sequential::infer_into all run one.
 //
-// Sequential::infer_into re-discovers the chain's structure on every call:
-// it walks nested containers, skips identity layers, peepholes the
-// layer+activation fusion, and probes each layer's prepack cache (a mutex
-// acquisition plus a version compare) per batch. For a serving decoder that
-// structure is frozen the moment a snapshot is published — so InferPlan
-// does all of it exactly once:
+// A serving decoder's structure is frozen the moment a snapshot is
+// published, so compile() does every structural decision exactly once:
 //
 //   * nested Sequential chains are flattened and identity layers dropped;
 //   * a following elementwise activation is fused into its producer op's
-//     kernel epilogue at compile time;
+//     kernel epilogue;
 //   * Dense/Conv2d weights are packed for the compile backend up front and
-//     pinned to the op — the executor never probes a cache, takes a lock,
-//     or checks a version;
+//     pinned to the op (plan_pack is the only weight-packing path) — the
+//     executor never takes a lock or checks a version;
 //   * the exact context-arena high-water across the chain is precomputed,
 //     so the first run() reserves once and the arena never grows.
 //
 // run() is then a branch-light loop over the flat op list, bitwise
-// identical to Sequential::infer_into on every backend: fusion uses the
-// same peephole rule, prepacked GEMMs are bitwise-identical to their
-// unpacked equivalents (see tensor/backend.h), and buffer ping-pong only
-// changes where bytes live, never their values.
+// identical to the layer-by-layer Sequential::forward(x, /*training=*/false)
+// on the same backend: an epilogue applies the same elementwise function
+// the activation layer would, prepacked GEMMs are bitwise-identical to
+// their unpacked equivalents (see tensor/backend.h), and buffer ping-pong
+// only changes where bytes live, never their values.
 //
 // Compile triggers and sharing: ModelRegistry::publish compiles a plan per
 // snapshot version (under the snapshot's pinned backend) and stores it on
@@ -71,8 +69,8 @@ struct PlanOp {
   std::uint64_t packed_version = 0;
   tensor::EpilogueAct act = tensor::EpilogueAct::kNone;
   float leaky_alpha = 0.01f;
-  /// True when a following activation layer was folded into this op (the
-  /// Sequential peephole); false ops run plain infer_into.
+  /// True when a following activation layer was folded into this op;
+  /// false ops run plain infer_into.
   bool fused = false;
   /// Index into the flattened source chain, for diagnostics.
   std::size_t source_index = 0;
@@ -93,20 +91,22 @@ class InferPlan {
   InferPlan& operator=(const InferPlan&) = delete;
 
   /// Executes the plan: `input` ping-pongs through the context buffers and
-  /// the final op writes `out`. Bitwise identical to
-  /// Sequential::infer_into on the compile backend. `out` must not alias
-  /// `input`, and may alias a context buffer only for single-op (or empty)
-  /// plans — multi-op plans need both buffers for intermediates. The
-  /// first call reserves the precomputed arena high-water; after one
-  /// warmup pass at the workload's largest batch, repeat runs perform
-  /// zero heap allocations.
+  /// the final op writes `out`. Under a backend other than the compile one
+  /// (a BackendScope override) ops run their unpacked kernels on the
+  /// executing backend, still bitwise equal to Sequential::forward there.
+  /// `out` must not alias `input`, and may alias a context buffer only for
+  /// single-op (or empty) plans — multi-op plans need both buffers for
+  /// intermediates. The first call reserves the precomputed arena
+  /// high-water; after one warmup pass at the workload's largest batch,
+  /// repeat runs perform zero heap allocations.
   void run(const Tensor& input, Tensor& out, InferContext& ctx) const;
 
   /// Executes the plan straight from uint8 latent codes (the int8 uplink
-  /// head): a Dense head op feeds Backend::gemm_quantized via its
-  /// pre-attached panels; otherwise the codes are dequantized
-  /// (x = lo + q*scale) into the context input buffer and the float plan
-  /// runs. Bitwise identical to Sequential::infer_quantized_into.
+  /// head): a Dense head op whose panels belong to the executing backend
+  /// feeds Backend::gemm_quantized directly; otherwise the codes are
+  /// dequantized (x = lo + q*scale, single-float) into the context buffer
+  /// `out` does not alias and the float plan runs. Both routes are bitwise
+  /// identical to run() on the dequantized batch.
   void run_quantized(const std::uint8_t* codes, const tensor::QuantHeader& qh,
                      std::size_t batch, std::size_t features, Tensor& out,
                      InferContext& ctx) const;
@@ -129,8 +129,7 @@ class InferPlan {
   std::size_t scratch_floats() const noexcept { return scratch_floats_; }
 
   /// Per-op execution profile accumulated while obs::kernel_profiling is
-  /// enabled: op | kernel | calls | total ms | mean us. Replaces
-  /// Sequential's per-layer table on the serving path. Rows with zero
+  /// enabled: op | kernel | calls | total ms | mean us. Rows with zero
   /// calls are omitted.
   common::Table op_profile_table() const;
   /// Zeroes the per-op profile accumulators.

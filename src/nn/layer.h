@@ -60,12 +60,12 @@ class Layer {
                            " does not implement const inference");
   }
 
-  /// infer_into() with an elementwise activation applied on top — the hook
-  /// Sequential::infer_into uses to fuse a layer with its following
-  /// activation layer. GEMM-backed layers (Dense, Conv2d) override this to
-  /// push the activation into the kernel epilogue; the default computes
-  /// infer_into() and applies the activation in a second pass, which is
-  /// always equivalent.
+  /// infer_into() with an elementwise activation applied on top — the entry
+  /// InferPlan runs when it folds a following activation layer into this
+  /// op. GEMM-backed layers (Dense, Conv2d) override this to push the
+  /// activation into the kernel epilogue; the default computes infer_into()
+  /// and applies the activation in a second pass, which is always
+  /// equivalent.
   virtual void infer_fused_into(const Tensor& input, Tensor& out,
                                 tensor::EpilogueAct act, float leaky_alpha,
                                 InferContext& ctx) const {
@@ -81,8 +81,8 @@ class Layer {
   }
 
   /// True when inference through this layer is the identity (noise layers,
-  /// Identity): Sequential::infer_into skips such layers instead of paying
-  /// a buffer copy per batch.
+  /// Identity): InferPlan::compile drops such layers instead of paying a
+  /// buffer copy per batch.
   virtual bool infer_is_identity() const { return false; }
 
   /// Upper bound on the context-arena floats one infer_into() call bump-
@@ -92,10 +92,10 @@ class Layer {
   /// chain to reserve the arena's exact high-water up front.
   virtual std::size_t infer_scratch_floats() const { return 0; }
 
-  /// Compatibility wrapper over infer_into(): allocates a context (and the
+  /// One-off wrapper over infer_into(): allocates a context (and the
   /// result) on the fly. Correct everywhere; hot paths that care about
-  /// steady-state allocations hold a long-lived InferContext and call
-  /// infer_into() instead.
+  /// steady-state allocations hold a long-lived InferContext and run a
+  /// compiled InferPlan (or a leaf layer's infer_into()) instead.
   Tensor infer(const Tensor& input) const {
     InferContext ctx;
     Tensor out;
@@ -103,27 +103,11 @@ class Layer {
     return out;
   }
 
-  /// Compatibility wrapper over infer_fused_into() (same contract).
-  Tensor infer_fused(const Tensor& input, tensor::EpilogueAct act,
-                     float leaky_alpha = 0.01f) const {
-    InferContext ctx;
-    Tensor out;
-    infer_fused_into(input, out, act, leaky_alpha, ctx);
-    return out;
-  }
-
-  /// Opt-in weight prepacking for the inference path: layers whose infer()
-  /// is a GEMM against an immutable weight (Dense, Conv2d) cache the
-  /// current backend's packed panels and reuse them across calls, which
-  /// removes the packing cost that dominates small-batch serving decode.
-  /// Off by default because any weight mutation that bypasses the layer's
-  /// own API (an optimizer stepping through ParamView pointers) must be
-  /// followed by invalidate_weight_cache() — EdgeServer does exactly that
-  /// after train_step. Stateless layers ignore both calls.
-  virtual void set_weight_prepack(bool enabled) { (void)enabled; }
-
-  /// Drops cached packed weights after an external weight mutation. Cheap
-  /// (bumps a version; repacking is lazy on the next infer).
+  /// Records a weight mutation made outside the layer's own API (an
+  /// optimizer stepping through ParamView pointers, a checkpoint load):
+  /// layers with a packable weight (Dense, Conv2d) bump their weight
+  /// version, so plans compiled before the mutation report weights_stale().
+  /// Stateless layers ignore it.
   virtual void invalidate_weight_cache() {}
 
   /// Trainable parameters (empty for stateless layers).

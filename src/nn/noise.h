@@ -26,7 +26,7 @@ class GaussianNoise : public Layer {
     out.resize_like(input);
     std::copy(input.data().begin(), input.data().end(), out.data().begin());
   }
-  /// Noise is train-only: Sequential::infer_into skips the layer outright.
+  /// Noise is train-only: InferPlan::compile drops the layer outright.
   bool infer_is_identity() const override { return true; }
   std::string name() const override { return "GaussianNoise"; }
   std::size_t output_features(std::size_t f) const override { return f; }

@@ -1,45 +1,22 @@
 #include "nn/sequential.h"
 
-#include <algorithm>
-#include <optional>
-
 #include "common/check.h"
-#include "nn/activations.h"
-#include "nn/dense.h"
+#include "nn/infer_plan.h"
 
 namespace orco::nn {
 
 Layer& Sequential::add(LayerPtr layer) {
   ORCO_CHECK(layer != nullptr, "cannot add null layer");
   layers_.push_back(std::move(layer));
-  rebuild_inference_chain();
+  const Layer* added = layers_.back().get();
+  if (const auto* seq = dynamic_cast<const Sequential*>(added)) {
+    // The nested chain is already flat (it was rebuilt on its own adds);
+    // splice its leaves so a compiled plan never calls into a container.
+    flat_.insert(flat_.end(), seq->flat_.begin(), seq->flat_.end());
+  } else {
+    flat_.push_back(added);
+  }
   return *layers_.back();
-}
-
-void Sequential::rebuild_inference_chain() {
-  flat_.clear();
-  for (const auto& l : layers_) {
-    if (const auto* seq = dynamic_cast<const Sequential*>(l.get())) {
-      // The nested chain is already flat (it was rebuilt on its own adds);
-      // splice its leaves so inference never calls into a nested container.
-      flat_.insert(flat_.end(), seq->flat_.begin(), seq->flat_.end());
-    } else {
-      flat_.push_back(l.get());
-    }
-  }
-  first_real_ = kNoReal;
-  last_real_ = kNoReal;
-  for (std::size_t i = 0; i < flat_.size(); ++i) {
-    if (!flat_[i]->infer_is_identity()) {
-      if (first_real_ == kNoReal) first_real_ = i;
-      last_real_ = i;
-    }
-  }
-  layer_timers_.clear();
-  layer_timers_.reserve(flat_.size());
-  for (std::size_t i = 0; i < flat_.size(); ++i) {
-    layer_timers_.push_back(std::make_unique<obs::OpTimer>());
-  }
 }
 
 Tensor Sequential::forward(const Tensor& input, bool training) {
@@ -50,189 +27,7 @@ Tensor Sequential::forward(const Tensor& input, bool training) {
 
 void Sequential::infer_into(const Tensor& input, Tensor& out,
                             InferContext& ctx) const {
-  ORCO_CHECK(&out != &input,
-             "Sequential::infer_into output may not alias its input");
-  if (last_real_ == kNoReal) {
-    // Empty chain or all-identity: the pass is a copy.
-    out.resize_like(input);
-    std::copy(input.data().begin(), input.data().end(), out.data().begin());
-    return;
-  }
-  run_chain(&input, 0, last_real_, out, ctx);
-}
-
-std::size_t Sequential::count_steps(std::size_t start,
-                                    std::size_t last_real) const {
-  std::size_t steps = 0;
-  for (std::size_t i = start; i < flat_.size(); ++i) {
-    if (flat_[i]->infer_is_identity()) continue;
-    std::size_t step_end = i;
-    float leaky_alpha = 0.01f;
-    if (i + 1 < flat_.size() &&
-        activation_epilogue(*flat_[i + 1], leaky_alpha)) {
-      step_end = i + 1;
-    }
-    ++steps;
-    if (last_real <= step_end) break;
-    i = step_end;
-  }
-  return steps;
-}
-
-// Peephole fusion, ping-pong buffer plan: a layer followed by an
-// elementwise activation becomes one infer_fused_into() call — GEMM-backed
-// layers (Dense, Conv2d) push the activation into the kernel epilogue,
-// halving the memory traffic of the serving decode path; everything else
-// falls back to compute-then-apply, which is always equivalent. Each step
-// reads the previous step's buffer and writes the other context buffer
-// (the step containing `last_real` writes `out`), so after warmup a whole
-// pass touches no allocator. The training-mode forward() stays unfused
-// because backward needs the pre-activation.
-void Sequential::run_chain(const Tensor* cur, std::size_t start,
-                           std::size_t last_real, Tensor& out,
-                           InferContext& ctx) const {
-  const bool profile = obs::kernel_profiling_enabled();
-  // Intermediate destinations alternate between the two context buffers;
-  // by default the first one is the partner of whatever the input aliases
-  // (buffer 0 for external inputs). When `out` itself aliases a context
-  // buffer the final step must read the OTHER buffer, which pins the
-  // intermediate sequence's parity: pick the first destination by walking
-  // the step count backwards, and reject the one layout two buffers cannot
-  // express (input pinned to one buffer, output to the other, wrong
-  // parity) loudly instead of silently falling back to an allocating path.
-  Tensor* next_dst = &ctx.other_than(*cur);
-  if (ctx.owns(out)) {
-    const std::size_t steps = count_steps(start, last_real);
-    if (steps > 1) {
-      Tensor& notout = ctx.other_than(out);
-      Tensor* first = ((steps - 1) % 2 == 1) ? &notout : &out;
-      ORCO_CHECK(first != cur,
-                 "Sequential::infer_into: output aliases a context buffer "
-                 "with a step parity two ping-pong buffers cannot express; "
-                 "pass an external output tensor");
-      next_dst = first;
-    }
-  }
-  for (std::size_t i = start; i < flat_.size(); ++i) {
-    if (flat_[i]->infer_is_identity()) continue;
-    std::size_t step_end = i;
-    float leaky_alpha = 0.01f;
-    std::optional<tensor::EpilogueAct> epi;
-    if (i + 1 < flat_.size()) {
-      epi = activation_epilogue(*flat_[i + 1], leaky_alpha);
-      if (epi) step_end = i + 1;
-    }
-    const bool last = last_real <= step_end;
-    Tensor& dst = last ? out : *next_dst;
-    const std::uint64_t t0 = profile ? obs::KernelTimer::now_ns() : 0;
-    if (epi) {
-      flat_[i]->infer_fused_into(*cur, dst, *epi, leaky_alpha, ctx);
-    } else {
-      flat_[i]->infer_into(*cur, dst, ctx);
-    }
-    if (profile) {
-      obs::OpTimer& timer = *layer_timers_[i];
-      timer.ns.fetch_add(obs::KernelTimer::now_ns() - t0,
-                         std::memory_order_relaxed);
-      timer.calls.fetch_add(1, std::memory_order_relaxed);
-    }
-    cur = &dst;
-    next_dst = &ctx.other_than(dst);
-    i = step_end;
-  }
-}
-
-void Sequential::infer_quantized_into(const std::uint8_t* codes,
-                                      const tensor::QuantHeader& qh,
-                                      std::size_t batch, std::size_t features,
-                                      Tensor& out, InferContext& ctx) const {
-  // Dequantizes with the exact expression the fused kernel applies
-  // (x = lo + q*scale, single-float), so every branch below produces the
-  // same head-input values.
-  const auto dequant_to = [&](Tensor& dst) {
-    dst.resize(batch, features);
-    for (std::size_t i = 0; i < batch; ++i) {
-      const std::uint8_t* src = codes + i * features;
-      float* row = dst.data().data() + i * features;
-      const float lo = qh.row_lo[i];
-      const float scale = qh.row_scale[i];
-      for (std::size_t j = 0; j < features; ++j) {
-        row[j] = lo + static_cast<float>(src[j]) * scale;
-      }
-    }
-  };
-  if (last_real_ == kNoReal) {
-    // Empty chain or all-identity: the pass is just the dequantization.
-    dequant_to(out);
-    return;
-  }
-  const auto* head = dynamic_cast<const Dense*>(flat_[first_real_]);
-  if (head == nullptr) {
-    // No Dense head to feed codes into: dequantize into the context's
-    // input buffer and run the ordinary float chain.
-    dequant_to(ctx.input());
-    infer_into(ctx.input(), out, ctx);
-    return;
-  }
-  ORCO_CHECK(features == head->in_features(),
-             "quantized latents have " << features << " features, head Dense"
-                                       << " expects " << head->in_features());
-  // Dense head fast path: the GEMM reads the uint8 codes directly,
-  // dequantizing inside A-panel packing — the batch is never materialized
-  // as floats. Keep the activation peephole for the head step.
-  std::size_t step_end = first_real_;
-  float leaky_alpha = 0.01f;
-  tensor::EpilogueAct act = tensor::EpilogueAct::kNone;
-  if (first_real_ + 1 < flat_.size()) {
-    if (const auto epi =
-            activation_epilogue(*flat_[first_real_ + 1], leaky_alpha)) {
-      act = *epi;
-      step_end = first_real_ + 1;
-    }
-  }
-  const bool last = last_real_ <= step_end;
-  // The codes live outside the context, so input() is free to hold the
-  // head's output for the rest of the chain to ping-pong from.
-  Tensor& dst = last ? out : ctx.input();
-  const bool profile = obs::kernel_profiling_enabled();
-  const std::uint64_t t0 = profile ? obs::KernelTimer::now_ns() : 0;
-  head->infer_quantized_into(codes, qh, batch, dst, act, leaky_alpha, ctx);
-  if (profile) {
-    obs::OpTimer& timer = *layer_timers_[first_real_];
-    timer.ns.fetch_add(obs::KernelTimer::now_ns() - t0,
-                       std::memory_order_relaxed);
-    timer.calls.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (!last) run_chain(&dst, step_end + 1, last_real_, out, ctx);
-}
-
-common::Table Sequential::layer_profile_table() const {
-  common::Table table({"layer", "name", "calls", "total ms", "mean us"});
-  for (std::size_t i = 0; i < flat_.size(); ++i) {
-    const std::uint64_t calls =
-        layer_timers_[i]->calls.load(std::memory_order_relaxed);
-    if (calls == 0) continue;
-    const std::uint64_t ns =
-        layer_timers_[i]->ns.load(std::memory_order_relaxed);
-    table.add_row({std::to_string(i), flat_[i]->name(),
-                   std::to_string(calls),
-                   common::Table::num(static_cast<double>(ns) / 1e6, 3),
-                   common::Table::num(static_cast<double>(ns) / 1e3 /
-                                          static_cast<double>(calls),
-                                      3)});
-  }
-  return table;
-}
-
-void Sequential::reset_layer_profile() const {
-  for (const auto& timer : layer_timers_) {
-    timer->ns.store(0, std::memory_order_relaxed);
-    timer->calls.store(0, std::memory_order_relaxed);
-  }
-}
-
-void Sequential::set_weight_prepack(bool enabled) {
-  for (auto& l : layers_) l->set_weight_prepack(enabled);
+  InferPlan::compile(*this)->run(input, out, ctx);
 }
 
 void Sequential::invalidate_weight_cache() {

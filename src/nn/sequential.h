@@ -2,13 +2,10 @@
 // DCSNet and the classifier.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <utility>
 
-#include "common/table.h"
 #include "nn/layer.h"
-#include "obs/profile.h"
 
 namespace orco::nn {
 
@@ -16,7 +13,7 @@ class Sequential : public Layer {
  public:
   Sequential() = default;
 
-  /// Appends a layer; returns a reference for further wiring. Rebuilds the
+  /// Appends a layer; returns a reference for further wiring. Extends the
   /// flattened inference chain: a nested Sequential contributes its leaf
   /// layers in order, so nested chains must be fully built before being
   /// added to an outer chain.
@@ -34,32 +31,13 @@ class Sequential : public Layer {
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
 
-  /// Whole-chain inference into `out`: runs the flattened leaf chain with
-  /// the fused layer+activation peephole, ping-ponging between the
-  /// context's two buffers (the final step writes `out` directly) and
-  /// skipping inference-identity layers (noise) outright. Nested
-  /// Sequential containers are flattened at add() time, so a nested chain
-  /// executes exactly like its flat equivalent — no inner infer_into call,
-  /// no allocation. After warmup — one pass at the workload's largest
-  /// batch — repeat passes through the same context perform zero heap
-  /// allocations. Snapshot serving paths use the ahead-of-time compiled
-  /// equivalent, InferPlan (see nn/infer_plan.h), instead.
+  /// One-off whole-chain inference: compiles an InferPlan for the current
+  /// backend (packing every weight) and runs it once. Anything that decodes
+  /// more than once compiles the plan itself and calls InferPlan::run, which
+  /// is allocation-free after warmup (see nn/infer_plan.h).
   void infer_into(const Tensor& input, Tensor& out,
                   InferContext& ctx) const override;
 
-  /// Whole-chain inference straight from uint8 latent codes (batch ×
-  /// features, row-major) with per-row affine headers `qh`. When the first
-  /// real layer is Dense the codes feed Backend::gemm_quantized directly —
-  /// the float batch is never materialized; otherwise the codes are
-  /// dequantized into the context input buffer and the chain runs as
-  /// infer_into. Both branches decode each code as x = lo + q*scale in
-  /// single-float math, so the output is identical either way.
-  void infer_quantized_into(const std::uint8_t* codes,
-                            const tensor::QuantHeader& qh, std::size_t batch,
-                            std::size_t features, Tensor& out,
-                            InferContext& ctx) const;
-
-  void set_weight_prepack(bool enabled) override;
   void invalidate_weight_cache() override;
   std::vector<ParamView> params() override;
   std::string name() const override { return "Sequential"; }
@@ -74,7 +52,7 @@ class Sequential : public Layer {
 
   /// The inference-time view of the chain: nested Sequential containers
   /// flattened to their leaf layers in order (identity layers included).
-  /// This is what infer_into executes and what InferPlan::compile walks.
+  /// This is what InferPlan::compile walks.
   const std::vector<const Layer*>& inference_chain() const noexcept {
     return flat_;
   }
@@ -84,44 +62,11 @@ class Sequential : public Layer {
 
   std::size_t forward_flops(std::size_t batch) const override;
 
-  /// Per-layer inference time profile, accumulated by infer_into while
-  /// obs::kernel_profiling is enabled (zero cost otherwise): layer | name |
-  /// calls | total ms | mean us. A fused layer+activation step is
-  /// attributed to the compute layer; rows index the flattened chain.
-  /// Rows with zero calls are omitted.
-  common::Table layer_profile_table() const;
-  /// Zeroes the per-layer profile accumulators.
-  void reset_layer_profile() const;
-
  private:
-  /// "No real layer" sentinel for the cached chain scans.
-  static constexpr std::size_t kNoReal = static_cast<std::size_t>(-1);
-
-  /// Rebuilds flat_, the cached first/last-real-layer scan and the per-step
-  /// timers. Called from add() — the only structural mutation point.
-  void rebuild_inference_chain();
-
-  /// The fused ping-pong execution loop shared by infer_into and the
-  /// quantized entry: runs flattened layers [start, ...] with `cur` as the
-  /// incoming activation, writing the step containing `last_real` to `out`.
-  void run_chain(const Tensor* cur, std::size_t start, std::size_t last_real,
-                 Tensor& out, InferContext& ctx) const;
-
-  /// Number of fused execution steps run_chain would take from `start`
-  /// through `last_real` — structural only, used to pick ping-pong parity
-  /// when `out` aliases a context buffer.
-  std::size_t count_steps(std::size_t start, std::size_t last_real) const;
-
   std::vector<LayerPtr> layers_;
-  // Flattened leaf view of layers_ (nested Sequentials expanded), plus the
-  // cached identity scan over it — recomputed in add() instead of per call.
+  // Flattened leaf view of layers_ (nested Sequentials expanded), extended
+  // in add() — the only structural mutation point.
   std::vector<const Layer*> flat_;
-  std::size_t first_real_ = kNoReal;  // first non-identity index into flat_
-  std::size_t last_real_ = kNoReal;   // last non-identity index into flat_
-  // One timer per flattened step (atomics are immovable, hence the
-  // unique_ptr); mutable because timing a const inference pass is still
-  // logically const.
-  mutable std::vector<std::unique_ptr<obs::OpTimer>> layer_timers_;
 };
 
 }  // namespace orco::nn

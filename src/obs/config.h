@@ -24,8 +24,8 @@ struct ObsConfig {
   /// 1/64 is the deployment default, 1.0 traces everything (tests).
   /// Internally rounded to "1 in max(1, round(1/rate))".
   double trace_sample_rate = 0.0;
-  /// Per-op timing + FLOP counters in the GEMM/im2col paths and per-layer
-  /// decoder timers in Sequential::infer_into.
+  /// Per-op timing + FLOP counters in the GEMM/im2col paths and per-op
+  /// decoder timers in InferPlan (InferPlan::op_profile_table).
   bool kernel_profiling = false;
 };
 

@@ -67,9 +67,9 @@ void kernel_reset();
 /// omitted.
 common::Table kernel_report();
 
-/// One inference step's wall-time accumulator, used by the per-layer
-/// (Sequential) and per-op (InferPlan) profiles; padded so concurrent shard
-/// workers timing a shared snapshot model never share a cache line.
+/// One inference step's wall-time accumulator, used by InferPlan's per-op
+/// profile; padded so concurrent shard workers timing a shared snapshot
+/// plan never share a cache line.
 struct alignas(64) OpTimer {
   std::atomic<std::uint64_t> ns{0};
   std::atomic<std::uint64_t> calls{0};

@@ -35,8 +35,8 @@ using ClusterId = std::uint64_t;
 
 /// One immutable model generation. The decoder (and optional encoder — the
 /// §III-C broadcast package a client refreshes after a swap) must never be
-/// mutated after publication: shard workers call infer() on them
-/// concurrently with later generations being trained.
+/// mutated after publication: shard workers run the snapshot's plan over
+/// them concurrently with later generations being trained.
 struct ModelSnapshot {
   std::uint64_t version = 0;  // EdgeServer::model_version() at export time
   std::shared_ptr<const nn::Sequential> decoder;

@@ -271,10 +271,8 @@ std::uint64_t TrainerRuntime::export_and_publish(ClusterId cluster,
     // re-publishing the same generation would only churn caches.
     return 0;
   }
-  std::unique_ptr<nn::Sequential> decoder = system.export_decoder_clone();
-  if (orco.prepack_decoder) decoder->set_weight_prepack(true);
   snapshot->decoder =
-      std::shared_ptr<const nn::Sequential>(std::move(decoder));
+      std::shared_ptr<const nn::Sequential>(system.export_decoder_clone());
   {
     // Compile the snapshot's inference plan before the swap, under the
     // backend the serving shards will decode on — packing the decoder

@@ -174,7 +174,7 @@ TEST(InferContextTest, PingPongBuffersAlternate) {
   EXPECT_FALSE(ctx.owns(outside));
 }
 
-TEST(InferContextTest, SequentialInferIntoMatchesInferBitwise) {
+TEST(InferContextTest, PlanRunThroughOneContextMatchesForwardBitwise) {
   common::Pcg32 rng(7);
   nn::Sequential model;
   model.emplace<nn::Dense>(16, 48, rng);
@@ -183,6 +183,7 @@ TEST(InferContextTest, SequentialInferIntoMatchesInferBitwise) {
   model.emplace<nn::LeakyReLU>(0.05f);
   model.emplace<nn::Dense>(48, 64, rng);
   model.emplace<nn::Sigmoid>();
+  const auto plan = nn::InferPlan::compile(model);
 
   InferContext ctx;
   Tensor out;
@@ -190,8 +191,8 @@ TEST(InferContextTest, SequentialInferIntoMatchesInferBitwise) {
   // within capacity without perturbing values.
   for (const std::size_t batch : {8u, 1u, 5u, 8u}) {
     const Tensor x = Tensor::randn({batch, 16}, rng);
-    const Tensor expected = model.infer(x);
-    model.infer_into(x, out, ctx);
+    const Tensor expected = model.forward(x, /*training=*/false);
+    plan->run(x, out, ctx);
     ASSERT_EQ(out.shape(), expected.shape());
     for (std::size_t i = 0; i < out.numel(); ++i) {
       ASSERT_EQ(out[i], expected[i]) << "batch " << batch << " elem " << i;
@@ -199,7 +200,7 @@ TEST(InferContextTest, SequentialInferIntoMatchesInferBitwise) {
   }
 }
 
-TEST(InferContextTest, ConvChainInferIntoMatchesInferBitwise) {
+TEST(InferContextTest, ConvChainPlanRunThroughOneContextMatchesForward) {
   common::Pcg32 rng(21);
   nn::Sequential model;
   // 1x8x8 -> conv 4ch -> ReLU -> pool -> convT back up -> Sigmoid.
@@ -208,13 +209,14 @@ TEST(InferContextTest, ConvChainInferIntoMatchesInferBitwise) {
   model.emplace<nn::MaxPool2d>(4, 8, 8, 2, 2);
   model.emplace<nn::ConvTranspose2d>(4, 1, 2, 2, 0, 4, 4, rng);
   model.emplace<nn::Sigmoid>();
+  const auto plan = nn::InferPlan::compile(model);
 
   InferContext ctx;
   Tensor out;
   for (const std::size_t batch : {3u, 1u, 3u}) {
     const Tensor x = Tensor::randn({batch, 64}, rng);
-    const Tensor expected = model.infer(x);
-    model.infer_into(x, out, ctx);
+    const Tensor expected = model.forward(x, /*training=*/false);
+    plan->run(x, out, ctx);
     ASSERT_EQ(out.shape(), expected.shape());
     for (std::size_t i = 0; i < out.numel(); ++i) {
       ASSERT_EQ(out[i], expected[i]) << "batch " << batch << " elem " << i;
@@ -224,127 +226,35 @@ TEST(InferContextTest, ConvChainInferIntoMatchesInferBitwise) {
 
 TEST(InferContextTest, InputMayAliasAContextBuffer) {
   // The ClusterShard pattern: assemble the batch in ctx.input(), infer out
-  // of it. The planner must ping-pong away from the aliased buffer.
+  // of it. The executor must ping-pong away from the aliased buffer.
   common::Pcg32 rng(3);
   nn::Sequential model;
   model.emplace<nn::Dense>(8, 24, rng);
   model.emplace<nn::ReLU>();
   model.emplace<nn::Dense>(24, 32, rng);
   model.emplace<nn::Sigmoid>();
+  const auto plan = nn::InferPlan::compile(model);
 
   InferContext ctx;
   const Tensor x = Tensor::randn({4, 8}, rng);
-  const Tensor expected = model.infer(x);
+  const Tensor expected = model.forward(x, /*training=*/false);
 
   Tensor& assembled = ctx.input();
   assembled.resize(4, 8);
   std::copy(x.data().begin(), x.data().end(), assembled.data().begin());
   Tensor out;
-  model.infer_into(assembled, out, ctx);
+  plan->run(assembled, out, ctx);
   ASSERT_EQ(out.shape(), expected.shape());
   for (std::size_t i = 0; i < out.numel(); ++i) {
     ASSERT_EQ(out[i], expected[i]);
   }
 }
 
-TEST(ZeroAllocTest, WarmedSequentialDecodeMakesNoHeapAllocations) {
-  SerialBlockedScope kernels;
-  common::Pcg32 rng(11);
-  nn::Sequential model;
-  model.emplace<nn::Dense>(16, 64, rng);
-  model.emplace<nn::ReLU>();
-  model.emplace<nn::Dense>(64, 64, rng);
-  model.emplace<nn::Sigmoid>();
-  model.set_weight_prepack(true);
-
-  InferContext ctx;
-  Tensor out;
-  const Tensor x = Tensor::randn({8, 16}, rng);
-  // Warmup: grows the context buffers to their high-water mark and packs
-  // the weight panels.
-  model.infer_into(x, out, ctx);
-  model.infer_into(x, out, ctx);
-
-  std::uint64_t allocs = 0;
-  {
-    CountAllocs counter;
-    for (int i = 0; i < 16; ++i) model.infer_into(x, out, ctx);
-    allocs = CountAllocs::count();
-  }
-  EXPECT_EQ(allocs, 0u);
-
-  // Smaller batches recycle the same (capacity-preserving) buffers.
-  const Tensor small = Tensor::randn({2, 16}, rng);
-  model.infer_into(small, out, ctx);  // shape warmup outside the counter
-  std::uint64_t small_allocs = 0;
-  {
-    CountAllocs counter;
-    for (int i = 0; i < 16; ++i) model.infer_into(small, out, ctx);
-    small_allocs = CountAllocs::count();
-  }
-  EXPECT_EQ(small_allocs, 0u);
-}
-
-TEST(ZeroAllocTest, WarmedQuantizedDecodeMakesNoHeapAllocations) {
-  // The int8 uplink decode path (Sequential::infer_quantized_into feeding
-  // Backend::gemm_quantized) must meet the same zero-allocation bar as the
-  // float path: after warmup, codes in -> reconstruction out touches no
-  // allocator.
-  SerialBlockedScope kernels;
-  common::Pcg32 rng(29);
-  nn::Sequential model;
-  model.emplace<nn::Dense>(16, 64, rng);
-  model.emplace<nn::ReLU>();
-  model.emplace<nn::Dense>(64, 64, rng);
-  model.emplace<nn::Sigmoid>();
-  model.set_weight_prepack(true);
-
-  // Wire-format stand-ins: 8x16 uint8 codes with per-row affine headers.
-  std::vector<std::uint8_t> codes(8 * 16);
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    codes[i] = static_cast<std::uint8_t>((i * 37 + 11) & 0xFF);
-  }
-  std::vector<float> lo(8), scale(8);
-  for (std::size_t i = 0; i < 8; ++i) {
-    lo[i] = -0.5f + 0.1f * static_cast<float>(i);
-    scale[i] = 1.5f / 255.0f;
-  }
-  const tensor::QuantHeader qh{lo.data(), scale.data()};
-
-  InferContext ctx;
-  Tensor out;
-  model.infer_quantized_into(codes.data(), qh, 8, 16, out, ctx);
-  model.infer_quantized_into(codes.data(), qh, 8, 16, out, ctx);
-
-  std::uint64_t allocs = 0;
-  {
-    CountAllocs counter;
-    for (int i = 0; i < 16; ++i) {
-      model.infer_quantized_into(codes.data(), qh, 8, 16, out, ctx);
-    }
-    allocs = CountAllocs::count();
-  }
-  EXPECT_EQ(allocs, 0u);
-  EXPECT_EQ(out.dim(1), 64u);
-
-  // Smaller batches through the same warmed context stay allocation-free.
-  model.infer_quantized_into(codes.data(), qh, 3, 16, out, ctx);
-  std::uint64_t small_allocs = 0;
-  {
-    CountAllocs counter;
-    for (int i = 0; i < 16; ++i) {
-      model.infer_quantized_into(codes.data(), qh, 3, 16, out, ctx);
-    }
-    small_allocs = CountAllocs::count();
-  }
-  EXPECT_EQ(small_allocs, 0u);
-}
-
 TEST(ZeroAllocTest, WarmedPlanExecutorMakesNoHeapAllocations) {
-  // The compiled-plan executor must meet the same bar as (and eventually
-  // replaces) Sequential::infer_into on serving paths: after one warmup
-  // run at the high-water batch, run() touches no allocator — kernels come
-  // pre-resolved, panels pre-packed, the arena pre-reserved.
+  // After one warmup run at the high-water batch, the compiled plan's
+  // float and int8 entries touch no allocator — kernels come pre-resolved,
+  // panels pre-packed, the arena pre-reserved — and smaller batches
+  // recycle the same (capacity-preserving) buffers.
   SerialBlockedScope kernels;
   common::Pcg32 rng(37);
   nn::Sequential model;
@@ -368,12 +278,27 @@ TEST(ZeroAllocTest, WarmedPlanExecutorMakesNoHeapAllocations) {
   }
   EXPECT_EQ(allocs, 0u);
 
-  // Quantized head entry through the same warmed plan and context.
+  const Tensor small = Tensor::randn({2, 16}, rng);
+  plan->run(small, out, ctx);  // shape warmup outside the counter
+  std::uint64_t small_allocs = 0;
+  {
+    CountAllocs counter;
+    for (int i = 0; i < 16; ++i) plan->run(small, out, ctx);
+    small_allocs = CountAllocs::count();
+  }
+  EXPECT_EQ(small_allocs, 0u);
+
+  // The int8 uplink entry (codes feeding Backend::gemm_quantized) through
+  // the same warmed plan and context: 8x16 uint8 codes with per-row affine
+  // headers, then a smaller batch.
   std::vector<std::uint8_t> codes(8 * 16);
   for (std::size_t i = 0; i < codes.size(); ++i) {
     codes[i] = static_cast<std::uint8_t>((i * 53 + 5) & 0xFF);
   }
-  std::vector<float> lo(8, -0.5f), scale(8, 1.5f / 255.0f);
+  std::vector<float> lo(8), scale(8, 1.5f / 255.0f);
+  for (std::size_t i = 0; i < 8; ++i) {
+    lo[i] = -0.5f + 0.1f * static_cast<float>(i);
+  }
   const tensor::QuantHeader qh{lo.data(), scale.data()};
   plan->run_quantized(codes.data(), qh, 8, 16, out, ctx);
   std::uint64_t q_allocs = 0;
@@ -385,12 +310,24 @@ TEST(ZeroAllocTest, WarmedPlanExecutorMakesNoHeapAllocations) {
     q_allocs = CountAllocs::count();
   }
   EXPECT_EQ(q_allocs, 0u);
+  EXPECT_EQ(out.dim(1), 64u);
+
+  plan->run_quantized(codes.data(), qh, 3, 16, out, ctx);
+  std::uint64_t q_small_allocs = 0;
+  {
+    CountAllocs counter;
+    for (int i = 0; i < 16; ++i) {
+      plan->run_quantized(codes.data(), qh, 3, 16, out, ctx);
+    }
+    q_small_allocs = CountAllocs::count();
+  }
+  EXPECT_EQ(q_small_allocs, 0u);
 }
 
 TEST(ZeroAllocTest, WarmedConvPlanExecutorMakesNoHeapAllocations) {
   // Conv plans carry arena scratch (im2col): the compile-time high-water
   // makes the first run() reserve once, so warmed runs stay off the
-  // allocator with zero arena growth.
+  // allocator with zero arena growth, at the warmup batch and below it.
   SerialBlockedScope kernels;
   common::Pcg32 rng(43);
   nn::Sequential model;
@@ -413,13 +350,22 @@ TEST(ZeroAllocTest, WarmedConvPlanExecutorMakesNoHeapAllocations) {
     allocs = CountAllocs::count();
   }
   EXPECT_EQ(allocs, 0u);
+
+  const Tensor small = Tensor::randn({1, 64}, rng);
+  plan->run(small, out, ctx);
+  std::uint64_t small_allocs = 0;
+  {
+    CountAllocs counter;
+    for (int i = 0; i < 8; ++i) plan->run(small, out, ctx);
+    small_allocs = CountAllocs::count();
+  }
+  EXPECT_EQ(small_allocs, 0u);
 }
 
 TEST(ZeroAllocTest, NestedChainDecodesZeroAllocAndBitwiseEqualToFlat) {
-  // Regression for the retired nested-Sequential escape hatch, which
-  // round-tripped every inner layer through freshly allocated tensors:
-  // nested containers now flatten at add() time, so a nested chain decodes
-  // exactly like its flat equivalent — same bits, zero allocations.
+  // Nested containers flatten at add() time, so the plan compiled from a
+  // nested chain decodes exactly like its flat equivalent — the flat
+  // chain's forward bits, zero allocations.
   SerialBlockedScope kernels;
 
   nn::Sequential flat;
@@ -445,65 +391,23 @@ TEST(ZeroAllocTest, NestedChainDecodesZeroAllocAndBitwiseEqualToFlat) {
     nested.add(std::move(inner));
     nested.emplace<nn::Sigmoid>();
   }
-  flat.set_weight_prepack(true);
-  nested.set_weight_prepack(true);
 
   common::Pcg32 data_rng(51);
   const Tensor x = Tensor::randn({8, 16}, data_rng);
-  InferContext flat_ctx, nested_ctx;
-  Tensor flat_out, nested_out;
-  flat.infer_into(x, flat_out, flat_ctx);
-  nested.infer_into(x, nested_out, nested_ctx);
-  ASSERT_EQ(nested_out.shape(), flat_out.shape());
-  for (std::size_t i = 0; i < nested_out.numel(); ++i) {
-    ASSERT_EQ(nested_out[i], flat_out[i]) << "elem " << i;
-  }
-
-  nested.infer_into(x, nested_out, nested_ctx);  // warmup
-  std::uint64_t allocs = 0;
-  {
-    CountAllocs counter;
-    for (int i = 0; i < 16; ++i) nested.infer_into(x, nested_out, nested_ctx);
-    allocs = CountAllocs::count();
-  }
-  EXPECT_EQ(allocs, 0u);
-
-  // The plan compiled from the nested chain meets the same bar.
+  const Tensor expected = flat.forward(x, /*training=*/false);
   const auto plan = nn::InferPlan::compile(nested);
-  Tensor plan_out;
-  plan->run(x, plan_out, nested_ctx);
-  for (std::size_t i = 0; i < plan_out.numel(); ++i) {
-    ASSERT_EQ(plan_out[i], flat_out[i]) << "plan elem " << i;
-  }
-  std::uint64_t plan_allocs = 0;
-  {
-    CountAllocs counter;
-    for (int i = 0; i < 16; ++i) plan->run(x, plan_out, nested_ctx);
-    plan_allocs = CountAllocs::count();
-  }
-  EXPECT_EQ(plan_allocs, 0u);
-}
-
-TEST(ZeroAllocTest, WarmedConvDecodeMakesNoHeapAllocations) {
-  SerialBlockedScope kernels;
-  common::Pcg32 rng(13);
-  nn::Sequential model;
-  model.emplace<nn::Conv2d>(1, 4, 3, 1, 1, 8, 8, rng);
-  model.emplace<nn::ReLU>();
-  model.emplace<nn::ConvTranspose2d>(4, 1, 2, 2, 0, 8, 8, rng);
-  model.emplace<nn::Sigmoid>();
-  model.set_weight_prepack(true);
-
   InferContext ctx;
   Tensor out;
-  const Tensor x = Tensor::randn({4, 64}, rng);
-  model.infer_into(x, out, ctx);
-  model.infer_into(x, out, ctx);
+  plan->run(x, out, ctx);  // warmup
+  ASSERT_EQ(out.shape(), expected.shape());
+  for (std::size_t i = 0; i < out.numel(); ++i) {
+    ASSERT_EQ(out[i], expected[i]) << "elem " << i;
+  }
 
   std::uint64_t allocs = 0;
   {
     CountAllocs counter;
-    for (int i = 0; i < 8; ++i) model.infer_into(x, out, ctx);
+    for (int i = 0; i < 16; ++i) plan->run(x, out, ctx);
     allocs = CountAllocs::count();
   }
   EXPECT_EQ(allocs, 0u);
@@ -521,7 +425,6 @@ TEST(ZeroAllocTest, ClusterShardStyleSteadyStateDecodeIsAllocationFree) {
   cfg.orco.latent_dim = 16;
   cfg.orco.decoder_layers = 3;
   cfg.orco.seed = 5;
-  cfg.orco.prepack_decoder = true;
   cfg.field.device_count = 8;
   cfg.field.radio_range_m = 60.0;
   core::OrcoDcsSystem system(cfg);
@@ -558,9 +461,10 @@ TEST(ZeroAllocTest, ClusterShardStyleSteadyStateDecodeIsAllocationFree) {
 TEST(ZeroAllocTest, SteadyStateDecodeStaysAllocationFreeWithObservabilityOn) {
   // Same acceptance bar as above with the full observability stack armed:
   // metrics, tracing at rate 1.0 (every decode emits a span into the
-  // thread-local ring) and per-kernel/per-layer profiling. The ring and the
-  // layer timers are created during warmup; the steady-state record path is
-  // plain atomic adds and ring stores, so it must stay off the allocator.
+  // thread-local ring) and per-kernel/per-op profiling. The ring is created
+  // during warmup and the plan's op timers at compile; the steady-state
+  // record path is plain atomic adds and ring stores, so it must stay off
+  // the allocator.
   SerialBlockedScope kernels;
   obs::ObsConfig obs_cfg;
   obs_cfg.trace_sample_rate = 1.0;
@@ -572,7 +476,6 @@ TEST(ZeroAllocTest, SteadyStateDecodeStaysAllocationFreeWithObservabilityOn) {
   cfg.orco.latent_dim = 16;
   cfg.orco.decoder_layers = 3;
   cfg.orco.seed = 5;
-  cfg.orco.prepack_decoder = true;
   cfg.field.device_count = 8;
   cfg.field.radio_range_m = 60.0;
   core::OrcoDcsSystem system(cfg);
@@ -593,7 +496,7 @@ TEST(ZeroAllocTest, SteadyStateDecodeStaysAllocationFreeWithObservabilityOn) {
     system.edge().decode_inference(stacked, decode_out, ctx);
   };
 
-  decode_batch(8);  // warmup: context buffers, weight packs, trace ring
+  decode_batch(8);  // warmup: plan compile, context buffers, trace ring
   decode_batch(8);
   std::uint64_t allocs = 0;
   {

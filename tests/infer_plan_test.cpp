@@ -1,13 +1,19 @@
 // Tests for InferPlan, the compile-once inference plan (nn/infer_plan.h):
 // compile-time structure (identity layers dropped, activations fused,
-// packed panels pre-attached), bitwise parity with Sequential::infer_into
-// across all three backends and odd shapes, the int8 quantized head,
-// all-identity chains, nested-chain flattening, weight-staleness
-// detection, and the precomputed arena high-water.
+// packed panels pre-attached), the int8 quantized head, all-identity
+// chains, nested-chain flattening, weight-staleness detection, and the
+// precomputed arena high-water.
+//
+// One oracle throughout: the plain layer-by-layer
+// Sequential::forward(x, /*training=*/false) on the same backend, compared
+// bitwise on all three backends (int8 entries against forward of the
+// dequantized batch) — each optimized path is checked against unfused
+// per-layer kernels, never against a second optimized path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -51,6 +57,31 @@ std::unique_ptr<nn::Sequential> make_odd_dense_model(std::uint64_t seed) {
   return model;
 }
 
+/// Deterministic uint8 latent codes: code i is (i * mul + add) mod 256.
+std::vector<std::uint8_t> make_codes(std::size_t n, std::size_t mul,
+                                     std::size_t add) {
+  std::vector<std::uint8_t> codes(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    codes[i] = static_cast<std::uint8_t>((i * mul + add) & 0xFF);
+  }
+  return codes;
+}
+
+/// The float batch an int8 entry decodes: x = lo + q*scale per row.
+Tensor dequantize(const std::vector<std::uint8_t>& codes,
+                  const tensor::QuantHeader& qh, std::size_t batch,
+                  std::size_t features) {
+  Tensor x({batch, features});
+  for (std::size_t i = 0; i < batch; ++i) {
+    for (std::size_t j = 0; j < features; ++j) {
+      x.at(i, j) =
+          qh.row_lo[i] + static_cast<float>(codes[i * features + j]) *
+                             qh.row_scale[i];
+    }
+  }
+  return x;
+}
+
 void expect_bitwise_equal(const Tensor& got, const Tensor& want,
                           const char* what) {
   ASSERT_EQ(got.shape(), want.shape()) << what;
@@ -92,25 +123,25 @@ TEST(InferPlanTest, CompileDropsIdentityAndFusesActivations) {
   EXPECT_FALSE(plan->weights_stale());
 }
 
-TEST(InferPlanTest, MatchesSequentialBitwiseOnAllBackendsAndOddShapes) {
+TEST(InferPlanTest, MatchesForwardBitwiseOnAllBackendsAndOddShapes) {
   for (const tensor::Backend* backend : all_backends()) {
     tensor::BackendScope scope(backend);
     const auto model = make_odd_dense_model(97);
     const auto plan = InferPlan::compile(*model, backend);
 
-    InferContext seq_ctx, plan_ctx;
-    Tensor expected, got;
+    InferContext ctx;
+    Tensor got;
     common::Pcg32 rng(5);
     for (const std::size_t batch : {1u, 3u, 7u, 11u, 7u}) {
       const Tensor x = Tensor::randn({batch, 13}, rng);
-      model->infer_into(x, expected, seq_ctx);
-      plan->run(x, got, plan_ctx);
-      expect_bitwise_equal(got, expected, "dense plan");
+      plan->run(x, got, ctx);
+      expect_bitwise_equal(got, model->forward(x, /*training=*/false),
+                           "dense plan");
     }
   }
 }
 
-TEST(InferPlanTest, ConvChainMatchesSequentialBitwiseOnAllBackends) {
+TEST(InferPlanTest, ConvChainMatchesForwardBitwiseOnAllBackends) {
   for (const tensor::Backend* backend : all_backends()) {
     tensor::BackendScope scope(backend);
     common::Pcg32 rng(57);
@@ -126,40 +157,46 @@ TEST(InferPlanTest, ConvChainMatchesSequentialBitwiseOnAllBackends) {
     EXPECT_NE(plan->ops()[0].conv, nullptr);
     EXPECT_NE(plan->ops()[0].packed, nullptr);
 
-    InferContext seq_ctx, plan_ctx;
-    Tensor expected, got;
-    for (const std::size_t batch : {1u, 3u, 5u}) {
+    InferContext ctx;
+    Tensor got;
+    for (const std::size_t batch : {3u, 1u, 5u}) {
       const Tensor x = Tensor::randn({batch, 64}, rng);
-      model.infer_into(x, expected, seq_ctx);
-      plan->run(x, got, plan_ctx);
-      expect_bitwise_equal(got, expected, "conv plan");
+      plan->run(x, got, ctx);
+      expect_bitwise_equal(got, model.forward(x, /*training=*/false),
+                           "conv plan");
     }
   }
 }
 
 TEST(InferPlanTest, RunUnderForeignBackendScopeStaysBitwiseCorrect) {
-  // Panels are pinned to the compile backend; a BackendScope override at
-  // run time must fall back to the unpacked kernels and still match the
-  // Sequential result under that same scope bitwise.
+  // Panels are pinned to the compile backend. Under a BackendScope override
+  // run() falls back to the unpacked kernels and run_quantized() to
+  // dequantize-then-float-plan; both must still match the forward under
+  // that same scope bitwise.
   const auto model = make_odd_dense_model(131);
   const auto plan = InferPlan::compile(*model, &tensor::blocked_backend());
 
   tensor::BackendScope scope(&tensor::reference_backend());
-  InferContext seq_ctx, plan_ctx;
-  Tensor expected, got;
+  InferContext ctx;
+  Tensor got;
   common::Pcg32 rng(9);
   const Tensor x = Tensor::randn({5, 13}, rng);
-  model->infer_into(x, expected, seq_ctx);
-  plan->run(x, got, plan_ctx);
-  expect_bitwise_equal(got, expected, "foreign-scope plan");
+  plan->run(x, got, ctx);
+  expect_bitwise_equal(got, model->forward(x, /*training=*/false),
+                       "foreign-scope plan");
+
+  const auto codes = make_codes(5 * 13, 59, 3);
+  std::vector<float> lo(5, -0.6f), scale(5, 1.2f / 255.0f);
+  const tensor::QuantHeader qh{lo.data(), scale.data()};
+  plan->run_quantized(codes.data(), qh, 5, 13, got, ctx);
+  expect_bitwise_equal(
+      got, model->forward(dequantize(codes, qh, 5, 13), /*training=*/false),
+      "foreign-scope int8 head");
 }
 
-TEST(InferPlanTest, QuantizedHeadMatchesSequentialBitwiseOnAllBackends) {
+TEST(InferPlanTest, QuantizedHeadMatchesDequantizedForwardOnAllBackends) {
   constexpr std::size_t kBatch = 6, kFeatures = 13;
-  std::vector<std::uint8_t> codes(kBatch * kFeatures);
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    codes[i] = static_cast<std::uint8_t>((i * 73 + 19) & 0xFF);
-  }
+  const auto codes = make_codes(kBatch * kFeatures, 73, 19);
   std::vector<float> lo(kBatch), scale(kBatch);
   for (std::size_t i = 0; i < kBatch; ++i) {
     lo[i] = -0.75f + 0.2f * static_cast<float>(i);
@@ -172,45 +209,77 @@ TEST(InferPlanTest, QuantizedHeadMatchesSequentialBitwiseOnAllBackends) {
     const auto model = make_odd_dense_model(211);
     const auto plan = InferPlan::compile(*model, backend);
 
-    InferContext seq_ctx, plan_ctx;
-    Tensor expected, got;
-    model->infer_quantized_into(codes.data(), qh, kBatch, kFeatures, expected,
-                                seq_ctx);
-    plan->run_quantized(codes.data(), qh, kBatch, kFeatures, got, plan_ctx);
-    expect_bitwise_equal(got, expected, "quantized head");
+    InferContext ctx;
+    Tensor got;
+    plan->run_quantized(codes.data(), qh, kBatch, kFeatures, got, ctx);
+    expect_bitwise_equal(
+        got,
+        model->forward(dequantize(codes, qh, kBatch, kFeatures), false),
+        "quantized head");
 
-    // Partial batch through the same contexts.
-    model->infer_quantized_into(codes.data(), qh, 2, kFeatures, expected,
-                                seq_ctx);
-    plan->run_quantized(codes.data(), qh, 2, kFeatures, got, plan_ctx);
-    expect_bitwise_equal(got, expected, "quantized head partial batch");
+    // Partial batch through the same context.
+    plan->run_quantized(codes.data(), qh, 2, kFeatures, got, ctx);
+    expect_bitwise_equal(
+        got, model->forward(dequantize(codes, qh, 2, kFeatures), false),
+        "quantized head partial batch");
   }
 }
 
-TEST(InferPlanTest, QuantizedNonDenseHeadDequantizesAndMatchesSequential) {
-  // A conv-headed chain has no Dense to feed codes into: both executors
-  // dequantize into their context input buffer and run the float chain.
+TEST(InferPlanTest, QuantizedNonDenseHeadDequantizesAndMatchesForward) {
+  // A conv-headed chain has no Dense to feed codes into: the plan
+  // dequantizes into a context buffer and runs the float ops.
   tensor::BackendScope scope(&tensor::blocked_backend());
   common::Pcg32 rng(77);
   nn::Sequential model;
   model.emplace<nn::Conv2d>(1, 2, 3, 1, 1, 4, 4, rng);
   model.emplace<nn::ReLU>();
+  model.emplace<nn::Dense>(32, 5, rng);
   const auto plan = InferPlan::compile(model);
 
   constexpr std::size_t kBatch = 3, kFeatures = 16;
-  std::vector<std::uint8_t> codes(kBatch * kFeatures);
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    codes[i] = static_cast<std::uint8_t>((i * 41 + 7) & 0xFF);
-  }
+  const auto codes = make_codes(kBatch * kFeatures, 41, 7);
   std::vector<float> lo(kBatch, -0.5f), scale(kBatch, 1.0f / 255.0f);
   const tensor::QuantHeader qh{lo.data(), scale.data()};
 
-  InferContext seq_ctx, plan_ctx;
-  Tensor expected, got;
-  model.infer_quantized_into(codes.data(), qh, kBatch, kFeatures, expected,
-                             seq_ctx);
-  plan->run_quantized(codes.data(), qh, kBatch, kFeatures, got, plan_ctx);
-  expect_bitwise_equal(got, expected, "conv-head quantized");
+  InferContext ctx;
+  Tensor got;
+  plan->run_quantized(codes.data(), qh, kBatch, kFeatures, got, ctx);
+  expect_bitwise_equal(
+      got, model.forward(dequantize(codes, qh, kBatch, kFeatures), false),
+      "conv-head quantized");
+}
+
+TEST(InferPlanTest, SingleOpQuantizedRunMayWriteTheContextInputBuffer) {
+  // A single-op plan may write a context buffer (run() allows it), so the
+  // routes that stage the dequantized batch must stage it elsewhere: a
+  // conv head, and a Dense head whose panels belong to another backend.
+  constexpr std::size_t kBatch = 3, kFeatures = 16;
+  const auto codes = make_codes(kBatch * kFeatures, 29, 5);
+  std::vector<float> lo(kBatch, -0.25f), scale(kBatch, 1.0f / 255.0f);
+  const tensor::QuantHeader qh{lo.data(), scale.data()};
+  const Tensor x = dequantize(codes, qh, kBatch, kFeatures);
+  tensor::BackendScope scope(&tensor::blocked_backend());
+
+  common::Pcg32 rng(89);
+  nn::Sequential conv_head;
+  conv_head.emplace<nn::Conv2d>(1, 2, 3, 1, 1, 4, 4, rng);
+  conv_head.emplace<nn::ReLU>();
+  nn::Sequential dense_head;
+  dense_head.emplace<nn::Dense>(kFeatures, 8, rng);
+  dense_head.emplace<nn::Sigmoid>();
+  const auto conv_plan = InferPlan::compile(conv_head);
+  const auto foreign_dense_plan =
+      InferPlan::compile(dense_head, &tensor::reference_backend());
+
+  const std::pair<nn::Sequential*, const InferPlan*> cases[] = {
+      {&conv_head, conv_plan.get()}, {&dense_head, foreign_dense_plan.get()}};
+  for (const auto& [model, plan] : cases) {
+    ASSERT_EQ(plan->size(), 1u);
+    InferContext ctx;
+    plan->run_quantized(codes.data(), qh, kBatch, kFeatures, ctx.input(), ctx);
+    expect_bitwise_equal(ctx.input(), model->forward(x, /*training=*/false),
+                         "single-op quantized into ctx.input()");
+  }
 }
 
 TEST(InferPlanTest, AllIdentityChainCompilesToEmptyPlanAndCopies) {
@@ -224,19 +293,18 @@ TEST(InferPlanTest, AllIdentityChainCompilesToEmptyPlanAndCopies) {
 
   common::Pcg32 rng(15);
   const Tensor x = Tensor::randn({4, 9}, rng);
-  InferContext seq_ctx, plan_ctx;
-  Tensor expected, got;
-  model.infer_into(x, expected, seq_ctx);
-  plan->run(x, got, plan_ctx);
-  expect_bitwise_equal(got, expected, "identity chain");
+  InferContext ctx;
+  Tensor got;
+  plan->run(x, got, ctx);
+  expect_bitwise_equal(got, x, "identity chain");
 
   // Quantized entry through an empty plan is pure dequantization.
-  std::vector<std::uint8_t> codes(2 * 9, 128);
+  const std::vector<std::uint8_t> codes(2 * 9, 128);
   std::vector<float> lo(2, -1.0f), scale(2, 2.0f / 255.0f);
   const tensor::QuantHeader qh{lo.data(), scale.data()};
-  model.infer_quantized_into(codes.data(), qh, 2, 9, expected, seq_ctx);
-  plan->run_quantized(codes.data(), qh, 2, 9, got, plan_ctx);
-  expect_bitwise_equal(got, expected, "identity chain quantized");
+  plan->run_quantized(codes.data(), qh, 2, 9, got, ctx);
+  expect_bitwise_equal(got, dequantize(codes, qh, 2, 9),
+                       "identity chain quantized");
 }
 
 TEST(InferPlanTest, NestedChainCompilesAndRunsBitwiseEqualToFlat) {
@@ -269,8 +337,10 @@ TEST(InferPlanTest, NestedChainCompilesAndRunsBitwiseEqualToFlat) {
     flat_plan->run(x, flat_out, flat_ctx);
     nested_plan->run(x, nested_out, nested_ctx);
     expect_bitwise_equal(nested_out, flat_out, "nested plan vs flat plan");
+    expect_bitwise_equal(nested_out, flat->forward(x, /*training=*/false),
+                         "nested plan vs flat forward");
 
-    // And the container's own infer_into agrees with both.
+    // And the container's one-off infer_into agrees with both.
     Tensor seq_out;
     outer->infer_into(x, seq_out, nested_ctx);
     expect_bitwise_equal(seq_out, flat_out, "nested infer_into vs flat plan");
@@ -329,7 +399,7 @@ TEST(InferPlanTest, ScratchFloatsCoversArenaHighWaterExactly) {
 TEST(InferPlanTest, MultiOpPlanRejectsContextBufferOutput) {
   // Two ping-pong buffers cannot hold the input chain AND an aliased output
   // of a multi-op plan; the executor refuses loudly instead of silently
-  // allocating (the retired Sequential escape hatch).
+  // allocating.
   common::Pcg32 rng(83);
   nn::Sequential model;
   model.emplace<nn::Dense>(8, 16, rng);

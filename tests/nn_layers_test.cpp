@@ -310,9 +310,10 @@ TEST(LayerInferIntoTest, FusedIntoMatchesUnfusedActivation) {
 }
 
 TEST(SequentialTest, InferIntoSkipsInferenceIdentityLayers) {
-  // Noise and Identity are pass-through at inference: the planner skips
-  // them outright (no buffer copy), and the result matches the compat
-  // infer() path bitwise, including when they trail the last real layer.
+  // Noise and Identity are pass-through at inference: the compiled plan
+  // drops them outright (no buffer copy), and the one-off infer_into
+  // matches the layer-by-layer forward bitwise, including when they trail
+  // the last real layer.
   common::Pcg32 rng(33);
   Sequential model;
   model.emplace<GaussianNoise>(0.5f, common::Pcg32(1));
@@ -324,7 +325,7 @@ TEST(SequentialTest, InferIntoSkipsInferenceIdentityLayers) {
   EXPECT_FALSE(model.layer(1).infer_is_identity());
 
   const Tensor x = Tensor::randn({2, 4}, rng);
-  const Tensor expected = model.infer(x);
+  const Tensor expected = model.forward(x, /*training=*/false);
   InferContext ctx;
   Tensor out;
   model.infer_into(x, out, ctx);

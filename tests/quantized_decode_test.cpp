@@ -1,7 +1,7 @@
 // Int8 uplink decode path: the quantize/dequantize _into overload pair,
 // round-trip error bounds at batch-range extremes, Backend::gemm_quantized
 // parity against explicit dequantize-then-gemm on every backend, the
-// Sequential quantized entry point, an end-to-end decoder error bound
+// InferPlan quantized entry point, an end-to-end decoder error bound
 // propagated from quantization_error_bound, and the serving runtime's
 // quantized submit path (int8 GEMM fast path and row-wise fallback).
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/infer_context.h"
+#include "nn/infer_plan.h"
 #include "nn/sequential.h"
 #include "serve/serve.h"
 #include "tensor/backend.h"
@@ -203,7 +204,7 @@ TEST(GemmQuantizedTest, MatchesExplicitDequantThenPrepackedBitwise) {
   }
 }
 
-TEST(QuantizedInferTest, SequentialQuantizedEntryMatchesDequantizedChain) {
+TEST(QuantizedInferTest, PlanQuantizedEntryMatchesDequantizedForward) {
   common::Pcg32 rng(55);
   std::vector<std::uint8_t> codes(5 * 16);
   for (std::size_t i = 0; i < codes.size(); ++i) {
@@ -223,8 +224,10 @@ TEST(QuantizedInferTest, SequentialQuantizedEntryMatchesDequantizedChain) {
     }
   }
 
-  // Dense head: codes feed the GEMM directly (with the activation
-  // peephole); must equal the float chain on the dequantized batch bitwise.
+  // Dense head: codes feed the GEMM directly (with the fused activation);
+  // must equal the float forward on the dequantized batch bitwise. A plan
+  // compiled for another backend takes the dequantize-then-float route on
+  // this one and must produce the same bits.
   {
     nn::Sequential model;
     model.emplace<nn::Dense>(16, 48, rng);
@@ -232,15 +235,20 @@ TEST(QuantizedInferTest, SequentialQuantizedEntryMatchesDequantizedChain) {
     model.emplace<nn::Dense>(48, 32, rng);
     model.emplace<nn::Sigmoid>();
     for (const char* name : kAllBackends) {
-      tensor::BackendScope scope(tensor::find_backend(name));
-      nn::InferContext ctx;
-      Tensor out, expected;
-      model.infer_quantized_into(codes.data(), qh, 5, 16, out, ctx);
-      nn::InferContext ctx2;
-      model.infer_into(dequant, expected, ctx2);
-      ASSERT_EQ(out.shape(), expected.shape());
-      for (std::size_t i = 0; i < out.numel(); ++i) {
-        ASSERT_EQ(out[i], expected[i]) << name << " element " << i;
+      const tensor::Backend* backend = tensor::find_backend(name);
+      tensor::BackendScope scope(backend);
+      const Tensor expected = model.forward(dequant, /*training=*/false);
+      for (const char* compile_name : kAllBackends) {
+        const auto plan =
+            nn::InferPlan::compile(model, tensor::find_backend(compile_name));
+        nn::InferContext ctx;
+        Tensor out;
+        plan->run_quantized(codes.data(), qh, 5, 16, out, ctx);
+        ASSERT_EQ(out.shape(), expected.shape());
+        for (std::size_t i = 0; i < out.numel(); ++i) {
+          ASSERT_EQ(out[i], expected[i])
+              << name << " (plan for " << compile_name << ") element " << i;
+        }
       }
     }
   }
@@ -253,10 +261,10 @@ TEST(QuantizedInferTest, SequentialQuantizedEntryMatchesDequantizedChain) {
     model.emplace<nn::Dense>(16, 24, rng);
     model.emplace<nn::Sigmoid>();
     nn::InferContext ctx;
-    Tensor out, expected;
-    model.infer_quantized_into(codes.data(), qh, 5, 16, out, ctx);
-    nn::InferContext ctx2;
-    model.infer_into(dequant, expected, ctx2);
+    Tensor out;
+    nn::InferPlan::compile(model)->run_quantized(codes.data(), qh, 5, 16, out,
+                                                 ctx);
+    const Tensor expected = model.forward(dequant, /*training=*/false);
     ASSERT_EQ(out.shape(), expected.shape());
     for (std::size_t i = 0; i < out.numel(); ++i) {
       ASSERT_EQ(out[i], expected[i]) << "non-dense head element " << i;
@@ -269,7 +277,8 @@ TEST(QuantizedInferTest, SequentialQuantizedEntryMatchesDequantizedChain) {
     model.emplace<nn::Identity>();
     nn::InferContext ctx;
     Tensor out;
-    model.infer_quantized_into(codes.data(), qh, 5, 16, out, ctx);
+    nn::InferPlan::compile(model)->run_quantized(codes.data(), qh, 5, 16, out,
+                                                 ctx);
     ASSERT_EQ(out.shape(), dequant.shape());
     for (std::size_t i = 0; i < out.numel(); ++i) {
       ASSERT_EQ(out[i], dequant[i]) << "identity chain element " << i;
@@ -323,10 +332,10 @@ TEST(QuantizedInferTest, EndToEndDecodeErrorWithinPropagatedBound) {
 
   const tensor::QuantHeader qh{lo.data(), scale.data()};
   nn::InferContext ctx;
-  Tensor from_codes, from_floats;
-  model.infer_quantized_into(codes.data(), qh, 6, 16, from_codes, ctx);
-  nn::InferContext ctx2;
-  model.infer_into(latents, from_floats, ctx2);
+  Tensor from_codes;
+  nn::InferPlan::compile(model)->run_quantized(codes.data(), qh, 6, 16,
+                                               from_codes, ctx);
+  const Tensor from_floats = model.forward(latents, /*training=*/false);
   ASSERT_EQ(from_codes.shape(), from_floats.shape());
   const float per_unit =
       core::quantization_error_bound(LatentPrecision::kFixed8);

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "nn/activations.h"
 #include "obs/metrics.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
+#include "nn/infer_plan.h"
 #include "nn/sequential.h"
 #include "tensor/backend.h"
 #include "tensor/matmul.h"
@@ -330,7 +332,7 @@ TEST(FusedEpilogueTest, SequentialInferFusesDenseActivationPairs) {
   const Tensor x = Tensor::randn({6, 19}, rng);
   for (const char* name : kAllBackends) {
     tensor::BackendScope scope(tensor::find_backend(name));
-    // Layer-by-layer (unfused) pipeline vs the peepholed Sequential::infer.
+    // Layer-by-layer (unfused) pipeline vs the plan-fused Sequential::infer.
     Tensor step = d1.infer(x);
     step = nn::LeakyReLU(0.05f).infer(step);
     step = d2.infer(step);
@@ -442,68 +444,65 @@ TEST(PrepackedTest, RowBiasPrepackedMatchesUnpackedBitwise) {
   }
 }
 
-TEST(PrepackedTest, DensePrepackCachesAcrossBackendsAndTracksMutation) {
+TEST(PrepackedTest, DensePlanPackMatchesUnpackedAndTracksMutation) {
   common::Pcg32 rng(43);
-  nn::Dense dense(32, 16, rng);
+  nn::Sequential model;
+  auto& dense = model.emplace<nn::Dense>(32, 16, rng);
   const Tensor x = Tensor::randn({4, 32}, rng);
   const Shape s{4, 32, 16};
 
   for (const char* name : kAllBackends) {
-    tensor::BackendScope scope(tensor::find_backend(name));
-    dense.set_weight_prepack(false);
-    const Tensor baseline = dense.infer(x);
-    dense.set_weight_prepack(true);
-    ExpectBitwiseEqual(dense.infer(x), baseline, "prepacked dense", s);
-    // Cache hit on repeat.
-    ExpectBitwiseEqual(dense.infer(x), baseline, "cached dense", s);
+    const tensor::Backend* backend = tensor::find_backend(name);
+    tensor::BackendScope scope(backend);
+    const Tensor unpacked = dense.infer(x);
+    std::uint64_t version = 0;
+    const auto packed = dense.plan_pack(*backend, version);
+    EXPECT_EQ(packed->owner, backend) << name;
+    EXPECT_EQ(version, dense.weight_version()) << name;
+    Tensor out;
+    dense.infer_packed_into(x, out, *packed, tensor::EpilogueAct::kNone,
+                            0.01f);
+    ExpectBitwiseEqual(out, unpacked, "plan-packed dense", s);
   }
 
-  // Mutating through the non-const accessor invalidates the cache: the
-  // next infer must see the new weights, not stale panels.
+  // Mutating through the non-const accessor makes a compiled plan stale;
+  // the recompiled plan packs the new weights, not the old panels.
   tensor::BackendScope scope(&tensor::blocked_backend());
-  dense.set_weight_prepack(true);
-  (void)dense.infer(x);  // populate the cache
+  const auto plan = nn::InferPlan::compile(model);
+  EXPECT_FALSE(plan->weights_stale());
   dense.weight().fill(0.25f);
+  EXPECT_TRUE(plan->weights_stale());
+  const auto fresh = nn::InferPlan::compile(model);
+  EXPECT_FALSE(fresh->weights_stale());
   const nn::Dense& const_dense = dense;
   const Tensor expected = tensor::gemm_bias_act(x, const_dense.weight(),
                                                 const_dense.bias());
-  ExpectBitwiseEqual(dense.infer(x), expected, "post-mutation dense", s);
-  // invalidate_weight_cache() alone must also force a repack.
+  nn::InferContext ctx;
+  Tensor out;
+  fresh->run(x, out, ctx);
+  ExpectBitwiseEqual(out, expected, "post-mutation plan", s);
+  // invalidate_weight_cache() alone must also mark the plan stale.
   dense.invalidate_weight_cache();
-  ExpectBitwiseEqual(dense.infer(x), expected, "post-invalidate dense", s);
+  EXPECT_TRUE(fresh->weights_stale());
 }
 
-TEST(PrepackedTest, Conv2dPrepackMatchesUnpackedBitwise) {
+TEST(PrepackedTest, Conv2dPlanPackMatchesUnpackedBitwise) {
   common::Pcg32 rng(44);
   nn::Conv2d conv(2, 5, 3, 1, 1, 8, 8, rng);
   const Tensor x = Tensor::randn({3, 2 * 8 * 8}, rng);
   const Shape s{5, 18, 64};
   for (const char* name : kAllBackends) {
-    tensor::BackendScope scope(tensor::find_backend(name));
-    conv.set_weight_prepack(false);
-    const Tensor baseline = conv.infer(x);
-    conv.set_weight_prepack(true);
-    ExpectBitwiseEqual(conv.infer(x), baseline, "prepacked conv", s);
-  }
-}
-
-TEST(PrepackedTest, SequentialInferWithPrepackMatchesUnpackedBitwise) {
-  common::Pcg32 rng(45);
-  nn::Sequential model;
-  model.emplace<nn::Dense>(24, 48, rng);
-  model.emplace<nn::ReLU>();
-  model.emplace<nn::Dense>(48, 36, rng);
-  model.emplace<nn::Sigmoid>();
-  const Tensor x = Tensor::randn({2, 24}, rng);
-  const Shape s{2, 24, 36};
-  for (const char* name : kAllBackends) {
-    tensor::BackendScope scope(tensor::find_backend(name));
-    model.set_weight_prepack(false);
-    const Tensor baseline = model.infer(x);
-    model.set_weight_prepack(true);
-    ExpectBitwiseEqual(model.infer(x), baseline, "prepacked sequential", s);
-    model.invalidate_weight_cache();
-    ExpectBitwiseEqual(model.infer(x), baseline, "invalidated sequential", s);
+    const tensor::Backend* backend = tensor::find_backend(name);
+    tensor::BackendScope scope(backend);
+    const Tensor unpacked = conv.infer(x);
+    std::uint64_t version = 0;
+    const auto packed = conv.plan_pack(*backend, version);
+    EXPECT_EQ(version, conv.weight_version()) << name;
+    nn::InferContext ctx;
+    Tensor out;
+    conv.infer_packed_into(x, out, *packed, tensor::EpilogueAct::kNone, 0.01f,
+                           ctx);
+    ExpectBitwiseEqual(out, unpacked, "plan-packed conv", s);
   }
 }
 

@@ -71,9 +71,10 @@ std::shared_ptr<ModelSnapshot> snapshot_of(core::OrcoDcsSystem& system,
                                            std::uint64_t version) {
   auto snapshot = std::make_shared<ModelSnapshot>();
   snapshot->version = version;
-  auto decoder = system.export_decoder_clone();
-  decoder->set_weight_prepack(true);  // the stress test must cover prepack
-  snapshot->decoder = std::shared_ptr<const nn::Sequential>(std::move(decoder));
+  // publish() compiles the snapshot's plan, so the stress test decodes
+  // through packed panels.
+  snapshot->decoder =
+      std::shared_ptr<const nn::Sequential>(system.export_decoder_clone());
   snapshot->encoder =
       std::shared_ptr<const nn::Sequential>(system.export_encoder_clone());
   snapshot->latent_dim = kLatentDim;
@@ -416,8 +417,9 @@ TEST(SwapStressTest, EveryRequestAnsweredByExactlyOneCoherentVersion) {
   // generations while client threads hammer one latent. Every kOk response
   // must bitwise-match exactly one generation's reference decode AND carry
   // that generation's version — no torn weights, no stale prepacked panel,
-  // no cache entry crossing a swap. Snapshots have prepacking enabled
-  // (snapshot_of), so a stale packed panel would show up as a mismatch.
+  // no cache entry crossing a swap. Each published snapshot carries a plan
+  // with packed panels, so a stale packed panel would show up as a
+  // mismatch.
   auto sys_a = make_tenant(101);
   auto sys_b = make_tenant(202);
 

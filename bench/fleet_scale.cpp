@@ -80,7 +80,6 @@ FleetConfig fleet_config(std::size_t cells, std::size_t warm_capacity,
   cfg.serve.shard_count = 2;
   cfg.serve.backend = bench_backend();
   cfg.serve.queue.capacity = 4096;
-  cfg.serve.queue.max_wait_us = 100;
   // 100k tenants x ~8KB of telemetry rows is the one per-tenant cost the
   // fleet cannot lazily materialize — turn it off.
   cfg.serve.per_tenant_telemetry = false;

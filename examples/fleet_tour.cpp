@@ -6,9 +6,11 @@
 // materialized — the rest live as checkpoint files in the cold tier and
 // reactivate transparently (and bitwise-identically) on their next request.
 //
-// The tour walks: registration (free), first-touch activation, LRU
-// demotion under a tiny warm capacity, a cold wake that restores trained
-// weights, and the replication counters that show deltas flowing.
+// The tour walks: registration (free), a fine-tune of one tenant,
+// first-touch activation, LRU demotion under a tiny warm capacity (only
+// the changed tenant writes a checkpoint; the rest are rebuilt from their
+// seeds), a cold wake that restores the trained weights from that
+// checkpoint, and the replication counters that show deltas flowing.
 //
 // Build & run:  ./build/examples/fleet_tour
 #include <filesystem>
@@ -16,8 +18,10 @@
 
 #include "common/rng.h"
 #include "common/table.h"
+#include "data/dataset.h"
 #include "fleet/fleet.h"
 #include "serve/serve.h"
+#include "train/train.h"
 
 int main() {
   using namespace orco;
@@ -50,7 +54,23 @@ int main() {
   fl.start();
   common::Pcg32 rng(11);
 
-  std::cout << "phase 2: first requests wake tenants on demand; the warm set "
+  std::cout << "phase 2: fine-tune tenant 1 on its cell's trainer (a changed "
+            << "tenant is the only kind whose demotion writes a checkpoint)\n";
+  const ClusterId probe = 1;
+  fl.warm(probe);
+  const data::Dataset window("tour", data::ImageGeometry{1, 8, 8},
+                             /*num_classes=*/1,
+                             tensor::Tensor::uniform({32, 64}, rng),
+                             std::vector<std::size_t>(32, 0));
+  const train::TrainResult tuned =
+      fl.cell_trainer(fl.owner_of(probe))->submit_job(probe, window).get();
+  const tensor::Tensor latent = tensor::Tensor::randn({1, 16}, rng);
+  const auto trained = fl.submit(probe, latent).get();
+  std::cout << "  tenant " << probe << " published v"
+            << tuned.published_version << ", now serving v"
+            << trained.model_version << "\n\n";
+
+  std::cout << "phase 3: first requests wake tenants on demand; the warm set "
             << "stays <= " << cfg.warm_capacity << "\n";
   for (ClusterId id = 1; id <= 6; ++id) {
     const auto response =
@@ -62,25 +82,23 @@ int main() {
   }
   const fleet::FleetStats after_sweep = fl.stats();
   std::cout << "  cold builds " << after_sweep.cold_builds << ", demotions "
-            << after_sweep.demotions << " (LRU victims checkpointed to "
-            << cold_dir << ")\n\n";
+            << after_sweep.demotions << ", checkpoints written "
+            << fl.cold_store().saves() << " (to " << cold_dir << ")\n\n";
 
-  std::cout << "phase 3: a demoted tenant wakes from its checkpoint, "
-            << "bitwise-identical\n";
-  const ClusterId probe = 1;  // demoted during the sweep above
-  const tensor::Tensor latent = tensor::Tensor::randn({1, 16}, rng);
+  std::cout << "phase 4: the demoted, trained tenant wakes from its "
+            << "checkpoint, bitwise-identical\n";
   const auto woken = fl.submit(probe, latent).get();
   std::cout << "  tenant " << probe << " resident again: status "
             << serve::to_string(woken.status) << ", model v"
-            << woken.model_version << "\n";
-  const auto again = fl.submit(probe, latent).get();
-  std::cout << "  same latent, warm path: reconstructions identical: "
-            << (again.reconstruction.allclose(woken.reconstruction, 0.0f)
+            << woken.model_version << ", checkpoints read "
+            << fl.cold_store().loads() << "\n";
+  std::cout << "  same latent as before demotion: reconstructions identical: "
+            << (woken.reconstruction.allclose(trained.reconstruction, 0.0f)
                     ? "yes"
                     : "no")
             << "\n\n";
 
-  std::cout << "phase 4: fleet counters\n";
+  std::cout << "phase 5: fleet counters\n";
   const fleet::FleetStats stats = fl.stats();
   common::Table table({"counter", "value"});
   table.add_row({"registered", std::to_string(stats.registered)});
@@ -88,6 +106,8 @@ int main() {
   table.add_row({"cold builds", std::to_string(stats.cold_builds)});
   table.add_row({"cold wakes", std::to_string(stats.cold_wakes)});
   table.add_row({"demotions", std::to_string(stats.demotions)});
+  table.add_row({"checkpoints written",
+                 std::to_string(fl.cold_store().saves())});
   table.add_row({"snapshots replicated",
                  std::to_string(stats.deltas_shipped + stats.full_ships)});
   table.add_row({"delta bytes", std::to_string(stats.delta_bytes)});

@@ -116,12 +116,13 @@ class ByteReader {
 void write_file(const std::string& path, std::span<const std::byte> bytes);
 std::vector<std::byte> read_file(const std::string& path);
 
-/// Crash-safe variant: writes to `path + ".tmp"` in the same directory and
-/// renames it over `path` only after the write completed, so readers see
-/// either the old file or the complete new one — never a torn prefix. The
-/// temp file is removed on failure. Concurrent writers of the same path
-/// must be externally serialized (the rename is atomic but the shared temp
-/// name is not).
+/// Crash-safe variant: writes to `path + ".tmp"` in the same directory,
+/// fsyncs it, renames it over `path` and fsyncs the directory, so readers
+/// (and a restart after a crash) see either the old file or the complete
+/// new one — never a torn prefix. Throws std::runtime_error on any failure,
+/// removing the temp file first. Concurrent writers of the same path must
+/// be externally serialized (the rename is atomic but the shared temp name
+/// is not).
 void write_file_atomic(const std::string& path,
                        std::span<const std::byte> bytes);
 

@@ -4,11 +4,13 @@
 // decoder weights (model_io framing), the decoder generation counter, and
 // the tenant's QoS policy. Everything else — registry slot, queue lane,
 // prepacked weight panels, reconstruction-cache entries — is derived state
-// that reactivation rebuilds. Records are written crash-safely (temp file
-// + atomic rename, same discipline as OrcoDcsSystem::save_checkpoint), so
-// a crash mid-demotion leaves either the previous record or the complete
-// new one, never a torn file; a torn/truncated read throws instead of
-// yielding garbage weights.
+// that reactivation rebuilds. The fleet writes back: a record is written
+// only when a tenant changed since it was woken, and a tenant without one
+// is in its template state. Records are written crash-safely (temp file,
+// fsync, atomic rename, directory fsync — common::write_file_atomic, shared
+// with OrcoDcsSystem::save_checkpoint), so a crash mid-demotion leaves
+// either the previous record or the complete new one, never a torn file; a
+// torn/truncated read throws instead of yielding garbage weights.
 #pragma once
 
 #include <atomic>
@@ -35,9 +37,10 @@ class ColdStore {
   /// Creates `dir` (and parents) if missing.
   explicit ColdStore(std::string dir);
 
-  /// Atomically writes the tenant's record (temp + rename). Concurrent
-  /// saves of the *same* tenant must be externally serialized — the fleet
-  /// holds the tenant's mutex across demotion.
+  /// Durably and atomically writes the tenant's record; throws (leaving
+  /// any previous record intact) when the write fails. Concurrent saves of
+  /// the *same* tenant must be externally serialized — the fleet holds the
+  /// tenant's mutex across demotion.
   void save(ClusterId id, const ColdRecord& record);
 
   /// Reads and validates a record; throws on missing/torn/mismatched files.
@@ -50,8 +53,8 @@ class ColdStore {
   std::string path_for(ClusterId id) const;
   const std::string& dir() const noexcept { return dir_; }
 
-  /// Lifetime counters (the thundering-herd regression test asserts
-  /// loads() == 1 under 8 concurrent wakers).
+  /// Lifetime counters of successful saves and loads (the tests pin the
+  /// write-back rule and single-flight wakes with them).
   std::uint64_t saves() const noexcept {
     return saves_.load(std::memory_order_relaxed);
   }

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/logging.h"
 #include "common/stopwatch.h"
 #include "nn/infer_context.h"
 #include "nn/model_io.h"
@@ -243,6 +244,9 @@ void EdgeFleet::activate(ClusterId id, TenantState& t) {
     system->edge().set_model_version(record.model_version);
     loaded = true;
   }
+  // Read before the trainer can see the system: a fine-tune job submitted
+  // right after registration must count as a change to write back.
+  const std::uint64_t durable_version = system->model_version();
   if (cell.trainer != nullptr) {
     // publish_on_register is forced on, so this also installs the
     // tenant's first snapshot (prepack-warmed) in the cell registry.
@@ -252,12 +256,15 @@ void EdgeFleet::activate(ClusterId id, TenantState& t) {
     publish_snapshot(cell, id, *system);
   }
   cell.runtime->register_cluster(id, system, t.policy);
+  bool demoted_before = false;
   {
     common::MutexLock lock(t.mu);
     t.system = system;
+    t.durable_version = durable_version;
+    demoted_before = t.demoted;
   }
   residency_.add_warm(id);
-  if (loaded) {
+  if (loaded || demoted_before) {
     cold_wakes_.fetch_add(1, std::memory_order_relaxed);
     obs::fleet_metrics().cold_wakes->inc();
   } else {
@@ -338,18 +345,37 @@ bool EdgeFleet::demote(ClusterId id) {
   if (cell.trainer != nullptr && !cell.trainer->unregister_tenant(id)) {
     return abort_demotion();
   }
-  // Phase 4 — serialize. Traffic is fenced, the lane is flushed and the
-  // trainer detached: this thread is the only toucher of the system.
+  // Phase 4 — write back. Traffic is fenced, the lane is flushed and the
+  // trainer detached: this thread is the only toucher of the system. An
+  // unchanged tenant's durable state already reproduces it, so only a
+  // tenant whose generation moved on pays for a record.
   core::OrcoDcsSystem& system = *t->system;
-  ColdRecord record;
-  record.model_version = system.model_version();
-  record.policy = t->policy;
-  record.encoder_params = nn::save_params(system.aggregator().encoder());
-  record.decoder_params = nn::save_params(system.edge().decoder());
-  cold_.save(id, record);
+  if (system.model_version() > t->durable_version) {
+    ColdRecord record;
+    record.model_version = system.model_version();
+    record.policy = t->policy;
+    record.encoder_params = nn::save_params(system.aggregator().encoder());
+    record.decoder_params = nn::save_params(system.edge().decoder());
+    try {
+      cold_.save(id, record);
+    } catch (const std::exception& e) {
+      // The tenant's only up-to-date copy is the live system: keep it warm.
+      // Re-registering publishes nothing (the registry already holds this
+      // generation); the trainer's per-tenant drift state starts afresh.
+      ORCO_LOG_ERROR("fleet: demotion of tenant " << id
+                     << " aborted, cold write failed: " << e.what());
+      if (cell.trainer != nullptr) {
+        cell.trainer->register_tenant(id, t->system, t->policy,
+                                      config_.trainer.default_budget);
+      }
+      return abort_demotion();
+    }
+  }
   // Phase 5 — evict derived state: registry slot (shards finish in-flight
   // batches on their pinned snapshots), runtime registration + queue lane,
-  // and the system itself (prepacked panels, caches, optimizer state).
+  // the follower's standby image (the record or the template seed is the
+  // durable copy; the next activation's publish ships a full image), and
+  // the system itself (prepacked panels, caches, optimizer state).
   cell.registry->remove(id);
   cell.runtime->unregister_cluster(id);
   {
@@ -358,8 +384,14 @@ bool EdgeFleet::demote(ClusterId id) {
     // after reactivation ships a full image, not a delta on stale state.
     last_shipped_.erase(id);
   }
+  {
+    Cell& follower = follower_of(cell_index);
+    common::MutexLock images_lock(follower.images_mu);
+    follower.images.erase(id);
+  }
   t->system.reset();
   t->warm = false;
+  t->demoted = true;
   // serving must drop before demoting: the fast path re-opens the moment
   // demoting clears, and it must find the gate closed.
   t->serving.store(false, std::memory_order_seq_cst);
@@ -442,7 +474,7 @@ void EdgeFleet::replicate(std::size_t owner, ClusterId tenant,
     delta.tenant = tenant;
     last_shipped_[tenant] = image;  // shares blobs; no byte copy
   }
-  Cell& follower = *cells_[(owner + 1) % cells_.size()];
+  Cell& follower = follower_of(owner);
   common::MutexLock lock(follower.images_mu);
   SnapshotImage& standby = follower.images[tenant];
   if (standby.version >= delta.version) return;

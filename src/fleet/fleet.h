@@ -10,37 +10,46 @@
 //   Tiering    — registration is O(1) bookkeeping; a tenant materializes
 //                (OrcoDcsSystem + registry slot + prepacked decoder) only
 //                when traffic arrives, and an LRU residency manager demotes
-//                idle tenants back to a crash-safe on-disk record
-//                (ColdStore), bounding warm state by FleetConfig::
-//                warm_capacity. The first request to a cold tenant
-//                transparently reactivates it; concurrent wakers coalesce
-//                onto one load (single-flight), so a thundering herd costs
-//                one disk read.
+//                idle tenants back to their durable state, bounding warm
+//                state by FleetConfig::warm_capacity. The cold tier is
+//                write-back: only a tenant that changed while warm writes
+//                a crash-safe on-disk record (ColdStore); one without a
+//                record is in its template state, which the config
+//                template and the tenant id rebuild deterministically.
+//                The first request to a cold tenant transparently
+//                reactivates it; concurrent wakers coalesce onto one
+//                activation (single-flight), so a thundering herd costs
+//                at most one disk read.
 //   Replication— every cell registry publish fans out a delta-encoded
 //                snapshot image (SnapshotDelta, changed layer blobs only)
 //                to the next cell on the ring, so a follower holds a
 //                byte-identical standby image without deep-copying
-//                unchanged parameters.
+//                unchanged parameters. Standby images are held only while
+//                the tenant is warm, so they are bounded by warm_capacity.
 //
 // Warm/cold lifecycle and its invalidation rules:
 //
 //   cold -> warm (ensure_warm): build the tenant system from the config
 //     template (per-tenant seed), overlay the cold record's weights if one
 //     exists, continue the decoder generation counter from the record so
-//     publishes stay monotonic, register with the cell's trainer (which
-//     publishes a snapshot) or publish directly, then register with the
-//     cell's runtime. Only after the snapshot is live does the tenant's
-//     serving flag open the submit fast path.
+//     publishes stay monotonic, remember that version as the one the
+//     tenant's durable state reproduces, register with the cell's trainer
+//     (which publishes a snapshot) or publish directly, then register with
+//     the cell's runtime. Only after the snapshot is live does the
+//     tenant's serving flag open the submit fast path.
 //   warm -> cold (demote): fence new fast-path entries (demoting flag,
 //     store-load ordered against the in-flight counter), wait out
 //     in-flight submits, flush the tenant's queue lane with a sentinel
 //     decode (per-tenant lanes are FIFO — the sentinel's answer proves
 //     every earlier request was answered), unregister from the trainer
-//     (refused unless quiescent), serialize encoder + decoder + policy +
-//     version to the cold store (atomic rename), then drop the registry
-//     slot, runtime registration, caches and prepacked panels with the
-//     system itself. Any contention aborts the demotion — the tenant
-//     simply stays warm and the next sweep retries.
+//     (refused unless quiescent), and — only when the decoder generation
+//     moved past the durable one — serialize encoder + decoder + policy +
+//     version to the cold store (fsync + atomic rename). Then drop the
+//     registry slot, runtime registration, the follower's standby image,
+//     caches and prepacked panels with the system itself. Any contention
+//     aborts the demotion — the tenant simply stays warm and the next
+//     sweep retries. So does a failed cold write: the tenant re-registers
+//     with its trainer and keeps serving.
 //
 // Thread-safety: submit() may race register_tenant(), demote() and other
 // submits arbitrarily; the fast path takes no lock (see ORCO_HOT_PATH in
@@ -113,10 +122,15 @@ struct FleetConfig {
 struct FleetStats {
   std::uint64_t registered = 0;
   std::uint64_t resident = 0;
-  std::uint64_t cold_wakes = 0;      // activations with a cold-store record
-  std::uint64_t cold_builds = 0;     // first-ever activations (no record)
+  /// Activations of a tenant that was demoted earlier or that reads a
+  /// cold-store record (a record can predate this fleet).
+  std::uint64_t cold_wakes = 0;
+  /// The remaining activations: first-ever ones, from the template.
+  std::uint64_t cold_builds = 0;
   std::uint64_t wake_coalesced = 0;  // wakers that joined an in-flight wake
+  /// Completed demotions, whether or not they wrote a record.
   std::uint64_t demotions = 0;
+  /// Demotions that yielded (busy tenant) or whose cold write failed.
   std::uint64_t demotion_aborts = 0;
   std::uint64_t capacity_overrides = 0;
   std::uint64_t deltas_shipped = 0;
@@ -154,10 +168,12 @@ class EdgeFleet {
   /// Forces the tenant warm (same single-flight path submit uses).
   void warm(ClusterId id);
 
-  /// Demotes the tenant to the cold tier. Returns false when the tenant is
-  /// unknown, already cold, mid-wake, or still busy (in-flight submits,
-  /// queued work, or an active training job) — demotion never blocks
-  /// traffic, it yields to it.
+  /// Demotes the tenant to the cold tier, writing a record only when it
+  /// changed since activation. Returns false when the tenant is unknown,
+  /// already cold, mid-wake, still busy (in-flight submits, queued work,
+  /// or an active training job) or its cold write failed — demotion never
+  /// blocks traffic, it yields to it, and a failed demotion leaves the
+  /// tenant warm and serving.
   bool demote(ClusterId id);
 
   std::uint32_t owner_of(ClusterId id) const { return ring_.route(id); }
@@ -181,7 +197,8 @@ class EdgeFleet {
   }
 
   /// The standby image cell `i` holds for `id` via delta replication
-  /// (empty image when none arrived). Blobs are shared, not copied.
+  /// (empty image when none arrived, or once the tenant was demoted).
+  /// Blobs are shared, not copied.
   SnapshotImage replicated_image(std::size_t i, ClusterId id) const;
 
   const HashRing& ring() const noexcept { return ring_; }
@@ -225,7 +242,13 @@ class EdgeFleet {
     std::condition_variable cv;
     bool waking ORCO_GUARDED_BY(mu) = false;
     bool warm ORCO_GUARDED_BY(mu) = false;
+    /// Set by the first successful demotion (cold_wakes vs cold_builds).
+    bool demoted ORCO_GUARDED_BY(mu) = false;
     std::shared_ptr<core::OrcoDcsSystem> system ORCO_GUARDED_BY(mu);
+    /// While warm: the decoder generation the tenant's durable state (its
+    /// cold record, or its template state when it has none) reproduces.
+    /// demote() writes a record only when model_version() moved past it.
+    std::uint64_t durable_version ORCO_GUARDED_BY(mu) = 0;
   };
 
   TenantState* find_tenant(ClusterId id) const ORCO_EXCLUDES(tenants_mu_);
@@ -246,6 +269,10 @@ class EdgeFleet {
   /// successor, fold it into the follower's standby image.
   void replicate(std::size_t owner, ClusterId tenant,
                  const train::ModelSnapshot& snapshot);
+  /// The cell holding `owner`'s standby images: its ring successor.
+  Cell& follower_of(std::size_t owner) {
+    return *cells_[(owner + 1) % cells_.size()];
+  }
   void refresh_population_gauges();
 
   FleetConfig config_;

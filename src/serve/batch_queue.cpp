@@ -1,5 +1,6 @@
 #include "serve/batch_queue.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/check.h"
@@ -145,15 +146,19 @@ std::vector<PendingRequest> BatchQueue::pop_batch() {
   if (total_ == 0) return batch;  // closed and drained
 
   const ClusterId target = pick_cluster();
+  // Coalescing window: once we own the batch's first request, linger for
+  // more of the same cluster — for at most one decode of this lane, capped
+  // at max_wait_us (see the header). Read once: the lane may be erased
+  // while we wait. Closed queues skip the wait so shutdown drains promptly.
+  const std::chrono::nanoseconds window =
+      std::min<std::chrono::nanoseconds>(
+          std::chrono::microseconds(config_.max_wait_us),
+          lanes_.at(target).last_decode);
   extract_cluster(target, config_.max_batch, batch);
 
-  // Coalescing window: once we own the batch's first request, linger up to
-  // max_wait_us for more of the same cluster. Closed queues skip the wait
-  // so shutdown drains promptly.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(config_.max_wait_us);
+  const auto deadline = std::chrono::steady_clock::now() + window;
   while (batch.size() < config_.max_batch && !closed_ &&
-         config_.max_wait_us > 0) {
+         window.count() > 0) {
     if (cv_.wait_until(lock.native(), deadline) == std::cv_status::timeout) {
       extract_cluster(target, config_.max_batch, batch);
       break;
@@ -161,6 +166,13 @@ std::vector<PendingRequest> BatchQueue::pop_batch() {
     extract_cluster(target, config_.max_batch, batch);
   }
   return batch;
+}
+
+void BatchQueue::record_decode(ClusterId cluster,
+                               std::chrono::nanoseconds elapsed) {
+  common::MutexLock lock(mu_);
+  const auto it = lanes_.find(cluster);
+  if (it != lanes_.end()) it->second.last_decode = elapsed;
 }
 
 void BatchQueue::close() {

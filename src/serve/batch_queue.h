@@ -10,9 +10,13 @@
 // model), so the shard can decode them with a single batched GEMM. The
 // cluster is chosen by weighted priority with an aging term — high-priority
 // tenants go first, but a waiting head request's score grows with its age so
-// low-priority tenants cannot starve. pop_batch waits up to max_wait for
-// stragglers of the same cluster once the first request is in hand, trading
-// a bounded latency hit for batch occupancy.
+// low-priority tenants cannot starve. Once the first request is in hand,
+// pop_batch lingers for stragglers of the same cluster, but never longer
+// than that lane's last measured decode (record_decode), capped at
+// max_wait_us: a request that misses the batch costs exactly one more
+// decode, so waiting longer than one decode cannot pay for itself. A lane
+// with no measured decode yet does not wait at all. Millisecond decoders
+// therefore keep the full window while microsecond ones barely linger.
 #pragma once
 
 #include <chrono>
@@ -32,7 +36,10 @@ namespace orco::serve {
 struct BatchQueueConfig {
   std::size_t capacity = 1024;   // pending requests before shedding
   std::size_t max_batch = 32;    // coalescing ceiling per pop
-  std::uint64_t max_wait_us = 200;  // coalescing window after first request
+  /// Longest coalescing window after a batch's first request. A lane's
+  /// actual window is min(max_wait_us, its last measured decode); a lane
+  /// with no measured decode does not wait.
+  std::uint64_t max_wait_us = 200;
   /// Microseconds of head-of-line wait that double a cluster's scheduling
   /// score. Smaller values age faster (fairer, less strict priority);
   /// 0 disables aging (pure weighted priority + FIFO tie-break).
@@ -61,6 +68,12 @@ class BatchQueue {
   /// clusters' requests keep their positions. The cluster is picked by
   /// schedule_weight() x an aging factor of its head request's wait.
   std::vector<PendingRequest> pop_batch();
+
+  /// Records how long `cluster`'s last batch took to decode; that lane's
+  /// next pop lingers at most this long (capped at max_wait_us). Only
+  /// updates an existing lane: a lane that demotion erased mid-batch is
+  /// not resurrected.
+  void record_decode(ClusterId cluster, std::chrono::nanoseconds elapsed);
 
   /// Stops intake and wakes consumers; queued requests remain poppable so a
   /// graceful shutdown can drain in-flight work.
@@ -95,6 +108,7 @@ class BatchQueue {
   struct Lane {
     TenantPolicy policy;
     std::deque<Entry> entries;
+    std::chrono::nanoseconds last_decode{0};  // 0: never measured
   };
 
   /// Creates the lane with the default policy if new.

@@ -377,6 +377,8 @@ void ClusterShard::serve_batch(std::vector<PendingRequest> batch) {
   infer_ctx_.scratch().reset();
   telemetry_->record_batch(good.size());
   const auto respond_start = std::chrono::steady_clock::now();
+  // Bounds this lane's next coalescing window (BatchQueue::pop_batch).
+  queue_.record_decode(cluster, respond_start - decode_start);
   telemetry_->record_stage(cluster, Telemetry::Stage::kDecode,
                            between_us(decode_start, respond_start),
                            good.size());

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -214,6 +215,34 @@ TEST(SerializeTest, FileRoundTrip) {
   const auto bytes = read_file(path);
   ByteReader r(bytes);
   EXPECT_EQ(r.read_string(), "persist me");
+}
+
+TEST(SerializeTest, AtomicWriteReplacesAndFailedRenameLeavesNoTemp) {
+  const std::string dir = ::testing::TempDir() + "/orco_atomic_write_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ByteWriter first;
+  first.write_string("first");
+  ByteWriter second;
+  second.write_string("second");
+  const std::string path = dir + "/record.bin";
+  write_file_atomic(path, first.bytes());
+  write_file_atomic(path, second.bytes());
+  const auto bytes = read_file(path);
+  ByteReader r(bytes);
+  EXPECT_EQ(r.read_string(), "second");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  // A directory in the way makes the rename fail after the temp file was
+  // written and synced: the call throws and removes its temp file.
+  const std::string blocked = dir + "/blocked";
+  std::filesystem::create_directories(blocked + "/child");
+  EXPECT_THROW(write_file_atomic(blocked, first.bytes()), std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(blocked + ".tmp"));
+  // An unopenable temp path throws too.
+  EXPECT_THROW(write_file_atomic(dir + "/missing/record.bin", first.bytes()),
+               std::runtime_error);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SerializeTest, MissingFileThrows) {

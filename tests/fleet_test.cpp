@@ -2,9 +2,11 @@
 // properties (balance + bounded remap), delta-encoded snapshot replication
 // (changed-blobs-only shipping, zero-copy apply), the crash-safe cold tier
 // (ColdStore + OrcoDcsSystem checkpoint atomicity, truncated-file
-// rejection), warm/cold tiering (bounded residency, bitwise-equal cold
-// wake, single-flight thundering-herd collapse) and the runtime/trainer
-// unregister paths the fleet's demotion relies on.
+// rejection), warm/cold tiering (bounded residency, write-back demotion,
+// bitwise-equal cold wake, single-flight thundering-herd collapse, a failed
+// cold write that leaves the tenant serving, standby images only for warm
+// tenants) and the runtime/trainer unregister paths the fleet's demotion
+// relies on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -83,6 +86,54 @@ data::Dataset tiny_dataset(std::size_t count, std::uint64_t seed) {
   return data::Dataset("tiny", data::ImageGeometry{1, 8, 8},
                        /*num_classes=*/1, std::move(images),
                        std::vector<std::size_t>(count, 0));
+}
+
+/// Runs one fine-tune job on warm tenant `id` of a trainer fleet and returns
+/// the version it published.
+std::uint64_t fine_tune(EdgeFleet& fleet, ClusterId id, std::uint64_t seed) {
+  train::TrainerRuntime* trainer = fleet.cell_trainer(fleet.owner_of(id));
+  if (trainer == nullptr) {
+    ADD_FAILURE() << "fine_tune needs a fleet with trainer_threads > 0";
+    return 0;
+  }
+  const train::TrainResult result =
+      trainer->submit_job(id, tiny_dataset(32, seed), /*epochs=*/1).get();
+  EXPECT_EQ(result.outcome, train::JobOutcome::kCompleted);
+  return result.published_version;
+}
+
+/// demote() yields while a trainer worker still holds the tenant (the worker
+/// clears its active-job mark just after resolving the job's future), so
+/// retry until the demotion goes through or the deadline passes.
+bool demote_eventually(EdgeFleet& fleet, ClusterId id) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(5 * kDeadlineStretch);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (fleet.demote(id)) return true;
+    std::this_thread::yield();
+  }
+  return false;
+}
+
+/// Eight threads submit to cold tenant `id` at once; returns their answers.
+std::vector<DecodeResponse> herd_submit(EdgeFleet& fleet, ClusterId id,
+                                        const Tensor& latent) {
+  constexpr int kWakers = 8;
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  std::vector<DecodeResponse> responses(kWakers);
+  for (int w = 0; w < kWakers; ++w) {
+    threads.emplace_back([&, w] {
+      ready.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
+      responses[w] = fleet.submit(id, latent).get();
+    });
+  }
+  while (ready.load() < kWakers) std::this_thread::yield();
+  go.store(true);
+  for (auto& thread : threads) thread.join();
+  return responses;
 }
 
 // ---- hash ring --------------------------------------------------------------
@@ -372,7 +423,8 @@ TEST(FleetTest, ColdWakeReconstructsBitwiseEqual) {
 
   ASSERT_TRUE(fleet.demote(11));
   EXPECT_FALSE(fleet.resident(11));
-  EXPECT_TRUE(fleet.cold_store().contains(11));
+  // Unchanged since activation: its template state is its durable copy.
+  EXPECT_FALSE(fleet.cold_store().contains(11));
 
   const DecodeResponse woken_response = fleet.submit(11, latent).get();
   ASSERT_EQ(woken_response.status, ResponseStatus::kOk);
@@ -395,6 +447,35 @@ TEST(FleetTest, ColdWakeReconstructsBitwiseEqual) {
 
 TEST(FleetTest, ThunderingHerdColdWakeLoadsOnce) {
   FleetConfig cfg = tiny_fleet(fresh_dir("single_flight"));
+  cfg.trainer_threads = 1;
+  EdgeFleet fleet(cfg);
+  fleet.register_tenant(3);
+  fleet.start();
+  fleet.warm(3);
+  // Fine-tuned, so its demotion writes the record the herd must read.
+  const std::uint64_t tuned = fine_tune(fleet, 3, 17);
+  common::Pcg32 rng(5);
+  const Tensor latent = Tensor::uniform({1, kLatentDim}, rng);
+  const DecodeResponse warm_response = fleet.submit(3, latent).get();
+  ASSERT_EQ(warm_response.status, ResponseStatus::kOk);
+  EXPECT_EQ(warm_response.model_version, tuned);
+  ASSERT_TRUE(demote_eventually(fleet, 3));
+  ASSERT_EQ(fleet.cold_store().saves(), 1u);
+  ASSERT_EQ(fleet.cold_store().loads(), 0u);
+
+  const auto responses = herd_submit(fleet, 3, latent);
+  for (std::size_t w = 0; w < responses.size(); ++w) {
+    EXPECT_EQ(responses[w].status, ResponseStatus::kOk) << "waker " << w;
+    EXPECT_TRUE(responses[w].reconstruction.allclose(
+        warm_response.reconstruction, 0.0f));
+  }
+  // The herd collapsed onto exactly one cold-tier read.
+  EXPECT_EQ(fleet.cold_store().loads(), 1u);
+  EXPECT_EQ(fleet.stats().cold_wakes, 1u);
+}
+
+TEST(FleetTest, ThunderingHerdRewakeOfUnchangedTenantActivatesOnce) {
+  FleetConfig cfg = tiny_fleet(fresh_dir("single_flight_unchanged"));
   EdgeFleet fleet(cfg);
   fleet.register_tenant(3);
   fleet.start();
@@ -403,32 +484,144 @@ TEST(FleetTest, ThunderingHerdColdWakeLoadsOnce) {
   const DecodeResponse warm_response = fleet.submit(3, latent).get();
   ASSERT_EQ(warm_response.status, ResponseStatus::kOk);
   ASSERT_TRUE(fleet.demote(3));
-  ASSERT_EQ(fleet.cold_store().loads(), 0u);
 
-  constexpr int kWakers = 8;
-  std::atomic<int> ready{0};
-  std::atomic<bool> go{false};
-  std::vector<std::thread> threads;
-  std::vector<DecodeResponse> responses(kWakers);
-  for (int w = 0; w < kWakers; ++w) {
-    threads.emplace_back([&, w] {
-      ready.fetch_add(1);
-      while (!go.load()) std::this_thread::yield();
-      responses[w] = fleet.submit(3, latent).get();
-    });
-  }
-  while (ready.load() < kWakers) std::this_thread::yield();
-  go.store(true);
-  for (auto& thread : threads) thread.join();
-
-  for (int w = 0; w < kWakers; ++w) {
+  const auto responses = herd_submit(fleet, 3, latent);
+  for (std::size_t w = 0; w < responses.size(); ++w) {
     EXPECT_EQ(responses[w].status, ResponseStatus::kOk) << "waker " << w;
     EXPECT_TRUE(responses[w].reconstruction.allclose(
         warm_response.reconstruction, 0.0f));
   }
-  // The herd collapsed onto exactly one cold-tier read.
-  EXPECT_EQ(fleet.cold_store().loads(), 1u);
-  EXPECT_EQ(fleet.stats().cold_wakes, 1u);
+  // No record to read, and the herd still collapsed onto one activation.
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.cold_builds, 1u);
+  EXPECT_EQ(stats.cold_wakes, 1u);
+  EXPECT_EQ(fleet.cold_store().loads(), 0u);
+  EXPECT_EQ(fleet.cold_store().saves(), 0u);
+}
+
+TEST(FleetTest, UnchangedTenantDemotesWithoutWritingAndCountsRewakes) {
+  FleetConfig cfg = tiny_fleet(fresh_dir("write_back_unchanged"));
+  EdgeFleet fleet(cfg);
+  fleet.register_tenant(12);
+  fleet.start();
+  common::Pcg32 rng(8);
+  const Tensor latent = Tensor::uniform({1, kLatentDim}, rng);
+  const DecodeResponse first = fleet.submit(12, latent).get();
+  ASSERT_EQ(first.status, ResponseStatus::kOk);
+
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    ASSERT_TRUE(fleet.demote(12)) << "cycle " << cycle;
+    EXPECT_EQ(fleet.cold_store().saves(), 0u) << "cycle " << cycle;
+    const DecodeResponse woken = fleet.submit(12, latent).get();
+    ASSERT_EQ(woken.status, ResponseStatus::kOk);
+    EXPECT_EQ(woken.model_version, first.model_version);
+    EXPECT_TRUE(woken.reconstruction.allclose(first.reconstruction, 0.0f))
+        << "cycle " << cycle;
+  }
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.cold_builds, 1u);
+  EXPECT_EQ(stats.cold_wakes, 2u);  // rewakes count without a record read
+  EXPECT_EQ(stats.demotions, 2u);
+  EXPECT_EQ(fleet.cold_store().loads(), 0u);
+}
+
+TEST(FleetTest, FineTunedTenantWritesOneRecordAndWakesFromIt) {
+  FleetConfig cfg = tiny_fleet(fresh_dir("write_back_tuned"));
+  cfg.trainer_threads = 1;
+  EdgeFleet fleet(cfg);
+  const ClusterId id = 14;
+  fleet.register_tenant(id);
+  fleet.start();
+  fleet.warm(id);
+  const std::uint64_t tuned = fine_tune(fleet, id, 23);
+  ASSERT_GT(tuned, 1u);
+  common::Pcg32 rng(9);
+  const Tensor latent = Tensor::uniform({1, kLatentDim}, rng);
+  const DecodeResponse trained = fleet.submit(id, latent).get();
+  ASSERT_EQ(trained.status, ResponseStatus::kOk);
+  ASSERT_EQ(trained.model_version, tuned);
+
+  // Changed since activation: exactly one record.
+  ASSERT_TRUE(demote_eventually(fleet, id));
+  EXPECT_EQ(fleet.cold_store().saves(), 1u);
+  EXPECT_TRUE(fleet.cold_store().contains(id));
+
+  // The wake loads it and decodes bitwise as before demotion, at the same
+  // version; woken and unchanged, the next demotion writes nothing.
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    const DecodeResponse woken = fleet.submit(id, latent).get();
+    ASSERT_EQ(woken.status, ResponseStatus::kOk);
+    EXPECT_EQ(fleet.cold_store().loads(), 1u + cycle);
+    EXPECT_EQ(woken.model_version, tuned);
+    EXPECT_TRUE(woken.reconstruction.allclose(trained.reconstruction, 0.0f))
+        << "cycle " << cycle;
+    ASSERT_TRUE(demote_eventually(fleet, id));
+    EXPECT_EQ(fleet.cold_store().saves(), 1u) << "cycle " << cycle;
+  }
+
+  // The version sequence continues from the record.
+  fleet.warm(id);
+  EXPECT_GT(fine_tune(fleet, id, 24), tuned);
+  ASSERT_TRUE(demote_eventually(fleet, id));
+  EXPECT_EQ(fleet.cold_store().saves(), 2u);
+}
+
+TEST(FleetTest, FailedColdWriteAbortsDemotionAndKeepsServing) {
+  const std::string dir = fresh_dir("failed_write");
+  FleetConfig cfg = tiny_fleet(dir);
+  cfg.trainer_threads = 1;
+  EdgeFleet fleet(cfg);
+  const ClusterId id = 21;
+  ClusterId mate = id + 1;  // a tenant on the same cell's trainer
+  while (fleet.owner_of(mate) != fleet.owner_of(id)) ++mate;
+  fleet.register_tenant(id);
+  fleet.register_tenant(mate);
+  fleet.start();
+  fleet.warm(id);
+  fleet.warm(mate);
+  // Changed, so the demotion really writes. The cell's one trainer worker
+  // finishes this job's bookkeeping before it picks the mate's job, so once
+  // that returns nothing holds `id` busy.
+  const std::uint64_t tuned = fine_tune(fleet, id, 31);
+  fine_tune(fleet, mate, 32);
+  common::Pcg32 rng(10);
+  const Tensor latent = Tensor::uniform({1, kLatentDim}, rng);
+  const DecodeResponse before = fleet.submit(id, latent).get();
+  ASSERT_EQ(before.model_version, tuned);
+
+  // Break the cold tier: its directory becomes a regular file.
+  std::filesystem::remove_all(dir);
+  std::ofstream(dir) << "not a directory";
+  const std::uint64_t aborts = fleet.stats().demotion_aborts;
+  ASSERT_FALSE(fleet.demote(id));
+  EXPECT_EQ(fleet.stats().demotion_aborts, aborts + 1);
+  EXPECT_EQ(fleet.cold_store().saves(), 0u);
+  EXPECT_TRUE(fleet.resident(id));
+
+  // Not wedged: a submit answers in time and the trainer still takes jobs.
+  auto answer = std::async(std::launch::async,
+                           [&] { return fleet.submit(id, latent).get(); });
+  ASSERT_EQ(answer.wait_for(std::chrono::seconds(5 * kDeadlineStretch)),
+            std::future_status::ready)
+      << "submit to the tenant of a failed demotion never returned";
+  const DecodeResponse after = answer.get();
+  ASSERT_EQ(after.status, ResponseStatus::kOk);
+  EXPECT_EQ(after.model_version, tuned);
+  EXPECT_TRUE(after.reconstruction.allclose(before.reconstruction, 0.0f));
+  const std::uint64_t retuned = fine_tune(fleet, id, 33);
+  EXPECT_GT(retuned, tuned);
+  const DecodeResponse trained = fleet.submit(id, latent).get();
+  ASSERT_EQ(trained.model_version, retuned);
+
+  // Restored cold tier: the demotion goes through, the rewake is bitwise.
+  std::filesystem::remove(dir);
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(demote_eventually(fleet, id));
+  EXPECT_EQ(fleet.cold_store().saves(), 1u);
+  const DecodeResponse woken = fleet.submit(id, latent).get();
+  ASSERT_EQ(woken.status, ResponseStatus::kOk);
+  EXPECT_EQ(woken.model_version, retuned);
+  EXPECT_TRUE(woken.reconstruction.allclose(trained.reconstruction, 0.0f));
 }
 
 TEST(FleetTest, ReplicatesSnapshotsToFollowerWithDeltas) {
@@ -471,6 +664,34 @@ TEST(FleetTest, ReplicatesSnapshotsToFollowerWithDeltas) {
   for (std::size_t i = 0; i < standby_v5.params.size(); ++i) {
     EXPECT_EQ(standby_v5.params[i].bytes.get(), standby_v1.params[i].bytes.get())
         << "unchanged standby blob " << i << " was re-copied";
+  }
+}
+
+TEST(FleetTest, DemotionDropsTheFollowersStandbyImage) {
+  FleetConfig cfg = tiny_fleet(fresh_dir("standby_bounded"));
+  EdgeFleet fleet(cfg);
+  const ClusterId id = 6;
+  fleet.register_tenant(id);
+  fleet.start();
+  fleet.warm(id);
+  const std::size_t follower = (fleet.owner_of(id) + 1) % fleet.cell_count();
+  const SnapshotImage shipped = fleet.replicated_image(follower, id);
+  ASSERT_FALSE(shipped.empty());
+  const std::uint64_t full_ships = fleet.stats().full_ships;
+
+  ASSERT_TRUE(fleet.demote(id));
+  EXPECT_TRUE(fleet.replicated_image(follower, id).empty())
+      << "a cold tenant's standby image must be dropped";
+
+  // The wake's publish ships a full image again.
+  fleet.warm(id);
+  const SnapshotImage reshipped = fleet.replicated_image(follower, id);
+  ASSERT_FALSE(reshipped.empty());
+  EXPECT_EQ(reshipped.version, shipped.version);
+  EXPECT_EQ(fleet.stats().full_ships, full_ships + 1);
+  ASSERT_EQ(reshipped.params.size(), shipped.params.size());
+  for (std::size_t i = 0; i < shipped.params.size(); ++i) {
+    EXPECT_TRUE(*reshipped.params[i].bytes == *shipped.params[i].bytes);
   }
 }
 

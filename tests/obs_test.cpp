@@ -458,16 +458,22 @@ TEST(TraceTest, ChromeJsonRoundTripsAndServeSpansNest) {
               request->ts + request->dur + 1);
 
     long long stage_sum = queue_wait->dur;
+    int own_stages = 0;
     for (const auto& s : spans) {
       if (s.name != "assembly" && s.name != "decode" && s.name != "respond") {
         continue;
       }
-      // Batch-scoped spans: count the ones inside this request's window.
-      if (s.ts >= request->ts - 1 &&
+      // Batch-scoped spans: count this request's batch — the one the single
+      // shard worker ran between popping the request and answering it. An
+      // earlier batch can also lie inside the request's window (it ran
+      // while this request queued), but its stages are not this request's.
+      if (s.ts >= queue_wait->ts + queue_wait->dur - 1 &&
           s.ts + s.dur <= request->ts + request->dur + 1) {
         stage_sum += s.dur;
+        ++own_stages;
       }
     }
+    EXPECT_GE(own_stages, 3) << "batch stages missing for id " << id;
     EXPECT_LE(stage_sum, request->dur + 4)
         << "stages exceed end-to-end latency for id " << id;
   }

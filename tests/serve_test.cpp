@@ -1,5 +1,6 @@
 // Tests for the multi-cluster serving runtime (src/serve): shard routing,
-// batch coalescing, batched-vs-sequential decode equality, backpressure,
+// batch coalescing (windows bounded by each lane's measured decode),
+// batched-vs-sequential decode equality, backpressure,
 // per-tenant QoS (quota admission, priority eviction, weighted-aging
 // scheduling), MPMC wakeup delivery, exception-safe batch fan-out, and
 // graceful shutdown.
@@ -239,6 +240,9 @@ TEST(BatchQueueTest, CloseDuringCoalescingWindowDrainsPartialBatches) {
   };
   push(1, 10);
   push(2, 20);
+  // Long measured decodes open both lanes' windows at the 500 ms cap.
+  queue.record_decode(1, std::chrono::seconds(10));
+  queue.record_decode(2, std::chrono::seconds(10));
 
   std::vector<std::size_t> batch_sizes;
   const auto t0 = std::chrono::steady_clock::now();
@@ -290,6 +294,11 @@ TEST(BatchQueueTest, PushWakesSecondConsumerDuringCoalescingWindow) {
   };
 
   push(1, 10);
+  // Long measured decodes open both lanes' windows at the 400 ms cap;
+  // cluster 2's lane is created up front, as shard registration does.
+  queue.set_policy(2, cfg.default_policy);
+  queue.record_decode(1, std::chrono::seconds(10));
+  queue.record_decode(2, std::chrono::seconds(10));
   std::thread c1(consume);  // grabs cluster 1, lingers in the window
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   std::thread c2(consume);  // arrives at the top-level wait second
@@ -319,6 +328,61 @@ TEST(BatchQueueTest, PushWakesSecondConsumerDuringCoalescingWindow) {
   ASSERT_GE(extracted_after_ms, 0.0)
       << "cluster 2's request was never extracted";
   EXPECT_LT(extracted_after_ms, 150.0);
+}
+
+TEST(BatchQueueTest, CoalescingWindowIsBoundedByTheLanesMeasuredDecode) {
+  using Clock = std::chrono::steady_clock;
+  const auto ms_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+        .count();
+  };
+  BatchQueueConfig cfg;
+  cfg.max_batch = 8;
+  cfg.max_wait_us = 2000000;  // 2 s cap
+  BatchQueue queue(cfg);
+  auto push = [&](ClusterId cluster, RequestId id) {
+    PendingRequest p;
+    p.request.cluster = cluster;
+    p.request.id = id;
+    ASSERT_EQ(queue.push(std::move(p)), PushResult::kAccepted);
+  };
+
+  // A lane with no measured decode pops without waiting.
+  push(1, 10);
+  auto t0 = Clock::now();
+  EXPECT_EQ(queue.pop_batch().size(), 1u);
+  EXPECT_LT(ms_since(t0), 500.0) << "an unmeasured lane must not linger";
+
+  // A measured decode D below the cap: the pop lingers about D and takes a
+  // request pushed within that time.
+  queue.record_decode(1, std::chrono::milliseconds(300));
+  push(1, 11);
+  std::vector<PendingRequest> batch;
+  t0 = Clock::now();
+  std::thread consumer([&] { batch = queue.pop_batch(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  push(1, 12);
+  consumer.join();
+  const double lingered_ms = ms_since(t0);
+  ASSERT_EQ(batch.size(), 2u) << "the straggler must join the batch";
+  EXPECT_EQ(batch[0].request.id, 11u);
+  EXPECT_EQ(batch[1].request.id, 12u);
+  EXPECT_GE(lingered_ms, 290.0);
+  EXPECT_LT(lingered_ms, 1500.0) << "window must follow D, not the cap";
+
+  // The cap still holds when the measured decode exceeds it.
+  BatchQueueConfig capped_cfg = cfg;
+  capped_cfg.max_wait_us = 100000;  // 100 ms cap
+  BatchQueue capped(capped_cfg);
+  PendingRequest p;
+  p.request.cluster = 3;
+  ASSERT_EQ(capped.push(std::move(p)), PushResult::kAccepted);
+  capped.record_decode(3, std::chrono::seconds(10));
+  t0 = Clock::now();
+  EXPECT_EQ(capped.pop_batch().size(), 1u);
+  const double capped_ms = ms_since(t0);
+  EXPECT_GE(capped_ms, 95.0);
+  EXPECT_LT(capped_ms, 1500.0) << "max_wait_us must cap the window";
 }
 
 TEST(ServeTest, BatchedDecodeBitwiseEqualsSequentialDecode) {

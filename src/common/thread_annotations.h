@@ -18,10 +18,10 @@
 //   * Private helpers that expect the caller to hold a lock are marked
 //     ORCO_REQUIRES(mu_) instead of carrying a "caller holds mu_"
 //     comment.
-//   * Intentionally lock-free paths (atomic swap slots, sharded metric
-//     cells, single-writer trace rings) stay unannotated on purpose —
-//     their safety argument is memory ordering, not mutual exclusion —
-//     and keep an explanatory comment instead.
+//   * Intentionally lock-free paths (sharded metric cells, single-writer
+//     trace rings) stay unannotated on purpose — their safety argument is
+//     memory ordering, not mutual exclusion — and keep an explanatory
+//     comment instead.
 //   * Condition-variable waits are written as explicit while loops over
 //     the guarded predicate (not wait(lock, pred) lambdas) so the
 //     analysis sees every guarded access in the enclosing function.

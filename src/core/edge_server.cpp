@@ -103,18 +103,14 @@ bool sample_decode_span() {
 }  // namespace
 
 std::shared_ptr<const nn::InferPlan> EdgeServer::current_plan() const {
-  auto plan = plan_.load(std::memory_order_acquire);
-  if (plan != nullptr && !plan->weights_stale()) return plan;
-  // Compile (or recompile after a weight-version bump) under the rebuild
+  // Compile (or recompile after a weight-version bump) under the slot's
   // lock; concurrent decoders that lose the race reuse the winner's plan.
   common::MutexLock lock(plan_mu_);
-  plan = plan_.load(std::memory_order_acquire);
-  if (plan == nullptr || plan->weights_stale()) {
+  if (plan_ == nullptr || plan_->weights_stale()) {
     tensor::BackendScope scope(backend_);
-    plan = nn::InferPlan::compile(*decoder_);
-    plan_.store(plan, std::memory_order_release);
+    plan_ = nn::InferPlan::compile(*decoder_);
   }
-  return plan;
+  return plan_;
 }
 
 Tensor EdgeServer::decode_inference(const Tensor& latents) const {

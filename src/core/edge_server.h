@@ -103,10 +103,10 @@ class EdgeServer {
   float huber_delta_;
   std::uint64_t pending_round_ = 0;
   std::atomic<std::uint64_t> model_version_{1};
-  /// Registry-free decode plan: one acquire load on the hot path, rebuilt
-  /// under plan_mu_ when stale (see current_plan).
+  /// Registry-free decode plan: copied out under plan_mu_ once per decode,
+  /// rebuilt under the same lock when stale (see current_plan).
   mutable common::Mutex plan_mu_;
-  mutable std::atomic<std::shared_ptr<const nn::InferPlan>> plan_;
+  mutable std::shared_ptr<const nn::InferPlan> plan_ ORCO_GUARDED_BY(plan_mu_);
   bool round_open_ = false;
   std::size_t batch_in_flight_ = 0;
   std::size_t latent_dim_, output_dim_;

@@ -19,10 +19,10 @@
 #include "core/cluster_pipeline.h" // IWYU pragma: export
 #include "core/config.h"           // IWYU pragma: export
 #include "core/distributed_encoding.h"  // IWYU pragma: export
-#include "core/edge_fleet.h"       // IWYU pragma: export
 #include "core/edge_server.h"      // IWYU pragma: export
 #include "core/messages.h"         // IWYU pragma: export
 #include "core/models.h"           // IWYU pragma: export
 #include "core/monitor.h"          // IWYU pragma: export
 #include "core/orchestrator.h"     // IWYU pragma: export
+#include "core/shared_edge_sim.h"  // IWYU pragma: export
 #include "core/system.h"           // IWYU pragma: export

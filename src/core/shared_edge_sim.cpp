@@ -1,4 +1,4 @@
-#include "core/edge_fleet.h"
+#include "core/shared_edge_sim.h"
 
 #include <algorithm>
 #include <queue>
@@ -7,7 +7,7 @@
 
 namespace orco::core {
 
-EdgeFleetReport simulate_edge_fleet(const EdgeFleetConfig& config) {
+SharedEdgeReport simulate_shared_edge(const SharedEdgeConfig& config) {
   ORCO_CHECK(config.clusters > 0, "need at least one cluster");
   ORCO_CHECK(config.aggregator_s >= 0.0 && config.edge_service_s > 0.0 &&
                  config.comms_s >= 0.0,
@@ -28,7 +28,7 @@ EdgeFleetReport simulate_edge_fleet(const EdgeFleetConfig& config) {
     arrivals.push({config.aggregator_s, c});
   }
 
-  EdgeFleetReport report;
+  SharedEdgeReport report;
   report.rounds_per_cluster.assign(config.clusters, 0);
 
   double edge_free_at = 0.0;

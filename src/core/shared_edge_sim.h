@@ -1,6 +1,6 @@
-// EdgeFleet — concrete simulation of the paper's §V future-work question:
-// "optimization of training overhead on edge servers when a large number of
-// data aggregators need to perform training procedures".
+// Shared-edge simulation — the paper's §V future-work question made
+// concrete: "optimization of training overhead on edge servers when a large
+// number of data aggregators need to perform training procedures".
 //
 // K clusters run closed-loop training rounds against one shared edge
 // server. Each round: the aggregator computes its encoder passes
@@ -16,7 +16,7 @@
 
 namespace orco::core {
 
-struct EdgeFleetConfig {
+struct SharedEdgeConfig {
   std::size_t clusters = 4;
   double aggregator_s = 0.08;   // aggregator-side compute per round
   double edge_service_s = 0.01; // edge-side compute per round (FIFO server)
@@ -24,7 +24,7 @@ struct EdgeFleetConfig {
   double horizon_s = 100.0;     // simulated duration
 };
 
-struct EdgeFleetReport {
+struct SharedEdgeReport {
   double edge_utilisation = 0.0;   // busy fraction of the horizon
   double mean_wait_s = 0.0;        // mean FIFO queueing delay
   double max_wait_s = 0.0;
@@ -37,6 +37,6 @@ struct EdgeFleetReport {
 
 /// Runs the discrete-event simulation. Deterministic (no randomness:
 /// closed-loop arrivals, FIFO service, ties broken by cluster id).
-EdgeFleetReport simulate_edge_fleet(const EdgeFleetConfig& config);
+SharedEdgeReport simulate_shared_edge(const SharedEdgeConfig& config);
 
 }  // namespace orco::core

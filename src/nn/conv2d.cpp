@@ -13,9 +13,7 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
     : geom_{in_channels, in_h, in_w, kernel, kernel, stride, pad},
       out_channels_(out_channels),
       w_({out_channels, in_channels * kernel * kernel}),
-      b_({out_channels}),
-      gw_({out_channels, in_channels * kernel * kernel}),
-      gb_({out_channels}) {
+      b_({out_channels}) {
   ORCO_CHECK(in_channels > 0 && out_channels > 0 && kernel > 0 && stride > 0,
              "Conv2d: bad hyperparameters");
   // Validate geometry eagerly so misconfigured models fail at build time.
@@ -110,6 +108,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   ORCO_CHECK(grad_output.rank() == 2 && grad_output.dim(0) == batch &&
                  grad_output.dim(1) == out_channels_ * oh * ow,
              "Conv2d backward shape mismatch");
+  ensure_grad(gw_, w_.shape());
+  ensure_grad(gb_, b_.shape());
   Tensor grad_input({batch, input_.dim(1)});
   for (std::size_t s = 0; s < batch; ++s) {
     const Tensor cols = tensor::im2col(input_.row(s), geom_);

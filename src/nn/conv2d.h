@@ -89,7 +89,7 @@ class Conv2d : public Layer {
   std::size_t out_channels_;
   Tensor w_;   // (outC, inC*KH*KW)
   Tensor b_;   // (outC)
-  Tensor gw_, gb_;
+  Tensor gw_, gb_;  // empty until the first backward()
   Tensor input_;  // cached (B, inC*H*W); im2col recomputed in backward
   std::atomic<std::uint64_t> weight_version_{1};
 };

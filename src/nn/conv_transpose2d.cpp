@@ -18,9 +18,7 @@ ConvTranspose2d::ConvTranspose2d(std::size_t in_channels,
       in_h_(in_h),
       in_w_(in_w),
       w_({in_channels, out_channels * kernel * kernel}),
-      b_({out_channels}),
-      gw_({in_channels, out_channels * kernel * kernel}),
-      gb_({out_channels}) {
+      b_({out_channels}) {
   ORCO_CHECK(in_channels > 0 && out_channels > 0 && kernel > 0 && stride > 0,
              "ConvTranspose2d: bad hyperparameters");
   ORCO_CHECK((in_h - 1) * stride + kernel >= 2 * pad,
@@ -85,6 +83,8 @@ Tensor ConvTranspose2d::backward(const Tensor& grad_output) {
   ORCO_CHECK(grad_output.rank() == 2 && grad_output.dim(0) == batch &&
                  grad_output.dim(1) == out_feats,
              "ConvTranspose2d backward shape mismatch");
+  ensure_grad(gw_, w_.shape());
+  ensure_grad(gb_, b_.shape());
   Tensor grad_input({batch, input_.dim(1)});
   for (std::size_t s = 0; s < batch; ++s) {
     // Gradient w.r.t. output image -> columns (adjoint of col2im is im2col).

@@ -45,7 +45,7 @@ class ConvTranspose2d : public Layer {
   tensor::Conv2dGeometry geom_;  // geometry of the *output* side
   Tensor w_;   // (inC, outC*KH*KW)
   Tensor b_;   // (outC)
-  Tensor gw_, gb_;
+  Tensor gw_, gb_;  // empty until the first backward()
   Tensor input_;
 };
 

@@ -12,9 +12,7 @@ Dense::Dense(std::size_t in_features, std::size_t out_features,
     : in_(in_features),
       out_(out_features),
       w_({out_features, in_features}),
-      b_({out_features}),
-      gw_({out_features, in_features}),
-      gb_({out_features}) {
+      b_({out_features}) {
   ORCO_CHECK(in_features > 0 && out_features > 0,
              "Dense dims must be positive, got " << in_features << " -> "
                                                  << out_features);
@@ -107,6 +105,8 @@ Tensor Dense::backward(const Tensor& grad_output) {
   // dW += dY^T X ; db += column sums of dY ; dX = dY W. gemm_tn
   // accumulates dW straight into the gradient, with no product temporary.
   const std::size_t batch = grad_output.dim(0);
+  ensure_grad(gw_, w_.shape());
+  ensure_grad(gb_, b_.shape());
   {
     OBS_SCOPED_SPAN(obs::KernelOp::kGemmTN, 2ull * batch * in_ * out_);
     tensor::current_backend().gemm_tn(grad_output.data().data(),

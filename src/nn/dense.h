@@ -95,12 +95,15 @@ class Dense : public Layer {
     return b_;
   }
   const Tensor& bias() const noexcept { return b_; }
+  /// Parameter gradients: empty until the first backward() (see
+  /// ParamView), then shaped like weight() and bias().
   Tensor& weight_grad() noexcept { return gw_; }
   Tensor& bias_grad() noexcept { return gb_; }
 
  private:
   std::size_t in_, out_;
-  Tensor w_, b_, gw_, gb_;
+  Tensor w_, b_;
+  Tensor gw_, gb_;  // empty until the first backward()
   Tensor input_;  // cached for backward
   std::atomic<std::uint64_t> weight_version_{1};
 };

@@ -18,11 +18,25 @@ namespace orco::nn {
 using tensor::Tensor;
 
 /// Non-owning handle to one trainable parameter and its gradient.
+///
+/// Training state is allocated on first use: `grad` may be empty (numel 0)
+/// until the layer's first backward(), which sizes it to the value's shape,
+/// zero-filled, and then accumulates into it (0 + x, so the bits match an
+/// eagerly allocated gradient). Until then a layer holds only its weights,
+/// which is all a tenant that only serves ever needs. Consumers treat an
+/// empty gradient as zero; inference, params() and save/load never
+/// allocate one.
 struct ParamView {
   std::string name;
   Tensor* value = nullptr;
   Tensor* grad = nullptr;
 };
+
+/// Sizes an empty gradient to `shape`, zero-filled — the first-backward
+/// step of the ParamView contract. A no-op once the gradient exists.
+inline void ensure_grad(Tensor& grad, const tensor::Shape& shape) {
+  if (grad.empty()) grad = Tensor(shape);
+}
 
 /// Base class for all layers. Data flows as rank-2 (batch, features)
 /// tensors; spatial layers (conv, pool) interpret `features` as C*H*W using
@@ -113,7 +127,8 @@ class Layer {
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<ParamView> params() { return {}; }
 
-  /// Resets accumulated parameter gradients to zero.
+  /// Resets accumulated parameter gradients to zero; gradients not yet
+  /// allocated (no backward so far) stay empty.
   void zero_grad() {
     for (auto& p : params()) p.grad->fill(0.0f);
   }

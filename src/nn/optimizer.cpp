@@ -14,7 +14,7 @@ Optimizer::Optimizer(std::vector<ParamView> params)
   for (const auto& p : params_) {
     ORCO_CHECK(p.value != nullptr && p.grad != nullptr,
                "null param view: " << p.name);
-    ORCO_CHECK(p.value->shape() == p.grad->shape(),
+    ORCO_CHECK(p.grad->empty() || p.value->shape() == p.grad->shape(),
                "param/grad shape mismatch: " << p.name);
   }
 }
@@ -28,6 +28,13 @@ void Optimizer::zero_grad() {
                            std::fill(g + lo, g + hi, 0.0f);
                          });
   }
+}
+
+std::vector<Tensor> Optimizer::zero_state() const {
+  std::vector<Tensor> state;
+  state.reserve(params_.size());
+  for (const auto& p : params_) state.emplace_back(p.value->shape());
+  return state;
 }
 
 std::size_t Optimizer::parameter_count() const {
@@ -45,10 +52,6 @@ Sgd::Sgd(std::vector<ParamView> params, float lr, float momentum,
   ORCO_CHECK(lr > 0.0f, "learning rate must be positive");
   ORCO_CHECK(momentum >= 0.0f && momentum < 1.0f, "momentum out of [0,1)");
   ORCO_CHECK(weight_decay >= 0.0f, "weight decay must be non-negative");
-  if (momentum_ > 0.0f) {
-    velocity_.reserve(params_.size());
-    for (const auto& p : params_) velocity_.emplace_back(p.value->shape());
-  }
 }
 
 void Sgd::set_learning_rate(float lr) {
@@ -57,7 +60,9 @@ void Sgd::set_learning_rate(float lr) {
 }
 
 void Sgd::step() {
+  if (momentum_ > 0.0f && velocity_.empty()) velocity_ = zero_state();
   for (std::size_t i = 0; i < params_.size(); ++i) {
+    ensure_grad(*params_[i].grad, params_[i].value->shape());
     float* vd = params_[i].value->data().data();
     const float* gd = params_[i].grad->data().data();
     float* mv = momentum_ > 0.0f ? velocity_[i].data().data() : nullptr;
@@ -94,19 +99,18 @@ Adam::Adam(std::vector<ParamView> params, float lr, float beta1, float beta2,
   ORCO_CHECK(lr > 0.0f, "learning rate must be positive");
   ORCO_CHECK(beta1 >= 0.0f && beta1 < 1.0f, "beta1 out of [0,1)");
   ORCO_CHECK(beta2 >= 0.0f && beta2 < 1.0f, "beta2 out of [0,1)");
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (const auto& p : params_) {
-    m_.emplace_back(p.value->shape());
-    v_.emplace_back(p.value->shape());
-  }
 }
 
 void Adam::step() {
+  if (m_.empty()) {
+    m_ = zero_state();
+    v_ = zero_state();
+  }
   ++t_;
   const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
   const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
   for (std::size_t i = 0; i < params_.size(); ++i) {
+    ensure_grad(*params_[i].grad, params_[i].value->shape());
     auto vd = params_[i].value->data();
     const auto gd = params_[i].grad->data();
     auto md = m_[i].data();

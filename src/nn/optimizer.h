@@ -1,5 +1,12 @@
 // First-order optimizers over ParamViews. The paper trains with SGD (eq. 5);
 // Adam is provided for the classifier and ablations.
+//
+// Optimizer state is allocated on first use, like the gradients it reads
+// (see ParamView): constructing an optimizer records the views and checks
+// the gradients already allocated against their values' shapes, but sizes
+// nothing. The first step() creates the state (SGD velocities, Adam's m/v)
+// zero-filled, and steps any parameter whose gradient is still empty on a
+// zero gradient, sized there so the bits match an explicit zero gradient.
 #pragma once
 
 #include <vector>
@@ -10,6 +17,8 @@ namespace orco::nn {
 
 class Optimizer {
  public:
+  /// Every view needs a value and a grad pointer; a grad that is already
+  /// allocated must match its value's shape, an empty one is admitted.
   explicit Optimizer(std::vector<ParamView> params);
   virtual ~Optimizer() = default;
 
@@ -19,12 +28,16 @@ class Optimizer {
   /// Applies one update from the accumulated gradients.
   virtual void step() = 0;
 
-  /// Zeroes all parameter gradients.
+  /// Zeroes all allocated parameter gradients; empty ones stay empty.
   void zero_grad();
 
   std::size_t parameter_count() const;
 
  protected:
+  /// One zero-filled tensor per parameter, shaped like its value: the
+  /// first step()'s optimizer state.
+  std::vector<Tensor> zero_state() const;
+
   std::vector<ParamView> params_;
 };
 
@@ -38,8 +51,8 @@ class Sgd : public Optimizer {
   float learning_rate() const noexcept { return lr_; }
   void set_learning_rate(float lr);
 
-  /// Momentum buffers, one per parameter in construction order (empty
-  /// when momentum is 0).
+  /// Momentum buffers, one per parameter in construction order. Empty
+  /// when momentum is 0, and before the first step().
   const std::vector<Tensor>& velocities() const noexcept { return velocity_; }
 
  private:
@@ -53,6 +66,11 @@ class Adam : public Optimizer {
   Adam(std::vector<ParamView> params, float lr, float beta1 = 0.9f,
        float beta2 = 0.999f, float eps = 1e-8f);
   void step() override;
+
+  /// First and second moment estimates, one per parameter in construction
+  /// order; empty before the first step().
+  const std::vector<Tensor>& first_moments() const noexcept { return m_; }
+  const std::vector<Tensor>& second_moments() const noexcept { return v_; }
 
  private:
   float lr_, beta1_, beta2_, eps_;

@@ -9,12 +9,13 @@
 //
 // Serve-while-retraining: when a train::ModelRegistry is attached, the
 // shard decodes through the tenant's current immutable ModelSnapshot — one
-// atomic load per batch picks up hot swaps published by the background
-// TrainerRuntime, the snapshot's shared_ptr pins exactly one coherent model
-// for the whole fan-out, and an observed version change invalidates the
-// tenant's entries in the shard's latent-keyed ReconstructionCache. Without
-// a registry the shard falls back to decoding on the tenant's live
-// EdgeServer (fine as long as nothing trains it concurrently).
+// copy out of the tenant's registry slot per batch picks up hot swaps
+// published by the background TrainerRuntime, the snapshot's shared_ptr
+// pins exactly one coherent model for the whole fan-out, and an observed
+// version change invalidates the tenant's entries in the shard's
+// latent-keyed ReconstructionCache. Without a registry the shard falls back
+// to decoding on the tenant's live EdgeServer (fine as long as nothing
+// trains it concurrently).
 #pragma once
 
 #include <cstddef>

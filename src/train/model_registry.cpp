@@ -57,7 +57,7 @@ std::uint64_t ModelRegistry::publish(ClusterId cluster,
     snapshot->published_at = std::chrono::steady_clock::now();
     version = snapshot->version;
     installed = std::shared_ptr<const ModelSnapshot>(std::move(snapshot));
-    slot->snapshot_.store(installed, std::memory_order_release);
+    slot->store(installed);
     slot->swaps_.fetch_add(1, std::memory_order_relaxed);
     total_published_.fetch_add(1, std::memory_order_relaxed);
     hook = publish_hook_;  // copy: the hook runs outside the lock

@@ -4,11 +4,12 @@
 // other: shard workers decoding at full rate, and trainer threads mutating
 // decoder weights. The registry is the handoff point. A ModelSnapshot is an
 // immutable (encoder, decoder) pair stamped with the EdgeServer's
-// monotonically increasing model version; publishing swaps one
-// std::atomic<std::shared_ptr> per tenant, so a shard picks up the new
-// model between batches with a single acquire load — no lock on the decode
-// path, and a batch already in flight keeps its snapshot alive (and
-// coherent) through its own shared_ptr until the fan-out completes.
+// monotonically increasing model version; publishing replaces one
+// mutex-guarded shared_ptr slot per tenant, so a shard picks up the new
+// model between batches by copying the slot out under its lock once per
+// batch — never for the decode itself — and a batch already in flight
+// keeps its snapshot alive (and coherent) through its own shared_ptr until
+// the fan-out completes.
 //
 // Layering: this header depends on nn/ only, so serve/ can hold registry
 // entries while train/'s TrainerRuntime (which depends on core/ and serve/)
@@ -64,13 +65,19 @@ struct ModelSnapshot {
 class ModelRegistry {
  public:
   /// One tenant's swap slot. A shard grabs the shared Entry at tenant
-  /// registration and pays exactly one atomic load per batch; remove()
+  /// registration and copies the snapshot out once per batch; remove()
   /// (the fleet's demotion path) only drops the registry's reference —
   /// holders keep the slot alive until their batch completes.
+  ///
+  /// The slot is a shared_ptr under a per-entry mutex rather than a
+  /// std::atomic<std::shared_ptr>: libstdc++ 12's atomic load releases its
+  /// internal lock with a relaxed store, which ThreadSanitizer reports as a
+  /// race against the publisher's store.
   class Entry {
    public:
-    std::shared_ptr<const ModelSnapshot> load() const {
-      return snapshot_.load(std::memory_order_acquire);
+    std::shared_ptr<const ModelSnapshot> load() const ORCO_EXCLUDES(mu_) {
+      common::MutexLock lock(mu_);
+      return snapshot_;
     }
     std::uint64_t swap_count() const noexcept {
       return swaps_.load(std::memory_order_relaxed);
@@ -78,7 +85,18 @@ class ModelRegistry {
 
    private:
     friend class ModelRegistry;
-    std::atomic<std::shared_ptr<const ModelSnapshot>> snapshot_;
+    void store(std::shared_ptr<const ModelSnapshot> snapshot)
+        ORCO_EXCLUDES(mu_) {
+      {
+        common::MutexLock lock(mu_);
+        snapshot_.swap(snapshot);
+      }
+      // `snapshot` now holds the previous generation and is released here,
+      // outside the lock: freeing it never stalls a shard's load().
+    }
+
+    mutable common::Mutex mu_;
+    std::shared_ptr<const ModelSnapshot> snapshot_ ORCO_GUARDED_BY(mu_);
     std::atomic<std::uint64_t> swaps_{0};
   };
 
@@ -123,8 +141,8 @@ class ModelRegistry {
   }
 
  private:
-  /// Guards the map only; swaps are per-entry atomics a shard reads with
-  /// one acquire load per batch, never under this lock.
+  /// Guards the map and serializes publishers; shards read a tenant's slot
+  /// under its own entry lock, never under this one.
   mutable common::Mutex mu_;
   std::map<ClusterId, std::shared_ptr<Entry>> entries_ ORCO_GUARDED_BY(mu_);
   PublishHook publish_hook_ ORCO_GUARDED_BY(mu_);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "core/orcodcs.h"
@@ -10,6 +11,7 @@
 #include "data/metrics.h"
 #include "data/synthetic_gtsrb.h"
 #include "data/synthetic_mnist.h"
+#include "serve/serve.h"
 
 namespace orco::core {
 namespace {
@@ -82,6 +84,57 @@ bool same_bits(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&
          std::memcmp(a.data().data(), b.data().data(),
                      a.numel() * sizeof(float)) == 0;
+}
+
+// A tenant that only serves carries no training state: encoder and decoder
+// gradients and both SGD velocity sets stay empty while it answers decodes,
+// and its first training round allocates every one of them.
+TEST(SystemTest, TrainingStateAppearsAtFirstTrainingRound) {
+  const SystemConfig cfg = small_system();
+  auto sys = std::make_shared<OrcoDcsSystem>(cfg);
+  const auto expect_training_state = [&](bool allocated) {
+    const std::pair<nn::Sequential*, const nn::Sgd*> halves[] = {
+        {&sys->aggregator().encoder(), &sys->aggregator().optimizer()},
+        {&sys->edge().decoder(), &sys->edge().optimizer()}};
+    for (const auto& [model, sgd] : halves) {
+      const auto params = model->params();
+      for (const auto& p : params) {
+        if (allocated) {
+          EXPECT_EQ(p.grad->shape(), p.value->shape()) << p.name;
+        } else {
+          EXPECT_TRUE(p.grad->empty()) << p.name;
+        }
+      }
+      ASSERT_EQ(sgd->velocities().size(), allocated ? params.size() : 0u);
+      for (std::size_t i = 0; i < sgd->velocities().size(); ++i) {
+        EXPECT_EQ(sgd->velocities()[i].shape(), params[i].value->shape());
+      }
+    }
+  };
+
+  serve::ServeConfig scfg;
+  scfg.shard_count = 1;
+  serve::ServerRuntime runtime(scfg);
+  runtime.register_cluster(1, sys);
+  runtime.start();
+  common::Pcg32 rng(8);
+  for (int i = 0; i < 8; ++i) {
+    const auto response =
+        runtime.submit(1, Tensor::randn({cfg.orco.latent_dim}, rng)).get();
+    ASSERT_EQ(response.status, serve::ResponseStatus::kOk);
+  }
+  runtime.shutdown();
+  {
+    SCOPED_TRACE("after serving");
+    expect_training_state(/*allocated=*/false);
+  }
+
+  const auto train = small_mnist(cfg.orco.batch_size);
+  (void)sys->orchestrator().train_round(train.images());
+  {
+    SCOPED_TRACE("after one training round");
+    expect_training_state(/*allocated=*/true);
+  }
 }
 
 // Pooled training kernels (the split GEMMs, dW accumulated in place, the

@@ -1,9 +1,10 @@
 // Tests for the extension modules: sensor-field telemetry, the
-// formulation-level cluster pipeline, network lifetime, and EdgeFleet.
+// formulation-level cluster pipeline, network lifetime, and the shared-edge
+// simulation.
 #include <gtest/gtest.h>
 
 #include "core/cluster_pipeline.h"
-#include "core/edge_fleet.h"
+#include "core/shared_edge_sim.h"
 #include "data/sensor_field.h"
 #include "wsn/lifetime.h"
 
@@ -217,22 +218,22 @@ TEST(LifetimeTest, HybridCsOutlivesRawAggregation) {
   EXPECT_EQ(raw_life.first_dead_node, 1u);
 }
 
-// ---- edge fleet ------------------------------------------------------------------
+// ---- shared-edge simulation -------------------------------------------------
 
-TEST(EdgeFleetTest, ValidatesConfig) {
-  core::EdgeFleetConfig cfg;
+TEST(SharedEdgeSimTest, ValidatesConfig) {
+  core::SharedEdgeConfig cfg;
   cfg.clusters = 0;
-  EXPECT_THROW((void)core::simulate_edge_fleet(cfg), std::invalid_argument);
+  EXPECT_THROW((void)core::simulate_shared_edge(cfg), std::invalid_argument);
   cfg.clusters = 1;
   cfg.edge_service_s = 0.0;
-  EXPECT_THROW((void)core::simulate_edge_fleet(cfg), std::invalid_argument);
+  EXPECT_THROW((void)core::simulate_shared_edge(cfg), std::invalid_argument);
 }
 
-TEST(EdgeFleetTest, SingleClusterHasNoQueueing) {
-  core::EdgeFleetConfig cfg;
+TEST(SharedEdgeSimTest, SingleClusterHasNoQueueing) {
+  core::SharedEdgeConfig cfg;
   cfg.clusters = 1;
   cfg.horizon_s = 10.0;
-  const auto report = core::simulate_edge_fleet(cfg);
+  const auto report = core::simulate_shared_edge(cfg);
   EXPECT_DOUBLE_EQ(report.mean_wait_s, 0.0);
   EXPECT_GT(report.total_rounds, 0u);
   // Cycle time = aggregator + service + comms.
@@ -241,13 +242,13 @@ TEST(EdgeFleetTest, SingleClusterHasNoQueueing) {
               cfg.horizon_s / cycle, 2.0);
 }
 
-TEST(EdgeFleetTest, UtilisationGrowsWithClustersUntilSaturation) {
+TEST(SharedEdgeSimTest, UtilisationGrowsWithClustersUntilSaturation) {
   double last_util = 0.0;
   for (const std::size_t k : {1, 2, 4, 8, 32}) {
-    core::EdgeFleetConfig cfg;
+    core::SharedEdgeConfig cfg;
     cfg.clusters = k;
     cfg.horizon_s = 20.0;
-    const auto report = core::simulate_edge_fleet(cfg);
+    const auto report = core::simulate_shared_edge(cfg);
     EXPECT_GE(report.edge_utilisation, last_util - 1e-9);
     EXPECT_LE(report.edge_utilisation, 1.0 + 1e-9);
     last_util = report.edge_utilisation;
@@ -255,24 +256,24 @@ TEST(EdgeFleetTest, UtilisationGrowsWithClustersUntilSaturation) {
   EXPECT_GT(last_util, 0.9);  // 32 clusters saturate this edge
 }
 
-TEST(EdgeFleetTest, WaitingAppearsOnlyUnderContention) {
-  core::EdgeFleetConfig light;
+TEST(SharedEdgeSimTest, WaitingAppearsOnlyUnderContention) {
+  core::SharedEdgeConfig light;
   light.clusters = 2;
   light.horizon_s = 20.0;
-  core::EdgeFleetConfig heavy = light;
+  core::SharedEdgeConfig heavy = light;
   heavy.clusters = 32;
-  const auto light_report = core::simulate_edge_fleet(light);
-  const auto heavy_report = core::simulate_edge_fleet(heavy);
+  const auto light_report = core::simulate_shared_edge(light);
+  const auto heavy_report = core::simulate_shared_edge(heavy);
   EXPECT_LT(light_report.mean_wait_s, heavy_report.mean_wait_s);
   EXPECT_GT(heavy_report.mean_round_latency_s,
             light_report.mean_round_latency_s);
 }
 
-TEST(EdgeFleetTest, FifoIsFairAcrossIdenticalClusters) {
-  core::EdgeFleetConfig cfg;
+TEST(SharedEdgeSimTest, FifoIsFairAcrossIdenticalClusters) {
+  core::SharedEdgeConfig cfg;
   cfg.clusters = 8;
   cfg.horizon_s = 30.0;
-  const auto report = core::simulate_edge_fleet(cfg);
+  const auto report = core::simulate_shared_edge(cfg);
   EXPECT_GT(report.fairness, 0.9);
 }
 

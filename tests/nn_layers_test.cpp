@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "nn/activations.h"
 #include "nn/conv2d.h"
@@ -340,6 +341,48 @@ TEST(SequentialTest, InferIntoSkipsInferenceIdentityLayers) {
   passthrough.infer_into(x, out, ctx);
   ASSERT_EQ(out.shape(), x.shape());
   for (std::size_t i = 0; i < out.numel(); ++i) ASSERT_EQ(out[i], x[i]);
+}
+
+TEST(TrainingStateTest, ParameterGradientsAppearAtFirstBackward) {
+  // Dense, Conv2d and ConvTranspose2d hold no gradient until backward:
+  // inference, params() and zero_grad leave it empty, and the first
+  // backward sizes it to the parameter's shape.
+  common::Pcg32 rng(35);
+  Dense dense(3, 4, rng);
+  Conv2d conv(2, 3, /*kernel=*/3, /*stride=*/1, /*pad=*/1, 4, 4, rng);
+  ConvTranspose2d deconv(2, 1, /*kernel=*/2, /*stride=*/2, /*pad=*/0, 3, 3,
+                         rng);
+  const std::pair<Layer*, std::size_t> layers[] = {
+      {&dense, 3}, {&conv, 2 * 4 * 4}, {&deconv, 2 * 3 * 3}};
+  for (const auto& [layer, in_features] : layers) {
+    SCOPED_TRACE(layer->name());
+    const Tensor x = Tensor::randn({2, in_features}, rng);
+    const auto expect_empty = [&] {
+      for (const ParamView& p : layer->params()) {
+        EXPECT_TRUE(p.grad->empty()) << p.name;
+      }
+    };
+    expect_empty();
+    (void)layer->infer(x);
+    layer->zero_grad();
+    expect_empty();
+
+    const Tensor y = layer->forward(x, /*training=*/true);
+    (void)layer->backward(Tensor::ones(y.shape()));
+    const auto params = layer->params();
+    ASSERT_EQ(params.size(), 2u);
+    for (const ParamView& p : params) {
+      EXPECT_EQ(p.grad->shape(), p.value->shape()) << p.name;
+      EXPECT_GT(p.grad->abs_max(), 0.0f) << p.name;
+    }
+    layer->zero_grad();
+    for (const ParamView& p : layer->params()) {
+      EXPECT_EQ(p.grad->shape(), p.value->shape()) << p.name;
+      EXPECT_EQ(p.grad->abs_max(), 0.0f) << p.name;
+    }
+  }
+  EXPECT_EQ(dense.weight_grad().shape(), dense.weight().shape());
+  EXPECT_EQ(dense.bias_grad().shape(), dense.bias().shape());
 }
 
 TEST(SequentialTest, InferIntoRejectsAliasedOutput) {

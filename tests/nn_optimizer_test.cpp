@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/activations.h"
 #include "nn/dense.h"
@@ -116,6 +117,11 @@ TEST(OptimizerTest, RejectsNullOrMismatchedViews) {
   EXPECT_THROW(Sgd(bad, 0.1f), std::invalid_argument);
   std::vector<ParamView> null_view = {{"w", &v, nullptr}};
   EXPECT_THROW(Sgd(null_view, 0.1f), std::invalid_argument);
+  // A gradient not yet allocated (no backward so far) is admitted.
+  Tensor unallocated;
+  std::vector<ParamView> lazy = {{"w", &v, &unallocated}};
+  EXPECT_NO_THROW(Sgd(lazy, 0.1f));
+  EXPECT_NO_THROW(Adam(lazy, 0.1f));
 }
 
 TEST(OptimizerTest, ParameterCountSums) {
@@ -124,6 +130,106 @@ TEST(OptimizerTest, ParameterCountSums) {
   model.emplace<Dense>(4, 3, rng);
   Sgd sgd(model.params(), 0.1f);
   EXPECT_EQ(sgd.parameter_count(), 4u * 3u + 3u);
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.numel() * sizeof(float)) == 0;
+}
+
+// One training round on a Dense layer: zero_grad, forward, backward, step.
+void train_round(Dense& dense, Optimizer& opt, const Tensor& x,
+                 const Tensor& y) {
+  MseLoss loss;
+  opt.zero_grad();
+  const Tensor pred = dense.forward(x, /*training=*/true);
+  (void)dense.backward(loss.gradient(pred, y));
+  opt.step();
+}
+
+TEST(OptimizerStateTest, SgdAndAdamHoldNoStateBeforeFirstStep) {
+  common::Pcg32 rng(4);
+  const Tensor x = Tensor::randn({5, 3}, rng);
+  const Tensor y = Tensor::randn({5, 2}, rng);
+
+  Dense sgd_dense(3, 2, rng);
+  Sgd sgd(sgd_dense.params(), 0.1f, /*momentum=*/0.9f);
+  sgd.zero_grad();
+  EXPECT_TRUE(sgd.velocities().empty());
+  train_round(sgd_dense, sgd, x, y);
+  ASSERT_EQ(sgd.velocities().size(), 2u);
+  EXPECT_EQ(sgd.velocities()[0].shape(), sgd_dense.weight().shape());
+  EXPECT_EQ(sgd.velocities()[1].shape(), sgd_dense.bias().shape());
+
+  Dense adam_dense(3, 2, rng);
+  Adam adam(adam_dense.params(), 0.01f);
+  adam.zero_grad();
+  EXPECT_TRUE(adam.first_moments().empty());
+  EXPECT_TRUE(adam.second_moments().empty());
+  train_round(adam_dense, adam, x, y);
+  ASSERT_EQ(adam.first_moments().size(), 2u);
+  ASSERT_EQ(adam.second_moments().size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const Tensor& value = i == 0 ? adam_dense.weight() : adam_dense.bias();
+    EXPECT_EQ(adam.first_moments()[i].shape(), value.shape());
+    EXPECT_EQ(adam.second_moments()[i].shape(), value.shape());
+  }
+}
+
+TEST(OptimizerStateTest, LazyGradientTrainsBitwiseLikePresizedGradient) {
+  // Two identical Dense layers; the second gets its gradients sized up
+  // front, as every layer did before gradients were allocated on first use.
+  // Three SGD rounds with momentum and weight decay must end bitwise equal.
+  common::Pcg32 data_rng(5);
+  const Tensor x = Tensor::randn({6, 4}, data_rng);
+  const Tensor y = Tensor::randn({6, 3}, data_rng);
+  common::Pcg32 rng_a(6), rng_b(6);
+  Dense lazy(4, 3, rng_a), presized(4, 3, rng_b);
+  presized.weight_grad() = Tensor(presized.weight().shape());
+  presized.bias_grad() = Tensor(presized.bias().shape());
+  Sgd sgd_lazy(lazy.params(), 0.05f, 0.9f, 1e-3f);
+  Sgd sgd_presized(presized.params(), 0.05f, 0.9f, 1e-3f);
+  for (int round = 0; round < 3; ++round) {
+    train_round(lazy, sgd_lazy, x, y);
+    train_round(presized, sgd_presized, x, y);
+  }
+  EXPECT_TRUE(same_bits(lazy.weight(), presized.weight()));
+  EXPECT_TRUE(same_bits(lazy.bias(), presized.bias()));
+  ASSERT_EQ(sgd_lazy.velocities().size(), 2u);
+  ASSERT_EQ(sgd_presized.velocities().size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(same_bits(sgd_lazy.velocities()[i],
+                          sgd_presized.velocities()[i]))
+        << "velocity " << i;
+  }
+}
+
+TEST(OptimizerStateTest, WeightDecayStepWithoutBackwardMatchesZeroGradient) {
+  // A step on a parameter that never ran backward decays it as if its
+  // gradient were an explicit zero — including the sign of zero weights.
+  for (const float momentum : {0.0f, 0.9f}) {
+    SCOPED_TRACE(momentum);
+    common::Pcg32 rng_a(7), rng_b(7);
+    Dense lazy(5, 4, rng_a), explicit_zero(5, 4, rng_b);
+    lazy.weight()[0] = -0.0f;
+    explicit_zero.weight()[0] = -0.0f;
+    explicit_zero.weight_grad() = Tensor(explicit_zero.weight().shape());
+    explicit_zero.bias_grad() = Tensor(explicit_zero.bias().shape());
+    Sgd sgd_lazy(lazy.params(), 0.1f, momentum, /*weight_decay=*/0.5f);
+    Sgd sgd_zero(explicit_zero.params(), 0.1f, momentum, 0.5f);
+    for (int step = 0; step < 2; ++step) {
+      sgd_lazy.step();
+      sgd_zero.step();
+    }
+    EXPECT_TRUE(same_bits(lazy.weight(), explicit_zero.weight()));
+    EXPECT_TRUE(same_bits(lazy.bias(), explicit_zero.bias()));
+    ASSERT_EQ(sgd_lazy.velocities().size(), sgd_zero.velocities().size());
+    for (std::size_t i = 0; i < sgd_lazy.velocities().size(); ++i) {
+      EXPECT_TRUE(
+          same_bits(sgd_lazy.velocities()[i], sgd_zero.velocities()[i]));
+    }
+  }
 }
 
 TEST(TrainingTest, SgdLearnsLinearRegression) {

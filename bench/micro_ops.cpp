@@ -64,7 +64,8 @@ BENCHMARK(BM_GemmSimd)->Arg(64)->Arg(256)->Arg(512);
 
 void BM_GemmPrepackedSmallBatch(benchmark::State& state) {
   // The serving decode shape (batch x 128 -> 784) with the decoder weight
-  // prepacked once, vs re-packing panels inside every gemm call.
+  // prepacked once into bf16 panels (half the f32 bytes), vs re-packing f32
+  // panels inside every gemm call.
   const auto m = static_cast<std::size_t>(state.range(0));
   common::Pcg32 rng(12);
   const Tensor a = Tensor::randn({m, 128}, rng);
@@ -280,8 +281,9 @@ double gemm_gflops(const tensor::Backend& be, const GemmShape& s) {
 }
 
 /// Fused Dense-layout GEMM (x·Wᵀ + bias) GFLOP/s on the given backend,
-/// with the weight either prepacked once outside the loop or panel-packed
-/// inside every call.
+/// with the weight either prepacked once outside the loop (bf16 panels,
+/// widened to f32 in the micro-kernel) or panel-packed in f32 inside every
+/// call.
 double fused_gflops(const tensor::Backend& be, const GemmShape& s,
                     bool prepacked) {
   common::Pcg32 rng(13);
@@ -301,8 +303,8 @@ double fused_gflops(const tensor::Backend& be, const GemmShape& s,
 }
 
 /// int8 decode GEMM GFLOP/s: uint8 latent codes dequantized on the fly
-/// while packing the A panels, against the prepacked decoder weight — the
-/// serving fast path that skips the float latent buffer entirely.
+/// while packing the A panels, against the prepacked (bf16) decoder weight
+/// — the serving fast path that skips the float latent buffer entirely.
 double int8_gflops(const tensor::Backend& be, const GemmShape& s) {
   common::Pcg32 rng(17);
   std::vector<std::uint8_t> codes(s.m * s.k);
@@ -357,10 +359,11 @@ void emit_bench_gemm_json() {
   json << "  ],\n";
 
   // Small-batch serving decode: the per-call B-panel packing dominates when
-  // m <= 4, so the prepacked path (pack once, reuse) must beat the plain
-  // blocked fused path, and the int8 path (simd backend, dequant fused into
-  // the A pack) must beat the float32 prepacked path — it reads a quarter
-  // of the A bytes. Rows land in the same BENCH_gemm.json under
+  // m <= 4, so the prepacked path (pack once into bf16 panels, reuse) must
+  // beat the plain blocked fused path, which packs f32 panels every call;
+  // the int8 path (simd backend, dequant fused into the A pack) reads a
+  // quarter of the A bytes against the same bf16 B panels as "simd
+  // prepacked". Rows land in the same BENCH_gemm.json under
   // "prepacked_small_batch".
   const GemmShape decode_shapes[] = {
       {1, 128, 784}, {2, 128, 784}, {4, 128, 784}, {8, 128, 784},

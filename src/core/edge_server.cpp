@@ -103,12 +103,17 @@ bool sample_decode_span() {
 }  // namespace
 
 std::shared_ptr<const nn::InferPlan> EdgeServer::current_plan() const {
-  // Compile (or recompile after a weight-version bump) under the slot's
-  // lock; concurrent decoders that lose the race reuse the winner's plan.
+  // Compile (or recompile after a weight-version bump, or for another
+  // backend) under the slot's lock; concurrent decoders that lose the race
+  // reuse the winner's plan. A plan packed for another backend would run
+  // its foreign-backend fallback on every batch: unpacked f32 weights,
+  // other bits than a matching plan's bf16 panels.
+  const tensor::Backend& backend =
+      backend_ != nullptr ? *backend_ : tensor::current_backend();
   common::MutexLock lock(plan_mu_);
-  if (plan_ == nullptr || plan_->weights_stale()) {
-    tensor::BackendScope scope(backend_);
-    plan_ = nn::InferPlan::compile(*decoder_);
+  if (plan_ == nullptr || &plan_->backend() != &backend ||
+      plan_->weights_stale()) {
+    plan_ = nn::InferPlan::compile(*decoder_, &backend);
   }
   return plan_;
 }

@@ -63,11 +63,13 @@ class EdgeServer {
 
   /// The compiled inference plan the decode paths execute — the registry-
   /// free equivalent of a snapshot's plan. Compiled lazily on first decode
-  /// and recompiled (weights repacked) whenever the decoder's weight
-  /// versions moved since compile: train_step, checkpoint loads and
-  /// mutable-accessor edits all bump versions, so a stale plan can never
-  /// serve old panels. Callers may hold the returned plan across batches;
-  /// it stays valid (merely superseded) after a rebuild.
+  /// for the backend the call runs under (backend(), else the caller's
+  /// current one), and recompiled (weights repacked) when that backend is
+  /// not the plan's or whenever the decoder's weight versions moved since
+  /// compile: train_step, checkpoint loads and mutable-accessor edits all
+  /// bump versions, so a stale plan can never serve old panels. Callers may
+  /// hold the returned plan across batches; it stays valid (merely
+  /// superseded) after a rebuild.
   std::shared_ptr<const nn::InferPlan> current_plan() const;
 
   /// FLOPs charged to the edge for one training round on `batch` samples.

@@ -37,8 +37,9 @@ class Dense : public Layer {
   /// act(x·Wᵀ + b) against caller-supplied packed panels — the InferPlan
   /// executor entry. `packed` must have been produced by plan_pack() (or
   /// pack_b) for this layer's current weights; the GEMM runs on
-  /// `packed.owner`, which is bitwise-identical to the gemm_fused path on
-  /// the same backend.
+  /// `packed.owner` against the panels' bf16 weights, bitwise-identical to
+  /// the gemm_fused path on the same backend with the weight rounded by
+  /// tensor::to_bf16.
   void infer_packed_into(const Tensor& input, Tensor& out,
                          const tensor::PackedWeights& packed,
                          tensor::EpilogueAct act, float leaky_alpha) const;

@@ -10,16 +10,23 @@
 //     kernel epilogue;
 //   * Dense/Conv2d weights are packed for the compile backend up front and
 //     pinned to the op (plan_pack is the only weight-packing path) — the
-//     executor never takes a lock or checks a version;
+//     executor never takes a lock or checks a version. Dense weights are
+//     packed by Backend::pack_b, so they are stored rounded to bf16 (half
+//     the bytes every decode streams); Conv2d filters (pack_a) and every
+//     bias stay f32;
 //   * the exact context-arena high-water across the chain is precomputed,
 //     so the first run() reserves once and the arena never grows.
 //
 // run() is then a branch-light loop over the flat op list, bitwise
-// identical to the layer-by-layer Sequential::forward(x, /*training=*/false)
-// on the same backend: an epilogue applies the same elementwise function
-// the activation layer would, prepacked GEMMs are bitwise-identical to
-// their unpacked equivalents (see tensor/backend.h), and buffer ping-pong
-// only changes where bytes live, never their values.
+// identical on the compile backend to the layer-by-layer
+// Sequential::forward(x, /*training=*/false) of a copy of the model whose
+// Dense weights (not biases) are rounded with tensor::to_bf16: an epilogue
+// applies the same elementwise function the activation layer would, a
+// prepacked GEMM equals the unpacked one on the bf16-rounded weight bitwise
+// (see tensor/backend.h), and buffer ping-pong only changes where bytes
+// live, never their values. Training keeps the f32 weights; the plan's
+// distance from the f32 forward is that rounding alone (within 1e-3 on the
+// benchmark's decoders, see core_system_test).
 //
 // Compile triggers and sharing: ModelRegistry::publish compiles a plan per
 // snapshot version (under the snapshot's pinned backend) and stores it on
@@ -91,9 +98,11 @@ class InferPlan {
   InferPlan& operator=(const InferPlan&) = delete;
 
   /// Executes the plan: `input` ping-pongs through the context buffers and
-  /// the final op writes `out`. Under a backend other than the compile one
-  /// (a BackendScope override) ops run their unpacked kernels on the
-  /// executing backend, still bitwise equal to Sequential::forward there.
+  /// the final op writes `out`, bitwise equal to the bf16-rounded model's
+  /// forward on the compile backend. Under a backend other than the compile
+  /// one (a BackendScope override) ops run their unpacked f32 kernels on
+  /// the executing backend instead, packing panels on every call: bitwise
+  /// equal to the unrounded Sequential::forward there.
   /// `out` must not alias `input`, and may alias a context buffer only for
   /// single-op (or empty) plans — multi-op plans need both buffers for
   /// intermediates. The first call reserves the precomputed arena
@@ -106,7 +115,8 @@ class InferPlan {
   /// feeds Backend::gemm_quantized directly; otherwise the codes are
   /// dequantized (x = lo + q*scale, single-float) into the context buffer
   /// `out` does not alias and the float plan runs. Both routes are bitwise
-  /// identical to run() on the dequantized batch.
+  /// identical to run() on the dequantized batch (so the first reads the
+  /// bf16 panels, and the second, under a foreign backend, f32 weights).
   void run_quantized(const std::uint8_t* codes, const tensor::QuantHeader& qh,
                      std::size_t batch, std::size_t features, Tensor& out,
                      InferContext& ctx) const;

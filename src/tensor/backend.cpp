@@ -124,7 +124,8 @@ struct BlockedTraits {
   static constexpr std::size_t kMc = 64;   // row block per packed A panel
   static constexpr std::size_t kNc = 1024; // col panel: packed B bound
 
-  static void tile(const float* ap, const float* bp, std::size_t kc, float* c,
+  template <class BElem>
+  static void tile(const float* ap, const BElem* bp, std::size_t kc, float* c,
                    std::size_t ldc, std::size_t rows, std::size_t cols,
                    const Epilogue* epi, std::size_t row0, std::size_t col0) {
     detail::generic_tile<kMr, kNr>(ap, bp, kc, c, ldc, rows, cols, epi, row0,
@@ -163,9 +164,10 @@ class BlockedBackend final : public Backend {
                                      nullptr, nullptr);
   }
 
-  // Prepacking stores every strip with the bytes the on-the-fly path packs
-  // for it, and panel_task indexes the strips in place — the micro-kernel
-  // sees identical bytes and the result matches pack-on-the-fly bitwise.
+  // Prepacking stores every strip as to_bf16 of the floats the on-the-fly
+  // path packs for it, and panel_task indexes the strips in place — the
+  // micro-kernel widens them back exactly, so the result matches
+  // pack-on-the-fly on the bf16-rounded weight bitwise.
   PackedWeights pack_b(const float* b, std::size_t k, std::size_t n,
                        bool transpose_b) const override {
     PackedWeights packed;
@@ -190,9 +192,9 @@ class BlockedBackend final : public Backend {
       ORCO_CHECK(packed.rows == k && packed.cols == n,
                  "prepacked B is " << packed.rows << "x" << packed.cols
                                    << ", GEMM wants " << k << "x" << n);
-      detail::panel_run<BlockedTraits>({other, k, false}, nullptr, 0, false, c,
-                                       m, k, n, &epilogue, nullptr,
-                                       packed.data.data());
+      detail::panel_run<BlockedTraits, std::uint16_t>(
+          {other, k, false}, nullptr, 0, false, c, m, k, n, &epilogue,
+          nullptr, packed.bf16.data());
     } else {
       ORCO_CHECK(packed.rows == m && packed.cols == k,
                  "prepacked A is " << packed.rows << "x" << packed.cols
@@ -222,8 +224,9 @@ class BlockedBackend final : public Backend {
     av.q8 = a_q;
     av.q_lo = qh.row_lo;
     av.q_scale = qh.row_scale;
-    detail::panel_run<BlockedTraits>(av, nullptr, 0, false, c, m, k, n,
-                                     &epilogue, nullptr, packed.data.data());
+    detail::panel_run<BlockedTraits, std::uint16_t>(
+        av, nullptr, 0, false, c, m, k, n, &epilogue, nullptr,
+        packed.bf16.data());
   }
 };
 
@@ -298,10 +301,11 @@ void Backend::gemm_fused(const float* a, const float* b, float* c,
   apply_epilogue(c, m, n, epilogue);
 }
 
-// Base prepacking: materialise the operand row-major so the prepacked GEMM
-// is a plain gemm_fused with transpose_b == false. For the reference
-// backend this is already bitwise-faithful (its NT path materialises the
-// same transpose per call) and removes that per-call transpose.
+// Base prepacking: materialise the bf16-rounded operand row-major in f32
+// so the prepacked GEMM is a plain gemm_fused with transpose_b == false.
+// For the reference backend that equals gemm_fused on the rounded weight
+// bitwise (its NT path materialises the same transpose per call) and
+// removes the per-call transpose.
 PackedWeights Backend::pack_b(const float* b, std::size_t k, std::size_t n,
                               bool transpose_b) const {
   PackedWeights packed;
@@ -310,14 +314,15 @@ PackedWeights Backend::pack_b(const float* b, std::size_t k, std::size_t n,
   packed.rows = k;
   packed.cols = n;
   packed.data.resize(k * n);
+  const auto rounded = [](float w) { return from_bf16(to_bf16(w)); };
   if (transpose_b) {
     for (std::size_t j = 0; j < n; ++j) {
       for (std::size_t p = 0; p < k; ++p) {
-        packed.data[p * n + j] = b[j * k + p];
+        packed.data[p * n + j] = rounded(b[j * k + p]);
       }
     }
   } else {
-    std::copy(b, b + k * n, packed.data.begin());
+    std::transform(b, b + k * n, packed.data.begin(), rounded);
   }
   return packed;
 }

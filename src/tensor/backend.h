@@ -30,6 +30,7 @@
 // publishes the selected registry index (0=reference, 1=blocked, 2=simd).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -57,6 +58,28 @@ struct Epilogue {
 
 class Backend;
 
+/// Rounds `f` to bfloat16 (the high 16 bits of an IEEE-754 binary32),
+/// round-to-nearest-even, in software: ties go to the even bf16; a NaN
+/// stays a (quiet) NaN with its sign, even one whose payload sits only in
+/// the low 16 bits, which plain truncation would turn into Inf; ±Inf and ±0
+/// stay exact; finite values that round past the largest bf16 become ±Inf;
+/// subnormals are rounded, never flushed. Every backend's pack_b rounds
+/// through this one function (never vcvtneps2bf16, which flushes
+/// subnormals).
+inline std::uint16_t to_bf16(float f) {
+  const auto bits = std::bit_cast<std::uint32_t>(f);
+  if ((bits & 0x7fffffffu) > 0x7f800000u) {
+    return static_cast<std::uint16_t>((bits >> 16) | 0x0040u);
+  }
+  const std::uint32_t round = 0x7fffu + ((bits >> 16) & 1u);
+  return static_cast<std::uint16_t>((bits + round) >> 16);
+}
+
+/// Widens a bfloat16 back to float32: exact, a 16-bit shift.
+inline float from_bf16(std::uint16_t h) {
+  return std::bit_cast<float>(static_cast<std::uint32_t>(h) << 16);
+}
+
 /// Weight panels prepacked into a backend's internal GEMM layout, produced
 /// by Backend::pack_b / pack_a and consumed by Backend::gemm_prepacked.
 /// The layout is backend-specific, so a PackedWeights may only be used with
@@ -64,12 +87,20 @@ class Backend;
 /// one immutable matrix (a serving decoder's weights) meets many small
 /// activation batches: the per-call panel-packing cost — which dominates
 /// batch<=4 decode — is paid once instead of per GEMM.
+///
+/// A packed B operand holds every weight rounded to bf16 (to_bf16): the
+/// panel backends (blocked, simd) store it in `bf16`, 2 bytes per weight
+/// plus the zero padding of the last kNr strip, and widen each value back
+/// to f32 inside the micro-kernel; the base pack_b (reference) keeps its
+/// row-major f32 layout in `data` and stores the rounded values there. A
+/// packed A operand (pack_a, the Conv2d filter) stays exact f32 in `data`.
 struct PackedWeights {
   const Backend* owner = nullptr;
   char side = 'B';       // 'B': packed right operand; 'A': packed left operand
   std::size_t rows = 0;  // logical rows of the packed matrix (k for B, m for A)
   std::size_t cols = 0;  // logical cols of the packed matrix (n for B, k for A)
-  std::vector<float> data;
+  std::vector<float> data;          // f32 storage: A panels, base-layout B
+  std::vector<std::uint16_t> bf16;  // bf16 B panels of the panel backends
 };
 
 /// Per-row affine dequantization parameters for gemm_quantized: row i of
@@ -90,7 +121,9 @@ struct QuantHeader {
 /// depends only on its own row of A and column of B, reduced in ascending
 /// k order — never on m, n, tile position or thread count. The serving
 /// runtime relies on this: a latent decoded in a coalesced batch must equal
-/// the same latent decoded alone, bitwise.
+/// the same latent decoded alone, bitwise. The one deliberate value change
+/// is pack_b's bf16 rounding of a prepacked weight (see gemm_prepacked);
+/// GEMMs on unpacked operands (every training GEMM) stay exact f32.
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -121,34 +154,42 @@ class Backend {
   /// Packs the right-hand GEMM operand — b (k×n) row-major, or (n×k)
   /// row-major when transpose_b (the Dense weight layout) — into this
   /// backend's panel format for repeated gemm_prepacked calls against
-  /// varying left operands. The base implementation materialises plain
-  /// row-major (k×n), which already removes the per-call transpose of the
+  /// varying left operands, rounding every weight with to_bf16. The panel
+  /// backends store bf16 panels (half the bytes every later GEMM streams);
+  /// the base implementation materialises plain row-major (k×n) f32 holding
+  /// the rounded values, which also removes the per-call transpose of the
   /// reference NT path.
   virtual PackedWeights pack_b(const float* b, std::size_t k, std::size_t n,
                                bool transpose_b) const;
 
   /// Packs the left-hand GEMM operand a (m×k row-major) — the im2col
   /// convolution layout, where the filter matrix is the reused operand.
+  /// Exact: A panels stay f32.
   virtual PackedWeights pack_a(const float* a, std::size_t m,
                                std::size_t k) const;
 
   /// c (m×n) = act(A·B + bias) with one operand prepacked by THIS backend:
   /// `other` is the unpacked operand — A (m×k) when packed.side == 'B',
   /// B (k×n) when packed.side == 'A'. Overwrites c. Bitwise identical to
-  /// the equivalent gemm_fused call on the unpacked weight: packing only
-  /// reorders memory, never the per-element reduction.
+  /// the equivalent gemm_fused call on this backend: on the unpacked A for
+  /// a packed A, and on the bf16-rounded B (each weight w replaced by
+  /// from_bf16(to_bf16(w))) for a packed B. The micro-kernel widens each
+  /// bf16 value exactly and runs the unchanged f32 FMA chain — never a
+  /// paired-product bf16 dot instruction (vdpbf16ps, AMX), which would
+  /// reorder the accumulation.
   virtual void gemm_prepacked(const float* other, const PackedWeights& packed,
                               float* c, std::size_t m, std::size_t k,
                               std::size_t n, const Epilogue& epilogue) const;
 
   /// c (m×n) = act(dequant(a_q)·B + bias) straight from uint8 codes: a_q is
   /// (m×k) row-major quantized with per-row affine headers `qh`, `packed` a
-  /// pack_b-produced right operand of THIS backend. The serving decode path
-  /// feeds the uplink payload here without materializing a float copy of
-  /// the batch. Values are bitwise identical to dequantizing a_q with
-  /// x = lo + q*scale (float math) and calling gemm_prepacked — the base
-  /// implementation does exactly that through thread-local scratch; the
-  /// panel backends fuse the dequantization into A-panel packing instead.
+  /// pack_b-produced right operand of THIS backend (so B reads its bf16
+  /// weights, as in gemm_prepacked). The serving decode path feeds the
+  /// uplink payload here without materializing a float copy of the batch.
+  /// Values are bitwise identical to dequantizing a_q with x = lo + q*scale
+  /// (float math) and calling gemm_prepacked — the base implementation does
+  /// exactly that through thread-local scratch; the panel backends fuse the
+  /// dequantization into A-panel packing instead.
   virtual void gemm_quantized(const std::uint8_t* a_q, const QuantHeader& qh,
                               const PackedWeights& packed, float* c,
                               std::size_t m, std::size_t k, std::size_t n,

@@ -20,12 +20,16 @@
 //
 // Numerical contract: the panel driver is shared with "blocked", so each
 // output element is still ONE reduction chain in ascending k seeded from C
-// — batched-vs-single, prepacked-vs-on-the-fly and all three layouts agree
-// BITWISE within this backend. Versus "blocked"/"reference" the FMA tiers
-// keep products unrounded before each add, so cross-backend comparisons are
-// ULP-bounded rather than bitwise (the scalar tier, same arithmetic as
-// blocked, stays bitwise with it). The epilogue is applied scalar, outside
-// the FMA chain, so fused activations match nn/activations.h exactly.
+// — batched-vs-single, prepacked-vs-on-the-fly (on the bf16-rounded
+// weight: pack_b panels are bf16, widened exactly by each tier's load_b
+// before the same FMA) and all three layouts agree BITWISE within this
+// backend. No tier uses a bf16 dot-product instruction (vdpbf16ps, AMX):
+// those pair products and reorder the accumulation. Versus
+// "blocked"/"reference" the FMA tiers keep products unrounded before each
+// add, so cross-backend comparisons are ULP-bounded rather than bitwise
+// (the scalar tier, same arithmetic as blocked, stays bitwise with it).
+// The epilogue is applied scalar, outside the FMA chain, so fused
+// activations match nn/activations.h exactly.
 #include "tensor/backend.h"
 
 #include <algorithm>
@@ -56,13 +60,31 @@ constexpr std::size_t kIsaMr = 8;    // 8 rows × 2 zmm = 16 accumulators
 constexpr std::size_t kIsaNr = 32;   // two 16-lane vectors
 constexpr std::size_t kIsaMc = 128;  // row block (multiple of kIsaMr)
 
+// 16 B panel lanes as f32. A bf16 lane is zero-extended to 32 bits and
+// shifted into the high half: exact.
+inline __m512 load_b(const float* p) { return _mm512_loadu_ps(p); }
+// GCC 12's avx512fintrin.h seeds these unmasked intrinsics from a
+// self-initialised "undefined" vector and then warns that it may be used
+// uninitialised (GCC bug 105593); every lane is overwritten.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+inline __m512 load_b(const std::uint16_t* p) {
+  const __m256i h = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  return _mm512_castsi512_ps(_mm512_slli_epi32(_mm512_cvtepu16_epi32(h), 16));
+}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
 // One Rows×32 tile over a packed k panel, accumulating straight into C
 // (ldc-strided, full column width only). ~1 broadcast + 2 FMAs per row per
 // k step; B is streamed once per tile from the packed panel. Rows is a
 // template parameter so partial row tiles (a batch-1 serving decode) keep
 // only the accumulators they need instead of paying the full kIsaMr tile.
-template <std::size_t Rows>
-void isa_ukernel(const float* ap, const float* bp, std::size_t kc, float* c,
+template <std::size_t Rows, class BElem>
+void isa_ukernel(const float* ap, const BElem* bp, std::size_t kc, float* c,
                  std::size_t ldc) {
   __m512 acc[Rows][2];
   for (std::size_t i = 0; i < Rows; ++i) {
@@ -70,8 +92,8 @@ void isa_ukernel(const float* ap, const float* bp, std::size_t kc, float* c,
     acc[i][1] = _mm512_loadu_ps(c + i * ldc + 16);
   }
   for (std::size_t p = 0; p < kc; ++p) {
-    const __m512 b0 = _mm512_loadu_ps(bp + p * kIsaNr);
-    const __m512 b1 = _mm512_loadu_ps(bp + p * kIsaNr + 16);
+    const __m512 b0 = load_b(bp + p * kIsaNr);
+    const __m512 b1 = load_b(bp + p * kIsaNr + 16);
     const float* a = ap + p * kIsaMr;  // panel stride is kIsaMr regardless
     for (std::size_t i = 0; i < Rows; ++i) {
       const __m512 ai = _mm512_set1_ps(a[i]);
@@ -92,8 +114,16 @@ constexpr std::size_t kIsaMr = 6;   // 6 rows × 2 ymm = 12 accumulators,
 constexpr std::size_t kIsaNr = 16;  // +2 B + 1 broadcast fits 16 ymm regs
 constexpr std::size_t kIsaMc = 96;  // row block (multiple of kIsaMr)
 
-template <std::size_t Rows>
-void isa_ukernel(const float* ap, const float* bp, std::size_t kc, float* c,
+// 8 B panel lanes as f32; a bf16 lane widens exactly as in the AVX-512
+// tier, with the 256-bit zero-extend and shift.
+inline __m256 load_b(const float* p) { return _mm256_loadu_ps(p); }
+inline __m256 load_b(const std::uint16_t* p) {
+  const __m128i h = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  return _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(h), 16));
+}
+
+template <std::size_t Rows, class BElem>
+void isa_ukernel(const float* ap, const BElem* bp, std::size_t kc, float* c,
                  std::size_t ldc) {
   __m256 acc[Rows][2];
   for (std::size_t i = 0; i < Rows; ++i) {
@@ -101,8 +131,8 @@ void isa_ukernel(const float* ap, const float* bp, std::size_t kc, float* c,
     acc[i][1] = _mm256_loadu_ps(c + i * ldc + 8);
   }
   for (std::size_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(bp + p * kIsaNr);
-    const __m256 b1 = _mm256_loadu_ps(bp + p * kIsaNr + 8);
+    const __m256 b0 = load_b(bp + p * kIsaNr);
+    const __m256 b1 = load_b(bp + p * kIsaNr + 8);
     const float* a = ap + p * kIsaMr;  // panel stride is kIsaMr regardless
     for (std::size_t i = 0; i < Rows; ++i) {
       const __m256 ai = _mm256_set1_ps(a[i]);
@@ -123,8 +153,15 @@ constexpr std::size_t kIsaMr = 8;    // 8 rows × 2 q-regs = 16 accumulators
 constexpr std::size_t kIsaNr = 8;    // two 4-lane vectors
 constexpr std::size_t kIsaMc = 128;  // row block (multiple of kIsaMr)
 
-template <std::size_t Rows>
-void isa_ukernel(const float* ap, const float* bp, std::size_t kc, float* c,
+// 4 B panel lanes as f32; a bf16 lane is widened by a long shift left of
+// 16 (exact).
+inline float32x4_t load_b(const float* p) { return vld1q_f32(p); }
+inline float32x4_t load_b(const std::uint16_t* p) {
+  return vreinterpretq_f32_u32(vshll_n_u16(vld1_u16(p), 16));
+}
+
+template <std::size_t Rows, class BElem>
+void isa_ukernel(const float* ap, const BElem* bp, std::size_t kc, float* c,
                  std::size_t ldc) {
   float32x4_t acc[Rows][2];
   for (std::size_t i = 0; i < Rows; ++i) {
@@ -132,8 +169,8 @@ void isa_ukernel(const float* ap, const float* bp, std::size_t kc, float* c,
     acc[i][1] = vld1q_f32(c + i * ldc + 4);
   }
   for (std::size_t p = 0; p < kc; ++p) {
-    const float32x4_t b0 = vld1q_f32(bp + p * kIsaNr);
-    const float32x4_t b1 = vld1q_f32(bp + p * kIsaNr + 4);
+    const float32x4_t b0 = load_b(bp + p * kIsaNr);
+    const float32x4_t b1 = load_b(bp + p * kIsaNr + 4);
     const float* a = ap + p * kIsaMr;  // panel stride is kIsaMr regardless
     for (std::size_t i = 0; i < Rows; ++i) {
       const float32x4_t ai = vdupq_n_f32(a[i]);
@@ -157,9 +194,10 @@ constexpr std::size_t kIsaMc = 64;  // bitwise-equal to "blocked"
 // Same reduction expression as detail::generic_micro_kernel (this TU is
 // built with -ffp-contract=off), just with the row loop bounded by Rows —
 // each output element's chain is unchanged, so this tier stays bitwise
-// with "blocked".
-template <std::size_t Rows>
-void isa_ukernel(const float* ap, const float* bp, std::size_t kc, float* c,
+// with "blocked". A bf16 panel is widened by detail::widen (std::bit_cast
+// of the value shifted up 16 bits).
+template <std::size_t Rows, class BElem>
+void isa_ukernel(const float* ap, const BElem* bp, std::size_t kc, float* c,
                  std::size_t ldc) {
   float acc[Rows][kIsaNr];
   for (std::size_t i = 0; i < Rows; ++i) {
@@ -167,11 +205,11 @@ void isa_ukernel(const float* ap, const float* bp, std::size_t kc, float* c,
   }
   for (std::size_t p = 0; p < kc; ++p) {
     const float* a = ap + p * kIsaMr;  // panel stride is kIsaMr regardless
-    const float* b = bp + p * kIsaNr;
+    const BElem* b = bp + p * kIsaNr;
     for (std::size_t ii = 0; ii < Rows; ++ii) {
       const float aip = a[ii];
       for (std::size_t jj = 0; jj < kIsaNr; ++jj) {
-        acc[ii][jj] += aip * b[jj];
+        acc[ii][jj] += aip * detail::widen(b[jj]);
       }
     }
   }
@@ -182,21 +220,24 @@ void isa_ukernel(const float* ap, const float* bp, std::size_t kc, float* c,
 
 #endif
 
-// Runtime row count -> compile-time Rows instantiation. rows is always in
-// [1, kIsaMr] (panel_run never emits an empty tile).
-using RowKernel = void (*)(const float*, const float*, std::size_t, float*,
+// Runtime row count -> compile-time Rows instantiation, per B element
+// type. rows is always in [1, kIsaMr] (panel_run never emits an empty
+// tile).
+template <class BElem>
+using RowKernel = void (*)(const float*, const BElem*, std::size_t, float*,
                            std::size_t);
 
-template <std::size_t... R>
-constexpr std::array<RowKernel, sizeof...(R)> make_row_kernels(
+template <class BElem, std::size_t... R>
+constexpr std::array<RowKernel<BElem>, sizeof...(R)> make_row_kernels(
     std::index_sequence<R...>) {
-  return {&isa_ukernel<R + 1>...};
+  return {&isa_ukernel<R + 1, BElem>...};
 }
 
-void run_rows(std::size_t rows, const float* ap, const float* bp,
+template <class BElem>
+void run_rows(std::size_t rows, const float* ap, const BElem* bp,
               std::size_t kc, float* c, std::size_t ldc) {
-  static constexpr std::array<RowKernel, kIsaMr> kKernels =
-      make_row_kernels(std::make_index_sequence<kIsaMr>{});
+  static constexpr std::array<RowKernel<BElem>, kIsaMr> kKernels =
+      make_row_kernels<BElem>(std::make_index_sequence<kIsaMr>{});
   kKernels[rows - 1](ap, bp, kc, c, ldc);
 }
 
@@ -214,7 +255,8 @@ struct SimdTraits {
   // per-element reduction is the same FMA chain, so interior and fringe
   // stay mutually consistent. The epilogue is applied scalar while the
   // tile is still hot.
-  static void tile(const float* ap, const float* bp, std::size_t kc, float* c,
+  template <class BElem>
+  static void tile(const float* ap, const BElem* bp, std::size_t kc, float* c,
                    std::size_t ldc, std::size_t rows, std::size_t cols,
                    const Epilogue* epi, std::size_t row0, std::size_t col0) {
     if (cols == kNr) {
@@ -313,9 +355,9 @@ class SimdBackend final : public Backend {
       ORCO_CHECK(packed.rows == k && packed.cols == n,
                  "prepacked B is " << packed.rows << "x" << packed.cols
                                    << ", GEMM wants " << k << "x" << n);
-      detail::panel_run<SimdTraits>({other, k, false}, nullptr, 0, false, c, m,
-                                    k, n, &epilogue, nullptr,
-                                    packed.data.data());
+      detail::panel_run<SimdTraits, std::uint16_t>(
+          {other, k, false}, nullptr, 0, false, c, m, k, n, &epilogue,
+          nullptr, packed.bf16.data());
     } else {
       ORCO_CHECK(packed.rows == m && packed.cols == k,
                  "prepacked A is " << packed.rows << "x" << packed.cols
@@ -341,8 +383,9 @@ class SimdBackend final : public Backend {
     av.q8 = a_q;
     av.q_lo = qh.row_lo;
     av.q_scale = qh.row_scale;
-    detail::panel_run<SimdTraits>(av, nullptr, 0, false, c, m, k, n, &epilogue,
-                                  nullptr, packed.data.data());
+    detail::panel_run<SimdTraits, std::uint16_t>(av, nullptr, 0, false, c, m,
+                                                 k, n, &epilogue, nullptr,
+                                                 packed.bf16.data());
   }
 };
 

@@ -15,8 +15,11 @@
 //     // must seed the accumulators from C (zero on the fringe past
 //     // rows/cols), reduce the panel in ascending k order, apply `epi`
 //     // when non-null (the driver passes it only on the last k panel) and
-//     // write back clipped to rows x cols.
-//     static void tile(const float* ap, const float* bp, std::size_t kc,
+//     // write back clipped to rows x cols. BElem is the B panel's element
+//     // type: float for strips packed on the fly, std::uint16_t (bf16) for
+//     // pack_b panels, widened exactly to f32 before each multiply-add.
+//     template <class BElem>
+//     static void tile(const float* ap, const BElem* bp, std::size_t kc,
 //                      float* c, std::size_t ldc, std::size_t rows,
 //                      std::size_t cols, const Epilogue* epi,
 //                      std::size_t row0, std::size_t col0);
@@ -31,12 +34,16 @@
 // driver seeds tiles from C and visits k panels in order — so results are
 // independent of m, n, tile position and thread count. Whether two
 // backends agree bitwise is then decided solely by their tile() arithmetic
-// (the blocked tile's separate mul+add vs the simd tile's FMA).
+// (the blocked tile's separate mul+add vs the simd tile's FMA). A bf16
+// panel feeds that chain the value from_bf16(to_bf16(w)) for each weight
+// w, so a prepacked GEMM equals the on-the-fly GEMM on the bf16-rounded B
+// bitwise.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -117,31 +124,50 @@ void pack_a_panel(const AView& a, std::size_t i0, std::size_t p0,
   }
 }
 
+/// A B panel element from an f32 weight: the weight itself in a float
+/// strip, to_bf16 of it in a bf16 panel.
+template <class BElem>
+BElem to_panel(float v) {
+  if constexpr (std::is_same_v<BElem, float>) {
+    return v;
+  } else {
+    return to_bf16(v);
+  }
+}
+
+/// A B panel element as the f32 the micro-kernel multiplies: exact.
+inline float widen(float v) { return v; }
+inline float widen(std::uint16_t h) { return from_bf16(h); }
+
 /// Packs B[p0:p0+kc, j0:j0+nc] (or the transpose-source equivalent when
 /// `trans`, with `b` stored (n x k)) into kNr-interleaved panels: panel jp
 /// holds kNr consecutive columns laid out [p][jj], zero-padded past nc.
-template <std::size_t NR>
+template <std::size_t NR, class BElem>
 void pack_b_panel(const float* b, std::size_t ldb, bool trans, std::size_t p0,
-                  std::size_t j0, std::size_t kc, std::size_t nc, float* bp) {
+                  std::size_t j0, std::size_t kc, std::size_t nc, BElem* bp) {
   for (std::size_t jp = 0; jp < nc; jp += NR) {
-    float* dst = bp + (jp / NR) * (NR * kc);
+    BElem* dst = bp + (jp / NR) * (NR * kc);
     if (trans) {
       for (std::size_t jj = 0; jj < NR; ++jj) {
         const std::size_t j = j0 + jp + jj;
         if (jp + jj < nc) {
           const float* src = b + j * ldb + p0;
-          for (std::size_t p = 0; p < kc; ++p) dst[p * NR + jj] = src[p];
+          for (std::size_t p = 0; p < kc; ++p) {
+            dst[p * NR + jj] = to_panel<BElem>(src[p]);
+          }
         } else {
-          for (std::size_t p = 0; p < kc; ++p) dst[p * NR + jj] = 0.0f;
+          for (std::size_t p = 0; p < kc; ++p) dst[p * NR + jj] = BElem{0};
         }
       }
     } else {
       const std::size_t cols = nc - jp < NR ? nc - jp : NR;
       for (std::size_t p = 0; p < kc; ++p) {
         const float* src = b + (p0 + p) * ldb + j0 + jp;
-        float* row = dst + p * NR;
-        for (std::size_t jj = 0; jj < cols; ++jj) row[jj] = src[jj];
-        for (std::size_t jj = cols; jj < NR; ++jj) row[jj] = 0.0f;
+        BElem* row = dst + p * NR;
+        for (std::size_t jj = 0; jj < cols; ++jj) {
+          row[jj] = to_panel<BElem>(src[jj]);
+        }
+        for (std::size_t jj = cols; jj < NR; ++jj) row[jj] = BElem{0};
       }
     }
   }
@@ -189,17 +215,18 @@ void store_tile(float* c, std::size_t ldc, const float acc[MR][NR],
 /// The portable MR x NR micro-kernel: plain loops with constant trip counts
 /// the compiler unrolls and auto-vectorizes over jj. Separate mul+add (the
 /// TU is built with -ffp-contract=off), so instantiations agree bitwise
-/// with the reference ikj kernel.
-template <std::size_t MR, std::size_t NR>
-void generic_micro_kernel(const float* ap, const float* bp, std::size_t kc,
+/// with the reference ikj kernel. A bf16 panel is widened in the loop
+/// (std::bit_cast of the value shifted up 16 bits).
+template <std::size_t MR, std::size_t NR, class BElem>
+void generic_micro_kernel(const float* ap, const BElem* bp, std::size_t kc,
                           float acc[MR][NR]) {
   for (std::size_t p = 0; p < kc; ++p) {
     const float* a = ap + p * MR;
-    const float* b = bp + p * NR;
+    const BElem* b = bp + p * NR;
     for (std::size_t ii = 0; ii < MR; ++ii) {
       const float aip = a[ii];
       for (std::size_t jj = 0; jj < NR; ++jj) {
-        acc[ii][jj] += aip * b[jj];
+        acc[ii][jj] += aip * widen(b[jj]);
       }
     }
   }
@@ -207,8 +234,8 @@ void generic_micro_kernel(const float* ap, const float* bp, std::size_t kc,
 
 /// tile() built from the portable pieces — the blocked backend's kernel,
 /// and the scalar fallback a SIMD-less simd build degrades to.
-template <std::size_t MR, std::size_t NR>
-void generic_tile(const float* ap, const float* bp, std::size_t kc, float* c,
+template <std::size_t MR, std::size_t NR, class BElem>
+void generic_tile(const float* ap, const BElem* bp, std::size_t kc, float* c,
                   std::size_t ldc, std::size_t rows, std::size_t cols,
                   const Epilogue* epi, std::size_t row0, std::size_t col0) {
   float acc[MR][NR];
@@ -217,9 +244,11 @@ void generic_tile(const float* ap, const float* bp, std::size_t kc, float* c,
   store_tile<MR, NR>(c, ldc, acc, rows, cols, epi, row0, col0);
 }
 
-/// Bytes... floats a pack_b-produced panel set occupies for (k, n).
+/// Elements a pack_b-produced panel set holds for (k, n): one per weight
+/// plus the zero padding of each column panel's last kNr strip. They are
+/// bf16, so the panels take 2 bytes per element.
 template <class Traits>
-std::size_t packed_b_floats(std::size_t k, std::size_t n) {
+std::size_t packed_b_elems(std::size_t k, std::size_t n) {
   std::size_t total = 0;
   for (std::size_t pc = 0; pc < k; pc += Traits::kKc) {
     const std::size_t kc = k - pc < Traits::kKc ? k - pc : Traits::kKc;
@@ -241,9 +270,9 @@ std::size_t packed_a_floats(std::size_t m, std::size_t k) {
   return total;
 }
 
-/// Fills a PackedWeights with B panels in (pc, jc) order: every kNr strip
-/// holds the bytes pack_b_panel would produce for it per call, at the
-/// offset panel_task indexes it by.
+/// Fills a PackedWeights with bf16 B panels in (pc, jc) order: every kNr
+/// strip holds to_bf16 of the floats pack_b_panel would produce for it per
+/// call, at the offset panel_task indexes it by.
 template <class Traits>
 void pack_b_full(const Backend* owner, const float* b, std::size_t k,
                  std::size_t n, bool transpose_b, PackedWeights& packed) {
@@ -252,14 +281,14 @@ void pack_b_full(const Backend* owner, const float* b, std::size_t k,
   packed.rows = k;
   packed.cols = n;
   const std::size_t ldb = transpose_b ? k : n;
-  packed.data.resize(packed_b_floats<Traits>(k, n));
+  packed.bf16.resize(packed_b_elems<Traits>(k, n));
   std::size_t off = 0;
   for (std::size_t pc = 0; pc < k; pc += Traits::kKc) {
     const std::size_t kc = k - pc < Traits::kKc ? k - pc : Traits::kKc;
     for (std::size_t jc = 0; jc < n; jc += Traits::kNc) {
       const std::size_t nc = n - jc < Traits::kNc ? n - jc : Traits::kNc;
       pack_b_panel<Traits::kNr>(b, ldb, transpose_b, pc, jc, kc, nc,
-                                packed.data.data() + off);
+                                packed.bf16.data() + off);
       off += round_up(nc, Traits::kNr) * kc;
     }
   }
@@ -324,14 +353,16 @@ inline TaskGrid choose_grid(std::size_t workers, std::size_t m, std::size_t n,
 /// block packs A into kMr strips and runs Traits::tile() on every
 /// micro-tile. packed_a / packed_b point at pack_a_full/pack_b_full
 /// layouts and are indexed in place: within k panel pc, row i's kMr strip
-/// sits i*kc floats and column j's kNr strip j*kc floats past the panel
-/// base (kMc and kNc are whole strips, so panel boundaries add no gaps).
-/// `epi` is applied on the last k panel only.
-template <class Traits>
+/// sits i*kc elements and column j's kNr strip j*kc elements past the
+/// panel base (kMc and kNc are whole strips, so panel boundaries add no
+/// gaps). BElem is packed_b's element type — bf16 (std::uint16_t) for
+/// pack_b panels; B packed on the fly from `b` is always float. `epi` is
+/// applied on the last k panel only.
+template <class Traits, class BElem>
 void panel_task(const AView& a, const float* b, std::size_t ldb, bool tb,
                 float* c, std::size_t m, std::size_t k, std::size_t n,
                 const Epilogue* epi, const float* packed_a,
-                const float* packed_b, std::size_t i0, std::size_t i1,
+                const BElem* packed_b, std::size_t i0, std::size_t i1,
                 std::size_t j0, std::size_t j1) {
   constexpr std::size_t kMr = Traits::kMr;
   constexpr std::size_t kNr = Traits::kNr;
@@ -345,10 +376,10 @@ void panel_task(const AView& a, const float* b, std::size_t ldb, bool tb,
     const Epilogue* tile_epi = pc + kc == k ? epi : nullptr;
     for (std::size_t jc = j0; jc < j1; jc += kNc) {
       const std::size_t nc = j1 - jc < kNc ? j1 - jc : kNc;
-      const float* bp;
-      if (packed_b != nullptr) {
-        bp = packed_b + round_up(n, kNr) * pc + jc * kc;
-      } else {
+      const BElem* bp = packed_b;
+      if (bp != nullptr) {
+        bp += round_up(n, kNr) * pc + jc * kc;
+      } else if constexpr (std::is_same_v<BElem, float>) {
         bp_buf.resize(round_up(nc, kNr) * kc);
         pack_b_panel<kNr>(b, ldb, tb, pc, jc, kc, nc, bp_buf.data());
         bp = bp_buf.data();
@@ -364,7 +395,7 @@ void panel_task(const AView& a, const float* b, std::size_t ldb, bool tb,
           ap = ap_buf.data();
         }
         for (std::size_t jr = 0; jr < nc; jr += kNr) {
-          const float* bpan = bp + (jr / kNr) * (kNr * kc);
+          const BElem* bpan = bp + (jr / kNr) * (kNr * kc);
           const std::size_t cols = nc - jr < kNr ? nc - jr : kNr;
           for (std::size_t ir = 0; ir < mc; ir += kMr) {
             const std::size_t rows = mc - ir < kMr ? mc - ir : kMr;
@@ -382,12 +413,14 @@ void panel_task(const AView& a, const float* b, std::size_t ldb, bool tb,
 /// column-strip tasks sized to the pool (one task — the whole of C, run
 /// inline — when gemm_pool declines), and each task runs panel_task over
 /// its own rectangle. Tasks write disjoint parts of C and each walks the k
-/// panels in ascending order, so the split never changes a value.
-template <class Traits>
+/// panels in ascending order, so the split never changes a value. Callers
+/// passing pack_b panels name BElem = std::uint16_t; it is never deduced,
+/// so a null packed_b stays a float operand.
+template <class Traits, class BElem = float>
 void panel_run(const AView& a, const float* b, std::size_t ldb, bool tb,
                float* c, std::size_t m, std::size_t k, std::size_t n,
                const Epilogue* epi, const float* packed_a,
-               const float* packed_b) {
+               const std::type_identity_t<BElem>* packed_b) {
   constexpr std::size_t kMr = Traits::kMr;
   constexpr std::size_t kNr = Traits::kNr;
   constexpr std::size_t kMc = Traits::kMc;
@@ -413,8 +446,9 @@ void panel_run(const AView& a, const float* b, std::size_t ldb, bool tb,
       const std::size_t i1 = row_blocks * (r + 1) / grid.rows * kMc;
       const std::size_t j0 = strips * s / grid.cols * kNr;
       const std::size_t j1 = strips * (s + 1) / grid.cols * kNr;
-      panel_task<Traits>(a, b, ldb, tb, c, m, k, n, epi, packed_a, packed_b,
-                         i0, i1 < m ? i1 : m, j0, j1 < n ? j1 : n);
+      panel_task<Traits, BElem>(a, b, ldb, tb, c, m, k, n, epi, packed_a,
+                                packed_b, i0, i1 < m ? i1 : m, j0,
+                                j1 < n ? j1 : n);
     }
   };
   common::parallel_for(pool, 0, grid.rows * grid.cols, /*grain=*/2,

@@ -2,6 +2,8 @@
 // plus fine-tuning, on a small synthetic-MNIST workload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -296,6 +298,80 @@ TEST(SystemTest, FlexibleLatentDimensionChangesUplinkBytes) {
   // 8x latent dimension -> ~8x uplink bytes.
   EXPECT_NEAR(static_cast<double>(big_up) / static_cast<double>(small_up),
               8.0, 0.5);
+}
+
+// The decode plan follows the backend each call runs under: a plan first
+// compiled under one backend must not serve later decodes under another
+// through the foreign-backend fallback (unpacked f32 weights, repacked
+// every batch).
+TEST(SystemTest, DecodePlanFollowsTheCallersBackend) {
+  const SystemConfig cfg = small_system();  // no pinned backend: inherit
+  common::Pcg32 rng(12);
+  const Tensor latents = Tensor::uniform({3, cfg.orco.latent_dim}, rng);
+  OrcoDcsSystem sys(cfg);
+  {
+    tensor::BackendScope scope(&tensor::blocked_backend());
+    (void)sys.edge().decode_inference(latents);
+    EXPECT_EQ(&sys.edge().current_plan()->backend(),
+              &tensor::blocked_backend());
+  }
+  tensor::BackendScope scope(&tensor::simd_backend());
+  const Tensor got = sys.edge().decode_inference(latents);
+  EXPECT_EQ(&sys.edge().current_plan()->backend(), &tensor::simd_backend());
+  OrcoDcsSystem fresh(cfg);
+  EXPECT_TRUE(same_bits(got, fresh.edge().decode_inference(latents)));
+}
+
+// Plans decode from bf16 panels (Backend::pack_b rounds every weight). On
+// the two decoder shapes the repository benchmark serves, the plan stays
+// within 1e-3 — the tolerance of the benchmark's reference-decode gate —
+// of the f32 forward: a GTSRB tenant's 512 -> 1792 -> 1792 -> 3072 decoder,
+// and a fleet tenant's 16 -> 64 decoder after 25 fine-tune rounds.
+TEST(SystemTest, Bf16PlanStaysWithin1e3OfF32ForwardOnBenchmarkDecoders) {
+  const tensor::Backend& simd = tensor::simd_backend();
+  tensor::BackendScope scope(&simd);
+  const auto max_distance = [&](nn::Sequential& decoder,
+                                const Tensor& latents) {
+    nn::InferContext ctx;
+    Tensor got;
+    nn::InferPlan::compile(decoder, &simd)->run(latents, got, ctx);
+    const Tensor want = decoder.forward(latents, /*training=*/false);
+    float worst = 0.0f;
+    for (std::size_t i = 0; i < got.numel(); ++i) {
+      worst = std::max(worst, std::fabs(got[i] - want[i]));
+    }
+    return worst;
+  };
+  common::Pcg32 rng(17);
+  {
+    OrcoConfig gtsrb;
+    gtsrb.input_dim = 3072;
+    gtsrb.latent_dim = 512;
+    gtsrb.decoder_layers = 3;
+    const auto decoder = build_decoder(gtsrb, rng);
+    const float distance =
+        max_distance(*decoder, Tensor::uniform({16, 512}, rng));
+    EXPECT_GT(distance, 0.0f);  // the panels really are rounded
+    EXPECT_LE(distance, 1e-3f);
+  }
+  {
+    SystemConfig fleet;
+    fleet.orco.input_dim = 64;
+    fleet.orco.latent_dim = 16;
+    fleet.orco.decoder_layers = 1;
+    fleet.orco.batch_size = 16;
+    fleet.field.device_count = 4;
+    fleet.field.radio_range_m = 60.0;
+    OrcoDcsSystem sys(fleet);
+    const data::Dataset finetune("finetune", {1, 8, 8}, 1,
+                                 Tensor::uniform({16, 64}, rng),
+                                 std::vector<std::size_t>(16, 0));
+    (void)sys.train_online(finetune, /*epochs=*/25);
+    const float distance =
+        max_distance(sys.edge().decoder(), Tensor::uniform({1024, 16}, rng));
+    EXPECT_GT(distance, 0.0f);
+    EXPECT_LE(distance, 1e-3f);
+  }
 }
 
 }  // namespace

@@ -29,6 +29,8 @@
 #include "tensor/backend.h"
 #include "tensor/workspace.h"
 
+#include "bf16_oracle.h"
+
 namespace {
 
 thread_local bool t_count_allocs = false;
@@ -174,16 +176,33 @@ TEST(InferContextTest, PingPongBuffersAlternate) {
   EXPECT_FALSE(ctx.owns(outside));
 }
 
+/// The 16 -> 48 -> 48 -> 64 Dense chain several tests decode, built from
+/// `rng`.
+std::unique_ptr<nn::Sequential> make_mlp(common::Pcg32& rng) {
+  auto model = std::make_unique<nn::Sequential>();
+  model->emplace<nn::Dense>(16, 48, rng);
+  model->emplace<nn::ReLU>();
+  model->emplace<nn::Dense>(48, 48, rng);
+  model->emplace<nn::LeakyReLU>(0.05f);
+  model->emplace<nn::Dense>(48, 64, rng);
+  model->emplace<nn::Sigmoid>();
+  return model;
+}
+
+/// `model` (a make_mlp chain) with its Dense weights rounded to bf16: the
+/// forward a compiled plan of it matches bitwise.
+std::unique_ptr<nn::Sequential> rounded_mlp(nn::Sequential& model) {
+  return testutil::bf16_copy(model, [] {
+    common::Pcg32 any(0);
+    return make_mlp(any);
+  });
+}
+
 TEST(InferContextTest, PlanRunThroughOneContextMatchesForwardBitwise) {
   common::Pcg32 rng(7);
-  nn::Sequential model;
-  model.emplace<nn::Dense>(16, 48, rng);
-  model.emplace<nn::ReLU>();
-  model.emplace<nn::Dense>(48, 48, rng);
-  model.emplace<nn::LeakyReLU>(0.05f);
-  model.emplace<nn::Dense>(48, 64, rng);
-  model.emplace<nn::Sigmoid>();
-  const auto plan = nn::InferPlan::compile(model);
+  const auto model = make_mlp(rng);
+  const auto rounded = rounded_mlp(*model);
+  const auto plan = nn::InferPlan::compile(*model);
 
   InferContext ctx;
   Tensor out;
@@ -191,7 +210,7 @@ TEST(InferContextTest, PlanRunThroughOneContextMatchesForwardBitwise) {
   // within capacity without perturbing values.
   for (const std::size_t batch : {8u, 1u, 5u, 8u}) {
     const Tensor x = Tensor::randn({batch, 16}, rng);
-    const Tensor expected = model.forward(x, /*training=*/false);
+    const Tensor expected = rounded->forward(x, /*training=*/false);
     plan->run(x, out, ctx);
     ASSERT_EQ(out.shape(), expected.shape());
     for (std::size_t i = 0; i < out.numel(); ++i) {
@@ -234,10 +253,19 @@ TEST(InferContextTest, InputMayAliasAContextBuffer) {
   model.emplace<nn::Dense>(24, 32, rng);
   model.emplace<nn::Sigmoid>();
   const auto plan = nn::InferPlan::compile(model);
+  const auto rounded = testutil::bf16_copy(model, [] {
+    common::Pcg32 any(0);
+    auto copy = std::make_unique<nn::Sequential>();
+    copy->emplace<nn::Dense>(8, 24, any);
+    copy->emplace<nn::ReLU>();
+    copy->emplace<nn::Dense>(24, 32, any);
+    copy->emplace<nn::Sigmoid>();
+    return copy;
+  });
 
   InferContext ctx;
   const Tensor x = Tensor::randn({4, 8}, rng);
-  const Tensor expected = model.forward(x, /*training=*/false);
+  const Tensor expected = rounded->forward(x, /*training=*/false);
 
   Tensor& assembled = ctx.input();
   assembled.resize(4, 8);
@@ -365,7 +393,8 @@ TEST(ZeroAllocTest, WarmedConvPlanExecutorMakesNoHeapAllocations) {
 TEST(ZeroAllocTest, NestedChainDecodesZeroAllocAndBitwiseEqualToFlat) {
   // Nested containers flatten at add() time, so the plan compiled from a
   // nested chain decodes exactly like its flat equivalent — the flat
-  // chain's forward bits, zero allocations.
+  // chain's forward bits (on its bf16-rounded Dense weights, as every plan
+  // decodes), zero allocations.
   SerialBlockedScope kernels;
 
   nn::Sequential flat;
@@ -394,7 +423,7 @@ TEST(ZeroAllocTest, NestedChainDecodesZeroAllocAndBitwiseEqualToFlat) {
 
   common::Pcg32 data_rng(51);
   const Tensor x = Tensor::randn({8, 16}, data_rng);
-  const Tensor expected = flat.forward(x, /*training=*/false);
+  const Tensor expected = rounded_mlp(flat)->forward(x, /*training=*/false);
   const auto plan = nn::InferPlan::compile(nested);
   InferContext ctx;
   Tensor out;

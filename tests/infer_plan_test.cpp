@@ -8,7 +8,11 @@
 // Sequential::forward(x, /*training=*/false) on the same backend, compared
 // bitwise on all three backends (int8 entries against forward of the
 // dequantized batch) — each optimized path is checked against unfused
-// per-layer kernels, never against a second optimized path.
+// per-layer kernels, never against a second optimized path. A plan's Dense
+// panels hold bf16 weights, so the forward runs on a copy of the model
+// with its Dense weights rounded (bf16_oracle.h); a plan run under a
+// foreign backend uses the unpacked f32 weights and matches the model's
+// own forward.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,6 +31,8 @@
 #include "nn/pooling.h"
 #include "nn/sequential.h"
 #include "tensor/backend.h"
+
+#include "bf16_oracle.h"
 
 namespace orco {
 namespace {
@@ -55,6 +61,11 @@ std::unique_ptr<nn::Sequential> make_odd_dense_model(std::uint64_t seed) {
   model->emplace<nn::Dense>(23, 31, rng);
   model->emplace<nn::Sigmoid>();
   return model;
+}
+
+/// make_odd_dense_model's copy with bf16-rounded Dense weights.
+std::unique_ptr<nn::Sequential> rounded_odd_model(nn::Sequential& model) {
+  return testutil::bf16_copy(model, [] { return make_odd_dense_model(0); });
 }
 
 /// Deterministic uint8 latent codes: code i is (i * mul + add) mod 256.
@@ -127,6 +138,7 @@ TEST(InferPlanTest, MatchesForwardBitwiseOnAllBackendsAndOddShapes) {
   for (const tensor::Backend* backend : all_backends()) {
     tensor::BackendScope scope(backend);
     const auto model = make_odd_dense_model(97);
+    const auto rounded = rounded_odd_model(*model);
     const auto plan = InferPlan::compile(*model, backend);
 
     InferContext ctx;
@@ -135,7 +147,7 @@ TEST(InferPlanTest, MatchesForwardBitwiseOnAllBackendsAndOddShapes) {
     for (const std::size_t batch : {1u, 3u, 7u, 11u, 7u}) {
       const Tensor x = Tensor::randn({batch, 13}, rng);
       plan->run(x, got, ctx);
-      expect_bitwise_equal(got, model->forward(x, /*training=*/false),
+      expect_bitwise_equal(got, rounded->forward(x, /*training=*/false),
                            "dense plan");
     }
   }
@@ -207,6 +219,7 @@ TEST(InferPlanTest, QuantizedHeadMatchesDequantizedForwardOnAllBackends) {
   for (const tensor::Backend* backend : all_backends()) {
     tensor::BackendScope scope(backend);
     const auto model = make_odd_dense_model(211);
+    const auto rounded = rounded_odd_model(*model);
     const auto plan = InferPlan::compile(*model, backend);
 
     InferContext ctx;
@@ -214,13 +227,13 @@ TEST(InferPlanTest, QuantizedHeadMatchesDequantizedForwardOnAllBackends) {
     plan->run_quantized(codes.data(), qh, kBatch, kFeatures, got, ctx);
     expect_bitwise_equal(
         got,
-        model->forward(dequantize(codes, qh, kBatch, kFeatures), false),
+        rounded->forward(dequantize(codes, qh, kBatch, kFeatures), false),
         "quantized head");
 
     // Partial batch through the same context.
     plan->run_quantized(codes.data(), qh, 2, kFeatures, got, ctx);
     expect_bitwise_equal(
-        got, model->forward(dequantize(codes, qh, 2, kFeatures), false),
+        got, rounded->forward(dequantize(codes, qh, 2, kFeatures), false),
         "quantized head partial batch");
   }
 }
@@ -235,6 +248,14 @@ TEST(InferPlanTest, QuantizedNonDenseHeadDequantizesAndMatchesForward) {
   model.emplace<nn::ReLU>();
   model.emplace<nn::Dense>(32, 5, rng);
   const auto plan = InferPlan::compile(model);
+  const auto rounded = testutil::bf16_copy(model, [] {
+    common::Pcg32 any(0);
+    auto copy = std::make_unique<nn::Sequential>();
+    copy->emplace<nn::Conv2d>(1, 2, 3, 1, 1, 4, 4, any);
+    copy->emplace<nn::ReLU>();
+    copy->emplace<nn::Dense>(32, 5, any);
+    return copy;
+  });
 
   constexpr std::size_t kBatch = 3, kFeatures = 16;
   const auto codes = make_codes(kBatch * kFeatures, 41, 7);
@@ -245,7 +266,7 @@ TEST(InferPlanTest, QuantizedNonDenseHeadDequantizesAndMatchesForward) {
   Tensor got;
   plan->run_quantized(codes.data(), qh, kBatch, kFeatures, got, ctx);
   expect_bitwise_equal(
-      got, model.forward(dequantize(codes, qh, kBatch, kFeatures), false),
+      got, rounded->forward(dequantize(codes, qh, kBatch, kFeatures), false),
       "conv-head quantized");
 }
 
@@ -337,7 +358,8 @@ TEST(InferPlanTest, NestedChainCompilesAndRunsBitwiseEqualToFlat) {
     flat_plan->run(x, flat_out, flat_ctx);
     nested_plan->run(x, nested_out, nested_ctx);
     expect_bitwise_equal(nested_out, flat_out, "nested plan vs flat plan");
-    expect_bitwise_equal(nested_out, flat->forward(x, /*training=*/false),
+    expect_bitwise_equal(nested_out,
+                         rounded_odd_model(*flat)->forward(x, false),
                          "nested plan vs flat forward");
 
     // And the container's one-off infer_into agrees with both.

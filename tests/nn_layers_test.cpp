@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <utility>
 
 #include "nn/activations.h"
@@ -11,6 +12,8 @@
 #include "nn/noise.h"
 #include "nn/pooling.h"
 #include "nn/sequential.h"
+
+#include "bf16_oracle.h"
 
 namespace orco::nn {
 namespace {
@@ -313,8 +316,8 @@ TEST(LayerInferIntoTest, FusedIntoMatchesUnfusedActivation) {
 TEST(SequentialTest, InferIntoSkipsInferenceIdentityLayers) {
   // Noise and Identity are pass-through at inference: the compiled plan
   // drops them outright (no buffer copy), and the one-off infer_into
-  // matches the layer-by-layer forward bitwise, including when they trail
-  // the last real layer.
+  // matches the layer-by-layer forward (of the bf16-rounded copy) bitwise,
+  // including when they trail the last real layer.
   common::Pcg32 rng(33);
   Sequential model;
   model.emplace<GaussianNoise>(0.5f, common::Pcg32(1));
@@ -326,7 +329,18 @@ TEST(SequentialTest, InferIntoSkipsInferenceIdentityLayers) {
   EXPECT_FALSE(model.layer(1).infer_is_identity());
 
   const Tensor x = Tensor::randn({2, 4}, rng);
-  const Tensor expected = model.forward(x, /*training=*/false);
+  // The plan's Dense panels are bf16: the forward runs a rounded copy.
+  const auto rounded = testutil::bf16_copy(model, [] {
+    common::Pcg32 any(0);
+    auto copy = std::make_unique<Sequential>();
+    copy->emplace<GaussianNoise>(0.5f, common::Pcg32(1));
+    copy->emplace<Dense>(4, 6, any);
+    copy->emplace<ReLU>();
+    copy->emplace<Identity>();
+    copy->emplace<GaussianNoise>(0.25f, common::Pcg32(2));
+    return copy;
+  });
+  const Tensor expected = rounded->forward(x, /*training=*/false);
   InferContext ctx;
   Tensor out;
   model.infer_into(x, out, ctx);

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/quantization.h"
@@ -19,6 +21,8 @@
 #include "serve/serve.h"
 #include "tensor/backend.h"
 #include "tensor/tensor.h"
+
+#include "bf16_oracle.h"
 
 namespace orco {
 namespace {
@@ -225,20 +229,37 @@ TEST(QuantizedInferTest, PlanQuantizedEntryMatchesDequantizedForward) {
   }
 
   // Dense head: codes feed the GEMM directly (with the fused activation);
-  // must equal the float forward on the dequantized batch bitwise. A plan
-  // compiled for another backend takes the dequantize-then-float route on
-  // this one and must produce the same bits.
+  // must equal the float forward on the dequantized batch bitwise — of the
+  // copy with bf16-rounded Dense weights, which the plan's panels hold. A
+  // plan compiled for another backend takes the dequantize-then-float route
+  // on this one, on the unpacked f32 weights, and must produce the model's
+  // own forward bits.
   {
     nn::Sequential model;
     model.emplace<nn::Dense>(16, 48, rng);
     model.emplace<nn::ReLU>();
     model.emplace<nn::Dense>(48, 32, rng);
     model.emplace<nn::Sigmoid>();
+    const auto rounded = testutil::bf16_copy(model, [] {
+      common::Pcg32 any(0);
+      auto copy = std::make_unique<nn::Sequential>();
+      copy->emplace<nn::Dense>(16, 48, any);
+      copy->emplace<nn::ReLU>();
+      copy->emplace<nn::Dense>(48, 32, any);
+      copy->emplace<nn::Sigmoid>();
+      return copy;
+    });
     for (const char* name : kAllBackends) {
       const tensor::Backend* backend = tensor::find_backend(name);
       tensor::BackendScope scope(backend);
-      const Tensor expected = model.forward(dequant, /*training=*/false);
+      const Tensor packed_expected =
+          rounded->forward(dequant, /*training=*/false);
+      const Tensor foreign_expected =
+          model.forward(dequant, /*training=*/false);
       for (const char* compile_name : kAllBackends) {
+        const Tensor& expected = std::string(compile_name) == name
+                                     ? packed_expected
+                                     : foreign_expected;
         const auto plan =
             nn::InferPlan::compile(model, tensor::find_backend(compile_name));
         nn::InferContext ctx;
@@ -260,11 +281,19 @@ TEST(QuantizedInferTest, PlanQuantizedEntryMatchesDequantizedForward) {
     model.emplace<nn::ReLU>();
     model.emplace<nn::Dense>(16, 24, rng);
     model.emplace<nn::Sigmoid>();
+    const auto rounded = testutil::bf16_copy(model, [] {
+      common::Pcg32 any(0);
+      auto copy = std::make_unique<nn::Sequential>();
+      copy->emplace<nn::ReLU>();
+      copy->emplace<nn::Dense>(16, 24, any);
+      copy->emplace<nn::Sigmoid>();
+      return copy;
+    });
     nn::InferContext ctx;
     Tensor out;
     nn::InferPlan::compile(model)->run_quantized(codes.data(), qh, 5, 16, out,
                                                  ctx);
-    const Tensor expected = model.forward(dequant, /*training=*/false);
+    const Tensor expected = rounded->forward(dequant, /*training=*/false);
     ASSERT_EQ(out.shape(), expected.shape());
     for (std::size_t i = 0; i < out.numel(); ++i) {
       ASSERT_EQ(out[i], expected[i]) << "non-dense head element " << i;

@@ -4,8 +4,12 @@
 // pipeline through Dense and Conv2d.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <vector>
 
 #include "nn/activations.h"
 #include "obs/metrics.h"
@@ -15,6 +19,8 @@
 #include "nn/sequential.h"
 #include "tensor/backend.h"
 #include "tensor/matmul.h"
+
+#include "bf16_oracle.h"
 
 namespace {
 
@@ -325,17 +331,30 @@ TEST(FusedEpilogueTest, GemmRowBiasActMatchesUnfusedPipeline) {
 TEST(FusedEpilogueTest, SequentialInferFusesDenseActivationPairs) {
   common::Pcg32 rng(36);
   nn::Sequential model;
-  auto& d1 = model.emplace<nn::Dense>(19, 33, rng);
+  model.emplace<nn::Dense>(19, 33, rng);
   model.emplace<nn::LeakyReLU>(0.05f);
-  auto& d2 = model.emplace<nn::Dense>(33, 11, rng);
+  model.emplace<nn::Dense>(33, 11, rng);
   model.emplace<nn::Sigmoid>();
   const Tensor x = Tensor::randn({6, 19}, rng);
+  // The plan runs bf16 panels: the layer-by-layer pipeline runs the same
+  // Dense layers with their weights rounded.
+  const auto rounded = testutil::bf16_copy(model, [] {
+    common::Pcg32 any(0);
+    auto copy = std::make_unique<nn::Sequential>();
+    copy->emplace<nn::Dense>(19, 33, any);
+    copy->emplace<nn::LeakyReLU>(0.05f);
+    copy->emplace<nn::Dense>(33, 11, any);
+    copy->emplace<nn::Sigmoid>();
+    return copy;
+  });
+  const auto& r1 = dynamic_cast<const nn::Dense&>(rounded->layer(0));
+  const auto& r2 = dynamic_cast<const nn::Dense&>(rounded->layer(2));
   for (const char* name : kAllBackends) {
     tensor::BackendScope scope(tensor::find_backend(name));
     // Layer-by-layer (unfused) pipeline vs the plan-fused Sequential::infer.
-    Tensor step = d1.infer(x);
+    Tensor step = r1.infer(x);
     step = nn::LeakyReLU(0.05f).infer(step);
-    step = d2.infer(step);
+    step = r2.infer(step);
     step = nn::Sigmoid().infer(step);
     const Tensor fused = model.infer(x);
     EXPECT_TRUE(fused.allclose(step, 1e-6f)) << name;
@@ -399,18 +418,21 @@ TEST(PrepackedTest, GemmPrepackedMatchesGemmFusedBitwiseOnBothBackends) {
     const Tensor x = Tensor::randn({s.m, s.k}, rng);
     const Tensor w = Tensor::randn({s.n, s.k}, rng);  // (out, in) dense layout
     const Tensor bias = Tensor::randn({s.n}, rng);
+    // pack_b stores the weight rounded to bf16.
+    const Tensor w_bf16 = testutil::bf16_rounded(w);
     Tensor ref_fused;
     for (const char* name : kAllBackends) {
       const tensor::Backend* backend = tensor::find_backend(name);
       tensor::BackendScope scope(backend);
-      const Tensor fused =
-          tensor::gemm_bias_act(x, w, bias, tensor::EpilogueAct::kSigmoid);
+      const Tensor fused = tensor::gemm_bias_act(x, w_bf16, bias,
+                                                 tensor::EpilogueAct::kSigmoid);
       const tensor::PackedWeights packed =
           backend->pack_b(w.data().data(), s.k, s.n, /*transpose_b=*/true);
       const Tensor prepacked = tensor::gemm_bias_act_prepacked(
           x, packed, bias, tensor::EpilogueAct::kSigmoid);
-      // Packing reorders memory, never the reduction: bitwise equal to the
-      // pack-on-the-fly fused path...
+      // Packing rounds each weight and reorders memory, never the
+      // reduction: bitwise equal to the pack-on-the-fly fused path on the
+      // rounded weight...
       ExpectBitwiseEqual(prepacked, fused, "gemm_prepacked", s);
       // ...and across the bitwise-contract backends (the serving parity
       // contract). simd joins the prepacked-vs-fused assert above but not
@@ -450,11 +472,18 @@ TEST(PrepackedTest, DensePlanPackMatchesUnpackedAndTracksMutation) {
   auto& dense = model.emplace<nn::Dense>(32, 16, rng);
   const Tensor x = Tensor::randn({4, 32}, rng);
   const Shape s{4, 32, 16};
+  const auto copy_shape = [] {
+    common::Pcg32 any(0);
+    auto copy = std::make_unique<nn::Sequential>();
+    copy->emplace<nn::Dense>(32, 16, any);
+    return copy;
+  };
+  const auto rounded = testutil::bf16_copy(model, copy_shape);
 
   for (const char* name : kAllBackends) {
     const tensor::Backend* backend = tensor::find_backend(name);
     tensor::BackendScope scope(backend);
-    const Tensor unpacked = dense.infer(x);
+    const Tensor unpacked = rounded->layer(0).infer(x);
     std::uint64_t version = 0;
     const auto packed = dense.plan_pack(*backend, version);
     EXPECT_EQ(packed->owner, backend) << name;
@@ -474,9 +503,8 @@ TEST(PrepackedTest, DensePlanPackMatchesUnpackedAndTracksMutation) {
   EXPECT_TRUE(plan->weights_stale());
   const auto fresh = nn::InferPlan::compile(model);
   EXPECT_FALSE(fresh->weights_stale());
-  const nn::Dense& const_dense = dense;
-  const Tensor expected = tensor::gemm_bias_act(x, const_dense.weight(),
-                                                const_dense.bias());
+  const Tensor expected =
+      testutil::bf16_copy(model, copy_shape)->forward(x, /*training=*/false);
   nn::InferContext ctx;
   Tensor out;
   fresh->run(x, out, ctx);
@@ -517,6 +545,129 @@ TEST(PrepackedTest, MismatchedBackendPackIsRejected) {
   EXPECT_THROW(
       (void)tensor::gemm_bias_act_prepacked(x, packed, bias),
       std::invalid_argument);
+}
+
+TEST(Bf16Test, ToBf16RoundsToNearestEvenAndKeepsSpecials) {
+  using tensor::from_bf16;
+  using tensor::to_bf16;
+  const auto f = [](std::uint32_t bits) { return std::bit_cast<float>(bits); };
+  // Exactly halfway between two bf16 values: ties go to the even one, down
+  // (0x3f80 is even) and up (0x3f81 is odd), for either sign.
+  EXPECT_EQ(to_bf16(f(0x3f808000u)), 0x3f80u);
+  EXPECT_EQ(to_bf16(f(0x3f818000u)), 0x3f82u);
+  EXPECT_EQ(to_bf16(f(0xbf808000u)), 0xbf80u);
+  EXPECT_EQ(to_bf16(f(0xbf818000u)), 0xbf82u);
+  // Off the tie, to nearest.
+  EXPECT_EQ(to_bf16(f(0x3f808001u)), 0x3f81u);
+  EXPECT_EQ(to_bf16(f(0x3f817fffu)), 0x3f81u);
+  // A NaN whose payload sits only in the low 16 bits stays NaN (truncation
+  // would give 0x7f80, +Inf), and keeps its sign.
+  const std::uint16_t nan = to_bf16(f(0x7f800001u));
+  EXPECT_TRUE(std::isnan(from_bf16(nan)));
+  EXPECT_FALSE(std::signbit(from_bf16(nan)));
+  const std::uint16_t neg_nan = to_bf16(f(0xff800001u));
+  EXPECT_TRUE(std::isnan(from_bf16(neg_nan)));
+  EXPECT_TRUE(std::signbit(from_bf16(neg_nan)));
+  EXPECT_TRUE(std::isnan(
+      from_bf16(to_bf16(std::numeric_limits<float>::quiet_NaN()))));
+  // ±Inf and ±0 are exact.
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(to_bf16(inf), 0x7f80u);
+  EXPECT_EQ(to_bf16(-inf), 0xff80u);
+  EXPECT_EQ(to_bf16(0.0f), 0x0000u);
+  EXPECT_EQ(to_bf16(-0.0f), 0x8000u);
+  // The largest finite float lies past the largest bf16 (0x7f7f) by more
+  // than half a step: it rounds to ±Inf. The largest bf16 itself is exact.
+  EXPECT_EQ(to_bf16(std::numeric_limits<float>::max()), 0x7f80u);
+  EXPECT_EQ(to_bf16(-std::numeric_limits<float>::max()), 0xff80u);
+  EXPECT_EQ(to_bf16(f(0x7f7f0000u)), 0x7f7fu);
+  // Subnormals are rounded, not flushed: just over half the smallest bf16
+  // subnormal rounds up to it, and a subnormal tie goes to even.
+  EXPECT_EQ(to_bf16(f(0x00008001u)), 0x0001u);
+  EXPECT_EQ(to_bf16(f(0x00018000u)), 0x0002u);
+  EXPECT_EQ(to_bf16(f(0x80008001u)), 0x8001u);
+  // Widening is exact: every non-NaN bf16 survives the round trip.
+  for (std::uint32_t h = 0; h <= 0xffffu; ++h) {
+    const float wide = from_bf16(static_cast<std::uint16_t>(h));
+    if (std::isnan(wide)) continue;
+    ASSERT_EQ(to_bf16(wide), h) << std::hex << h;
+  }
+}
+
+TEST(PrepackedTest, PackedBEqualsGemmFusedOnBf16RoundedWeightOnEveryBackend) {
+  // k crosses the 256-deep k panel; n = 45 is no whole number of kNr
+  // strips on any tier (32, 16, 8), so the padded fringe strip runs too.
+  constexpr std::size_t k = 300, n = 45;
+  common::Pcg32 rng(48);
+  const Tensor w = Tensor::randn({n, k}, rng);  // (out, in): transposed B
+  Tensor b({k, n});                             // the same weight as (k, n)
+  for (std::size_t p = 0; p < k; ++p) {
+    for (std::size_t j = 0; j < n; ++j) b.at(p, j) = w.at(j, p);
+  }
+  const Tensor w_bf16 = testutil::bf16_rounded(w);
+  const Tensor bias = Tensor::randn({n}, rng);
+  tensor::Epilogue epi;
+  epi.bias = bias.data().data();
+  epi.act = tensor::EpilogueAct::kTanh;
+  for (const char* name : kAllBackends) {
+    const tensor::Backend& be = *tensor::find_backend(name);
+    const tensor::PackedWeights packed_nt =
+        be.pack_b(w.data().data(), k, n, /*transpose_b=*/true);
+    const tensor::PackedWeights packed_nn =
+        be.pack_b(b.data().data(), k, n, /*transpose_b=*/false);
+    for (const std::size_t m : {1u, 5u, 8u, 64u, 127u}) {
+      const Shape s{m, k, n};
+      const Tensor x = Tensor::randn({m, k}, rng);
+      Tensor fused({m, n}), from_nt({m, n}), from_nn({m, n});
+      be.gemm_fused(x.data().data(), w_bf16.data().data(),
+                    fused.data().data(), m, k, n, /*transpose_b=*/true, epi);
+      be.gemm_prepacked(x.data().data(), packed_nt, from_nt.data().data(), m,
+                        k, n, epi);
+      be.gemm_prepacked(x.data().data(), packed_nn, from_nn.data().data(), m,
+                        k, n, epi);
+      SCOPED_TRACE(name);
+      ExpectBitwiseEqual(from_nt, fused, "prepacked (n, k) weight", s);
+      ExpectBitwiseEqual(from_nn, fused, "prepacked (k, n) weight", s);
+
+      // The int8 fast path: codes dequantized inside A packing equal the
+      // same GEMM on the dequantized batch.
+      std::vector<std::uint8_t> codes(m * k);
+      for (auto& q : codes) q = static_cast<std::uint8_t>(rng.next());
+      std::vector<float> lo(m), scale(m);
+      Tensor dequant({m, k});
+      for (std::size_t i = 0; i < m; ++i) {
+        lo[i] = -0.8f + 0.01f * static_cast<float>(i);
+        scale[i] = 1.6f / 255.0f;
+        for (std::size_t p = 0; p < k; ++p) {
+          dequant.at(i, p) =
+              lo[i] + static_cast<float>(codes[i * k + p]) * scale[i];
+        }
+      }
+      Tensor from_codes({m, n}), dequant_fused({m, n});
+      be.gemm_quantized(codes.data(), {lo.data(), scale.data()}, packed_nt,
+                        from_codes.data().data(), m, k, n, epi);
+      be.gemm_fused(dequant.data().data(), w_bf16.data().data(),
+                    dequant_fused.data().data(), m, k, n,
+                    /*transpose_b=*/true, epi);
+      ExpectBitwiseEqual(from_codes, dequant_fused, "int8 prepacked", s);
+    }
+  }
+}
+
+TEST(PrepackedTest, PanelBackendsStoreTwoBytesPerPackedWeight) {
+  // n = 64 is whole kNr strips on every tier, so the panels carry no
+  // padding: exactly one bf16 per weight.
+  constexpr std::size_t k = 300, n = 64;
+  common::Pcg32 rng(49);
+  const Tensor w = Tensor::randn({n, k}, rng);
+  for (const tensor::Backend* be :
+       {&tensor::blocked_backend(), &tensor::simd_backend()}) {
+    const tensor::PackedWeights packed =
+        be->pack_b(w.data().data(), k, n, /*transpose_b=*/true);
+    EXPECT_TRUE(packed.data.empty()) << be->name();
+    EXPECT_EQ(packed.bf16.size() * sizeof(packed.bf16[0]), 2 * k * n)
+        << be->name();
+  }
 }
 
 TEST(FusedEpilogueTest, ActivationEpilogueMapping) {

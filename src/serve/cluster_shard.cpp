@@ -100,8 +100,9 @@ void ClusterShard::add_cluster(ClusterId cluster,
   ORCO_CHECK(system != nullptr, "cannot register a null tenant system");
   auto entry = std::make_shared<TenantEntry>();
   entry->system = std::move(system);
-  // The swap slot is grabbed once here; the serve path then pays exactly
-  // one atomic snapshot load per batch, never a registry map lookup.
+  // The swap slot is grabbed once here; the serve path then copies the
+  // snapshot out under the slot's mutex once per batch, never a registry
+  // map lookup.
   if (registry_ != nullptr) entry->model = registry_->entry(cluster);
   common::MutexLock lock(tenants_mu_);
   ORCO_CHECK(tenants_.emplace(cluster, std::move(entry)).second,

@@ -5,13 +5,23 @@
 // The instruction set is dispatched at COMPILE time, best tier available:
 //
 //   AVX-512F        8×32 tile: 16 zmm accumulators, one broadcast + two
-//                   fused multiply-adds per row per k step.
+//                   fused multiply-adds per row per k step. A bf16 k step
+//                   is 64 B of B: one look-ahead hint per line.
 //   AVX2 + FMA      6×16 tile: 12 ymm accumulators (+2 B, +1 broadcast
-//                   stays within the 16-register file).
-//   NEON (aarch64)  8×8 tile: 16 float32x4 accumulators.
+//                   stays within the 16-register file). 32 B per bf16 k
+//                   step: two hints per line.
+//   NEON (aarch64)  8×8 tile: 16 float32x4 accumulators. 16 B per bf16 k
+//                   step: four hints per line.
 //   otherwise       the blocked backend's 4×32 scalar kernel — builds with
 //                   -DORCO_DISABLE_SIMD (or no SIMD target flags at all)
-//                   still link and pass, just without the speedup.
+//                   still link and pass, just without the speedup. 64 B
+//                   per bf16 k step, like AVX-512.
+//
+// Every tier calls detail::prefetch_panel once per k step: on bf16 pack_b
+// panels it hints the cache to fetch the stream kPanelLookAheadBytes (4 KB)
+// ahead, so a decode's weight reads overlap DRAM latency instead of
+// exposing it; on float strips packed on the fly it does nothing. A hint
+// loads nothing, so no value changes.
 //
 // This file is compiled with the host's native flags when
 // ORCO_NATIVE_KERNELS is on (the CMake default), so __AVX512F__/__AVX2__/
@@ -92,6 +102,7 @@ void isa_ukernel(const float* ap, const BElem* bp, std::size_t kc, float* c,
     acc[i][1] = _mm512_loadu_ps(c + i * ldc + 16);
   }
   for (std::size_t p = 0; p < kc; ++p) {
+    detail::prefetch_panel(bp + p * kIsaNr);
     const __m512 b0 = load_b(bp + p * kIsaNr);
     const __m512 b1 = load_b(bp + p * kIsaNr + 16);
     const float* a = ap + p * kIsaMr;  // panel stride is kIsaMr regardless
@@ -131,6 +142,7 @@ void isa_ukernel(const float* ap, const BElem* bp, std::size_t kc, float* c,
     acc[i][1] = _mm256_loadu_ps(c + i * ldc + 8);
   }
   for (std::size_t p = 0; p < kc; ++p) {
+    detail::prefetch_panel(bp + p * kIsaNr);
     const __m256 b0 = load_b(bp + p * kIsaNr);
     const __m256 b1 = load_b(bp + p * kIsaNr + 8);
     const float* a = ap + p * kIsaMr;  // panel stride is kIsaMr regardless
@@ -169,6 +181,7 @@ void isa_ukernel(const float* ap, const BElem* bp, std::size_t kc, float* c,
     acc[i][1] = vld1q_f32(c + i * ldc + 4);
   }
   for (std::size_t p = 0; p < kc; ++p) {
+    detail::prefetch_panel(bp + p * kIsaNr);
     const float32x4_t b0 = load_b(bp + p * kIsaNr);
     const float32x4_t b1 = load_b(bp + p * kIsaNr + 4);
     const float* a = ap + p * kIsaMr;  // panel stride is kIsaMr regardless
@@ -206,6 +219,7 @@ void isa_ukernel(const float* ap, const BElem* bp, std::size_t kc, float* c,
   for (std::size_t p = 0; p < kc; ++p) {
     const float* a = ap + p * kIsaMr;  // panel stride is kIsaMr regardless
     const BElem* b = bp + p * kIsaNr;
+    detail::prefetch_panel(b);
     for (std::size_t ii = 0; ii < Rows; ++ii) {
       const float aip = a[ii];
       for (std::size_t jj = 0; jj < kIsaNr; ++jj) {

@@ -18,6 +18,13 @@
 //     // write back clipped to rows x cols. BElem is the B panel's element
 //     // type: float for strips packed on the fly, std::uint16_t (bf16) for
 //     // pack_b panels, widened exactly to f32 before each multiply-add.
+//     // Once per k step the kernel passes that step's B row to
+//     // prefetch_panel: on a bf16 panel it hints the cache to fetch the
+//     // stream kPanelLookAheadBytes (a constexpr 4 KB, not a setting)
+//     // ahead, at an address formed as std::uintptr_t that may lie past
+//     // the panels (a prefetch never faults and loads nothing); the float
+//     // overload compiles to nothing. AVX2 (32 B per k step) and NEON
+//     // (16 B) thus give a 64-byte line 2-4 hints.
 //     template <class BElem>
 //     static void tile(const float* ap, const BElem* bp, std::size_t kc,
 //                      float* c, std::size_t ldc, std::size_t rows,
@@ -37,7 +44,7 @@
 // (the blocked tile's separate mul+add vs the simd tile's FMA). A bf16
 // panel feeds that chain the value from_bf16(to_bf16(w)) for each weight
 // w, so a prepacked GEMM equals the on-the-fly GEMM on the bf16-rounded B
-// bitwise.
+// bitwise. The look-ahead hint loads nothing and changes no value.
 #pragma once
 
 #include <cmath>
@@ -139,6 +146,39 @@ BElem to_panel(float v) {
 inline float widen(float v) { return v; }
 inline float widen(std::uint16_t h) { return from_bf16(h); }
 
+/// How far past the current k step a micro-kernel asks for a bf16 panel
+/// stream. In serving order a task's pack_b panels are one contiguous
+/// stream (strips in column order within a k panel, then k panels in
+/// order), so one hint per k step keeps a steady distance ahead of the
+/// loads; left to the hardware prefetcher, the stream falls behind once a
+/// k step carries ~10 FMAs (batch 5) instead of 2. Fixed by a sweep on a
+/// 4-vCPU Sapphire Rapids KVM guest (GCC 12.2, simd avx512): four threads
+/// each decoding batch 5 through 512->1792->1792->3072 plans, decodes/s:
+///   none 833-872, 256 B 885-931, 512 B 913-977, 1 KB 993-1056,
+///   2 KB 1183-1200, 4 KB 1215-1301, 8 KB 1263-1265, 16 KB 1250-1283.
+/// Past 4 KB it is flat: six alternating pairs in a later window read
+/// 1566-1634 at 4 KB and 1582-1704 at 8 KB. An L2-only hint was no better.
+inline constexpr std::size_t kPanelLookAheadBytes = 4096;
+
+/// Hints the cache to fetch the bf16 panel stream kPanelLookAheadBytes past
+/// `b` (read, high locality). Near the end of a panel set, or for a whole
+/// set shorter than the distance, the address lies past the buffer: it is
+/// formed as an integer, because pointer arithmetic there would be UB,
+/// while a prefetch never faults. The 2-4 hints per line on AVX2 and NEON
+/// are left unthinned: the AVX2 tier still decodes as fast as AVX-512
+/// with them (README, "Prepacked weights").
+inline void prefetch_panel(const std::uint16_t* b) {
+  const std::uintptr_t ahead =
+      reinterpret_cast<std::uintptr_t>(b) + kPanelLookAheadBytes;
+  // Nothing dereferences the cast's result, so it has no provenance to
+  // lose.
+  // NOLINTNEXTLINE(performance-no-int-to-ptr)
+  __builtin_prefetch(reinterpret_cast<const void*>(ahead), /*rw=*/0,
+                     /*locality=*/3);
+}
+/// Float strips are packed on the fly, just written and still cached.
+inline void prefetch_panel(const float*) {}
+
 /// Packs B[p0:p0+kc, j0:j0+nc] (or the transpose-source equivalent when
 /// `trans`, with `b` stored (n x k)) into kNr-interleaved panels: panel jp
 /// holds kNr consecutive columns laid out [p][jj], zero-padded past nc.
@@ -216,13 +256,14 @@ void store_tile(float* c, std::size_t ldc, const float acc[MR][NR],
 /// the compiler unrolls and auto-vectorizes over jj. Separate mul+add (the
 /// TU is built with -ffp-contract=off), so instantiations agree bitwise
 /// with the reference ikj kernel. A bf16 panel is widened in the loop
-/// (std::bit_cast of the value shifted up 16 bits).
+/// (std::bit_cast of the value shifted up 16 bits) and prefetched ahead.
 template <std::size_t MR, std::size_t NR, class BElem>
 void generic_micro_kernel(const float* ap, const BElem* bp, std::size_t kc,
                           float acc[MR][NR]) {
   for (std::size_t p = 0; p < kc; ++p) {
     const float* a = ap + p * MR;
     const BElem* b = bp + p * NR;
+    prefetch_panel(b);
     for (std::size_t ii = 0; ii < MR; ++ii) {
       const float aip = a[ii];
       for (std::size_t jj = 0; jj < NR; ++jj) {

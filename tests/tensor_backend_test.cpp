@@ -3,6 +3,8 @@
 // the fused epilogues must match the unfused matmul-then-bias-then-activation
 // pipeline through Dense and Conv2d.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <bit>
 #include <cmath>
@@ -18,6 +20,7 @@
 #include "nn/infer_plan.h"
 #include "nn/sequential.h"
 #include "tensor/backend.h"
+#include "tensor/gemm_panels.h"
 #include "tensor/matmul.h"
 
 #include "bf16_oracle.h"
@@ -595,63 +598,107 @@ TEST(Bf16Test, ToBf16RoundsToNearestEvenAndKeepsSpecials) {
 }
 
 TEST(PrepackedTest, PackedBEqualsGemmFusedOnBf16RoundedWeightOnEveryBackend) {
-  // k crosses the 256-deep k panel; n = 45 is no whole number of kNr
-  // strips on any tier (32, 16, 8), so the padded fringe strip runs too.
-  constexpr std::size_t k = 300, n = 45;
+  struct Case {
+    std::size_t k, n;
+    std::vector<std::size_t> ms;
+  };
+  const Case cases[] = {
+      // k crosses the 256-deep k panel; n = 45 is no whole number of kNr
+      // strips on any tier (32, 16, 8), so the padded fringe strip runs too.
+      {300, 45, {1, 5, 8, 64, 127}},
+      // A whole panel set of 2 KB, shorter than the 4 KB panel look-ahead:
+      // every hint lands past the buffer.
+      {16, 64, {1, 5, 8}},
+      // The serving decoder's hidden-to-output shape: 7 k panels and 3 kNc
+      // column chunks in one panel stream, at serving batch sizes.
+      {1792, 3072, {1, 5}},
+  };
   common::Pcg32 rng(48);
-  const Tensor w = Tensor::randn({n, k}, rng);  // (out, in): transposed B
-  Tensor b({k, n});                             // the same weight as (k, n)
-  for (std::size_t p = 0; p < k; ++p) {
-    for (std::size_t j = 0; j < n; ++j) b.at(p, j) = w.at(j, p);
-  }
-  const Tensor w_bf16 = testutil::bf16_rounded(w);
-  const Tensor bias = Tensor::randn({n}, rng);
-  tensor::Epilogue epi;
-  epi.bias = bias.data().data();
-  epi.act = tensor::EpilogueAct::kTanh;
-  for (const char* name : kAllBackends) {
-    const tensor::Backend& be = *tensor::find_backend(name);
-    const tensor::PackedWeights packed_nt =
-        be.pack_b(w.data().data(), k, n, /*transpose_b=*/true);
-    const tensor::PackedWeights packed_nn =
-        be.pack_b(b.data().data(), k, n, /*transpose_b=*/false);
-    for (const std::size_t m : {1u, 5u, 8u, 64u, 127u}) {
-      const Shape s{m, k, n};
-      const Tensor x = Tensor::randn({m, k}, rng);
-      Tensor fused({m, n}), from_nt({m, n}), from_nn({m, n});
-      be.gemm_fused(x.data().data(), w_bf16.data().data(),
-                    fused.data().data(), m, k, n, /*transpose_b=*/true, epi);
-      be.gemm_prepacked(x.data().data(), packed_nt, from_nt.data().data(), m,
-                        k, n, epi);
-      be.gemm_prepacked(x.data().data(), packed_nn, from_nn.data().data(), m,
-                        k, n, epi);
-      SCOPED_TRACE(name);
-      ExpectBitwiseEqual(from_nt, fused, "prepacked (n, k) weight", s);
-      ExpectBitwiseEqual(from_nn, fused, "prepacked (k, n) weight", s);
+  for (const Case& tc : cases) {
+    const std::size_t k = tc.k, n = tc.n;
+    const Tensor w = Tensor::randn({n, k}, rng);  // (out, in): transposed B
+    Tensor b({k, n});                             // the same weight as (k, n)
+    const float* wd = w.data().data();
+    float* bd = b.data().data();
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t p = 0; p < k; ++p) bd[p * n + j] = wd[j * k + p];
+    }
+    // The oracle runs on the (k, n) layout: the reference backend's (n, k)
+    // gemm_fused transposes the weight on every call.
+    const Tensor b_bf16 = testutil::bf16_rounded(b);
+    const Tensor bias = Tensor::randn({n}, rng);
+    tensor::Epilogue epi;
+    epi.bias = bias.data().data();
+    epi.act = tensor::EpilogueAct::kTanh;
+    for (const char* name : kAllBackends) {
+      const tensor::Backend& be = *tensor::find_backend(name);
+      const tensor::PackedWeights packed_nt =
+          be.pack_b(w.data().data(), k, n, /*transpose_b=*/true);
+      const tensor::PackedWeights packed_nn =
+          be.pack_b(b.data().data(), k, n, /*transpose_b=*/false);
+      for (const std::size_t m : tc.ms) {
+        const Shape s{m, k, n};
+        const Tensor x = Tensor::randn({m, k}, rng);
+        Tensor fused({m, n}), from_nt({m, n}), from_nn({m, n});
+        be.gemm_fused(x.data().data(), b_bf16.data().data(),
+                      fused.data().data(), m, k, n, /*transpose_b=*/false,
+                      epi);
+        be.gemm_prepacked(x.data().data(), packed_nt, from_nt.data().data(),
+                          m, k, n, epi);
+        be.gemm_prepacked(x.data().data(), packed_nn, from_nn.data().data(),
+                          m, k, n, epi);
+        SCOPED_TRACE(name);
+        ExpectBitwiseEqual(from_nt, fused, "prepacked (n, k) weight", s);
+        ExpectBitwiseEqual(from_nn, fused, "prepacked (k, n) weight", s);
 
-      // The int8 fast path: codes dequantized inside A packing equal the
-      // same GEMM on the dequantized batch.
-      std::vector<std::uint8_t> codes(m * k);
-      for (auto& q : codes) q = static_cast<std::uint8_t>(rng.next());
-      std::vector<float> lo(m), scale(m);
-      Tensor dequant({m, k});
-      for (std::size_t i = 0; i < m; ++i) {
-        lo[i] = -0.8f + 0.01f * static_cast<float>(i);
-        scale[i] = 1.6f / 255.0f;
-        for (std::size_t p = 0; p < k; ++p) {
-          dequant.at(i, p) =
-              lo[i] + static_cast<float>(codes[i * k + p]) * scale[i];
+        // The int8 fast path: codes dequantized inside A packing equal the
+        // same GEMM on the dequantized batch.
+        std::vector<std::uint8_t> codes(m * k);
+        for (auto& q : codes) q = static_cast<std::uint8_t>(rng.next());
+        std::vector<float> lo(m), scale(m);
+        Tensor dequant({m, k});
+        for (std::size_t i = 0; i < m; ++i) {
+          lo[i] = -0.8f + 0.01f * static_cast<float>(i);
+          scale[i] = 1.6f / 255.0f;
+          for (std::size_t p = 0; p < k; ++p) {
+            dequant.at(i, p) =
+                lo[i] + static_cast<float>(codes[i * k + p]) * scale[i];
+          }
         }
+        Tensor from_codes({m, n}), dequant_fused({m, n});
+        be.gemm_quantized(codes.data(), {lo.data(), scale.data()}, packed_nt,
+                          from_codes.data().data(), m, k, n, epi);
+        be.gemm_fused(dequant.data().data(), b_bf16.data().data(),
+                      dequant_fused.data().data(), m, k, n,
+                      /*transpose_b=*/false, epi);
+        ExpectBitwiseEqual(from_codes, dequant_fused, "int8 prepacked", s);
       }
-      Tensor from_codes({m, n}), dequant_fused({m, n});
-      be.gemm_quantized(codes.data(), {lo.data(), scale.data()}, packed_nt,
-                        from_codes.data().data(), m, k, n, epi);
-      be.gemm_fused(dequant.data().data(), w_bf16.data().data(),
-                    dequant_fused.data().data(), m, k, n,
-                    /*transpose_b=*/true, epi);
-      ExpectBitwiseEqual(from_codes, dequant_fused, "int8 prepacked", s);
     }
   }
+}
+
+TEST(PrepackedTest, PanelLookAheadNeverFaults) {
+  // A look-ahead hint is not a load. Aimed from the last 64 bytes of a
+  // readable page into a PROT_NONE guard, it must neither fault nor trip
+  // ASan/UBSan, for both panel element types. On 4 KB pages the mapping is
+  // two pages, the second one the guard.
+  constexpr std::size_t kAhead = tensor::detail::kPanelLookAheadBytes;
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  const std::size_t guard = tensor::detail::round_up(kAhead + 64, page);
+  void* map = mmap(nullptr, page + guard, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(map, MAP_FAILED);
+  auto* base = static_cast<unsigned char*>(map);
+  ASSERT_EQ(mprotect(base + page, guard, PROT_NONE), 0);
+  const unsigned char* tail = base + page - 64;
+  for (std::size_t off = 0; off < 64; off += sizeof(std::uint16_t)) {
+    tensor::detail::prefetch_panel(
+        reinterpret_cast<const std::uint16_t*>(tail + off));
+  }
+  for (std::size_t off = 0; off < 64; off += sizeof(float)) {
+    tensor::detail::prefetch_panel(reinterpret_cast<const float*>(tail + off));
+  }
+  EXPECT_EQ(munmap(map, page + guard), 0);
 }
 
 TEST(PrepackedTest, PanelBackendsStoreTwoBytesPerPackedWeight) {

@@ -143,7 +143,6 @@ int main() {
   scfg.shard_count = 2;
   scfg.queue.max_wait_us = 100;
   scfg.model_registry = trainer.registry();
-  scfg.recon_cache.capacity = 1024;
   serve::ServerRuntime runtime(scfg);
   runtime.register_cluster(kCluster, system);
   runtime.start();
@@ -213,10 +212,6 @@ int main() {
   std::cout << "  fine-tune jobs:       " << trainer_stats.jobs_completed
             << " (" << trainer_stats.rounds_run << " rounds, "
             << trainer_stats.snapshots_published << " snapshots published)\n";
-  std::cout << "  reconstruction cache: "
-            << serve_snapshot.cache_hits << " hits / "
-            << serve_snapshot.cache_misses << " misses ("
-            << serve_snapshot.cache_hit_rate() * 100.0 << "%)\n";
   runtime.telemetry().tenant_report().print(std::cout);
 
   const bool recovered =

@@ -53,15 +53,6 @@ struct OrcoConfig {
   // process default (set_backend() / ORCO_BACKEND).
   std::string backend;
 
-  // Let the serving path decode int8 (kFixed8) uplink payloads straight
-  // through Backend::gemm_quantized — codes feed the decoder's first Dense
-  // layer without ever materializing the float batch. Accuracy contract:
-  // output error vs decoding the dequantized floats is bounded by the
-  // payload's quantization_error_bound times the batch value range,
-  // propagated through the decoder (one dequantization rounding per code,
-  // same as the explicit-dequantize path). Opt-in per tenant.
-  bool int8_decode = false;
-
   std::size_t decoder_hidden() const {
     return decoder_hidden_dim != 0 ? decoder_hidden_dim
                                    : (input_dim + latent_dim) / 2;

@@ -140,18 +140,6 @@ void EdgeServer::decode_inference(const Tensor& latents, Tensor& out,
   plan->run(latents, out, ctx);
 }
 
-void EdgeServer::decode_inference_quantized(const std::uint8_t* codes,
-                                            const tensor::QuantHeader& qh,
-                                            std::size_t batch, Tensor& out,
-                                            nn::InferContext& ctx) const {
-  ORCO_CHECK(!round_open_, "cannot run inference with an open round");
-  obs::ScopedSpan span("edge.decode", "core", sample_decode_span(), /*id=*/0,
-                       /*tenant=*/0, batch);
-  const auto plan = current_plan();
-  tensor::BackendScope scope(backend_);
-  plan->run_quantized(codes, qh, batch, latent_dim_, out, ctx);
-}
-
 std::size_t EdgeServer::train_flops(std::size_t batch) const {
   return 3 * decoder_->forward_flops(batch);
 }

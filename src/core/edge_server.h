@@ -48,15 +48,6 @@ class EdgeServer {
   void decode_inference(const Tensor& latents, Tensor& out,
                         nn::InferContext& ctx) const;
 
-  /// Decodes straight from uint8 latent codes (batch × latent_dim) with
-  /// per-row affine headers — the int8 uplink fast path (see
-  /// OrcoConfig::int8_decode for the accuracy contract). Same zero-alloc
-  /// and concurrency contract as the InferContext overload above.
-  void decode_inference_quantized(const std::uint8_t* codes,
-                                  const tensor::QuantHeader& qh,
-                                  std::size_t batch, Tensor& out,
-                                  nn::InferContext& ctx) const;
-
   nn::Sequential& decoder() noexcept { return *decoder_; }
   const nn::Sequential& decoder() const noexcept { return *decoder_; }
   const nn::Sgd& optimizer() const noexcept { return *optimizer_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 
 #include "common/check.h"
 #include "core/quantization.h"
@@ -76,16 +75,12 @@ ClusterShard::ClusterShard(std::size_t index,
                            const BatchQueueConfig& queue_config,
                            Telemetry* telemetry,
                            const tensor::Backend* backend,
-                           std::shared_ptr<train::ModelRegistry> registry,
-                           const ReconstructionCacheConfig& cache_config,
-                           bool int8_decode)
+                           std::shared_ptr<train::ModelRegistry> registry)
     : index_(index),
       queue_(queue_config),
       telemetry_(telemetry),
       backend_(backend),
-      registry_(std::move(registry)),
-      cache_(cache_config),
-      int8_decode_(int8_decode) {
+      registry_(std::move(registry)) {
   ORCO_CHECK(telemetry != nullptr, "ClusterShard needs a telemetry registry");
 }
 
@@ -215,24 +210,12 @@ void ClusterShard::serve_batch(std::vector<PendingRequest> batch) {
       snapshot != nullptr ? snapshot->age_us(std::chrono::steady_clock::now())
                           : 0.0;
   telemetry_->record_model_version(cluster, version, staleness_us);
-  // Swap-coherent cache invalidation: the version is part of every cache
-  // key, so a stale hit is impossible by construction — invalidating at
-  // the observed swap edge additionally returns the dead generation's LRU
-  // capacity immediately.
-  if (cache_.enabled() && tenant->last_version != 0 &&
-      tenant->last_version != version) {
-    cache_.invalidate(cluster);
-  }
-  tenant->last_version = version;
 
-  // Validate shapes up front; only well-formed cache misses join the GEMM
+  // Validate shapes up front; only well-formed requests join the decode
   // batch. Requests stay in `batch` (the guard owns them); `good` holds
-  // indices and `keys` the miss requests' cache keys (computed once here,
-  // reused by the post-decode insert; nullopt = uncacheable latent).
+  // their indices.
   std::vector<std::size_t> good;
   good.reserve(batch.size());
-  std::vector<std::optional<std::string>> keys;
-  if (cache_.enabled()) keys.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const DecodeRequest& request = batch[i].request;
     const Tensor& latent = request.latent;
@@ -247,32 +230,6 @@ void ClusterShard::serve_batch(std::vector<PendingRequest> batch) {
       telemetry_->record_rejected(cluster);
       respond_error(batch[i], ResponseStatus::kBadRequest);
       continue;
-    }
-    if (cache_.enabled()) {
-      // Quantized requests bypass the cache: its keys derive from float
-      // latents (key_for re-quantizes onto its own snap grid), which the
-      // wire payload never materializes on this path.
-      std::optional<std::string> key;
-      if (!request.quantized) key = cache_.key_for(cluster, version, latent);
-      if (key.has_value()) {
-        if (const Tensor* hit = cache_.lookup(*key)) {
-          DecodeResponse response;
-          response.id = batch[i].request.id;
-          response.status = ResponseStatus::kOk;
-          response.reconstruction = *hit;
-          response.batch_size = 1;
-          response.model_version = version;
-          response.cache_hit = true;
-          response.latency_us = elapsed_us(batch[i].request.enqueued_at);
-          telemetry_->record_cache_hit(cluster);
-          telemetry_->record_completed(cluster, response.latency_us);
-          batch[i].promise.set_value(std::move(response));
-          batch[i].answered = true;
-          continue;
-        }
-        telemetry_->record_cache_miss(cluster);
-      }
-      keys.push_back(std::move(key));
     }
     good.push_back(i);
   }
@@ -292,53 +249,25 @@ void ClusterShard::serve_batch(std::vector<PendingRequest> batch) {
   }
 
   // One batched decode for the whole coalesced batch: the decoder weights
-  // stream through cache once instead of once per request. The coalesced
-  // latents are written straight into the shard's reusable InferContext
-  // input buffer (one sized row copy each — no stack_rows, no per-request
-  // Tensor), and the decode lands in the worker-owned output buffer: after
+  // stream through cache once instead of once per request. Each latent is
+  // written straight into its row of the shard's reusable InferContext
+  // input buffer (a float latent by one sized copy, a quantized payload by
+  // dequantizing into the row), so requests of any precision share one
+  // batch, and the decode lands in the worker-owned output buffer: after
   // warmup this whole block performs zero heap allocations.
-  //
-  // Int8 GEMM fast path: armed per runtime (ServeConfig::int8_decode) and
-  // per tenant (OrcoConfig::int8_decode), taken only when the whole
-  // coalesced batch is kFixed8 payloads — the codes feed the decoder GEMM
-  // directly (dequantization fused into A-panel packing) and the float
-  // batch is never materialized. A mixed or float batch falls back to
-  // row-wise dequantization into the stacked float buffer.
   const std::size_t rows = good.size();
-  const bool use_int8 =
-      int8_decode_ && tenant->system->config().orco.int8_decode &&
-      std::all_of(good.begin(), good.end(), [&](std::size_t i) {
-        return batch[i].request.quantized &&
-               batch[i].request.precision == core::LatentPrecision::kFixed8;
-      });
-  if (use_int8) {
-    q_codes_.resize(rows * latent_dim);
-    q_lo_.resize(rows);
-    q_scale_.resize(rows);
-    const std::size_t header =
-        core::quantization_header_bytes(core::LatentPrecision::kFixed8);
-    for (std::size_t row = 0; row < rows; ++row) {
-      const auto& payload = batch[good[row]].request.payload;
-      std::memcpy(q_codes_.data() + row * latent_dim,
-                  payload.data() + header, latent_dim);
-      core::quantized_dequant_params(payload.data(),
-                                     core::LatentPrecision::kFixed8,
-                                     &q_lo_[row], &q_scale_[row]);
-    }
-  } else {
-    Tensor& stacked = infer_ctx_.input();
-    stacked.resize(rows, latent_dim);
-    for (std::size_t row = 0; row < rows; ++row) {
-      const DecodeRequest& request = batch[good[row]].request;
-      float* dst = stacked.data().data() + row * latent_dim;
-      if (request.quantized) {
-        core::dequantize_latents_into(request.payload.data(),
-                                      request.payload.size(),
-                                      request.precision, dst, latent_dim);
-      } else {
-        const auto src = request.latent.data();
-        std::copy(src.begin(), src.end(), dst);
-      }
+  Tensor& stacked = infer_ctx_.input();
+  stacked.resize(rows, latent_dim);
+  for (std::size_t row = 0; row < rows; ++row) {
+    const DecodeRequest& request = batch[good[row]].request;
+    float* dst = stacked.data().data() + row * latent_dim;
+    if (request.quantized) {
+      core::dequantize_latents_into(request.payload.data(),
+                                    request.payload.size(), request.precision,
+                                    dst, latent_dim);
+    } else {
+      const auto src = request.latent.data();
+      std::copy(src.begin(), src.end(), dst);
     }
   }
   const auto decode_start = std::chrono::steady_clock::now();
@@ -348,21 +277,11 @@ void ClusterShard::serve_batch(std::vector<PendingRequest> batch) {
     // published snapshot carries one — fused ops, pre-packed panels, zero
     // per-batch planning); the registry-free path goes through EdgeServer,
     // which maintains its own plan.
-    if (use_int8) {
-      const tensor::QuantHeader qh{q_lo_.data(), q_scale_.data()};
-      if (snapshot != nullptr) {
-        tensor::BackendScope tenant_scope(snapshot->backend);
-        snapshot->plan->run_quantized(q_codes_.data(), qh, rows, latent_dim,
-                                      decode_out_, infer_ctx_);
-      } else {
-        tenant->system->edge().decode_inference_quantized(
-            q_codes_.data(), qh, rows, decode_out_, infer_ctx_);
-      }
-    } else if (snapshot != nullptr) {
+    if (snapshot != nullptr) {
       tensor::BackendScope tenant_scope(snapshot->backend);
-      snapshot->plan->run(infer_ctx_.input(), decode_out_, infer_ctx_);
+      snapshot->plan->run(stacked, decode_out_, infer_ctx_);
     } else {
-      tenant->system->edge().decode_inference(infer_ctx_.input(), decode_out_,
+      tenant->system->edge().decode_inference(stacked, decode_out_,
                                               infer_ctx_);
     }
   } catch (const std::exception& e) {
@@ -403,9 +322,6 @@ void ClusterShard::serve_batch(std::vector<PendingRequest> batch) {
     response.batch_size = good.size();
     response.model_version = version;
     response.latency_us = elapsed_us(pending.request.enqueued_at);
-    if (cache_.enabled() && keys[row].has_value()) {
-      cache_.insert(cluster, *std::move(keys[row]), response.reconstruction);
-    }
     telemetry_->record_completed(cluster, response.latency_us);
     pending.promise.set_value(std::move(response));
     pending.answered = true;

@@ -3,19 +3,18 @@
 // Cluster ids hash onto shards with shard_for(); each shard owns the
 // OrcoDcsSystem instances of its clusters and is driven by exactly one
 // worker thread, so tenant state needs no locks on the serve path. The
-// shard's BatchQueue hands the worker same-cluster batches which are
-// decoded with a single batched decode_inference call and fanned back out
-// to the per-request futures.
+// shard's BatchQueue hands the worker same-cluster batches. Every batch
+// takes one path: validate each request, assemble one float batch (float
+// latents copied, quantized payloads dequantized into their rows), run one
+// decode, and fan the rows back out to the per-request futures.
 //
 // Serve-while-retraining: when a train::ModelRegistry is attached, the
 // shard decodes through the tenant's current immutable ModelSnapshot — one
 // copy out of the tenant's registry slot per batch picks up hot swaps
-// published by the background TrainerRuntime, the snapshot's shared_ptr
-// pins exactly one coherent model for the whole fan-out, and an observed
-// version change invalidates the tenant's entries in the shard's
-// latent-keyed ReconstructionCache. Without a registry the shard falls back
-// to decoding on the tenant's live EdgeServer (fine as long as nothing
-// trains it concurrently).
+// published by the background TrainerRuntime, and the snapshot's shared_ptr
+// pins exactly one coherent model for the whole fan-out. Without a registry
+// the shard falls back to decoding on the tenant's live EdgeServer (fine as
+// long as nothing trains it concurrently).
 #pragma once
 
 #include <cstddef>
@@ -27,7 +26,6 @@
 #include "common/thread_annotations.h"
 #include "core/system.h"
 #include "serve/batch_queue.h"
-#include "serve/reconstruction_cache.h"
 #include "serve/request.h"
 #include "serve/telemetry.h"
 #include "tensor/backend.h"
@@ -50,15 +48,11 @@ class ClusterShard {
   /// `backend` (nullable) pins this shard's decode GEMMs to one kernel
   /// backend (tensor/backend.h); null inherits the process default.
   /// `registry` (nullable) enables the hot-swap path for tenants published
-  /// there; `cache_config.capacity > 0` enables the shard's
-  /// ReconstructionCache. `int8_decode` arms the int8 GEMM fast path for
-  /// kFixed8 batches of tenants whose OrcoConfig also opts in.
+  /// there.
   ClusterShard(std::size_t index, const BatchQueueConfig& queue_config,
                Telemetry* telemetry,
                const tensor::Backend* backend = nullptr,
-               std::shared_ptr<train::ModelRegistry> registry = nullptr,
-               const ReconstructionCacheConfig& cache_config = {},
-               bool int8_decode = false);
+               std::shared_ptr<train::ModelRegistry> registry = nullptr);
 
   std::size_t index() const noexcept { return index_; }
   BatchQueue& queue() noexcept { return queue_; }
@@ -95,21 +89,12 @@ class ClusterShard {
   /// Exposed for tests; normally called from run().
   void serve_batch(std::vector<PendingRequest> batch);
 
-  /// Worker-thread-owned cache stats; read from other threads only after
-  /// the worker has stopped (e.g. post-shutdown reporting).
-  const ReconstructionCache::Stats& recon_cache_stats() const noexcept {
-    return cache_.stats();
-  }
-
  private:
   /// One registered tenant: the live system plus (when a registry is
-  /// attached) its swap slot and the last decoder generation this shard
-  /// served for it — the edge that triggers swap-coherent cache
-  /// invalidation. `last_version` is only touched by the shard worker.
+  /// attached) its swap slot.
   struct TenantEntry {
     std::shared_ptr<core::OrcoDcsSystem> system;
     std::shared_ptr<train::ModelRegistry::Entry> model;  // null: direct path
-    std::uint64_t last_version = 0;
   };
 
   /// Entries are shared_ptr-owned so a lookup outlives both the internal
@@ -124,23 +109,15 @@ class ClusterShard {
   Telemetry* telemetry_;  // runtime-owned; never null
   const tensor::Backend* backend_;  // nullable: inherit process default
   std::shared_ptr<train::ModelRegistry> registry_;  // nullable
-  ReconstructionCache cache_;  // worker-thread-owned
   /// Worker-thread-owned inference memory, reused across batches and sized
   /// to the shard's high-water mark: batch assembly writes the coalesced
-  /// latents straight into infer_ctx_'s input buffer (no stack_rows), the
-  /// decoder ping-pongs through the context, and the decode lands in
-  /// decode_out_, out of which responses are filled by row copies. After
-  /// the first batch at the largest shapes, a steady-state decode performs
-  /// zero heap allocations.
+  /// latents (quantized payloads dequantized in place) straight into
+  /// infer_ctx_'s input buffer, the decoder ping-pongs through the context,
+  /// and the decode lands in decode_out_, out of which responses are filled
+  /// by row copies. After the first batch at the largest shapes, a
+  /// steady-state decode performs zero heap allocations.
   nn::InferContext infer_ctx_;
   Tensor decode_out_;
-  /// Int8 fast-path staging, worker-thread-owned and high-water-mark sized
-  /// like the context: the batch's uint8 codes packed row-major plus the
-  /// per-row affine headers the fused GEMM reads (tensor::QuantHeader).
-  bool int8_decode_;
-  std::vector<std::uint8_t> q_codes_;
-  std::vector<float> q_lo_;
-  std::vector<float> q_scale_;
   mutable common::Mutex tenants_mu_;  // guards registration vs. lookup only
   std::map<ClusterId, std::shared_ptr<TenantEntry>> tenants_
       ORCO_GUARDED_BY(tenants_mu_);

@@ -51,9 +51,8 @@ struct DecodeRequest {
   Tensor latent;  // (M) or (1, M) for the tenant's latent dimension M
   /// Quantized uplink alternative to `latent`: when `quantized` is set the
   /// request carries the wire payload (core/quantization.h framing — affine
-  /// header followed by codes) and `latent` stays empty. The shard decodes
-  /// it row-wise, or — for kFixed8 payloads on an int8_decode tenant —
-  /// feeds the codes straight into the decoder GEMM.
+  /// header followed by codes) and `latent` stays empty. The shard
+  /// dequantizes it into its row of the batch's float input.
   std::vector<std::uint8_t> payload;
   core::LatentPrecision precision = core::LatentPrecision::kFloat32;
   bool quantized = false;
@@ -77,9 +76,6 @@ struct DecodeResponse {
   /// Exactly one version answers any request — a batch pins its snapshot
   /// for its whole fan-out, swaps land only between batches.
   std::uint64_t model_version = 0;
-  /// True when the reconstruction came from the shard's latent-keyed
-  /// ReconstructionCache instead of a decode.
-  bool cache_hit = false;
 };
 
 /// A queued request plus the promise that fulfils its caller's future.

@@ -23,7 +23,6 @@
 #include "serve/batch_queue.h"            // IWYU pragma: export
 #include "serve/tenant_policy.h"          // IWYU pragma: export
 #include "serve/cluster_shard.h"          // IWYU pragma: export
-#include "serve/reconstruction_cache.h"   // IWYU pragma: export
 #include "serve/request.h"                // IWYU pragma: export
 #include "serve/server_runtime.h"         // IWYU pragma: export
 #include "serve/telemetry.h"              // IWYU pragma: export

@@ -20,8 +20,7 @@ ServerRuntime::ServerRuntime(const ServeConfig& config)
   shards_.reserve(config.shard_count);
   for (std::size_t i = 0; i < config.shard_count; ++i) {
     shards_.push_back(std::make_unique<ClusterShard>(
-        i, config.queue, &telemetry_, backend, config.model_registry,
-        config.recon_cache, config.int8_decode));
+        i, config.queue, &telemetry_, backend, config.model_registry));
   }
 }
 

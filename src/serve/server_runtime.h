@@ -29,23 +29,15 @@ struct ServeConfig {
   BatchQueueConfig queue;  // applied per shard; queue.default_policy is the
                            // QoS policy for tenants registered without one
   // Kernel backend (tensor/backend.h) every shard worker decodes on:
-  // "reference", "blocked", or empty to inherit the process default. A
-  // tenant whose OrcoConfig names its own backend overrides this per
-  // decode (most specific wins).
+  // "reference", "blocked", "simd", or empty to inherit the process
+  // default. A tenant whose OrcoConfig names its own backend overrides
+  // this per decode (most specific wins).
   std::string backend;
   // Serve-while-retraining: when set (typically TrainerRuntime::registry()),
   // shards decode registered tenants through the registry's immutable
   // versioned snapshots and pick up hot swaps between batches; when null,
   // shards decode on the tenant's live EdgeServer as before.
   std::shared_ptr<train::ModelRegistry> model_registry;
-  // Per-shard latent-keyed reconstruction cache (capacity 0 = off).
-  ReconstructionCacheConfig recon_cache;
-  // Let shards decode kFixed8 uplink payloads straight through the int8
-  // GEMM (Backend::gemm_quantized) when the tenant's OrcoConfig also opts
-  // in (both flags must be set). Off: quantized payloads are dequantized
-  // row-wise into the float batch — always correct, just more memory
-  // traffic. See OrcoConfig::int8_decode for the accuracy contract.
-  bool int8_decode = false;
   // Per-tenant telemetry rows (counters + latency histogram per ClusterId,
   // ~8KB each, living for the runtime's lifetime). On by default; a fleet
   // cell fronting ~100k registered tenants turns this off so telemetry
@@ -103,10 +95,11 @@ class ServerRuntime {
   /// framing: affine header + codes) for decoding, without the caller ever
   /// materializing the float latent. Same answer contract as the float
   /// overload; a payload whose size does not match the tenant's latent_dim
-  /// at `precision` is answered kBadRequest. kFixed8 payloads ride the int8
-  /// GEMM fast path when both ServeConfig::int8_decode and the tenant's
-  /// OrcoConfig::int8_decode are set; all quantized payloads bypass the
-  /// reconstruction cache (its keys are float-latent-derived).
+  /// at `precision` is answered kBadRequest. The shard dequantizes the
+  /// payload into its row of the batch (core::dequantize_latents_into), so
+  /// it decodes exactly as the float overload would decode
+  /// core::dequantize_latents of the same bytes, and may share a batch
+  /// with float and other-precision requests.
   std::future<DecodeResponse> submit(ClusterId cluster,
                                      std::vector<std::uint8_t> payload,
                                      core::LatentPrecision precision);

@@ -52,8 +52,6 @@ Telemetry::Telemetry(bool per_tenant)
       submitted_(registry_.counter("serve.submitted")),
       shed_(registry_.counter("serve.shed")),
       rejected_(registry_.counter("serve.rejected")),
-      cache_hits_(registry_.counter("serve.cache_hits")),
-      cache_misses_(registry_.counter("serve.cache_misses")),
       batches_(registry_.counter("serve.batches")),
       batch_requests_(registry_.counter("serve.batch_requests")),
       max_occupancy_(registry_.gauge("serve.max_batch_occupancy")),
@@ -73,9 +71,6 @@ Telemetry::TenantCells& Telemetry::tenant_cells(ClusterId cluster) {
     cells->submitted = registry_.counter("serve.tenant.submitted", labels);
     cells->shed = registry_.counter("serve.tenant.shed", labels);
     cells->rejected = registry_.counter("serve.tenant.rejected", labels);
-    cells->cache_hits = registry_.counter("serve.tenant.cache_hits", labels);
-    cells->cache_misses =
-        registry_.counter("serve.tenant.cache_misses", labels);
     cells->latency =
         registry_.histogram("serve.tenant.latency_us", labels, /*cells=*/1);
     for (std::size_t s = 0; s < kStageCount; ++s) {
@@ -146,18 +141,6 @@ void Telemetry::record_completed(ClusterId cluster, double latency_us) {
   if (per_tenant_) tenant_cells(cluster).latency->record(latency_us);
 }
 
-void Telemetry::record_cache_hit(ClusterId cluster) {
-  if (!obs::metrics_enabled()) return;
-  cache_hits_->inc();
-  if (per_tenant_) tenant_cells(cluster).cache_hits->inc();
-}
-
-void Telemetry::record_cache_miss(ClusterId cluster) {
-  if (!obs::metrics_enabled()) return;
-  cache_misses_->inc();
-  if (per_tenant_) tenant_cells(cluster).cache_misses->inc();
-}
-
 void Telemetry::record_model_version(ClusterId cluster, std::uint64_t version,
                                      double staleness_us) {
   if (!obs::metrics_enabled() || !per_tenant_) return;
@@ -190,8 +173,6 @@ TenantSnapshot Telemetry::snapshot_of(const TenantCells& cells) {
   s.completed = latency.count;
   s.shed = cells.shed->value();
   s.rejected = cells.rejected->value();
-  s.cache_hits = cells.cache_hits->value();
-  s.cache_misses = cells.cache_misses->value();
   s.model_version = cells.model_version.load(std::memory_order_relaxed);
   s.model_swaps = cells.model_swaps.load(std::memory_order_relaxed);
   s.model_staleness_us =
@@ -232,18 +213,12 @@ Telemetry::stage_snapshot(ClusterId cluster) const {
 common::Table Telemetry::tenant_report() const {
   const auto snapshots = tenant_snapshots();
   common::Table t({"cluster", "submitted", "completed", "shed", "rejected",
-                   "p50 us", "p99 us", "cache hit%", "model ver", "swaps",
-                   "staleness ms"});
+                   "p50 us", "p99 us", "model ver", "swaps", "staleness ms"});
   for (const auto& [cluster, s] : snapshots) {
-    const std::uint64_t looked_up = s.cache_hits + s.cache_misses;
-    const double hit_pct =
-        looked_up > 0 ? 100.0 * static_cast<double>(s.cache_hits) /
-                            static_cast<double>(looked_up)
-                      : 0.0;
     t.add_row({std::to_string(cluster), std::to_string(s.submitted),
                std::to_string(s.completed), std::to_string(s.shed),
                std::to_string(s.rejected), common::Table::num(s.p50_us, 1),
-               common::Table::num(s.p99_us, 1), common::Table::num(hit_pct, 1),
+               common::Table::num(s.p99_us, 1),
                std::to_string(s.model_version), std::to_string(s.model_swaps),
                common::Table::num(s.model_staleness_us / 1000.0, 1)});
   }
@@ -281,8 +256,6 @@ TelemetrySnapshot Telemetry::snapshot() const {
   s.shed = shed_->value();
   s.rejected = rejected_->value();
   s.batches = batches_->value();
-  s.cache_hits = cache_hits_->value();
-  s.cache_misses = cache_misses_->value();
   const std::uint64_t batch_requests = batch_requests_->value();
   s.mean_batch_occupancy =
       s.batches > 0 ? static_cast<double>(batch_requests) /
@@ -306,11 +279,6 @@ common::Table Telemetry::report(double elapsed_s) const {
   t.add_row({"shed", std::to_string(s.shed)});
   t.add_row({"rejected", std::to_string(s.rejected)});
   t.add_row({"batches", std::to_string(s.batches)});
-  if (s.cache_hits + s.cache_misses > 0) {
-    t.add_row({"cache hits", std::to_string(s.cache_hits)});
-    t.add_row(
-        {"cache hit rate", common::Table::num(s.cache_hit_rate() * 100.0, 1)});
-  }
   t.add_row({"mean batch occupancy", common::Table::num(s.mean_batch_occupancy, 2)});
   t.add_row({"max batch occupancy", std::to_string(s.max_batch_occupancy)});
   t.add_row({"p50 latency (us)", common::Table::num(s.p50_us, 1)});

@@ -80,19 +80,10 @@ struct TelemetrySnapshot {
   std::uint64_t shed = 0;
   std::uint64_t rejected = 0;  // kUnknownCluster/kBadRequest/kShutdown/kInternalError
   std::uint64_t batches = 0;
-  std::uint64_t cache_hits = 0;    // answered from the ReconstructionCache
-  std::uint64_t cache_misses = 0;  // looked up but decoded
   double mean_batch_occupancy = 0.0;
   std::size_t max_batch_occupancy = 0;
   double p50_us = 0.0, p95_us = 0.0, p99_us = 0.0;
   double mean_latency_us = 0.0, max_latency_us = 0.0;
-
-  double cache_hit_rate() const {
-    const std::uint64_t total = cache_hits + cache_misses;
-    return total > 0
-               ? static_cast<double>(cache_hits) / static_cast<double>(total)
-               : 0.0;
-  }
 
   /// Completed requests per second over `elapsed_s` of wall time.
   double throughput_rps(double elapsed_s) const {
@@ -106,8 +97,6 @@ struct TenantSnapshot {
   std::uint64_t completed = 0;
   std::uint64_t shed = 0;
   std::uint64_t rejected = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   /// Decoder generation that served the tenant's most recent batch (0 when
   /// nothing has been served yet) and how many version changes this
   /// tenant's shard has observed — i.e. hot swaps that actually reached the
@@ -127,9 +116,9 @@ class Telemetry {
   /// The serve-pipeline stages the per-tenant breakdown accounts.
   enum class Stage : std::size_t {
     kQueueWait = 0,  // submit enqueue -> batch pop
-    kAssembly,       // shape validation + cache lookup + latent stacking
+    kAssembly,       // shape validation + latent stacking/dequantization
     kDecode,         // decoder inference
-    kRespond,        // row copy + cache insert + promise fulfilment
+    kRespond,        // row copy + promise fulfilment
   };
   static constexpr std::size_t kStageCount = 4;
 
@@ -165,8 +154,6 @@ class Telemetry {
   void record_shed(ClusterId cluster);
   void record_rejected(ClusterId cluster);
   void record_completed(ClusterId cluster, double latency_us);
-  void record_cache_hit(ClusterId cluster);
-  void record_cache_miss(ClusterId cluster);
   /// Called once per served batch with the decoder generation that served
   /// it and the snapshot's age (0 for the live, non-snapshot path). Version
   /// changes increment the tenant's swap counter.
@@ -190,7 +177,7 @@ class Telemetry {
   /// time to get a throughput row.
   common::Table report(double elapsed_s) const;
   /// One row per tenant: cluster | submitted | completed | shed | rejected |
-  /// p50 us | p99 us.
+  /// p50 us | p99 us | model ver | swaps | staleness ms.
   common::Table tenant_report() const;
   /// Per-tenant stage breakdown: mean us/request spent in each pipeline
   /// stage (cluster | queue wait us | assembly us | decode us | respond us
@@ -210,8 +197,6 @@ class Telemetry {
     obs::Counter* submitted;
     obs::Counter* shed;
     obs::Counter* rejected;
-    obs::Counter* cache_hits;
-    obs::Counter* cache_misses;
     obs::Histogram* latency;  // 1 cell: one shard worker records per tenant
     obs::Counter* stage_us[kStageCount];
     obs::Counter* stage_requests[kStageCount];
@@ -233,8 +218,6 @@ class Telemetry {
   obs::Counter* submitted_;
   obs::Counter* shed_;
   obs::Counter* rejected_;
-  obs::Counter* cache_hits_;
-  obs::Counter* cache_misses_;
   obs::Counter* batches_;
   obs::Counter* batch_requests_;
   obs::Gauge* max_occupancy_;

@@ -15,6 +15,7 @@
 #include <new>
 #include <vector>
 
+#include "core/quantization.h"
 #include "core/system.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
@@ -444,10 +445,11 @@ TEST(ZeroAllocTest, NestedChainDecodesZeroAllocAndBitwiseEqualToFlat) {
 
 TEST(ZeroAllocTest, ClusterShardStyleSteadyStateDecodeIsAllocationFree) {
   // The exact decode stage ClusterShard::serve_batch runs per batch:
-  // assemble coalesced latents into the context's input buffer (one sized
-  // row copy each), decode through the tenant's real exported decoder into
-  // the worker-owned output buffer. After warmup the whole stage must not
-  // touch the allocator — the acceptance bar for this PR.
+  // assemble coalesced requests into the context's input buffer (a float
+  // latent is one sized row copy, a kFixed8 uplink payload is dequantized
+  // straight into its row), decode through the tenant's real exported
+  // decoder into the worker-owned output buffer. After warmup the whole
+  // stage must not touch the allocator.
   SerialBlockedScope kernels;
   core::SystemConfig cfg;
   cfg.orco.input_dim = 64;
@@ -460,7 +462,12 @@ TEST(ZeroAllocTest, ClusterShardStyleSteadyStateDecodeIsAllocationFree) {
 
   common::Pcg32 rng(17);
   std::vector<Tensor> latents;
-  for (int i = 0; i < 8; ++i) latents.push_back(Tensor::randn({16}, rng));
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (int i = 0; i < 8; ++i) {
+    latents.push_back(Tensor::randn({16}, rng));
+    payloads.push_back(
+        core::quantize_latents(latents.back(), core::LatentPrecision::kFixed8));
+  }
 
   nn::InferContext ctx;
   Tensor decode_out;
@@ -468,8 +475,14 @@ TEST(ZeroAllocTest, ClusterShardStyleSteadyStateDecodeIsAllocationFree) {
     Tensor& stacked = ctx.input();
     stacked.resize(count, 16);
     for (std::size_t r = 0; r < count; ++r) {
-      const auto src = latents[r].data();
-      std::copy(src.begin(), src.end(), stacked.row(r).begin());
+      if (r % 2 == 1) {
+        core::dequantize_latents_into(payloads[r].data(), payloads[r].size(),
+                                      core::LatentPrecision::kFixed8,
+                                      stacked.row(r).data(), 16);
+      } else {
+        const auto src = latents[r].data();
+        std::copy(src.begin(), src.end(), stacked.row(r).begin());
+      }
     }
     system.edge().decode_inference(stacked, decode_out, ctx);
   };

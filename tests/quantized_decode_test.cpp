@@ -3,13 +3,15 @@
 // parity against explicit dequantize-then-gemm on every backend, the
 // InferPlan quantized entry point, an end-to-end decoder error bound
 // propagated from quantization_error_bound, and the serving runtime's
-// quantized submit path (int8 GEMM fast path and row-wise fallback).
+// quantized submit path (payloads dequantized into their batch rows).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/quantization.h"
@@ -381,74 +383,89 @@ TEST(QuantizedInferTest, EndToEndDecodeErrorWithinPropagatedBound) {
 
 // ---- serving runtime quantized submit ---------------------------------------
 
-core::SystemConfig tenant_config(bool int8_decode) {
+core::SystemConfig tenant_config() {
   core::SystemConfig cfg;
   cfg.orco.input_dim = 64;
   cfg.orco.latent_dim = 16;
   cfg.orco.decoder_layers = 2;
   cfg.orco.seed = 42;
-  cfg.orco.int8_decode = int8_decode;
   cfg.field.device_count = 8;
   cfg.field.radio_range_m = 60.0;
   return cfg;
 }
 
-TEST(ServeQuantizedTest, Int8FastPathDecodesQuantizedPayloads) {
+TEST(ServeQuantizedTest, MixedPrecisionBatchDecodesEachRowAsItsOwnFloats) {
+  // One batch through the shard's single assembly loop: a float latent, a
+  // kFixed8 and a kFixed16 payload share the decode, each payload
+  // dequantized into its own row. Every row must decode bitwise as its own
+  // floats decode alone; a truncated payload is refused without touching
+  // its neighbours.
   serve::ServeConfig cfg;
   cfg.shard_count = 1;
-  cfg.int8_decode = true;
   serve::ServerRuntime runtime(cfg);
-  const auto tenant =
-      std::make_shared<core::OrcoDcsSystem>(tenant_config(true));
-  runtime.register_cluster(7, tenant);
-  runtime.start();
+  const auto tenant = std::make_shared<core::OrcoDcsSystem>(tenant_config());
+  runtime.register_cluster(5, tenant);
 
   common::Pcg32 rng(57);
-  std::vector<Tensor> latents;
-  std::vector<std::future<serve::DecodeResponse>> futures;
-  for (int i = 0; i < 6; ++i) {
-    latents.push_back(Tensor::randn({16}, rng));
-    futures.push_back(runtime.submit(
-        7, core::quantize_latents(latents.back(), LatentPrecision::kFixed8),
-        LatentPrecision::kFixed8));
+  std::vector<serve::PendingRequest> batch;
+  std::vector<Tensor> own_floats;  // each well-formed row's float input
+  const auto add = [&](serve::DecodeRequest request) {
+    request.cluster = 5;
+    request.id = batch.size() + 1;
+    batch.emplace_back(std::move(request),
+                       std::promise<serve::DecodeResponse>());
+  };
+  const auto quantized = [&](LatentPrecision precision) {
+    serve::DecodeRequest request;
+    request.payload =
+        core::quantize_latents(Tensor::randn({16}, rng), precision);
+    request.precision = precision;
+    request.quantized = true;
+    return request;
+  };
+  {
+    serve::DecodeRequest request;
+    request.latent = Tensor::randn({16}, rng);
+    own_floats.push_back(request.latent.reshaped({1, 16}));
+    add(std::move(request));
   }
-  for (std::size_t i = 0; i < futures.size(); ++i) {
+  for (const auto precision :
+       {LatentPrecision::kFixed8, LatentPrecision::kFixed16}) {
+    serve::DecodeRequest request = quantized(precision);
+    own_floats.push_back(
+        core::dequantize_latents(request.payload, {1, 16}, precision));
+    add(std::move(request));
+  }
+  serve::DecodeRequest truncated = quantized(LatentPrecision::kFixed8);
+  truncated.payload.pop_back();
+  add(std::move(truncated));
+
+  std::vector<std::future<serve::DecodeResponse>> futures;
+  for (auto& pending : batch) futures.push_back(pending.promise.get_future());
+  runtime.shard(0).serve_batch(std::move(batch));
+
+  for (std::size_t i = 0; i < own_floats.size(); ++i) {
     serve::DecodeResponse response = futures[i].get();
     ASSERT_EQ(response.status, serve::ResponseStatus::kOk) << response.detail;
-    ASSERT_EQ(response.reconstruction.numel(), 64u);
-    // Expected: decode the float-math dequantization of the same payload —
-    // the fused GEMM applies exactly x = lo + q*scale per code.
-    const std::vector<std::uint8_t> payload =
-        core::quantize_latents(latents[i], LatentPrecision::kFixed8);
-    float lo = 0.0f, step = 0.0f;
-    core::quantized_dequant_params(payload.data(), LatentPrecision::kFixed8,
-                                   &lo, &step);
-    const std::size_t header =
-        core::quantization_header_bytes(LatentPrecision::kFixed8);
-    Tensor dequant({1, 16});
-    for (std::size_t j = 0; j < 16; ++j) {
-      dequant.at(0, j) =
-          lo + static_cast<float>(payload[header + j]) * step;
-    }
-    const Tensor expected = tenant->edge().decode_inference(dequant);
-    for (std::size_t j = 0; j < 64; ++j) {
+    EXPECT_EQ(response.batch_size, 3u);
+    const Tensor expected = tenant->edge().decode_inference(own_floats[i]);
+    ASSERT_EQ(response.reconstruction.numel(), expected.numel());
+    for (std::size_t j = 0; j < expected.numel(); ++j) {
       ASSERT_EQ(response.reconstruction[j], expected[j])
-          << "request " << i << " col " << j;
+          << "row " << i << " col " << j;
     }
   }
-  runtime.shutdown();
+  EXPECT_EQ(futures.back().get().status, serve::ResponseStatus::kBadRequest);
 }
 
 TEST(ServeQuantizedTest, RowWiseFallbackServesQuantizedPayloads) {
-  // int8 GEMM disarmed (runtime flag off): quantized payloads are decoded
-  // by row-wise dequantize_latents_into — identical to submitting the
-  // double-math dequantized floats. kFixed16 exercises the non-int8 wire
-  // precision through the same path.
+  // Quantized payloads are decoded by row-wise dequantize_latents_into —
+  // identical to submitting the double-math dequantized floats. kFixed16
+  // exercises the non-int8 wire precision through the same path.
   serve::ServeConfig cfg;
   cfg.shard_count = 1;
   serve::ServerRuntime runtime(cfg);
-  const auto tenant =
-      std::make_shared<core::OrcoDcsSystem>(tenant_config(false));
+  const auto tenant = std::make_shared<core::OrcoDcsSystem>(tenant_config());
   runtime.register_cluster(3, tenant);
   runtime.start();
 
@@ -475,10 +492,9 @@ TEST(ServeQuantizedTest, RowWiseFallbackServesQuantizedPayloads) {
 TEST(ServeQuantizedTest, MalformedQuantizedPayloadIsBadRequest) {
   serve::ServeConfig cfg;
   cfg.shard_count = 1;
-  cfg.int8_decode = true;
   serve::ServerRuntime runtime(cfg);
-  runtime.register_cluster(9, std::make_shared<core::OrcoDcsSystem>(
-                                  tenant_config(true)));
+  runtime.register_cluster(
+      9, std::make_shared<core::OrcoDcsSystem>(tenant_config()));
   runtime.start();
   // 3 bytes short of quantized_payload_bytes(16, kFixed8).
   std::vector<std::uint8_t> bad(

@@ -737,86 +737,5 @@ TEST(TelemetryTest, ReportIncludesThroughput) {
   EXPECT_NE(csv.find("0.5"), std::string::npos);  // 1 completed / 2 s
 }
 
-TEST(ReconstructionCacheTest, LruEvictionOrderUnderCapacityPressure) {
-  // Eviction must follow exact LRU order — lookups refresh recency, and
-  // under sustained capacity pressure the victims fall out oldest-first.
-  ReconstructionCacheConfig cfg;
-  cfg.capacity = 3;
-  ReconstructionCache cache(cfg);
-
-  common::Pcg32 rng(91);
-  const Tensor la = Tensor::randn({8}, rng);
-  const Tensor lb = Tensor::randn({8}, rng);
-  const Tensor lc = Tensor::randn({8}, rng);
-  const Tensor ld = Tensor::randn({8}, rng);
-  const Tensor le = Tensor::randn({8}, rng);
-
-  cache.insert(1, 1, la, Tensor::full({4}, 1.0f));
-  cache.insert(1, 1, lb, Tensor::full({4}, 2.0f));
-  cache.insert(1, 1, lc, Tensor::full({4}, 3.0f));
-  EXPECT_EQ(cache.size(), 3u);
-
-  // Refresh A: recency becomes A > C > B, so the next insert evicts B.
-  ASSERT_NE(cache.lookup(1, 1, la), nullptr);
-  cache.insert(1, 1, ld, Tensor::full({4}, 4.0f));
-  EXPECT_EQ(cache.lookup(1, 1, lb), nullptr);
-  ASSERT_NE(cache.lookup(1, 1, ld), nullptr);
-
-  // Refresh C: recency C > D > A, so the next insert evicts A.
-  ASSERT_NE(cache.lookup(1, 1, lc), nullptr);
-  cache.insert(1, 1, le, Tensor::full({4}, 5.0f));
-  EXPECT_EQ(cache.lookup(1, 1, la), nullptr);
-  ASSERT_NE(cache.lookup(1, 1, lc), nullptr);
-  ASSERT_NE(cache.lookup(1, 1, ld), nullptr);
-  ASSERT_NE(cache.lookup(1, 1, le), nullptr);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.stats().evictions, 2u);
-}
-
-TEST(ReconstructionCacheTest, SwapEdgeInvalidationWithInterleavedVersions) {
-  // The swap-coherence hook ClusterShard fires on an observed version
-  // change: invalidate(tenant) must drop the tenant's entries across ALL
-  // model versions (a shard can hold pre- and post-swap generations
-  // interleaved), leave other tenants untouched, and let the freed LRU
-  // capacity go to the new generation.
-  ReconstructionCacheConfig cfg;
-  cfg.capacity = 8;
-  ReconstructionCache cache(cfg);
-
-  common::Pcg32 rng(92);
-  const Tensor l1 = Tensor::randn({8}, rng);
-  const Tensor l2 = Tensor::randn({8}, rng);
-  const Tensor l3 = Tensor::randn({8}, rng);
-  const Tensor other = Tensor::randn({8}, rng);
-
-  // Tenant 7's entries interleaved across versions 1 and 2, with tenant 9
-  // entries woven between them so invalidation has to skip over survivors.
-  cache.insert(7, 1, l1, Tensor::full({4}, 11.0f));
-  cache.insert(9, 1, other, Tensor::full({4}, 91.0f));
-  cache.insert(7, 2, l1, Tensor::full({4}, 21.0f));
-  cache.insert(7, 1, l2, Tensor::full({4}, 12.0f));
-  cache.insert(9, 2, l3, Tensor::full({4}, 92.0f));
-  cache.insert(7, 2, l2, Tensor::full({4}, 22.0f));
-  EXPECT_EQ(cache.size(), 6u);
-
-  cache.invalidate(7);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().invalidated, 4u);
-  EXPECT_EQ(cache.lookup(7, 1, l1), nullptr);
-  EXPECT_EQ(cache.lookup(7, 2, l1), nullptr);
-  EXPECT_EQ(cache.lookup(7, 1, l2), nullptr);
-  EXPECT_EQ(cache.lookup(7, 2, l2), nullptr);
-  ASSERT_NE(cache.lookup(9, 1, other), nullptr);
-  ASSERT_NE(cache.lookup(9, 2, l3), nullptr);
-
-  // Post-swap generation repopulates cleanly; dead versions stay dead.
-  cache.insert(7, 3, l1, Tensor::full({4}, 31.0f));
-  const Tensor* hit = cache.lookup(7, 3, l1);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_FLOAT_EQ((*hit)[0], 31.0f);
-  EXPECT_EQ(cache.lookup(7, 2, l1), nullptr);
-  EXPECT_EQ(cache.stats().evictions, 0u);  // capacity was freed, not evicted
-}
-
 }  // namespace
 }  // namespace orco::serve

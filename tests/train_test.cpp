@@ -1,9 +1,8 @@
 // Tests for the online background fine-tuning runtime (src/train) and its
 // serving-side integration: versioned ModelRegistry publish/hot-swap,
-// TrainerRuntime job lifecycle (budgets, rejection, drift triggering), the
-// latent-keyed ReconstructionCache, and a swap-while-serving stress test
-// asserting every request is answered by exactly one coherent model
-// generation.
+// TrainerRuntime job lifecycle (budgets, rejection, drift triggering), and
+// a swap-while-serving stress test asserting every request is answered by
+// exactly one coherent model generation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -286,140 +285,13 @@ TEST(TrainerTest, DriftTriggerEnqueuesOneJobAndRecoversBaseline) {
   EXPECT_EQ(trainer.stats().jobs_completed, 1u);
 }
 
-TEST(ReconstructionCacheTest, LruEvictionVersionKeysAndInvalidate) {
-  serve::ReconstructionCacheConfig cfg;
-  cfg.capacity = 2;
-  serve::ReconstructionCache cache(cfg);
-  EXPECT_TRUE(cache.enabled());
-
-  common::Pcg32 rng(1);
-  const Tensor l1 = Tensor::randn({kLatentDim}, rng);
-  const Tensor l2 = Tensor::randn({kLatentDim}, rng);
-  const Tensor l3 = Tensor::randn({kLatentDim}, rng);
-  const Tensor r1 = Tensor::full({kInputDim}, 1.0f);
-  const Tensor r2 = Tensor::full({kInputDim}, 2.0f);
-  const Tensor r3 = Tensor::full({kInputDim}, 3.0f);
-
-  EXPECT_EQ(cache.lookup(1, 1, l1), nullptr);  // cold miss
-  cache.insert(1, 1, l1, r1);
-  const Tensor* hit = cache.lookup(1, 1, l1);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_TRUE(bitwise_equal(*hit, r1));
-  // The model version is part of the key: a swapped model never sees the
-  // old generation's reconstruction.
-  EXPECT_EQ(cache.lookup(1, 2, l1), nullptr);
-  // So is the tenant.
-  EXPECT_EQ(cache.lookup(2, 1, l1), nullptr);
-
-  cache.insert(1, 1, l2, r2);
-  ASSERT_NE(cache.lookup(1, 1, l1), nullptr);  // refresh l1 -> l2 is LRU
-  cache.insert(1, 1, l3, r3);                  // capacity 2: evicts l2
-  EXPECT_EQ(cache.lookup(1, 1, l2), nullptr);
-  ASSERT_NE(cache.lookup(1, 1, l1), nullptr);
-  ASSERT_NE(cache.lookup(1, 1, l3), nullptr);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-
-  cache.invalidate(1);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.lookup(1, 1, l1), nullptr);
-  EXPECT_EQ(cache.stats().invalidated, 2u);
-  EXPECT_GT(cache.stats().hits, 0u);
-  EXPECT_GT(cache.stats().misses, 0u);
-  EXPECT_EQ(cache.stats().insertions, 3u);
-}
-
-TEST(ReconstructionCacheTest, NoisyRepeatLatentsCollideAtKeyPrecision) {
-  // The cache exists for near-identical repeat traffic: keys must snap the
-  // affine range so sub-code-step noise — including on the min/max
-  // elements, which would perturb an exact-range header — still lands on
-  // the same entry at kFixed8.
-  serve::ReconstructionCacheConfig cfg;
-  cfg.capacity = 8;
-  cfg.key_precision = core::LatentPrecision::kFixed8;
-  serve::ReconstructionCache cache(cfg);
-
-  // Values constructed away from code boundaries so the assertion is
-  // deterministic: extremes 0.1/0.9 snap the range to [6/64, 58/64]
-  // (stable under ±1e-4), and interior elements sit exactly on code
-  // points — maximally far from the rounding boundaries a half code step
-  // away (~1.6e-3 >> 1e-4 noise).
-  const float lo = 6.0f / 64.0f, hi = 58.0f / 64.0f;
-  const float step = (hi - lo) / 255.0f;
-  Tensor base({kLatentDim});
-  base[0] = 0.1f;
-  base[kLatentDim - 1] = 0.9f;
-  for (std::size_t i = 1; i + 1 < kLatentDim; ++i) {
-    base[i] = lo + static_cast<float>(8 * i) * step;
-  }
-  Tensor noisy = base;
-  for (std::size_t i = 0; i < noisy.numel(); ++i) {
-    noisy[i] += (i % 2 == 0 ? 1e-4f : -1e-4f);
-  }
-  cache.insert(1, 1, base, Tensor::full({kInputDim}, 5.0f));
-  const Tensor* hit = cache.lookup(1, 1, noisy);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_FLOAT_EQ((*hit)[0], 5.0f);
-
-  // A genuinely different latent must not collide.
-  common::Pcg32 rng(33);
-  const Tensor other = Tensor::uniform({kLatentDim}, rng, 0.1f, 0.9f);
-  EXPECT_EQ(cache.lookup(1, 1, other), nullptr);
-}
-
-TEST(ReconstructionCacheTest, RepeatLatentServedFromCacheUntilSwap) {
-  auto system = make_tenant(5);
-  auto registry = std::make_shared<ModelRegistry>();
-  (void)registry->publish(1, snapshot_of(*system, 1));
-
-  serve::ServeConfig scfg;
-  scfg.shard_count = 1;
-  scfg.queue.max_wait_us = 100;
-  scfg.model_registry = registry;
-  scfg.recon_cache.capacity = 64;
-  serve::ServerRuntime runtime(scfg);
-  runtime.register_cluster(1, system);
-  runtime.start();
-
-  common::Pcg32 rng(17);
-  const Tensor latent = Tensor::randn({kLatentDim}, rng);
-  const DecodeResponse miss = runtime.submit(1, latent).get();
-  ASSERT_EQ(miss.status, ResponseStatus::kOk);
-  EXPECT_FALSE(miss.cache_hit);
-
-  const DecodeResponse hit = runtime.submit(1, latent).get();
-  ASSERT_EQ(hit.status, ResponseStatus::kOk);
-  EXPECT_TRUE(hit.cache_hit);
-  EXPECT_EQ(hit.model_version, 1u);
-  EXPECT_TRUE(bitwise_equal(hit.reconstruction, miss.reconstruction));
-
-  // Hot-swap to a different model: the same latent must decode fresh on
-  // the new generation, not replay the stale reconstruction.
-  auto other = make_tenant(6);
-  (void)registry->publish(1, snapshot_of(*other, 2));
-  const DecodeResponse after_swap = runtime.submit(1, latent).get();
-  ASSERT_EQ(after_swap.status, ResponseStatus::kOk);
-  EXPECT_FALSE(after_swap.cache_hit);
-  EXPECT_EQ(after_swap.model_version, 2u);
-  EXPECT_FALSE(
-      bitwise_equal(after_swap.reconstruction, miss.reconstruction));
-
-  const auto snapshot = runtime.telemetry().snapshot();
-  EXPECT_EQ(snapshot.cache_hits, 1u);
-  EXPECT_EQ(snapshot.cache_misses, 2u);
-  const auto row = runtime.telemetry().tenant_snapshot(1);
-  EXPECT_EQ(row.cache_hits, 1u);
-  EXPECT_EQ(row.model_swaps, 1u);
-  runtime.shutdown();
-}
-
 TEST(SwapStressTest, EveryRequestAnsweredByExactlyOneCoherentVersion) {
   // Two weight sets A and B; a swapper thread hot-publishes alternating
   // generations while client threads hammer one latent. Every kOk response
   // must bitwise-match exactly one generation's reference decode AND carry
-  // that generation's version — no torn weights, no stale prepacked panel,
-  // no cache entry crossing a swap. Each published snapshot carries a plan
-  // with packed panels, so a stale packed panel would show up as a
-  // mismatch.
+  // that generation's version — no torn weights, no stale prepacked panel.
+  // Each published snapshot carries a plan with packed panels, so a stale
+  // packed panel would show up as a mismatch.
   auto sys_a = make_tenant(101);
   auto sys_b = make_tenant(202);
 
@@ -444,7 +316,6 @@ TEST(SwapStressTest, EveryRequestAnsweredByExactlyOneCoherentVersion) {
   scfg.queue.capacity = 4096;
   scfg.queue.max_wait_us = 50;
   scfg.model_registry = registry;
-  scfg.recon_cache.capacity = 128;  // the cache must stay swap-coherent too
   serve::ServerRuntime runtime(scfg);
   runtime.register_cluster(1, sys_a);
   runtime.start();

@@ -52,11 +52,6 @@ void BM_GemmReference(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmReference)->Arg(64)->Arg(256)->Arg(512);
 
-void BM_GemmBlocked(benchmark::State& state) {
-  bench_gemm_backend(state, tensor::blocked_backend());
-}
-BENCHMARK(BM_GemmBlocked)->Arg(64)->Arg(256)->Arg(512);
-
 void BM_GemmSimd(benchmark::State& state) {
   bench_gemm_backend(state, tensor::simd_backend());
 }
@@ -71,7 +66,7 @@ void BM_GemmPrepackedSmallBatch(benchmark::State& state) {
   const Tensor a = Tensor::randn({m, 128}, rng);
   const Tensor w = Tensor::randn({784, 128}, rng);  // (out, in) dense layout
   const Tensor bias = Tensor::randn({784}, rng);
-  const tensor::Backend& be = tensor::blocked_backend();
+  const tensor::Backend& be = tensor::simd_backend();
   tensor::BackendScope scope(&be);
   const tensor::PackedWeights packed =
       be.pack_b(w.data().data(), 128, 784, /*transpose_b=*/true);
@@ -302,31 +297,6 @@ double fused_gflops(const tensor::Backend& be, const GemmShape& s,
   });
 }
 
-/// int8 decode GEMM GFLOP/s: uint8 latent codes dequantized on the fly
-/// while packing the A panels, against the prepacked (bf16) decoder weight
-/// — the serving fast path that skips the float latent buffer entirely.
-double int8_gflops(const tensor::Backend& be, const GemmShape& s) {
-  common::Pcg32 rng(17);
-  std::vector<std::uint8_t> codes(s.m * s.k);
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    codes[i] = static_cast<std::uint8_t>((i * 131u + 17u) & 0xFFu);
-  }
-  std::vector<float> lo(s.m, -1.0f);
-  std::vector<float> scale(s.m, 2.0f / 255.0f);
-  const tensor::QuantHeader qh{lo.data(), scale.data()};
-  const Tensor w = Tensor::randn({s.n, s.k}, rng);
-  const Tensor bias = Tensor::randn({s.n}, rng);
-  const tensor::PackedWeights packed =
-      be.pack_b(w.data().data(), s.k, s.n, /*transpose_b=*/true);
-  Tensor c({s.m, s.n});
-  tensor::Epilogue epi;
-  epi.bias = bias.data().data();
-  return best_gflops(gemm_flop(s), [&] {
-    be.gemm_quantized(codes.data(), qh, packed, c.data().data(), s.m, s.k,
-                      s.n, epi);
-  });
-}
-
 void emit_bench_gemm_json() {
   using common::Table;
   const GemmShape shapes[] = {
@@ -334,7 +304,7 @@ void emit_bench_gemm_json() {
       {512, 512, 512}, {8, 128, 784},   {32, 456, 784},
   };
   common::print_section(std::cout, "GEMM GFLOP/s per kernel backend");
-  Table table({"m", "k", "n", "reference", "blocked", "simd", "simd/blocked"});
+  Table table({"m", "k", "n", "reference", "simd", "simd/reference"});
   std::ofstream json("BENCH_gemm.json");
   json << "{\n  \"flop_metric\": \"GFLOP/s\",\n  \"simd_isa\": \""
        << tensor::simd_isa() << "\",\n  \"shapes\": [\n";
@@ -342,66 +312,52 @@ void emit_bench_gemm_json() {
   for (std::size_t i = 0; i < count; ++i) {
     const GemmShape& s = shapes[i];
     const double ref = gemm_gflops(tensor::reference_backend(), s);
-    const double blk = gemm_gflops(tensor::blocked_backend(), s);
     const double simd = gemm_gflops(tensor::simd_backend(), s);
     table.add_row({std::to_string(s.m), std::to_string(s.k),
                    std::to_string(s.n), Table::num(ref, 2),
-                   Table::num(blk, 2), Table::num(simd, 2),
-                   Table::num(simd / blk, 2)});
+                   Table::num(simd, 2), Table::num(simd / ref, 2)});
     json << "    {\"m\": " << s.m << ", \"k\": " << s.k << ", \"n\": " << s.n
          << ", \"reference_gflops\": " << ref
-         << ", \"blocked_gflops\": " << blk
-         << ", \"blocked_vs_reference\": " << blk / ref
          << ", \"simd_gflops\": " << simd
-         << ", \"simd_vs_blocked\": " << simd / blk << "}"
+         << ", \"simd_vs_reference\": " << simd / ref << "}"
          << (i + 1 < count ? "," : "") << "\n";
   }
   json << "  ],\n";
 
-  // Small-batch serving decode: the per-call B-panel packing dominates when
-  // m <= 4, so the prepacked path (pack once into bf16 panels, reuse) must
-  // beat the plain blocked fused path, which packs f32 panels every call;
-  // the int8 path (simd backend, dequant fused into the A pack) reads a
-  // quarter of the A bytes against the same bf16 B panels as "simd
-  // prepacked". Rows land in the same BENCH_gemm.json under
+  // Small-batch serving decode on the simd backend: the per-call B-panel
+  // packing dominates when m <= 4, so the prepacked path (pack once into
+  // bf16 panels, reuse) must beat the fused path, which packs f32 panels
+  // every call. Rows land in the same BENCH_gemm.json under
   // "prepacked_small_batch".
   const GemmShape decode_shapes[] = {
       {1, 128, 784}, {2, 128, 784}, {4, 128, 784}, {8, 128, 784},
       {4, 456, 784},
   };
   common::print_section(std::cout, "Prepacked decode GEMM GFLOP/s");
-  Table ptable({"m", "k", "n", "blocked fused", "prepacked", "simd prepacked",
-                "int8 simd", "int8/f32"});
+  Table ptable({"m", "k", "n", "fused", "prepacked", "prepacked/fused"});
   json << "  \"prepacked_small_batch\": [\n";
   const std::size_t pcount = sizeof(decode_shapes) / sizeof(decode_shapes[0]);
   for (std::size_t i = 0; i < pcount; ++i) {
     const GemmShape& s = decode_shapes[i];
     const double fused =
-        fused_gflops(tensor::blocked_backend(), s, /*prepacked=*/false);
+        fused_gflops(tensor::simd_backend(), s, /*prepacked=*/false);
     const double pre =
-        fused_gflops(tensor::blocked_backend(), s, /*prepacked=*/true);
-    const double simd_pre =
         fused_gflops(tensor::simd_backend(), s, /*prepacked=*/true);
-    const double int8 = int8_gflops(tensor::simd_backend(), s);
     ptable.add_row({std::to_string(s.m), std::to_string(s.k),
                     std::to_string(s.n), Table::num(fused, 2),
-                    Table::num(pre, 2), Table::num(simd_pre, 2),
-                    Table::num(int8, 2), Table::num(int8 / pre, 2)});
+                    Table::num(pre, 2), Table::num(pre / fused, 2)});
     json << "    {\"m\": " << s.m << ", \"k\": " << s.k << ", \"n\": " << s.n
-         << ", \"blocked_fused_gflops\": " << fused
+         << ", \"fused_gflops\": " << fused
          << ", \"prepacked_gflops\": " << pre
-         << ", \"prepacked_vs_fused\": " << pre / fused
-         << ", \"simd_prepacked_gflops\": " << simd_pre
-         << ", \"int8_prepacked_gflops\": " << int8
-         << ", \"int8_vs_f32_prepacked\": " << int8 / pre << "}"
+         << ", \"prepacked_vs_fused\": " << pre / fused << "}"
          << (i + 1 < pcount ? "," : "") << "\n";
   }
   json << "  ],\n";
 
-  // Uplink cost of the int8 decode path at the serving latent width: a
-  // float32 latent is 4 bytes/element; the kFixed8 payload is an 8-byte
-  // [min, max] header plus one code byte per element, decoded inside the
-  // GEMM without ever materialising the float latent.
+  // Uplink cost of a kFixed8 latent at the serving latent width: a float32
+  // latent is 4 bytes/element; the kFixed8 payload is an 8-byte [min, max]
+  // header plus one code byte per element, dequantized into the batch rows
+  // on the edge.
   const std::size_t latent_dim = 128;
   const std::size_t f32_bytes = latent_dim * sizeof(float);
   const std::size_t int8_bytes = core::quantized_payload_bytes(

@@ -49,8 +49,8 @@ struct OrcoConfig {
   std::uint64_t seed = 42;
 
   // Kernel backend (tensor/backend.h) for this system's training rounds and
-  // edge decoding: "reference", "blocked", "simd", or empty to inherit the
-  // process default (set_backend() / ORCO_BACKEND).
+  // edge decoding: "reference", "simd", or empty to inherit the process
+  // default (set_backend() / ORCO_BACKEND).
   std::string backend;
 
   std::size_t decoder_hidden() const {

@@ -70,26 +70,6 @@ void Dense::infer_packed_into(const Tensor& input, Tensor& out,
                                batch, in_, out_, epi);
 }
 
-void Dense::infer_quantized_packed_into(const std::uint8_t* codes,
-                                        const tensor::QuantHeader& qh,
-                                        std::size_t batch, Tensor& out,
-                                        const tensor::PackedWeights& packed,
-                                        tensor::EpilogueAct act,
-                                        float leaky_alpha) const {
-  ORCO_CHECK(codes != nullptr && qh.row_lo != nullptr &&
-                 qh.row_scale != nullptr,
-             "infer_quantized_packed_into needs codes and per-row headers");
-  out.resize(batch, out_);
-  tensor::Epilogue epi;
-  epi.bias = b_.data().data();
-  epi.bias_per_row = false;
-  epi.act = act;
-  epi.leaky_alpha = leaky_alpha;
-  OBS_SCOPED_SPAN(obs::KernelOp::kGemmQuantized, 2ull * batch * in_ * out_);
-  packed.owner->gemm_quantized(codes, qh, packed, out.data().data(), batch,
-                               in_, out_, epi);
-}
-
 std::shared_ptr<const tensor::PackedWeights> Dense::plan_pack(
     const tensor::Backend& backend, std::uint64_t& version_out) const {
   version_out = weight_version_.load(std::memory_order_acquire);

@@ -44,17 +44,6 @@ class Dense : public Layer {
                          const tensor::PackedWeights& packed,
                          tensor::EpilogueAct act, float leaky_alpha) const;
 
-  /// act(dequant(codes)·Wᵀ + b) straight from uint8 latent codes with
-  /// per-row affine headers `qh` against caller-supplied packed panels —
-  /// the plan-compiled int8 uplink decode head (Backend::gemm_quantized
-  /// only takes panel weights).
-  void infer_quantized_packed_into(const std::uint8_t* codes,
-                                   const tensor::QuantHeader& qh,
-                                   std::size_t batch, Tensor& out,
-                                   const tensor::PackedWeights& packed,
-                                   tensor::EpilogueAct act,
-                                   float leaky_alpha) const;
-
   /// Packs this layer's weight for `backend` and reports the weight version
   /// the panels captured — the compile-time half of InferPlan's pre-attached
   /// kernels, and the only place the layer's weight is packed.

@@ -94,17 +94,13 @@ void InferPlan::run(const Tensor& input, Tensor& out,
       ctx.scratch().capacity() < scratch_floats_) {
     ctx.scratch().reserve(scratch_floats_);
   }
-  run_ops(&input, 0, out, ctx);
-}
-
-void InferPlan::run_ops(const Tensor* cur, std::size_t start, Tensor& out,
-                        InferContext& ctx) const {
   const tensor::Backend& be = tensor::current_backend();
   const bool profile = obs::kernel_profiling_enabled();
   const std::size_t n = ops_.size();
+  const Tensor* cur = &input;
   // ORCO_HOT_PATH BEGIN (plan executor: every per-batch decision was made
   // at compile time — no allocation, no locks, no cache probes)
-  for (std::size_t i = start; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const PlanOp& op = ops_[i];
     Tensor& dst = (i + 1 == n) ? out : ctx.other_than(*cur);
     const std::uint64_t t0 = profile ? obs::KernelTimer::now_ns() : 0;
@@ -142,66 +138,21 @@ void InferPlan::run_quantized(const std::uint8_t* codes,
   ORCO_CHECK(codes != nullptr && qh.row_lo != nullptr &&
                  qh.row_scale != nullptr,
              "run_quantized needs codes and per-row headers");
-  // Dequantizes with the exact expression the fused kernel applies
-  // (x = lo + q*scale, single-float), so both routes below produce the same
-  // head-input values.
-  const auto dequant_to = [&](Tensor& dst) {
-    dst.resize(batch, features);
-    for (std::size_t i = 0; i < batch; ++i) {
-      const std::uint8_t* src = codes + i * features;
-      float* row = dst.data().data() + i * features;
-      const float lo = qh.row_lo[i];
-      const float scale = qh.row_scale[i];
-      for (std::size_t j = 0; j < features; ++j) {
-        row[j] = lo + static_cast<float>(src[j]) * scale;
-      }
+  // An all-identity (or empty) chain is just the dequantization. Otherwise
+  // stage the batch in the context buffer `out` is not: a single-op plan
+  // may write a context buffer.
+  Tensor& staged = ops_.empty() ? out : ctx.other_than(out);
+  staged.resize(batch, features);
+  for (std::size_t i = 0; i < batch; ++i) {
+    const std::uint8_t* src = codes + i * features;
+    float* row = staged.data().data() + i * features;
+    const float lo = qh.row_lo[i];
+    const float scale = qh.row_scale[i];
+    for (std::size_t j = 0; j < features; ++j) {
+      row[j] = lo + static_cast<float>(src[j]) * scale;
     }
-  };
-  if (ops_.empty()) {
-    // All-identity (or empty) chain: the pass is just the dequantization.
-    dequant_to(out);
-    return;
   }
-  ORCO_CHECK(!ctx.owns(out) || ops_.size() == 1,
-             "InferPlan::run_quantized output may not alias a context "
-             "buffer: a multi-op plan needs both buffers for intermediates");
-  if (ctx.scratch().used() == 0 &&
-      ctx.scratch().capacity() < scratch_floats_) {
-    ctx.scratch().reserve(scratch_floats_);
-  }
-  const PlanOp& head = ops_.front();
-  const tensor::Backend& be = tensor::current_backend();
-  if (head.dense == nullptr || head.packed->owner != &be) {
-    // No Dense head to feed codes into, or its panels belong to another
-    // backend (a BackendScope override): dequantize and run the float plan.
-    // Stage in the buffer `out` is not — a single-op plan may write a
-    // context buffer.
-    Tensor& staged = ctx.other_than(out);
-    dequant_to(staged);
-    run_ops(&staged, 0, out, ctx);
-    return;
-  }
-  ORCO_CHECK(features == head.dense->in_features(),
-             "quantized latents have "
-                 << features << " features, head Dense expects "
-                 << head.dense->in_features());
-  // Dense head fast path: the GEMM reads the uint8 codes directly,
-  // dequantizing inside A-panel packing. The codes live outside the
-  // context, so input() is free to hold the head's output for the rest of
-  // the plan to ping-pong from.
-  const bool last = ops_.size() == 1;
-  Tensor& dst = last ? out : ctx.input();
-  const bool profile = obs::kernel_profiling_enabled();
-  const std::uint64_t t0 = profile ? obs::KernelTimer::now_ns() : 0;
-  head.dense->infer_quantized_packed_into(codes, qh, batch, dst, *head.packed,
-                                          head.act, head.leaky_alpha);
-  if (profile) {
-    obs::OpTimer& timer = timers_[0];
-    timer.ns.fetch_add(obs::KernelTimer::now_ns() - t0,
-                       std::memory_order_relaxed);
-    timer.calls.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (!last) run_ops(&dst, 1, out, ctx);
+  if (!ops_.empty()) run(staged, out, ctx);
 }
 
 bool InferPlan::weights_stale() const noexcept {

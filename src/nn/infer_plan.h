@@ -110,13 +110,10 @@ class InferPlan {
   /// repeat runs perform zero heap allocations.
   void run(const Tensor& input, Tensor& out, InferContext& ctx) const;
 
-  /// Executes the plan straight from uint8 latent codes (the int8 uplink
-  /// head): a Dense head op whose panels belong to the executing backend
-  /// feeds Backend::gemm_quantized directly; otherwise the codes are
-  /// dequantized (x = lo + q*scale, single-float) into the context buffer
-  /// `out` does not alias and the float plan runs. Both routes are bitwise
-  /// identical to run() on the dequantized batch (so the first reads the
-  /// bf16 panels, and the second, under a foreign backend, f32 weights).
+  /// Executes the plan on uint8 latent codes (kFixed8 payloads): the codes
+  /// are dequantized (x = lo + q*scale, single-float) into the context
+  /// buffer `out` does not alias and run() executes the float plan, so the
+  /// result is bitwise identical to run() on the dequantized batch.
   void run_quantized(const std::uint8_t* codes, const tensor::QuantHeader& qh,
                      std::size_t batch, std::size_t features, Tensor& out,
                      InferContext& ctx) const;
@@ -147,11 +144,6 @@ class InferPlan {
 
  private:
   InferPlan() = default;
-
-  /// The executor loop over ops [start, ...): shared by run() and the
-  /// quantized entry's tail.
-  void run_ops(const Tensor* cur, std::size_t start, Tensor& out,
-               InferContext& ctx) const;
 
   std::vector<PlanOp> ops_;
   const tensor::Backend* backend_ = nullptr;

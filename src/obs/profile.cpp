@@ -39,8 +39,6 @@ const char* kernel_op_name(KernelOp op) noexcept {
       return "gemm_fused";
     case KernelOp::kGemmPrepacked:
       return "gemm_prepacked";
-    case KernelOp::kGemmQuantized:
-      return "gemm_quantized";
     case KernelOp::kIm2col:
       return "im2col";
     case KernelOp::kCount:

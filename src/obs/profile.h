@@ -11,7 +11,7 @@
 //
 // Aggregation is process-global and keyed by KernelOp (the instrumented
 // call sites are enumerable); kernel_report() renders the standard bench
-// table with derived GFLOP/s so the blocked vs prepacked paths can be
+// table with derived GFLOP/s so the on-the-fly vs prepacked paths can be
 // compared straight from a serving run.
 #pragma once
 
@@ -26,12 +26,11 @@ namespace orco::obs {
 
 /// The instrumented kernel entry points. Order is report order.
 enum class KernelOp : std::size_t {
-  kGemm = 0,       // C = A * B (blocked)
+  kGemm = 0,       // C = A * B
   kGemmNT,         // C = A * B^T
   kGemmTN,         // C = A^T * B
   kGemmFused,      // GEMM + bias + activation epilogue
   kGemmPrepacked,  // prepacked-B GEMM + epilogue
-  kGemmQuantized,  // int8-latent GEMM (dequant fused into A packing)
   kIm2col,         // conv2d patch gather
   kCount,
 };

@@ -76,7 +76,7 @@ class ReferenceBackend final : public Backend {
   // The transposed layouts materialise the transpose and stream, keeping
   // the hot loop contiguous — the reduction order (ascending k) matches
   // gemm(), so all three layouts agree bitwise with each other and with the
-  // blocked backend.
+  // simd backend's scalar tier.
   void gemm_nt(const float* a, const float* b, float* c, std::size_t m,
                std::size_t k, std::size_t n) const override {
     std::vector<float> bt(k * n);
@@ -96,140 +96,6 @@ class ReferenceBackend final : public Backend {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Blocked backend: packed-panel, cache-tiled, register-blocked GEMM,
-// instantiated from the shared machinery in tensor/gemm_panels.h.
-//
-//   - k is split into kKc panels, n into kNc panels; the active B panel is
-//     packed into kNr-wide column strips so the micro-kernel streams it
-//     contiguously from L1/L2.
-//   - rows are split into kMc blocks; each block's A panel is packed into
-//     kMr-tall row strips (zero-padded), so the micro-kernel is branch-free.
-//   - the kMr×kNr micro-kernel keeps the output tile in registers across
-//     the whole k panel: ~1 load per 2·kMr·kNr flops instead of the
-//     reference kernel's load+store of the C row every k step. Plain loops
-//     with constant trip counts — the compiler vectorizes the j dimension.
-//
-// Per-element reduction stays in ascending k order (one accumulator per
-// output element, panels visited in order), so results match the reference
-// kernel bitwise and are independent of batch shape and tile position.
-// (The simd backend in backend_simd.cpp swaps only the tile() arithmetic
-// for explicit FMA intrinsics — everything else here is shared.)
-// ---------------------------------------------------------------------------
-
-struct BlockedTraits {
-  static constexpr std::size_t kMr = 4;    // micro-tile rows
-  static constexpr std::size_t kNr = 32;   // micro-tile cols (4 lanes of 8)
-  static constexpr std::size_t kKc = 256;  // k panel: kKc*kNr B floats in L1
-  static constexpr std::size_t kMc = 64;   // row block per packed A panel
-  static constexpr std::size_t kNc = 1024; // col panel: packed B bound
-
-  template <class BElem>
-  static void tile(const float* ap, const BElem* bp, std::size_t kc, float* c,
-                   std::size_t ldc, std::size_t rows, std::size_t cols,
-                   const Epilogue* epi, std::size_t row0, std::size_t col0) {
-    detail::generic_tile<kMr, kNr>(ap, bp, kc, c, ldc, rows, cols, epi, row0,
-                                   col0);
-  }
-};
-
-class BlockedBackend final : public Backend {
- public:
-  std::string name() const override { return "blocked"; }
-
-  void gemm(const float* a, const float* b, float* c, std::size_t m,
-            std::size_t k, std::size_t n) const override {
-    detail::panel_run<BlockedTraits>({a, k, false}, b, n, false, c, m, k, n,
-                                     nullptr, nullptr, nullptr);
-  }
-
-  void gemm_nt(const float* a, const float* b, float* c, std::size_t m,
-               std::size_t k, std::size_t n) const override {
-    detail::panel_run<BlockedTraits>({a, k, false}, b, k, true, c, m, k, n,
-                                     nullptr, nullptr, nullptr);
-  }
-
-  void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
-               std::size_t k, std::size_t n) const override {
-    detail::panel_run<BlockedTraits>({a, m, true}, b, n, false, c, m, k, n,
-                                     nullptr, nullptr, nullptr);
-  }
-
-  void gemm_fused(const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t k, std::size_t n, bool transpose_b,
-                  const Epilogue& epilogue) const override {
-    std::fill(c, c + m * n, 0.0f);
-    detail::panel_run<BlockedTraits>({a, k, false}, b, transpose_b ? k : n,
-                                     transpose_b, c, m, k, n, &epilogue,
-                                     nullptr, nullptr);
-  }
-
-  // Prepacking stores every strip as to_bf16 of the floats the on-the-fly
-  // path packs for it, and panel_task indexes the strips in place — the
-  // micro-kernel widens them back exactly, so the result matches
-  // pack-on-the-fly on the bf16-rounded weight bitwise.
-  PackedWeights pack_b(const float* b, std::size_t k, std::size_t n,
-                       bool transpose_b) const override {
-    PackedWeights packed;
-    detail::pack_b_full<BlockedTraits>(this, b, k, n, transpose_b, packed);
-    return packed;
-  }
-
-  PackedWeights pack_a(const float* a, std::size_t m,
-                       std::size_t k) const override {
-    PackedWeights packed;
-    detail::pack_a_full<BlockedTraits>(this, a, m, k, packed);
-    return packed;
-  }
-
-  void gemm_prepacked(const float* other, const PackedWeights& packed,
-                      float* c, std::size_t m, std::size_t k, std::size_t n,
-                      const Epilogue& epilogue) const override {
-    ORCO_CHECK(packed.owner == this,
-               "PackedWeights were packed by a different backend");
-    std::fill(c, c + m * n, 0.0f);
-    if (packed.side == 'B') {
-      ORCO_CHECK(packed.rows == k && packed.cols == n,
-                 "prepacked B is " << packed.rows << "x" << packed.cols
-                                   << ", GEMM wants " << k << "x" << n);
-      detail::panel_run<BlockedTraits, std::uint16_t>(
-          {other, k, false}, nullptr, 0, false, c, m, k, n, &epilogue,
-          nullptr, packed.bf16.data());
-    } else {
-      ORCO_CHECK(packed.rows == m && packed.cols == k,
-                 "prepacked A is " << packed.rows << "x" << packed.cols
-                                   << ", GEMM wants " << m << "x" << k);
-      detail::panel_run<BlockedTraits>({}, other, n, false, c, m, k, n,
-                                       &epilogue, packed.data.data(), nullptr);
-    }
-  }
-
-  // Dequantizes while packing A panels (x = lo[i] + q*scale[i], the same
-  // float expression as core::dequantize_latents_into), so the int8 decode
-  // path reduces in exactly the order the f32 path would after an explicit
-  // dequantize — batched-vs-single bitwise equality carries over.
-  void gemm_quantized(const std::uint8_t* a_q, const QuantHeader& qh,
-                      const PackedWeights& packed, float* c, std::size_t m,
-                      std::size_t k, std::size_t n,
-                      const Epilogue& epilogue) const override {
-    ORCO_CHECK(packed.owner == this,
-               "PackedWeights were packed by a different backend");
-    ORCO_CHECK(packed.side == 'B', "gemm_quantized needs a packed B operand");
-    ORCO_CHECK(packed.rows == k && packed.cols == n,
-               "prepacked B is " << packed.rows << "x" << packed.cols
-                                 << ", GEMM wants " << k << "x" << n);
-    std::fill(c, c + m * n, 0.0f);
-    detail::AView av;
-    av.lda = k;
-    av.q8 = a_q;
-    av.q_lo = qh.row_lo;
-    av.q_scale = qh.row_scale;
-    detail::panel_run<BlockedTraits, std::uint16_t>(
-        av, nullptr, 0, false, c, m, k, n, &epilogue, nullptr,
-        packed.bf16.data());
-  }
-};
-
 std::atomic<const Backend*> g_default{nullptr};
 thread_local const Backend* t_scope = nullptr;
 
@@ -243,7 +109,6 @@ struct RegistryEntry {
 // derive from it.
 constexpr RegistryEntry kRegistry[] = {
     {"reference", reference_backend},
-    {"blocked", blocked_backend},
     {"simd", simd_backend},
 };
 
@@ -259,7 +124,7 @@ std::string registry_names_joined() {
 // Publishes which backend is the process default as a metric (exported as
 // orco_backend_active), so an operator can see from the metrics endpoint
 // which kernels a deployment actually selected (the registry index:
-// 0=reference, 1=blocked, 2=simd).
+// 0=reference, 1=simd).
 void publish_active_gauge(const Backend* backend) {
   int index = 0;
   for (std::size_t i = 0; i < std::size(kRegistry); ++i) {
@@ -358,11 +223,9 @@ void Backend::gemm_prepacked(const float* other, const PackedWeights& packed,
   }
 }
 
-// Base quantized path: dequantize the codes row-wise into thread-local
-// scratch with the same expression the panel-fused overrides use
-// (x = lo + q*scale in float), then run the ordinary prepacked GEMM. Exact
-// same values as the fused paths — only slower, so backends without a
-// fused int8 pack (reference) stay correct for free.
+// Dequantizes the codes row-wise into thread-local scratch with the
+// expression core::dequantize_latents_into uses (x = lo + q*scale in
+// float), then runs the ordinary prepacked GEMM.
 void Backend::gemm_quantized(const std::uint8_t* a_q, const QuantHeader& qh,
                              const PackedWeights& packed, float* c,
                              std::size_t m, std::size_t k, std::size_t n,
@@ -384,11 +247,6 @@ void Backend::gemm_quantized(const std::uint8_t* a_q, const QuantHeader& qh,
 
 const Backend& reference_backend() {
   static const ReferenceBackend backend;
-  return backend;
-}
-
-const Backend& blocked_backend() {
-  static const BlockedBackend backend;
   return backend;
 }
 
@@ -421,11 +279,6 @@ void set_backend(const std::string& name) {
                                          << registry_names_joined() << ")");
   g_default.store(backend, std::memory_order_release);
   publish_active_gauge(backend);
-}
-
-void set_backend(const Backend& backend) {
-  g_default.store(&backend, std::memory_order_release);
-  publish_active_gauge(&backend);
 }
 
 const Backend& current_backend() {

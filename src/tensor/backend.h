@@ -7,14 +7,14 @@
 // through the free functions in tensor/matmul.h, which route to
 // current_backend().
 //
-// Three backends are registered:
-//   "reference" — the original ikj streaming kernel; the trusted baseline.
-//   "blocked"   — cache-tiled, packed-panel, register-blocked GEMM written
-//                 so the compiler auto-vectorizes the micro-kernel.
-//   "simd"      — the same panel machinery with an explicitly-SIMD FMA
+// Two backends are registered:
+//   "reference" — the original ikj streaming kernel; the trusted baseline
+//                 every parity test compares against.
+//   "simd"      — cache-tiled, packed-panel, register-blocked GEMM
+//                 (tensor/gemm_panels.h) with an explicitly-SIMD FMA
 //                 register micro-kernel, ISA-dispatched at compile time
-//                 (AVX-512 → AVX2+FMA → NEON → the blocked scalar kernel;
-//                 see backend_simd.cpp and simd_isa()).
+//                 (AVX-512 → AVX2+FMA → NEON → a scalar tier bitwise-equal
+//                 to "reference"; see backend_simd.cpp and simd_isa()).
 //
 // Selection, most specific wins:
 //   1. A BackendScope installed on the current thread (the serving runtime
@@ -27,7 +27,7 @@
 //   4. The reference backend.
 //
 // Whichever way the default is chosen, the obs gauge orco_backend_active
-// publishes the selected registry index (0=reference, 1=blocked, 2=simd).
+// publishes the selected registry index (0=reference, 1=simd).
 #pragma once
 
 #include <bit>
@@ -89,9 +89,9 @@ inline float from_bf16(std::uint16_t h) {
 /// batch<=4 decode — is paid once instead of per GEMM.
 ///
 /// A packed B operand holds every weight rounded to bf16 (to_bf16): the
-/// panel backends (blocked, simd) store it in `bf16`, 2 bytes per weight
-/// plus the zero padding of the last kNr strip, and widen each value back
-/// to f32 inside the micro-kernel; the base pack_b (reference) keeps its
+/// panel backend (simd) stores it in `bf16`, 2 bytes per weight plus the
+/// zero padding of the last kNr strip, and widens each value back to f32
+/// inside the micro-kernel; the base pack_b (reference) keeps its
 /// row-major f32 layout in `data` and stores the rounded values there. A
 /// packed A operand (pack_a, the Conv2d filter) stays exact f32 in `data`.
 struct PackedWeights {
@@ -100,14 +100,13 @@ struct PackedWeights {
   std::size_t rows = 0;  // logical rows of the packed matrix (k for B, m for A)
   std::size_t cols = 0;  // logical cols of the packed matrix (n for B, k for A)
   std::vector<float> data;          // f32 storage: A panels, base-layout B
-  std::vector<std::uint16_t> bf16;  // bf16 B panels of the panel backends
+  std::vector<std::uint16_t> bf16;  // bf16 B panels of the panel backend
 };
 
 /// Per-row affine dequantization parameters for gemm_quantized: row i of
 /// the uint8 operand decodes as x = row_lo[i] + q * row_scale[i]. Per-row
-/// because a coalesced serving batch stacks requests that each carry their
-/// own [min, max] header from core/quantization — one shared (lo, scale)
-/// pair would change values whenever batching composition changes.
+/// because a batch stacks requests that each carry their own [min, max]
+/// header from core/quantization.
 struct QuantHeader {
   const float* row_lo = nullptr;     // [m]
   const float* row_scale = nullptr;  // [m]
@@ -155,7 +154,7 @@ class Backend {
   /// row-major when transpose_b (the Dense weight layout) — into this
   /// backend's panel format for repeated gemm_prepacked calls against
   /// varying left operands, rounding every weight with to_bf16. The panel
-  /// backends store bf16 panels (half the bytes every later GEMM streams);
+  /// backend stores bf16 panels (half the bytes every later GEMM streams);
   /// the base implementation materialises plain row-major (k×n) f32 holding
   /// the rounded values, which also removes the per-call transpose of the
   /// reference NT path.
@@ -181,30 +180,23 @@ class Backend {
                               float* c, std::size_t m, std::size_t k,
                               std::size_t n, const Epilogue& epilogue) const;
 
-  /// c (m×n) = act(dequant(a_q)·B + bias) straight from uint8 codes: a_q is
-  /// (m×k) row-major quantized with per-row affine headers `qh`, `packed` a
-  /// pack_b-produced right operand of THIS backend (so B reads its bf16
-  /// weights, as in gemm_prepacked). The serving decode path feeds the
-  /// uplink payload here without materializing a float copy of the batch.
-  /// Values are bitwise identical to dequantizing a_q with x = lo + q*scale
-  /// (float math) and calling gemm_prepacked — the base implementation does
-  /// exactly that through thread-local scratch; the panel backends fuse the
-  /// dequantization into A-panel packing instead.
-  virtual void gemm_quantized(const std::uint8_t* a_q, const QuantHeader& qh,
-                              const PackedWeights& packed, float* c,
-                              std::size_t m, std::size_t k, std::size_t n,
-                              const Epilogue& epilogue) const;
+  /// c (m×n) = act(dequant(a_q)·B + bias) from uint8 codes: a_q is (m×k)
+  /// row-major quantized with per-row affine headers `qh`, `packed` a
+  /// pack_b-produced right operand of this backend. Dequantizes a_q with
+  /// x = lo + q*scale (float math) into thread-local scratch, then calls
+  /// gemm_prepacked.
+  void gemm_quantized(const std::uint8_t* a_q, const QuantHeader& qh,
+                      const PackedWeights& packed, float* c, std::size_t m,
+                      std::size_t k, std::size_t n,
+                      const Epilogue& epilogue) const;
 };
 
 /// The original ikj streaming kernel (always available).
 const Backend& reference_backend();
 
-/// The blocked/packed cache-tiled kernel (always available).
-const Backend& blocked_backend();
-
-/// The explicitly-SIMD FMA micro-kernel over the same panel machinery
-/// (always available: builds without SIMD support degrade to the blocked
-/// scalar kernel — see simd_isa()).
+/// The packed-panel GEMM with explicitly-SIMD FMA micro-kernels (always
+/// available: builds without SIMD support degrade to a scalar tier — see
+/// simd_isa()).
 const Backend& simd_backend();
 
 /// Which instruction set the simd backend was compiled for: "avx512",
@@ -234,7 +226,6 @@ const Backend& backend_from_env_value(const char* value);
 /// Sets the process-default backend. Throws std::invalid_argument for an
 /// unknown name.
 void set_backend(const std::string& name);
-void set_backend(const Backend& backend);
 
 /// The backend the calling thread should use right now: innermost
 /// BackendScope if any, else the process default (ORCO_BACKEND env or

@@ -1,6 +1,6 @@
-// The "simd" backend: the blocked backend's panel machinery
-// (tensor/gemm_panels.h) with the micro-kernel rewritten in explicit SIMD
-// intrinsics — FMA register tiles instead of trusting the auto-vectorizer.
+// The "simd" backend: the packed-panel machinery of tensor/gemm_panels.h
+// with the micro-kernel written in explicit SIMD intrinsics — FMA register
+// tiles instead of trusting the auto-vectorizer.
 //
 // The instruction set is dispatched at COMPILE time, best tier available:
 //
@@ -12,10 +12,10 @@
 //                   step: two hints per line.
 //   NEON (aarch64)  8×8 tile: 16 float32x4 accumulators. 16 B per bf16 k
 //                   step: four hints per line.
-//   otherwise       the blocked backend's 4×32 scalar kernel — builds with
-//                   -DORCO_DISABLE_SIMD (or no SIMD target flags at all)
-//                   still link and pass, just without the speedup. 64 B
-//                   per bf16 k step, like AVX-512.
+//   otherwise       a 4×32 scalar tile — builds with -DORCO_DISABLE_SIMD
+//                   (or no SIMD target flags at all) still link and pass,
+//                   just without the speedup. 64 B per bf16 k step, like
+//                   AVX-512.
 //
 // Every tier calls detail::prefetch_panel once per k step: on bf16 pack_b
 // panels it hints the cache to fetch the stream kPanelLookAheadBytes (4 KB)
@@ -28,18 +28,18 @@
 // __ARM_NEON reflect the build machine; cross-building for a generic x86-64
 // target lands on the scalar tier automatically.
 //
-// Numerical contract: the panel driver is shared with "blocked", so each
-// output element is still ONE reduction chain in ascending k seeded from C
-// — batched-vs-single, prepacked-vs-on-the-fly (on the bf16-rounded
-// weight: pack_b panels are bf16, widened exactly by each tier's load_b
-// before the same FMA) and all three layouts agree BITWISE within this
-// backend. No tier uses a bf16 dot-product instruction (vdpbf16ps, AMX):
-// those pair products and reorder the accumulation. Versus
-// "blocked"/"reference" the FMA tiers keep products unrounded before each
-// add, so cross-backend comparisons are ULP-bounded rather than bitwise
-// (the scalar tier, same arithmetic as blocked, stays bitwise with it).
-// The epilogue is applied scalar, outside the FMA chain, so fused
-// activations match nn/activations.h exactly.
+// Numerical contract: panel_run makes each output element ONE
+// reduction chain in ascending k seeded from C — batched-vs-single,
+// prepacked-vs-on-the-fly (on the bf16-rounded weight: pack_b panels are
+// bf16, widened exactly by each tier's load_b before the same FMA) and all
+// three layouts agree BITWISE within this backend. No tier uses a bf16
+// dot-product instruction (vdpbf16ps, AMX): those pair products and
+// reorder the accumulation. Versus "reference" the FMA tiers keep products
+// unrounded before each add, so the comparison is ULP-bounded rather than
+// bitwise; the scalar tier runs reference's separate mul+add and stays
+// bitwise with it (tensor_backend_test pins both). The epilogue is applied
+// scalar, outside the FMA chain, so fused activations match
+// nn/activations.h exactly.
 #include "tensor/backend.h"
 
 #include <algorithm>
@@ -200,15 +200,16 @@ void isa_ukernel(const float* ap, const BElem* bp, std::size_t kc, float* c,
 #else
 
 constexpr const char* kIsa = "scalar-fallback";
-constexpr std::size_t kIsaMr = 4;   // the blocked backend's geometry —
-constexpr std::size_t kIsaNr = 32;  // same arithmetic, so this tier stays
-constexpr std::size_t kIsaMc = 64;  // bitwise-equal to "blocked"
+constexpr std::size_t kIsaMr = 4;   // 4 rows × 32 columns: the inner loop
+constexpr std::size_t kIsaNr = 32;  // auto-vectorizes over j
+constexpr std::size_t kIsaMc = 64;  // row block (multiple of kIsaMr)
 
-// Same reduction expression as detail::generic_micro_kernel (this TU is
-// built with -ffp-contract=off), just with the row loop bounded by Rows —
-// each output element's chain is unchanged, so this tier stays bitwise
-// with "blocked". A bf16 panel is widened by detail::widen (std::bit_cast
-// of the value shifted up 16 bits).
+// The reference kernel's reduction expression, acc += a * b with the
+// product rounded before the add (this TU is built with -ffp-contract=off),
+// in ascending k: each output element's chain is the reference ikj
+// kernel's, so this tier stays bitwise-equal to "reference". A bf16 panel
+// is widened by detail::widen (std::bit_cast of the value shifted up 16
+// bits).
 template <std::size_t Rows, class BElem>
 void isa_ukernel(const float* ap, const BElem* bp, std::size_t kc, float* c,
                  std::size_t ldc) {
@@ -258,9 +259,9 @@ void run_rows(std::size_t rows, const float* ap, const BElem* bp,
 struct SimdTraits {
   static constexpr std::size_t kMr = kIsaMr;
   static constexpr std::size_t kNr = kIsaNr;
-  static constexpr std::size_t kKc = 256;   // k panel depth (matches blocked)
+  static constexpr std::size_t kKc = 256;   // k panel: kKc*kNr B floats in L1
   static constexpr std::size_t kMc = kIsaMc;
-  static constexpr std::size_t kNc = 1024;  // col panel (matches blocked)
+  static constexpr std::size_t kNc = 1024;  // col panel: packed B bound
 
   // Full-width tiles run the intrinsic kernel straight on C with exactly
   // `rows` accumulator rows (a batch-1 serving decode pays for one row, not
@@ -379,27 +380,6 @@ class SimdBackend final : public Backend {
       detail::panel_run<SimdTraits>({}, other, n, false, c, m, k, n, &epilogue,
                                     packed.data.data(), nullptr);
     }
-  }
-
-  void gemm_quantized(const std::uint8_t* a_q, const QuantHeader& qh,
-                      const PackedWeights& packed, float* c, std::size_t m,
-                      std::size_t k, std::size_t n,
-                      const Epilogue& epilogue) const override {
-    ORCO_CHECK(packed.owner == this,
-               "PackedWeights were packed by a different backend");
-    ORCO_CHECK(packed.side == 'B', "gemm_quantized needs a packed B operand");
-    ORCO_CHECK(packed.rows == k && packed.cols == n,
-               "prepacked B is " << packed.rows << "x" << packed.cols
-                                 << ", GEMM wants " << k << "x" << n);
-    std::fill(c, c + m * n, 0.0f);
-    detail::AView av;
-    av.lda = k;
-    av.q8 = a_q;
-    av.q_lo = qh.row_lo;
-    av.q_scale = qh.row_scale;
-    detail::panel_run<SimdTraits, std::uint16_t>(av, nullptr, 0, false, c, m,
-                                                 k, n, &epilogue, nullptr,
-                                                 packed.bf16.data());
   }
 };
 

@@ -1,8 +1,8 @@
-// Shared packed-panel GEMM machinery — the cache-tiling skeleton every
-// register-blocked backend (blocked, simd) instantiates.
+// Packed-panel GEMM machinery — the cache-tiling skeleton the simd backend
+// (backend_simd.cpp) instantiates.
 //
 // The driver and the packing routines are templated over a Traits type so
-// each backend picks its own register-tile geometry while reusing one
+// each ISA tier picks its own register-tile geometry while reusing one
 // panel walk:
 //
 //   struct Traits {
@@ -32,19 +32,19 @@
 //                      std::size_t row0, std::size_t col0);
 //   };
 //
-// Because the packed layout is a pure function of (kMr, kNr, kKc, kMc,
-// kNc), two backends sharing the same constants produce interchangeable
-// panels; differing constants are caught by PackedWeights::owner.
+// The packed layout is a pure function of (kMr, kNr, kKc, kMc, kNc);
+// PackedWeights::owner keeps panels from reaching another backend.
 //
 // Numerical contract (inherited by every instantiation): each output
 // element is ONE sequential reduction chain in ascending k order — the
 // driver seeds tiles from C and visits k panels in order — so results are
-// independent of m, n, tile position and thread count. Whether two
-// backends agree bitwise is then decided solely by their tile() arithmetic
-// (the blocked tile's separate mul+add vs the simd tile's FMA). A bf16
-// panel feeds that chain the value from_bf16(to_bf16(w)) for each weight
-// w, so a prepacked GEMM equals the on-the-fly GEMM on the bf16-rounded B
-// bitwise. The look-ahead hint loads nothing and changes no value.
+// independent of m, n, tile position and thread count. Whether a tier
+// agrees bitwise with the reference ikj kernel is then decided solely by
+// its tile() arithmetic (the scalar tier's separate mul+add does; the FMA
+// tiers' fused multiply-add does not). A bf16 panel feeds that chain the
+// value from_bf16(to_bf16(w)) for each weight w, so a prepacked GEMM
+// equals the on-the-fly GEMM on the bf16-rounded B bitwise. The look-ahead
+// hint loads nothing and changes no value.
 #pragma once
 
 #include <cmath>
@@ -81,26 +81,17 @@ inline float apply_act(float v, EpilogueAct act, float alpha) {
   return v;
 }
 
-/// The left GEMM operand, in one of three storages:
-///   * f32 row-major (m x k), or its transpose source (k x m) when `trans`;
-///   * int8 codes (m x k, lda == k) with per-row affine dequantisation
-///     x = lo[i] + q * scale[i] applied while packing (the quantized-uplink
-///     decode path: codes stream straight from the request payload);
-///   * absent (nullptr everywhere) when the driver receives prepacked A.
+/// The left GEMM operand: f32 row-major (m x k), or its transpose source
+/// (k x m) when `trans`; absent (null) when panel_run receives prepacked
+/// A.
 struct AView {
   const float* f32 = nullptr;
   std::size_t lda = 0;
   bool trans = false;
-  const std::uint8_t* q8 = nullptr;  // when set, f32 must be null
-  const float* q_lo = nullptr;       // [m] per-row offset
-  const float* q_scale = nullptr;    // [m] per-row step
 };
 
 /// Packs A[i0:i0+mc, p0:p0+kc] into kMr-interleaved panels: panel ip holds
-/// kMr consecutive rows laid out [p][ii], zero-padded past mc. The
-/// quantized source dequantises element-wise while packing — same float
-/// expression as core::dequantize-into-scratch, so the fused path and the
-/// dequantise-then-gemm fallback agree bitwise.
+/// kMr consecutive rows laid out [p][ii], zero-padded past mc.
 template <std::size_t MR>
 void pack_a_panel(const AView& a, std::size_t i0, std::size_t p0,
                   std::size_t mc, std::size_t kc, float* ap) {
@@ -109,14 +100,7 @@ void pack_a_panel(const AView& a, std::size_t i0, std::size_t p0,
     for (std::size_t ii = 0; ii < MR; ++ii) {
       const std::size_t i = i0 + ip + ii;
       if (ip + ii < mc) {
-        if (a.q8 != nullptr) {
-          const std::uint8_t* src = a.q8 + i * a.lda + p0;
-          const float lo = a.q_lo[i];
-          const float scale = a.q_scale[i];
-          for (std::size_t p = 0; p < kc; ++p) {
-            dst[p * MR + ii] = lo + static_cast<float>(src[p]) * scale;
-          }
-        } else if (a.trans) {
+        if (a.trans) {
           for (std::size_t p = 0; p < kc; ++p) {
             dst[p * MR + ii] = a.f32[(p0 + p) * a.lda + i];
           }
@@ -211,78 +195,6 @@ void pack_b_panel(const float* b, std::size_t ldb, bool trans, std::size_t p0,
       }
     }
   }
-}
-
-/// Seeds an accumulator tile from C (zero on the padded fringe) so that
-/// across k panels every output element stays one sequential reduction.
-template <std::size_t MR, std::size_t NR>
-void load_tile(const float* c, std::size_t ldc, std::size_t rows,
-               std::size_t cols, float acc[MR][NR]) {
-  for (std::size_t ii = 0; ii < MR; ++ii) {
-    if (ii < rows) {
-      const float* ci = c + ii * ldc;
-      for (std::size_t jj = 0; jj < NR; ++jj) {
-        acc[ii][jj] = jj < cols ? ci[jj] : 0.0f;
-      }
-    } else {
-      for (std::size_t jj = 0; jj < NR; ++jj) acc[ii][jj] = 0.0f;
-    }
-  }
-}
-
-/// Writes a micro-tile back, clipping the zero-padded fringe; when `epi` is
-/// set (last k panel of a fused GEMM) the epilogue is applied while the
-/// tile is still hot.
-template <std::size_t MR, std::size_t NR>
-void store_tile(float* c, std::size_t ldc, const float acc[MR][NR],
-                std::size_t rows, std::size_t cols, const Epilogue* epi,
-                std::size_t row0, std::size_t col0) {
-  for (std::size_t ii = 0; ii < rows; ++ii) {
-    float* ci = c + ii * ldc;
-    for (std::size_t jj = 0; jj < cols; ++jj) {
-      float v = acc[ii][jj];
-      if (epi) {
-        if (epi->bias) {
-          v += epi->bias_per_row ? epi->bias[row0 + ii] : epi->bias[col0 + jj];
-        }
-        v = apply_act(v, epi->act, epi->leaky_alpha);
-      }
-      ci[jj] = v;
-    }
-  }
-}
-
-/// The portable MR x NR micro-kernel: plain loops with constant trip counts
-/// the compiler unrolls and auto-vectorizes over jj. Separate mul+add (the
-/// TU is built with -ffp-contract=off), so instantiations agree bitwise
-/// with the reference ikj kernel. A bf16 panel is widened in the loop
-/// (std::bit_cast of the value shifted up 16 bits) and prefetched ahead.
-template <std::size_t MR, std::size_t NR, class BElem>
-void generic_micro_kernel(const float* ap, const BElem* bp, std::size_t kc,
-                          float acc[MR][NR]) {
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* a = ap + p * MR;
-    const BElem* b = bp + p * NR;
-    prefetch_panel(b);
-    for (std::size_t ii = 0; ii < MR; ++ii) {
-      const float aip = a[ii];
-      for (std::size_t jj = 0; jj < NR; ++jj) {
-        acc[ii][jj] += aip * widen(b[jj]);
-      }
-    }
-  }
-}
-
-/// tile() built from the portable pieces — the blocked backend's kernel,
-/// and the scalar fallback a SIMD-less simd build degrades to.
-template <std::size_t MR, std::size_t NR, class BElem>
-void generic_tile(const float* ap, const BElem* bp, std::size_t kc, float* c,
-                  std::size_t ldc, std::size_t rows, std::size_t cols,
-                  const Epilogue* epi, std::size_t row0, std::size_t col0) {
-  float acc[MR][NR];
-  load_tile<MR, NR>(c, ldc, rows, cols, acc);
-  generic_micro_kernel<MR, NR>(ap, bp, kc, acc);
-  store_tile<MR, NR>(c, ldc, acc, rows, cols, epi, row0, col0);
 }
 
 /// Elements a pack_b-produced panel set holds for (k, n): one per weight

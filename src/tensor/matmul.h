@@ -1,7 +1,7 @@
 // GEMM entry points. The dense layers and the im2col-based convolutions
 // reduce to these; every call routes through the pluggable kernel backend
-// selected via tensor/backend.h (reference ikj kernel or blocked/packed
-// cache-tiled kernel). Large problems split across the global thread pool
+// selected via tensor/backend.h (reference ikj kernel or the packed-panel
+// simd kernel). Large problems split across the global thread pool
 // (tensor/backend.h, set_gemm_parallelism); small ones run inline on the
 // calling thread. Either way every value is the same.
 #pragma once

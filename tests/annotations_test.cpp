@@ -63,22 +63,22 @@ TEST(ThreadLocalIsolation, BackendScopeIsPerPoolWorker) {
   constexpr std::size_t kWorkers = 4;
   common::ThreadPool pool(kWorkers);
   const tensor::Backend& base = tensor::current_backend();
-  const tensor::Backend* blocked = tensor::find_backend("blocked");
-  ASSERT_NE(blocked, nullptr);
+  const tensor::Backend* simd = tensor::find_backend("simd");
+  ASSERT_NE(simd, nullptr);
 
   std::atomic<std::size_t> arrived{0};
   std::vector<std::future<bool>> results;
   for (std::size_t i = 0; i < kWorkers; ++i) {
-    results.push_back(pool.submit([i, &arrived, &base, blocked] {
+    results.push_back(pool.submit([i, &arrived, &base, simd] {
       bool ok = true;
       {
         // Odd workers override; even workers keep the default. A null
         // scope must be a no-op (the "not configured" passthrough).
-        tensor::BackendScope scope(i % 2 == 1 ? blocked : nullptr);
+        tensor::BackendScope scope(i % 2 == 1 ? simd : nullptr);
         arrived.fetch_add(1);
         while (arrived.load() < kWorkers) std::this_thread::yield();
         const tensor::Backend& seen = tensor::current_backend();
-        ok = ok && (&seen == (i % 2 == 1 ? blocked : &base));
+        ok = ok && (&seen == (i % 2 == 1 ? simd : &base));
       }
       // Scope destruction restores the worker to the process default.
       ok = ok && (&tensor::current_backend() == &base);

@@ -179,7 +179,7 @@ TEST(SystemTest, PooledTrainingRoundsMatchSerialBitwise) {
     }
     return out;
   };
-  for (const char* backend : {"blocked", "simd"}) {
+  for (const char* backend : {"reference", "simd"}) {
     SCOPED_TRACE(backend);
     cfg.orco.backend = backend;
     const Trained serial = run(false);
@@ -310,10 +310,10 @@ TEST(SystemTest, DecodePlanFollowsTheCallersBackend) {
   const Tensor latents = Tensor::uniform({3, cfg.orco.latent_dim}, rng);
   OrcoDcsSystem sys(cfg);
   {
-    tensor::BackendScope scope(&tensor::blocked_backend());
+    tensor::BackendScope scope(&tensor::reference_backend());
     (void)sys.edge().decode_inference(latents);
     EXPECT_EQ(&sys.edge().current_plan()->backend(),
-              &tensor::blocked_backend());
+              &tensor::reference_backend());
   }
   tensor::BackendScope scope(&tensor::simd_backend());
   const Tensor got = sys.edge().decode_inference(latents);

@@ -72,14 +72,14 @@ class CountAllocs {
   static std::uint64_t count() { return t_alloc_count; }
 };
 
-/// Serial, blocked-backend kernels for deterministic measurements: no pool
+/// Serial, simd-backend kernels for deterministic measurements: no pool
 /// futures, no reference-backend transpose temporaries.
-class SerialBlockedScope {
+class SerialSimdScope {
  public:
-  SerialBlockedScope() : scope_(&tensor::blocked_backend()) {
+  SerialSimdScope() : scope_(&tensor::simd_backend()) {
     tensor::set_gemm_parallelism(false);
   }
-  ~SerialBlockedScope() { tensor::set_gemm_parallelism(true); }
+  ~SerialSimdScope() { tensor::set_gemm_parallelism(true); }
 
  private:
   tensor::BackendScope scope_;
@@ -284,7 +284,7 @@ TEST(ZeroAllocTest, WarmedPlanExecutorMakesNoHeapAllocations) {
   // float and int8 entries touch no allocator — kernels come pre-resolved,
   // panels pre-packed, the arena pre-reserved — and smaller batches
   // recycle the same (capacity-preserving) buffers.
-  SerialBlockedScope kernels;
+  SerialSimdScope kernels;
   common::Pcg32 rng(37);
   nn::Sequential model;
   model.emplace<nn::Dense>(16, 64, rng);
@@ -317,7 +317,7 @@ TEST(ZeroAllocTest, WarmedPlanExecutorMakesNoHeapAllocations) {
   }
   EXPECT_EQ(small_allocs, 0u);
 
-  // The int8 uplink entry (codes feeding Backend::gemm_quantized) through
+  // The int8 uplink entry (codes dequantized into the context) through
   // the same warmed plan and context: 8x16 uint8 codes with per-row affine
   // headers, then a smaller batch.
   std::vector<std::uint8_t> codes(8 * 16);
@@ -357,7 +357,7 @@ TEST(ZeroAllocTest, WarmedConvPlanExecutorMakesNoHeapAllocations) {
   // Conv plans carry arena scratch (im2col): the compile-time high-water
   // makes the first run() reserve once, so warmed runs stay off the
   // allocator with zero arena growth, at the warmup batch and below it.
-  SerialBlockedScope kernels;
+  SerialSimdScope kernels;
   common::Pcg32 rng(43);
   nn::Sequential model;
   model.emplace<nn::Conv2d>(1, 4, 3, 1, 1, 8, 8, rng);
@@ -396,7 +396,7 @@ TEST(ZeroAllocTest, NestedChainDecodesZeroAllocAndBitwiseEqualToFlat) {
   // nested chain decodes exactly like its flat equivalent — the flat
   // chain's forward bits (on its bf16-rounded Dense weights, as every plan
   // decodes), zero allocations.
-  SerialBlockedScope kernels;
+  SerialSimdScope kernels;
 
   nn::Sequential flat;
   {
@@ -450,7 +450,7 @@ TEST(ZeroAllocTest, ClusterShardStyleSteadyStateDecodeIsAllocationFree) {
   // straight into its row), decode through the tenant's real exported
   // decoder into the worker-owned output buffer. After warmup the whole
   // stage must not touch the allocator.
-  SerialBlockedScope kernels;
+  SerialSimdScope kernels;
   core::SystemConfig cfg;
   cfg.orco.input_dim = 64;
   cfg.orco.latent_dim = 16;
@@ -507,7 +507,7 @@ TEST(ZeroAllocTest, SteadyStateDecodeStaysAllocationFreeWithObservabilityOn) {
   // during warmup and the plan's op timers at compile; the steady-state
   // record path is plain atomic adds and ring stores, so it must stay off
   // the allocator.
-  SerialBlockedScope kernels;
+  SerialSimdScope kernels;
   obs::ObsConfig obs_cfg;
   obs_cfg.trace_sample_rate = 1.0;
   obs_cfg.kernel_profiling = true;

@@ -41,10 +41,9 @@ using nn::InferContext;
 using nn::InferPlan;
 using tensor::Tensor;
 
-/// The three real backends every parity claim must hold on.
+/// The two real backends every parity claim must hold on.
 std::vector<const tensor::Backend*> all_backends() {
-  return {&tensor::reference_backend(), &tensor::blocked_backend(),
-          &tensor::simd_backend()};
+  return {&tensor::reference_backend(), &tensor::simd_backend()};
 }
 
 /// Odd-shaped Dense chain (no power-of-two dims, every epilogue kind) —
@@ -112,10 +111,10 @@ TEST(InferPlanTest, CompileDropsIdentityAndFusesActivations) {
   model.emplace<nn::Dense>(24, 8, rng);
   model.emplace<nn::Sigmoid>();
 
-  const auto plan = InferPlan::compile(model, &tensor::blocked_backend());
+  const auto plan = InferPlan::compile(model, &tensor::simd_backend());
   // Noise dropped, each Dense+activation pair fused: 7 layers -> 3 ops.
   ASSERT_EQ(plan->size(), 3u);
-  EXPECT_EQ(&plan->backend(), &tensor::blocked_backend());
+  EXPECT_EQ(&plan->backend(), &tensor::simd_backend());
   const tensor::EpilogueAct acts[] = {tensor::EpilogueAct::kReLU,
                                       tensor::EpilogueAct::kLeakyReLU,
                                       tensor::EpilogueAct::kSigmoid};
@@ -127,7 +126,7 @@ TEST(InferPlanTest, CompileDropsIdentityAndFusesActivations) {
     EXPECT_EQ(op.conv, nullptr) << "op " << i;
     // Panels packed at compile, pinned to the compile backend.
     ASSERT_NE(op.packed, nullptr) << "op " << i;
-    EXPECT_EQ(op.packed->owner, &tensor::blocked_backend()) << "op " << i;
+    EXPECT_EQ(op.packed->owner, &tensor::simd_backend()) << "op " << i;
     EXPECT_EQ(op.packed_version, op.dense->weight_version()) << "op " << i;
   }
   EXPECT_EQ(plan->ops()[1].leaky_alpha, 0.05f);
@@ -182,11 +181,10 @@ TEST(InferPlanTest, ConvChainMatchesForwardBitwiseOnAllBackends) {
 
 TEST(InferPlanTest, RunUnderForeignBackendScopeStaysBitwiseCorrect) {
   // Panels are pinned to the compile backend. Under a BackendScope override
-  // run() falls back to the unpacked kernels and run_quantized() to
-  // dequantize-then-float-plan; both must still match the forward under
-  // that same scope bitwise.
+  // run() and run_quantized() fall back to the unpacked kernels; both must
+  // still match the forward under that same scope bitwise.
   const auto model = make_odd_dense_model(131);
-  const auto plan = InferPlan::compile(*model, &tensor::blocked_backend());
+  const auto plan = InferPlan::compile(*model, &tensor::simd_backend());
 
   tensor::BackendScope scope(&tensor::reference_backend());
   InferContext ctx;
@@ -239,9 +237,9 @@ TEST(InferPlanTest, QuantizedHeadMatchesDequantizedForwardOnAllBackends) {
 }
 
 TEST(InferPlanTest, QuantizedNonDenseHeadDequantizesAndMatchesForward) {
-  // A conv-headed chain has no Dense to feed codes into: the plan
-  // dequantizes into a context buffer and runs the float ops.
-  tensor::BackendScope scope(&tensor::blocked_backend());
+  // A conv-headed chain: the plan dequantizes into a context buffer and
+  // runs the float ops, Conv2d head included.
+  tensor::BackendScope scope(&tensor::simd_backend());
   common::Pcg32 rng(77);
   nn::Sequential model;
   model.emplace<nn::Conv2d>(1, 2, 3, 1, 1, 4, 4, rng);
@@ -271,15 +269,16 @@ TEST(InferPlanTest, QuantizedNonDenseHeadDequantizesAndMatchesForward) {
 }
 
 TEST(InferPlanTest, SingleOpQuantizedRunMayWriteTheContextInputBuffer) {
-  // A single-op plan may write a context buffer (run() allows it), so the
-  // routes that stage the dequantized batch must stage it elsewhere: a
-  // conv head, and a Dense head whose panels belong to another backend.
+  // A single-op plan may write a context buffer (run() allows it), so
+  // run_quantized must stage the dequantized batch elsewhere: for a conv
+  // head, a Dense head with its own panels, and a Dense head whose panels
+  // belong to another backend.
   constexpr std::size_t kBatch = 3, kFeatures = 16;
   const auto codes = make_codes(kBatch * kFeatures, 29, 5);
   std::vector<float> lo(kBatch, -0.25f), scale(kBatch, 1.0f / 255.0f);
   const tensor::QuantHeader qh{lo.data(), scale.data()};
   const Tensor x = dequantize(codes, qh, kBatch, kFeatures);
-  tensor::BackendScope scope(&tensor::blocked_backend());
+  tensor::BackendScope scope(&tensor::simd_backend());
 
   common::Pcg32 rng(89);
   nn::Sequential conv_head;
@@ -288,12 +287,22 @@ TEST(InferPlanTest, SingleOpQuantizedRunMayWriteTheContextInputBuffer) {
   nn::Sequential dense_head;
   dense_head.emplace<nn::Dense>(kFeatures, 8, rng);
   dense_head.emplace<nn::Sigmoid>();
+  const auto rounded_dense_head = testutil::bf16_copy(dense_head, [] {
+    common::Pcg32 any(0);
+    auto copy = std::make_unique<nn::Sequential>();
+    copy->emplace<nn::Dense>(std::size_t{kFeatures}, 8, any);
+    copy->emplace<nn::Sigmoid>();
+    return copy;
+  });
   const auto conv_plan = InferPlan::compile(conv_head);
+  const auto dense_plan = InferPlan::compile(dense_head);
   const auto foreign_dense_plan =
       InferPlan::compile(dense_head, &tensor::reference_backend());
 
   const std::pair<nn::Sequential*, const InferPlan*> cases[] = {
-      {&conv_head, conv_plan.get()}, {&dense_head, foreign_dense_plan.get()}};
+      {&conv_head, conv_plan.get()},
+      {rounded_dense_head.get(), dense_plan.get()},
+      {&dense_head, foreign_dense_plan.get()}};
   for (const auto& [model, plan] : cases) {
     ASSERT_EQ(plan->size(), 1u);
     InferContext ctx;
@@ -397,7 +406,7 @@ TEST(InferPlanTest, ScratchFloatsCoversArenaHighWaterExactly) {
   // The conv chain is the scratch-hungry case: the im2col column matrix is
   // the arena high-water, precomputed at compile so the first run() reserves
   // once and the arena never opens a second block.
-  tensor::BackendScope scope(&tensor::blocked_backend());
+  tensor::BackendScope scope(&tensor::simd_backend());
   common::Pcg32 rng(67);
   nn::Sequential model;
   model.emplace<nn::Conv2d>(1, 4, 3, 1, 1, 8, 8, rng);

@@ -1,9 +1,10 @@
 // Int8 uplink decode path: the quantize/dequantize _into overload pair,
-// round-trip error bounds at batch-range extremes, Backend::gemm_quantized
-// parity against explicit dequantize-then-gemm on every backend, the
-// InferPlan quantized entry point, an end-to-end decoder error bound
-// propagated from quantization_error_bound, and the serving runtime's
-// quantized submit path (payloads dequantized into their batch rows).
+// round-trip error bounds at batch-range extremes, the
+// Backend::gemm_quantized helper against explicit dequantize-then-gemm on
+// every backend, the InferPlan quantized entry point, an end-to-end
+// decoder error bound propagated from quantization_error_bound, and the
+// serving runtime's quantized submit path (payloads dequantized into their
+// batch rows).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -32,7 +33,7 @@ namespace {
 using core::LatentPrecision;
 using tensor::Tensor;
 
-constexpr const char* kAllBackends[] = {"reference", "blocked", "simd"};
+constexpr const char* kAllBackends[] = {"reference", "simd"};
 
 TEST(QuantizeIntoTest, IntoOverloadsMatchVectorOverloadsExactly) {
   common::Pcg32 rng(51);
@@ -161,7 +162,7 @@ TEST(QuantizeIntoTest, DequantParamsAgreeWithDoubleMathWithinBound) {
 }
 
 TEST(GemmQuantizedTest, MatchesExplicitDequantThenPrepackedBitwise) {
-  // The gemm_quantized contract on every backend: bitwise identical to
+  // The gemm_quantized helper on every backend: bitwise identical to
   // dequantizing the codes with x = lo + q*scale (single-float math) and
   // running gemm_prepacked on the float batch. Ragged m/k/n included.
   common::Pcg32 rng(54);
@@ -230,12 +231,11 @@ TEST(QuantizedInferTest, PlanQuantizedEntryMatchesDequantizedForward) {
     }
   }
 
-  // Dense head: codes feed the GEMM directly (with the fused activation);
-  // must equal the float forward on the dequantized batch bitwise — of the
-  // copy with bf16-rounded Dense weights, which the plan's panels hold. A
-  // plan compiled for another backend takes the dequantize-then-float route
-  // on this one, on the unpacked f32 weights, and must produce the model's
-  // own forward bits.
+  // Dense head: the plan must equal the float forward on the dequantized
+  // batch bitwise — of the copy with bf16-rounded Dense weights, which the
+  // plan's panels hold. A plan compiled for another backend runs the
+  // unpacked f32 weights on this one and must produce the model's own
+  // forward bits.
   {
     nn::Sequential model;
     model.emplace<nn::Dense>(16, 48, rng);
@@ -276,8 +276,7 @@ TEST(QuantizedInferTest, PlanQuantizedEntryMatchesDequantizedForward) {
     }
   }
 
-  // Non-Dense head: the entry falls back to dequantize-into-context, so the
-  // same equality must hold down the escape path too.
+  // Non-Dense head: the same equality holds.
   {
     nn::Sequential model;
     model.emplace<nn::ReLU>();

@@ -1,6 +1,7 @@
-// Backend parity: the blocked/packed kernel must agree with the reference
-// kernel across rectangular/odd/tiny shapes and every transpose layout, and
-// the fused epilogues must match the unfused matmul-then-bias-then-activation
+// Backend parity: the simd backend must agree with the reference kernel
+// (bitwise on its scalar tier, within a few ULP on its FMA tiers) across
+// rectangular/odd/tiny shapes and every transpose layout, and the fused
+// epilogues must match the unfused matmul-then-bias-then-activation
 // pipeline through Dense and Conv2d.
 #include <gtest/gtest.h>
 #include <sys/mman.h>
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "nn/activations.h"
@@ -50,49 +52,56 @@ struct Shape {
   std::size_t m, k, n;
 };
 
-void ExpectBitwiseEqual(const Tensor& blk, const Tensor& ref,
+void ExpectBitwiseEqual(const Tensor& got, const Tensor& ref,
                         const char* what, const Shape& s) {
-  ASSERT_EQ(blk.shape(), ref.shape());
-  const auto bd = blk.data(), rd = ref.data();
-  for (std::size_t i = 0; i < bd.size(); ++i) {
-    ASSERT_EQ(bd[i], rd[i]) << what << " element " << i << " at " << s.m
+  ASSERT_EQ(got.shape(), ref.shape());
+  const auto gd = got.data(), rd = ref.data();
+  for (std::size_t i = 0; i < gd.size(); ++i) {
+    ASSERT_EQ(gd[i], rd[i]) << what << " element " << i << " at " << s.m
                             << "x" << s.k << "x" << s.n;
   }
 }
 
-// Rectangular, odd, tiny and micro-tile-fringe shapes: cover every
-// combination of full/partial kMr row panels and kNr column panels, plus a
-// shape crossing the kKc k-panel boundary.
-const Shape kShapes[] = {
-    {1, 1, 1},    {2, 3, 4},     {5, 7, 3},    {4, 32, 32},
-    {17, 31, 13}, {33, 64, 65},  {8, 128, 784}, {100, 1, 9},
-    {1, 300, 2},  {63, 300, 31}, {96, 96, 96},
-};
-
 // Every registered backend, for within-backend contract tests (fused vs
 // unfused, prepacked vs on-the-fly, batched vs single-row) — those must
-// hold for each backend individually. Cross-backend *bitwise* comparisons
-// stay reference-vs-blocked: the simd kernel contracts multiply-add into
-// FMA, so it agrees with them to a few ULP, not bitwise (SimdParityTest).
-constexpr const char* kAllBackends[] = {"reference", "blocked", "simd"};
+// hold for each backend individually. The cross-backend comparison is
+// SimdParityTest's: bitwise on simd's scalar tier, within a few ULP on its
+// FMA tiers, which contract each multiply-add.
+constexpr const char* kAllBackends[] = {"reference", "simd"};
 
 TEST(BackendRegistryTest, NamesAndLookup) {
   EXPECT_EQ(tensor::reference_backend().name(), "reference");
-  EXPECT_EQ(tensor::blocked_backend().name(), "blocked");
   EXPECT_EQ(tensor::simd_backend().name(), "simd");
   EXPECT_EQ(tensor::find_backend("reference"), &tensor::reference_backend());
-  EXPECT_EQ(tensor::find_backend("blocked"), &tensor::blocked_backend());
   EXPECT_EQ(tensor::find_backend("simd"), &tensor::simd_backend());
+  EXPECT_EQ(tensor::find_backend("blocked"), nullptr);
   EXPECT_EQ(tensor::find_backend("no-such-kernel"), nullptr);
   EXPECT_THROW(tensor::set_backend("no-such-kernel"), std::invalid_argument);
-  const auto names = tensor::backend_names();
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[0], "reference");
-  EXPECT_EQ(names[1], "blocked");
-  EXPECT_EQ(names[2], "simd");
+  EXPECT_THROW(tensor::resolve_backend("blocked"), std::invalid_argument);
+  EXPECT_EQ(tensor::backend_names(),
+            (std::vector<std::string>{"reference", "simd"}));
   // The simd backend always reports which register kernel it compiled to.
   EXPECT_NE(tensor::simd_isa(), nullptr);
   EXPECT_STRNE(tensor::simd_isa(), "");
+#if defined(ORCO_DISABLE_SIMD)
+  // CMake defines ORCO_DISABLE_SIMD for this test too when it compiles the
+  // SIMD tiers out: SimdParityTest must then take its bitwise branch.
+  EXPECT_STREQ(tensor::simd_isa(), "scalar-fallback");
+#endif
+}
+
+TEST(BackendRegistryTest, SetBackendPublishesItsRegistryIndex) {
+  // orco_backend_active names the process default by its position in
+  // backend_names().
+  const std::string before = tensor::current_backend().name();
+  const auto* active = orco::obs::global_registry().gauge("backend.active");
+  const auto names = tensor::backend_names();
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    tensor::set_backend(names[i]);
+    EXPECT_EQ(active->value(), static_cast<double>(i)) << names[i];
+  }
+  tensor::set_backend(before);
+  EXPECT_EQ(tensor::current_backend().name(), before);
 }
 
 TEST(BackendRegistryTest, EnvResolutionFallsBackLoudlyOnUnknownName) {
@@ -101,8 +110,6 @@ TEST(BackendRegistryTest, EnvResolutionFallsBackLoudlyOnUnknownName) {
   // and bump the backend.env_invalid counter instead.
   EXPECT_EQ(&tensor::backend_from_env_value("reference"),
             &tensor::reference_backend());
-  EXPECT_EQ(&tensor::backend_from_env_value("blocked"),
-            &tensor::blocked_backend());
   EXPECT_EQ(&tensor::backend_from_env_value("simd"),
             &tensor::simd_backend());
   EXPECT_EQ(&tensor::backend_from_env_value(nullptr),
@@ -114,78 +121,35 @@ TEST(BackendRegistryTest, EnvResolutionFallsBackLoudlyOnUnknownName) {
   const auto before = counter->value();
   EXPECT_EQ(&tensor::backend_from_env_value("no-such-kernel"),
             &tensor::reference_backend());
-  EXPECT_EQ(counter->value(), before + 1);
+  // A deleted backend's name is just another unknown one.
+  EXPECT_EQ(&tensor::backend_from_env_value("blocked"),
+            &tensor::reference_backend());
+  EXPECT_EQ(counter->value(), before + 2);
 }
 
 TEST(BackendRegistryTest, ScopeOverridesAndRestores) {
   const std::string before = tensor::current_backend().name();
   {
-    tensor::BackendScope scope(&tensor::blocked_backend());
-    EXPECT_EQ(tensor::current_backend().name(), "blocked");
+    tensor::BackendScope scope(&tensor::simd_backend());
+    EXPECT_EQ(tensor::current_backend().name(), "simd");
     {
       tensor::BackendScope inner(&tensor::reference_backend());
       EXPECT_EQ(tensor::current_backend().name(), "reference");
     }
-    EXPECT_EQ(tensor::current_backend().name(), "blocked");
+    EXPECT_EQ(tensor::current_backend().name(), "simd");
     {
       tensor::BackendScope noop(nullptr);  // inherit, not reset
-      EXPECT_EQ(tensor::current_backend().name(), "blocked");
+      EXPECT_EQ(tensor::current_backend().name(), "simd");
     }
   }
   EXPECT_EQ(tensor::current_backend().name(), before);
 }
 
-TEST(BackendParityTest, MatmulMatchesReferenceAndGroundTruth) {
-  common::Pcg32 rng(31);
-  for (const auto& s : kShapes) {
-    const Tensor a = Tensor::randn({s.m, s.k}, rng);
-    const Tensor b = Tensor::randn({s.k, s.n}, rng);
-    const Tensor truth = naive_matmul(a, b);
-    Tensor ref, blk;
-    {
-      tensor::BackendScope scope(&tensor::reference_backend());
-      ref = tensor::matmul(a, b);
-    }
-    {
-      tensor::BackendScope scope(&tensor::blocked_backend());
-      blk = tensor::matmul(a, b);
-    }
-    // The contract is stronger than "within 1e-5": identical reduction
-    // chains make the kernels agree bitwise (backend.h), and batched
-    // serving relies on that.
-    ExpectBitwiseEqual(blk, ref, "matmul", s);
-    EXPECT_TRUE(blk.allclose(truth, 1e-3f))
-        << "blocked vs ground truth at " << s.m << "x" << s.k << "x" << s.n;
-  }
-}
-
-TEST(BackendParityTest, TransposedLayoutsMatchReference) {
-  common::Pcg32 rng(32);
-  for (const auto& s : kShapes) {
-    const Tensor a = Tensor::randn({s.m, s.k}, rng);
-    const Tensor at = a.transposed();              // (k, m)
-    const Tensor b = Tensor::randn({s.k, s.n}, rng);
-    const Tensor bt = b.transposed();              // (n, k)
-    Tensor ref_nt, ref_tn, blk_nt, blk_tn;
-    {
-      tensor::BackendScope scope(&tensor::reference_backend());
-      ref_nt = tensor::matmul_nt(a, bt);
-      ref_tn = tensor::matmul_tn(at, b);
-    }
-    {
-      tensor::BackendScope scope(&tensor::blocked_backend());
-      blk_nt = tensor::matmul_nt(a, bt);
-      blk_tn = tensor::matmul_tn(at, b);
-    }
-    ExpectBitwiseEqual(blk_nt, ref_nt, "gemm_nt", s);
-    ExpectBitwiseEqual(blk_tn, ref_tn, "gemm_tn", s);
-  }
-}
-
-// Shapes whose fringes are smaller than every simd register tile (the
-// AVX-512 kernel covers 8x32 outputs, AVX2 6x16, NEON 8x8) plus shapes
-// crossing the kKc k-panel boundary: rows < kMr, cols < kNr, and k tails
-// all go through the tmp-buffer fringe path.
+// Rectangular, odd and tiny shapes whose fringes are smaller than every
+// simd register tile (the AVX-512 kernel covers 8x32 outputs, AVX2 6x16,
+// NEON 8x8, the scalar tier 4x32) plus shapes crossing the kKc k-panel
+// boundary: rows < kMr, cols < kNr, and k tails all go through the
+// tmp-buffer fringe path.
 const Shape kSimdShapes[] = {
     {1, 1, 1},    {2, 3, 4},     {5, 7, 3},     {4, 32, 32},
     {17, 31, 13}, {33, 64, 65},  {8, 128, 784}, {100, 1, 9},
@@ -193,33 +157,69 @@ const Shape kSimdShapes[] = {
     {9, 257, 33}, {3, 512, 15},  {6, 40, 130},  {8, 96, 32},
 };
 
-TEST(SimdParityTest, MatchesGroundTruthAndBlockedWithinUlp) {
-  // The simd kernels keep the numerical contract (one reduction chain per
-  // output element, ascending k) but contract multiply-add into FMA, so
-  // against the blocked kernel they agree to a few ULP of the accumulated
-  // magnitude — and both sit within 1e-3 of the double ground truth.
+// simd's scalar tier runs the reference kernel's arithmetic — each product
+// rounded before its add, in ascending k — so it must equal "reference"
+// bit for bit. The FMA tiers keep each product unrounded before the add,
+// so they agree to a few ULP of the accumulated magnitude.
+void ExpectSimdMatchesReference(const Tensor& simd, const Tensor& ref,
+                                const char* what, const Shape& s) {
+  if (std::string_view(tensor::simd_isa()) == "scalar-fallback") {
+    ExpectBitwiseEqual(simd, ref, what, s);
+    return;
+  }
+  ASSERT_EQ(simd.shape(), ref.shape());
+  for (std::size_t i = 0; i < simd.numel(); ++i) {
+    const float scale = std::max(1.0f, std::fabs(ref[i]));
+    ASSERT_NEAR(simd[i], ref[i], 1e-4f * scale)
+        << what << " element " << i << " at " << s.m << "x" << s.k << "x"
+        << s.n;
+  }
+}
+
+TEST(SimdParityTest, MatchesReferenceBitwiseOnScalarTierWithinUlpOnFma) {
+  // Every layout, the fused epilogue and the prepacked path, against the
+  // reference kernel; both plain products also sit within 1e-3 of the
+  // double ground truth.
   common::Pcg32 rng(47);
+  const auto act = tensor::EpilogueAct::kTanh;
   for (const auto& s : kSimdShapes) {
     const Tensor a = Tensor::randn({s.m, s.k}, rng);
     const Tensor b = Tensor::randn({s.k, s.n}, rng);
+    const Tensor w = b.transposed();  // (n, k): the Dense weight layout
+    const Tensor bias = Tensor::randn({s.n}, rng);
+    const auto products = [&](const tensor::Backend& be) {
+      tensor::BackendScope scope(&be);
+      return std::vector<Tensor>{
+          tensor::matmul(a, b), tensor::matmul_nt(a, w),
+          tensor::matmul_tn(a.transposed(), b),
+          tensor::gemm_bias_act(a, w, bias, act)};
+    };
+    const std::vector<Tensor> ref = products(tensor::reference_backend());
+    const std::vector<Tensor> simd = products(tensor::simd_backend());
     const Tensor truth = naive_matmul(a, b);
-    Tensor blk, simd;
-    {
-      tensor::BackendScope scope(&tensor::blocked_backend());
-      blk = tensor::matmul(a, b);
-    }
-    {
-      tensor::BackendScope scope(&tensor::simd_backend());
-      simd = tensor::matmul(a, b);
-    }
-    EXPECT_TRUE(simd.allclose(truth, 1e-3f))
+    EXPECT_TRUE(ref[0].allclose(truth, 1e-3f))
+        << "reference vs ground truth at " << s.m << "x" << s.k << "x" << s.n;
+    EXPECT_TRUE(simd[0].allclose(truth, 1e-3f))
         << "simd vs ground truth at " << s.m << "x" << s.k << "x" << s.n;
-    for (std::size_t i = 0; i < simd.numel(); ++i) {
-      const float scale = std::max(1.0f, std::fabs(blk[i]));
-      ASSERT_NEAR(simd[i], blk[i], 1e-4f * scale)
-          << "simd vs blocked element " << i << " at " << s.m << "x" << s.k
-          << "x" << s.n;
+    const char* what[] = {"gemm", "gemm_nt", "gemm_tn", "gemm_fused"};
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ExpectSimdMatchesReference(simd[i], ref[i], what[i], s);
     }
+
+    // simd's bf16 panels against reference's fused product on the
+    // bf16-rounded weight.
+    Tensor ref_rounded;
+    {
+      tensor::BackendScope scope(&tensor::reference_backend());
+      ref_rounded =
+          tensor::gemm_bias_act(a, testutil::bf16_rounded(w), bias, act);
+    }
+    tensor::BackendScope scope(&tensor::simd_backend());
+    const tensor::PackedWeights packed = tensor::simd_backend().pack_b(
+        w.data().data(), s.k, s.n, /*transpose_b=*/true);
+    ExpectSimdMatchesReference(
+        tensor::gemm_bias_act_prepacked(a, packed, bias, act), ref_rounded,
+        "gemm_prepacked", s);
   }
 }
 
@@ -383,16 +383,16 @@ TEST(FusedEpilogueTest, DenseInferAgreesAcrossBackends) {
   common::Pcg32 rng(38);
   nn::Dense dense(128, 784, rng);  // the MNIST decoder shape
   const Tensor x = Tensor::randn({8, 128}, rng);
-  Tensor ref, blk;
+  Tensor ref, simd;
   {
     tensor::BackendScope scope(&tensor::reference_backend());
     ref = dense.infer(x);
   }
   {
-    tensor::BackendScope scope(&tensor::blocked_backend());
-    blk = dense.infer(x);
+    tensor::BackendScope scope(&tensor::simd_backend());
+    simd = dense.infer(x);
   }
-  EXPECT_TRUE(blk.allclose(ref, 1e-5f));
+  EXPECT_TRUE(simd.allclose(ref, 1e-5f));
 }
 
 TEST(FusedEpilogueTest, BatchedRowsMatchSingleRowDecodeBitwise) {
@@ -417,13 +417,12 @@ TEST(FusedEpilogueTest, BatchedRowsMatchSingleRowDecodeBitwise) {
 
 TEST(PrepackedTest, GemmPrepackedMatchesGemmFusedBitwiseOnBothBackends) {
   common::Pcg32 rng(41);
-  for (const auto& s : kShapes) {
+  for (const auto& s : kSimdShapes) {
     const Tensor x = Tensor::randn({s.m, s.k}, rng);
     const Tensor w = Tensor::randn({s.n, s.k}, rng);  // (out, in) dense layout
     const Tensor bias = Tensor::randn({s.n}, rng);
     // pack_b stores the weight rounded to bf16.
     const Tensor w_bf16 = testutil::bf16_rounded(w);
-    Tensor ref_fused;
     for (const char* name : kAllBackends) {
       const tensor::Backend* backend = tensor::find_backend(name);
       tensor::BackendScope scope(backend);
@@ -435,17 +434,8 @@ TEST(PrepackedTest, GemmPrepackedMatchesGemmFusedBitwiseOnBothBackends) {
           x, packed, bias, tensor::EpilogueAct::kSigmoid);
       // Packing rounds each weight and reorders memory, never the
       // reduction: bitwise equal to the pack-on-the-fly fused path on the
-      // rounded weight...
+      // rounded weight.
       ExpectBitwiseEqual(prepacked, fused, "gemm_prepacked", s);
-      // ...and across the bitwise-contract backends (the serving parity
-      // contract). simd joins the prepacked-vs-fused assert above but not
-      // this one: its FMA reduction matches within ULP, not bitwise.
-      if (std::string(name) == "simd") continue;
-      if (ref_fused.numel() == 0) {
-        ref_fused = fused;
-      } else {
-        ExpectBitwiseEqual(fused, ref_fused, "cross-backend prepacked", s);
-      }
     }
   }
 }
@@ -499,7 +489,7 @@ TEST(PrepackedTest, DensePlanPackMatchesUnpackedAndTracksMutation) {
 
   // Mutating through the non-const accessor makes a compiled plan stale;
   // the recompiled plan packs the new weights, not the old panels.
-  tensor::BackendScope scope(&tensor::blocked_backend());
+  tensor::BackendScope scope(&tensor::simd_backend());
   const auto plan = nn::InferPlan::compile(model);
   EXPECT_FALSE(plan->weights_stale());
   dense.weight().fill(0.25f);
@@ -543,7 +533,7 @@ TEST(PrepackedTest, MismatchedBackendPackIsRejected) {
   const Tensor w = Tensor::randn({4, 8}, rng);
   const Tensor bias = Tensor::randn({4}, rng);
   const tensor::PackedWeights packed =
-      tensor::blocked_backend().pack_b(w.data().data(), 8, 4, true);
+      tensor::simd_backend().pack_b(w.data().data(), 8, 4, true);
   tensor::BackendScope scope(&tensor::reference_backend());
   EXPECT_THROW(
       (void)tensor::gemm_bias_act_prepacked(x, packed, bias),
@@ -650,28 +640,6 @@ TEST(PrepackedTest, PackedBEqualsGemmFusedOnBf16RoundedWeightOnEveryBackend) {
         SCOPED_TRACE(name);
         ExpectBitwiseEqual(from_nt, fused, "prepacked (n, k) weight", s);
         ExpectBitwiseEqual(from_nn, fused, "prepacked (k, n) weight", s);
-
-        // The int8 fast path: codes dequantized inside A packing equal the
-        // same GEMM on the dequantized batch.
-        std::vector<std::uint8_t> codes(m * k);
-        for (auto& q : codes) q = static_cast<std::uint8_t>(rng.next());
-        std::vector<float> lo(m), scale(m);
-        Tensor dequant({m, k});
-        for (std::size_t i = 0; i < m; ++i) {
-          lo[i] = -0.8f + 0.01f * static_cast<float>(i);
-          scale[i] = 1.6f / 255.0f;
-          for (std::size_t p = 0; p < k; ++p) {
-            dequant.at(i, p) =
-                lo[i] + static_cast<float>(codes[i * k + p]) * scale[i];
-          }
-        }
-        Tensor from_codes({m, n}), dequant_fused({m, n});
-        be.gemm_quantized(codes.data(), {lo.data(), scale.data()}, packed_nt,
-                          from_codes.data().data(), m, k, n, epi);
-        be.gemm_fused(dequant.data().data(), b_bf16.data().data(),
-                      dequant_fused.data().data(), m, k, n,
-                      /*transpose_b=*/false, epi);
-        ExpectBitwiseEqual(from_codes, dequant_fused, "int8 prepacked", s);
       }
     }
   }
@@ -702,19 +670,16 @@ TEST(PrepackedTest, PanelLookAheadNeverFaults) {
 }
 
 TEST(PrepackedTest, PanelBackendsStoreTwoBytesPerPackedWeight) {
-  // n = 64 is whole kNr strips on every tier, so the panels carry no
+  // n = 64 is whole kNr strips on every simd tier, so the panels carry no
   // padding: exactly one bf16 per weight.
   constexpr std::size_t k = 300, n = 64;
   common::Pcg32 rng(49);
   const Tensor w = Tensor::randn({n, k}, rng);
-  for (const tensor::Backend* be :
-       {&tensor::blocked_backend(), &tensor::simd_backend()}) {
-    const tensor::PackedWeights packed =
-        be->pack_b(w.data().data(), k, n, /*transpose_b=*/true);
-    EXPECT_TRUE(packed.data.empty()) << be->name();
-    EXPECT_EQ(packed.bf16.size() * sizeof(packed.bf16[0]), 2 * k * n)
-        << be->name();
-  }
+  const tensor::PackedWeights packed =
+      tensor::simd_backend().pack_b(w.data().data(), k, n,
+                                    /*transpose_b=*/true);
+  EXPECT_TRUE(packed.data.empty());
+  EXPECT_EQ(packed.bf16.size() * sizeof(packed.bf16[0]), 2 * k * n);
 }
 
 TEST(FusedEpilogueTest, ActivationEpilogueMapping) {

@@ -303,11 +303,17 @@ void emit_bench_gemm_json() {
       {64, 64, 64},    {128, 128, 128}, {256, 256, 256},
       {512, 512, 512}, {8, 128, 784},   {32, 456, 784},
   };
+  // Every row times one thread: 512^3 clears the pool's 2^25 multiply-add
+  // threshold, and pooled rows would measure the worker count, not the
+  // kernel.
+  const bool pooled = tensor::gemm_parallelism();
+  tensor::set_gemm_parallelism(false);
   common::print_section(std::cout, "GEMM GFLOP/s per kernel backend");
   Table table({"m", "k", "n", "reference", "simd", "simd/reference"});
   std::ofstream json("BENCH_gemm.json");
-  json << "{\n  \"flop_metric\": \"GFLOP/s\",\n  \"simd_isa\": \""
-       << tensor::simd_isa() << "\",\n  \"shapes\": [\n";
+  json << "{\n  \"flop_metric\": \"GFLOP/s\",\n  \"threads\": 1,\n"
+       << "  \"simd_isa\": \"" << tensor::simd_isa()
+       << "\",\n  \"shapes\": [\n";
   const std::size_t count = sizeof(shapes) / sizeof(shapes[0]);
   for (std::size_t i = 0; i < count; ++i) {
     const GemmShape& s = shapes[i];
@@ -378,6 +384,7 @@ void emit_bench_gemm_json() {
        << static_cast<double>(f32_bytes) / static_cast<double>(int8_bytes)
        << "}\n";
   json << "}\n";
+  tensor::set_gemm_parallelism(pooled);
   table.print(std::cout);
   std::cout << "\n";
   ptable.print(std::cout);

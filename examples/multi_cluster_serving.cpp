@@ -106,7 +106,7 @@ int main() {
   for (const auto& t : tenants) {
     runtime.register_cluster(t.id, t.system);
     std::cout << "cluster " << t.id << " (" << t.kind << ") -> shard "
-              << runtime.shard_of(t.id) << "\n";
+              << *runtime.shard_of(t.id) << "\n";
   }
   runtime.start();
 

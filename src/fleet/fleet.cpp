@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -336,9 +337,9 @@ bool EdgeFleet::demote(ClusterId id) {
     if (barrier.get().status != serve::ResponseStatus::kOk) {
       return abort_demotion();
     }
-  } else if (cell.runtime->shard(cell.runtime->shard_of(id))
-                 .queue()
-                 .size(id) > 0) {
+  } else if (const std::optional<std::size_t> home =
+                 cell.runtime->shard_of(id);
+             home && cell.runtime->shard(*home).queue().size(id) > 0) {
     return abort_demotion();
   }
   // Phase 3 — detach training; refused unless the tenant is quiescent.

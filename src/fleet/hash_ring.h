@@ -30,9 +30,8 @@ class HashRing {
   /// A ring over replicas 0..replica_count-1.
   HashRing(std::size_t replica_count, std::size_t vnodes);
 
-  /// splitmix64 finalizer — the repo-standard stable hash (the same mix
-  /// serve::shard_for uses), exposed so tests can hash keys the way the
-  /// ring does.
+  /// splitmix64 finalizer — the repo-standard stable hash, exposed so
+  /// tests can hash keys the way the ring does.
   static std::uint64_t mix(std::uint64_t x) noexcept {
     x += 0x9e3779b97f4a7c15ULL;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;

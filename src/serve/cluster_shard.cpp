@@ -106,17 +106,12 @@ void ClusterShard::add_cluster(ClusterId cluster,
   queue_.set_policy(cluster, policy);
 }
 
-bool ClusterShard::remove_cluster(ClusterId cluster) {
+void ClusterShard::remove_cluster(ClusterId cluster) {
   common::MutexLock lock(tenants_mu_);
   // A worker mid-batch still holds its shared_ptr; erasing here only stops
   // future lookups. The entry (and the tenant system it pins) is destroyed
   // when the last holder lets go.
-  return tenants_.erase(cluster) > 0;
-}
-
-bool ClusterShard::has_cluster(ClusterId cluster) const {
-  common::MutexLock lock(tenants_mu_);
-  return tenants_.count(cluster) > 0;
+  tenants_.erase(cluster);
 }
 
 std::size_t ClusterShard::cluster_count() const {
@@ -190,6 +185,12 @@ void ClusterShard::serve_batch(std::vector<PendingRequest> batch) {
       telemetry_->record_rejected(cluster);
       respond_error(pending, ResponseStatus::kUnknownCluster);
     }
+    // The tenant was unregistered before its lane drained, and may since
+    // live on another shard: drop the emptied lane here, unless the id was
+    // registered on this shard again (add_cluster installs its policy
+    // under tenants_mu_).
+    common::MutexLock lock(tenants_mu_);
+    if (tenants_.count(cluster) == 0) queue_.erase_lane(cluster);
     return;
   }
 

@@ -1,12 +1,13 @@
 // ClusterShard — one shard of the serving runtime's tenant space.
 //
-// Cluster ids hash onto shards with shard_for(); each shard owns the
-// OrcoDcsSystem instances of its clusters and is driven by exactly one
-// worker thread, so tenant state needs no locks on the serve path. The
-// shard's BatchQueue hands the worker same-cluster batches. Every batch
-// takes one path: validate each request, assemble one float batch (float
-// latents copied, quantized payloads dequantized into their rows), run one
-// decode, and fan the rows back out to the per-request futures.
+// ServerRuntime places each cluster on one shard at registration; each
+// shard owns the OrcoDcsSystem instances of its clusters and is driven by
+// exactly one worker thread, so tenant state needs no locks on the serve
+// path. The shard's BatchQueue hands the worker same-cluster batches.
+// Every batch takes one path: validate each request, assemble one float
+// batch (float latents copied, quantized payloads dequantized into their
+// rows), run one decode, and fan the rows back out to the per-request
+// futures.
 //
 // Serve-while-retraining: when a train::ModelRegistry is attached, the
 // shard decodes through the tenant's current immutable ModelSnapshot — one
@@ -32,16 +33,6 @@
 #include "train/model_registry.h"
 
 namespace orco::serve {
-
-/// Stable hash route: splitmix64 finalizer over the cluster id. Same id
-/// always lands on the same shard for a given shard_count.
-inline std::size_t shard_for(ClusterId cluster, std::size_t shard_count) {
-  std::uint64_t x = cluster + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return static_cast<std::size_t>(x % shard_count);
-}
 
 class ClusterShard {
  public:
@@ -71,14 +62,15 @@ class ClusterShard {
                    std::shared_ptr<core::OrcoDcsSystem> system,
                    const TenantPolicy& policy);
 
-  /// Removes a tenant (the fleet's cold-tier demotion path). Returns false
-  /// when the id was never registered. The caller must have drained the
+  /// Removes a tenant (the fleet's cold-tier demotion path); a no-op for an
+  /// id this shard does not hold. The caller must have drained the
   /// tenant's queued work first: a request still queued when its batch pops
   /// is answered kUnknownCluster. A batch already holding the entry
   /// finishes on it safely (entries are shared_ptr-owned).
-  bool remove_cluster(ClusterId cluster);
+  void remove_cluster(ClusterId cluster);
 
-  bool has_cluster(ClusterId cluster) const;
+  /// Registered tenants; ServerRuntime places a new tenant on the shard
+  /// with the fewest.
   std::size_t cluster_count() const;
 
   /// Worker loop: pops batches until the queue is closed and drained.

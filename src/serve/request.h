@@ -20,7 +20,7 @@ namespace orco::serve {
 
 using tensor::Tensor;
 
-/// Stable tenant identifier; hashed onto shards (see shard_for()).
+/// Stable tenant identifier; ServerRuntime places it on one shard.
 using ClusterId = std::uint64_t;
 using RequestId = std::uint64_t;
 

@@ -35,17 +35,45 @@ void ServerRuntime::register_cluster(
 void ServerRuntime::register_cluster(
     ClusterId cluster, std::shared_ptr<core::OrcoDcsSystem> system,
     const TenantPolicy& policy) {
-  shards_[shard_of(cluster)]->add_cluster(cluster, std::move(system), policy);
+  common::MutexLock lock(placement_mu_);
+  // Checked here, not by the shard: placement would put a duplicate on a
+  // shard that does not hold the id.
+  const auto existing = placement_.find(cluster);
+  ORCO_CHECK(existing == placement_.end(),
+             "cluster " << cluster << " already registered on shard "
+                        << existing->second);
+  std::size_t target = 0;
+  std::size_t fewest = shards_[0]->cluster_count();
+  for (std::size_t i = 1; i < shards_.size(); ++i) {
+    const std::size_t count = shards_[i]->cluster_count();
+    if (count < fewest) {
+      target = i;
+      fewest = count;
+    }
+  }
+  shards_[target]->add_cluster(cluster, std::move(system), policy);
+  placement_.emplace(cluster, target);
 }
 
 bool ServerRuntime::unregister_cluster(ClusterId cluster) {
-  ClusterShard& shard = *shards_[shard_of(cluster)];
-  const bool removed = shard.remove_cluster(cluster);
+  common::MutexLock lock(placement_mu_);
+  const auto it = placement_.find(cluster);
+  if (it == placement_.end()) return false;
+  ClusterShard& shard = *shards_[it->second];
+  placement_.erase(it);
+  shard.remove_cluster(cluster);
   // Reclaim the tenant's queue lane; a non-empty lane (caller didn't drain)
-  // stays — its requests are answered kUnknownCluster at pop, after which
-  // the lane is a candidate for the next unregister's erase.
-  if (removed) shard.queue().erase_lane(cluster);
-  return removed;
+  // stays until the shard has answered its requests kUnknownCluster at pop,
+  // and the shard erases it then.
+  shard.queue().erase_lane(cluster);
+  return true;
+}
+
+std::optional<std::size_t> ServerRuntime::shard_of(ClusterId cluster) const {
+  common::MutexLock lock(placement_mu_);
+  const auto it = placement_.find(cluster);
+  if (it == placement_.end()) return std::nullopt;
+  return it->second;
 }
 
 std::future<DecodeResponse> ServerRuntime::immediate_response(
@@ -87,8 +115,8 @@ std::future<DecodeResponse> ServerRuntime::submit_request(
     telemetry_.record_rejected();
     return immediate_response(id, ResponseStatus::kShutdown);
   }
-  ClusterShard& shard = *shards_[shard_of(cluster)];
-  if (!shard.has_cluster(cluster)) {
+  const std::optional<std::size_t> home = shard_of(cluster);
+  if (!home.has_value()) {
     // Answer unregistered ids up front: they must not allocate queue lanes
     // or per-tenant telemetry rows (both live for the runtime's lifetime),
     // and must not carry the default policy's power to evict registered
@@ -99,6 +127,7 @@ std::future<DecodeResponse> ServerRuntime::submit_request(
     return immediate_response(id, ResponseStatus::kUnknownCluster);
   }
   telemetry_.record_submitted(cluster);
+  ClusterShard& shard = *shards_[*home];
 
   PendingRequest pending;
   pending.request = std::move(request);

@@ -2,10 +2,12 @@
 //
 // Owns shard_count ClusterShards, each with its own coalescing BatchQueue
 // and exactly one worker task running on an orco::common::ThreadPool (via
-// submit()). submit() hash-routes a cluster's latent to its shard and
-// returns a future; backpressure is a bounded queue with an explicit
-// shed-load answer, and shutdown() is graceful: intake stops, queued work
-// drains, workers join, every outstanding future resolves.
+// submit()). register_cluster() places a tenant on the shard holding the
+// fewest tenants and records the placement; submit() routes a cluster's
+// latent through that table and returns a future; backpressure is a
+// bounded queue with an explicit shed-load answer, and shutdown() is
+// graceful: intake stops, queued work drains, workers join, every
+// outstanding future resolves.
 #pragma once
 
 #include <atomic>
@@ -13,7 +15,9 @@
 #include <cstddef>
 #include <future>
 #include <memory>
+#include <optional>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -25,6 +29,8 @@
 namespace orco::serve {
 
 struct ServeConfig {
+  // Decode workers, one ClusterShard each; every tenant is served by the
+  // one shard register_cluster placed it on.
   std::size_t shard_count = 4;
   BatchQueueConfig queue;  // applied per shard; queue.default_policy is the
                            // QoS policy for tenants registered without one
@@ -61,9 +67,10 @@ class ServerRuntime {
   ServerRuntime(const ServerRuntime&) = delete;
   ServerRuntime& operator=(const ServerRuntime&) = delete;
 
-  /// Registers a tenant on its home shard under the config's default QoS
-  /// policy. Allowed before start() and while running; re-registering an id
-  /// throws.
+  /// Registers a tenant under the config's default QoS policy on the shard
+  /// holding the fewest registered tenants (the lowest index on a tie); the
+  /// tenant stays on that shard until unregistered. Allowed before start()
+  /// and while running; re-registering a registered id throws.
   void register_cluster(ClusterId cluster,
                         std::shared_ptr<core::OrcoDcsSystem> system);
 
@@ -73,8 +80,9 @@ class ServerRuntime {
                         std::shared_ptr<core::OrcoDcsSystem> system,
                         const TenantPolicy& policy);
 
-  /// Removes a tenant: subsequent submits answer kUnknownCluster and the
-  /// tenant's (drained) queue lane is reclaimed. The fleet's cold-tier
+  /// Removes a tenant: subsequent submits answer kUnknownCluster, the
+  /// tenant's (drained) queue lane is reclaimed and its shard counts one
+  /// tenant fewer for the next placement. The fleet's cold-tier
   /// demotion path; callers must drain the tenant's queued work first —
   /// anything still queued is answered kUnknownCluster when its batch
   /// pops. A batch already in flight finishes safely (the shard's entry is
@@ -115,10 +123,9 @@ class ServerRuntime {
   std::size_t shard_count() const noexcept { return shards_.size(); }
   ClusterShard& shard(std::size_t i) { return *shards_[i]; }
   const ClusterShard& shard(std::size_t i) const { return *shards_[i]; }
-  /// The shard a cluster routes to (stable for a fixed shard_count).
-  std::size_t shard_of(ClusterId cluster) const {
-    return shard_for(cluster, shards_.size());
-  }
+  /// The shard a registered cluster was placed on (fixed while it stays
+  /// registered); nullopt for an id that is not registered.
+  std::optional<std::size_t> shard_of(ClusterId cluster) const;
 
   /// Writes the configured observability exports now (also runs
   /// periodically and at shutdown when configured). Returns false when any
@@ -138,7 +145,7 @@ class ServerRuntime {
   std::future<DecodeResponse> immediate_response(RequestId id,
                                                  ResponseStatus status);
   /// Shared admission tail of both submit overloads: stamps the id and
-  /// enqueue time, routes to the owning shard, answers unknown ids and
+  /// enqueue time, routes to the tenant's shard, answers unknown ids and
   /// shutdown up front, and handles backpressure (shed/eviction answers).
   std::future<DecodeResponse> submit_request(DecodeRequest request);
   void start_flusher();
@@ -153,6 +160,13 @@ class ServerRuntime {
   std::atomic<bool> running_{false};
   std::atomic<bool> stopped_{false};
   std::atomic<RequestId> next_request_id_{1};
+  // Registered cluster -> index of the shard serving it. register and
+  // unregister change this table and that shard's tenant map in one hold,
+  // so an id found here is held by its shard unless an unregister races
+  // the submit (the shard then answers kUnknownCluster at pop).
+  mutable common::Mutex placement_mu_;
+  std::unordered_map<ClusterId, std::size_t> placement_
+      ORCO_GUARDED_BY(placement_mu_);
 
   // Periodic observability flusher (only when obs_export asks for one).
   std::thread flusher_;

@@ -186,8 +186,12 @@ TEST(GemmQuantizedTest, MatchesExplicitDequantThenPrepackedBitwise) {
     Tensor dequant({d.m, d.k});
     for (std::size_t i = 0; i < d.m; ++i) {
       for (std::size_t p = 0; p < d.k; ++p) {
-        dequant.at(i, p) =
-            lo[i] + static_cast<float>(codes[i * d.k + p]) * scale[i];
+        // The helper's TU is built with -ffp-contract=off; the volatile
+        // keeps an FMA-enabled build of this TU from fusing the multiply
+        // and the add either.
+        const volatile float product =
+            static_cast<float>(codes[i * d.k + p]) * scale[i];
+        dequant.at(i, p) = lo[i] + product;
       }
     }
     for (const char* name : kAllBackends) {

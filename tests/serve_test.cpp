@@ -1,4 +1,4 @@
-// Tests for the multi-cluster serving runtime (src/serve): shard routing,
+// Tests for the multi-cluster serving runtime (src/serve): shard placement,
 // batch coalescing (windows bounded by each lane's measured decode),
 // batched-vs-sequential decode equality, backpressure,
 // per-tenant QoS (quota admission, priority eviction, weighted-aging
@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -42,25 +43,183 @@ Tensor random_latent(std::size_t latent_dim, common::Pcg32& rng) {
   return Tensor::randn({latent_dim}, rng);
 }
 
-TEST(ShardRoutingTest, SameClusterAlwaysSameShard) {
-  for (ClusterId id = 0; id < 500; ++id) {
-    const std::size_t first = shard_for(id, 8);
-    for (int rep = 0; rep < 3; ++rep) EXPECT_EQ(shard_for(id, 8), first);
-    EXPECT_LT(first, 8u);
+TEST(ShardPlacementTest, EightTenantsFillFourShardsTwoEach) {
+  ServeConfig cfg;
+  cfg.shard_count = 4;
+  ServerRuntime runtime(cfg);
+  for (ClusterId id = 0; id < 8; ++id) {
+    runtime.register_cluster(id, make_tenant(64, 16, id + 1));
+  }
+  for (std::size_t i = 0; i < runtime.shard_count(); ++i) {
+    EXPECT_EQ(runtime.shard(i).cluster_count(), 2u) << "shard " << i;
+  }
+  // Lowest index first on a tie: ids 0..3 take shards 0..3, ids 4..7 again.
+  for (ClusterId id = 0; id < 8; ++id) {
+    EXPECT_EQ(runtime.shard_of(id), std::optional<std::size_t>(id % 4));
   }
 }
 
-TEST(ShardRoutingTest, SpreadsClustersAcrossShards) {
-  const std::size_t shards = 8;
-  std::vector<std::size_t> counts(shards, 0);
-  const std::size_t n = 8000;
-  for (ClusterId id = 0; id < n; ++id) counts[shard_for(id, shards)]++;
-  // Sequential ids should hash to a near-uniform spread; allow +/-30%.
-  const std::size_t expect = n / shards;
-  for (const auto c : counts) {
-    EXPECT_GT(c, expect * 7 / 10);
-    EXPECT_LT(c, expect * 13 / 10);
+TEST(ShardPlacementTest, FreedShardTakesTheNextRegistrations) {
+  ServeConfig cfg;
+  cfg.shard_count = 4;
+  ServerRuntime runtime(cfg);
+  for (ClusterId id = 0; id < 8; ++id) {
+    runtime.register_cluster(id, make_tenant(64, 16, id + 1));
   }
+  // Empty shard 2, then fill it back up; nothing else moves.
+  const std::size_t freed = *runtime.shard_of(2);
+  ASSERT_EQ(runtime.shard_of(6), std::optional<std::size_t>(freed));
+  ASSERT_TRUE(runtime.unregister_cluster(2));
+  ASSERT_TRUE(runtime.unregister_cluster(6));
+  EXPECT_EQ(runtime.shard(freed).cluster_count(), 0u);
+  runtime.register_cluster(20, make_tenant());
+  EXPECT_EQ(runtime.shard_of(20), std::optional<std::size_t>(freed));
+  runtime.register_cluster(21, make_tenant());
+  EXPECT_EQ(runtime.shard_of(21), std::optional<std::size_t>(freed));
+  for (std::size_t i = 0; i < runtime.shard_count(); ++i) {
+    EXPECT_EQ(runtime.shard(i).cluster_count(), 2u) << "shard " << i;
+  }
+}
+
+TEST(ShardPlacementTest, ShardOfIsEmptyUntilRegisteredAndStableWhileRegistered) {
+  ServeConfig cfg;
+  cfg.shard_count = 3;
+  ServerRuntime runtime(cfg);
+  EXPECT_FALSE(runtime.shard_of(7).has_value());
+  runtime.register_cluster(7, make_tenant());
+  const std::optional<std::size_t> home = runtime.shard_of(7);
+  ASSERT_TRUE(home.has_value());
+  // Other tenants coming and going never move a registered one.
+  for (ClusterId id = 100; id < 106; ++id) {
+    runtime.register_cluster(id, make_tenant());
+    EXPECT_EQ(runtime.shard_of(7), home);
+  }
+  for (ClusterId id = 100; id < 106; ++id) {
+    ASSERT_TRUE(runtime.unregister_cluster(id));
+    EXPECT_EQ(runtime.shard_of(7), home);
+  }
+  EXPECT_FALSE(runtime.shard_of(100).has_value());
+  ASSERT_TRUE(runtime.unregister_cluster(7));
+  EXPECT_FALSE(runtime.shard_of(7).has_value());
+}
+
+TEST(ShardPlacementTest, DuplicateRegistrationThrowsAndKeepsTheFirst) {
+  ServeConfig cfg;
+  cfg.shard_count = 2;
+  ServerRuntime runtime(cfg);
+  runtime.register_cluster(1, make_tenant());
+  const std::optional<std::size_t> home = runtime.shard_of(1);
+  // The other shard is emptier, so placement alone would accept the
+  // duplicate there.
+  EXPECT_THROW(runtime.register_cluster(1, make_tenant()),
+               std::invalid_argument);
+  EXPECT_EQ(runtime.shard_of(1), home);
+  EXPECT_EQ(runtime.shard(0).cluster_count() + runtime.shard(1).cluster_count(),
+            1u);
+  runtime.start();
+  common::Pcg32 rng(3);
+  EXPECT_EQ(runtime.submit(1, random_latent(16, rng)).get().status,
+            ResponseStatus::kOk);
+  runtime.shutdown();
+}
+
+TEST(ShardPlacementTest, UndrainedLaneGoesOnceItsRequestsAreAnswered) {
+  // A tenant unregistered with work still queued can be placed on another
+  // shard next; its old shard drops the lane once it has answered that work.
+  ServeConfig cfg;
+  cfg.shard_count = 2;
+  ServerRuntime runtime(cfg);
+  TenantPolicy high;
+  high.priority = Priority::kHigh;
+  const auto system = make_tenant();
+  runtime.register_cluster(7, system, high);
+  const std::size_t first = *runtime.shard_of(7);
+  common::Pcg32 rng(4);
+  // Not started yet: the request stays queued through the unregister.
+  auto queued = runtime.submit(7, random_latent(16, rng));
+  ASSERT_TRUE(runtime.unregister_cluster(7));
+  runtime.register_cluster(8, make_tenant());
+  runtime.register_cluster(7, system, high);
+  const std::optional<std::size_t> second = runtime.shard_of(7);
+  ASSERT_TRUE(second.has_value());
+  ASSERT_NE(*second, first);
+  runtime.start();
+  EXPECT_EQ(queued.get().status, ResponseStatus::kUnknownCluster);
+  runtime.shutdown();  // joins the worker that answered it
+  // No lane is left on the old shard (its policy reads the default again);
+  // the new shard's lane keeps the tenant's policy.
+  EXPECT_EQ(runtime.shard(first).queue().policy(7).priority,
+            Priority::kNormal);
+  EXPECT_EQ(runtime.shard(*second).queue().policy(7).priority,
+            Priority::kHigh);
+}
+
+TEST(ShardPlacementTest, ChurnedRegistrationsAnswerEveryRequestExactlyOnce) {
+  // Ids 0..3 stay registered; ids 4..7 are registered and unregistered in a
+  // loop while four clients submit to all eight.
+  ServeConfig cfg;
+  cfg.shard_count = 4;
+  cfg.queue.max_wait_us = 50;
+  ServerRuntime runtime(cfg);
+  constexpr ClusterId kStable = 4, kAll = 8;
+  std::vector<std::shared_ptr<core::OrcoDcsSystem>> systems;
+  for (ClusterId id = 0; id < kAll; ++id) {
+    systems.push_back(make_tenant(64, 16, id + 1));
+  }
+  for (ClusterId id = 0; id < kStable; ++id) {
+    runtime.register_cluster(id, systems[id]);
+  }
+  runtime.start();
+
+  std::atomic<bool> clients_done{false};
+  std::size_t churn_rounds = 0;
+  std::thread churn([&] {
+    while (!clients_done.load()) {
+      for (ClusterId id = kStable; id < kAll; ++id) {
+        runtime.register_cluster(id, systems[id]);
+      }
+      for (ClusterId id = kStable; id < kAll; ++id) {
+        EXPECT_TRUE(runtime.unregister_cluster(id));
+      }
+      ++churn_rounds;
+    }
+  });
+  constexpr int kClients = 4, kRounds = 50;
+  std::atomic<std::size_t> answers{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      common::Pcg32 rng(300 + t);
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::future<DecodeResponse>> inflight;
+        for (ClusterId id = 0; id < kAll; ++id) {
+          inflight.push_back(runtime.submit(id, random_latent(16, rng)));
+        }
+        for (ClusterId id = 0; id < kAll; ++id) {
+          const ResponseStatus status = inflight[id].get().status;
+          answers.fetch_add(1);
+          if (id < kStable) {
+            EXPECT_EQ(status, ResponseStatus::kOk) << "cluster " << id;
+          } else {
+            EXPECT_TRUE(status == ResponseStatus::kOk ||
+                        status == ResponseStatus::kUnknownCluster)
+                << "cluster " << id << ": " << to_string(status);
+          }
+        }
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+  clients_done.store(true);
+  churn.join();
+  runtime.shutdown();
+
+  EXPECT_GT(churn_rounds, 0u);
+  EXPECT_EQ(answers.load(), std::size_t{kClients} * kRounds * kAll);
+  const auto snapshot = runtime.telemetry().snapshot();
+  EXPECT_EQ(snapshot.submitted, answers.load());
+  EXPECT_EQ(snapshot.submitted,
+            snapshot.completed + snapshot.shed + snapshot.rejected);
 }
 
 TEST(BatchQueueTest, CoalescesOnlyOneClusterPerBatchInFifoOrder) {
@@ -477,7 +636,10 @@ TEST(ServeTest, UnknownClusterAndBadLatentAreRejected) {
   // Bogus ids must not leave state behind: no per-tenant telemetry row, no
   // queue lane (both would otherwise live for the runtime's lifetime).
   EXPECT_EQ(runtime.telemetry().tenant_snapshots().count(999), 0u);
-  EXPECT_EQ(runtime.shard(runtime.shard_of(999)).queue().size(999), 0u);
+  EXPECT_FALSE(runtime.shard_of(999).has_value());
+  for (std::size_t i = 0; i < runtime.shard_count(); ++i) {
+    EXPECT_EQ(runtime.shard(i).queue().size(999), 0u) << "shard " << i;
+  }
   runtime.shutdown();
 }
 

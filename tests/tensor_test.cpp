@@ -232,10 +232,12 @@ bool pooled_equals_serial(std::size_t m, std::size_t n, Gemm&& gemm) {
 
 TEST(MatmulTest, ParallelMatchesSerial) {
   common::Pcg32 rng(23);
-  // The Backend contract: thread count never changes a value.
+  // The Backend contract: thread count never changes a value. 256x600x280
+  // is 43M multiply-adds, above the pool's 2^25 threshold, so the second
+  // product really splits across the pool.
   {
-    const Tensor a = Tensor::randn({256, 300}, rng);
-    const Tensor b = Tensor::randn({300, 280}, rng);
+    const Tensor a = Tensor::randn({256, 600}, rng);
+    const Tensor b = Tensor::randn({600, 280}, rng);
     set_gemm_parallelism(false);
     const Tensor serial = matmul(a, b);
     set_gemm_parallelism(true);

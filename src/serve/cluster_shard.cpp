@@ -85,11 +85,6 @@ ClusterShard::ClusterShard(std::size_t index,
 }
 
 void ClusterShard::add_cluster(ClusterId cluster,
-                               std::shared_ptr<core::OrcoDcsSystem> system) {
-  add_cluster(cluster, std::move(system), queue_.config().default_policy);
-}
-
-void ClusterShard::add_cluster(ClusterId cluster,
                                std::shared_ptr<core::OrcoDcsSystem> system,
                                const TenantPolicy& policy) {
   ORCO_CHECK(system != nullptr, "cannot register a null tenant system");

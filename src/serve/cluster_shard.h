@@ -48,16 +48,12 @@ class ClusterShard {
   std::size_t index() const noexcept { return index_; }
   BatchQueue& queue() noexcept { return queue_; }
 
-  /// Registers a tenant under the queue's default policy. The system is
-  /// shared so callers can keep training or monitoring it between serve
+  /// Registers a tenant with its QoS policy, installed on the shard's
+  /// BatchQueue (admission quota + weighted-priority scheduling). The system
+  /// is shared so callers can keep training or monitoring it between serve
   /// batches: with a model registry attached the trainer may mutate it
   /// freely (the serve path only reads registry snapshots); without one,
   /// external mutation should pause traffic first.
-  void add_cluster(ClusterId cluster,
-                   std::shared_ptr<core::OrcoDcsSystem> system);
-
-  /// Registers a tenant with an explicit QoS policy, installed on the
-  /// shard's BatchQueue (admission quota + weighted-priority scheduling).
   void add_cluster(ClusterId cluster,
                    std::shared_ptr<core::OrcoDcsSystem> system,
                    const TenantPolicy& policy);

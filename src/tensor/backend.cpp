@@ -223,9 +223,11 @@ void Backend::gemm_prepacked(const float* other, const PackedWeights& packed,
   }
 }
 
-// Dequantizes the codes row-wise into thread-local scratch with the
-// expression core::dequantize_latents_into uses (x = lo + q*scale in
-// float), then runs the ordinary prepacked GEMM.
+// Dequantizes the codes row-wise into thread-local scratch with
+// QuantHeader's x = lo + q*scale in float (this TU is built with
+// -ffp-contract=off, so the product is rounded before the add), then runs
+// the ordinary prepacked GEMM. core::dequantize_latents_into computes
+// lo + q/maxq*range in double instead: see backend.h.
 void Backend::gemm_quantized(const std::uint8_t* a_q, const QuantHeader& qh,
                              const PackedWeights& packed, float* c,
                              std::size_t m, std::size_t k, std::size_t n,

@@ -183,8 +183,11 @@ class Backend {
   /// c (m×n) = act(dequant(a_q)·B + bias) from uint8 codes: a_q is (m×k)
   /// row-major quantized with per-row affine headers `qh`, `packed` a
   /// pack_b-produced right operand of this backend. Dequantizes a_q with
-  /// x = lo + q*scale (float math) into thread-local scratch, then calls
-  /// gemm_prepacked.
+  /// x = lo + q*scale in float, each product rounded before the add, into
+  /// thread-local scratch, then calls gemm_prepacked. That is not
+  /// core::dequantize_latents_into's expression (lo + q/maxq*range in
+  /// double, then rounded to float), so the two may differ in the last
+  /// bit.
   void gemm_quantized(const std::uint8_t* a_q, const QuantHeader& qh,
                       const PackedWeights& packed, float* c, std::size_t m,
                       std::size_t k, std::size_t n,

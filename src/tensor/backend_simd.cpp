@@ -23,6 +23,13 @@
 // exposing it; on float strips packed on the fly it does nothing. A hint
 // loads nothing, so no value changes.
 //
+// Each tier's IsaPacking hands pack_b_panel (gemm_panels.h) its block move
+// for a transposed B, into float strips or bf16 panels: AVX-512 transposes
+// 16×16 blocks, AVX2 8×8 blocks. NEON and the scalar tier have none and
+// pack through the portable loop, which also packs every fringe. The panels
+// hold the same bytes either way (tensor_backend_test checks them against
+// an index-formula oracle).
+//
 // This file is compiled with the host's native flags when
 // ORCO_NATIVE_KERNELS is on (the CMake default), so __AVX512F__/__AVX2__/
 // __ARM_NEON reflect the build machine; cross-building for a generic x86-64
@@ -37,9 +44,9 @@
 // reorder the accumulation. Versus "reference" the FMA tiers keep products
 // unrounded before each add, so the comparison is ULP-bounded rather than
 // bitwise; the scalar tier runs reference's separate mul+add and stays
-// bitwise with it (tensor_backend_test pins both). The epilogue is applied
-// scalar, outside the FMA chain, so fused activations match
-// nn/activations.h exactly.
+// bitwise with it (tensor_backend_test pins both). The epilogue runs outside
+// the FMA chain, once per tile, on detail::apply_act's expressions, so fused
+// activations match nn/activations.h exactly.
 #include "tensor/backend.h"
 
 #include <algorithm>
@@ -73,17 +80,78 @@ constexpr std::size_t kIsaMc = 128;  // row block (multiple of kIsaMr)
 // 16 B panel lanes as f32. A bf16 lane is zero-extended to 32 bits and
 // shifted into the high half: exact.
 inline __m512 load_b(const float* p) { return _mm512_loadu_ps(p); }
-// GCC 12's avx512fintrin.h seeds these unmasked intrinsics from a
-// self-initialised "undefined" vector and then warns that it may be used
-// uninitialised (GCC bug 105593); every lane is overwritten.
+// GCC 12's avx512fintrin.h seeds the unmasked intrinsics used from here to
+// the end of IsaPacking from a self-initialised "undefined" vector and then
+// warns that it is (or may be) used uninitialised (GCC bug 105593); every
+// lane is overwritten.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #endif
 inline __m512 load_b(const std::uint16_t* p) {
   const __m256i h = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
   return _mm512_castsi512_ps(_mm512_slli_epi32(_mm512_cvtepu16_epi32(h), 16));
 }
+
+// 16 f32 lanes as panel elements. A bf16 lane is rounded by to_bf16's
+// integer recipe (add 0x7fff plus the kept lsb, keep the high half; a NaN
+// keeps its high half with the quiet bit set), then narrowed by vpmovdw:
+// the same bits as the scalar function, subnormals included.
+inline void store_panel(float* p, __m512 v) { _mm512_storeu_ps(p, v); }
+inline void store_panel(std::uint16_t* p, __m512 v) {
+  const __m512i bits = _mm512_castps_si512(v);
+  const __m512i high = _mm512_srli_epi32(bits, 16);
+  const __mmask16 nan = _mm512_cmpgt_epi32_mask(
+      _mm512_and_si512(bits, _mm512_set1_epi32(0x7fffffff)),
+      _mm512_set1_epi32(0x7f800000));
+  const __m512i round = _mm512_add_epi32(
+      _mm512_set1_epi32(0x7fff),
+      _mm512_and_si512(high, _mm512_set1_epi32(1)));
+  const __m512i rounded = _mm512_srli_epi32(_mm512_add_epi32(bits, round), 16);
+  const __m512i quiet = _mm512_or_si512(high, _mm512_set1_epi32(0x0040));
+  _mm256_storeu_si256(
+      reinterpret_cast<__m256i*>(p),
+      _mm512_cvtepi32_epi16(_mm512_mask_blend_epi32(nan, rounded, quiet)));
+}
+
+// pack_b_panel's block move (gemm_panels.h): a 16x16 transpose through
+// zmm registers.
+struct IsaPacking {
+  static constexpr std::size_t kTransposeB = 16;
+
+  template <class BElem>
+  static void transpose_b(const float* src, std::size_t lds, BElem* dst,
+                          std::size_t ldd) {
+    __m512 r[16];
+    __m512 u[16];
+    for (std::size_t i = 0; i < 16; ++i) r[i] = _mm512_loadu_ps(src + i * lds);
+    // Per 128-bit lane L, u[4g + q] = rows 4g..4g+3 at column 4L + q.
+    for (std::size_t g = 0; g < 4; ++g) {
+      const __m512* rg = r + 4 * g;
+      const __m512 t0 = _mm512_unpacklo_ps(rg[0], rg[1]);
+      const __m512 t1 = _mm512_unpackhi_ps(rg[0], rg[1]);
+      const __m512 t2 = _mm512_unpacklo_ps(rg[2], rg[3]);
+      const __m512 t3 = _mm512_unpackhi_ps(rg[2], rg[3]);
+      u[4 * g + 0] = _mm512_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+      u[4 * g + 1] = _mm512_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+      u[4 * g + 2] = _mm512_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+      u[4 * g + 3] = _mm512_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+    }
+    // Output row 4L + q joins lane L of u[q], u[4+q], u[8+q], u[12+q].
+    for (std::size_t q = 0; q < 4; ++q) {
+      const __m512 x_lo = _mm512_shuffle_f32x4(u[q], u[4 + q], 0x44);
+      const __m512 x_hi = _mm512_shuffle_f32x4(u[q], u[4 + q], 0xee);
+      const __m512 y_lo = _mm512_shuffle_f32x4(u[8 + q], u[12 + q], 0x44);
+      const __m512 y_hi = _mm512_shuffle_f32x4(u[8 + q], u[12 + q], 0xee);
+      store_panel(dst + (0 + q) * ldd, _mm512_shuffle_f32x4(x_lo, y_lo, 0x88));
+      store_panel(dst + (4 + q) * ldd, _mm512_shuffle_f32x4(x_lo, y_lo, 0xdd));
+      store_panel(dst + (8 + q) * ldd, _mm512_shuffle_f32x4(x_hi, y_hi, 0x88));
+      store_panel(dst + (12 + q) * ldd,
+                  _mm512_shuffle_f32x4(x_hi, y_hi, 0xdd));
+    }
+  }
+};
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
@@ -133,6 +201,57 @@ inline __m256 load_b(const std::uint16_t* p) {
   return _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(h), 16));
 }
 
+// 8 f32 lanes as panel elements, rounded as in the AVX-512 tier; every
+// 32-bit lane holds at most 0xffff, so the saturating pack is exact.
+inline void store_panel(float* p, __m256 v) { _mm256_storeu_ps(p, v); }
+inline void store_panel(std::uint16_t* p, __m256 v) {
+  const __m256i bits = _mm256_castps_si256(v);
+  const __m256i high = _mm256_srli_epi32(bits, 16);
+  const __m256i nan = _mm256_cmpgt_epi32(
+      _mm256_and_si256(bits, _mm256_set1_epi32(0x7fffffff)),
+      _mm256_set1_epi32(0x7f800000));
+  const __m256i round = _mm256_add_epi32(
+      _mm256_set1_epi32(0x7fff),
+      _mm256_and_si256(high, _mm256_set1_epi32(1)));
+  const __m256i rounded = _mm256_srli_epi32(_mm256_add_epi32(bits, round), 16);
+  const __m256i quiet = _mm256_or_si256(high, _mm256_set1_epi32(0x0040));
+  const __m256i h = _mm256_blendv_epi8(rounded, quiet, nan);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p),
+                   _mm_packus_epi32(_mm256_castsi256_si128(h),
+                                    _mm256_extracti128_si256(h, 1)));
+}
+
+// pack_b_panel's block move (gemm_panels.h): an 8x8 transpose through ymm
+// registers.
+struct IsaPacking {
+  static constexpr std::size_t kTransposeB = 8;
+
+  template <class BElem>
+  static void transpose_b(const float* src, std::size_t lds, BElem* dst,
+                          std::size_t ldd) {
+    __m256 r[8];
+    __m256 u[8];
+    for (std::size_t i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(src + i * lds);
+    // Per 128-bit lane L, u[4g + q] = rows 4g..4g+3 at column 4L + q.
+    for (std::size_t g = 0; g < 2; ++g) {
+      const __m256* rg = r + 4 * g;
+      const __m256 t0 = _mm256_unpacklo_ps(rg[0], rg[1]);
+      const __m256 t1 = _mm256_unpackhi_ps(rg[0], rg[1]);
+      const __m256 t2 = _mm256_unpacklo_ps(rg[2], rg[3]);
+      const __m256 t3 = _mm256_unpackhi_ps(rg[2], rg[3]);
+      u[4 * g + 0] = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+      u[4 * g + 1] = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+      u[4 * g + 2] = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+      u[4 * g + 3] = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+    }
+    for (std::size_t q = 0; q < 4; ++q) {
+      store_panel(dst + q * ldd, _mm256_permute2f128_ps(u[q], u[4 + q], 0x20));
+      store_panel(dst + (4 + q) * ldd,
+                  _mm256_permute2f128_ps(u[q], u[4 + q], 0x31));
+    }
+  }
+};
+
 template <std::size_t Rows, class BElem>
 void isa_ukernel(const float* ap, const BElem* bp, std::size_t kc, float* c,
                  std::size_t ldc) {
@@ -172,6 +291,11 @@ inline float32x4_t load_b(const std::uint16_t* p) {
   return vreinterpretq_f32_u32(vshll_n_u16(vld1_u16(p), 16));
 }
 
+// No block move: pack_b_panel's portable loop packs every panel.
+struct IsaPacking {
+  static constexpr std::size_t kTransposeB = 0;
+};
+
 template <std::size_t Rows, class BElem>
 void isa_ukernel(const float* ap, const BElem* bp, std::size_t kc, float* c,
                  std::size_t ldc) {
@@ -203,6 +327,11 @@ constexpr const char* kIsa = "scalar-fallback";
 constexpr std::size_t kIsaMr = 4;   // 4 rows × 32 columns: the inner loop
 constexpr std::size_t kIsaNr = 32;  // auto-vectorizes over j
 constexpr std::size_t kIsaMc = 64;  // row block (multiple of kIsaMr)
+
+// No block move: pack_b_panel's portable loop packs every panel.
+struct IsaPacking {
+  static constexpr std::size_t kTransposeB = 0;
+};
 
 // The reference kernel's reduction expression, acc += a * b with the
 // product rounded before the add (this TU is built with -ffp-contract=off),
@@ -256,7 +385,61 @@ void run_rows(std::size_t rows, const float* ap, const BElem* bp,
   kKernels[rows - 1](ap, bp, kc, c, ldc);
 }
 
-struct SimdTraits {
+// act(v + bias) over a rows x cols block of C at output position (row0,
+// col0), with the activation fixed at compile time: each element runs
+// detail::apply_act's expression for Act, so the values are the unfused
+// sweep's. The loops hold no branch, so the vectorizer turns bias plus
+// None, ReLU or LeakyReLU into vector adds, compares and blends; sigmoid
+// and tanh still call std::exp / std::tanh per element.
+template <EpilogueAct Act>
+void epilogue_block(float* c, std::size_t ldc, std::size_t rows,
+                    std::size_t cols, const Epilogue& epi, std::size_t row0,
+                    std::size_t col0) {
+  const float alpha = epi.leaky_alpha;
+  for (std::size_t ii = 0; ii < rows; ++ii) {
+    float* ci = c + ii * ldc;
+    if (epi.bias == nullptr) {
+      for (std::size_t jj = 0; jj < cols; ++jj) {
+        ci[jj] = detail::apply_act(ci[jj], Act, alpha);
+      }
+    } else if (epi.bias_per_row) {
+      const float b = epi.bias[row0 + ii];
+      for (std::size_t jj = 0; jj < cols; ++jj) {
+        ci[jj] = detail::apply_act(ci[jj] + b, Act, alpha);
+      }
+    } else {
+      const float* b = epi.bias + col0;
+      for (std::size_t jj = 0; jj < cols; ++jj) {
+        ci[jj] = detail::apply_act(ci[jj] + b[jj], Act, alpha);
+      }
+    }
+  }
+}
+
+// The tile epilogue: one switch on the activation per tile, not per element.
+void apply_tile_epilogue(float* c, std::size_t ldc, std::size_t rows,
+                         std::size_t cols, const Epilogue& epi,
+                         std::size_t row0, std::size_t col0) {
+  switch (epi.act) {
+    case EpilogueAct::kNone:
+      return epilogue_block<EpilogueAct::kNone>(c, ldc, rows, cols, epi, row0,
+                                                col0);
+    case EpilogueAct::kReLU:
+      return epilogue_block<EpilogueAct::kReLU>(c, ldc, rows, cols, epi, row0,
+                                                col0);
+    case EpilogueAct::kLeakyReLU:
+      return epilogue_block<EpilogueAct::kLeakyReLU>(c, ldc, rows, cols, epi,
+                                                     row0, col0);
+    case EpilogueAct::kSigmoid:
+      return epilogue_block<EpilogueAct::kSigmoid>(c, ldc, rows, cols, epi,
+                                                   row0, col0);
+    case EpilogueAct::kTanh:
+      return epilogue_block<EpilogueAct::kTanh>(c, ldc, rows, cols, epi, row0,
+                                                col0);
+  }
+}
+
+struct SimdTraits : IsaPacking {
   static constexpr std::size_t kMr = kIsaMr;
   static constexpr std::size_t kNr = kIsaNr;
   static constexpr std::size_t kKc = 256;   // k panel: kKc*kNr B floats in L1
@@ -268,50 +451,27 @@ struct SimdTraits {
   // kMr); narrow column fringes run it on a stack buffer seeded from C
   // (zeros on the padding) and write back clipped. Either way the
   // per-element reduction is the same FMA chain, so interior and fringe
-  // stay mutually consistent. The epilogue is applied scalar while the
-  // tile is still hot.
+  // stay mutually consistent. Both then run the one tile epilogue on C
+  // while the tile is still hot.
   template <class BElem>
   static void tile(const float* ap, const BElem* bp, std::size_t kc, float* c,
                    std::size_t ldc, std::size_t rows, std::size_t cols,
                    const Epilogue* epi, std::size_t row0, std::size_t col0) {
     if (cols == kNr) {
       run_rows(rows, ap, bp, kc, c, ldc);
-      if (epi) {
-        for (std::size_t ii = 0; ii < rows; ++ii) {
-          float* ci = c + ii * ldc;
-          for (std::size_t jj = 0; jj < kNr; ++jj) {
-            float v = ci[jj];
-            if (epi->bias) {
-              v += epi->bias_per_row ? epi->bias[row0 + ii]
-                                     : epi->bias[col0 + jj];
-            }
-            ci[jj] = detail::apply_act(v, epi->act, epi->leaky_alpha);
-          }
+    } else {
+      float tmp[kMr * kNr];
+      for (std::size_t ii = 0; ii < rows; ++ii) {
+        for (std::size_t jj = 0; jj < kNr; ++jj) {
+          tmp[ii * kNr + jj] = jj < cols ? c[ii * ldc + jj] : 0.0f;
         }
       }
-      return;
-    }
-    float tmp[kMr * kNr];
-    for (std::size_t ii = 0; ii < rows; ++ii) {
-      for (std::size_t jj = 0; jj < kNr; ++jj) {
-        tmp[ii * kNr + jj] = jj < cols ? c[ii * ldc + jj] : 0.0f;
+      run_rows(rows, ap, bp, kc, tmp, kNr);
+      for (std::size_t ii = 0; ii < rows; ++ii) {
+        std::copy_n(tmp + ii * kNr, cols, c + ii * ldc);
       }
     }
-    run_rows(rows, ap, bp, kc, tmp, kNr);
-    for (std::size_t ii = 0; ii < rows; ++ii) {
-      float* ci = c + ii * ldc;
-      for (std::size_t jj = 0; jj < cols; ++jj) {
-        float v = tmp[ii * kNr + jj];
-        if (epi) {
-          if (epi->bias) {
-            v += epi->bias_per_row ? epi->bias[row0 + ii]
-                                   : epi->bias[col0 + jj];
-          }
-          v = detail::apply_act(v, epi->act, epi->leaky_alpha);
-        }
-        ci[jj] = v;
-      }
-    }
+    if (epi) apply_tile_epilogue(c, ldc, rows, cols, *epi, row0, col0);
   }
 };
 

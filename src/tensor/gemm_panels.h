@@ -30,10 +30,22 @@
 //                      float* c, std::size_t ldc, std::size_t rows,
 //                      std::size_t cols, const Epilogue* epi,
 //                      std::size_t row0, std::size_t col0);
+//
+//     // An in-register transpose for pack_b_panel; 0 leaves the whole
+//     // pack to its portable loop.
+//     static constexpr std::size_t kTransposeB;  // T, or 0
+//     // Moves the T x T block src[r * lds + c] to dst[c * ldd + r] as
+//     // to_panel<BElem> values (to_bf16's integer recipe on a bf16 panel).
+//     template <class BElem>
+//     static void transpose_b(const float* src, std::size_t lds, BElem* dst,
+//                             std::size_t ldd);
 //   };
 //
-// The packed layout is a pure function of (kMr, kNr, kKc, kMc, kNc);
-// PackedWeights::owner keeps panels from reaching another backend.
+// The packed layout is a pure function of (kMr, kNr, kKc, kMc, kNc): the
+// transpose only moves whole blocks of it through registers, and the
+// portable loop packs the fringes (and everything on tiers without one),
+// so the panels are the same bytes either way. PackedWeights::owner keeps
+// panels from reaching another backend.
 //
 // Numerical contract (inherited by every instantiation): each output
 // element is ONE sequential reduction chain in ascending k order — the
@@ -91,23 +103,28 @@ struct AView {
 };
 
 /// Packs A[i0:i0+mc, p0:p0+kc] into kMr-interleaved panels: panel ip holds
-/// kMr consecutive rows laid out [p][ii], zero-padded past mc.
+/// kMr consecutive rows laid out [p][ii], zero-padded past mc. Row p of a
+/// transposed A's (k x m) source holds a panel's rows side by side, so that
+/// branch copies one contiguous run per k step.
 template <std::size_t MR>
 void pack_a_panel(const AView& a, std::size_t i0, std::size_t p0,
                   std::size_t mc, std::size_t kc, float* ap) {
   for (std::size_t ip = 0; ip < mc; ip += MR) {
     float* dst = ap + (ip / MR) * (MR * kc);
+    const std::size_t rows = mc - ip < MR ? mc - ip : MR;
+    if (a.trans) {
+      for (std::size_t p = 0; p < kc; ++p) {
+        const float* src = a.f32 + (p0 + p) * a.lda + i0 + ip;
+        float* row = dst + p * MR;
+        for (std::size_t ii = 0; ii < rows; ++ii) row[ii] = src[ii];
+        for (std::size_t ii = rows; ii < MR; ++ii) row[ii] = 0.0f;
+      }
+      continue;
+    }
     for (std::size_t ii = 0; ii < MR; ++ii) {
-      const std::size_t i = i0 + ip + ii;
-      if (ip + ii < mc) {
-        if (a.trans) {
-          for (std::size_t p = 0; p < kc; ++p) {
-            dst[p * MR + ii] = a.f32[(p0 + p) * a.lda + i];
-          }
-        } else {
-          const float* src = a.f32 + i * a.lda + p0;
-          for (std::size_t p = 0; p < kc; ++p) dst[p * MR + ii] = src[p];
-        }
+      if (ii < rows) {
+        const float* src = a.f32 + (i0 + ip + ii) * a.lda + p0;
+        for (std::size_t p = 0; p < kc; ++p) dst[p * MR + ii] = src[p];
       } else {
         for (std::size_t p = 0; p < kc; ++p) dst[p * MR + ii] = 0.0f;
       }
@@ -166,32 +183,58 @@ inline void prefetch_panel(const float*) {}
 /// Packs B[p0:p0+kc, j0:j0+nc] (or the transpose-source equivalent when
 /// `trans`, with `b` stored (n x k)) into kNr-interleaved panels: panel jp
 /// holds kNr consecutive columns laid out [p][jj], zero-padded past nc.
-template <std::size_t NR, class BElem>
+/// A transposed source's whole kTransposeB x kTransposeB blocks go through
+/// Traits::transpose_b; the loop packs the k tail of those columns, the
+/// remaining columns and the padding, and everything when kTransposeB is 0.
+template <class Traits, class BElem>
 void pack_b_panel(const float* b, std::size_t ldb, bool trans, std::size_t p0,
                   std::size_t j0, std::size_t kc, std::size_t nc, BElem* bp) {
-  for (std::size_t jp = 0; jp < nc; jp += NR) {
-    BElem* dst = bp + (jp / NR) * (NR * kc);
-    if (trans) {
-      for (std::size_t jj = 0; jj < NR; ++jj) {
-        const std::size_t j = j0 + jp + jj;
-        if (jp + jj < nc) {
-          const float* src = b + j * ldb + p0;
-          for (std::size_t p = 0; p < kc; ++p) {
-            dst[p * NR + jj] = to_panel<BElem>(src[p]);
+  constexpr std::size_t NR = Traits::kNr;
+  constexpr std::size_t T = Traits::kTransposeB;
+  if (!trans) {
+    // Eight rows at a time cross every strip: the eight source rows are
+    // read front to back and each strip receives one contiguous run. One
+    // strip at a time (rows ldb apart) and one row at a time (a write into
+    // every strip) both timed slower on the training dX shapes.
+    for (std::size_t pb = 0; pb < kc; pb += 8) {
+      const std::size_t pe = kc - pb < 8 ? kc : pb + 8;
+      for (std::size_t jp = 0; jp < nc; jp += NR) {
+        const std::size_t cols = nc - jp < NR ? nc - jp : NR;
+        for (std::size_t p = pb; p < pe; ++p) {
+          const float* src = b + (p0 + p) * ldb + j0 + jp;
+          BElem* row = bp + (jp / NR) * (NR * kc) + p * NR;
+          for (std::size_t jj = 0; jj < cols; ++jj) {
+            row[jj] = to_panel<BElem>(src[jj]);
           }
-        } else {
-          for (std::size_t p = 0; p < kc; ++p) dst[p * NR + jj] = BElem{0};
+          for (std::size_t jj = cols; jj < NR; ++jj) row[jj] = BElem{0};
         }
       }
-    } else {
-      const std::size_t cols = nc - jp < NR ? nc - jp : NR;
-      for (std::size_t p = 0; p < kc; ++p) {
-        const float* src = b + (p0 + p) * ldb + j0 + jp;
-        BElem* row = dst + p * NR;
-        for (std::size_t jj = 0; jj < cols; ++jj) {
-          row[jj] = to_panel<BElem>(src[jj]);
+    }
+    return;
+  }
+  for (std::size_t jp = 0; jp < nc; jp += NR) {
+    BElem* dst = bp + (jp / NR) * (NR * kc);
+    const std::size_t cols = nc - jp < NR ? nc - jp : NR;
+    std::size_t jfull = 0;
+    std::size_t pfull = 0;
+    if constexpr (T != 0) {
+      jfull = cols / T * T;
+      pfull = kc / T * T;
+      for (std::size_t jb = 0; jb < jfull; jb += T) {
+        const float* src = b + (j0 + jp + jb) * ldb + p0;
+        for (std::size_t p = 0; p < pfull; p += T) {
+          Traits::transpose_b(src + p, ldb, dst + p * NR + jb, NR);
         }
-        for (std::size_t jj = cols; jj < NR; ++jj) row[jj] = BElem{0};
+      }
+    }
+    for (std::size_t jj = 0; jj < NR; ++jj) {
+      if (jj < cols) {
+        const float* src = b + (j0 + jp + jj) * ldb + p0;
+        for (std::size_t p = jj < jfull ? pfull : 0; p < kc; ++p) {
+          dst[p * NR + jj] = to_panel<BElem>(src[p]);
+        }
+      } else {
+        for (std::size_t p = 0; p < kc; ++p) dst[p * NR + jj] = BElem{0};
       }
     }
   }
@@ -240,8 +283,8 @@ void pack_b_full(const Backend* owner, const float* b, std::size_t k,
     const std::size_t kc = k - pc < Traits::kKc ? k - pc : Traits::kKc;
     for (std::size_t jc = 0; jc < n; jc += Traits::kNc) {
       const std::size_t nc = n - jc < Traits::kNc ? n - jc : Traits::kNc;
-      pack_b_panel<Traits::kNr>(b, ldb, transpose_b, pc, jc, kc, nc,
-                                packed.bf16.data() + off);
+      pack_b_panel<Traits>(b, ldb, transpose_b, pc, jc, kc, nc,
+                           packed.bf16.data() + off);
       off += round_up(nc, Traits::kNr) * kc;
     }
   }
@@ -334,7 +377,7 @@ void panel_task(const AView& a, const float* b, std::size_t ldb, bool tb,
         bp += round_up(n, kNr) * pc + jc * kc;
       } else if constexpr (std::is_same_v<BElem, float>) {
         bp_buf.resize(round_up(nc, kNr) * kc);
-        pack_b_panel<kNr>(b, ldb, tb, pc, jc, kc, nc, bp_buf.data());
+        pack_b_panel<Traits>(b, ldb, tb, pc, jc, kc, nc, bp_buf.data());
         bp = bp_buf.data();
       }
       for (std::size_t ic = i0; ic < i1; ic += kMc) {

@@ -7,11 +7,14 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -680,6 +683,151 @@ TEST(PrepackedTest, PanelBackendsStoreTwoBytesPerPackedWeight) {
                                     /*transpose_b=*/true);
   EXPECT_TRUE(packed.data.empty());
   EXPECT_EQ(packed.bf16.size() * sizeof(packed.bf16[0]), 2 * k * n);
+}
+
+// The simd backend's panel geometry (backend_simd.cpp): kNr per tier; the
+// k panel depth and column panel width every tier shares.
+std::size_t simd_nr() {
+  const std::string_view isa = tensor::simd_isa();
+  if (isa == "avx2") return 16;
+  if (isa == "neon") return 8;
+  return 32;  // avx512, scalar-fallback
+}
+constexpr std::size_t kSimdKc = 256;
+constexpr std::size_t kSimdNc = 1024;
+
+// What simd's pack_b must store, by index formula: the (pc, jc) panels in
+// order, each a run of kNr-wide strips laid out [p][jj], holding to_bf16 of
+// B(p, j) and zero past n. `b` is (k x n) row-major, or (n x k) when
+// `trans`.
+std::vector<std::uint16_t> oracle_b_panels(const std::vector<float>& b,
+                                           std::size_t k, std::size_t n,
+                                           bool trans) {
+  const std::size_t nr = simd_nr();
+  std::vector<std::uint16_t> out;
+  for (std::size_t pc = 0; pc < k; pc += kSimdKc) {
+    const std::size_t kc = std::min(kSimdKc, k - pc);
+    for (std::size_t jc = 0; jc < n; jc += kSimdNc) {
+      const std::size_t nc = std::min(kSimdNc, n - jc);
+      for (std::size_t jp = 0; jp < nc; jp += nr) {
+        for (std::size_t p = pc; p < pc + kc; ++p) {
+          for (std::size_t j = jc + jp; j < jc + jp + nr; ++j) {
+            if (j >= jc + nc) {
+              out.push_back(0);  // padding past n
+            } else {
+              out.push_back(
+                  tensor::to_bf16(trans ? b[j * k + p] : b[p * n + j]));
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(PrepackedTest, PackBPanelsAreByteEqualToIndexOracle) {
+  // The in-register transposes move whole 16x16 (AVX-512) or 8x8 (AVX2)
+  // blocks and the portable loop packs the rest, so the shapes cover k and
+  // n below 16, k % 16 != 0 (also past the 256-deep k panel), n % kNr != 0
+  // (also past the 1024-wide column panel) and whole blocks only. Every
+  // third weight is one of the special values below (Bf16Test's and a few
+  // more), so they sit inside whole blocks and in the fringes alike. The
+  // weights are set as float bits, never through a double, which could
+  // quiet a NaN whose payload sits only in the low 16 bits.
+  const std::uint32_t specials[] = {
+      0x7f800001u, 0xff800001u, 0x7fc00000u,  // NaNs, two with low payload
+      0x7f800000u, 0xff800000u,               // ±Inf
+      0x00000000u, 0x80000000u,               // ±0
+      0x00008001u, 0x00018000u, 0x80008001u,  // subnormals: round, tie,
+      0x00000001u, 0x807fffffu,               // smallest, largest
+      0x3f808000u, 0x3f818000u, 0xbf808000u,  // ties to even, the last
+      0xbf818000u, 0x7f7f8000u,               // one rounding up to Inf
+      0x3f808001u, 0x3f817fffu,               // off the tie
+      0x7f7fffffu, 0xff7fffffu,               // ±FLT_MAX
+      0x7f7f0000u,                            // the largest bf16
+  };
+  struct Case {
+    std::size_t k, n;
+  };
+  const Case cases[] = {{13, 7},   {7, 40},   {16, 16},  {40, 45},
+                        {64, 64},  {300, 70}, {33, 1100}, {256, 96}};
+  common::Pcg32 rng(50);
+  std::size_t next_special = 0;
+  for (const Case& tc : cases) {
+    std::vector<float> b(tc.k * tc.n);
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      b[i] = i % 3 == 0
+                 ? std::bit_cast<float>(
+                       specials[next_special++ % std::size(specials)])
+                 : static_cast<float>(rng.normal());
+    }
+    for (const bool trans : {false, true}) {
+      const tensor::PackedWeights packed =
+          tensor::simd_backend().pack_b(b.data(), tc.k, tc.n, trans);
+      const std::vector<std::uint16_t> want =
+          oracle_b_panels(b, tc.k, tc.n, trans);
+      ASSERT_EQ(packed.bf16.size(), want.size())
+          << tc.k << "x" << tc.n << " trans " << trans;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(packed.bf16[i], want[i])
+            << "panel element " << i << " of " << tc.k << "x" << tc.n
+            << " trans " << trans << " (" << tensor::simd_isa() << ")";
+      }
+    }
+  }
+}
+
+TEST(FusedEpilogueTest, GemmFusedEqualsGemmThenApplyEpilogueBitwise) {
+  // The fused epilogue runs per register tile: n >= 64 reaches the
+  // full-width tiles on every simd tier (kNr <= 32) and n % 32 != 0 the
+  // fringe ones. Each activation, with no bias, a per-column and a per-row
+  // bias, must equal the product followed by apply_epilogue's sweep bit for
+  // bit, for either B layout.
+  const Shape shapes[] = {{7, 45, 64}, {1, 33, 96}, {9, 300, 130},
+                          {64, 128, 100}};
+  const tensor::EpilogueAct acts[] = {
+      tensor::EpilogueAct::kNone, tensor::EpilogueAct::kReLU,
+      tensor::EpilogueAct::kLeakyReLU, tensor::EpilogueAct::kSigmoid,
+      tensor::EpilogueAct::kTanh};
+  common::Pcg32 rng(51);
+  for (const Shape& s : shapes) {
+    const Tensor a = Tensor::randn({s.m, s.k}, rng);
+    const Tensor b = Tensor::randn({s.k, s.n}, rng);
+    const Tensor w = b.transposed();
+    const Tensor col_bias = Tensor::randn({s.n}, rng);
+    const Tensor row_bias = Tensor::randn({s.m}, rng);
+    for (const char* name : kAllBackends) {
+      const tensor::Backend& be = *tensor::find_backend(name);
+      Tensor product({s.m, s.n});
+      be.gemm(a.data().data(), b.data().data(), product.data().data(), s.m,
+              s.k, s.n);
+      for (const auto act : acts) {
+        for (int bias_kind = 0; bias_kind < 3; ++bias_kind) {
+          tensor::Epilogue epi;
+          epi.act = act;
+          epi.leaky_alpha = 0.02f;
+          if (bias_kind == 1) epi.bias = col_bias.data().data();
+          if (bias_kind == 2) {
+            epi.bias = row_bias.data().data();
+            epi.bias_per_row = true;
+          }
+          Tensor want = product;
+          tensor::apply_epilogue(want.data().data(), s.m, s.n, epi);
+          Tensor nn({s.m, s.n}), nt({s.m, s.n});
+          be.gemm_fused(a.data().data(), b.data().data(), nn.data().data(),
+                        s.m, s.k, s.n, /*transpose_b=*/false, epi);
+          be.gemm_fused(a.data().data(), w.data().data(), nt.data().data(),
+                        s.m, s.k, s.n, /*transpose_b=*/true, epi);
+          SCOPED_TRACE(std::string(name) + " act " +
+                       std::to_string(static_cast<int>(act)) + " bias " +
+                       std::to_string(bias_kind));
+          ExpectBitwiseEqual(nn, want, "gemm_fused", s);
+          ExpectBitwiseEqual(nt, want, "gemm_fused (n, k) weight", s);
+        }
+      }
+    }
+  }
 }
 
 TEST(FusedEpilogueTest, ActivationEpilogueMapping) {

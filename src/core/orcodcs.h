@@ -24,5 +24,4 @@
 #include "core/models.h"           // IWYU pragma: export
 #include "core/monitor.h"          // IWYU pragma: export
 #include "core/orchestrator.h"     // IWYU pragma: export
-#include "core/shared_edge_sim.h"  // IWYU pragma: export
 #include "core/system.h"           // IWYU pragma: export

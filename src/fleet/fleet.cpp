@@ -30,9 +30,6 @@ EdgeFleet::EdgeFleet(const FleetConfig& config)
     if (config_.trainer_threads > 0) {
       train::TrainerConfig trainer_config = config_.trainer;
       trainer_config.worker_threads = config_.trainer_threads;
-      // Fleet invariant: a warm tenant always has a live snapshot — the
-      // submit fast path opens only after registration published one.
-      trainer_config.publish_on_register = true;
       if (trainer_config.serve_backend.empty()) {
         trainer_config.serve_backend = config_.serve.backend;
       }
@@ -249,8 +246,9 @@ void EdgeFleet::activate(ClusterId id, TenantState& t) {
   // right after registration must count as a change to write back.
   const std::uint64_t durable_version = system->model_version();
   if (cell.trainer != nullptr) {
-    // publish_on_register is forced on, so this also installs the
-    // tenant's first snapshot (prepack-warmed) in the cell registry.
+    // Registration publishes the tenant's first snapshot (prepack-warmed)
+    // in the cell registry: a warm tenant has a live snapshot before the
+    // submit fast path opens.
     cell.trainer->register_tenant(id, system, t.policy,
                                   config_.trainer.default_budget);
   } else {

@@ -108,8 +108,7 @@ struct FleetConfig {
   /// published by the fleet itself at activation).
   std::size_t trainer_threads = 0;
   /// Trainer template when trainer_threads > 0 (worker_threads is taken
-  /// from trainer_threads; publish_on_register is forced on — a warm
-  /// tenant must always have a live snapshot).
+  /// from trainer_threads).
   train::TrainerConfig trainer;
   /// Microseconds demote() waits for in-flight submits to clear before
   /// aborting (the fast path's inflight window is a few instructions, so

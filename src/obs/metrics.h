@@ -11,10 +11,9 @@
 // registry-wide series every worker hits).
 //
 // The bucket layout is the canonical latency layout used across the repo
-// (quarter-powers of two, 4 buckets per octave — see hist_bucket_for):
-// serve::LatencyHistogram delegates to the same functions, so a histogram
-// recorded here and one recorded there produce bitwise-identical quantiles
-// for the same samples.
+// (quarter-powers of two, 4 buckets per octave — see hist_bucket_for), and
+// Histogram is the repo's one latency histogram: serve::Telemetry's
+// runtime and per-tenant latencies are Histograms in its registry.
 //
 // Export: write_prometheus() renders the text exposition format (counters
 // and gauges as plain samples, histograms as summaries with p50/p95/p99
@@ -38,7 +37,7 @@
 
 namespace orco::obs {
 
-// ---- canonical log-spaced bucket layout (shared with serve) -----------------
+// ---- canonical log-spaced bucket layout -------------------------------------
 
 /// Quarter-powers of two up to ~2^36 us (~19 hours): 4 buckets per octave
 /// gives <=19% bucket width across the whole range.
@@ -49,10 +48,9 @@ constexpr std::size_t kHistBucketCount = 36 * kHistBucketsPerOctave;
 /// [2^(b/4), 2^((b+1)/4)) us, with everything <= 1us in bucket 0.
 std::size_t hist_bucket_for(double us);
 
-/// Interpolated quantile over raw bucket counts — the exact algorithm
-/// serve::LatencyHistogram has always used, factored out so sharded cells
-/// and the legacy histogram cannot drift apart numerically. q in [0, 1];
-/// `max_us` caps the interpolation of the top bucket.
+/// Interpolated quantile over raw bucket counts (HistogramSnapshot::quantile
+/// applies it to a histogram's merged cells). q in [0, 1]; `max_us` caps
+/// the interpolation of the top bucket.
 double hist_quantile(const std::uint64_t* buckets, std::size_t bucket_count,
                      std::uint64_t count, double max_us, double q);
 
@@ -94,8 +92,8 @@ class Gauge {
 };
 
 /// Merged read-side view of a histogram: raw bucket counts plus the moments
-/// needed for the report columns. quantile() matches
-/// serve::LatencyHistogram::quantile bitwise for identical samples.
+/// needed for the report columns. Identical samples give identical bucket
+/// counts and quantiles however they were spread over the cells.
 struct HistogramSnapshot {
   std::array<std::uint64_t, kHistBucketCount> buckets{};
   std::uint64_t count = 0;

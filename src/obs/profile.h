@@ -3,8 +3,7 @@
 //
 // The hot-path contract is the OBS_SCOPED_SPAN macro: when profiling is
 // disabled (the default) its constructor is one relaxed atomic load and a
-// branch; when ORCO_OBS_OFF is defined at compile time it is nothing at
-// all. When enabled, each instrumented kernel call adds one steady_clock
+// branch. When enabled, each instrumented kernel call adds one steady_clock
 // pair and three relaxed fetch_adds on cache-line-padded per-op slots —
 // no locks, no allocation, safe from any thread including the
 // gemm-parallel pool.
@@ -101,12 +100,5 @@ class KernelTimer {
 }  // namespace orco::obs
 
 /// Times the enclosing scope as one `op` call doing `flops` FLOPs.
-/// Compiles out entirely under -DORCO_OBS_OFF.
-#ifdef ORCO_OBS_OFF
-#define OBS_SCOPED_SPAN(op, flops) \
-  do {                             \
-  } while (false)
-#else
 #define OBS_SCOPED_SPAN(op, flops) \
   ::orco::obs::KernelTimer orco_obs_timer_##__LINE__((op), (flops))
-#endif

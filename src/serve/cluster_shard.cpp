@@ -43,8 +43,8 @@ void respond_error(PendingRequest& pending, ResponseStatus status,
 class AnswerAllGuard {
  public:
   AnswerAllGuard(std::vector<PendingRequest>& batch, Telemetry& telemetry,
-                 ClusterId cluster)
-      : batch_(batch), telemetry_(telemetry), cluster_(cluster) {}
+                 Telemetry::TenantRow* row)
+      : batch_(batch), telemetry_(telemetry), row_(row) {}
 
   ~AnswerAllGuard() {
     for (auto& pending : batch_) {
@@ -56,7 +56,7 @@ class AnswerAllGuard {
         // the flag being set (the set_value that threw mid-fan-out) was
         // already counted on its original path and must not be counted
         // twice.
-        telemetry_.record_rejected(cluster_);
+        telemetry_.record_rejected(row_);
       } catch (const std::future_error&) {
         // Nothing left to answer.
       }
@@ -66,7 +66,7 @@ class AnswerAllGuard {
  private:
   std::vector<PendingRequest>& batch_;
   Telemetry& telemetry_;
-  ClusterId cluster_;
+  Telemetry::TenantRow* row_;
 };
 
 }  // namespace
@@ -144,7 +144,10 @@ void ClusterShard::serve_batch(std::vector<PendingRequest> batch) {
   // wins).
   tensor::BackendScope scope(backend_);
   const ClusterId cluster = batch.front().request.cluster;
-  AnswerAllGuard guard(batch, *telemetry_, cluster);
+  // The tenant's telemetry row, resolved once: every record below is then
+  // lock-free.
+  Telemetry::TenantRow* const tenant_row = telemetry_->tenant(cluster);
+  AnswerAllGuard guard(batch, *telemetry_, tenant_row);
 
   // Stage accounting + tracing. The sampling decision was made per request
   // at submit time; a batch is traced when any member is, so a traced
@@ -168,7 +171,7 @@ void ClusterShard::serve_batch(std::vector<PendingRequest> batch) {
                cluster, 0});
     }
   }
-  telemetry_->record_stage(cluster, Telemetry::Stage::kQueueWait,
+  telemetry_->record_stage(tenant_row, Telemetry::Stage::kQueueWait,
                            queue_wait_total_us, batch.size());
   const auto assembly_start = std::chrono::steady_clock::now();
 
@@ -177,7 +180,7 @@ void ClusterShard::serve_batch(std::vector<PendingRequest> batch) {
     for (auto& pending : batch) {
       // Telemetry strictly before the promise resolves: a caller who sees
       // the future ready must also see the counters updated.
-      telemetry_->record_rejected(cluster);
+      telemetry_->record_rejected(tenant_row);
       respond_error(pending, ResponseStatus::kUnknownCluster);
     }
     // The tenant was unregistered before its lane drained, and may since
@@ -205,7 +208,7 @@ void ClusterShard::serve_batch(std::vector<PendingRequest> batch) {
   const double staleness_us =
       snapshot != nullptr ? snapshot->age_us(std::chrono::steady_clock::now())
                           : 0.0;
-  telemetry_->record_model_version(cluster, version, staleness_us);
+  telemetry_->record_model_version(tenant_row, version, staleness_us);
 
   // Validate shapes up front; only well-formed requests join the decode
   // batch. Requests stay in `batch` (the guard owns them); `good` holds
@@ -223,7 +226,7 @@ void ClusterShard::serve_batch(std::vector<PendingRequest> batch) {
                (latent.rank() == 2 && latent.dim(0) == 1)) &&
                   latent.numel() == latent_dim;
     if (!well_formed) {
-      telemetry_->record_rejected(cluster);
+      telemetry_->record_rejected(tenant_row);
       respond_error(batch[i], ResponseStatus::kBadRequest);
       continue;
     }
@@ -231,7 +234,7 @@ void ClusterShard::serve_batch(std::vector<PendingRequest> batch) {
   }
   const auto record_assembly = [&](std::chrono::steady_clock::time_point
                                        end) {
-    telemetry_->record_stage(cluster, Telemetry::Stage::kAssembly,
+    telemetry_->record_stage(tenant_row, Telemetry::Stage::kAssembly,
                              between_us(assembly_start, end), batch.size());
     if (traced) {
       tc.emit({"assembly", "serve", tc.to_trace_us(assembly_start),
@@ -282,7 +285,7 @@ void ClusterShard::serve_batch(std::vector<PendingRequest> batch) {
     }
   } catch (const std::exception& e) {
     for (const std::size_t i : good) {
-      telemetry_->record_rejected(cluster);
+      telemetry_->record_rejected(tenant_row);
       respond_error(batch[i], ResponseStatus::kInternalError, e.what());
     }
     return;
@@ -295,7 +298,7 @@ void ClusterShard::serve_batch(std::vector<PendingRequest> batch) {
   const auto respond_start = std::chrono::steady_clock::now();
   // Bounds this lane's next coalescing window (BatchQueue::pop_batch).
   queue_.record_decode(cluster, respond_start - decode_start);
-  telemetry_->record_stage(cluster, Telemetry::Stage::kDecode,
+  telemetry_->record_stage(tenant_row, Telemetry::Stage::kDecode,
                            between_us(decode_start, respond_start),
                            good.size());
   if (traced) {
@@ -318,12 +321,12 @@ void ClusterShard::serve_batch(std::vector<PendingRequest> batch) {
     response.batch_size = good.size();
     response.model_version = version;
     response.latency_us = elapsed_us(pending.request.enqueued_at);
-    telemetry_->record_completed(cluster, response.latency_us);
+    telemetry_->record_completed(tenant_row, response.latency_us);
     pending.promise.set_value(std::move(response));
     pending.answered = true;
   }
   const auto respond_end = std::chrono::steady_clock::now();
-  telemetry_->record_stage(cluster, Telemetry::Stage::kRespond,
+  telemetry_->record_stage(tenant_row, Telemetry::Stage::kRespond,
                            between_us(respond_start, respond_end),
                            good.size());
   if (traced) {

@@ -111,8 +111,8 @@ std::future<DecodeResponse> ServerRuntime::submit_request(
   const ClusterId cluster = request.cluster;
   const RequestId id = next_request_id_.fetch_add(1);
   if (!accepting_.load()) {
-    telemetry_.record_submitted();
-    telemetry_.record_rejected();
+    telemetry_.record_submitted(nullptr);
+    telemetry_.record_rejected(nullptr);
     return immediate_response(id, ResponseStatus::kShutdown);
   }
   const std::optional<std::size_t> home = shard_of(cluster);
@@ -122,11 +122,13 @@ std::future<DecodeResponse> ServerRuntime::submit_request(
     // and must not carry the default policy's power to evict registered
     // low-priority tenants' queued work. Counted in the global counters
     // only, so arbitrary bogus ids cannot grow memory.
-    telemetry_.record_submitted();
-    telemetry_.record_rejected();
+    telemetry_.record_submitted(nullptr);
+    telemetry_.record_rejected(nullptr);
     return immediate_response(id, ResponseStatus::kUnknownCluster);
   }
-  telemetry_.record_submitted(cluster);
+  // The tenant's telemetry row, resolved once for this submit's records.
+  Telemetry::TenantRow* const row = telemetry_.tenant(cluster);
+  telemetry_.record_submitted(row);
   ClusterShard& shard = *shards_[*home];
 
   PendingRequest pending;
@@ -144,18 +146,18 @@ std::future<DecodeResponse> ServerRuntime::submit_request(
   // answer each bumped request kShed before returning so its caller's
   // future resolves as promptly as a directly-shed one.
   for (auto& bumped : evicted) {
-    telemetry_.record_shed(bumped.request.cluster);
+    telemetry_.record_shed(telemetry_.tenant(bumped.request.cluster));
     resolve_with_status(bumped, ResponseStatus::kShed);
   }
   switch (result) {
     case PushResult::kAccepted:
       return future;
     case PushResult::kShed: {
-      telemetry_.record_shed(cluster);
+      telemetry_.record_shed(row);
       return immediate_response(id, ResponseStatus::kShed);
     }
     case PushResult::kClosed:
-      telemetry_.record_rejected(cluster);
+      telemetry_.record_rejected(row);
       return immediate_response(id, ResponseStatus::kShutdown);
   }
   return future;  // unreachable

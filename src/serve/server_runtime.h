@@ -47,8 +47,8 @@ struct ServeConfig {
   // Per-tenant telemetry rows (counters + latency histogram per ClusterId,
   // ~8KB each, living for the runtime's lifetime). On by default; a fleet
   // cell fronting ~100k registered tenants turns this off so telemetry
-  // memory stays O(1) — per-tenant record_* calls then land in the
-  // runtime-wide series only.
+  // memory stays O(1) — Telemetry::tenant() then returns null and every
+  // record lands in the runtime-wide series only.
   bool per_tenant_telemetry = true;
   // Observability export (obs/export.h): non-empty paths are written by a
   // periodic background flush (flush_period_s > 0) and always once more

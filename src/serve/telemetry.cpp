@@ -1,6 +1,7 @@
 #include "serve/telemetry.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <string>
 
@@ -8,41 +9,52 @@
 
 namespace orco::serve {
 
-LatencyHistogram::LatencyHistogram() : buckets_(obs::kHistBucketCount, 0) {}
-
-void LatencyHistogram::record(double us) {
-  us = std::max(0.0, us);
-  buckets_[bucket_for(us)]++;
-  ++count_;
-  sum_us_ += us;
-  max_us_ = std::max(max_us_, us);
-}
-
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    buckets_[b] += other.buckets_[b];
-  }
-  count_ += other.count_;
-  sum_us_ += other.sum_us_;
-  max_us_ = std::max(max_us_, other.max_us_);
-}
-
-double LatencyHistogram::mean_us() const {
-  return count_ > 0 ? sum_us_ / static_cast<double>(count_) : 0.0;
-}
-
-double LatencyHistogram::quantile(double q) const {
-  return obs::hist_quantile(buckets_.data(), buckets_.size(), count_, max_us_,
-                            q);
-}
+/// Handles for one tenant's metrics. Counter/histogram writes go through
+/// registry cells; model-version fields are single-writer (the tenant's
+/// shard worker) and read with relaxed loads by snapshots.
+struct Telemetry::TenantRow {
+  obs::Counter* submitted;
+  obs::Counter* shed;
+  obs::Counter* rejected;
+  obs::Histogram* latency;  // 1 cell: one shard worker records per tenant
+  obs::Counter* stage_us[kStageCount];
+  obs::Counter* stage_requests[kStageCount];
+  std::atomic<std::uint64_t> model_version{0};
+  std::atomic<std::uint64_t> model_swaps{0};
+  std::atomic<double> model_staleness_us{0.0};
+};
 
 namespace {
 
 constexpr const char* kStageNames[Telemetry::kStageCount] = {
     "queue_wait", "assembly", "decode", "respond"};
 
-obs::Labels tenant_labels(ClusterId cluster) {
-  return {{"tenant", std::to_string(cluster)}};
+TenantSnapshot snapshot_of(const Telemetry::TenantRow& row) {
+  TenantSnapshot s;
+  const obs::HistogramSnapshot latency = row.latency->snapshot();
+  s.submitted = row.submitted->value();
+  s.completed = latency.count;
+  s.shed = row.shed->value();
+  s.rejected = row.rejected->value();
+  s.model_version = row.model_version.load(std::memory_order_relaxed);
+  s.model_swaps = row.model_swaps.load(std::memory_order_relaxed);
+  s.model_staleness_us =
+      row.model_staleness_us.load(std::memory_order_relaxed);
+  s.p50_us = latency.quantile(0.50);
+  s.p99_us = latency.quantile(0.99);
+  s.mean_latency_us = latency.mean_us();
+  s.max_latency_us = latency.max_us;
+  return s;
+}
+
+std::array<Telemetry::StageSnapshot, Telemetry::kStageCount> stages_of(
+    const Telemetry::TenantRow& row) {
+  std::array<Telemetry::StageSnapshot, Telemetry::kStageCount> out{};
+  for (std::size_t s = 0; s < Telemetry::kStageCount; ++s) {
+    out[s].us = row.stage_us[s]->value();
+    out[s].requests = row.stage_requests[s]->value();
+  }
+  return out;
 }
 
 }  // namespace
@@ -57,52 +69,67 @@ Telemetry::Telemetry(bool per_tenant)
       max_occupancy_(registry_.gauge("serve.max_batch_occupancy")),
       latency_(registry_.histogram("serve.latency_us")) {}
 
-Telemetry::TenantCells& Telemetry::tenant_cells(ClusterId cluster) {
-  {
-    common::ReaderMutexLock lock(tenants_mu_);
-    const auto it = tenants_.find(cluster);
-    if (it != tenants_.end()) return *it->second;
+Telemetry::~Telemetry() = default;
+
+Telemetry::TenantRow* Telemetry::tenant(ClusterId cluster) {
+  if (!per_tenant_ || !obs::metrics_enabled()) return nullptr;
+  common::MutexLock lock(tenants_mu_);
+  const auto it = tenants_.find(cluster);
+  if (it != tenants_.end()) return it->second.get();
+  const obs::Labels labels = {{"tenant", std::to_string(cluster)}};
+  auto row = std::make_unique<TenantRow>();
+  row->submitted = registry_.counter("serve.tenant.submitted", labels);
+  row->shed = registry_.counter("serve.tenant.shed", labels);
+  row->rejected = registry_.counter("serve.tenant.rejected", labels);
+  row->latency =
+      registry_.histogram("serve.tenant.latency_us", labels, /*cells=*/1);
+  for (std::size_t s = 0; s < kStageCount; ++s) {
+    row->stage_us[s] = registry_.counter(
+        std::string("serve.stage.") + kStageNames[s] + "_us", labels);
+    row->stage_requests[s] = registry_.counter(
+        std::string("serve.stage.") + kStageNames[s] + "_requests", labels);
   }
-  common::WriterMutexLock lock(tenants_mu_);
-  auto& slot = tenants_[cluster];
-  if (slot == nullptr) {
-    const obs::Labels labels = tenant_labels(cluster);
-    auto cells = std::make_unique<TenantCells>();
-    cells->submitted = registry_.counter("serve.tenant.submitted", labels);
-    cells->shed = registry_.counter("serve.tenant.shed", labels);
-    cells->rejected = registry_.counter("serve.tenant.rejected", labels);
-    cells->latency =
-        registry_.histogram("serve.tenant.latency_us", labels, /*cells=*/1);
-    for (std::size_t s = 0; s < kStageCount; ++s) {
-      cells->stage_us[s] = registry_.counter(
-          std::string("serve.stage.") + kStageNames[s] + "_us", labels);
-      cells->stage_requests[s] = registry_.counter(
-          std::string("serve.stage.") + kStageNames[s] + "_requests", labels);
-    }
-    slot = std::move(cells);
-  }
-  return *slot;
+  // Inserted only once complete: a throw above leaves no half-built row
+  // for the snapshot walks to find.
+  return tenants_.emplace(cluster, std::move(row)).first->second.get();
 }
 
-const Telemetry::TenantCells* Telemetry::find_tenant(ClusterId cluster) const {
-  common::ReaderMutexLock lock(tenants_mu_);
+const Telemetry::TenantRow* Telemetry::find_row(ClusterId cluster) const {
+  common::MutexLock lock(tenants_mu_);
   const auto it = tenants_.find(cluster);
   return it == tenants_.end() ? nullptr : it->second.get();
 }
 
-void Telemetry::record_submitted() {
+std::vector<std::pair<ClusterId, const Telemetry::TenantRow*>>
+Telemetry::rows() const {
+  common::MutexLock lock(tenants_mu_);
+  std::vector<std::pair<ClusterId, const TenantRow*>> out;
+  out.reserve(tenants_.size());
+  for (const auto& [cluster, row] : tenants_) {
+    out.emplace_back(cluster, row.get());
+  }
+  return out;
+}
+
+// ORCO_HOT_PATH BEGIN
+// The record path: relaxed atomics on registry cells through handles the
+// caller resolved with tenant() — no lock, no allocation.
+void Telemetry::record_submitted(TenantRow* row) {
   if (!obs::metrics_enabled()) return;
   submitted_->inc();
+  if (row != nullptr) row->submitted->inc();
 }
 
-void Telemetry::record_shed() {
+void Telemetry::record_shed(TenantRow* row) {
   if (!obs::metrics_enabled()) return;
   shed_->inc();
+  if (row != nullptr) row->shed->inc();
 }
 
-void Telemetry::record_rejected() {
+void Telemetry::record_rejected(TenantRow* row) {
   if (!obs::metrics_enabled()) return;
   rejected_->inc();
+  if (row != nullptr) row->rejected->inc();
 }
 
 void Telemetry::record_batch(std::size_t occupancy) {
@@ -112,102 +139,54 @@ void Telemetry::record_batch(std::size_t occupancy) {
   max_occupancy_->max_of(static_cast<double>(occupancy));
 }
 
-void Telemetry::record_completed(double latency_us) {
+void Telemetry::record_completed(TenantRow* row, double latency_us) {
   if (!obs::metrics_enabled()) return;
   latency_->record(latency_us);
+  if (row != nullptr) row->latency->record(latency_us);
 }
 
-void Telemetry::record_submitted(ClusterId cluster) {
-  if (!obs::metrics_enabled()) return;
-  submitted_->inc();
-  if (per_tenant_) tenant_cells(cluster).submitted->inc();
-}
-
-void Telemetry::record_shed(ClusterId cluster) {
-  if (!obs::metrics_enabled()) return;
-  shed_->inc();
-  if (per_tenant_) tenant_cells(cluster).shed->inc();
-}
-
-void Telemetry::record_rejected(ClusterId cluster) {
-  if (!obs::metrics_enabled()) return;
-  rejected_->inc();
-  if (per_tenant_) tenant_cells(cluster).rejected->inc();
-}
-
-void Telemetry::record_completed(ClusterId cluster, double latency_us) {
-  if (!obs::metrics_enabled()) return;
-  latency_->record(latency_us);
-  if (per_tenant_) tenant_cells(cluster).latency->record(latency_us);
-}
-
-void Telemetry::record_model_version(ClusterId cluster, std::uint64_t version,
+void Telemetry::record_model_version(TenantRow* row, std::uint64_t version,
                                      double staleness_us) {
-  if (!obs::metrics_enabled() || !per_tenant_) return;
-  TenantCells& cells = tenant_cells(cluster);
+  if (row == nullptr || !obs::metrics_enabled()) return;
   // Single writer per tenant (its shard worker): the load-compare-store is
   // not a race, only the snapshot readers are concurrent.
   const std::uint64_t prev =
-      cells.model_version.load(std::memory_order_relaxed);
+      row->model_version.load(std::memory_order_relaxed);
   if (prev != 0 && prev != version) {
-    cells.model_swaps.fetch_add(1, std::memory_order_relaxed);
+    row->model_swaps.fetch_add(1, std::memory_order_relaxed);
   }
-  cells.model_version.store(version, std::memory_order_relaxed);
-  cells.model_staleness_us.store(staleness_us, std::memory_order_relaxed);
+  row->model_version.store(version, std::memory_order_relaxed);
+  row->model_staleness_us.store(staleness_us, std::memory_order_relaxed);
 }
 
-void Telemetry::record_stage(ClusterId cluster, Stage stage, double stage_us,
+void Telemetry::record_stage(TenantRow* row, Stage stage, double stage_us,
                              std::uint64_t requests) {
-  if (!obs::metrics_enabled() || !per_tenant_) return;
-  TenantCells& cells = tenant_cells(cluster);
+  if (row == nullptr || !obs::metrics_enabled()) return;
   const std::size_t s = static_cast<std::size_t>(stage);
-  cells.stage_us[s]->inc(
+  row->stage_us[s]->inc(
       static_cast<std::uint64_t>(std::llround(std::max(0.0, stage_us))));
-  cells.stage_requests[s]->inc(requests);
+  row->stage_requests[s]->inc(requests);
 }
-
-TenantSnapshot Telemetry::snapshot_of(const TenantCells& cells) {
-  TenantSnapshot s;
-  const obs::HistogramSnapshot latency = cells.latency->snapshot();
-  s.submitted = cells.submitted->value();
-  s.completed = latency.count;
-  s.shed = cells.shed->value();
-  s.rejected = cells.rejected->value();
-  s.model_version = cells.model_version.load(std::memory_order_relaxed);
-  s.model_swaps = cells.model_swaps.load(std::memory_order_relaxed);
-  s.model_staleness_us =
-      cells.model_staleness_us.load(std::memory_order_relaxed);
-  s.p50_us = latency.quantile(0.50);
-  s.p99_us = latency.quantile(0.99);
-  s.mean_latency_us = latency.mean_us();
-  s.max_latency_us = latency.max_us;
-  return s;
-}
+// ORCO_HOT_PATH END
 
 TenantSnapshot Telemetry::tenant_snapshot(ClusterId cluster) const {
-  const TenantCells* cells = find_tenant(cluster);
-  return cells == nullptr ? TenantSnapshot{} : snapshot_of(*cells);
+  const TenantRow* row = find_row(cluster);
+  return row == nullptr ? TenantSnapshot{} : snapshot_of(*row);
 }
 
 std::map<ClusterId, TenantSnapshot> Telemetry::tenant_snapshots() const {
-  common::ReaderMutexLock lock(tenants_mu_);
   std::map<ClusterId, TenantSnapshot> out;
-  for (const auto& [cluster, cells] : tenants_) {
-    out.emplace(cluster, snapshot_of(*cells));
+  for (const auto& [cluster, row] : rows()) {
+    out.emplace(cluster, snapshot_of(*row));
   }
   return out;
 }
 
 std::array<Telemetry::StageSnapshot, Telemetry::kStageCount>
 Telemetry::stage_snapshot(ClusterId cluster) const {
-  std::array<StageSnapshot, kStageCount> out{};
-  const TenantCells* cells = find_tenant(cluster);
-  if (cells == nullptr) return out;
-  for (std::size_t s = 0; s < kStageCount; ++s) {
-    out[s].us = cells->stage_us[s]->value();
-    out[s].requests = cells->stage_requests[s]->value();
-  }
-  return out;
+  const TenantRow* row = find_row(cluster);
+  return row == nullptr ? std::array<StageSnapshot, kStageCount>{}
+                        : stages_of(*row);
 }
 
 common::Table Telemetry::tenant_report() const {
@@ -228,22 +207,15 @@ common::Table Telemetry::tenant_report() const {
 common::Table Telemetry::stage_report() const {
   common::Table t({"cluster", "queue wait us", "assembly us", "decode us",
                    "respond us", "accounted us"});
-  std::vector<ClusterId> clusters;
-  {
-    common::ReaderMutexLock lock(tenants_mu_);
-    clusters.reserve(tenants_.size());
-    for (const auto& [cluster, cells] : tenants_) clusters.push_back(cluster);
-  }
-  for (const ClusterId cluster : clusters) {
-    const auto stages = stage_snapshot(cluster);
+  for (const auto& [cluster, row] : rows()) {
     double accounted = 0.0;
-    std::vector<std::string> row{std::to_string(cluster)};
-    for (const StageSnapshot& s : stages) {
+    std::vector<std::string> cells{std::to_string(cluster)};
+    for (const StageSnapshot& s : stages_of(*row)) {
       accounted += s.mean_us();
-      row.push_back(common::Table::num(s.mean_us(), 1));
+      cells.push_back(common::Table::num(s.mean_us(), 1));
     }
-    row.push_back(common::Table::num(accounted, 1));
-    t.add_row(std::move(row));
+    cells.push_back(common::Table::num(accounted, 1));
+    t.add_row(std::move(cells));
   }
   return t;
 }

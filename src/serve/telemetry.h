@@ -1,39 +1,34 @@
 // Serving telemetry: request counters, latency quantiles and batch-occupancy
 // histograms, thread-safe for concurrent shard workers and submitters.
 //
-// Since PR 6 this is a typed facade over an obs::MetricsRegistry: every
-// counter/histogram the serving path records lives in the registry as a
-// named metric (so Prometheus/JSON export sees exactly what the reports
-// print), and the hot path is lock-free — each record_* is a handful of
-// relaxed atomics on sharded, cache-line-padded cells. The old design took
-// one global mutex on EVERY per-request record; under 8 shard workers plus
-// client threads that lock was the first thing TSan's contention profile
-// surfaced. The mutex that remains (inside the registry, plus a
-// shared_mutex over the tenant directory) is only taken on handle creation
-// and snapshot/export.
+// A typed facade over an obs::MetricsRegistry: every counter/histogram the
+// serving path records lives in the registry as a named metric, so
+// Prometheus/JSON export sees exactly what the reports print. Latencies use
+// obs::Histogram's log-spaced microsecond buckets, so a record is O(1) and
+// memory stays constant under million-request loads.
 //
-// Latencies land in log-spaced microsecond buckets so record() is O(1) and
-// memory stays constant under million-request loads; quantiles are
-// interpolated inside the winning bucket (a few percent of resolution,
-// plenty for p50/p95/p99 reporting). The bucket math is shared with
-// obs::Histogram (obs/metrics.h) — both sides are bitwise-identical for the
-// same samples.
+// Counters exist at three grains: runtime-wide totals; per-tenant rows
+// keyed on ClusterId (submitted/shed/rejected counts, a latency histogram
+// and the serving model version); and, in the same row, per-STAGE
+// accounting (queue wait, batch assembly, decode, respond) so a latency
+// regression can be localized to the pipeline stage that grew.
 //
-// Counters exist at two grains: the runtime-wide totals (the PR-1 snapshot)
-// and per-tenant rows keyed on ClusterId — submitted/shed/rejected counts
-// plus a full latency histogram per tenant, so QoS policies are observable
-// (a high-priority tenant's p99 vs a low-priority one's under overload).
-// PR 6 adds a third grain: per-tenant per-STAGE accounting (queue wait,
-// batch assembly, decode, respond) so a latency regression can be localized
-// to the pipeline stage that grew.
+// The row contract. tenant(cluster) hands out the tenant's row, creating it
+// on the first call; that lookup is the only lock on the record path, and a
+// caller takes it once per submit and once per served batch. Every record_*
+// then takes the row, which may be null: a row records the runtime series
+// and the row; null records the runtime series only (unknown ids, shutdown
+// answers, rows turned off). The record bodies are relaxed atomics on the
+// registry's cells, no lock and no allocation (an ORCO_HOT_PATH region that
+// tools/check_invariants.py checks). Rows live as long as the Telemetry.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -43,36 +38,6 @@
 #include "serve/request.h"
 
 namespace orco::serve {
-
-/// Single-writer log-bucketed histogram (the obs::Histogram bucket layout
-/// without the sharding/atomics). Kept for callers that aggregate privately
-/// — bench percentile tracks, tests — and as the reference implementation
-/// the sharded cells are pinned against.
-class LatencyHistogram {
- public:
-  LatencyHistogram();
-
-  void record(double us);
-  /// Element-wise accumulate of another histogram (bucket counts, count,
-  /// sum, max) — merging per-worker locals into one distribution.
-  void merge(const LatencyHistogram& other);
-
-  std::uint64_t count() const noexcept { return count_; }
-  double mean_us() const;
-  double max_us() const noexcept { return max_us_; }
-  /// q in [0, 1]; returns an interpolated bucket position in microseconds.
-  double quantile(double q) const;
-
-  /// The canonical bucket index for a microsecond value (quarter-powers of
-  /// two; see obs::hist_bucket_for).
-  static std::size_t bucket_for(double us) { return obs::hist_bucket_for(us); }
-
- private:
-  std::vector<std::uint64_t> buckets_;  // bucket b covers [2^(b/4), 2^((b+1)/4)) us
-  std::uint64_t count_ = 0;
-  double sum_us_ = 0.0;
-  double max_us_ = 0.0;
-};
 
 struct TelemetrySnapshot {
   std::uint64_t submitted = 0;
@@ -134,36 +99,38 @@ class Telemetry {
     }
   };
 
-  /// `per_tenant` false drops the per-tenant grain entirely: record_*
-  /// overloads taking a ClusterId update only the runtime-wide series and
-  /// never allocate a tenant row. A fleet cell fronting ~100k registered
-  /// tenants would otherwise pin ~8KB of cells per tenant forever.
-  explicit Telemetry(bool per_tenant = true);
+  /// One tenant's registry handles (defined in telemetry.cpp); callers only
+  /// hold the pointer tenant() returns and pass it back to record_*.
+  struct TenantRow;
 
-  // Runtime-wide counters (kept for callers that have no tenant in hand).
-  void record_submitted();
-  void record_shed();
-  void record_rejected();
+  /// `per_tenant` false drops the per-tenant grain entirely: tenant()
+  /// returns null, so records land in the runtime-wide series only and no
+  /// row is ever allocated. A fleet cell fronting ~100k registered tenants
+  /// would otherwise pin ~8KB of cells per tenant forever.
+  explicit Telemetry(bool per_tenant = true);
+  ~Telemetry();
+
+  /// The tenant's row, created on the first call. Null when per-tenant rows
+  /// are off or metrics are disabled, so neither case creates a row.
+  TenantRow* tenant(ClusterId cluster);
+
+  void record_submitted(TenantRow* row);
+  void record_shed(TenantRow* row);
+  void record_rejected(TenantRow* row);
   /// One served batch of `occupancy` coalesced requests.
   void record_batch(std::size_t occupancy);
   /// One request answered kOk after `latency_us`.
-  void record_completed(double latency_us);
-
-  // Per-tenant variants: update the tenant's row AND the runtime totals.
-  void record_submitted(ClusterId cluster);
-  void record_shed(ClusterId cluster);
-  void record_rejected(ClusterId cluster);
-  void record_completed(ClusterId cluster, double latency_us);
+  void record_completed(TenantRow* row, double latency_us);
   /// Called once per served batch with the decoder generation that served
   /// it and the snapshot's age (0 for the live, non-snapshot path). Version
-  /// changes increment the tenant's swap counter.
-  void record_model_version(ClusterId cluster, std::uint64_t version,
+  /// changes increment the tenant's swap counter. Row-only: a no-op on null.
+  void record_model_version(TenantRow* row, std::uint64_t version,
                             double staleness_us);
-  /// Accounts `stage_us` of `stage` time spent on `requests` requests of
-  /// `cluster`. Batch-scoped stages (assembly/decode/respond) record the
-  /// batch duration once with requests = batch occupancy; queue wait is
-  /// per-request.
-  void record_stage(ClusterId cluster, Stage stage, double stage_us,
+  /// Accounts `stage_us` of `stage` time spent on `requests` requests.
+  /// Batch-scoped stages (assembly/decode/respond) record the batch
+  /// duration once with requests = batch occupancy; queue wait is
+  /// per-request. Row-only: a no-op on null.
+  void record_stage(TenantRow* row, Stage stage, double stage_us,
                     std::uint64_t requests = 1);
 
   TelemetrySnapshot snapshot() const;
@@ -190,26 +157,10 @@ class Telemetry {
   const obs::MetricsRegistry& registry() const noexcept { return registry_; }
 
  private:
-  /// Handles for one tenant's metrics. Counter/histogram writes go through
-  /// registry cells; model-version fields are single-writer (the tenant's
-  /// shard worker) and read with relaxed loads by snapshots.
-  struct TenantCells {
-    obs::Counter* submitted;
-    obs::Counter* shed;
-    obs::Counter* rejected;
-    obs::Histogram* latency;  // 1 cell: one shard worker records per tenant
-    obs::Counter* stage_us[kStageCount];
-    obs::Counter* stage_requests[kStageCount];
-    std::atomic<std::uint64_t> model_version{0};
-    std::atomic<std::uint64_t> model_swaps{0};
-    std::atomic<double> model_staleness_us{0.0};
-  };
-
-  static TenantSnapshot snapshot_of(const TenantCells& cells);
-  /// Shared-locks for the (overwhelmingly common) existing-tenant lookup,
-  /// upgrades to a unique lock only to create a new tenant's row.
-  TenantCells& tenant_cells(ClusterId cluster);
-  const TenantCells* find_tenant(ClusterId cluster) const;
+  /// The row of `cluster`, or null when it has none.
+  const TenantRow* find_row(ClusterId cluster) const;
+  /// Every row in cluster order, copied out of the directory.
+  std::vector<std::pair<ClusterId, const TenantRow*>> rows() const;
 
   obs::MetricsRegistry registry_;
   const bool per_tenant_;
@@ -223,11 +174,9 @@ class Telemetry {
   obs::Gauge* max_occupancy_;
   obs::Histogram* latency_;
 
-  /// Guards the tenant *directory* only, never the cells: record paths
-  /// take it shared for the lookup and write through lock-free registry
-  /// cells; only first-seen tenant creation upgrades to exclusive.
-  mutable common::SharedMutex tenants_mu_;
-  std::map<ClusterId, std::unique_ptr<TenantCells>> tenants_
+  /// Guards the tenant directory only, never the rows it points to.
+  mutable common::Mutex tenants_mu_;
+  std::map<ClusterId, std::unique_ptr<TenantRow>> tenants_
       ORCO_GUARDED_BY(tenants_mu_);
 };
 

@@ -20,29 +20,33 @@ namespace orco::train {
 
 namespace {
 
-/// Drops the calling thread to background scheduling (no-op off Linux or
-/// when nice_level is 0). SCHED_IDLE is the real background class — the
-/// thread runs only on otherwise-idle cycles and a waking decode thread
-/// preempts it immediately, which is what keeps serve p99 flat while a
+/// Microseconds of queue wait that double a pending job's scheduling score
+/// (the aging scheme of serve::BatchQueue).
+constexpr double kAgingUs = 100000.0;
+
+/// Niceness of a trainer thread where SCHED_IDLE is unavailable.
+constexpr int kBackgroundNice = 19;
+
+/// Drops the calling thread to background scheduling (no-op off Linux).
+/// SCHED_IDLE is the real background class — the thread runs only on
+/// otherwise-idle cycles and a waking decode thread preempts it
+/// immediately, which is what keeps serve p99 flat while a
 /// multi-millisecond training round is in flight on a shared core. Safe
 /// here because trainer threads never hold a lock the serve path takes
 /// (registry snapshot reads are a single atomic load). Falls back to plain
 /// niceness where SCHED_IDLE is unavailable; lowering priority never needs
 /// privileges.
-void background_current_thread(int nice_level) {
-  if (nice_level == 0) return;
+void background_current_thread() {
 #ifdef __linux__
   const sched_param param{};
   if (sched_setscheduler(static_cast<pid_t>(gettid()), SCHED_IDLE, &param) ==
       0) {
     return;
   }
-  if (setpriority(PRIO_PROCESS, static_cast<id_t>(gettid()), nice_level) !=
-      0) {
-    ORCO_LOG_ERROR("could not renice trainer thread to " << nice_level);
+  if (setpriority(PRIO_PROCESS, static_cast<id_t>(gettid()),
+                  kBackgroundNice) != 0) {
+    ORCO_LOG_ERROR("could not renice trainer thread to " << kBackgroundNice);
   }
-#else
-  (void)nice_level;
 #endif
 }
 
@@ -96,10 +100,8 @@ void TrainerRuntime::register_tenant(
     ORCO_CHECK(tenants_.emplace(cluster, std::move(tenant)).second,
                "tenant " << cluster << " already registered with the trainer");
   }
-  if (config_.publish_on_register) {
-    common::MutexLock train_lock(inserted->train_mu);
-    (void)export_and_publish(cluster, *inserted);
-  }
+  common::MutexLock train_lock(inserted->train_mu);
+  (void)export_and_publish(cluster, *inserted);
 }
 
 bool TrainerRuntime::unregister_tenant(ClusterId cluster) {
@@ -301,7 +303,7 @@ std::uint64_t TrainerRuntime::export_and_publish(ClusterId cluster,
 
 std::size_t TrainerRuntime::pick_job() const {
   // Aged weighted priority, same scheme as serve::BatchQueue::pick_cluster:
-  // score = schedule_weight x (1 + wait / aging_us), FIFO on ties.
+  // score = schedule_weight x (1 + wait / kAgingUs), FIFO on ties.
   const auto now = std::chrono::steady_clock::now();
   std::size_t best = 0;
   double best_score = -1.0;
@@ -309,13 +311,10 @@ std::size_t TrainerRuntime::pick_job() const {
     const Tenant* tenant = find_tenant(queue_[i].job.cluster);
     const serve::TenantPolicy policy =
         tenant != nullptr ? tenant->policy : config_.default_policy;
-    double score = policy.schedule_weight();
-    if (config_.aging_us > 0) {
-      const double wait_us = std::chrono::duration<double, std::micro>(
-                                 now - queue_[i].queued_at)
-                                 .count();
-      score *= 1.0 + wait_us / static_cast<double>(config_.aging_us);
-    }
+    const double wait_us = std::chrono::duration<double, std::micro>(
+                               now - queue_[i].queued_at)
+                               .count();
+    const double score = policy.schedule_weight() * (1.0 + wait_us / kAgingUs);
     if (score > best_score ||
         (score == best_score && queue_[i].seq < queue_[best].seq)) {
       best = i;
@@ -326,8 +325,8 @@ std::size_t TrainerRuntime::pick_job() const {
 }
 
 void TrainerRuntime::worker_loop() {
-  background_current_thread(config_.background_nice);
-  if (config_.inline_kernels) tensor::set_thread_gemm_parallelism(false);
+  background_current_thread();
+  tensor::set_thread_gemm_parallelism(false);
   for (;;) {
     PendingJob pending;
     {

@@ -13,6 +13,11 @@
 //     serve::TenantPolicy whose priority orders the job queue, so
 //     fine-tuning cannot starve either the serving shards or other
 //     tenants' jobs;
+//   * the budget bounds how much CPU a job takes, scheduling bounds when:
+//     workers run as SCHED_IDLE (else at nice 19) and run their GEMMs
+//     inline, never on the shared pool, whose normal-priority workers
+//     would head-of-line-block decode batches — a training round can
+//     outlast a whole serve p99 budget;
 //   * when a job finishes, the freshly trained encoder/decoder pair is
 //     cloned into an immutable ModelSnapshot stamped with the EdgeServer's
 //     model version and atomically published to the ModelRegistry — the
@@ -58,27 +63,6 @@ struct TrainerConfig {
   serve::TenantPolicy default_policy;
   /// Epochs a drift-triggered job runs over the tenant's current stream.
   std::size_t drift_epochs = 2;
-  /// Microseconds of queue wait that double a pending job's scheduling
-  /// score (same aging scheme as serve::BatchQueue; 0 disables aging).
-  std::uint64_t aging_us = 100000;
-  /// Background scheduling for trainer worker threads (Linux; ignored
-  /// elsewhere, 0 disables). The duty cycle bounds *how much* CPU a job
-  /// takes; scheduling class bounds *when* — workers move to SCHED_IDLE
-  /// (run on idle cycles only, preempted instantly by a waking decode
-  /// thread), falling back to this nice level where that fails. This is
-  /// what keeps serve tail latency flat on core-starved boxes: a training
-  /// round can outlast the whole p99 budget.
-  int background_nice = 19;
-  /// Run training kernels inline on the worker thread instead of the
-  /// shared GEMM pool (tensor::set_thread_gemm_parallelism). Default on:
-  /// pooled training GEMM chunks execute at the pool workers' normal
-  /// priority and head-of-line-block serve decode batches, defeating both
-  /// budgets above. Turn off only for offline bulk training where trainer
-  /// throughput matters more than serve tails.
-  bool inline_kernels = true;
-  /// Publish a snapshot of the tenant's current weights at register_tenant
-  /// time, so serving flips to the lock-free registry path immediately.
-  bool publish_on_register = true;
   /// Kernel backend published snapshots are pre-warmed (pre-packed) for —
   /// set it to the consuming ServeConfig::backend so the first post-swap
   /// decode pays no packing cost (the pack cache keeps one backend's
@@ -96,7 +80,9 @@ class TrainerRuntime {
   TrainerRuntime(const TrainerRuntime&) = delete;
   TrainerRuntime& operator=(const TrainerRuntime&) = delete;
 
-  /// Registers a tenant under the default policy and budget.
+  /// Registers a tenant under the default policy and budget. Both
+  /// overloads publish a snapshot of the tenant's current weights, so
+  /// serving reads the registry from the tenant's first request.
   void register_tenant(ClusterId cluster,
                        std::shared_ptr<core::OrcoDcsSystem> system);
   void register_tenant(ClusterId cluster,

@@ -1,74 +1,14 @@
-// Tests for the contention model (paper §III-A collision claim) and the
-// latent-quantisation extension.
+// Tests for the latent-quantisation extension.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/quantization.h"
-#include "wsn/contention.h"
 
 namespace orco {
 namespace {
 
 using tensor::Tensor;
-
-// ---- contention ---------------------------------------------------------------
-
-TEST(ContentionTest, SlottedSuccessKnownValues) {
-  EXPECT_DOUBLE_EQ(wsn::slotted_success_probability(0), 1.0);
-  EXPECT_DOUBLE_EQ(wsn::slotted_success_probability(1), 1.0);
-  EXPECT_DOUBLE_EQ(wsn::slotted_success_probability(2), 0.5);
-  // k -> infinity tends to 1/e.
-  EXPECT_NEAR(wsn::slotted_success_probability(1000), 1.0 / std::exp(1.0),
-              1e-3);
-}
-
-TEST(ContentionTest, SuccessDecreasesWithContenders) {
-  double last = 1.1;
-  for (std::size_t k = 1; k <= 64; k *= 2) {
-    const double s = wsn::slotted_success_probability(k);
-    EXPECT_LT(s, last);
-    last = s;
-  }
-}
-
-TEST(ContentionTest, StarScalesPoorly) {
-  const auto small = wsn::star_contention(4);
-  const auto big = wsn::star_contention(64);
-  EXPECT_GT(small.success_probability, big.success_probability);
-  EXPECT_LT(small.expected_slots_per_packet, big.expected_slots_per_packet);
-  EXPECT_EQ(big.largest_domain, 64u);
-  EXPECT_THROW((void)wsn::star_contention(0), std::invalid_argument);
-}
-
-TEST(ContentionTest, TreeMitigatesCollisionsVsStar) {
-  // The paper's sec. III-A claim: multi-hop aggregation reduces collisions.
-  wsn::FieldConfig cfg;
-  cfg.device_count = 48;
-  cfg.side_m = 160.0;
-  cfg.radio_range_m = 45.0;
-  cfg.seed = 5;
-  const wsn::Field field(cfg);
-  const wsn::AggregationTree tree(field, wsn::RadioModel{});
-
-  const auto star = wsn::star_contention(field.device_count());
-  const auto treed = wsn::tree_contention(tree);
-  EXPECT_LT(treed.largest_domain, star.largest_domain);
-  EXPECT_GT(treed.success_probability, star.success_probability);
-}
-
-TEST(ContentionTest, ChainHasNoContention) {
-  std::vector<wsn::Position> positions;
-  for (int i = 0; i <= 10; ++i) {
-    positions.push_back(wsn::Position{10.0 * i, 0.0});
-  }
-  const wsn::Field field(std::move(positions), 0, 15.0);
-  const wsn::AggregationTree tree(field, wsn::RadioModel{});
-  const auto report = wsn::tree_contention(tree);
-  // Every parent has exactly one child: every slot succeeds.
-  EXPECT_DOUBLE_EQ(report.success_probability, 1.0);
-  EXPECT_EQ(report.largest_domain, 1u);
-}
 
 // ---- quantization ---------------------------------------------------------------
 

@@ -1,10 +1,8 @@
 // Tests for the extension modules: sensor-field telemetry, the
-// formulation-level cluster pipeline, network lifetime, and the shared-edge
-// simulation.
+// formulation-level cluster pipeline and network lifetime.
 #include <gtest/gtest.h>
 
 #include "core/cluster_pipeline.h"
-#include "core/shared_edge_sim.h"
 #include "data/sensor_field.h"
 #include "wsn/lifetime.h"
 
@@ -216,65 +214,6 @@ TEST(LifetimeTest, HybridCsOutlivesRawAggregation) {
             raw_life.rounds_until_first_death * 2.0);
   // The raw bottleneck is the relay next to the root (node 1 on the chain).
   EXPECT_EQ(raw_life.first_dead_node, 1u);
-}
-
-// ---- shared-edge simulation -------------------------------------------------
-
-TEST(SharedEdgeSimTest, ValidatesConfig) {
-  core::SharedEdgeConfig cfg;
-  cfg.clusters = 0;
-  EXPECT_THROW((void)core::simulate_shared_edge(cfg), std::invalid_argument);
-  cfg.clusters = 1;
-  cfg.edge_service_s = 0.0;
-  EXPECT_THROW((void)core::simulate_shared_edge(cfg), std::invalid_argument);
-}
-
-TEST(SharedEdgeSimTest, SingleClusterHasNoQueueing) {
-  core::SharedEdgeConfig cfg;
-  cfg.clusters = 1;
-  cfg.horizon_s = 10.0;
-  const auto report = core::simulate_shared_edge(cfg);
-  EXPECT_DOUBLE_EQ(report.mean_wait_s, 0.0);
-  EXPECT_GT(report.total_rounds, 0u);
-  // Cycle time = aggregator + service + comms.
-  const double cycle = cfg.aggregator_s + cfg.edge_service_s + cfg.comms_s;
-  EXPECT_NEAR(static_cast<double>(report.total_rounds),
-              cfg.horizon_s / cycle, 2.0);
-}
-
-TEST(SharedEdgeSimTest, UtilisationGrowsWithClustersUntilSaturation) {
-  double last_util = 0.0;
-  for (const std::size_t k : {1, 2, 4, 8, 32}) {
-    core::SharedEdgeConfig cfg;
-    cfg.clusters = k;
-    cfg.horizon_s = 20.0;
-    const auto report = core::simulate_shared_edge(cfg);
-    EXPECT_GE(report.edge_utilisation, last_util - 1e-9);
-    EXPECT_LE(report.edge_utilisation, 1.0 + 1e-9);
-    last_util = report.edge_utilisation;
-  }
-  EXPECT_GT(last_util, 0.9);  // 32 clusters saturate this edge
-}
-
-TEST(SharedEdgeSimTest, WaitingAppearsOnlyUnderContention) {
-  core::SharedEdgeConfig light;
-  light.clusters = 2;
-  light.horizon_s = 20.0;
-  core::SharedEdgeConfig heavy = light;
-  heavy.clusters = 32;
-  const auto light_report = core::simulate_shared_edge(light);
-  const auto heavy_report = core::simulate_shared_edge(heavy);
-  EXPECT_LT(light_report.mean_wait_s, heavy_report.mean_wait_s);
-  EXPECT_GT(heavy_report.mean_round_latency_s,
-            light_report.mean_round_latency_s);
-}
-
-TEST(SharedEdgeSimTest, FifoIsFairAcrossIdenticalClusters) {
-  core::SharedEdgeConfig cfg;
-  cfg.clusters = 8;
-  cfg.horizon_s = 30.0;
-  const auto report = core::simulate_shared_edge(cfg);
-  EXPECT_GT(report.fairness, 0.9);
 }
 
 }  // namespace

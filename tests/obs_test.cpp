@@ -1,17 +1,21 @@
 // Tests for the observability subsystem (src/obs) and its serve-path
-// integration: sharded counter correctness under contention, bucket/quantile
-// parity between obs::Histogram and serve::LatencyHistogram, histogram
-// merge and boundary behaviour, Prometheus/JSON export well-formedness
-// (checked with a minimal JSON parser), trace sampling, and the span tree a
-// served request produces.
+// integration: sharded counter correctness under contention, histogram
+// bucket/quantile pins, cell merge and boundary behaviour, Prometheus/JSON
+// export well-formedness (checked with a minimal JSON parser), the exact
+// metric families a serving runtime exports, trace sampling, and the span
+// tree a served request produces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <future>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -189,71 +193,101 @@ TEST(CounterTest, ShardedIncrementsSumExactlyUnderContention) {
 }
 
 TEST(HistogramTest, BucketForIsPinnedAtPowersOfTwo) {
-  using serve::LatencyHistogram;
+  using obs::hist_bucket_for;
   // Everything at or below 1us lands in bucket 0.
-  EXPECT_EQ(LatencyHistogram::bucket_for(0.0), 0u);
-  EXPECT_EQ(LatencyHistogram::bucket_for(1.0), 0u);
+  EXPECT_EQ(hist_bucket_for(0.0), 0u);
+  EXPECT_EQ(hist_bucket_for(1.0), 0u);
   // Exact powers of two open their octave: 4 buckets per octave.
-  EXPECT_EQ(LatencyHistogram::bucket_for(2.0), 4u);
-  EXPECT_EQ(LatencyHistogram::bucket_for(4.0), 8u);
-  EXPECT_EQ(LatencyHistogram::bucket_for(1024.0), 40u);
+  EXPECT_EQ(hist_bucket_for(2.0), 4u);
+  EXPECT_EQ(hist_bucket_for(4.0), 8u);
+  EXPECT_EQ(hist_bucket_for(1024.0), 40u);
   // Just below a power of two stays in the previous octave's top bucket.
-  EXPECT_EQ(LatencyHistogram::bucket_for(std::nextafter(2.0, 0.0)), 3u);
+  EXPECT_EQ(hist_bucket_for(std::nextafter(2.0, 0.0)), 3u);
   // The top bucket absorbs everything past the table.
-  EXPECT_EQ(LatencyHistogram::bucket_for(1e30), obs::kHistBucketCount - 1);
+  EXPECT_EQ(hist_bucket_for(1e30), obs::kHistBucketCount - 1);
 }
 
 TEST(HistogramTest, QuantileEdges) {
-  serve::LatencyHistogram h;
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);  // empty histogram
+  obs::Histogram h(/*cell_count=*/1);
+  EXPECT_DOUBLE_EQ(h.snapshot().quantile(0.5), 0.0);  // empty histogram
 
   h.record(100.0);
+  const obs::HistogramSnapshot s = h.snapshot();
   // A single sample: q=1 is exactly the recorded max; q=0 is the winning
   // bucket's lower edge (never above the sample).
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 100.0);
-  EXPECT_LE(h.quantile(0.0), 100.0);
-  EXPECT_GT(h.quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(h.max_us(), 100.0);
+  EXPECT_DOUBLE_EQ(s.quantile(1.0), 100.0);
+  EXPECT_LE(s.quantile(0.0), 100.0);
+  EXPECT_GT(s.quantile(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(s.max_us, 100.0);
 }
 
-TEST(HistogramTest, ObsAndServeHistogramsAgreeBitwise) {
-  serve::LatencyHistogram reference;
+TEST(HistogramTest, SnapshotMatchesPlainBucketCountBitwise) {
+  // The reference: the bucket math applied by hand to a plain array.
+  std::array<std::uint64_t, obs::kHistBucketCount> buckets{};
+  std::uint64_t count = 0;
+  double sum_us = 0.0;
+  double max_us = 0.0;
   obs::Histogram sharded(/*cell_count=*/4);
   common::Pcg32 rng(7);
   for (int i = 0; i < 5000; ++i) {
     // Spread over ~6 orders of magnitude like real latencies.
     const double us = std::exp2(rng.uniform() * 20.0);
-    reference.record(us);
+    buckets[obs::hist_bucket_for(us)]++;
+    ++count;
+    sum_us += us;
+    max_us = std::max(max_us, us);
     sharded.record(us);
   }
   const obs::HistogramSnapshot snap = sharded.snapshot();
-  EXPECT_EQ(snap.count, reference.count());
-  EXPECT_EQ(snap.max_us, reference.max_us());
-  // Same bucket math, same interpolation, same samples on one thread (one
-  // cell sees them all, in order): quantiles and mean are bitwise equal.
+  EXPECT_EQ(snap.buckets, buckets);
+  EXPECT_EQ(snap.count, count);
+  EXPECT_EQ(snap.max_us, max_us);
+  // Same samples on one thread (one cell sees them all, in order):
+  // quantiles and mean are bitwise equal.
   for (const double q : {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
-    EXPECT_EQ(snap.quantile(q), reference.quantile(q)) << "q=" << q;
+    EXPECT_EQ(snap.quantile(q),
+              obs::hist_quantile(buckets.data(), buckets.size(), count,
+                                 max_us, q))
+        << "q=" << q;
   }
-  EXPECT_EQ(snap.mean_us(), reference.mean_us());
+  EXPECT_EQ(snap.mean_us(), sum_us / static_cast<double>(count));
 }
 
-TEST(HistogramTest, MergeMatchesRecordingEverythingIntoOne) {
-  serve::LatencyHistogram a, b, all;
+TEST(HistogramTest, MergedCellsMatchOneCell) {
+  // Four threads record into a 4-cell histogram; one thread records the
+  // same samples into a 1-cell one. snapshot() merges the cells, so the
+  // distributions must agree exactly.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 1000;
+  std::vector<std::vector<double>> samples(kThreads);
   common::Pcg32 rng(11);
-  for (int i = 0; i < 1000; ++i) {
-    const double us = std::exp2(rng.uniform() * 18.0);
-    if (i % 2 == 0) {
-      a.record(us);
-    } else {
-      b.record(us);
+  for (auto& part : samples) {
+    for (int i = 0; i < kPerThread; ++i) {
+      part.push_back(std::exp2(rng.uniform() * 18.0));
     }
-    all.record(us);
   }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_DOUBLE_EQ(a.max_us(), all.max_us());
-  EXPECT_DOUBLE_EQ(a.quantile(0.5), all.quantile(0.5));
-  EXPECT_DOUBLE_EQ(a.quantile(0.99), all.quantile(0.99));
+  obs::Histogram merged(/*cell_count=*/4);
+  std::vector<std::thread> threads;
+  for (const auto& part : samples) {
+    threads.emplace_back([&merged, &part] {
+      for (const double us : part) merged.record(us);
+    });
+  }
+  for (auto& t : threads) t.join();
+  obs::Histogram single(/*cell_count=*/1);
+  for (const auto& part : samples) {
+    for (const double us : part) single.record(us);
+  }
+
+  const obs::HistogramSnapshot a = merged.snapshot();
+  const obs::HistogramSnapshot b = single.snapshot();
+  EXPECT_EQ(a.buckets, b.buckets);
+  EXPECT_EQ(a.count, static_cast<std::uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.max_us, b.max_us);
+  for (const double q : {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
+    EXPECT_EQ(a.quantile(q), b.quantile(q)) << "q=" << q;
+  }
 }
 
 TEST(RegistryTest, PrometheusExportIsWellFormed) {
@@ -324,6 +358,73 @@ TEST(RegistryTest, HandleKindMismatchThrows) {
 }
 
 // ---- kernel profiling -------------------------------------------------------
+
+TEST(RegistryTest, ServeRuntimeExportsItsNineteenFamilies) {
+  core::SystemConfig sys_cfg;
+  sys_cfg.orco.input_dim = 64;
+  sys_cfg.orco.latent_dim = 16;
+  sys_cfg.orco.decoder_layers = 2;
+  sys_cfg.orco.seed = 42;
+  sys_cfg.field.device_count = 8;
+  sys_cfg.field.radio_range_m = 60.0;
+
+  serve::ServeConfig serve_cfg;
+  serve_cfg.shard_count = 1;
+  serve::ServerRuntime runtime(serve_cfg);
+  runtime.register_cluster(3, std::make_shared<core::OrcoDcsSystem>(sys_cfg));
+  runtime.start();
+  common::Pcg32 rng(5);
+  std::vector<std::future<serve::DecodeResponse>> futures;
+  for (int i = 0; i < 4; ++i) {
+    futures.push_back(runtime.submit(3, tensor::Tensor::randn({16}, rng)));
+  }
+  for (auto& f : futures) {
+    ASSERT_EQ(f.get().status, serve::ResponseStatus::kOk);
+  }
+  runtime.shutdown();
+
+  std::ostringstream os;
+  runtime.telemetry().registry().write_prometheus(os);
+  const std::string text = os.str();
+  std::set<std::string> types;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("# TYPE ", 0) == 0) types.insert(line);
+  }
+  const std::set<std::string> expected = {
+      // Runtime-wide.
+      "# TYPE orco_serve_submitted counter",
+      "# TYPE orco_serve_shed counter",
+      "# TYPE orco_serve_rejected counter",
+      "# TYPE orco_serve_batches counter",
+      "# TYPE orco_serve_batch_requests counter",
+      "# TYPE orco_serve_max_batch_occupancy gauge",
+      "# TYPE orco_serve_latency_us summary",
+      // One row per tenant.
+      "# TYPE orco_serve_tenant_submitted counter",
+      "# TYPE orco_serve_tenant_shed counter",
+      "# TYPE orco_serve_tenant_rejected counter",
+      "# TYPE orco_serve_tenant_latency_us summary",
+      // The tenant's pipeline stages.
+      "# TYPE orco_serve_stage_queue_wait_us counter",
+      "# TYPE orco_serve_stage_queue_wait_requests counter",
+      "# TYPE orco_serve_stage_assembly_us counter",
+      "# TYPE orco_serve_stage_assembly_requests counter",
+      "# TYPE orco_serve_stage_decode_us counter",
+      "# TYPE orco_serve_stage_decode_requests counter",
+      "# TYPE orco_serve_stage_respond_us counter",
+      "# TYPE orco_serve_stage_respond_requests counter",
+  };
+  EXPECT_EQ(expected.size(), 19u);
+  EXPECT_EQ(types, expected) << text;
+  // Per-tenant series carry the tenant label.
+  EXPECT_NE(text.find("orco_serve_tenant_submitted{tenant=\"3\"} 4\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("orco_serve_stage_decode_requests{tenant=\"3\"} 4\n"),
+            std::string::npos)
+      << text;
+}
 
 TEST(KernelProfileTest, RecordsGemmCallsWhenEnabled) {
   obs::kernel_reset();

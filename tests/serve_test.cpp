@@ -2,18 +2,22 @@
 // batch coalescing (windows bounded by each lane's measured decode),
 // batched-vs-sequential decode equality, backpressure,
 // per-tenant QoS (quota admission, priority eviction, weighted-aging
-// scheduling), MPMC wakeup delivery, exception-safe batch fan-out, and
-// graceful shutdown.
+// scheduling), MPMC wakeup delivery, exception-safe batch fan-out,
+// graceful shutdown, and the telemetry row contract (rows off, metrics off).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <mutex>
 #include <optional>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/config.h"
 #include "serve/serve.h"
 
 namespace orco::serve {
@@ -842,7 +846,7 @@ TEST(ServeTest, ShutdownIsIdempotentAndDestructorSafe) {
 TEST(TelemetryTest, QuantilesBracketRecordedLatencies) {
   Telemetry telemetry;
   for (int i = 1; i <= 1000; ++i) {
-    telemetry.record_completed(static_cast<double>(i));  // 1..1000 us
+    telemetry.record_completed(nullptr, static_cast<double>(i));  // 1..1000 us
   }
   const auto s = telemetry.snapshot();
   EXPECT_EQ(s.completed, 1000u);
@@ -856,15 +860,16 @@ TEST(TelemetryTest, QuantilesBracketRecordedLatencies) {
 }
 
 TEST(TelemetryTest, QuantileEdgeCases) {
-  LatencyHistogram empty;
+  const obs::HistogramSnapshot empty = obs::Histogram(1).snapshot();
   EXPECT_EQ(empty.quantile(0.0), 0.0);
   EXPECT_EQ(empty.quantile(0.5), 0.0);
   EXPECT_EQ(empty.quantile(1.0), 0.0);
   EXPECT_THROW((void)empty.quantile(-0.1), std::invalid_argument);
   EXPECT_THROW((void)empty.quantile(1.1), std::invalid_argument);
 
-  LatencyHistogram single;
-  single.record(100.0);
+  obs::Histogram single_hist(1);
+  single_hist.record(100.0);
+  const obs::HistogramSnapshot single = single_hist.snapshot();
   // Every quantile of one sample lands inside its bucket, capped at the
   // recorded maximum.
   EXPECT_GT(single.quantile(0.0), 0.0);
@@ -872,26 +877,91 @@ TEST(TelemetryTest, QuantileEdgeCases) {
   EXPECT_EQ(single.quantile(1.0), 100.0);
   EXPECT_LE(single.quantile(0.5), 100.0);
 
-  LatencyHistogram one_bucket;
-  for (int i = 0; i < 1000; ++i) one_bucket.record(64.0);  // exact 2^6 edge
+  obs::Histogram one_bucket_hist(1);
+  for (int i = 0; i < 1000; ++i) one_bucket_hist.record(64.0);  // 2^6 edge
+  const obs::HistogramSnapshot one_bucket = one_bucket_hist.snapshot();
   // All mass in one bucket: interpolation stays within [64, next edge) and
   // the max cap pins every quantile to the recorded value.
   EXPECT_EQ(one_bucket.quantile(0.0), 64.0);
   EXPECT_EQ(one_bucket.quantile(0.5), 64.0);
   EXPECT_EQ(one_bucket.quantile(1.0), 64.0);
 
-  LatencyHistogram zeros;
-  zeros.record(0.0);
-  zeros.record(0.0);
+  obs::Histogram zeros_hist(1);
+  zeros_hist.record(0.0);
+  zeros_hist.record(0.0);
+  const obs::HistogramSnapshot zeros = zeros_hist.snapshot();
   EXPECT_EQ(zeros.quantile(1.0), 0.0);
-  EXPECT_EQ(zeros.max_us(), 0.0);
+  EXPECT_EQ(zeros.max_us, 0.0);
+}
+
+TEST(TelemetryTest, RowsOffRecordTheRuntimeSeriesOnly) {
+  ServeConfig cfg;
+  cfg.shard_count = 2;
+  cfg.per_tenant_telemetry = false;
+  ServerRuntime runtime(cfg);
+  runtime.register_cluster(1, make_tenant(64, 16, 1));
+  runtime.register_cluster(2, make_tenant(64, 16, 2));
+  runtime.start();
+  common::Pcg32 rng(31);
+  std::vector<std::future<DecodeResponse>> futures;
+  for (int i = 0; i < 6; ++i) {
+    futures.push_back(runtime.submit(1, random_latent(16, rng)));
+    futures.push_back(runtime.submit(2, random_latent(16, rng)));
+  }
+  for (auto& f : futures) EXPECT_EQ(f.get().status, ResponseStatus::kOk);
+  runtime.shutdown();
+
+  const Telemetry& telemetry = runtime.telemetry();
+  EXPECT_TRUE(telemetry.tenant_snapshots().empty());
+  EXPECT_EQ(telemetry.tenant_report().rows(), 0u);
+  EXPECT_EQ(telemetry.stage_report().rows(), 0u);
+  std::ostringstream prom;
+  telemetry.registry().write_prometheus(prom);
+  EXPECT_EQ(prom.str().find("orco_serve_tenant_"), std::string::npos);
+  EXPECT_EQ(prom.str().find("orco_serve_stage_"), std::string::npos);
+  const TelemetrySnapshot s = telemetry.snapshot();
+  EXPECT_EQ(s.submitted, futures.size());
+  EXPECT_EQ(s.completed, futures.size());
+}
+
+TEST(TelemetryTest, MetricsOffCountNothingAndCreateNoRow) {
+  struct MetricsOff {
+    MetricsOff() {
+      obs::ObsConfig off;
+      off.metrics = false;
+      obs::configure(off);
+    }
+    ~MetricsOff() { obs::configure(obs::ObsConfig{}); }
+  } metrics_off;
+  ServeConfig cfg;
+  cfg.shard_count = 1;
+  ServerRuntime runtime(cfg);
+  runtime.register_cluster(1, make_tenant());
+  runtime.start();
+  common::Pcg32 rng(33);
+  std::vector<std::future<DecodeResponse>> futures;
+  for (int i = 0; i < 4; ++i) {
+    futures.push_back(runtime.submit(1, random_latent(16, rng)));
+  }
+  for (auto& f : futures) EXPECT_EQ(f.get().status, ResponseStatus::kOk);
+  EXPECT_EQ(runtime.submit(999, random_latent(16, rng)).get().status,
+            ResponseStatus::kUnknownCluster);
+  runtime.shutdown();
+
+  const TelemetrySnapshot s = runtime.telemetry().snapshot();
+  EXPECT_EQ(s.submitted, 0u);
+  EXPECT_EQ(s.completed, 0u);
+  EXPECT_EQ(s.rejected, 0u);
+  EXPECT_EQ(s.batches, 0u);
+  EXPECT_TRUE(runtime.telemetry().tenant_snapshots().empty());
+  EXPECT_EQ(runtime.telemetry().stage_report().rows(), 0u);
 }
 
 TEST(TelemetryTest, ReportIncludesThroughput) {
   Telemetry telemetry;
-  telemetry.record_submitted();
+  telemetry.record_submitted(nullptr);
   telemetry.record_batch(1);
-  telemetry.record_completed(100.0);
+  telemetry.record_completed(nullptr, 100.0);
   const auto table = telemetry.report(2.0);
   EXPECT_GT(table.rows(), 5u);
   const auto csv = table.to_csv();

@@ -61,6 +61,8 @@ class DcsNetSystem {
   double sim_time() const noexcept { return clock_.now(); }
   const DcsNetConfig& config() const noexcept { return config_; }
   core::Orchestrator& orchestrator() noexcept { return *orchestrator_; }
+  core::DataAggregator& aggregator() noexcept { return *aggregator_; }
+  core::EdgeServer& edge() noexcept { return *edge_; }
 
  private:
   DcsNetConfig config_;

@@ -70,10 +70,10 @@ void DataAggregator::apply_latent_gradient(const LatentGradMsg& msg) {
   ORCO_CHECK(msg.latent_grad.rank() == 2 &&
                  msg.latent_grad.dim(1) == latent_dim_,
              "latent gradient shape mismatch");
-  optimizer_->zero_grad();
-  // Noise is additive, so dL/d(clean latent) == dL/d(noisy latent).
-  (void)encoder_->backward(msg.latent_grad);
-  optimizer_->step();
+  // Noise is additive, so dL/d(clean latent) == dL/d(noisy latent). The
+  // gradient stops at the encoder: its first layer computes no dX.
+  (void)optimizer_->backward_step(*encoder_, msg.latent_grad,
+                                  /*input_grad=*/false);
   round_open_ = false;
 }
 

@@ -37,7 +37,8 @@ class DataAggregator {
       const ReconstructionMsg& msg);
 
   /// Backpropagates the latent gradient through the encoder and applies one
-  /// SGD step. Must follow encode_batch(training=true) on the same round.
+  /// SGD step, in one walk (nn::Sgd::backward_step) that computes no input
+  /// gradient. Must follow encode_batch(training=true) on the same round.
   void apply_latent_gradient(const LatentGradMsg& msg);
 
   /// Per-device encoder slice for the §III-C broadcast.

@@ -1,12 +1,43 @@
 #include "core/edge_server.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "obs/config.h"
 #include "obs/trace.h"
 
 namespace orco::core {
+
+std::pair<float, Tensor> residual_loss_and_gradient(const Tensor& residual,
+                                                    ReconLoss loss_kind,
+                                                    float huber_delta) {
+  const auto r = residual.data();
+  const float inv_n = 1.0f / static_cast<float>(residual.numel());
+  Tensor grad(residual.shape());
+  auto gd = grad.data();
+  double loss_acc = 0.0;
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    const float ri = r[i];
+    if (loss_kind == ReconLoss::kMse) {
+      loss_acc += static_cast<double>(ri) * ri;
+      gd[i] = -2.0f * ri * inv_n;
+      continue;
+    }
+    const float a = std::fabs(ri);
+    if (a <= huber_delta) {
+      loss_acc += 0.5 * static_cast<double>(a) * a;
+      gd[i] = -ri * inv_n;
+    } else {
+      loss_acc += static_cast<double>(huber_delta) * a -
+                  0.5 * huber_delta * huber_delta;
+      gd[i] = (ri > 0.0f ? -huber_delta : huber_delta) * inv_n;
+    }
+  }
+  const float loss =
+      static_cast<float>(loss_acc / static_cast<double>(residual.numel()));
+  return {loss, std::move(grad)};
+}
 
 EdgeServer::EdgeServer(std::unique_ptr<nn::Sequential> decoder,
                        const OrcoConfig& config)
@@ -48,39 +79,12 @@ LatentGradMsg EdgeServer::train_step(const ResidualMsg& msg) {
                  msg.residuals.dim(1) == output_dim_,
              "residual shape mismatch");
 
-  // Loss and gradient are functions of the residual r = X - Xr alone:
-  //   Huber: L = mean(huber(r)),   dL/dXr = -clip(r, ±delta) / numel
-  //   MSE:   L = mean(r^2),        dL/dXr = -2 r / numel
-  const auto r = msg.residuals.data();
-  const float inv_n = 1.0f / static_cast<float>(msg.residuals.numel());
-  Tensor grad(msg.residuals.shape());
-  auto gd = grad.data();
-  double loss_acc = 0.0;
-  for (std::size_t i = 0; i < r.size(); ++i) {
-    const float ri = r[i];
-    if (loss_kind_ == ReconLoss::kMse) {
-      loss_acc += static_cast<double>(ri) * ri;
-      gd[i] = -2.0f * ri * inv_n;
-      continue;
-    }
-    const float a = std::fabs(ri);
-    if (a <= huber_delta_) {
-      loss_acc += 0.5 * static_cast<double>(a) * a;
-      gd[i] = -ri * inv_n;
-    } else {
-      loss_acc += static_cast<double>(huber_delta_) * a -
-                  0.5 * huber_delta_ * huber_delta_;
-      gd[i] = (ri > 0.0f ? -huber_delta_ : huber_delta_) * inv_n;
-    }
-  }
-  const float loss =
-      static_cast<float>(loss_acc / static_cast<double>(msg.residuals.numel()));
-
-  optimizer_->zero_grad();
+  auto [loss, grad] =
+      residual_loss_and_gradient(msg.residuals, loss_kind_, huber_delta_);
   tensor::BackendScope scope(backend_);
-  Tensor latent_grad = decoder_->backward(grad);
-  optimizer_->step();
-  // The step mutated the decoder weights through ParamView pointers the
+  Tensor latent_grad =
+      optimizer_->backward_step(*decoder_, grad, /*input_grad=*/true);
+  // The step mutated decoder parameters through ParamView pointers the
   // layers cannot observe: bump every layer's weight version (so the lazy
   // decode plan reports weights_stale() and recompiles) and advance the
   // decoder generation.

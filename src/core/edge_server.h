@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "common/mutex.h"
 #include "core/config.h"
@@ -20,6 +21,14 @@
 
 namespace orco::core {
 
+/// The §III-B training loss and its gradient dL/dXr, both functions of the
+/// residual r = X - Xr alone — the first half of EdgeServer::train_step:
+///   Huber: L = mean(huber(r)),   dL/dXr = -clip(r, ±delta) / numel
+///   MSE:   L = mean(r^2),        dL/dXr = -2 r / numel
+std::pair<float, Tensor> residual_loss_and_gradient(const Tensor& residual,
+                                                    ReconLoss loss_kind,
+                                                    float huber_delta);
+
 class EdgeServer {
  public:
   EdgeServer(std::unique_ptr<nn::Sequential> decoder,
@@ -30,8 +39,10 @@ class EdgeServer {
   ReconstructionMsg reconstruct(const LatentBatchMsg& msg, bool training);
 
   /// Derives the Huber gradient from the residual (loss and gradient are
-  /// both functions of X - Xr alone), backpropagates through the decoder,
-  /// applies one SGD step, and returns dL/d(latents) plus the loss.
+  /// both functions of X - Xr alone: residual_loss_and_gradient),
+  /// backpropagates through the decoder and applies one SGD step in one
+  /// walk (nn::Sgd::backward_step), and returns dL/d(latents) plus the
+  /// loss.
   LatentGradMsg train_step(const ResidualMsg& msg);
 
   /// Noise-free decoding for evaluation / steady-state reconstruction

@@ -36,8 +36,10 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   Tensor out = grad_output;
   const auto in = input_.data();
   auto od = out.data();
+  // A select, not a branch, so it vectorizes: +0 where input <= 0 (±0
+  // included), the gradient elsewhere (a NaN input keeps it).
   for (std::size_t i = 0; i < od.size(); ++i) {
-    if (in[i] <= 0.0f) od[i] = 0.0f;
+    od[i] = in[i] <= 0.0f ? 0.0f : od[i];
   }
   return out;
 }

@@ -78,26 +78,51 @@ std::shared_ptr<const tensor::PackedWeights> Dense::plan_pack(
       backend.pack_b(w_.data().data(), in_, out_, /*transpose_b=*/true));
 }
 
-Tensor Dense::backward(const Tensor& grad_output) {
+void Dense::check_grad_output(const Tensor& grad_output) const {
   ORCO_CHECK(grad_output.rank() == 2 && grad_output.dim(1) == out_ &&
                  grad_output.dim(0) == input_.dim(0),
              "Dense backward shape mismatch");
+}
+
+Tensor Dense::backward(const Tensor& grad_output) {
+  check_grad_output(grad_output);
   // dW += dY^T X ; db += column sums of dY ; dX = dY W. gemm_tn
   // accumulates dW straight into the gradient, with no product temporary.
   const std::size_t batch = grad_output.dim(0);
   ensure_grad(gw_, w_.shape());
-  ensure_grad(gb_, b_.shape());
   {
     OBS_SCOPED_SPAN(obs::KernelOp::kGemmTN, 2ull * batch * in_ * out_);
     tensor::current_backend().gemm_tn(grad_output.data().data(),
                                       input_.data().data(), gw_.data().data(),
                                       out_, batch, in_);
   }
-  for (std::size_t i = 0; i < batch; ++i) {
+  accumulate_bias_grad(grad_output);
+  return input_grad(grad_output);
+}
+
+Tensor Dense::input_grad(const Tensor& grad_output) const {
+  check_grad_output(grad_output);
+  return tensor::matmul(grad_output, w_);
+}
+
+void Dense::accumulate_bias_grad(const Tensor& grad_output) {
+  check_grad_output(grad_output);
+  ensure_grad(gb_, b_.shape());
+  for (std::size_t i = 0; i < grad_output.dim(0); ++i) {
     const auto r = grad_output.row(i);
     for (std::size_t j = 0; j < out_; ++j) gb_[j] += r[j];
   }
-  return tensor::matmul(grad_output, w_);
+}
+
+void Dense::step_weight(const Tensor& grad_output,
+                        const tensor::SgdUpdate& update, float* velocity) {
+  check_grad_output(grad_output);
+  const std::size_t batch = grad_output.dim(0);
+  OBS_SCOPED_SPAN(obs::KernelOp::kGemmTN, 2ull * batch * in_ * out_);
+  tensor::current_backend().gemm_tn_sgd(
+      grad_output.data().data(), input_.data().data(), w_.data().data(),
+      velocity, out_, batch, in_, update);
+  invalidate_weight_cache();
 }
 
 std::vector<ParamView> Dense::params() {

@@ -22,6 +22,19 @@ class Dense : public Layer {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+
+  /// backward()'s three parts one at a time, for the batch of the last
+  /// forward() — nn::Sgd::backward_step's Dense step. dL/dX = dY·W from
+  /// the current weight:
+  Tensor input_grad(const Tensor& grad_output) const;
+  /// dY's column sums accumulated into the bias gradient (sized,
+  /// zero-filled, at first use):
+  void accumulate_bias_grad(const Tensor& grad_output);
+  /// and the weight stepped by `update` straight out of dW = dYᵀ·X
+  /// (tensor::Backend::gemm_tn_sgd; `velocity` is null without momentum),
+  /// so the weight gradient is neither allocated, read nor written.
+  void step_weight(const Tensor& grad_output, const tensor::SgdUpdate& update,
+                   float* velocity);
   void infer_into(const Tensor& input, Tensor& out,
                   InferContext& ctx) const override;
 
@@ -86,14 +99,18 @@ class Dense : public Layer {
   }
   const Tensor& bias() const noexcept { return b_; }
   /// Parameter gradients: empty until the first backward() (see
-  /// ParamView), then shaped like weight() and bias().
+  /// ParamView), then shaped like weight() and bias(). Sgd::backward_step
+  /// sizes only the bias gradient: an SGD-trained weight carries none.
   Tensor& weight_grad() noexcept { return gw_; }
   Tensor& bias_grad() noexcept { return gb_; }
 
  private:
+  /// Checks that dY is (batch of the last forward(), out_features).
+  void check_grad_output(const Tensor& grad_output) const;
+
   std::size_t in_, out_;
   Tensor w_, b_;
-  Tensor gw_, gb_;  // empty until the first backward()
+  Tensor gw_, gb_;  // empty until first used
   Tensor input_;  // cached for backward
   std::atomic<std::uint64_t> weight_version_{1};
 };

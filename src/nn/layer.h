@@ -25,7 +25,8 @@ using tensor::Tensor;
 /// eagerly allocated gradient). Until then a layer holds only its weights,
 /// which is all a tenant that only serves ever needs. Consumers treat an
 /// empty gradient as zero; inference, params() and save/load never
-/// allocate one.
+/// allocate one. A Dense weight trained by Sgd::backward_step (the §III-B
+/// round) never gets one either: the step runs inside its gradient GEMM.
 struct ParamView {
   std::string name;
   Tensor* value = nullptr;

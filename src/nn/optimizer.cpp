@@ -1,10 +1,11 @@
 #include "nn/optimizer.h"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
+#include "nn/dense.h"
+#include "nn/sequential.h"
 #include "tensor/backend.h"
 
 namespace orco::nn {
@@ -20,14 +21,7 @@ Optimizer::Optimizer(std::vector<ParamView> params)
 }
 
 void Optimizer::zero_grad() {
-  for (auto& p : params_) {
-    float* g = p.grad->data().data();
-    const std::size_t n = p.grad->numel();
-    common::parallel_for(tensor::elementwise_pool(n), 0, n, /*grain=*/1,
-                         [g](std::size_t lo, std::size_t hi) {
-                           std::fill(g + lo, g + hi, 0.0f);
-                         });
-  }
+  for (auto& p : params_) p.grad->fill(0.0f);
 }
 
 std::vector<Tensor> Optimizer::zero_state() const {
@@ -61,32 +55,63 @@ void Sgd::set_learning_rate(float lr) {
 
 void Sgd::step() {
   if (momentum_ > 0.0f && velocity_.empty()) velocity_ = zero_state();
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    ensure_grad(*params_[i].grad, params_[i].value->shape());
-    float* vd = params_[i].value->data().data();
-    const float* gd = params_[i].grad->data().data();
-    float* mv = momentum_ > 0.0f ? velocity_[i].data().data() : nullptr;
-    const float lr = lr_, momentum = momentum_, decay = weight_decay_;
-    // Each element's update reads only its own slots, so chunks of the
-    // sweep may run on the pool in any order.
-    auto update = [=](std::size_t lo, std::size_t hi) {
-      if (mv != nullptr) {
-        for (std::size_t j = lo; j < hi; ++j) {
-          const float g = gd[j] + decay * vd[j];
-          mv[j] = momentum * mv[j] + g;
-          vd[j] -= lr * mv[j];
-        }
-      } else {
-        for (std::size_t j = lo; j < hi; ++j) {
-          const float g = gd[j] + decay * vd[j];
-          vd[j] -= lr * g;
-        }
-      }
-    };
-    const std::size_t n = params_[i].value->numel();
-    common::parallel_for(tensor::elementwise_pool(n), 0, n, /*grain=*/1,
-                         update);
+  for (std::size_t i = 0; i < params_.size(); ++i) step_param(i);
+}
+
+void Sgd::step_param(std::size_t i) {
+  ensure_grad(*params_[i].grad, params_[i].value->shape());
+  tensor::sgd_update(params_[i].grad->data().data(),
+                     params_[i].value->data().data(), velocity(i),
+                     params_[i].value->numel(),
+                     {lr_, momentum_, weight_decay_});
+}
+
+float* Sgd::velocity(std::size_t i) {
+  return momentum_ > 0.0f ? velocity_[i].data().data() : nullptr;
+}
+
+Tensor Sgd::backward_step(Layer& model, const Tensor& grad_output,
+                          bool input_grad) {
+  const std::vector<ParamView> views = model.params();
+  ORCO_CHECK(views.size() == params_.size(),
+             "model has " << views.size() << " parameters, the optimizer "
+                          << params_.size());
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    ORCO_CHECK(views[i].value == params_[i].value,
+               "parameter " << i << " (" << views[i].name
+                            << ") is not the optimizer's");
   }
+  if (momentum_ > 0.0f && velocity_.empty()) velocity_ = zero_state();
+  std::size_t end = params_.size();
+  return walk(model, grad_output, input_grad, end);
+}
+
+Tensor Sgd::walk(Layer& layer, const Tensor& grad_output, bool input_grad,
+                 std::size_t& end) {
+  if (auto* seq = dynamic_cast<Sequential*>(&layer)) {
+    Tensor g = grad_output;
+    for (std::size_t i = seq->size(); i-- > 0;) {
+      g = walk(seq->layer(i), g, input_grad || i > 0, end);
+    }
+    return g;
+  }
+  const std::size_t count = layer.params().size();
+  const std::size_t first = end - count;
+  end = first;
+  if (auto* dense = dynamic_cast<Dense*>(&layer)) {
+    // params() is {weight, bias}.
+    Tensor dx = input_grad ? dense->input_grad(grad_output) : Tensor();
+    dense->bias_grad().fill(0.0f);
+    dense->accumulate_bias_grad(grad_output);
+    step_param(first + 1);
+    dense->step_weight(grad_output, {lr_, momentum_, weight_decay_},
+                       velocity(first));
+    return dx;
+  }
+  layer.zero_grad();
+  Tensor dx = layer.backward(grad_output);
+  for (std::size_t i = first; i < first + count; ++i) step_param(i);
+  return dx;
 }
 
 Adam::Adam(std::vector<ParamView> params, float lr, float beta1, float beta2,

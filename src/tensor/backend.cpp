@@ -28,16 +28,6 @@ thread_local bool t_parallel = true;
 // every GTSRB one (59M and up) still gained ~1.8x.
 constexpr std::size_t kParallelThreshold = std::size_t{1} << 25;
 
-// Minimum elements before an elementwise sweep (an SGD step, zeroing a
-// gradient) splits across the pool, by the same reasoning: ~1M floats.
-constexpr std::size_t kElementwiseThreshold = std::size_t{1} << 20;
-
-// The shared pool when this thread may use it, else nullptr.
-common::ThreadPool* enabled_pool() {
-  return g_parallel.load() && t_parallel ? &common::ThreadPool::global()
-                                         : nullptr;
-}
-
 using detail::apply_act;
 using detail::gemm_pool;
 
@@ -164,6 +154,14 @@ void Backend::gemm_fused(const float* a, const float* b, float* c,
     }
   }
   apply_epilogue(c, m, n, epilogue);
+}
+
+void Backend::gemm_tn_sgd(const float* a, const float* b, float* w, float* v,
+                          std::size_t m, std::size_t k, std::size_t n,
+                          const SgdUpdate& update) const {
+  std::vector<float> grad(m * n, 0.0f);
+  gemm_tn(a, b, grad.data(), m, k, n);
+  sgd_update(grad.data(), w, v, m * n, update);
 }
 
 // Base prepacking: materialise the bf16-rounded operand row-major in f32
@@ -327,14 +325,12 @@ bool gemm_parallelism() { return g_parallel.load(); }
 void set_thread_gemm_parallelism(bool enabled) { t_parallel = enabled; }
 bool thread_gemm_parallelism() { return t_parallel; }
 
-common::ThreadPool* elementwise_pool(std::size_t count) {
-  return count >= kElementwiseThreshold ? enabled_pool() : nullptr;
-}
-
 namespace detail {
 
 common::ThreadPool* gemm_pool(std::size_t m, std::size_t n, std::size_t k) {
-  return m * n * k >= kParallelThreshold ? enabled_pool() : nullptr;
+  return m * n * k >= kParallelThreshold && g_parallel.load() && t_parallel
+             ? &common::ThreadPool::global()
+             : nullptr;
 }
 
 }  // namespace detail

@@ -36,10 +36,6 @@
 #include <string>
 #include <vector>
 
-namespace orco::common {
-class ThreadPool;
-}
-
 namespace orco::tensor {
 
 /// Activation applied by a fused GEMM epilogue. Semantics match the
@@ -55,6 +51,40 @@ struct Epilogue {
   EpilogueAct act = EpilogueAct::kNone;
   float leaky_alpha = 0.01f;    // only read when act == kLeakyReLU
 };
+
+/// One SGD step's hyperparameters (nn::Sgd's): momentum 0 is plain SGD.
+struct SgdUpdate {
+  float lr = 0.0f;
+  float momentum = 0.0f;
+  float weight_decay = 0.0f;
+};
+
+/// Steps `count` weights w by their gradients g, in nn::Sgd::step's order
+/// with each operation rounded on its own:
+///   with a velocity v:  g' = g + decay·w;  v = momentum·v + g';  w -= lr·v
+///   without (v null):   w -= lr·(g + decay·w)
+/// Sgd::step and Backend::gemm_tn_sgd both run this one definition, and
+/// every TU that calls it builds with -ffp-contract=off, so no FMA
+/// contraction can make the two round differently. Always inlined, so each
+/// caller runs its own compiled copy and never one the linker picked from
+/// a TU built with other flags.
+[[gnu::always_inline]] inline void sgd_update(const float* g, float* w,
+                                              float* v, std::size_t count,
+                                              const SgdUpdate& s) {
+  const float lr = s.lr, momentum = s.momentum, decay = s.weight_decay;
+  if (v != nullptr) {
+    for (std::size_t j = 0; j < count; ++j) {
+      const float gj = g[j] + decay * w[j];
+      v[j] = momentum * v[j] + gj;
+      w[j] -= lr * v[j];
+    }
+  } else {
+    for (std::size_t j = 0; j < count; ++j) {
+      const float gj = g[j] + decay * w[j];
+      w[j] -= lr * gj;
+    }
+  }
+}
 
 class Backend;
 
@@ -141,6 +171,19 @@ class Backend {
   /// c (m×n) += aᵀ · b, with a stored row-major (k×m).
   virtual void gemm_tn(const float* a, const float* b, float* c,
                        std::size_t m, std::size_t k, std::size_t n) const = 0;
+
+  /// One SGD step on w (m×n) whose gradient is aᵀ·b, a (k×m) and b (k×n)
+  /// as in gemm_tn — the Dense weight-gradient layout — without storing
+  /// the gradient: sgd_update(g, w, v) with g the gemm_tn of a zeroed C.
+  /// v (m×n) is the velocity, null when update.momentum is 0. Bitwise
+  /// equal to gemm_tn into a zero-filled C followed by sgd_update over it,
+  /// which is what the base implementation runs (with C a scratch
+  /// buffer); the panel backend instead applies the update per micro-tile
+  /// on the last k panel, so no more than one tile of the gradient is ever
+  /// stored.
+  virtual void gemm_tn_sgd(const float* a, const float* b, float* w,
+                           float* v, std::size_t m, std::size_t k,
+                           std::size_t n, const SgdUpdate& update) const;
 
   /// c (m×n) = act(a (m×k) · b + bias) in one pass; b is (k×n) row-major,
   /// or (n×k) when transpose_b. Overwrites c. The base implementation is
@@ -255,11 +298,11 @@ class BackendScope {
 void apply_epilogue(float* c, std::size_t m, std::size_t n,
                     const Epilogue& epilogue);
 
-/// Enables/disables thread-pool parallelism for GEMMs and the optimizer's
-/// elementwise sweeps (default on). A pooled GEMM splits C into disjoint
-/// row-block × column-strip tasks, each reducing its elements in the same
-/// ascending-k chain, so the switch never changes a value — it exists for
-/// scheduling-sensitive measurements and for tests that pin exactly that.
+/// Enables/disables thread-pool parallelism for GEMMs (default on). A
+/// pooled GEMM splits C into disjoint row-block × column-strip tasks, each
+/// reducing its elements in the same ascending-k chain, so the switch never
+/// changes a value — it exists for scheduling-sensitive measurements and
+/// for tests that pin exactly that.
 void set_gemm_parallelism(bool enabled);
 bool gemm_parallelism();
 
@@ -274,12 +317,5 @@ bool gemm_parallelism();
 /// Default on.
 void set_thread_gemm_parallelism(bool enabled);
 bool thread_gemm_parallelism();
-
-/// The shared pool an elementwise sweep over `count` values (an optimizer
-/// step, zeroing gradients) should split across, or nullptr to run it
-/// inline: small sweeps, and threads or processes that turned pooled
-/// parallelism off above. The sweep has no reduction, so splitting it
-/// never changes a value.
-common::ThreadPool* elementwise_pool(std::size_t count);
 
 }  // namespace orco::tensor

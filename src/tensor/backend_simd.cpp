@@ -497,6 +497,21 @@ class SimdBackend final : public Backend {
                                   nullptr, nullptr, nullptr);
   }
 
+  // gemm_tn's walk with the step fused into every tile. A k past one k
+  // panel (a batch over kKc) would need each tile's partial sums kept
+  // across panels, so it takes the base scratch-gradient path instead.
+  void gemm_tn_sgd(const float* a, const float* b, float* w, float* v,
+                   std::size_t m, std::size_t k, std::size_t n,
+                   const SgdUpdate& update) const override {
+    if (k == 0 || k > SimdTraits::kKc) {
+      Backend::gemm_tn_sgd(a, b, w, v, m, k, n, update);
+      return;
+    }
+    const detail::TileSgd sgd{w, v, update};
+    detail::panel_run<SimdTraits>({a, m, true}, b, n, false, nullptr, m, k, n,
+                                  nullptr, nullptr, nullptr, &sgd);
+  }
+
   void gemm_fused(const float* a, const float* b, float* c, std::size_t m,
                   std::size_t k, std::size_t n, bool transpose_b,
                   const Epilogue& epilogue) const override {

@@ -5,14 +5,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "baseline/dcsnet.h"
 #include "core/orcodcs.h"
 #include "data/drift.h"
 #include "data/metrics.h"
 #include "data/synthetic_gtsrb.h"
 #include "data/synthetic_mnist.h"
+#include "obs/config.h"
+#include "obs/profile.h"
 #include "serve/serve.h"
 
 namespace orco::core {
@@ -89,25 +94,29 @@ bool same_bits(const Tensor& a, const Tensor& b) {
 }
 
 // A tenant that only serves carries no training state: encoder and decoder
-// gradients and both SGD velocity sets stay empty while it answers decodes,
-// and its first training round allocates every one of them.
+// gradients and both SGD velocity sets stay empty while it answers decodes.
+// Its first training round creates every velocity and every bias gradient,
+// while the Dense weights, stepped straight out of their gradient GEMMs,
+// still carry no gradient.
 TEST(SystemTest, TrainingStateAppearsAtFirstTrainingRound) {
   const SystemConfig cfg = small_system();
   auto sys = std::make_shared<OrcoDcsSystem>(cfg);
-  const auto expect_training_state = [&](bool allocated) {
+  const auto expect_training_state = [&](bool trained) {
     const std::pair<nn::Sequential*, const nn::Sgd*> halves[] = {
         {&sys->aggregator().encoder(), &sys->aggregator().optimizer()},
         {&sys->edge().decoder(), &sys->edge().optimizer()}};
     for (const auto& [model, sgd] : halves) {
       const auto params = model->params();
       for (const auto& p : params) {
-        if (allocated) {
+        const bool dense_weight =
+            p.name.find("Dense.weight") != std::string::npos;
+        if (trained && !dense_weight) {
           EXPECT_EQ(p.grad->shape(), p.value->shape()) << p.name;
         } else {
           EXPECT_TRUE(p.grad->empty()) << p.name;
         }
       }
-      ASSERT_EQ(sgd->velocities().size(), allocated ? params.size() : 0u);
+      ASSERT_EQ(sgd->velocities().size(), trained ? params.size() : 0u);
       for (std::size_t i = 0; i < sgd->velocities().size(); ++i) {
         EXPECT_EQ(sgd->velocities()[i].shape(), params[i].value->shape());
       }
@@ -128,20 +137,20 @@ TEST(SystemTest, TrainingStateAppearsAtFirstTrainingRound) {
   runtime.shutdown();
   {
     SCOPED_TRACE("after serving");
-    expect_training_state(/*allocated=*/false);
+    expect_training_state(/*trained=*/false);
   }
 
   const auto train = small_mnist(cfg.orco.batch_size);
   (void)sys->orchestrator().train_round(train.images());
   {
     SCOPED_TRACE("after one training round");
-    expect_training_state(/*allocated=*/true);
+    expect_training_state(/*trained=*/true);
   }
 }
 
-// Pooled training kernels (the split GEMMs, dW accumulated in place, the
-// pooled SGD step and zero_grad, the unpacked training forward) must train
-// exactly as the serial ones do: same losses, weights and velocities.
+// Pooled training kernels (the split GEMMs, the weight steps fused into the
+// dW GEMMs, the unpacked training forward) must train exactly as the serial
+// ones do: same losses, weights and velocities.
 TEST(SystemTest, PooledTrainingRoundsMatchSerialBitwise) {
   // MNIST data (784 -> 128, batch 64) through a decoder 128 -> 2048 -> 784:
   // wide enough that its second layer's forward, dW and dX GEMMs (103M
@@ -193,6 +202,149 @@ TEST(SystemTest, PooledTrainingRoundsMatchSerialBitwise) {
       EXPECT_TRUE(same_bits(serial.state[i], pooled.state[i])) << "tensor " << i;
     }
   }
+}
+
+// Copies every parameter value of `src` into `dst`, a model of the same
+// structure.
+void copy_params(nn::Sequential& dst, nn::Sequential& src) {
+  const auto to = dst.params();
+  const auto from = src.params();
+  ASSERT_EQ(to.size(), from.size());
+  for (std::size_t i = 0; i < to.size(); ++i) *to[i].value = *from[i].value;
+}
+
+// Drives `rounds` §III-B rounds by hand through `agg` and `edge`, whose SGD
+// steps run in one backward walk (Sgd::backward_step), and the same rounds
+// as an explicit zero_grad(), backward(), step() loop on `encoder` and
+// `decoder`, fresh models of the same structure that start from copies of
+// the pair's weights. Reconstructions, losses, latent gradients, weights
+// and velocities must agree bit for bit.
+void expect_rounds_match_explicit_loop(
+    DataAggregator& agg, EdgeServer& edge,
+    std::unique_ptr<nn::Sequential> encoder,
+    std::unique_ptr<nn::Sequential> decoder, const OrcoConfig& cfg,
+    const Tensor& images, std::size_t rounds) {
+  copy_params(*encoder, agg.encoder());
+  copy_params(*decoder, edge.decoder());
+  nn::Sgd enc_sgd(encoder->params(), cfg.learning_rate, cfg.momentum);
+  nn::Sgd dec_sgd(decoder->params(), cfg.learning_rate, cfg.momentum);
+  const std::size_t b = cfg.batch_size;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    SCOPED_TRACE("round " + std::to_string(r));
+    const Tensor batch = images.slice_rows(r * b, (r + 1) * b);
+    const LatentBatchMsg latents = agg.encode_batch(batch, r, true);
+    const ReconstructionMsg recon = edge.reconstruct(latents, true);
+    const ResidualMsg residual = agg.evaluate_reconstruction(recon).second;
+    const LatentGradMsg grad = edge.train_step(residual);
+    agg.apply_latent_gradient(grad);
+
+    // The explicit loop decodes the aggregator's noisy latents: the noise
+    // is added after the encoder, so its backward does not see it.
+    (void)encoder->forward(batch, true);
+    const Tensor rec = decoder->forward(latents.latents, true);
+    ASSERT_TRUE(same_bits(rec, recon.reconstructions));
+    auto [loss, upstream] =
+        residual_loss_and_gradient(batch - rec, cfg.loss, cfg.huber_delta);
+    EXPECT_EQ(std::memcmp(&loss, &grad.loss, sizeof(float)), 0);
+    dec_sgd.zero_grad();
+    const Tensor latent_grad = decoder->backward(upstream);
+    dec_sgd.step();
+    EXPECT_TRUE(same_bits(latent_grad, grad.latent_grad));
+    enc_sgd.zero_grad();
+    (void)encoder->backward(latent_grad);
+    enc_sgd.step();
+  }
+  const std::pair<nn::Sequential*, nn::Sequential*> models[] = {
+      {&agg.encoder(), encoder.get()}, {&edge.decoder(), decoder.get()}};
+  for (const auto& [walked, looped] : models) {
+    const auto got = walked->params();
+    const auto want = looped->params();
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(same_bits(*got[i].value, *want[i].value)) << got[i].name;
+    }
+  }
+  const std::pair<const nn::Sgd*, const nn::Sgd*> sgds[] = {
+      {&agg.optimizer(), &enc_sgd}, {&edge.optimizer(), &dec_sgd}};
+  for (const auto& [walked, looped] : sgds) {
+    ASSERT_EQ(walked->velocities().size(), looped->velocities().size());
+    for (std::size_t i = 0; i < walked->velocities().size(); ++i) {
+      EXPECT_TRUE(same_bits(walked->velocities()[i], looped->velocities()[i]))
+          << "velocity " << i;
+    }
+  }
+}
+
+// OrcoDCS's dense chain: every Dense steps its weight inside its dW GEMM
+// and the encoder computes no dX, yet training is bit-identical to the
+// explicit loop on either backend.
+TEST(SystemTest, OneWalkRoundsMatchExplicitLoopBitwise) {
+  SystemConfig cfg = small_system();
+  cfg.orco.decoder_layers = 3;
+  cfg.orco.decoder_hidden_dim = 96;
+  constexpr std::size_t kRounds = 3;
+  const auto train = small_mnist(kRounds * cfg.orco.batch_size);
+  for (const char* name : {"reference", "simd"}) {
+    SCOPED_TRACE(name);
+    tensor::BackendScope scope(tensor::find_backend(name));
+    OrcoDcsSystem sys(cfg);
+    common::Pcg32 rng(99);
+    expect_rounds_match_explicit_loop(
+        sys.aggregator(), sys.edge(), build_encoder(cfg.orco, rng),
+        build_decoder(cfg.orco, rng), cfg.orco, train.images(), kRounds);
+  }
+}
+
+// DCSNet's decoder puts conv layers after its Dense: they take the walk's
+// unfused zero/backward/step path, still bit-identical to the loop.
+TEST(SystemTest, OneWalkDcsNetRoundsMatchExplicitLoopBitwise) {
+  baseline::DcsNetConfig dcfg;
+  dcfg.latent_dim = 64;
+  dcfg.batch_size = 16;
+  constexpr std::size_t kRounds = 3;
+  const auto train = small_mnist(kRounds * dcfg.batch_size);
+  for (const char* name : {"reference", "simd"}) {
+    SCOPED_TRACE(name);
+    tensor::BackendScope scope(tensor::find_backend(name));
+    baseline::DcsNetSystem sys(data::kMnistGeometry, dcfg,
+                               wsn::ChannelConfig{}, ComputeModel{});
+    OrcoConfig cfg;
+    cfg.loss = ReconLoss::kMse;
+    cfg.learning_rate = dcfg.learning_rate;
+    cfg.momentum = dcfg.momentum;
+    cfg.batch_size = dcfg.batch_size;
+    common::Pcg32 rng(99);
+    expect_rounds_match_explicit_loop(
+        sys.aggregator(), sys.edge(),
+        baseline::build_dcsnet_encoder(data::kMnistGeometry, dcfg.latent_dim,
+                                       rng),
+        baseline::build_dcsnet_decoder(data::kMnistGeometry, dcfg.latent_dim,
+                                       rng),
+        cfg, train.images(), kRounds);
+  }
+}
+
+// The aggregator's round stops the gradient at the encoder: its Dense runs
+// the fused weight step (one gemm_tn call) and no dX GEMM (a plain gemm,
+// counted by the kernel profile).
+TEST(SystemTest, ApplyLatentGradientRunsNoInputGradientGemm) {
+  OrcoDcsSystem sys(small_system());
+  DataAggregator& agg = sys.aggregator();
+  const auto train = small_mnist(small_system().orco.batch_size);
+  const LatentBatchMsg latents = agg.encode_batch(train.images(), 0, true);
+  const ReconstructionMsg recon = sys.edge().reconstruct(latents, true);
+  const LatentGradMsg grad =
+      sys.edge().train_step(agg.evaluate_reconstruction(recon).second);
+  const obs::ObsConfig before = obs::config();
+  obs::ObsConfig profiling = before;
+  profiling.kernel_profiling = true;
+  obs::kernel_reset();
+  obs::configure(profiling);
+  agg.apply_latent_gradient(grad);
+  obs::configure(before);
+  const auto stats = obs::kernel_snapshot();
+  obs::kernel_reset();
+  EXPECT_EQ(stats[static_cast<std::size_t>(obs::KernelOp::kGemm)].calls, 0u);
+  EXPECT_EQ(stats[static_cast<std::size_t>(obs::KernelOp::kGemmTN)].calls, 1u);
 }
 
 TEST(SystemTest, ReconstructionBeatsUntrainedBaseline) {

@@ -1,7 +1,11 @@
 // Unit tests for NN layers: forward semantics, caching, chaining, noise.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -163,6 +167,39 @@ TEST(ActivationTest, ReLUZeroesNegatives) {
   EXPECT_TRUE(relu.forward(x, false).allclose(Tensor::from({0, 0, 2})));
   const Tensor g = relu.backward(Tensor::from({1, 1, 1}));
   EXPECT_TRUE(g.allclose(Tensor::from({0, 0, 1})));
+}
+
+// ReLU's backward is a select, not a branch: +0 where the input is <= 0
+// (either zero), the gradient elsewhere (a NaN input keeps it). Every
+// (input, gradient) pair of special values gives the bits of the branchy
+// loop it replaced: copy the gradient, then zero it where input <= 0.
+TEST(ActivationTest, ReLUBackwardKeepsTheBranchyLoopBitsOnSpecialValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float inputs[] = {nan,  -nan, 0.0f,   -0.0f,   1.5f,
+                          -1.5f, inf, -inf,   denorm, -denorm};
+  const float grads[] = {-0.0f, 0.0f, nan, -nan, inf, -inf, 2.5f, -3.0f};
+  const std::size_t n = std::size(inputs) * std::size(grads);
+  Tensor x({1, n}), g({1, n});
+  for (std::size_t i = 0; i < std::size(inputs); ++i) {
+    for (std::size_t j = 0; j < std::size(grads); ++j) {
+      x[i * std::size(grads) + j] = inputs[i];
+      g[i * std::size(grads) + j] = grads[j];
+    }
+  }
+  ReLU relu;
+  (void)relu.forward(x, true);
+  const Tensor got = relu.backward(g);
+  Tensor want = g;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (x[i] <= 0.0f) want[i] = 0.0f;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << "input " << x[i] << ", gradient " << g[i];
+  }
 }
 
 TEST(ActivationTest, LeakyReLUKeepsSlope) {

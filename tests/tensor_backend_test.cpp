@@ -23,6 +23,7 @@
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/infer_plan.h"
+#include "nn/optimizer.h"
 #include "nn/sequential.h"
 #include "tensor/backend.h"
 #include "tensor/gemm_panels.h"
@@ -828,6 +829,74 @@ TEST(FusedEpilogueTest, GemmFusedEqualsGemmThenApplyEpilogueBitwise) {
       }
     }
   }
+}
+
+// Backend::gemm_tn_sgd steps the weights straight out of the weight-
+// gradient GEMM: on every backend, pooled and serial, it must equal gemm_tn
+// into a zeroed C followed by the shared update, which nn::Sgd::step runs
+// (this TU may be built with FMA contraction; optimizer.cpp never is), bit
+// for bit. Two steps, so the second meets a nonzero velocity. The shapes
+// (m, k, n; a is k x m, b is k x n) cover row fringes (m % kMr != 0 on
+// every tier), column fringes (n % kNr != 0, and n < 16), k from 1 to one
+// whole k panel (kKc = 256) and past it (257, 300: simd's scratch-gradient
+// path), and three shapes past the 2^25 pool threshold. One column of b is
+// all zero, so its gradient chain sums only signed zeros.
+TEST(GemmTnSgdTest, EqualsGemmTnIntoZeroedCThenSgdUpdateBitwise) {
+  const Shape shapes[] = {{13, 1, 45},  {9, 64, 7},     {70, 64, 100},
+                          {33, 256, 50}, {17, 257, 33},  {10, 300, 40},
+                          {700, 64, 750}, {300, 256, 450}, {340, 300, 340}};
+  const tensor::SgdUpdate updates[] = {{0.05f, 0.0f, 0.0f},
+                                       {0.05f, 0.9f, 0.0f},
+                                       {0.05f, 0.0f, 1e-4f},
+                                       {0.05f, 0.9f, 1e-4f}};
+  const auto expect_same_bits = [](const Tensor& got, const Tensor& want,
+                                   const char* what, const Shape& s) {
+    ASSERT_EQ(got.shape(), want.shape());
+    for (std::size_t i = 0; i < got.numel(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                std::bit_cast<std::uint32_t>(want[i]))
+          << what << " " << i << " at " << s.m << "x" << s.k << "x" << s.n;
+    }
+  };
+  common::Pcg32 rng(61);
+  for (const Shape& s : shapes) {
+    const Tensor a = Tensor::randn({s.k, s.m}, rng);
+    Tensor b = Tensor::randn({s.k, s.n}, rng);
+    for (std::size_t p = 0; p < s.k; ++p) b.at(p, s.n / 2) = 0.0f;
+    const Tensor w0 = Tensor::randn({s.m, s.n}, rng);
+    for (const char* name : kAllBackends) {
+      const tensor::Backend& be = *tensor::find_backend(name);
+      for (const tensor::SgdUpdate& update : updates) {
+        const bool momentum = update.momentum > 0.0f;
+        SCOPED_TRACE(std::string(name) + " momentum " +
+                     std::to_string(update.momentum) + " decay " +
+                     std::to_string(update.weight_decay));
+        for (const bool pooled : {false, true}) {
+          SCOPED_TRACE(pooled ? "pooled" : "serial");
+          tensor::set_gemm_parallelism(pooled);
+          Tensor want_w = w0, grad;
+          nn::Sgd sgd({{"w", &want_w, &grad}}, update.lr, update.momentum,
+                      update.weight_decay);
+          Tensor got_w = w0, got_v({s.m, s.n});
+          for (int step = 0; step < 2; ++step) {
+            grad = Tensor({s.m, s.n});
+            be.gemm_tn(a.data().data(), b.data().data(), grad.data().data(),
+                       s.m, s.k, s.n);
+            sgd.step();
+            be.gemm_tn_sgd(a.data().data(), b.data().data(),
+                           got_w.data().data(),
+                           momentum ? got_v.data().data() : nullptr, s.m, s.k,
+                           s.n, update);
+            expect_same_bits(got_w, want_w, "weight", s);
+            if (momentum) {
+              expect_same_bits(got_v, sgd.velocities()[0], "velocity", s);
+            }
+          }
+        }
+      }
+    }
+  }
+  tensor::set_gemm_parallelism(true);
 }
 
 TEST(FusedEpilogueTest, ActivationEpilogueMapping) {

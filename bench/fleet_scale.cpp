@@ -32,6 +32,7 @@
 #include "common/rng.h"
 #include "fleet/fleet.h"
 #include "serve/serve.h"
+#include "tensor/backend.h"
 
 namespace {
 
@@ -52,6 +53,8 @@ constexpr double kHotP99Bar = 1.15;
 // that admits it.
 constexpr auto kChurnGap = std::chrono::milliseconds(40);
 
+/// The kernel backend under test, set process-wide in main(): ORCO_BACKEND
+/// if set, else simd.
 std::string bench_backend() {
   const char* env = std::getenv("ORCO_BACKEND");
   return (env != nullptr && *env != '\0') ? env : "simd";
@@ -78,7 +81,6 @@ FleetConfig fleet_config(std::size_t cells, std::size_t warm_capacity,
   cfg.cold_dir = cold_dir;
   cfg.system = tenant_template();
   cfg.serve.shard_count = 2;
-  cfg.serve.backend = bench_backend();
   cfg.serve.queue.capacity = 4096;
   // 100k tenants x ~8KB of telemetry rows is the one per-tenant cost the
   // fleet cannot lazily materialize — turn it off.
@@ -260,6 +262,7 @@ std::string temp_dir(const char* name) {
 }  // namespace
 
 int main() {
+  tensor::set_backend(bench_backend());
   const std::size_t tenants =
       std::max<std::size_t>(kHotRanks * 2, bench::scaled(100000));
   const std::size_t warm_capacity =

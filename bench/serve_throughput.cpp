@@ -48,8 +48,8 @@ using namespace orco;
 constexpr std::size_t kTenants = 8;
 constexpr std::size_t kClientThreads = 8;
 
-/// The kernel backend under test: ORCO_BACKEND if set, else the simd
-/// kernel (the serving fast path).
+/// The kernel backend under test, set process-wide in main(): ORCO_BACKEND
+/// if set, else the simd kernel (the serving fast path).
 std::string bench_backend() {
   const char* env = std::getenv("ORCO_BACKEND");
   return (env != nullptr && *env != '\0') ? env : "simd";
@@ -88,7 +88,6 @@ double naive_rps(const std::vector<std::shared_ptr<core::OrcoDcsSystem>>& tenant
                  const std::vector<tensor::Tensor>& latents,
                  std::size_t requests) {
   const std::size_t latent_dim = latents.front().numel();
-  tensor::BackendScope scope(tensor::find_backend(bench_backend()));
   common::Stopwatch sw;
   for (std::size_t i = 0; i < requests; ++i) {
     const auto& tenant = *tenants[i % tenants.size()];
@@ -108,7 +107,6 @@ RunResult runtime_rps(
   cfg.queue.capacity = 4096;
   cfg.queue.max_batch = 32;
   cfg.queue.max_wait_us = 200;
-  cfg.backend = bench_backend();
   serve::ServerRuntime runtime(cfg);
   for (std::size_t t = 0; t < tenants.size(); ++t) {
     runtime.register_cluster(t, tenants[t]);
@@ -169,7 +167,6 @@ MixedResult mixed_priority_rps(
   cfg.queue.capacity = 256;   // small enough that the closed loop overloads it
   cfg.queue.max_batch = 32;
   cfg.queue.max_wait_us = 200;
-  cfg.backend = bench_backend();
   serve::ServerRuntime runtime(cfg);
   serve::TenantPolicy high_policy;
   high_policy.priority = serve::Priority::kHigh;
@@ -246,7 +243,6 @@ OpenLoopResult open_loop_rps(
   cfg.queue.capacity = 4096;
   cfg.queue.max_batch = 32;
   cfg.queue.max_wait_us = 200;
-  cfg.backend = bench_backend();
 
   std::unique_ptr<train::TrainerRuntime> trainer;
   if (with_training) {
@@ -257,7 +253,6 @@ OpenLoopResult open_loop_rps(
     // the duty cycle also spaces the rounds out, bounding how often a
     // decode batch runs against a cache freshly polluted by training.
     tcfg.default_budget.duty_cycle = 0.25;
-    tcfg.serve_backend = bench_backend();  // pre-warm swaps for the shards
     trainer = std::make_unique<train::TrainerRuntime>(tcfg);
     for (std::size_t t = 0; t < tenants.size(); ++t) {
       trainer->register_tenant(t, tenants[t]);
@@ -354,7 +349,6 @@ double closed_loop_rps_counted(
   cfg.queue.capacity = 4096;
   cfg.queue.max_batch = 32;
   cfg.queue.max_wait_us = 200;
-  cfg.backend = bench_backend();
   if (export_cfg != nullptr) cfg.obs_export = *export_cfg;
   serve::ServerRuntime runtime(cfg);
   for (std::size_t t = 0; t < tenants.size(); ++t) {
@@ -468,6 +462,7 @@ OpenLoopResult open_loop_best(
 int main() {
   using common::Table;
 
+  tensor::set_backend(bench_backend());
   const std::size_t requests = bench::scaled(4000);
   const auto tenants = make_tenants();
   const auto latents =

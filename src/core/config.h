@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace orco::core {
 
@@ -47,11 +46,6 @@ struct OrcoConfig {
   std::size_t monitor_cooldown = 0;
 
   std::uint64_t seed = 42;
-
-  // Kernel backend (tensor/backend.h) for this system's training rounds and
-  // edge decoding: "reference", "simd", or empty to inherit the process
-  // default (set_backend() / ORCO_BACKEND).
-  std::string backend;
 
   std::size_t decoder_hidden() const {
     return decoder_hidden_dim != 0 ? decoder_hidden_dim

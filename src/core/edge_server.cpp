@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "obs/config.h"
 #include "obs/trace.h"
+#include "tensor/backend.h"
 
 namespace orco::core {
 
@@ -49,7 +50,6 @@ EdgeServer::EdgeServer(std::unique_ptr<nn::Sequential> decoder,
   ORCO_CHECK(decoder_ != nullptr, "null decoder");
   ORCO_CHECK(decoder_->output_features(config.latent_dim) == config.input_dim,
              "decoder does not map latent_dim to input_dim");
-  backend_ = tensor::resolve_backend(config.backend);
   optimizer_ = std::make_unique<nn::Sgd>(decoder_->params(),
                                          config.learning_rate,
                                          config.momentum);
@@ -65,7 +65,6 @@ ReconstructionMsg EdgeServer::reconstruct(const LatentBatchMsg& msg,
     round_open_ = true;
     batch_in_flight_ = msg.latents.dim(0);
   }
-  tensor::BackendScope scope(backend_);
   Tensor rec = decoder_->forward(msg.latents, training);
   return ReconstructionMsg{msg.round, std::move(rec)};
 }
@@ -81,7 +80,6 @@ LatentGradMsg EdgeServer::train_step(const ResidualMsg& msg) {
 
   auto [loss, grad] =
       residual_loss_and_gradient(msg.residuals, loss_kind_, huber_delta_);
-  tensor::BackendScope scope(backend_);
   Tensor latent_grad =
       optimizer_->backward_step(*decoder_, grad, /*input_grad=*/true);
   // The step mutated decoder parameters through ParamView pointers the
@@ -109,11 +107,9 @@ bool sample_decode_span() {
 std::shared_ptr<const nn::InferPlan> EdgeServer::current_plan() const {
   // Compile (or recompile after a weight-version bump, or for another
   // backend) under the slot's lock; concurrent decoders that lose the race
-  // reuse the winner's plan. A plan packed for another backend would run
-  // its foreign-backend fallback on every batch: unpacked f32 weights,
-  // other bits than a matching plan's bf16 panels.
-  const tensor::Backend& backend =
-      backend_ != nullptr ? *backend_ : tensor::current_backend();
+  // reuse the winner's plan. A plan runs on its compile backend, so a
+  // decode under another backend gets a plan compiled for that one.
+  const tensor::Backend& backend = tensor::current_backend();
   common::MutexLock lock(plan_mu_);
   if (plan_ == nullptr || &plan_->backend() != &backend ||
       plan_->weights_stale()) {
@@ -127,7 +123,6 @@ Tensor EdgeServer::decode_inference(const Tensor& latents) const {
   obs::ScopedSpan span("edge.decode", "core", sample_decode_span(), /*id=*/0,
                        /*tenant=*/0, latents.rank() > 0 ? latents.dim(0) : 0);
   const auto plan = current_plan();
-  tensor::BackendScope scope(backend_);
   nn::InferContext ctx;
   Tensor out;
   plan->run(latents, out, ctx);
@@ -139,9 +134,7 @@ void EdgeServer::decode_inference(const Tensor& latents, Tensor& out,
   ORCO_CHECK(!round_open_, "cannot run inference with an open round");
   obs::ScopedSpan span("edge.decode", "core", sample_decode_span(), /*id=*/0,
                        /*tenant=*/0, latents.rank() > 0 ? latents.dim(0) : 0);
-  const auto plan = current_plan();
-  tensor::BackendScope scope(backend_);
-  plan->run(latents, out, ctx);
+  current_plan()->run(latents, out, ctx);
 }
 
 std::size_t EdgeServer::train_flops(std::size_t batch) const {

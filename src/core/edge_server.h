@@ -17,7 +17,6 @@
 #include "nn/infer_plan.h"
 #include "nn/optimizer.h"
 #include "nn/sequential.h"
-#include "tensor/backend.h"
 
 namespace orco::core {
 
@@ -65,21 +64,16 @@ class EdgeServer {
 
   /// The compiled inference plan the decode paths execute — the registry-
   /// free equivalent of a snapshot's plan. Compiled lazily on first decode
-  /// for the backend the call runs under (backend(), else the caller's
-  /// current one), and recompiled (weights repacked) when that backend is
-  /// not the plan's or whenever the decoder's weight versions moved since
-  /// compile: train_step, checkpoint loads and mutable-accessor edits all
-  /// bump versions, so a stale plan can never serve old panels. Callers may
-  /// hold the returned plan across batches; it stays valid (merely
-  /// superseded) after a rebuild.
+  /// for the caller's current backend, and recompiled (weights repacked)
+  /// when that backend is not the plan's or whenever the decoder's weight
+  /// versions moved since compile: train_step, checkpoint loads and
+  /// mutable-accessor edits all bump versions, so a stale plan can never
+  /// serve old panels. Callers may hold the returned plan across batches;
+  /// it stays valid (merely superseded) after a rebuild.
   std::shared_ptr<const nn::InferPlan> current_plan() const;
 
   /// FLOPs charged to the edge for one training round on `batch` samples.
   std::size_t train_flops(std::size_t batch) const;
-
-  /// The kernel backend this edge runs on (from OrcoConfig::backend);
-  /// nullptr means "inherit the caller's selection".
-  const tensor::Backend* backend() const noexcept { return backend_; }
 
   /// Monotonically increasing decoder generation: starts at 1 and bumps on
   /// every applied train_step. The training runtime stamps exported
@@ -100,7 +94,6 @@ class EdgeServer {
   }
 
  private:
-  const tensor::Backend* backend_ = nullptr;
   std::unique_ptr<nn::Sequential> decoder_;
   std::unique_ptr<nn::Sgd> optimizer_;
   ReconLoss loss_kind_;

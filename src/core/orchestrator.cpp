@@ -18,7 +18,6 @@ Orchestrator::Orchestrator(DataAggregator& aggregator, EdgeServer& edge,
 
 RoundRecord Orchestrator::train_round(const Tensor& batch) {
   ORCO_CHECK(batch.rank() == 2 && batch.dim(0) > 0, "empty training batch");
-  tensor::BackendScope scope(backend_);
   const std::uint64_t round = next_round_++;
   const std::size_t b = batch.dim(0);
   RoundRecord rec;
@@ -105,7 +104,6 @@ std::vector<RoundRecord> Orchestrator::train(
 }
 
 double Orchestrator::aggregate_batch(const Tensor& batch) {
-  tensor::BackendScope scope(backend_);
   const std::size_t b = batch.dim(0);
   double seconds =
       compute_.aggregator_seconds(aggregator_->encoder().forward_flops(b));
@@ -126,7 +124,6 @@ Tensor Orchestrator::reconstruct(const Tensor& batch) {
 
 void Orchestrator::reconstruct_into(const Tensor& batch, Tensor& out,
                                     nn::InferContext& ctx) {
-  tensor::BackendScope scope(backend_);
   const Tensor latents = aggregator_->encode_inference(batch);
   edge_->decode_inference(latents, out, ctx);
 }

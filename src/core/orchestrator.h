@@ -74,16 +74,7 @@ class Orchestrator {
   std::uint64_t rounds_completed() const noexcept { return next_round_; }
   wsn::SimClock& clock() noexcept { return *clock_; }
 
-  /// Pins every training round and reconstruction driven by this
-  /// orchestrator (both the aggregator's encoder and the edge decoder) to a
-  /// kernel backend; nullptr (default) inherits the caller's selection.
-  void set_backend(const tensor::Backend* backend) noexcept {
-    backend_ = backend;
-  }
-  const tensor::Backend* backend() const noexcept { return backend_; }
-
  private:
-  const tensor::Backend* backend_ = nullptr;
   DataAggregator* aggregator_;
   EdgeServer* edge_;
   wsn::Channel* channel_;

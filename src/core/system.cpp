@@ -28,9 +28,6 @@ OrcoDcsSystem::OrcoDcsSystem(const SystemConfig& config)
                                        config.orco);
   orchestrator_ = std::make_unique<Orchestrator>(
       *aggregator_, *edge_, channel_, ledger_, clock_, config.compute);
-  // EdgeServer resolved (and validated) the configured kernel backend; pin
-  // the orchestrated training/reconstruction paths to the same one.
-  orchestrator_->set_backend(edge_->backend());
 }
 
 double OrcoDcsSystem::raw_aggregation_round(

@@ -12,9 +12,17 @@
 #include "nn/infer_context.h"
 #include "nn/model_io.h"
 #include "obs/fleet_metrics.h"
-#include "tensor/backend.h"
 
 namespace orco::fleet {
+
+namespace {
+
+/// Microseconds demote() waits for in-flight submits to clear before
+/// aborting (the fast path's inflight window is a few instructions, so
+/// this only trips when a submit thread is descheduled mid-window).
+constexpr std::uint64_t kDemoteDrainUs = 200000;
+
+}  // namespace
 
 EdgeFleet::EdgeFleet(const FleetConfig& config)
     : config_(config),
@@ -30,9 +38,6 @@ EdgeFleet::EdgeFleet(const FleetConfig& config)
     if (config_.trainer_threads > 0) {
       train::TrainerConfig trainer_config = config_.trainer;
       trainer_config.worker_threads = config_.trainer_threads;
-      if (trainer_config.serve_backend.empty()) {
-        trainer_config.serve_backend = config_.serve.backend;
-      }
       cell->trainer = std::make_unique<train::TrainerRuntime>(trainer_config);
       cell->registry = cell->trainer->registry();
     } else {
@@ -279,23 +284,14 @@ void EdgeFleet::publish_snapshot(Cell& cell, ClusterId id,
   const core::OrcoConfig& orco = system.config().orco;
   auto snapshot = std::make_shared<train::ModelSnapshot>();
   snapshot->version = system.edge().model_version();
+  // publish() compiles the snapshot's plan (packing the weights) before the
+  // swap, so the first post-publish decode pays no packing cost.
   snapshot->decoder =
       std::shared_ptr<const nn::Sequential>(system.export_decoder_clone());
-  {
-    // Compile the snapshot's plan (packing the weights) under the backend
-    // shards will decode on, so the first post-publish decode pays no
-    // packing cost — same policy as TrainerRuntime::export_and_publish.
-    const tensor::Backend* warm_backend = system.edge().backend();
-    if (warm_backend == nullptr) {
-      warm_backend = tensor::resolve_backend(config_.serve.backend);
-    }
-    snapshot->plan = nn::InferPlan::compile(*snapshot->decoder, warm_backend);
-  }
   snapshot->encoder =
       std::shared_ptr<const nn::Sequential>(system.export_encoder_clone());
   snapshot->latent_dim = orco.latent_dim;
   snapshot->output_dim = orco.input_dim;
-  snapshot->backend = system.edge().backend();
   cell.registry->publish(id, std::move(snapshot));
 }
 
@@ -320,7 +316,7 @@ bool EdgeFleet::demote(ClusterId id) {
   // queue hand-off.
   const auto deadline =
       std::chrono::steady_clock::now() +
-      std::chrono::microseconds(config_.demote_drain_us);
+      std::chrono::microseconds(kDemoteDrainUs);
   while (t->inflight.load(std::memory_order_seq_cst) != 0) {
     if (std::chrono::steady_clock::now() >= deadline) return abort_demotion();
     std::this_thread::yield();
@@ -417,7 +413,7 @@ void EdgeFleet::admit(ClusterId id) {
   if (residency_.try_reserve()) return;
   common::Stopwatch waited;
   const double deadline_s =
-      4.0 * static_cast<double>(config_.demote_drain_us) * 1e-6;
+      4.0 * static_cast<double>(kDemoteDrainUs) * 1e-6;
   while (!residency_.try_reserve()) {
     if (!evict_one(id)) {
       if (waited.seconds() > deadline_s) {

@@ -110,10 +110,6 @@ struct FleetConfig {
   /// Trainer template when trainer_threads > 0 (worker_threads is taken
   /// from trainer_threads).
   train::TrainerConfig trainer;
-  /// Microseconds demote() waits for in-flight submits to clear before
-  /// aborting (the fast path's inflight window is a few instructions, so
-  /// this only trips when a submit thread is descheduled mid-window).
-  std::uint64_t demote_drain_us = 200000;
 };
 
 /// Point-in-time fleet counters (fleet-local, independent of the global

@@ -94,7 +94,9 @@ void InferPlan::run(const Tensor& input, Tensor& out,
       ctx.scratch().capacity() < scratch_floats_) {
     ctx.scratch().reserve(scratch_floats_);
   }
-  const tensor::Backend& be = tensor::current_backend();
+  // Every op, packed or not, runs on the compile backend, whatever the
+  // caller's thread has selected.
+  tensor::BackendScope scope(backend_);
   const bool profile = obs::kernel_profiling_enabled();
   const std::size_t n = ops_.size();
   const Tensor* cur = &input;
@@ -104,18 +106,13 @@ void InferPlan::run(const Tensor& input, Tensor& out,
     const PlanOp& op = ops_[i];
     Tensor& dst = (i + 1 == n) ? out : ctx.other_than(*cur);
     const std::uint64_t t0 = profile ? obs::KernelTimer::now_ns() : 0;
-    if (op.packed != nullptr && op.packed->owner == &be) {
-      // Pre-attached panels, valid for the executing backend.
-      if (op.dense != nullptr) {
-        op.dense->infer_packed_into(*cur, dst, *op.packed, op.act,
-                                    op.leaky_alpha);
-      } else {
-        op.conv->infer_packed_into(*cur, dst, *op.packed, op.act,
-                                   op.leaky_alpha, ctx);
-      }
+    if (op.dense != nullptr) {
+      op.dense->infer_packed_into(*cur, dst, *op.packed, op.act,
+                                  op.leaky_alpha);
+    } else if (op.conv != nullptr) {
+      op.conv->infer_packed_into(*cur, dst, *op.packed, op.act,
+                                 op.leaky_alpha, ctx);
     } else if (op.fused) {
-      // Backend differs from the compile backend (a BackendScope override)
-      // or the layer has no packable weight: the unpacked fused kernel.
       op.layer->infer_fused_into(*cur, dst, op.act, op.leaky_alpha, ctx);
     } else {
       op.layer->infer_into(*cur, dst, ctx);

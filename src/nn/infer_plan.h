@@ -17,8 +17,10 @@
 //   * the exact context-arena high-water across the chain is precomputed,
 //     so the first run() reserves once and the arena never grows.
 //
-// run() is then a branch-light loop over the flat op list, bitwise
-// identical on the compile backend to the layer-by-layer
+// run() is then a branch-light loop over the flat op list. Every op runs on
+// the compile backend (one BackendScope at entry, whatever the caller's
+// thread has selected), so a plan has one path and one contract: bitwise
+// identical to the compile backend's layer-by-layer
 // Sequential::forward(x, /*training=*/false) of a copy of the model whose
 // Dense weights (not biases) are rounded with tensor::to_bf16: an epilogue
 // applies the same elementwise function the activation layer would, a
@@ -29,12 +31,13 @@
 // benchmark's decoders, see core_system_test).
 //
 // Compile triggers and sharing: ModelRegistry::publish compiles a plan per
-// snapshot version (under the snapshot's pinned backend) and stores it on
+// snapshot version (under the publisher's current backend) and stores it on
 // the immutable ModelSnapshot — every shard pinning that snapshot shares
 // one plan with no synchronization beyond the snapshot's shared_ptr.
 // EdgeServer compiles lazily for the registry-free decode path and
-// recompiles when weights_stale() reports a weight-version bump (training
-// steps, checkpoint loads). A compiled plan is immutable: it holds const
+// recompiles when the caller's backend is not the plan's or when
+// weights_stale() reports a weight-version bump (training steps,
+// checkpoint loads). A compiled plan is immutable: it holds const
 // pointers into the model, so the model must outlive it and structural
 // mutation (Sequential::add) after compile is not supported.
 //
@@ -97,12 +100,10 @@ class InferPlan {
   InferPlan(const InferPlan&) = delete;
   InferPlan& operator=(const InferPlan&) = delete;
 
-  /// Executes the plan: `input` ping-pongs through the context buffers and
-  /// the final op writes `out`, bitwise equal to the bf16-rounded model's
-  /// forward on the compile backend. Under a backend other than the compile
-  /// one (a BackendScope override) ops run their unpacked f32 kernels on
-  /// the executing backend instead, packing panels on every call: bitwise
-  /// equal to the unrounded Sequential::forward there.
+  /// Executes the plan on its compile backend, whatever the calling thread
+  /// has selected: `input` ping-pongs through the context buffers and the
+  /// final op writes `out`, bitwise equal to the bf16-rounded model's
+  /// forward on the compile backend.
   /// `out` must not alias `input`, and may alias a context buffer only for
   /// single-op (or empty) plans — multi-op plans need both buffers for
   /// intermediates. The first call reserves the precomputed arena

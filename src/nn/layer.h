@@ -50,8 +50,9 @@ class Layer {
   Layer(const Layer&) = delete;
   Layer& operator=(const Layer&) = delete;
 
-  /// Computes the layer output. `training` toggles train-only behaviour
-  /// (e.g. noise injection). Implementations cache whatever backward needs.
+  /// Computes the layer output. `training` toggles train-only behaviour,
+  /// which no built-in layer has (DataAggregator::encode_batch adds the
+  /// eq. 2 latent noise). Implementations cache whatever backward needs.
   virtual Tensor forward(const Tensor& input, bool training) = 0;
 
   /// Given dL/d(output), accumulates parameter gradients and returns
@@ -95,8 +96,8 @@ class Layer {
     }
   }
 
-  /// True when inference through this layer is the identity (noise layers,
-  /// Identity): InferPlan::compile drops such layers instead of paying a
+  /// True when inference through this layer is the identity, as for
+  /// Identity: InferPlan::compile drops such layers instead of paying a
   /// buffer copy per batch.
   virtual bool infer_is_identity() const { return false; }
 

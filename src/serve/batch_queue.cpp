@@ -7,6 +7,14 @@
 
 namespace orco::serve {
 
+namespace {
+
+/// Microseconds of head-of-line wait that double a cluster's scheduling
+/// score (BatchQueue::pick_cluster).
+constexpr double kAgingUs = 1000.0;
+
+}  // namespace
+
 BatchQueue::BatchQueue(const BatchQueueConfig& config) : config_(config) {
   ORCO_CHECK(config.capacity > 0, "BatchQueue capacity must be positive");
   ORCO_CHECK(config.max_batch > 0, "BatchQueue max_batch must be positive");
@@ -105,14 +113,11 @@ ClusterId BatchQueue::pick_cluster() const {
   for (const auto& [cluster, lane] : lanes_) {
     if (lane.entries.empty()) continue;
     const Entry& head = lane.entries.front();
-    double aging = 1.0;
-    if (config_.aging_us > 0) {
-      const double age_us =
-          std::chrono::duration<double, std::micro>(now - head.queued_at)
-              .count();
-      aging += age_us / static_cast<double>(config_.aging_us);
-    }
-    const double score = lane.policy.schedule_weight() * aging;
+    const double age_us =
+        std::chrono::duration<double, std::micro>(now - head.queued_at)
+            .count();
+    const double score =
+        lane.policy.schedule_weight() * (1.0 + age_us / kAgingUs);
     if (score > best_score ||
         (score == best_score && head.seq < best_seq)) {
       best = cluster;

@@ -40,10 +40,6 @@ struct BatchQueueConfig {
   /// actual window is min(max_wait_us, its last measured decode); a lane
   /// with no measured decode does not wait.
   std::uint64_t max_wait_us = 200;
-  /// Microseconds of head-of-line wait that double a cluster's scheduling
-  /// score. Smaller values age faster (fairer, less strict priority);
-  /// 0 disables aging (pure weighted priority + FIFO tie-break).
-  std::uint64_t aging_us = 1000;
   /// Policy applied to clusters that were never given one via set_policy.
   TenantPolicy default_policy;
 };

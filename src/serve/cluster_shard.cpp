@@ -74,12 +74,10 @@ class AnswerAllGuard {
 ClusterShard::ClusterShard(std::size_t index,
                            const BatchQueueConfig& queue_config,
                            Telemetry* telemetry,
-                           const tensor::Backend* backend,
                            std::shared_ptr<train::ModelRegistry> registry)
     : index_(index),
       queue_(queue_config),
       telemetry_(telemetry),
-      backend_(backend),
       registry_(std::move(registry)) {
   ORCO_CHECK(telemetry != nullptr, "ClusterShard needs a telemetry registry");
 }
@@ -138,11 +136,6 @@ void ClusterShard::run() {
 
 void ClusterShard::serve_batch(std::vector<PendingRequest> batch) {
   if (batch.empty()) return;
-  // Per-ServeConfig kernel backend for everything this batch computes; a
-  // tenant with its own OrcoConfig::backend still overrides inside
-  // decode_inference / via the snapshot's recorded backend (most specific
-  // wins).
-  tensor::BackendScope scope(backend_);
   const ClusterId cluster = batch.front().request.cluster;
   // The tenant's telemetry row, resolved once: every record below is then
   // lock-free.
@@ -277,7 +270,6 @@ void ClusterShard::serve_batch(std::vector<PendingRequest> batch) {
     // per-batch planning); the registry-free path goes through EdgeServer,
     // which maintains its own plan.
     if (snapshot != nullptr) {
-      tensor::BackendScope tenant_scope(snapshot->backend);
       snapshot->plan->run(stacked, decode_out_, infer_ctx_);
     } else {
       tenant->system->edge().decode_inference(stacked, decode_out_,

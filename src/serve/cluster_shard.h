@@ -29,20 +29,16 @@
 #include "serve/batch_queue.h"
 #include "serve/request.h"
 #include "serve/telemetry.h"
-#include "tensor/backend.h"
 #include "train/model_registry.h"
 
 namespace orco::serve {
 
 class ClusterShard {
  public:
-  /// `backend` (nullable) pins this shard's decode GEMMs to one kernel
-  /// backend (tensor/backend.h); null inherits the process default.
   /// `registry` (nullable) enables the hot-swap path for tenants published
   /// there.
   ClusterShard(std::size_t index, const BatchQueueConfig& queue_config,
                Telemetry* telemetry,
-               const tensor::Backend* backend = nullptr,
                std::shared_ptr<train::ModelRegistry> registry = nullptr);
 
   std::size_t index() const noexcept { return index_; }
@@ -95,7 +91,6 @@ class ClusterShard {
   std::size_t index_;
   BatchQueue queue_;
   Telemetry* telemetry_;  // runtime-owned; never null
-  const tensor::Backend* backend_;  // nullable: inherit process default
   std::shared_ptr<train::ModelRegistry> registry_;  // nullable
   /// Worker-thread-owned inference memory, reused across batches and sized
   /// to the shard's high-water mark: batch assembly writes the coalesced

@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "obs/trace.h"
-#include "tensor/backend.h"
 
 namespace orco::serve {
 
@@ -16,11 +15,10 @@ ServerRuntime::ServerRuntime(const ServeConfig& config)
       telemetry_(config.per_tenant_telemetry),
       pool_(std::max<std::size_t>(1, config.shard_count)) {
   ORCO_CHECK(config.shard_count > 0, "ServerRuntime needs at least one shard");
-  const tensor::Backend* backend = tensor::resolve_backend(config.backend);
   shards_.reserve(config.shard_count);
   for (std::size_t i = 0; i < config.shard_count; ++i) {
     shards_.push_back(std::make_unique<ClusterShard>(
-        i, config.queue, &telemetry_, backend, config.model_registry));
+        i, config.queue, &telemetry_, config.model_registry));
   }
 }
 

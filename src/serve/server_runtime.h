@@ -34,11 +34,6 @@ struct ServeConfig {
   std::size_t shard_count = 4;
   BatchQueueConfig queue;  // applied per shard; queue.default_policy is the
                            // QoS policy for tenants registered without one
-  // Kernel backend (tensor/backend.h) every shard worker decodes on:
-  // "reference", "simd", or empty to inherit the process default. A
-  // tenant whose OrcoConfig names its own backend overrides this per
-  // decode (most specific wins).
-  std::string backend;
   // Serve-while-retraining: when set (typically TrainerRuntime::registry()),
   // shards decode registered tenants through the registry's immutable
   // versioned snapshots and pick up hot swaps between batches; when null,

@@ -257,15 +257,6 @@ const Backend* find_backend(const std::string& name) {
   return nullptr;
 }
 
-const Backend* resolve_backend(const std::string& name) {
-  if (name.empty()) return nullptr;
-  const Backend* backend = find_backend(name);
-  ORCO_CHECK(backend != nullptr,
-             "unknown kernel backend \"" << name << "\" (have: "
-                                         << registry_names_joined() << ")");
-  return backend;
-}
-
 std::vector<std::string> backend_names() {
   std::vector<std::string> names;
   for (const auto& entry : kRegistry) names.emplace_back(entry.name);

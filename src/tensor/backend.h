@@ -16,15 +16,16 @@
 //                 (AVX-512 → AVX2+FMA → NEON → a scalar tier bitwise-equal
 //                 to "reference"; see backend_simd.cpp and simd_isa()).
 //
-// Selection, most specific wins:
-//   1. A BackendScope installed on the current thread (the serving runtime
-//      installs one per ServeConfig, EdgeServer/Orchestrator per
-//      OrcoConfig).
+// The backend is one process-wide choice; no config struct, server or
+// tenant carries its own. Selection, most specific wins:
+//   1. A BackendScope installed on the current thread. In the library only
+//      InferPlan::run installs one, so a plan always runs on the backend it
+//      was compiled for; tests use scopes to run a case per backend.
 //   2. The process default, settable with set_backend().
 //   3. The ORCO_BACKEND environment variable, read once on first use. An
 //      unknown name falls back loudly to "reference" (warning log,
-//      backend.env_invalid counter) instead of crashing the process.
-//   4. The reference backend.
+//      backend.env_invalid counter) instead of crashing the process; unset,
+//      the default is "reference".
 //
 // Whichever way the default is chosen, the obs gauge orco_backend_active
 // publishes the selected registry index (0=reference, 1=simd).
@@ -253,12 +254,6 @@ const char* simd_isa();
 /// Looks a backend up by name; nullptr when unknown.
 const Backend* find_backend(const std::string& name);
 
-/// Config-string resolution: empty -> nullptr ("inherit"), known name ->
-/// the backend, unknown name -> std::invalid_argument listing the
-/// registered names. EdgeServer and ServerRuntime resolve their config
-/// fields through this.
-const Backend* resolve_backend(const std::string& name);
-
 /// Registered backend names, in registration order.
 std::vector<std::string> backend_names();
 
@@ -279,8 +274,7 @@ void set_backend(const std::string& name);
 const Backend& current_backend();
 
 /// RAII thread-local backend override. A null backend makes the scope a
-/// no-op (inherit whatever is already selected) so per-config plumbing can
-/// pass "not configured" straight through.
+/// no-op (inherit whatever is already selected).
 class BackendScope {
  public:
   explicit BackendScope(const Backend* backend);

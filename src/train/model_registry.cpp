@@ -33,11 +33,9 @@ std::uint64_t ModelRegistry::publish(ClusterId cluster,
              "snapshot dims must be positive");
   if (snapshot->plan == nullptr) {
     // Compile once per published version, outside the lock — the plan is
-    // what shards execute, so every snapshot must carry one. Pack under
-    // the snapshot's pinned backend (the one shards will decode with);
-    // null falls through to the publisher's current backend.
-    snapshot->plan = nn::InferPlan::compile(*snapshot->decoder,
-                                            snapshot->backend);
+    // what shards execute, so every snapshot must carry one. It packs for
+    // the publisher's current backend, the process default shards share.
+    snapshot->plan = nn::InferPlan::compile(*snapshot->decoder);
   }
   std::shared_ptr<const ModelSnapshot> installed;
   PublishHook hook;

@@ -27,7 +27,6 @@
 #include "common/thread_annotations.h"
 #include "nn/infer_plan.h"
 #include "nn/sequential.h"
-#include "tensor/backend.h"
 
 namespace orco::train {
 
@@ -44,14 +43,12 @@ struct ModelSnapshot {
   std::shared_ptr<const nn::Sequential> encoder;  // may be null
   std::size_t latent_dim = 0;
   std::size_t output_dim = 0;
-  /// Kernel backend the exporting tenant pinned (OrcoConfig::backend);
-  /// nullptr inherits the serving shard's selection.
-  const tensor::Backend* backend = nullptr;
   /// Compiled-once inference plan over `decoder` — the executor every
-  /// shard pinning this snapshot runs (see nn/infer_plan.h). Publishers
-  /// may pre-compile it (TrainerRuntime does, under the serving backend);
-  /// ModelRegistry::publish compiles it when absent, so a published
-  /// snapshot always carries one. Immutable and shared like the snapshot.
+  /// shard pinning this snapshot runs, on the backend it was compiled for
+  /// (see nn/infer_plan.h). Publishers may pre-compile and warm it
+  /// (TrainerRuntime does); ModelRegistry::publish compiles it under the
+  /// publisher's current backend when absent, so a published snapshot
+  /// always carries one. Immutable and shared like the snapshot.
   std::shared_ptr<const nn::InferPlan> plan;
   std::chrono::steady_clock::time_point published_at;
 

@@ -83,7 +83,7 @@ TrainerRuntime::~TrainerRuntime() { shutdown(); }
 
 void TrainerRuntime::register_tenant(
     ClusterId cluster, std::shared_ptr<core::OrcoDcsSystem> system) {
-  register_tenant(cluster, std::move(system), config_.default_policy,
+  register_tenant(cluster, std::move(system), serve::TenantPolicy{},
                   config_.default_budget);
 }
 
@@ -276,19 +276,13 @@ std::uint64_t TrainerRuntime::export_and_publish(ClusterId cluster,
   snapshot->decoder =
       std::shared_ptr<const nn::Sequential>(system.export_decoder_clone());
   {
-    // Compile the snapshot's inference plan before the swap, under the
-    // backend the serving shards will decode on — packing the decoder
-    // weights at publish time, so the first post-swap decode pays no
-    // packing cost (repacking inline on the serve path is a tail-latency
-    // spike exactly at the swap edge). Precedence mirrors serve_batch's
-    // scope nesting (most specific wins): the tenant's own backend
-    // overrides the shard-level one, which overrides the process default.
-    const tensor::Backend* warm = system.edge().backend();
-    if (warm == nullptr) warm = tensor::resolve_backend(config_.serve_backend);
-    snapshot->plan = nn::InferPlan::compile(*snapshot->decoder, warm);
-    // One 1-row pass warms the plan's arena reservation and the context
-    // buffers that post-swap decodes will reuse.
-    tensor::BackendScope scope(warm);
+    // Compile the snapshot's inference plan before the swap, on the process
+    // backend the serving shards share — packing the decoder weights at
+    // publish time, so the first post-swap decode pays no packing cost
+    // (repacking inline on the serve path is a tail-latency spike exactly
+    // at the swap edge). One 1-row pass warms the plan's arena reservation
+    // and the context buffers that post-swap decodes will reuse.
+    snapshot->plan = nn::InferPlan::compile(*snapshot->decoder);
     const tensor::Tensor warm_latent({1, orco.latent_dim});
     tensor::Tensor warm_out;
     snapshot->plan->run(warm_latent, warm_out, tenant.infer_ctx);
@@ -297,7 +291,6 @@ std::uint64_t TrainerRuntime::export_and_publish(ClusterId cluster,
       std::shared_ptr<const nn::Sequential>(system.export_encoder_clone());
   snapshot->latent_dim = orco.latent_dim;
   snapshot->output_dim = orco.input_dim;
-  snapshot->backend = system.edge().backend();
   return registry_->publish(cluster, std::move(snapshot));
 }
 
@@ -310,7 +303,7 @@ std::size_t TrainerRuntime::pick_job() const {
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     const Tenant* tenant = find_tenant(queue_[i].job.cluster);
     const serve::TenantPolicy policy =
-        tenant != nullptr ? tenant->policy : config_.default_policy;
+        tenant != nullptr ? tenant->policy : serve::TenantPolicy{};
     const double wait_us = std::chrono::duration<double, std::micro>(
                                now - queue_[i].queued_at)
                                .count();

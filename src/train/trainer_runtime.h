@@ -59,15 +59,8 @@ struct TrainerConfig {
   std::size_t worker_threads = 1;
   std::size_t queue_capacity = 16;  // pending jobs; beyond -> kRejected
   TrainBudget default_budget;
-  /// Priority/weight ordering of queued jobs (queue_quota is unused here).
-  serve::TenantPolicy default_policy;
   /// Epochs a drift-triggered job runs over the tenant's current stream.
   std::size_t drift_epochs = 2;
-  /// Kernel backend published snapshots are pre-warmed (pre-packed) for —
-  /// set it to the consuming ServeConfig::backend so the first post-swap
-  /// decode pays no packing cost (the pack cache keeps one backend's
-  /// panels). Empty: the tenant's own backend, else the process default.
-  std::string serve_backend;
 };
 
 class TrainerRuntime {
@@ -80,9 +73,10 @@ class TrainerRuntime {
   TrainerRuntime(const TrainerRuntime&) = delete;
   TrainerRuntime& operator=(const TrainerRuntime&) = delete;
 
-  /// Registers a tenant under the default policy and budget. Both
-  /// overloads publish a snapshot of the tenant's current weights, so
-  /// serving reads the registry from the tenant's first request.
+  /// Registers a tenant under a default serve::TenantPolicy and the
+  /// config's default budget. Both overloads publish a snapshot of the
+  /// tenant's current weights, so serving reads the registry from the
+  /// tenant's first request.
   void register_tenant(ClusterId cluster,
                        std::shared_ptr<core::OrcoDcsSystem> system);
   void register_tenant(ClusterId cluster,

@@ -190,7 +190,7 @@ TEST(SystemTest, PooledTrainingRoundsMatchSerialBitwise) {
   };
   for (const char* backend : {"reference", "simd"}) {
     SCOPED_TRACE(backend);
-    cfg.orco.backend = backend;
+    tensor::BackendScope scope(tensor::find_backend(backend));
     const Trained serial = run(false);
     const Trained pooled = run(true);
     ASSERT_EQ(serial.losses.size(), pooled.losses.size());
@@ -453,11 +453,10 @@ TEST(SystemTest, FlexibleLatentDimensionChangesUplinkBytes) {
 }
 
 // The decode plan follows the backend each call runs under: a plan first
-// compiled under one backend must not serve later decodes under another
-// through the foreign-backend fallback (unpacked f32 weights, repacked
-// every batch).
+// compiled under one backend is recompiled for a decode under another, so
+// the decode runs on the caller's backend, not the plan's old one.
 TEST(SystemTest, DecodePlanFollowsTheCallersBackend) {
-  const SystemConfig cfg = small_system();  // no pinned backend: inherit
+  const SystemConfig cfg = small_system();
   common::Pcg32 rng(12);
   const Tensor latents = Tensor::uniform({3, cfg.orco.latent_dim}, rng);
   OrcoDcsSystem sys(cfg);

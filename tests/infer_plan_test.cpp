@@ -10,9 +10,8 @@
 // dequantized batch) — each optimized path is checked against unfused
 // per-layer kernels, never against a second optimized path. A plan's Dense
 // panels hold bf16 weights, so the forward runs on a copy of the model
-// with its Dense weights rounded (bf16_oracle.h); a plan run under a
-// foreign backend uses the unpacked f32 weights and matches the model's
-// own forward.
+// with its Dense weights rounded (bf16_oracle.h). A plan runs on its
+// compile backend under any caller scope, so the oracle always runs there.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,7 +26,6 @@
 #include "nn/dense.h"
 #include "nn/infer_context.h"
 #include "nn/infer_plan.h"
-#include "nn/noise.h"
 #include "nn/pooling.h"
 #include "nn/sequential.h"
 #include "tensor/backend.h"
@@ -103,7 +101,7 @@ void expect_bitwise_equal(const Tensor& got, const Tensor& want,
 TEST(InferPlanTest, CompileDropsIdentityAndFusesActivations) {
   common::Pcg32 rng(41);
   nn::Sequential model;
-  model.emplace<nn::GaussianNoise>(0.1f, common::Pcg32(1));
+  model.emplace<nn::Identity>();
   model.emplace<nn::Dense>(16, 32, rng);
   model.emplace<nn::ReLU>();
   model.emplace<nn::Dense>(32, 24, rng);
@@ -112,7 +110,7 @@ TEST(InferPlanTest, CompileDropsIdentityAndFusesActivations) {
   model.emplace<nn::Sigmoid>();
 
   const auto plan = InferPlan::compile(model, &tensor::simd_backend());
-  // Noise dropped, each Dense+activation pair fused: 7 layers -> 3 ops.
+  // Identity dropped, each Dense+activation pair fused: 7 layers -> 3 ops.
   ASSERT_EQ(plan->size(), 3u);
   EXPECT_EQ(&plan->backend(), &tensor::simd_backend());
   const tensor::EpilogueAct acts[] = {tensor::EpilogueAct::kReLU,
@@ -180,28 +178,40 @@ TEST(InferPlanTest, ConvChainMatchesForwardBitwiseOnAllBackends) {
 }
 
 TEST(InferPlanTest, RunUnderForeignBackendScopeStaysBitwiseCorrect) {
-  // Panels are pinned to the compile backend. Under a BackendScope override
-  // run() and run_quantized() fall back to the unpacked kernels; both must
-  // still match the forward under that same scope bitwise.
+  // A plan runs on its compile backend whatever scope the caller has
+  // installed: run() and run_quantized() under the other backend's scope
+  // must equal the bf16-rounded forward on the compile backend bitwise,
+  // and leave the caller's scope in place.
   const auto model = make_odd_dense_model(131);
-  const auto plan = InferPlan::compile(*model, &tensor::simd_backend());
-
-  tensor::BackendScope scope(&tensor::reference_backend());
-  InferContext ctx;
-  Tensor got;
+  const auto rounded = rounded_odd_model(*model);
   common::Pcg32 rng(9);
   const Tensor x = Tensor::randn({5, 13}, rng);
-  plan->run(x, got, ctx);
-  expect_bitwise_equal(got, model->forward(x, /*training=*/false),
-                       "foreign-scope plan");
-
   const auto codes = make_codes(5 * 13, 59, 3);
   std::vector<float> lo(5, -0.6f), scale(5, 1.2f / 255.0f);
   const tensor::QuantHeader qh{lo.data(), scale.data()};
-  plan->run_quantized(codes.data(), qh, 5, 13, got, ctx);
-  expect_bitwise_equal(
-      got, model->forward(dequantize(codes, qh, 5, 13), /*training=*/false),
-      "foreign-scope int8 head");
+  const Tensor x_codes = dequantize(codes, qh, 5, 13);
+  const auto backends = all_backends();
+  for (std::size_t i = 0; i < backends.size(); ++i) {
+    const tensor::Backend* compile_backend = backends[i];
+    const tensor::Backend* foreign = backends[(i + 1) % backends.size()];
+    SCOPED_TRACE(compile_backend->name());
+    Tensor want, want_codes;
+    {
+      tensor::BackendScope scope(compile_backend);
+      want = rounded->forward(x, /*training=*/false);
+      want_codes = rounded->forward(x_codes, /*training=*/false);
+    }
+    const auto plan = InferPlan::compile(*model, compile_backend);
+
+    tensor::BackendScope scope(foreign);
+    InferContext ctx;
+    Tensor got;
+    plan->run(x, got, ctx);
+    expect_bitwise_equal(got, want, "foreign-scope plan");
+    plan->run_quantized(codes.data(), qh, 5, 13, got, ctx);
+    expect_bitwise_equal(got, want_codes, "foreign-scope int8 head");
+    EXPECT_EQ(&tensor::current_backend(), foreign);
+  }
 }
 
 TEST(InferPlanTest, QuantizedHeadMatchesDequantizedForwardOnAllBackends) {
@@ -271,8 +281,8 @@ TEST(InferPlanTest, QuantizedNonDenseHeadDequantizesAndMatchesForward) {
 TEST(InferPlanTest, SingleOpQuantizedRunMayWriteTheContextInputBuffer) {
   // A single-op plan may write a context buffer (run() allows it), so
   // run_quantized must stage the dequantized batch elsewhere: for a conv
-  // head, a Dense head with its own panels, and a Dense head whose panels
-  // belong to another backend.
+  // head, a Dense head, and a Dense head compiled for another backend than
+  // the caller's, which decodes on its own.
   constexpr std::size_t kBatch = 3, kFeatures = 16;
   const auto codes = make_codes(kBatch * kFeatures, 29, 5);
   std::vector<float> lo(kBatch, -0.25f), scale(kBatch, 1.0f / 255.0f);
@@ -298,24 +308,29 @@ TEST(InferPlanTest, SingleOpQuantizedRunMayWriteTheContextInputBuffer) {
   const auto dense_plan = InferPlan::compile(dense_head);
   const auto foreign_dense_plan =
       InferPlan::compile(dense_head, &tensor::reference_backend());
+  Tensor foreign_expected;
+  {
+    tensor::BackendScope reference(&tensor::reference_backend());
+    foreign_expected = rounded_dense_head->forward(x, /*training=*/false);
+  }
 
-  const std::pair<nn::Sequential*, const InferPlan*> cases[] = {
-      {&conv_head, conv_plan.get()},
-      {rounded_dense_head.get(), dense_plan.get()},
-      {&dense_head, foreign_dense_plan.get()}};
-  for (const auto& [model, plan] : cases) {
+  const std::pair<Tensor, const InferPlan*> cases[] = {
+      {conv_head.forward(x, /*training=*/false), conv_plan.get()},
+      {rounded_dense_head->forward(x, /*training=*/false), dense_plan.get()},
+      {foreign_expected, foreign_dense_plan.get()}};
+  for (const auto& [expected, plan] : cases) {
     ASSERT_EQ(plan->size(), 1u);
     InferContext ctx;
     plan->run_quantized(codes.data(), qh, kBatch, kFeatures, ctx.input(), ctx);
-    expect_bitwise_equal(ctx.input(), model->forward(x, /*training=*/false),
+    expect_bitwise_equal(ctx.input(), expected,
                          "single-op quantized into ctx.input()");
   }
 }
 
 TEST(InferPlanTest, AllIdentityChainCompilesToEmptyPlanAndCopies) {
   nn::Sequential model;
-  model.emplace<nn::GaussianNoise>(0.2f, common::Pcg32(3));
-  model.emplace<nn::GaussianNoise>(0.3f, common::Pcg32(4));
+  model.emplace<nn::Identity>();
+  model.emplace<nn::Identity>();
   const auto plan = InferPlan::compile(model);
   EXPECT_EQ(plan->size(), 0u);
   EXPECT_EQ(plan->scratch_floats(), 0u);

@@ -13,7 +13,6 @@
 #include "nn/conv2d.h"
 #include "nn/conv_transpose2d.h"
 #include "nn/dense.h"
-#include "nn/noise.h"
 #include "nn/pooling.h"
 #include "nn/sequential.h"
 
@@ -239,42 +238,6 @@ TEST(ActivationTest, FactoryCoversAllKinds) {
   }
 }
 
-TEST(GaussianNoiseTest, EvalModeIsIdentity) {
-  common::Pcg32 rng(11);
-  GaussianNoise noise(0.5f, rng);
-  const Tensor x = Tensor::from({1, 2, 3});
-  EXPECT_TRUE(noise.forward(x, false).allclose(x, 0.0f));
-}
-
-TEST(GaussianNoiseTest, TrainingAddsZeroMeanNoise) {
-  common::Pcg32 rng(12);
-  GaussianNoise noise(0.3f, rng);
-  const Tensor x({10000}, 1.0f);
-  const Tensor y = noise.forward(x, true);
-  EXPECT_FALSE(y.allclose(x, 1e-6f));
-  const Tensor delta = y - x;
-  EXPECT_NEAR(delta.mean(), 0.0f, 0.02f);
-  // Sample stddev should be near sigma.
-  double sq = 0.0;
-  for (const auto v : delta.data()) sq += static_cast<double>(v) * v;
-  EXPECT_NEAR(std::sqrt(sq / 10000.0), 0.3, 0.02);
-}
-
-TEST(GaussianNoiseTest, ZeroSigmaIsAlwaysIdentity) {
-  common::Pcg32 rng(13);
-  GaussianNoise noise(0.0f, rng);
-  const Tensor x = Tensor::from({4, 5});
-  EXPECT_TRUE(noise.forward(x, true).allclose(x, 0.0f));
-  EXPECT_THROW(noise.set_sigma(-1.0f), std::invalid_argument);
-}
-
-TEST(GaussianNoiseTest, GradientPassesThrough) {
-  common::Pcg32 rng(14);
-  GaussianNoise noise(0.2f, rng);
-  const Tensor g = Tensor::from({1, 2});
-  EXPECT_TRUE(noise.backward(g).allclose(g, 0.0f));
-}
-
 TEST(SequentialTest, ChainsLayersAndValidates) {
   common::Pcg32 rng(15);
   Sequential model;
@@ -351,17 +314,17 @@ TEST(LayerInferIntoTest, FusedIntoMatchesUnfusedActivation) {
 }
 
 TEST(SequentialTest, InferIntoSkipsInferenceIdentityLayers) {
-  // Noise and Identity are pass-through at inference: the compiled plan
-  // drops them outright (no buffer copy), and the one-off infer_into
-  // matches the layer-by-layer forward (of the bf16-rounded copy) bitwise,
-  // including when they trail the last real layer.
+  // Identity is pass-through at inference: the compiled plan drops it
+  // outright (no buffer copy), and the one-off infer_into matches the
+  // layer-by-layer forward (of the bf16-rounded copy) bitwise, including
+  // when it leads the chain or trails the last real layer.
   common::Pcg32 rng(33);
   Sequential model;
-  model.emplace<GaussianNoise>(0.5f, common::Pcg32(1));
+  model.emplace<Identity>();
   model.emplace<Dense>(4, 6, rng);
   model.emplace<ReLU>();
   model.emplace<Identity>();
-  model.emplace<GaussianNoise>(0.25f, common::Pcg32(2));
+  model.emplace<Identity>();
   EXPECT_TRUE(model.layer(0).infer_is_identity());
   EXPECT_FALSE(model.layer(1).infer_is_identity());
 
@@ -370,11 +333,11 @@ TEST(SequentialTest, InferIntoSkipsInferenceIdentityLayers) {
   const auto rounded = testutil::bf16_copy(model, [] {
     common::Pcg32 any(0);
     auto copy = std::make_unique<Sequential>();
-    copy->emplace<GaussianNoise>(0.5f, common::Pcg32(1));
+    copy->emplace<Identity>();
     copy->emplace<Dense>(4, 6, any);
     copy->emplace<ReLU>();
     copy->emplace<Identity>();
-    copy->emplace<GaussianNoise>(0.25f, common::Pcg32(2));
+    copy->emplace<Identity>();
     return copy;
   });
   const Tensor expected = rounded->forward(x, /*training=*/false);
@@ -388,7 +351,7 @@ TEST(SequentialTest, InferIntoSkipsInferenceIdentityLayers) {
 
   // All-identity chain: the pass is a straight copy.
   Sequential passthrough;
-  passthrough.emplace<GaussianNoise>(1.0f, common::Pcg32(3));
+  passthrough.emplace<Identity>();
   passthrough.infer_into(x, out, ctx);
   ASSERT_EQ(out.shape(), x.shape());
   for (std::size_t i = 0; i < out.numel(); ++i) ASSERT_EQ(out[i], x[i]);

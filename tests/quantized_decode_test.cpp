@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -237,9 +236,8 @@ TEST(QuantizedInferTest, PlanQuantizedEntryMatchesDequantizedForward) {
 
   // Dense head: the plan must equal the float forward on the dequantized
   // batch bitwise — of the copy with bf16-rounded Dense weights, which the
-  // plan's panels hold. A plan compiled for another backend runs the
-  // unpacked f32 weights on this one and must produce the model's own
-  // forward bits.
+  // plan's panels hold, on the plan's compile backend, whatever backend
+  // the caller has selected.
   {
     nn::Sequential model;
     model.emplace<nn::Dense>(16, 48, rng);
@@ -255,17 +253,16 @@ TEST(QuantizedInferTest, PlanQuantizedEntryMatchesDequantizedForward) {
       copy->emplace<nn::Sigmoid>();
       return copy;
     });
+    std::vector<Tensor> expected_for;  // per compile backend
+    for (const char* compile_name : kAllBackends) {
+      tensor::BackendScope scope(tensor::find_backend(compile_name));
+      expected_for.push_back(rounded->forward(dequant, /*training=*/false));
+    }
     for (const char* name : kAllBackends) {
-      const tensor::Backend* backend = tensor::find_backend(name);
-      tensor::BackendScope scope(backend);
-      const Tensor packed_expected =
-          rounded->forward(dequant, /*training=*/false);
-      const Tensor foreign_expected =
-          model.forward(dequant, /*training=*/false);
-      for (const char* compile_name : kAllBackends) {
-        const Tensor& expected = std::string(compile_name) == name
-                                     ? packed_expected
-                                     : foreign_expected;
+      tensor::BackendScope scope(tensor::find_backend(name));
+      for (std::size_t c = 0; c < std::size(kAllBackends); ++c) {
+        const char* compile_name = kAllBackends[c];
+        const Tensor& expected = expected_for[c];
         const auto plan =
             nn::InferPlan::compile(model, tensor::find_backend(compile_name));
         nn::InferContext ctx;

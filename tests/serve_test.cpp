@@ -293,7 +293,7 @@ TEST(BatchQueueTest, WeightedPriorityPicksHighFirstAndAgingUnblocksLow) {
   BatchQueueConfig cfg;
   cfg.max_batch = 8;
   cfg.max_wait_us = 0;
-  cfg.aging_us = 1000;  // 1 ms of head wait doubles a lane's score
+  // batch_queue.cpp's kAgingUs: 1 ms of head wait doubles a lane's score.
   BatchQueue queue(cfg);
   TenantPolicy high;
   high.priority = Priority::kHigh;

@@ -81,7 +81,7 @@ TEST(BackendRegistryTest, NamesAndLookup) {
   EXPECT_EQ(tensor::find_backend("blocked"), nullptr);
   EXPECT_EQ(tensor::find_backend("no-such-kernel"), nullptr);
   EXPECT_THROW(tensor::set_backend("no-such-kernel"), std::invalid_argument);
-  EXPECT_THROW(tensor::resolve_backend("blocked"), std::invalid_argument);
+  EXPECT_THROW(tensor::set_backend("blocked"), std::invalid_argument);
   EXPECT_EQ(tensor::backend_names(),
             (std::vector<std::string>{"reference", "simd"}));
   // The simd backend always reports which register kernel it compiled to.

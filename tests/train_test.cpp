@@ -7,11 +7,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/models.h"
 #include "serve/serve.h"
+#include "tensor/backend.h"
 #include "train/train.h"
+
+#include "bf16_oracle.h"
 
 // Instrumented builds run the background fine-tune an order of magnitude
 // slower; wall-clock deadlines that wait on it must stretch accordingly.
@@ -194,6 +200,74 @@ TEST(TrainerTest, FineTunesPublishesAndServingHotSwaps) {
 
   runtime.shutdown();
   trainer.shutdown();
+}
+
+/// Restores the process-default kernel backend on scope exit.
+class DefaultBackendGuard {
+ public:
+  DefaultBackendGuard() : previous_(tensor::current_backend().name()) {}
+  ~DefaultBackendGuard() { tensor::set_backend(previous_); }
+
+ private:
+  std::string previous_;
+};
+
+// The kernel backend is one process-wide choice: after set_backend() the
+// trainer compiles its publishes for it, and shard workers decode on it
+// through the registry and through the registry-free route, each bitwise
+// equal to the bf16-rounded decoder's forward on that backend.
+TEST(TrainerTest, ProcessBackendReachesTrainerPublishesAndShardWorkers) {
+  const DefaultBackendGuard restore;
+  for (const char* name : {"reference", "simd"}) {
+    SCOPED_TRACE(name);
+    tensor::set_backend(name);
+    const tensor::Backend* backend = tensor::find_backend(name);
+    auto published = make_tenant(42);
+    auto unpublished = make_tenant(43);  // decodes on its live EdgeServer
+
+    TrainerRuntime trainer;
+    trainer.register_tenant(1, published);
+    ASSERT_NE(trainer.registry()->current(1), nullptr);
+    EXPECT_EQ(&trainer.registry()->current(1)->plan->backend(), backend);
+
+    serve::ServeConfig scfg;
+    scfg.shard_count = 2;
+    scfg.model_registry = trainer.registry();
+    serve::ServerRuntime runtime(scfg);
+    runtime.register_cluster(1, published);
+    runtime.register_cluster(2, unpublished);
+    runtime.start();
+    trainer.start();
+
+    // The job's publish runs on a trainer worker thread.
+    const TrainResult result =
+        trainer.submit_job(1, small_dataset(64, 5), 1).get();
+    ASSERT_EQ(result.outcome, JobOutcome::kCompleted);
+    const auto snapshot = trainer.registry()->current(1);
+    ASSERT_NE(snapshot, nullptr);
+    EXPECT_EQ(snapshot->version, result.published_version);
+    EXPECT_EQ(&snapshot->plan->backend(), backend);
+
+    common::Pcg32 rng(11);
+    const Tensor latent = Tensor::randn({kLatentDim}, rng);
+    const std::pair<serve::ClusterId, core::OrcoDcsSystem*> tenants[] = {
+        {1, published.get()}, {2, unpublished.get()}};
+    for (const auto& [cluster, system] : tenants) {
+      const DecodeResponse response = runtime.submit(cluster, latent).get();
+      ASSERT_EQ(response.status, ResponseStatus::kOk) << "cluster " << cluster;
+      const auto rounded = testutil::bf16_copy(system->edge().decoder(), [&] {
+        common::Pcg32 any(0);
+        return core::build_decoder(system->config().orco, any);
+      });
+      const Tensor want =
+          rounded->forward(latent.reshaped({1, kLatentDim}), false);
+      EXPECT_TRUE(bitwise_equal(response.reconstruction,
+                                want.reshaped({kInputDim})))
+          << "cluster " << cluster;
+    }
+    runtime.shutdown();
+    trainer.shutdown();
+  }
 }
 
 TEST(TrainerTest, RoundsBudgetCapsJobAndDutyCycleThrottles) {

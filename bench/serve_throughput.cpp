@@ -1,17 +1,13 @@
 // Serving-runtime throughput bench: batched multi-shard serving vs. the
-// naive one-request-at-a-time decode loop, a mixed-priority QoS scenario
-// under overload, and open-loop (Poisson-arrival) tail-latency runs — with
-// and without online fine-tuning in the background.
+// naive one-request-at-a-time decode loop, and open-loop (Poisson-arrival)
+// tail-latency runs — with and without online fine-tuning in the
+// background.
 //
 // Eight heterogeneous tenants (MNIST-like latent-128 decoders) receive a
 // fixed closed-loop request volume from concurrent clients. The baseline
 // decodes each latent individually on one thread — exactly what the
 // single-cluster facade offered before src/serve existed. The runtime is
-// then measured at 1/2/4/8 shards. A mixed-priority run pins 2
-// high-priority and 6 low-priority tenants on one deliberately overloaded
-// shard and reports per-class p99 and completion counts: high-priority
-// tail latency must be lower, and aging must keep the low-priority tenants
-// from starving.
+// then measured at 1/2/4/8 shards.
 //
 // The closed loop understates tail latency (clients stop arriving while
 // they wait), so open-loop runs schedule Poisson arrivals at a fixed
@@ -144,80 +140,6 @@ RunResult runtime_rps(
   r.p50_us = snapshot.p50_us;
   r.p99_us = snapshot.p99_us;
   r.mean_batch = snapshot.mean_batch_occupancy;
-  return r;
-}
-
-constexpr std::size_t kHighPriorityTenants = 2;
-
-struct MixedResult {
-  double rps = 0.0;
-  double high_p99_us = 0.0, low_p99_us = 0.0;
-  std::uint64_t high_completed = 0, low_completed = 0;
-  std::uint64_t high_shed = 0, low_shed = 0;
-};
-
-/// One overloaded shard, 2 high-priority + 6 low-priority tenants: the
-/// weighted-aging queue must keep high-priority p99 below low-priority p99
-/// while still completing low-priority work.
-MixedResult mixed_priority_rps(
-    const std::vector<std::shared_ptr<core::OrcoDcsSystem>>& tenants,
-    const std::vector<tensor::Tensor>& latents, std::size_t requests) {
-  serve::ServeConfig cfg;
-  cfg.shard_count = 1;        // one worker: scheduling fully decides order
-  cfg.queue.capacity = 256;   // small enough that the closed loop overloads it
-  cfg.queue.max_batch = 32;
-  cfg.queue.max_wait_us = 200;
-  serve::ServerRuntime runtime(cfg);
-  serve::TenantPolicy high_policy;
-  high_policy.priority = serve::Priority::kHigh;
-  serve::TenantPolicy low_policy;
-  low_policy.priority = serve::Priority::kLow;
-  for (std::size_t t = 0; t < tenants.size(); ++t) {
-    runtime.register_cluster(
-        t, tenants[t],
-        t < kHighPriorityTenants ? high_policy : low_policy);
-  }
-  runtime.start();
-
-  common::Stopwatch sw;
-  std::vector<std::thread> clients;
-  const std::size_t per_client = requests / kClientThreads;
-  for (std::size_t c = 0; c < kClientThreads; ++c) {
-    clients.emplace_back([&, c] {
-      // A wide pipeline window keeps the single shard permanently
-      // saturated — the overload regime QoS exists for.
-      constexpr std::size_t kWindow = 64;
-      std::vector<std::future<serve::DecodeResponse>> window;
-      for (std::size_t i = 0; i < per_client; ++i) {
-        const std::size_t g = c * per_client + i;
-        window.push_back(runtime.submit(g % kTenants,
-                                        latents[g % latents.size()]));
-        if (window.size() >= kWindow) {
-          for (auto& f : window) (void)f.get();
-          window.clear();
-        }
-      }
-      for (auto& f : window) (void)f.get();
-    });
-  }
-  for (auto& c : clients) c.join();
-  const double elapsed = sw.seconds();
-  runtime.shutdown();
-
-  MixedResult r;
-  r.rps = runtime.telemetry().snapshot().throughput_rps(elapsed);
-  for (std::size_t t = 0; t < tenants.size(); ++t) {
-    const auto s = runtime.telemetry().tenant_snapshot(t);
-    if (t < kHighPriorityTenants) {
-      r.high_p99_us = std::max(r.high_p99_us, s.p99_us);
-      r.high_completed += s.completed;
-      r.high_shed += s.shed;
-    } else {
-      r.low_p99_us = std::max(r.low_p99_us, s.p99_us);
-      r.low_completed += s.completed;
-      r.low_shed += s.shed;
-    }
-  }
   return r;
 }
 
@@ -512,35 +434,6 @@ int main() {
   // absolute req/s row is what later PRs must beat.
   std::cout << "\nspeedup at 8 shards vs naive loop: "
             << Table::num(speedup_at_8, 2) << "x\n";
-
-  common::print_section(
-      std::cout,
-      "Mixed-priority QoS, 1 overloaded shard, " +
-          std::to_string(kHighPriorityTenants) + " high / " +
-          std::to_string(kTenants - kHighPriorityTenants) + " low tenants");
-  const MixedResult mixed = mixed_priority_rps(tenants, latents, requests);
-  Table mtable({"class", "completed", "shed", "p99 us"});
-  mtable.add_row({"high", std::to_string(mixed.high_completed),
-                  std::to_string(mixed.high_shed),
-                  Table::num(mixed.high_p99_us, 1)});
-  mtable.add_row({"low", std::to_string(mixed.low_completed),
-                  std::to_string(mixed.low_shed),
-                  Table::num(mixed.low_p99_us, 1)});
-  mtable.print(std::cout);
-  std::cout << "\nhigh p99 " << Table::num(mixed.high_p99_us, 1)
-            << " us vs low p99 " << Table::num(mixed.low_p99_us, 1)
-            << " us ("
-            << (mixed.high_p99_us < mixed.low_p99_us ? "QoS holds"
-                                                     : "QoS VIOLATED")
-            << "); low-priority completed " << mixed.low_completed
-            << " (must be > 0: no starvation)\n";
-  json << "  \"mixed_priority\": {\"shards\": 1, \"rps\": " << mixed.rps
-       << ", \"high_p99_us\": " << mixed.high_p99_us
-       << ", \"low_p99_us\": " << mixed.low_p99_us
-       << ", \"high_completed\": " << mixed.high_completed
-       << ", \"low_completed\": " << mixed.low_completed
-       << ", \"high_shed\": " << mixed.high_shed
-       << ", \"low_shed\": " << mixed.low_shed << "},\n";
 
   // -- open loop: Poisson arrivals at a fraction of closed-loop capacity --
   const double open_loop_s = 3.0;

@@ -13,7 +13,9 @@ namespace {
 // "OFLT" — distinct from the system checkpoint magic so a fleet record can
 // never be mistaken for an OrcoDcsSystem checkpoint (or vice versa).
 constexpr std::uint32_t kColdMagic = 0x4f464c54;
-constexpr std::uint32_t kColdFormat = 1;
+// load() refuses any other format; format 1 records also carry a per-tenant
+// QoS policy block that this layout has no field for.
+constexpr std::uint32_t kColdFormat = 2;
 
 }  // namespace
 
@@ -31,9 +33,6 @@ void ColdStore::save(ClusterId id, const ColdRecord& record) {
   writer.write_u32(kColdFormat);
   writer.write_u64(id);
   writer.write_u64(record.model_version);
-  writer.write_u32(static_cast<std::uint32_t>(record.policy.priority));
-  writer.write_u64(record.policy.queue_quota);
-  writer.write_f64(record.policy.weight);
   writer.write_bytes(record.encoder_params);
   writer.write_bytes(record.decoder_params);
   common::write_file_atomic(path_for(id), writer.bytes());
@@ -54,9 +53,6 @@ ColdRecord ColdStore::load(ClusterId id) const {
                                                         << " read as " << id);
   ColdRecord record;
   record.model_version = reader.read_u64();
-  record.policy.priority = static_cast<serve::Priority>(reader.read_u32());
-  record.policy.queue_quota = reader.read_u64();
-  record.policy.weight = reader.read_f64();
   record.encoder_params = reader.read_bytes();
   record.decoder_params = reader.read_bytes();
   ORCO_CHECK(reader.exhausted(),

@@ -1,12 +1,11 @@
 // ColdStore — the fleet's on-disk cold tier for demoted tenants.
 //
 // A demoted tenant's serving state collapses to one record: the encoder +
-// decoder weights (model_io framing), the decoder generation counter, and
-// the tenant's QoS policy. Everything else — registry slot, queue lane,
-// prepacked weight panels, reconstruction-cache entries — is derived state
-// that reactivation rebuilds. The fleet writes back: a record is written
-// only when a tenant changed since it was woken, and a tenant without one
-// is in its template state. Records are written crash-safely (temp file,
+// decoder weights (model_io framing) and the decoder generation counter.
+// Everything else — registry slot, queue lane, prepacked weight panels — is
+// derived state that reactivation rebuilds. The fleet writes back: a record
+// is written only when a tenant changed since it was woken, and a tenant
+// without one is in its template state. Records are written crash-safely (temp file,
 // fsync, atomic rename, directory fsync — common::write_file_atomic, shared
 // with OrcoDcsSystem::save_checkpoint), so a crash mid-demotion leaves
 // either the previous record or the complete new one, never a torn file; a
@@ -14,11 +13,10 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "serve/tenant_policy.h"
 
 namespace orco::fleet {
 
@@ -27,7 +25,6 @@ using ClusterId = std::uint64_t;
 /// Everything needed to rebuild a tenant's serving state from disk.
 struct ColdRecord {
   std::uint64_t model_version = 1;
-  serve::TenantPolicy policy;
   std::vector<std::byte> encoder_params;  // nn::save_params framing
   std::vector<std::byte> decoder_params;
 };

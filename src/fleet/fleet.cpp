@@ -81,18 +81,11 @@ void EdgeFleet::shutdown() {
 }
 
 void EdgeFleet::register_tenant(ClusterId id) {
-  register_tenant(id, config_.serve.queue.default_policy);
-}
-
-void EdgeFleet::register_tenant(ClusterId id,
-                                const serve::TenantPolicy& policy) {
   {
     common::WriterMutexLock lock(tenants_mu_);
     ORCO_CHECK(tenants_.find(id) == tenants_.end(),
                "tenant " << id << " already registered with the fleet");
-    auto state = std::make_unique<TenantState>();
-    state->policy = policy;
-    tenants_.emplace(id, std::move(state));
+    tenants_.emplace(id, std::make_unique<TenantState>());
   }
   registered_.fetch_add(1, std::memory_order_relaxed);
   refresh_population_gauges();
@@ -254,12 +247,11 @@ void EdgeFleet::activate(ClusterId id, TenantState& t) {
     // Registration publishes the tenant's first snapshot (prepack-warmed)
     // in the cell registry: a warm tenant has a live snapshot before the
     // submit fast path opens.
-    cell.trainer->register_tenant(id, system, t.policy,
-                                  config_.trainer.default_budget);
+    cell.trainer->register_tenant(id, system);
   } else {
     publish_snapshot(cell, id, *system);
   }
-  cell.runtime->register_cluster(id, system, t.policy);
+  cell.runtime->register_cluster(id, system);
   bool demoted_before = false;
   {
     common::MutexLock lock(t.mu);
@@ -348,7 +340,6 @@ bool EdgeFleet::demote(ClusterId id) {
   if (system.model_version() > t->durable_version) {
     ColdRecord record;
     record.model_version = system.model_version();
-    record.policy = t->policy;
     record.encoder_params = nn::save_params(system.aggregator().encoder());
     record.decoder_params = nn::save_params(system.edge().decoder());
     try {
@@ -360,8 +351,7 @@ bool EdgeFleet::demote(ClusterId id) {
       ORCO_LOG_ERROR("fleet: demotion of tenant " << id
                      << " aborted, cold write failed: " << e.what());
       if (cell.trainer != nullptr) {
-        cell.trainer->register_tenant(id, t->system, t->policy,
-                                      config_.trainer.default_budget);
+        cell.trainer->register_tenant(id, t->system);
       }
       return abort_demotion();
     }

@@ -43,9 +43,9 @@
 //     decode (per-tenant lanes are FIFO — the sentinel's answer proves
 //     every earlier request was answered), unregister from the trainer
 //     (refused unless quiescent), and — only when the decoder generation
-//     moved past the durable one — serialize encoder + decoder + policy +
-//     version to the cold store (fsync + atomic rename). Then drop the
-//     registry slot, runtime registration, the follower's standby image,
+//     moved past the durable one — serialize encoder + decoder + version
+//     to the cold store (fsync + atomic rename). Then drop the registry
+//     slot, runtime registration, the follower's standby image,
 //     caches and prepacked panels with the system itself. Any contention
 //     aborts the demotion — the tenant simply stays warm and the next
 //     sweep retries. So does a failed cold write: the tenant re-registers
@@ -148,10 +148,9 @@ class EdgeFleet {
   /// last publishes land). Safe to call multiple times.
   void shutdown();
 
-  /// O(1): records the tenant and its policy; no model is built until the
-  /// first submit (or an explicit warm()). Re-registering throws.
+  /// O(1): records the tenant; no model is built until the first submit
+  /// (or an explicit warm()). Re-registering throws.
   void register_tenant(ClusterId id);
-  void register_tenant(ClusterId id, const serve::TenantPolicy& policy);
 
   /// Routes one latent to the tenant's owning cell. Warm tenants take a
   /// lock-free fast path; cold tenants are transparently reactivated
@@ -219,8 +218,6 @@ class EdgeFleet {
   /// Per-tenant lifecycle state. Created at registration, never destroyed
   /// before the fleet — submit holds raw pointers across the map lock.
   struct TenantState {
-    /// Immutable after registration.
-    serve::TenantPolicy policy;
     /// Residency stamp; stored by every submit (relaxed).
     std::atomic<std::uint64_t> last_touch{0};
     /// Submits between routing and hand-off to the cell runtime. Paired

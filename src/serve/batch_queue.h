@@ -1,22 +1,19 @@
 // BatchQueue — a bounded MPMC queue that coalesces same-cluster decode
-// requests into batches, with per-tenant QoS.
+// requests into batches, in arrival order.
 //
-// Producers push from any thread; push never blocks — admission is governed
-// by each tenant's TenantPolicy: a tenant over its queue quota is shed, and
-// when the whole queue is at capacity an arriving request evicts the newest
-// pending request of a strictly lower-priority tenant (handed back to the
-// caller to answer kShed) before being shed itself. A consumer pops a
-// *batch*: all requests in it belong to one cluster (hence one decoder
-// model), so the shard can decode them with a single batched GEMM. The
-// cluster is chosen by weighted priority with an aging term — high-priority
-// tenants go first, but a waiting head request's score grows with its age so
-// low-priority tenants cannot starve. Once the first request is in hand,
-// pop_batch lingers for stragglers of the same cluster, but never longer
-// than that lane's last measured decode (record_decode), capped at
-// max_wait_us: a request that misses the batch costs exactly one more
-// decode, so waiting longer than one decode cannot pay for itself. A lane
-// with no measured decode yet does not wait at all. Millisecond decoders
-// therefore keep the full window while microsecond ones barely linger.
+// Producers push from any thread; push never blocks. Admission is the
+// queue's capacity alone: a request that finds the queue full is shed, and
+// nothing already queued is displaced. A consumer pops a *batch*: all
+// requests in it belong to one cluster (hence one decoder model), so the
+// shard can decode them with a single batched GEMM. Each cluster has its
+// own FIFO lane, and the next batch comes from the lane whose head request
+// arrived first. Once the first request is in hand, pop_batch lingers for
+// stragglers of the same cluster, but never longer than that lane's last
+// measured decode (record_decode), capped at max_wait_us: a request that
+// misses the batch costs exactly one more decode, so waiting longer than
+// one decode cannot pay for itself. A lane with no measured decode yet does
+// not wait at all. Millisecond decoders therefore keep the full window
+// while microsecond ones barely linger.
 #pragma once
 
 #include <chrono>
@@ -29,7 +26,6 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "serve/request.h"
-#include "serve/tenant_policy.h"
 
 namespace orco::serve {
 
@@ -40,8 +36,6 @@ struct BatchQueueConfig {
   /// actual window is min(max_wait_us, its last measured decode); a lane
   /// with no measured decode does not wait.
   std::uint64_t max_wait_us = 200;
-  /// Policy applied to clusters that were never given one via set_policy.
-  TenantPolicy default_policy;
 };
 
 enum class PushResult { kAccepted, kShed, kClosed };
@@ -50,19 +44,15 @@ class BatchQueue {
  public:
   explicit BatchQueue(const BatchQueueConfig& config);
 
-  /// Thread-safe, non-blocking. kShed when the tenant is over quota or the
-  /// queue is full of same-or-higher-priority work; kClosed after close().
-  /// When admission at capacity evicts a lower-priority pending request, it
-  /// is appended to `evicted` for the caller to answer kShed (and count in
-  /// telemetry); with a null `evicted` the queue answers the promise itself.
-  PushResult push(PendingRequest&& pending,
-                  std::vector<PendingRequest>* evicted = nullptr);
+  /// Thread-safe, non-blocking. kShed when the queue is at capacity,
+  /// kClosed after close().
+  PushResult push(PendingRequest&& pending);
 
   /// Blocks until at least one request is available (or the queue is closed
   /// and drained — then returns empty). Returns up to max_batch requests,
   /// all for the same cluster, preserving per-cluster FIFO order. Other
-  /// clusters' requests keep their positions. The cluster is picked by
-  /// schedule_weight() x an aging factor of its head request's wait.
+  /// clusters' requests keep their positions. The cluster is the one whose
+  /// head request arrived first.
   std::vector<PendingRequest> pop_batch();
 
   /// Records how long `cluster`'s last batch took to decode; that lane's
@@ -75,14 +65,9 @@ class BatchQueue {
   /// graceful shutdown can drain in-flight work.
   void close();
 
-  /// Installs (or replaces) a tenant's QoS policy. Applies to requests
-  /// already queued for that cluster as well.
-  void set_policy(ClusterId cluster, const TenantPolicy& policy);
-  TenantPolicy policy(ClusterId cluster) const;
-
-  /// Drops an *empty* tenant lane (policy + deque), reclaiming its slot —
-  /// without this, 100k cold-tier demote/wake cycles would leave 100k dead
-  /// lanes that every pop_batch scan walks. Returns false (and changes
+  /// Drops an *empty* tenant lane, reclaiming its slot — without this,
+  /// 100k cold-tier demote/wake cycles would leave 100k dead lanes that
+  /// every pop_batch scan walks. Returns false (and changes
   /// nothing) when the lane still holds queued requests or never existed.
   bool erase_lane(ClusterId cluster);
 
@@ -95,21 +80,17 @@ class BatchQueue {
  private:
   struct Entry {
     PendingRequest pending;
-    std::uint64_t seq = 0;  // global arrival order, for FIFO tie-breaks
-    std::chrono::steady_clock::time_point queued_at;
+    std::uint64_t seq = 0;  // global arrival order
   };
-  /// One tenant's FIFO lane plus its policy. Lanes are created on first
-  /// push or set_policy and live until erase_lane (the fleet's demotion
-  /// path) reclaims them once drained.
+  /// One tenant's FIFO lane. Lanes are created on first push and live
+  /// until erase_lane (the fleet's demotion path) reclaims them once
+  /// drained.
   struct Lane {
-    TenantPolicy policy;
     std::deque<Entry> entries;
     std::chrono::nanoseconds last_decode{0};  // 0: never measured
   };
 
-  /// Creates the lane with the default policy if new.
-  Lane& lane_for(ClusterId cluster) ORCO_REQUIRES(mu_);
-  /// Picks the non-empty lane with the highest aged score. At least one
+  /// Picks the non-empty lane whose head has the lowest seq. At least one
   /// lane must be non-empty.
   ClusterId pick_cluster() const ORCO_REQUIRES(mu_);
   /// Moves up to `limit` requests for `cluster` out of its lane into out.

@@ -83,8 +83,7 @@ ClusterShard::ClusterShard(std::size_t index,
 }
 
 void ClusterShard::add_cluster(ClusterId cluster,
-                               std::shared_ptr<core::OrcoDcsSystem> system,
-                               const TenantPolicy& policy) {
+                               std::shared_ptr<core::OrcoDcsSystem> system) {
   ORCO_CHECK(system != nullptr, "cannot register a null tenant system");
   auto entry = std::make_shared<TenantEntry>();
   entry->system = std::move(system);
@@ -96,7 +95,6 @@ void ClusterShard::add_cluster(ClusterId cluster,
   ORCO_CHECK(tenants_.emplace(cluster, std::move(entry)).second,
              "cluster " << cluster << " already registered on shard "
                         << index_);
-  queue_.set_policy(cluster, policy);
 }
 
 void ClusterShard::remove_cluster(ClusterId cluster) {
@@ -177,11 +175,9 @@ void ClusterShard::serve_batch(std::vector<PendingRequest> batch) {
       respond_error(pending, ResponseStatus::kUnknownCluster);
     }
     // The tenant was unregistered before its lane drained, and may since
-    // live on another shard: drop the emptied lane here, unless the id was
-    // registered on this shard again (add_cluster installs its policy
-    // under tenants_mu_).
-    common::MutexLock lock(tenants_mu_);
-    if (tenants_.count(cluster) == 0) queue_.erase_lane(cluster);
+    // live on another shard: drop the lane here if it is empty (the next
+    // push for the id opens a fresh one).
+    queue_.erase_lane(cluster);
     return;
   }
 

@@ -44,15 +44,13 @@ class ClusterShard {
   std::size_t index() const noexcept { return index_; }
   BatchQueue& queue() noexcept { return queue_; }
 
-  /// Registers a tenant with its QoS policy, installed on the shard's
-  /// BatchQueue (admission quota + weighted-priority scheduling). The system
-  /// is shared so callers can keep training or monitoring it between serve
-  /// batches: with a model registry attached the trainer may mutate it
-  /// freely (the serve path only reads registry snapshots); without one,
-  /// external mutation should pause traffic first.
+  /// Registers a tenant; its queue lane opens with its first request. The
+  /// system is shared so callers can keep training or monitoring it
+  /// between serve batches: with a model registry attached the trainer may
+  /// mutate it freely (the serve path only reads registry snapshots);
+  /// without one, external mutation should pause traffic first.
   void add_cluster(ClusterId cluster,
-                   std::shared_ptr<core::OrcoDcsSystem> system,
-                   const TenantPolicy& policy);
+                   std::shared_ptr<core::OrcoDcsSystem> system);
 
   /// Removes a tenant (the fleet's cold-tier demotion path); a no-op for an
   /// id this shard does not hold. The caller must have drained the

@@ -98,15 +98,4 @@ struct PendingRequest {
   PendingRequest& operator=(const PendingRequest&) = delete;
 };
 
-/// Resolves a pending request's promise with a bare status (no payload) —
-/// the shared answer for shed/evicted requests.
-inline void resolve_with_status(PendingRequest& pending,
-                                ResponseStatus status) {
-  DecodeResponse response;
-  response.id = pending.request.id;
-  response.status = status;
-  pending.promise.set_value(std::move(response));
-  pending.answered = true;
-}
-
 }  // namespace orco::serve

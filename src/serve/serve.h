@@ -21,7 +21,6 @@
 #pragma once
 
 #include "serve/batch_queue.h"            // IWYU pragma: export
-#include "serve/tenant_policy.h"          // IWYU pragma: export
 #include "serve/cluster_shard.h"          // IWYU pragma: export
 #include "serve/request.h"                // IWYU pragma: export
 #include "serve/server_runtime.h"         // IWYU pragma: export

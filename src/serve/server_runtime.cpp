@@ -26,13 +26,6 @@ ServerRuntime::~ServerRuntime() { shutdown(); }
 
 void ServerRuntime::register_cluster(
     ClusterId cluster, std::shared_ptr<core::OrcoDcsSystem> system) {
-  register_cluster(cluster, std::move(system),
-                   config_.queue.default_policy);
-}
-
-void ServerRuntime::register_cluster(
-    ClusterId cluster, std::shared_ptr<core::OrcoDcsSystem> system,
-    const TenantPolicy& policy) {
   common::MutexLock lock(placement_mu_);
   // Checked here, not by the shard: placement would put a duplicate on a
   // shard that does not hold the id.
@@ -49,7 +42,7 @@ void ServerRuntime::register_cluster(
       fewest = count;
     }
   }
-  shards_[target]->add_cluster(cluster, std::move(system), policy);
+  shards_[target]->add_cluster(cluster, std::move(system));
   placement_.emplace(cluster, target);
 }
 
@@ -117,9 +110,8 @@ std::future<DecodeResponse> ServerRuntime::submit_request(
   if (!home.has_value()) {
     // Answer unregistered ids up front: they must not allocate queue lanes
     // or per-tenant telemetry rows (both live for the runtime's lifetime),
-    // and must not carry the default policy's power to evict registered
-    // low-priority tenants' queued work. Counted in the global counters
-    // only, so arbitrary bogus ids cannot grow memory.
+    // nor take queue capacity from registered tenants. Counted in the
+    // global counters only, so arbitrary bogus ids cannot grow memory.
     telemetry_.record_submitted(nullptr);
     telemetry_.record_rejected(nullptr);
     return immediate_response(id, ResponseStatus::kUnknownCluster);
@@ -138,22 +130,12 @@ std::future<DecodeResponse> ServerRuntime::submit_request(
   pending.request.traced = obs::TraceCollector::instance().should_sample();
   std::future<DecodeResponse> future = pending.promise.get_future();
 
-  std::vector<PendingRequest> evicted;
-  const PushResult result = shard.queue().push(std::move(pending), &evicted);
-  // Queue-full admission may bump lower-priority pending work to make room;
-  // answer each bumped request kShed before returning so its caller's
-  // future resolves as promptly as a directly-shed one.
-  for (auto& bumped : evicted) {
-    telemetry_.record_shed(telemetry_.tenant(bumped.request.cluster));
-    resolve_with_status(bumped, ResponseStatus::kShed);
-  }
-  switch (result) {
+  switch (shard.queue().push(std::move(pending))) {
     case PushResult::kAccepted:
       return future;
-    case PushResult::kShed: {
+    case PushResult::kShed:
       telemetry_.record_shed(row);
       return immediate_response(id, ResponseStatus::kShed);
-    }
     case PushResult::kClosed:
       telemetry_.record_rejected(row);
       return immediate_response(id, ResponseStatus::kShutdown);

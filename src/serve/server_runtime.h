@@ -32,8 +32,7 @@ struct ServeConfig {
   // Decode workers, one ClusterShard each; every tenant is served by the
   // one shard register_cluster placed it on.
   std::size_t shard_count = 4;
-  BatchQueueConfig queue;  // applied per shard; queue.default_policy is the
-                           // QoS policy for tenants registered without one
+  BatchQueueConfig queue;  // applied per shard
   // Serve-while-retraining: when set (typically TrainerRuntime::registry()),
   // shards decode registered tenants through the registry's immutable
   // versioned snapshots and pick up hot swaps between batches; when null,
@@ -62,18 +61,12 @@ class ServerRuntime {
   ServerRuntime(const ServerRuntime&) = delete;
   ServerRuntime& operator=(const ServerRuntime&) = delete;
 
-  /// Registers a tenant under the config's default QoS policy on the shard
-  /// holding the fewest registered tenants (the lowest index on a tie); the
-  /// tenant stays on that shard until unregistered. Allowed before start()
-  /// and while running; re-registering a registered id throws.
+  /// Registers a tenant on the shard holding the fewest registered tenants
+  /// (the lowest index on a tie); the tenant stays on that shard until
+  /// unregistered. Allowed before start() and while running;
+  /// re-registering a registered id throws.
   void register_cluster(ClusterId cluster,
                         std::shared_ptr<core::OrcoDcsSystem> system);
-
-  /// Registers a tenant with an explicit per-tenant QoS policy (priority
-  /// class, queue quota, scheduling weight) installed on its shard queue.
-  void register_cluster(ClusterId cluster,
-                        std::shared_ptr<core::OrcoDcsSystem> system,
-                        const TenantPolicy& policy);
 
   /// Removes a tenant: subsequent submits answer kUnknownCluster, the
   /// tenant's (drained) queue lane is reclaimed and its shard counts one
@@ -88,10 +81,10 @@ class ServerRuntime {
   /// fulfilled: kOk with the reconstruction, kShed under backpressure,
   /// kShutdown after shutdown(), kUnknownCluster / kBadRequest on invalid
   /// traffic. Unregistered cluster ids are answered kUnknownCluster
-  /// immediately — they get no queue slot, no per-tenant telemetry row and
-  /// no QoS standing, so bogus ids cannot grow state or displace real
-  /// tenants' work. Requests may be submitted before start(); they queue up
-  /// and are served once workers run (subject to queue capacity).
+  /// immediately — they get no queue slot and no per-tenant telemetry row,
+  /// so bogus ids cannot grow state or take real tenants' queue capacity.
+  /// Requests may be submitted before start(); they queue up and are served
+  /// once workers run (subject to queue capacity).
   std::future<DecodeResponse> submit(ClusterId cluster, Tensor latent);
 
   /// Enqueues one quantized latent payload (core/quantization.h wire
@@ -141,7 +134,7 @@ class ServerRuntime {
                                                  ResponseStatus status);
   /// Shared admission tail of both submit overloads: stamps the id and
   /// enqueue time, routes to the tenant's shard, answers unknown ids and
-  /// shutdown up front, and handles backpressure (shed/eviction answers).
+  /// shutdown up front, and answers backpressure kShed.
   std::future<DecodeResponse> submit_request(DecodeRequest request);
   void start_flusher();
   void stop_flusher();

@@ -63,10 +63,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
-#include <vector>
 
 #include "common/thread_pool.h"
 #include "tensor/backend.h"
+#include "tensor/workspace.h"
 
 namespace orco::tensor::detail {
 
@@ -395,8 +395,23 @@ void panel_task(const AView& a, const float* b, std::size_t ldb, bool tb,
   constexpr std::size_t kKc = Traits::kKc;
   constexpr std::size_t kMc = Traits::kMc;
   constexpr std::size_t kNc = Traits::kNc;
-  thread_local std::vector<float> ap_buf;
-  thread_local std::vector<float> bp_buf;
+  // Packing buffers sized for the task's largest panels, out of a
+  // per-thread arena: its 64-byte-aligned allocations keep the micro-
+  // kernel's full-vector panel loads off cache-line splits wherever the
+  // heap put the storage. reset() also coalesces the arena to one slab.
+  thread_local Workspace pack_ws;
+  pack_ws.reset();
+  const std::size_t kc_max = k < kKc ? k : kKc;
+  float* const ap_buf =
+      packed_a != nullptr
+          ? nullptr
+          : pack_ws.alloc(round_up(i1 - i0 < kMc ? i1 - i0 : kMc, kMr) *
+                          kc_max);
+  float* const bp_buf =
+      packed_b != nullptr
+          ? nullptr
+          : pack_ws.alloc(round_up(j1 - j0 < kNc ? j1 - j0 : kNc, kNr) *
+                          kc_max);
   for (std::size_t pc = 0; pc < k; pc += kKc) {
     const std::size_t kc = k - pc < kKc ? k - pc : kKc;
     const Epilogue* tile_epi = pc + kc == k ? epi : nullptr;
@@ -406,9 +421,8 @@ void panel_task(const AView& a, const float* b, std::size_t ldb, bool tb,
       if (bp != nullptr) {
         bp += round_up(n, kNr) * pc + jc * kc;
       } else if constexpr (std::is_same_v<BElem, float>) {
-        bp_buf.resize(round_up(nc, kNr) * kc);
-        pack_b_panel<Traits>(b, ldb, tb, pc, jc, kc, nc, bp_buf.data());
-        bp = bp_buf.data();
+        pack_b_panel<Traits>(b, ldb, tb, pc, jc, kc, nc, bp_buf);
+        bp = bp_buf;
       }
       for (std::size_t ic = i0; ic < i1; ic += kMc) {
         const std::size_t mc = i1 - ic < kMc ? i1 - ic : kMc;
@@ -416,9 +430,8 @@ void panel_task(const AView& a, const float* b, std::size_t ldb, bool tb,
         if (packed_a != nullptr) {
           ap = packed_a + round_up(m, kMr) * pc + ic * kc;
         } else {
-          ap_buf.resize(round_up(mc, kMr) * kc);
-          pack_a_panel<kMr>(a, ic, pc, mc, kc, ap_buf.data());
-          ap = ap_buf.data();
+          pack_a_panel<kMr>(a, ic, pc, mc, kc, ap_buf);
+          ap = ap_buf;
         }
         if (sgd != nullptr) {
           // Along each kMr-row stripe, strip after strip, so consecutive

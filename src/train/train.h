@@ -20,8 +20,7 @@
 //   f.get().model_version;                         // bumps after the swap
 //
 // Layering: model_registry depends on nn/ only (so serve/ can read it);
-// trainer_runtime depends on core/ + serve/ and sits at the top of the
-// stack.
+// trainer_runtime depends on core/ and publishes into that registry.
 #pragma once
 
 #include "train/model_registry.h"   // IWYU pragma: export

@@ -10,11 +10,12 @@
 
 namespace orco::train {
 
-/// How much of the box one tenant's fine-tuning may consume. The rounds cap
-/// bounds a single job; the duty cycle bounds steady-state CPU share so a
-/// fine-tune burst cannot starve the serving shards of cores: after every
-/// protocol round the trainer sleeps round_time * (1 - duty) / duty,
-/// capping this tenant at `duty_cycle` of one trainer thread.
+/// How much of the box a fine-tune job may consume (one budget per
+/// TrainerRuntime, TrainerConfig::default_budget). The rounds cap bounds a
+/// single job; the duty cycle bounds steady-state CPU share so a fine-tune
+/// burst cannot starve the serving shards of cores: after every protocol
+/// round the trainer sleeps round_time * (1 - duty) / duty, capping the job
+/// at `duty_cycle` of one trainer thread.
 struct TrainBudget {
   std::size_t max_rounds_per_job = 0;  // 0 = unbounded
   double duty_cycle = 0.5;             // (0, 1]; 1 = no throttling
@@ -36,7 +37,7 @@ struct TrainJob {
 
 enum class JobOutcome {
   kCompleted,        // ran every requested round
-  kBudgetExhausted,  // stopped early at the tenant's rounds budget
+  kBudgetExhausted,  // stopped early at the budget's rounds cap
   kRejected,         // queue full or unknown tenant: nothing ran
   kShutdown,         // runtime stopped before the job ran to completion
   kFailed,           // training threw; see TrainerRuntime logs

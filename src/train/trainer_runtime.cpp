@@ -20,10 +20,6 @@ namespace orco::train {
 
 namespace {
 
-/// Microseconds of queue wait that double a pending job's scheduling score
-/// (the aging scheme of serve::BatchQueue).
-constexpr double kAgingUs = 100000.0;
-
 /// Niceness of a trainer thread where SCHED_IDLE is unavailable.
 constexpr int kBackgroundNice = 19;
 
@@ -62,12 +58,8 @@ double seconds_since(std::chrono::steady_clock::time_point since) {
 
 }  // namespace
 
-TrainerRuntime::Tenant::Tenant(std::shared_ptr<core::OrcoDcsSystem> sys,
-                               const serve::TenantPolicy& pol,
-                               const TrainBudget& bud)
+TrainerRuntime::Tenant::Tenant(std::shared_ptr<core::OrcoDcsSystem> sys)
     : system(std::move(sys)),
-      policy(pol),
-      budget(bud),
       monitor(system->config().orco.relaunch_factor,
               system->config().orco.monitor_window,
               system->config().orco.monitor_cooldown) {}
@@ -77,23 +69,17 @@ TrainerRuntime::TrainerRuntime(const TrainerConfig& config)
   ORCO_CHECK(config.worker_threads > 0,
              "TrainerRuntime needs at least one worker thread");
   ORCO_CHECK(config.queue_capacity > 0, "job queue capacity must be positive");
+  const double duty = config.default_budget.duty_cycle;
+  ORCO_CHECK(duty > 0.0 && duty <= 1.0,
+             "duty cycle must be in (0, 1], got " << duty);
 }
 
 TrainerRuntime::~TrainerRuntime() { shutdown(); }
 
 void TrainerRuntime::register_tenant(
     ClusterId cluster, std::shared_ptr<core::OrcoDcsSystem> system) {
-  register_tenant(cluster, std::move(system), serve::TenantPolicy{},
-                  config_.default_budget);
-}
-
-void TrainerRuntime::register_tenant(
-    ClusterId cluster, std::shared_ptr<core::OrcoDcsSystem> system,
-    const serve::TenantPolicy& policy, const TrainBudget& budget) {
   ORCO_CHECK(system != nullptr, "cannot register a null tenant system");
-  ORCO_CHECK(budget.duty_cycle > 0.0 && budget.duty_cycle <= 1.0,
-             "duty cycle must be in (0, 1], got " << budget.duty_cycle);
-  auto tenant = std::make_unique<Tenant>(std::move(system), policy, budget);
+  auto tenant = std::make_unique<Tenant>(std::move(system));
   Tenant* inserted = tenant.get();
   {
     common::MutexLock lock(tenants_mu_);
@@ -105,8 +91,8 @@ void TrainerRuntime::register_tenant(
 }
 
 bool TrainerRuntime::unregister_tenant(ClusterId cluster) {
-  // Lock order mu_ -> tenants_mu_ matches pick_job's (held-mu_) find_tenant
-  // calls. Holding mu_ across the erase pins the invariant: no worker can
+  // Lock order mu_ -> tenants_mu_ (no path takes them the other way
+  // round). Holding mu_ across the erase pins the invariant: no worker can
   // pop a job for the tenant between our scan and the erase.
   common::MutexLock lock(mu_);
   if (active_jobs_.count(cluster) > 0) return false;
@@ -146,7 +132,6 @@ std::future<TrainResult> TrainerRuntime::reject(ClusterId cluster,
 std::future<TrainResult> TrainerRuntime::enqueue(TrainJob&& job) {
   PendingJob pending;
   pending.job = std::move(job);
-  pending.queued_at = std::chrono::steady_clock::now();
   std::future<TrainResult> future = pending.promise.get_future();
   {
     common::MutexLock lock(mu_);
@@ -165,7 +150,6 @@ std::future<TrainResult> TrainerRuntime::enqueue(TrainJob&& job) {
       pending.promise.set_value(std::move(result));
       return future;
     }
-    pending.seq = next_seq_++;
     queue_.push_back(std::move(pending));
     jobs_submitted_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -294,29 +278,6 @@ std::uint64_t TrainerRuntime::export_and_publish(ClusterId cluster,
   return registry_->publish(cluster, std::move(snapshot));
 }
 
-std::size_t TrainerRuntime::pick_job() const {
-  // Aged weighted priority, same scheme as serve::BatchQueue::pick_cluster:
-  // score = schedule_weight x (1 + wait / kAgingUs), FIFO on ties.
-  const auto now = std::chrono::steady_clock::now();
-  std::size_t best = 0;
-  double best_score = -1.0;
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    const Tenant* tenant = find_tenant(queue_[i].job.cluster);
-    const serve::TenantPolicy policy =
-        tenant != nullptr ? tenant->policy : serve::TenantPolicy{};
-    const double wait_us = std::chrono::duration<double, std::micro>(
-                               now - queue_[i].queued_at)
-                               .count();
-    const double score = policy.schedule_weight() * (1.0 + wait_us / kAgingUs);
-    if (score > best_score ||
-        (score == best_score && queue_[i].seq < queue_[best].seq)) {
-      best = i;
-      best_score = score;
-    }
-  }
-  return best;
-}
-
 void TrainerRuntime::worker_loop() {
   background_current_thread();
   tensor::set_thread_gemm_parallelism(false);
@@ -326,9 +287,8 @@ void TrainerRuntime::worker_loop() {
       common::MutexLock lock(mu_);
       while (!closed_ && queue_.empty()) cv_.wait(lock.native());
       if (closed_) return;  // still-queued jobs are resolved by shutdown()
-      const std::size_t i = pick_job();
-      pending = std::move(queue_[i]);
-      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
+      pending = std::move(queue_.front());
+      queue_.pop_front();
       // Marked active under the same lock hold that popped it, so
       // unregister_tenant can never observe the job in neither the queue
       // nor the active set.
@@ -360,8 +320,8 @@ TrainResult TrainerRuntime::run_job(const TrainJob& job) {
                            /*tenant=*/job.cluster);
   core::OrcoDcsSystem& system = *tenant->system;
   const core::OrcoConfig& orco = system.config().orco;
-  const std::size_t max_rounds = tenant->budget.max_rounds_per_job;
-  const double duty = tenant->budget.duty_cycle;
+  const std::size_t max_rounds = config_.default_budget.max_rounds_per_job;
+  const double duty = config_.default_budget.duty_cycle;
 
   // Salt the shuffle with rounds_completed like train_online: repeated jobs
   // see fresh sample orders, deterministically.

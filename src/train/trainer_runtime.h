@@ -9,10 +9,9 @@
 //     per-tenant FineTuningMonitor when observed reconstruction error
 //     drifts past its threshold) and run the §III-B protocol rounds on the
 //     tenant's OrcoDcsSystem — which serving no longer touches;
-//   * each tenant has a TrainBudget (rounds cap + duty cycle) and a
-//     serve::TenantPolicy whose priority orders the job queue, so
-//     fine-tuning cannot starve either the serving shards or other
-//     tenants' jobs;
+//   * jobs run in arrival order (one FIFO queue), each under the
+//     config-wide TrainBudget (rounds cap + duty cycle), so fine-tuning
+//     cannot starve the serving shards;
 //   * the budget bounds how much CPU a job takes, scheduling bounds when:
 //     workers run as SCHED_IDLE (else at nice 19) and run their GEMMs
 //     inline, never on the shared pool, whose normal-priority workers
@@ -46,7 +45,6 @@
 #include "common/thread_annotations.h"
 #include "core/monitor.h"
 #include "core/system.h"
-#include "serve/tenant_policy.h"
 #include "train/model_registry.h"
 #include "train/train_job.h"
 
@@ -58,6 +56,8 @@ struct TrainerConfig {
   /// competitor of the decode path.
   std::size_t worker_threads = 1;
   std::size_t queue_capacity = 16;  // pending jobs; beyond -> kRejected
+  /// The budget every job runs under; the constructor refuses a duty
+  /// cycle outside (0, 1].
   TrainBudget default_budget;
   /// Epochs a drift-triggered job runs over the tenant's current stream.
   std::size_t drift_epochs = 2;
@@ -73,16 +73,10 @@ class TrainerRuntime {
   TrainerRuntime(const TrainerRuntime&) = delete;
   TrainerRuntime& operator=(const TrainerRuntime&) = delete;
 
-  /// Registers a tenant under a default serve::TenantPolicy and the
-  /// config's default budget. Both overloads publish a snapshot of the
-  /// tenant's current weights, so serving reads the registry from the
-  /// tenant's first request.
+  /// Registers a tenant and publishes a snapshot of its current weights,
+  /// so serving reads the registry from the tenant's first request.
   void register_tenant(ClusterId cluster,
                        std::shared_ptr<core::OrcoDcsSystem> system);
-  void register_tenant(ClusterId cluster,
-                       std::shared_ptr<core::OrcoDcsSystem> system,
-                       const serve::TenantPolicy& policy,
-                       const TrainBudget& budget);
 
   /// Removes a tenant when it is quiescent: no queued job targets it, no
   /// worker is running one, and no drift job is in flight. Returns false
@@ -152,8 +146,6 @@ class TrainerRuntime {
     /// mutated only with train_mu held (trainer threads). Lock-free reads
     /// of its immutable config() from caller threads are intentional.
     std::shared_ptr<core::OrcoDcsSystem> system;
-    serve::TenantPolicy policy;
-    TrainBudget budget;
     /// Guards monitor + stream (fed from caller threads, consumed and
     /// re-baselined from trainer threads).
     common::Mutex monitor_mu;
@@ -171,22 +163,17 @@ class TrainerRuntime {
     /// so repeat fine-tunes stop hammering the allocator.
     nn::InferContext infer_ctx ORCO_GUARDED_BY(train_mu);
 
-    Tenant(std::shared_ptr<core::OrcoDcsSystem> sys,
-           const serve::TenantPolicy& pol, const TrainBudget& bud);
+    explicit Tenant(std::shared_ptr<core::OrcoDcsSystem> sys);
   };
 
   struct PendingJob {
     TrainJob job;
     std::promise<TrainResult> promise;
-    std::uint64_t seq = 0;
-    std::chrono::steady_clock::time_point queued_at;
   };
 
   Tenant* find_tenant(ClusterId cluster) const ORCO_EXCLUDES(tenants_mu_);
   std::future<TrainResult> reject(ClusterId cluster, JobOutcome outcome);
   std::future<TrainResult> enqueue(TrainJob&& job);
-  /// Highest aged-score pending job; queue non-empty.
-  std::size_t pick_job() const ORCO_REQUIRES(mu_);
   void worker_loop();
   TrainResult run_job(const TrainJob& job);
   /// Clones + warms + publishes the tenant's current weights (the
@@ -203,13 +190,13 @@ class TrainerRuntime {
 
   mutable common::Mutex mu_;  // guards the job queue
   std::condition_variable cv_;
+  /// Pending jobs in arrival order; workers pop the front.
   std::deque<PendingJob> queue_ ORCO_GUARDED_BY(mu_);
   /// Jobs popped by a worker and not yet finished, per tenant — the guard
   /// that makes unregister_tenant safe: a tenant with a running job cannot
   /// be erased under the worker. Incremented at pop (same mu_ hold),
   /// decremented when the job's promise resolves.
   std::map<ClusterId, std::size_t> active_jobs_ ORCO_GUARDED_BY(mu_);
-  std::uint64_t next_seq_ ORCO_GUARDED_BY(mu_) = 0;
   bool closed_ ORCO_GUARDED_BY(mu_) = false;
 
   std::vector<std::thread> workers_;

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -288,9 +289,6 @@ TEST(ColdStoreTest, RoundTripsRecordAtomically) {
   core::OrcoDcsSystem system(tiny_system());
   ColdRecord record;
   record.model_version = 17;
-  record.policy.priority = serve::Priority::kHigh;
-  record.policy.queue_quota = 5;
-  record.policy.weight = 2.5;
   record.encoder_params = nn::save_params(system.aggregator().encoder());
   record.decoder_params = nn::save_params(system.edge().decoder());
   store.save(77, record);
@@ -302,9 +300,6 @@ TEST(ColdStoreTest, RoundTripsRecordAtomically) {
 
   const ColdRecord loaded = store.load(77);
   EXPECT_EQ(loaded.model_version, 17u);
-  EXPECT_EQ(loaded.policy.priority, serve::Priority::kHigh);
-  EXPECT_EQ(loaded.policy.queue_quota, 5u);
-  EXPECT_DOUBLE_EQ(loaded.policy.weight, 2.5);
   EXPECT_TRUE(loaded.encoder_params == record.encoder_params);
   EXPECT_TRUE(loaded.decoder_params == record.decoder_params);
   EXPECT_EQ(store.saves(), 1u);
@@ -332,6 +327,14 @@ TEST(ColdStoreTest, TruncatedRecordIsRejected) {
   // Wrong-tenant file is rejected too.
   common::write_file(store.path_for(6), full);
   EXPECT_THROW((void)store.load(6), std::exception);
+
+  // So is a format-1 record (the layout that still carried a QoS policy):
+  // the format word follows the 4-byte magic.
+  std::vector<std::byte> format1 = full;
+  const std::uint32_t old_format = 1;
+  std::memcpy(format1.data() + 4, &old_format, sizeof old_format);
+  common::write_file(store.path_for(5), format1);
+  EXPECT_THROW((void)store.load(5), std::exception);
 }
 
 TEST(CheckpointTest, SaveIsAtomicAndTruncatedLoadThrows) {

@@ -1,9 +1,9 @@
 // Tests for the multi-cluster serving runtime (src/serve): shard placement,
 // batch coalescing (windows bounded by each lane's measured decode),
-// batched-vs-sequential decode equality, backpressure,
-// per-tenant QoS (quota admission, priority eviction, weighted-aging
-// scheduling), MPMC wakeup delivery, exception-safe batch fan-out,
-// graceful shutdown, and the telemetry row contract (rows off, metrics off).
+// batched-vs-sequential decode equality, backpressure (shed at capacity,
+// nothing queued displaced), lanes picked in arrival order, MPMC wakeup
+// delivery, exception-safe batch fan-out, graceful shutdown, and the
+// telemetry row contract (rows off, metrics off).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -133,29 +133,25 @@ TEST(ShardPlacementTest, UndrainedLaneGoesOnceItsRequestsAreAnswered) {
   ServeConfig cfg;
   cfg.shard_count = 2;
   ServerRuntime runtime(cfg);
-  TenantPolicy high;
-  high.priority = Priority::kHigh;
   const auto system = make_tenant();
-  runtime.register_cluster(7, system, high);
+  runtime.register_cluster(7, system);
   const std::size_t first = *runtime.shard_of(7);
   common::Pcg32 rng(4);
   // Not started yet: the request stays queued through the unregister.
   auto queued = runtime.submit(7, random_latent(16, rng));
   ASSERT_TRUE(runtime.unregister_cluster(7));
   runtime.register_cluster(8, make_tenant());
-  runtime.register_cluster(7, system, high);
+  runtime.register_cluster(7, system);
   const std::optional<std::size_t> second = runtime.shard_of(7);
   ASSERT_TRUE(second.has_value());
   ASSERT_NE(*second, first);
   runtime.start();
   EXPECT_EQ(queued.get().status, ResponseStatus::kUnknownCluster);
   runtime.shutdown();  // joins the worker that answered it
-  // No lane is left on the old shard (its policy reads the default again);
-  // the new shard's lane keeps the tenant's policy.
-  EXPECT_EQ(runtime.shard(first).queue().policy(7).priority,
-            Priority::kNormal);
-  EXPECT_EQ(runtime.shard(*second).queue().policy(7).priority,
-            Priority::kHigh);
+  // No lane for 7 is left on the old shard: nothing queued, nothing to
+  // erase.
+  EXPECT_EQ(runtime.shard(first).queue().size(7), 0u);
+  EXPECT_FALSE(runtime.shard(first).queue().erase_lane(7));
 }
 
 TEST(ShardPlacementTest, ChurnedRegistrationsAnswerEveryRequestExactlyOnce) {
@@ -238,12 +234,14 @@ TEST(BatchQueueTest, CoalescesOnlyOneClusterPerBatchInFifoOrder) {
     p.request.id = id;
     ASSERT_EQ(queue.push(std::move(p)), PushResult::kAccepted);
   };
-  // Interleave clusters A=1 and B=2.
+  // Interleave clusters A=1 and B=2, then C=0: C's id sorts first but its
+  // head arrives last, so it is served last.
   push(1, 10);
   push(2, 20);
   push(1, 11);
   push(2, 21);
   push(1, 12);
+  push(0, 30);
 
   auto batch = queue.pop_batch();
   ASSERT_EQ(batch.size(), 3u);
@@ -256,6 +254,10 @@ TEST(BatchQueueTest, CoalescesOnlyOneClusterPerBatchInFifoOrder) {
   EXPECT_EQ(batch[0].request.cluster, 2u);
   EXPECT_EQ(batch[0].request.id, 20u);
   EXPECT_EQ(batch[1].request.id, 21u);
+  batch = queue.pop_batch();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].request.cluster, 0u);
+  EXPECT_EQ(batch[0].request.id, 30u);
 }
 
 TEST(BatchQueueTest, RespectsMaxBatch) {
@@ -287,107 +289,6 @@ TEST(BatchQueueTest, ShedsAtCapacityAndClosedAfterClose) {
   // Close drains: queued entries still pop, then empty signals done.
   EXPECT_EQ(queue.pop_batch().size(), 2u);
   EXPECT_TRUE(queue.pop_batch().empty());
-}
-
-TEST(BatchQueueTest, WeightedPriorityPicksHighFirstAndAgingUnblocksLow) {
-  BatchQueueConfig cfg;
-  cfg.max_batch = 8;
-  cfg.max_wait_us = 0;
-  // batch_queue.cpp's kAgingUs: 1 ms of head wait doubles a lane's score.
-  BatchQueue queue(cfg);
-  TenantPolicy high;
-  high.priority = Priority::kHigh;
-  TenantPolicy low;
-  low.priority = Priority::kLow;
-  queue.set_policy(1, high);
-  queue.set_policy(2, low);
-
-  auto push = [&](ClusterId cluster, RequestId id) {
-    PendingRequest p;
-    p.request.cluster = cluster;
-    p.request.id = id;
-    ASSERT_EQ(queue.push(std::move(p)), PushResult::kAccepted);
-  };
-  // Low arrives first, high a hair later: priority outweighs a small age
-  // gap, so the high-priority lane is served first.
-  push(2, 20);
-  push(1, 10);
-  auto batch = queue.pop_batch();
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].request.cluster, 1u);
-
-  // The low request keeps aging. After ~25 ms its score (1 x ~26) beats a
-  // freshly-pushed high request (4 x ~1): aging prevents starvation.
-  std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  push(1, 11);
-  batch = queue.pop_batch();
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].request.cluster, 2u);
-  batch = queue.pop_batch();
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].request.cluster, 1u);
-}
-
-TEST(BatchQueueTest, PerTenantQuotaShedsBeforeGlobalCapacity) {
-  BatchQueueConfig cfg;
-  cfg.capacity = 100;
-  BatchQueue queue(cfg);
-  TenantPolicy capped;
-  capped.queue_quota = 2;
-  queue.set_policy(1, capped);
-
-  auto push = [&](ClusterId cluster, RequestId id) {
-    PendingRequest p;
-    p.request.cluster = cluster;
-    p.request.id = id;
-    return queue.push(std::move(p));
-  };
-  EXPECT_EQ(push(1, 10), PushResult::kAccepted);
-  EXPECT_EQ(push(1, 11), PushResult::kAccepted);
-  EXPECT_EQ(push(1, 12), PushResult::kShed);  // over its own quota
-  EXPECT_EQ(push(2, 20), PushResult::kAccepted);  // other tenants unaffected
-  EXPECT_EQ(queue.size(1), 2u);
-  EXPECT_EQ(queue.size(2), 1u);
-}
-
-TEST(BatchQueueTest, HighPriorityPushEvictsNewestLowPriorityAtCapacity) {
-  BatchQueueConfig cfg;
-  cfg.capacity = 2;
-  cfg.max_wait_us = 0;
-  BatchQueue queue(cfg);
-  TenantPolicy high;
-  high.priority = Priority::kHigh;
-  TenantPolicy low;
-  low.priority = Priority::kLow;
-  queue.set_policy(1, high);
-  queue.set_policy(2, low);
-
-  auto push = [&](ClusterId cluster, RequestId id,
-                  std::vector<PendingRequest>* evicted) {
-    PendingRequest p;
-    p.request.cluster = cluster;
-    p.request.id = id;
-    return queue.push(std::move(p), evicted);
-  };
-  std::vector<PendingRequest> evicted;
-  EXPECT_EQ(push(2, 20, &evicted), PushResult::kAccepted);
-  EXPECT_EQ(push(2, 21, &evicted), PushResult::kAccepted);
-  // At capacity: the high-priority arrival bumps the NEWEST low-priority
-  // pending request (oldest work keeps its position).
-  EXPECT_EQ(push(1, 10, &evicted), PushResult::kAccepted);
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0].request.id, 21u);
-  EXPECT_EQ(push(1, 11, &evicted), PushResult::kAccepted);
-  ASSERT_EQ(evicted.size(), 2u);
-  EXPECT_EQ(evicted[1].request.id, 20u);
-  // Only same-priority work left: the next high push is shed itself.
-  EXPECT_EQ(push(1, 12, &evicted), PushResult::kShed);
-  EXPECT_EQ(evicted.size(), 2u);
-
-  auto batch = queue.pop_batch();
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].request.id, 10u);
-  EXPECT_EQ(batch[1].request.id, 11u);
 }
 
 TEST(BatchQueueTest, CloseDuringCoalescingWindowDrainsPartialBatches) {
@@ -457,11 +358,8 @@ TEST(BatchQueueTest, PushWakesSecondConsumerDuringCoalescingWindow) {
   };
 
   push(1, 10);
-  // Long measured decodes open both lanes' windows at the 400 ms cap;
-  // cluster 2's lane is created up front, as shard registration does.
-  queue.set_policy(2, cfg.default_policy);
+  // A long measured decode opens cluster 1's window at the 400 ms cap.
   queue.record_decode(1, std::chrono::seconds(10));
-  queue.record_decode(2, std::chrono::seconds(10));
   std::thread c1(consume);  // grabs cluster 1, lingers in the window
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   std::thread c2(consume);  // arrives at the top-level wait second
@@ -690,88 +588,49 @@ TEST(ServeTest, ServeBatchAnswersRemainingRequestsWhenFanOutThrows) {
   EXPECT_EQ(last_response.status, ResponseStatus::kInternalError);
 }
 
-TEST(ServeTest, TenantPolicyEvictsLowPriorityAndTracksPerTenantTelemetry) {
-  ServeConfig cfg;
-  cfg.shard_count = 1;
-  cfg.queue.capacity = 2;
-  cfg.queue.max_wait_us = 0;
-  ServerRuntime runtime(cfg);
-  TenantPolicy high;
-  high.priority = Priority::kHigh;
-  TenantPolicy low;
-  low.priority = Priority::kLow;
-  runtime.register_cluster(1, make_tenant(64, 16, 1), high);
-  runtime.register_cluster(2, make_tenant(64, 16, 2), low);
-
-  // Workers not started: fill the queue with low-priority work, then let a
-  // high-priority submit bump the newest low request.
-  common::Pcg32 rng(13);
-  auto low_a = runtime.submit(2, random_latent(16, rng));
-  auto low_b = runtime.submit(2, random_latent(16, rng));
-  auto high_a = runtime.submit(1, random_latent(16, rng));
-  // The bumped request's future resolves kShed immediately.
-  ASSERT_EQ(low_b.wait_for(std::chrono::seconds(1)),
-            std::future_status::ready);
-  EXPECT_EQ(low_b.get().status, ResponseStatus::kShed);
-
-  runtime.shutdown();  // drains the surviving two requests inline
-  EXPECT_EQ(high_a.get().status, ResponseStatus::kOk);
-  EXPECT_EQ(low_a.get().status, ResponseStatus::kOk);
-
-  const auto high_snapshot = runtime.telemetry().tenant_snapshot(1);
-  EXPECT_EQ(high_snapshot.submitted, 1u);
-  EXPECT_EQ(high_snapshot.completed, 1u);
-  EXPECT_EQ(high_snapshot.shed, 0u);
-  const auto low_snapshot = runtime.telemetry().tenant_snapshot(2);
-  EXPECT_EQ(low_snapshot.submitted, 2u);
-  EXPECT_EQ(low_snapshot.completed, 1u);
-  EXPECT_EQ(low_snapshot.shed, 1u);
-  // Per-tenant rows roll up into the runtime-wide counters.
-  const auto totals = runtime.telemetry().snapshot();
-  EXPECT_EQ(totals.submitted, 3u);
-  EXPECT_EQ(totals.completed, 2u);
-  EXPECT_EQ(totals.shed, 1u);
-  EXPECT_EQ(runtime.telemetry().tenant_report().rows(), 2u);
-}
-
-TEST(ServeTest, DefaultPolicyFromConfigAppliesQuota) {
-  ServeConfig cfg;
-  cfg.shard_count = 1;
-  cfg.queue.default_policy.queue_quota = 1;
-  ServerRuntime runtime(cfg);
-  runtime.register_cluster(1, make_tenant());
-
-  common::Pcg32 rng(17);
-  auto kept = runtime.submit(1, random_latent(16, rng));
-  auto over_quota = runtime.submit(1, random_latent(16, rng));
-  runtime.shutdown();
-  EXPECT_EQ(kept.get().status, ResponseStatus::kOk);
-  EXPECT_EQ(over_quota.get().status, ResponseStatus::kShed);
-}
-
 TEST(ServeTest, BackpressureShedsBeyondQueueCapacity) {
   ServeConfig cfg;
   cfg.shard_count = 1;
   cfg.queue.capacity = 4;
   ServerRuntime runtime(cfg);
-  runtime.register_cluster(1, make_tenant());
+  runtime.register_cluster(1, make_tenant(64, 16, 1));
+  runtime.register_cluster(2, make_tenant(64, 16, 2));
 
-  // Workers not started: the 5th..10th submissions must shed immediately.
+  // Workers not started: tenant 1 queues three requests and tenant 2 takes
+  // the last slot. Every later arrival sheds at once, whatever its tenant.
   common::Pcg32 rng(11);
-  std::vector<std::future<DecodeResponse>> futures;
-  for (int i = 0; i < 10; ++i) {
-    futures.push_back(runtime.submit(1, random_latent(16, rng)));
+  const ClusterId accepted[] = {1, 1, 1, 2};
+  const ClusterId refused[] = {2, 1, 2, 1, 2, 1};
+  std::vector<std::future<DecodeResponse>> queued;
+  for (const ClusterId id : accepted) {
+    queued.push_back(runtime.submit(id, random_latent(16, rng)));
   }
-  std::size_t ok = 0, shed = 0;
+  for (const ClusterId id : refused) {
+    auto shed = runtime.submit(id, random_latent(16, rng));
+    ASSERT_EQ(shed.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_EQ(shed.get().status, ResponseStatus::kShed) << "cluster " << id;
+  }
+  // Nothing queued was displaced.
+  EXPECT_EQ(runtime.shard(0).queue().size(1), 3u);
+  EXPECT_EQ(runtime.shard(0).queue().size(2), 1u);
   runtime.shutdown();  // drains the 4 accepted requests inline
-  for (auto& f : futures) {
-    const auto status = f.get().status;
-    if (status == ResponseStatus::kOk) ++ok;
-    if (status == ResponseStatus::kShed) ++shed;
-  }
-  EXPECT_EQ(ok, 4u);
-  EXPECT_EQ(shed, 6u);
-  EXPECT_EQ(runtime.telemetry().snapshot().shed, 6u);
+  for (auto& f : queued) EXPECT_EQ(f.get().status, ResponseStatus::kOk);
+
+  const auto one = runtime.telemetry().tenant_snapshot(1);
+  EXPECT_EQ(one.submitted, 6u);
+  EXPECT_EQ(one.completed, 3u);
+  EXPECT_EQ(one.shed, 3u);
+  const auto two = runtime.telemetry().tenant_snapshot(2);
+  EXPECT_EQ(two.submitted, 4u);
+  EXPECT_EQ(two.completed, 1u);
+  EXPECT_EQ(two.shed, 3u);
+  // Per-tenant rows roll up into the runtime-wide counters.
+  const auto totals = runtime.telemetry().snapshot();
+  EXPECT_EQ(totals.submitted, 10u);
+  EXPECT_EQ(totals.completed, 4u);
+  EXPECT_EQ(totals.shed, 6u);
+  EXPECT_EQ(runtime.telemetry().tenant_report().rows(), 2u);
 }
 
 TEST(ServeTest, GracefulShutdownResolvesEveryInFlightFuture) {

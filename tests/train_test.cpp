@@ -1,12 +1,13 @@
 // Tests for the online background fine-tuning runtime (src/train) and its
 // serving-side integration: versioned ModelRegistry publish/hot-swap,
-// TrainerRuntime job lifecycle (budgets, rejection, drift triggering), and
-// a swap-while-serving stress test asserting every request is answered by
-// exactly one coherent model generation.
+// TrainerRuntime job lifecycle (budgets, rejection, FIFO job order, drift
+// triggering), and a swap-while-serving stress test asserting every request
+// is answered by exactly one coherent model generation.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -289,6 +290,11 @@ TEST(TrainerTest, RoundsBudgetCapsJobAndDutyCycleThrottles) {
   // A capped job still publishes what it learned.
   EXPECT_EQ(result.published_version, system->model_version());
   trainer.shutdown();
+
+  // A duty cycle outside (0, 1] is refused when the runtime is built.
+  TrainerConfig bad = tcfg;
+  bad.default_budget.duty_cycle = 0.0;
+  EXPECT_THROW(TrainerRuntime{bad}, std::invalid_argument);
 }
 
 TEST(TrainerTest, RejectsInvalidJobsAndResolvesQueuedJobsOnShutdown) {
@@ -318,6 +324,42 @@ TEST(TrainerTest, RejectsInvalidJobsAndResolvesQueuedJobsOnShutdown) {
   EXPECT_EQ(trainer.submit_job(1, small_dataset(32, 4)).get().outcome,
             JobOutcome::kShutdown);
   EXPECT_EQ(trainer.stats().jobs_rejected, 3u);
+}
+
+TEST(TrainerTest, JobsRunAndPublishInSubmitOrder) {
+  TrainerConfig tcfg;
+  tcfg.worker_threads = 1;
+  TrainerRuntime trainer(tcfg);
+  trainer.register_tenant(1, make_tenant(1));
+  trainer.register_tenant(2, make_tenant(2));
+  using Publish = std::pair<ClusterId, std::uint64_t>;  // tenant, version
+  std::mutex mu;
+  std::vector<Publish> published;
+  trainer.registry()->set_publish_hook(
+      [&](ClusterId cluster,
+          const std::shared_ptr<const ModelSnapshot>& snapshot) {
+        std::lock_guard<std::mutex> lock(mu);
+        published.emplace_back(cluster, snapshot->version);
+      });
+
+  // Queued before start(), so the one worker finds all three waiting.
+  const std::vector<ClusterId> submitted = {2, 1, 2};
+  std::vector<std::future<TrainResult>> jobs;
+  for (std::size_t i = 0; i < submitted.size(); ++i) {
+    jobs.push_back(trainer.submit_job(submitted[i], small_dataset(32, 20 + i)));
+  }
+  trainer.start();
+  // Versions tell tenant 2's two jobs apart: each job's publish must land
+  // in submit order.
+  std::vector<Publish> expected;
+  for (std::size_t i = 0; i < submitted.size(); ++i) {
+    const TrainResult result = jobs[i].get();
+    EXPECT_GT(result.published_version, 0u);
+    expected.emplace_back(submitted[i], result.published_version);
+  }
+  trainer.shutdown();
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(published, expected);
 }
 
 TEST(TrainerTest, DriftTriggerEnqueuesOneJobAndRecoversBaseline) {

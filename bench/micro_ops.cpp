@@ -305,9 +305,9 @@ void emit_bench_gemm_json() {
   };
   // Every row times one thread: 512^3 clears the pool's 2^25 multiply-add
   // threshold, and pooled rows would measure the worker count, not the
-  // kernel.
-  const bool pooled = tensor::gemm_parallelism();
-  tensor::set_gemm_parallelism(false);
+  // kernel. The rows run on this thread, so its switch is enough.
+  const bool pooled = tensor::thread_gemm_parallelism();
+  tensor::set_thread_gemm_parallelism(false);
   common::print_section(std::cout, "GEMM GFLOP/s per kernel backend");
   Table table({"m", "k", "n", "reference", "simd", "simd/reference"});
   std::ofstream json("BENCH_gemm.json");
@@ -384,7 +384,7 @@ void emit_bench_gemm_json() {
        << static_cast<double>(f32_bytes) / static_cast<double>(int8_bytes)
        << "}\n";
   json << "}\n";
-  tensor::set_gemm_parallelism(pooled);
+  tensor::set_thread_gemm_parallelism(pooled);
   table.print(std::cout);
   std::cout << "\n";
   ptable.print(std::cout);

@@ -128,8 +128,8 @@ int main() {
   scfg.shard_count = 2;
   scfg.queue.max_wait_us = 100;
   scfg.model_registry = trainer.registry();
-  // The runtime itself can flush exports periodically and dumps once more
-  // at shutdown — the files below are the authoritative final state.
+  // The runtime writes these files once, at shutdown, when the counters
+  // are final and every trace ring is retired.
   scfg.obs_export.metrics_json_path = "obs_tour_metrics.json";
   scfg.obs_export.prometheus_path = "obs_tour_metrics.prom";
   scfg.obs_export.trace_path = "obs_tour_trace.json";

@@ -48,7 +48,9 @@ class ByteWriter {
     // resize+memcpy instead of insert(range): GCC 12's -Wstringop-overflow
     // misjudges the inlined range-insert when the source is a small fixed
     // POD (false "writing 8 bytes into a region of size 4"), and memcpy is
-    // the same single grow-and-copy anyway.
+    // the same single grow-and-copy anyway. An empty span's data() may be
+    // null, which memcpy must not see even for 0 bytes.
+    if (n == 0) return;
     const std::size_t off = buf_.size();
     buf_.resize(off + n);
     std::memcpy(buf_.data() + off, p, n);
@@ -57,7 +59,9 @@ class ByteWriter {
   std::vector<std::byte> buf_;
 };
 
-/// Sequential reader over a byte buffer; throws on underrun.
+/// Sequential reader over a byte buffer; throws std::invalid_argument on
+/// underrun. A length prefix is checked against the bytes left before
+/// anything is sized from it, so a hostile prefix costs no allocation.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::byte> bytes) : bytes_(bytes) {}
@@ -68,21 +72,21 @@ class ByteReader {
   double read_f64() { return read_pod<double>(); }
 
   std::vector<float> read_f32_vector() {
-    const std::uint64_t n = read_u64();
+    const std::size_t n = read_length(sizeof(float));
     std::vector<float> out(n);
     read_raw(out.data(), n * sizeof(float));
     return out;
   }
 
   std::string read_string() {
-    const std::uint64_t n = read_u64();
+    const std::size_t n = read_length(1);
     std::string out(n, '\0');
     read_raw(out.data(), n);
     return out;
   }
 
   std::vector<std::byte> read_bytes() {
-    const std::uint64_t n = read_u64();
+    const std::size_t n = read_length(1);
     std::vector<std::byte> out(n);
     read_raw(out.data(), n);
     return out;
@@ -99,10 +103,22 @@ class ByteReader {
     return v;
   }
 
+  /// A u64 count of `elem_size`-byte elements that the rest of the buffer
+  /// can hold.
+  std::size_t read_length(std::size_t elem_size) {
+    const std::uint64_t n = read_u64();
+    ORCO_CHECK(n <= remaining() / elem_size,
+               "length prefix " << n << " x " << elem_size
+                                << " B exceeds the " << remaining()
+                                << " bytes left");
+    return static_cast<std::size_t>(n);
+  }
+
   void read_raw(void* p, std::size_t n) {
-    ORCO_CHECK(pos_ + n <= bytes_.size(),
-               "byte buffer underrun: want " << n << " at " << pos_ << "/"
-                                             << bytes_.size());
+    ORCO_CHECK(n <= remaining(), "byte buffer underrun: want "
+                                     << n << " at " << pos_ << "/"
+                                     << bytes_.size());
+    if (n == 0) return;  // an empty vector's data() may be null
     std::memcpy(p, bytes_.data() + pos_, n);
     pos_ += n;
   }

@@ -35,22 +35,6 @@ void Conv2d::infer_into(const Tensor& input, Tensor& out,
 void Conv2d::infer_fused_into(const Tensor& input, Tensor& out,
                               tensor::EpilogueAct act, float leaky_alpha,
                               InferContext& ctx) const {
-  fused_into_impl(input, out, nullptr, tensor::current_backend(), act,
-                  leaky_alpha, ctx);
-}
-
-void Conv2d::infer_packed_into(const Tensor& input, Tensor& out,
-                               const tensor::PackedWeights& packed,
-                               tensor::EpilogueAct act, float leaky_alpha,
-                               InferContext& ctx) const {
-  fused_into_impl(input, out, &packed, *packed.owner, act, leaky_alpha, ctx);
-}
-
-void Conv2d::fused_into_impl(const Tensor& input, Tensor& out,
-                             const tensor::PackedWeights* packed,
-                             const tensor::Backend& backend,
-                             tensor::EpilogueAct act, float leaky_alpha,
-                             InferContext& ctx) const {
   const std::size_t in_feats = geom_.in_channels * geom_.in_h * geom_.in_w;
   ORCO_CHECK(input.rank() == 2 && input.dim(1) == in_feats,
              "Conv2d expects (batch, " << in_feats << "), got "
@@ -62,6 +46,7 @@ void Conv2d::fused_into_impl(const Tensor& input, Tensor& out,
       geom_.in_channels * geom_.kernel_h * geom_.kernel_w;
   const std::size_t spatial = oh * ow;
   out.resize(batch, out_channels_ * spatial);
+  const auto& backend = tensor::current_backend();
   tensor::Epilogue epi;
   epi.bias = b_.data().data();
   epi.bias_per_row = true;  // one bias per output channel row
@@ -80,26 +65,11 @@ void Conv2d::fused_into_impl(const Tensor& input, Tensor& out,
       OBS_SCOPED_SPAN(obs::KernelOp::kIm2col, 0);
       tensor::im2col_into(input.row(s), geom_, {cols, col_floats});
     }
-    float* y = out.row(s).data();
-    if (packed != nullptr) {
-      OBS_SCOPED_SPAN(obs::KernelOp::kGemmPrepacked, flops);
-      backend.gemm_prepacked(cols, *packed, y, out_channels_, col_rows,
-                             spatial, epi);
-    } else {
-      OBS_SCOPED_SPAN(obs::KernelOp::kGemmFused, flops);
-      backend.gemm_fused(w_.data().data(), cols, y, out_channels_, col_rows,
-                         spatial, /*transpose_b=*/false, epi);
-    }
+    OBS_SCOPED_SPAN(obs::KernelOp::kGemmFused, flops);
+    backend.gemm_fused(w_.data().data(), cols, out.row(s).data(),
+                       out_channels_, col_rows, spatial,
+                       /*transpose_b=*/false, epi);
   }
-}
-
-std::shared_ptr<const tensor::PackedWeights> Conv2d::plan_pack(
-    const tensor::Backend& backend, std::uint64_t& version_out) const {
-  version_out = weight_version_.load(std::memory_order_acquire);
-  // The filter is the GEMM's left operand, reused across every sample.
-  return std::make_shared<tensor::PackedWeights>(backend.pack_a(
-      w_.data().data(), out_channels_,
-      geom_.in_channels * geom_.kernel_h * geom_.kernel_w));
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
@@ -131,9 +101,6 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
 }
 
 std::vector<ParamView> Conv2d::params() {
-  // The views hand out mutable weight pointers (optimizers, model_io
-  // loading); conservatively bump the weight version.
-  invalidate_weight_cache();
   return {{"weight", &w_, &gw_}, {"bias", &b_, &gb_}};
 }
 

@@ -5,10 +5,6 @@
 // the layer owns its spatial geometry and validates feature counts.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <memory>
-
 #include "nn/layer.h"
 #include "tensor/backend.h"
 #include "tensor/im2col.h"
@@ -26,37 +22,16 @@ class Conv2d : public Layer {
   void infer_into(const Tensor& input, Tensor& out,
                   InferContext& ctx) const override;
 
-  /// act(W·cols + b) per sample in one fused backend pass on the unpacked
-  /// filter (bias per output channel row), the im2col columns living in the
-  /// context's scratch arena and the GEMM writing each sample's output row
-  /// in place. infer_into() is infer_fused_into(kNone); InferPlan folds a
-  /// following activation layer into `act`.
+  /// act(W·cols + b) per sample in one fused pass of the current backend on
+  /// the f32 filter (bias per output channel row), the im2col columns
+  /// living in the context's scratch arena and the GEMM writing each
+  /// sample's output row in place. infer_into() is infer_fused_into(kNone);
+  /// InferPlan runs this entry on its compile backend, with a following
+  /// activation layer folded into `act`. The filter is never prepacked: a
+  /// plan reads it live, as it reads every bias.
   void infer_fused_into(const Tensor& input, Tensor& out,
                         tensor::EpilogueAct act, float leaky_alpha,
                         InferContext& ctx) const override;
-
-  /// infer_fused_into() against caller-supplied packed filter panels — the
-  /// InferPlan executor entry. `packed` must come from plan_pack() (or
-  /// pack_a) for this layer's current filter; the GEMM runs on
-  /// `packed.owner`.
-  void infer_packed_into(const Tensor& input, Tensor& out,
-                         const tensor::PackedWeights& packed,
-                         tensor::EpilogueAct act, float leaky_alpha,
-                         InferContext& ctx) const;
-
-  /// Packs this layer's filter for `backend` and reports the captured
-  /// weight version (see Dense::plan_pack).
-  std::shared_ptr<const tensor::PackedWeights> plan_pack(
-      const tensor::Backend& backend, std::uint64_t& version_out) const;
-
-  /// Monotonic weight generation (see Dense::weight_version).
-  std::uint64_t weight_version() const noexcept {
-    return weight_version_.load(std::memory_order_acquire);
-  }
-
-  void invalidate_weight_cache() override {
-    weight_version_.fetch_add(1, std::memory_order_acq_rel);
-  }
 
   std::vector<ParamView> params() override;
   std::string name() const override { return "Conv2d"; }
@@ -77,21 +52,12 @@ class Conv2d : public Layer {
   }
 
  private:
-  /// Shared body of the fused/packed entries: im2col per sample into the
-  /// context arena, GEMM on `backend` into the sample's output row, with
-  /// `packed` panels when non-null.
-  void fused_into_impl(const Tensor& input, Tensor& out,
-                       const tensor::PackedWeights* packed,
-                       const tensor::Backend& backend, tensor::EpilogueAct act,
-                       float leaky_alpha, InferContext& ctx) const;
-
   tensor::Conv2dGeometry geom_;
   std::size_t out_channels_;
   Tensor w_;   // (outC, inC*KH*KW)
   Tensor b_;   // (outC)
   Tensor gw_, gb_;  // empty until the first backward()
   Tensor input_;  // cached (B, inC*H*W); im2col recomputed in backward
-  std::atomic<std::uint64_t> weight_version_{1};
 };
 
 }  // namespace orco::nn

@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "nn/activations.h"
-#include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/sequential.h"
 #include "tensor/workspace.h"
@@ -59,9 +58,6 @@ std::shared_ptr<const InferPlan> InferPlan::compile(
     if (const auto* dense = dynamic_cast<const Dense*>(chain[i])) {
       op.dense = dense;
       op.packed = dense->plan_pack(be, op.packed_version);
-    } else if (const auto* conv = dynamic_cast<const Conv2d*>(chain[i])) {
-      op.conv = conv;
-      op.packed = conv->plan_pack(be, op.packed_version);
     }
     plan->scratch_floats_ = std::max(
         plan->scratch_floats_,
@@ -109,9 +105,6 @@ void InferPlan::run(const Tensor& input, Tensor& out,
     if (op.dense != nullptr) {
       op.dense->infer_packed_into(*cur, dst, *op.packed, op.act,
                                   op.leaky_alpha);
-    } else if (op.conv != nullptr) {
-      op.conv->infer_packed_into(*cur, dst, *op.packed, op.act,
-                                 op.leaky_alpha, ctx);
     } else if (op.fused) {
       op.layer->infer_fused_into(*cur, dst, op.act, op.leaky_alpha, ctx);
     } else {
@@ -154,11 +147,10 @@ void InferPlan::run_quantized(const std::uint8_t* codes,
 
 bool InferPlan::weights_stale() const noexcept {
   for (const auto& op : ops_) {
-    if (op.packed == nullptr) continue;
-    const std::uint64_t live = op.dense != nullptr
-                                   ? op.dense->weight_version()
-                                   : op.conv->weight_version();
-    if (live != op.packed_version) return true;
+    if (op.dense != nullptr &&
+        op.dense->weight_version() != op.packed_version) {
+      return true;
+    }
   }
   return false;
 }

@@ -8,12 +8,12 @@
 //   * nested Sequential chains are flattened and identity layers dropped;
 //   * a following elementwise activation is fused into its producer op's
 //     kernel epilogue;
-//   * Dense/Conv2d weights are packed for the compile backend up front and
-//     pinned to the op (plan_pack is the only weight-packing path) — the
-//     executor never takes a lock or checks a version. Dense weights are
-//     packed by Backend::pack_b, so they are stored rounded to bf16 (half
-//     the bytes every decode streams); Conv2d filters (pack_a) and every
-//     bias stay f32;
+//   * Dense weights are packed for the compile backend up front and pinned
+//     to the op (Dense::plan_pack is the only weight-packing path) — the
+//     executor never takes a lock or checks a version. Backend::pack_b
+//     stores them rounded to bf16 (half the bytes every decode streams);
+//     every other layer (Conv2d, ConvTranspose2d, MaxPool2d, ...) runs its
+//     generic entry on its live f32 weights, and every bias stays f32;
 //   * the exact context-arena high-water across the chain is precomputed,
 //     so the first run() reserves once and the arena never grows.
 //
@@ -36,7 +36,7 @@
 // one plan with no synchronization beyond the snapshot's shared_ptr.
 // EdgeServer compiles lazily for the registry-free decode path and
 // recompiles when the caller's backend is not the plan's or when
-// weights_stale() reports a weight-version bump (training steps,
+// weights_stale() reports a Dense weight-version bump (training steps,
 // checkpoint loads). A compiled plan is immutable: it holds const
 // pointers into the model, so the model must outlive it and structural
 // mutation (Sequential::add) after compile is not supported.
@@ -44,8 +44,8 @@
 // Registering a new op kind: implement Layer::infer_into (and
 // infer_fused_into if the kernel can take an epilogue), report any arena
 // scratch via Layer::infer_scratch_floats, and the plan executes it
-// through the generic entries; layers with a pack-once weight additionally
-// follow the Dense/Conv2d plan_pack pattern to get compile-time packing.
+// through the generic entries on the layer's live weights. Dense alone
+// packs its weight at compile time.
 #pragma once
 
 #include <cstdint>
@@ -61,21 +61,19 @@
 namespace orco::nn {
 
 class Dense;
-class Conv2d;
 class Sequential;
 
 /// One compiled execution step: the resolved kernel entry (packed-Dense,
-/// packed-Conv2d, fused-generic or plain infer_into), the epilogue folded
-/// in at compile time, and the pre-packed weight panels it runs against.
+/// fused-generic or plain infer_into), the epilogue folded in at compile
+/// time, and, for a Dense op, the pre-packed weight panels it runs against.
 struct PlanOp {
   const Layer* layer = nullptr;  // executing leaf layer
   const Dense* dense = nullptr;  // set when layer is a Dense
-  const Conv2d* conv = nullptr;  // set when layer is a Conv2d
-  /// Panels packed at compile for the plan backend; null for layers
-  /// without a pack-once weight.
+  /// The Dense weight packed at compile for the plan backend; null for
+  /// every other layer.
   std::shared_ptr<const tensor::PackedWeights> packed;
   /// Weight version `packed` captured — weights_stale() compares it
-  /// against the layer's live version.
+  /// against the Dense layer's live version.
   std::uint64_t packed_version = 0;
   tensor::EpilogueAct act = tensor::EpilogueAct::kNone;
   float leaky_alpha = 0.01f;
@@ -89,11 +87,12 @@ struct PlanOp {
 class InferPlan {
  public:
   /// Compiles `model`'s flattened inference chain for `backend` (null =
-  /// the calling thread's current backend). Packs Dense/Conv2d weights up
-  /// front; the model must outlive the returned plan and must not be
-  /// structurally mutated afterwards. Weight-value mutation is allowed —
-  /// run() then still executes (reading the stale panels), and
-  /// weights_stale() tells owners of mutable models when to recompile.
+  /// the calling thread's current backend). Packs Dense weights up front;
+  /// the model must outlive the returned plan and must not be structurally
+  /// mutated afterwards. Weight-value mutation is allowed — run() then
+  /// still executes (Dense ops reading their stale panels, every other op
+  /// the live weights), and weights_stale() tells owners of mutable models
+  /// when to recompile.
   static std::shared_ptr<const InferPlan> compile(
       const Sequential& model, const tensor::Backend* backend = nullptr);
 
@@ -119,10 +118,11 @@ class InferPlan {
                      std::size_t batch, std::size_t features, Tensor& out,
                      InferContext& ctx) const;
 
-  /// True when any op's pre-packed panels no longer match its layer's live
-  /// weight version (a training step or checkpoint load happened since
-  /// compile). Owners of mutable models (EdgeServer) check this to decide
-  /// when to recompile; snapshot plans are immutable and never stale.
+  /// True when any Dense op's pre-packed panels no longer match its
+  /// layer's live weight version (a training step or checkpoint load
+  /// happened since compile). Owners of mutable models (EdgeServer) check
+  /// this to decide when to recompile; snapshot plans are immutable and
+  /// never stale.
   bool weights_stale() const noexcept;
 
   /// Compiled op count (identity layers dropped, fused pairs are one op).

@@ -121,9 +121,9 @@ class Layer {
 
   /// Records a weight mutation made outside the layer's own API (an
   /// optimizer stepping through ParamView pointers, a checkpoint load):
-  /// layers with a packable weight (Dense, Conv2d) bump their weight
-  /// version, so plans compiled before the mutation report weights_stale().
-  /// Stateless layers ignore it.
+  /// Dense, the one layer an InferPlan packs, bumps its weight version, so
+  /// plans compiled before the mutation report weights_stale(). Every other
+  /// layer ignores it: a plan reads its weights live.
   virtual void invalidate_weight_cache() {}
 
   /// Trainable parameters (empty for stateless layers).

@@ -37,6 +37,10 @@ void load_params(Layer& model, std::span<const std::byte> bytes) {
     ORCO_CHECK(name == p.name,
                "param order mismatch: expected " << p.name << ", got " << name);
     const std::uint64_t rank = reader.read_u64();
+    ORCO_CHECK(rank == p.value->rank(), "rank mismatch for "
+                                            << name << ": file has " << rank
+                                            << ", model has "
+                                            << p.value->rank());
     tensor::Shape shape(rank);
     for (auto& d : shape) d = reader.read_u64();
     ORCO_CHECK(shape == p.value->shape(),
@@ -44,7 +48,10 @@ void load_params(Layer& model, std::span<const std::byte> bytes) {
                                      << tensor::shape_to_string(shape) << " vs "
                                      << tensor::shape_to_string(p.value->shape()));
     const auto data = reader.read_f32_vector();
-    ORCO_ENSURE(data.size() == p.value->numel(), "data size mismatch");
+    ORCO_CHECK(data.size() == p.value->numel(),
+               "data size mismatch for " << name << ": file has "
+                                         << data.size() << " values, model has "
+                                         << p.value->numel());
     std::copy(data.begin(), data.end(), p.value->data().begin());
   }
 }

@@ -1,8 +1,7 @@
 // File export for the observability pillars: metrics as JSON and
-// Prometheus text, traces as Chrome trace-event JSON. ServerRuntime wires
-// an ExportConfig through ServeConfig to get a periodic flush plus an
-// on-shutdown dump; benches and examples call the write_* helpers
-// directly.
+// Prometheus text, traces as Chrome trace-event JSON. ServerRuntime takes
+// an ExportConfig through ServeConfig and writes it once, at shutdown;
+// benches and examples call the write_* helpers directly.
 #pragma once
 
 #include <string>
@@ -16,9 +15,6 @@ struct ExportConfig {
   std::string metrics_json_path;  // registry JSON snapshot
   std::string prometheus_path;    // text exposition format ("scrape file")
   std::string trace_path;         // Chrome trace-event JSON
-  /// Period for the runtime's background flush; <= 0 flushes only at
-  /// shutdown.
-  double flush_period_s = 0.0;
 
   bool any() const {
     return !metrics_json_path.empty() || !prometheus_path.empty() ||

@@ -147,35 +147,6 @@ bool ServerRuntime::export_observability() const {
   return obs::export_all(telemetry_.registry(), config_.obs_export);
 }
 
-void ServerRuntime::start_flusher() {
-  if (!config_.obs_export.any() || config_.obs_export.flush_period_s <= 0.0) {
-    return;
-  }
-  flusher_ = std::thread([this] {
-    const auto period = std::chrono::duration<double>(
-        config_.obs_export.flush_period_s);
-    common::MutexLock lock(flush_mu_);
-    while (!flush_stop_) {
-      // Deadline-based so spurious wakeups don't stretch the period.
-      const auto deadline = std::chrono::steady_clock::now() + period;
-      while (!flush_stop_ && flush_cv_.wait_until(lock.native(), deadline) !=
-                                 std::cv_status::timeout) {
-      }
-      if (flush_stop_) return;  // final export happens on the shutdown path
-      export_observability();
-    }
-  });
-}
-
-void ServerRuntime::stop_flusher() {
-  {
-    common::MutexLock lock(flush_mu_);
-    flush_stop_ = true;
-  }
-  flush_cv_.notify_all();
-  if (flusher_.joinable()) flusher_.join();
-}
-
 void ServerRuntime::start() {
   ORCO_CHECK(!stopped_.load(), "cannot restart a shut-down ServerRuntime");
   if (running_.exchange(true)) return;
@@ -188,7 +159,6 @@ void ServerRuntime::start() {
       s->run();
     }));
   }
-  start_flusher();
 }
 
 void ServerRuntime::shutdown() {
@@ -211,8 +181,7 @@ void ServerRuntime::shutdown() {
     // Never started: drain queues inline so every accepted future resolves.
     for (auto& shard : shards_) shard->run();
   }
-  stop_flusher();
-  // The authoritative dump: the workers' futures have resolved, so their
+  // The one dump: the workers' futures have resolved, so their
   // trace rings are quiescent and the counters are final.
   if (config_.obs_export.any()) export_observability();
 }

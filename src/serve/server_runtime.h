@@ -11,12 +11,10 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <future>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -44,10 +42,10 @@ struct ServeConfig {
   // memory stays O(1) — Telemetry::tenant() then returns null and every
   // record lands in the runtime-wide series only.
   bool per_tenant_telemetry = true;
-  // Observability export (obs/export.h): non-empty paths are written by a
-  // periodic background flush (flush_period_s > 0) and always once more
-  // after the workers join at shutdown — the shutdown dump is the complete
-  // one (all trace rings retired, counters final).
+  // Observability export (obs/export.h): non-empty paths are written once,
+  // after the workers join at shutdown, when every trace ring is retired
+  // and the counters are final. export_observability() writes them on
+  // demand.
   obs::ExportConfig obs_export;
 };
 
@@ -115,8 +113,8 @@ class ServerRuntime {
   /// registered); nullopt for an id that is not registered.
   std::optional<std::size_t> shard_of(ClusterId cluster) const;
 
-  /// Writes the configured observability exports now (also runs
-  /// periodically and at shutdown when configured). Returns false when any
+  /// Writes the configured observability exports now (shutdown() also
+  /// writes them once, after the workers join). Returns false when any
   /// destination failed.
   bool export_observability() const;
 
@@ -136,8 +134,6 @@ class ServerRuntime {
   /// enqueue time, routes to the tenant's shard, answers unknown ids and
   /// shutdown up front, and answers backpressure kShed.
   std::future<DecodeResponse> submit_request(DecodeRequest request);
-  void start_flusher();
-  void stop_flusher();
 
   ServeConfig config_;
   Telemetry telemetry_;
@@ -155,12 +151,6 @@ class ServerRuntime {
   mutable common::Mutex placement_mu_;
   std::unordered_map<ClusterId, std::size_t> placement_
       ORCO_GUARDED_BY(placement_mu_);
-
-  // Periodic observability flusher (only when obs_export asks for one).
-  std::thread flusher_;
-  common::Mutex flush_mu_;
-  std::condition_variable flush_cv_;
-  bool flush_stop_ ORCO_GUARDED_BY(flush_mu_) = false;
 };
 
 }  // namespace orco::serve

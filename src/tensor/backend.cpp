@@ -17,7 +17,6 @@ namespace orco::tensor {
 
 namespace {
 
-std::atomic<bool> g_parallel{true};
 thread_local bool t_parallel = true;
 
 // Minimum multiply-adds (m·n·k) before a GEMM splits across the pool,
@@ -173,7 +172,6 @@ PackedWeights Backend::pack_b(const float* b, std::size_t k, std::size_t n,
                               bool transpose_b) const {
   PackedWeights packed;
   packed.owner = this;
-  packed.side = 'B';
   packed.rows = k;
   packed.cols = n;
   packed.data.resize(k * n);
@@ -190,35 +188,16 @@ PackedWeights Backend::pack_b(const float* b, std::size_t k, std::size_t n,
   return packed;
 }
 
-PackedWeights Backend::pack_a(const float* a, std::size_t m,
-                              std::size_t k) const {
-  PackedWeights packed;
-  packed.owner = this;
-  packed.side = 'A';
-  packed.rows = m;
-  packed.cols = k;
-  packed.data.assign(a, a + m * k);
-  return packed;
-}
-
-void Backend::gemm_prepacked(const float* other, const PackedWeights& packed,
+void Backend::gemm_prepacked(const float* a, const PackedWeights& packed,
                              float* c, std::size_t m, std::size_t k,
                              std::size_t n, const Epilogue& epilogue) const {
   ORCO_CHECK(packed.owner == this,
              "PackedWeights were packed by a different backend");
-  if (packed.side == 'B') {
-    ORCO_CHECK(packed.rows == k && packed.cols == n,
-               "prepacked B is " << packed.rows << "x" << packed.cols
-                                 << ", GEMM wants " << k << "x" << n);
-    gemm_fused(other, packed.data.data(), c, m, k, n, /*transpose_b=*/false,
-               epilogue);
-  } else {
-    ORCO_CHECK(packed.rows == m && packed.cols == k,
-               "prepacked A is " << packed.rows << "x" << packed.cols
-                                 << ", GEMM wants " << m << "x" << k);
-    gemm_fused(packed.data.data(), other, c, m, k, n, /*transpose_b=*/false,
-               epilogue);
-  }
+  ORCO_CHECK(packed.rows == k && packed.cols == n,
+             "prepacked B is " << packed.rows << "x" << packed.cols
+                               << ", GEMM wants " << k << "x" << n);
+  gemm_fused(a, packed.data.data(), c, m, k, n, /*transpose_b=*/false,
+             epilogue);
 }
 
 // Dequantizes the codes row-wise into thread-local scratch with
@@ -230,7 +209,6 @@ void Backend::gemm_quantized(const std::uint8_t* a_q, const QuantHeader& qh,
                              const PackedWeights& packed, float* c,
                              std::size_t m, std::size_t k, std::size_t n,
                              const Epilogue& epilogue) const {
-  ORCO_CHECK(packed.side == 'B', "gemm_quantized needs a packed B operand");
   thread_local std::vector<float> dequant;
   dequant.resize(m * k);
   for (std::size_t i = 0; i < m; ++i) {
@@ -310,16 +288,13 @@ void apply_epilogue(float* c, std::size_t m, std::size_t n,
   }
 }
 
-void set_gemm_parallelism(bool enabled) { g_parallel.store(enabled); }
-bool gemm_parallelism() { return g_parallel.load(); }
-
 void set_thread_gemm_parallelism(bool enabled) { t_parallel = enabled; }
 bool thread_gemm_parallelism() { return t_parallel; }
 
 namespace detail {
 
 common::ThreadPool* gemm_pool(std::size_t m, std::size_t n, std::size_t k) {
-  return m * n * k >= kParallelThreshold && g_parallel.load() && t_parallel
+  return m * n * k >= kParallelThreshold && t_parallel
              ? &common::ThreadPool::global()
              : nullptr;
 }

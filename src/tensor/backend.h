@@ -3,9 +3,10 @@
 // Every dense layer, im2col convolution, orchestrated training round and
 // serving decode in the repository reduces to one of three row-major GEMM
 // layouts (NN, NT, TN) plus an optional fused epilogue (bias + activation).
-// A Backend implements those kernels; the rest of the codebase calls them
-// through the free functions in tensor/matmul.h, which route to
-// current_backend().
+// A Backend implements those kernels; layer inference calls them on
+// current_backend() (an InferPlan's Dense ops through the panels pack_b
+// made), and the layers' backward passes through the free functions in
+// tensor/matmul.h, which route there too.
 //
 // Two backends are registered:
 //   "reference" — the original ikj streaming kernel; the trusted baseline
@@ -111,26 +112,25 @@ inline float from_bf16(std::uint16_t h) {
   return std::bit_cast<float>(static_cast<std::uint32_t>(h) << 16);
 }
 
-/// Weight panels prepacked into a backend's internal GEMM layout, produced
-/// by Backend::pack_b / pack_a and consumed by Backend::gemm_prepacked.
-/// The layout is backend-specific, so a PackedWeights may only be used with
-/// the backend that created it (`owner`). Packing is worth it exactly when
-/// one immutable matrix (a serving decoder's weights) meets many small
+/// A Dense weight prepacked into a backend's internal GEMM layout as the
+/// right-hand operand B: produced by Backend::pack_b and consumed by
+/// Backend::gemm_prepacked and gemm_quantized. The layout is
+/// backend-specific, so a PackedWeights may only be used with the backend
+/// that created it (`owner`). Packing is worth it exactly when one
+/// immutable matrix (a serving decoder's weights) meets many small
 /// activation batches: the per-call panel-packing cost — which dominates
 /// batch<=4 decode — is paid once instead of per GEMM.
 ///
-/// A packed B operand holds every weight rounded to bf16 (to_bf16): the
-/// panel backend (simd) stores it in `bf16`, 2 bytes per weight plus the
-/// zero padding of the last kNr strip, and widens each value back to f32
-/// inside the micro-kernel; the base pack_b (reference) keeps its
-/// row-major f32 layout in `data` and stores the rounded values there. A
-/// packed A operand (pack_a, the Conv2d filter) stays exact f32 in `data`.
+/// Every weight is rounded to bf16 (to_bf16): the panel backend (simd)
+/// stores it in `bf16`, 2 bytes per weight plus the zero padding of the
+/// last kNr strip, and widens each value back to f32 inside the
+/// micro-kernel; the base pack_b (reference) keeps its row-major f32
+/// layout in `data` and stores the rounded values there.
 struct PackedWeights {
   const Backend* owner = nullptr;
-  char side = 'B';       // 'B': packed right operand; 'A': packed left operand
-  std::size_t rows = 0;  // logical rows of the packed matrix (k for B, m for A)
-  std::size_t cols = 0;  // logical cols of the packed matrix (n for B, k for A)
-  std::vector<float> data;          // f32 storage: A panels, base-layout B
+  std::size_t rows = 0;  // k: logical rows of the packed B
+  std::size_t cols = 0;  // n: logical cols of the packed B
+  std::vector<float> data;          // base-layout f32 B
   std::vector<std::uint16_t> bf16;  // bf16 B panels of the panel backend
 };
 
@@ -205,28 +205,20 @@ class Backend {
   virtual PackedWeights pack_b(const float* b, std::size_t k, std::size_t n,
                                bool transpose_b) const;
 
-  /// Packs the left-hand GEMM operand a (m×k row-major) — the im2col
-  /// convolution layout, where the filter matrix is the reused operand.
-  /// Exact: A panels stay f32.
-  virtual PackedWeights pack_a(const float* a, std::size_t m,
-                               std::size_t k) const;
-
-  /// c (m×n) = act(A·B + bias) with one operand prepacked by THIS backend:
-  /// `other` is the unpacked operand — A (m×k) when packed.side == 'B',
-  /// B (k×n) when packed.side == 'A'. Overwrites c. Bitwise identical to
-  /// the equivalent gemm_fused call on this backend: on the unpacked A for
-  /// a packed A, and on the bf16-rounded B (each weight w replaced by
-  /// from_bf16(to_bf16(w))) for a packed B. The micro-kernel widens each
-  /// bf16 value exactly and runs the unchanged f32 FMA chain — never a
-  /// paired-product bf16 dot instruction (vdpbf16ps, AMX), which would
-  /// reorder the accumulation.
-  virtual void gemm_prepacked(const float* other, const PackedWeights& packed,
+  /// c (m×n) = act(a (m×k) · B + bias) with B prepacked by THIS backend's
+  /// pack_b. Overwrites c. Bitwise identical to the equivalent gemm_fused
+  /// call on this backend on the bf16-rounded B (each weight w replaced by
+  /// from_bf16(to_bf16(w))). The micro-kernel widens each bf16 value
+  /// exactly and runs the unchanged f32 FMA chain — never a paired-product
+  /// bf16 dot instruction (vdpbf16ps, AMX), which would reorder the
+  /// accumulation.
+  virtual void gemm_prepacked(const float* a, const PackedWeights& packed,
                               float* c, std::size_t m, std::size_t k,
                               std::size_t n, const Epilogue& epilogue) const;
 
   /// c (m×n) = act(dequant(a_q)·B + bias) from uint8 codes: a_q is (m×k)
   /// row-major quantized with per-row affine headers `qh`, `packed` a
-  /// pack_b-produced right operand of this backend. Dequantizes a_q with
+  /// pack_b weight of this backend. Dequantizes a_q with
   /// x = lo + q*scale in float, each product rounded before the add, into
   /// thread-local scratch, then calls gemm_prepacked. That is not
   /// core::dequantize_latents_into's expression (lo + q/maxq*range in
@@ -292,23 +284,18 @@ class BackendScope {
 void apply_epilogue(float* c, std::size_t m, std::size_t n,
                     const Epilogue& epilogue);
 
-/// Enables/disables thread-pool parallelism for GEMMs (default on). A
-/// pooled GEMM splits C into disjoint row-block × column-strip tasks, each
-/// reducing its elements in the same ascending-k chain, so the switch never
-/// changes a value — it exists for scheduling-sensitive measurements and
-/// for tests that pin exactly that.
-void set_gemm_parallelism(bool enabled);
-bool gemm_parallelism();
-
-/// Per-thread opt-out from pooled parallelism: kernels invoked from a
+/// Enables/disables pooled parallelism for the GEMMs the calling thread
+/// runs (default on). A pooled GEMM splits C into disjoint row-block ×
+/// column-strip tasks, each reducing its elements in the same ascending-k
+/// chain, so the switch never changes a value. Kernels invoked from a
 /// thread that disabled it run inline on that thread instead of borrowing
-/// the shared pool's workers. train::TrainerRuntime turns this off on its
+/// the shared pool's workers. train::TrainerRuntime turns it off on its
 /// (deprioritized) worker threads so background fine-tuning compute
 /// inherits their scheduling priority — routed through the normal-priority
 /// pool it would preempt serve decode batches and head-of-line-block the
 /// pool queue; serve::ServerRuntime turns it off on its shard workers,
-/// which already occupy the cores. Values are unchanged either way.
-/// Default on.
+/// which already occupy the cores; scheduling-sensitive measurements and
+/// the tests that pin pooled == serial turn it off on their own thread.
 void set_thread_gemm_parallelism(bool enabled);
 bool thread_gemm_parallelism();
 

@@ -482,19 +482,19 @@ class SimdBackend final : public Backend {
   void gemm(const float* a, const float* b, float* c, std::size_t m,
             std::size_t k, std::size_t n) const override {
     detail::panel_run<SimdTraits>({a, k, false}, b, n, false, c, m, k, n,
-                                  nullptr, nullptr, nullptr);
+                                  nullptr, nullptr);
   }
 
   void gemm_nt(const float* a, const float* b, float* c, std::size_t m,
                std::size_t k, std::size_t n) const override {
     detail::panel_run<SimdTraits>({a, k, false}, b, k, true, c, m, k, n,
-                                  nullptr, nullptr, nullptr);
+                                  nullptr, nullptr);
   }
 
   void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
                std::size_t k, std::size_t n) const override {
     detail::panel_run<SimdTraits>({a, m, true}, b, n, false, c, m, k, n,
-                                  nullptr, nullptr, nullptr);
+                                  nullptr, nullptr);
   }
 
   // gemm_tn's walk with the step fused into every tile. A k past one k
@@ -509,7 +509,7 @@ class SimdBackend final : public Backend {
     }
     const detail::TileSgd sgd{w, v, update};
     detail::panel_run<SimdTraits>({a, m, true}, b, n, false, nullptr, m, k, n,
-                                  nullptr, nullptr, nullptr, &sgd);
+                                  nullptr, nullptr, &sgd);
   }
 
   void gemm_fused(const float* a, const float* b, float* c, std::size_t m,
@@ -517,8 +517,7 @@ class SimdBackend final : public Backend {
                   const Epilogue& epilogue) const override {
     std::fill(c, c + m * n, 0.0f);
     detail::panel_run<SimdTraits>({a, k, false}, b, transpose_b ? k : n,
-                                  transpose_b, c, m, k, n, &epilogue, nullptr,
-                                  nullptr);
+                                  transpose_b, c, m, k, n, &epilogue, nullptr);
   }
 
   PackedWeights pack_b(const float* b, std::size_t k, std::size_t n,
@@ -528,33 +527,18 @@ class SimdBackend final : public Backend {
     return packed;
   }
 
-  PackedWeights pack_a(const float* a, std::size_t m,
-                       std::size_t k) const override {
-    PackedWeights packed;
-    detail::pack_a_full<SimdTraits>(this, a, m, k, packed);
-    return packed;
-  }
-
-  void gemm_prepacked(const float* other, const PackedWeights& packed,
-                      float* c, std::size_t m, std::size_t k, std::size_t n,
+  void gemm_prepacked(const float* a, const PackedWeights& packed, float* c,
+                      std::size_t m, std::size_t k, std::size_t n,
                       const Epilogue& epilogue) const override {
     ORCO_CHECK(packed.owner == this,
                "PackedWeights were packed by a different backend");
+    ORCO_CHECK(packed.rows == k && packed.cols == n,
+               "prepacked B is " << packed.rows << "x" << packed.cols
+                                 << ", GEMM wants " << k << "x" << n);
     std::fill(c, c + m * n, 0.0f);
-    if (packed.side == 'B') {
-      ORCO_CHECK(packed.rows == k && packed.cols == n,
-                 "prepacked B is " << packed.rows << "x" << packed.cols
-                                   << ", GEMM wants " << k << "x" << n);
-      detail::panel_run<SimdTraits, std::uint16_t>(
-          {other, k, false}, nullptr, 0, false, c, m, k, n, &epilogue,
-          nullptr, packed.bf16.data());
-    } else {
-      ORCO_CHECK(packed.rows == m && packed.cols == k,
-                 "prepacked A is " << packed.rows << "x" << packed.cols
-                                   << ", GEMM wants " << m << "x" << k);
-      detail::panel_run<SimdTraits>({}, other, n, false, c, m, k, n, &epilogue,
-                                    packed.data.data(), nullptr);
-    }
+    detail::panel_run<SimdTraits, std::uint16_t>(
+        {a, k, false}, nullptr, 0, false, c, m, k, n, &epilogue,
+        packed.bf16.data());
   }
 };
 

@@ -71,8 +71,8 @@
 namespace orco::tensor::detail {
 
 /// The pool a GEMM of m·n·k multiply-adds splits across, or nullptr when
-/// the problem is small or parallelism is disabled (set_gemm_parallelism /
-/// set_thread_gemm_parallelism). Defined in backend.cpp.
+/// the problem is small or the calling thread disabled parallelism
+/// (set_thread_gemm_parallelism). Defined in backend.cpp.
 common::ThreadPool* gemm_pool(std::size_t m, std::size_t n, std::size_t k);
 
 constexpr std::size_t round_up(std::size_t v, std::size_t t) {
@@ -94,8 +94,7 @@ inline float apply_act(float v, EpilogueAct act, float alpha) {
 }
 
 /// The left GEMM operand: f32 row-major (m x k), or its transpose source
-/// (k x m) when `trans`; absent (null) when panel_run receives prepacked
-/// A.
+/// (k x m) when `trans`. panel_task packs it on the fly.
 struct AView {
   const float* f32 = nullptr;
   std::size_t lda = 0;
@@ -256,16 +255,6 @@ std::size_t packed_b_elems(std::size_t k, std::size_t n) {
   return total;
 }
 
-template <class Traits>
-std::size_t packed_a_floats(std::size_t m, std::size_t k) {
-  std::size_t total = 0;
-  for (std::size_t pc = 0; pc < k; pc += Traits::kKc) {
-    const std::size_t kc = k - pc < Traits::kKc ? k - pc : Traits::kKc;
-    total += round_up(m, Traits::kMr) * kc;
-  }
-  return total;
-}
-
 /// Fills a PackedWeights with bf16 B panels in (pc, jc) order: every kNr
 /// strip holds to_bf16 of the floats pack_b_panel would produce for it per
 /// call, at the offset panel_task indexes it by.
@@ -273,7 +262,6 @@ template <class Traits>
 void pack_b_full(const Backend* owner, const float* b, std::size_t k,
                  std::size_t n, bool transpose_b, PackedWeights& packed) {
   packed.owner = owner;
-  packed.side = 'B';
   packed.rows = k;
   packed.cols = n;
   const std::size_t ldb = transpose_b ? k : n;
@@ -286,29 +274,6 @@ void pack_b_full(const Backend* owner, const float* b, std::size_t k,
       pack_b_panel<Traits>(b, ldb, transpose_b, pc, jc, kc, nc,
                            packed.bf16.data() + off);
       off += round_up(nc, Traits::kNr) * kc;
-    }
-  }
-}
-
-/// Fills a PackedWeights with A panels in (pc, ic-block) order.
-template <class Traits>
-void pack_a_full(const Backend* owner, const float* a, std::size_t m,
-                 std::size_t k, PackedWeights& packed) {
-  packed.owner = owner;
-  packed.side = 'A';
-  packed.rows = m;
-  packed.cols = k;
-  packed.data.resize(packed_a_floats<Traits>(m, k));
-  std::size_t off = 0;
-  for (std::size_t pc = 0; pc < k; pc += Traits::kKc) {
-    const std::size_t kc = k - pc < Traits::kKc ? k - pc : Traits::kKc;
-    for (std::size_t ic = 0; ic < m; ic += Traits::kMc) {
-      const std::size_t mc = m - ic < Traits::kMc ? m - ic : Traits::kMc;
-      AView av;
-      av.f32 = a;
-      av.lda = k;
-      pack_a_panel<Traits::kMr>(av, ic, pc, mc, kc, packed.data.data() + off);
-      off += round_up(mc, Traits::kMr) * kc;
     }
   }
 }
@@ -376,18 +341,16 @@ void sgd_tile(const float* ap, const BElem* bp, std::size_t kc,
 /// of kNr) over every k panel in ascending order. Per k panel the task
 /// packs B in kNc-wide chunks of its own kNr strips, then for each kMc row
 /// block packs A into kMr strips and runs Traits::tile() on every
-/// micro-tile. packed_a / packed_b point at pack_a_full/pack_b_full
-/// layouts and are indexed in place: within k panel pc, row i's kMr strip
-/// sits i*kc elements and column j's kNr strip j*kc elements past the
-/// panel base (kMc and kNc are whole strips, so panel boundaries add no
-/// gaps). BElem is packed_b's element type — bf16 (std::uint16_t) for
-/// pack_b panels; B packed on the fly from `b` is always float. `epi` is
+/// micro-tile. A non-null packed_b points at a pack_b_full layout and is
+/// indexed in place: within k panel pc, column j's kNr strip sits j*kc
+/// elements past the panel base (kNc is whole strips, so panel boundaries
+/// add no gaps). BElem is packed_b's element type — bf16 (std::uint16_t)
+/// for pack_b panels; B packed on the fly from `b` is always float. `epi` is
 /// applied on the last k panel only. With `sgd` there is no C: k must fit
 /// one k panel, and every tile runs sgd_tile instead, in row-stripe order.
 template <class Traits, class BElem>
 void panel_task(const AView& a, const float* b, std::size_t ldb, bool tb,
-                float* c, std::size_t m, std::size_t k, std::size_t n,
-                const Epilogue* epi, const float* packed_a,
+                float* c, std::size_t k, std::size_t n, const Epilogue* epi,
                 const BElem* packed_b, std::size_t i0, std::size_t i1,
                 std::size_t j0, std::size_t j1, const TileSgd* sgd) {
   constexpr std::size_t kMr = Traits::kMr;
@@ -402,11 +365,8 @@ void panel_task(const AView& a, const float* b, std::size_t ldb, bool tb,
   thread_local Workspace pack_ws;
   pack_ws.reset();
   const std::size_t kc_max = k < kKc ? k : kKc;
-  float* const ap_buf =
-      packed_a != nullptr
-          ? nullptr
-          : pack_ws.alloc(round_up(i1 - i0 < kMc ? i1 - i0 : kMc, kMr) *
-                          kc_max);
+  float* const ap =
+      pack_ws.alloc(round_up(i1 - i0 < kMc ? i1 - i0 : kMc, kMr) * kc_max);
   float* const bp_buf =
       packed_b != nullptr
           ? nullptr
@@ -426,13 +386,7 @@ void panel_task(const AView& a, const float* b, std::size_t ldb, bool tb,
       }
       for (std::size_t ic = i0; ic < i1; ic += kMc) {
         const std::size_t mc = i1 - ic < kMc ? i1 - ic : kMc;
-        const float* ap;
-        if (packed_a != nullptr) {
-          ap = packed_a + round_up(m, kMr) * pc + ic * kc;
-        } else {
-          pack_a_panel<kMr>(a, ic, pc, mc, kc, ap_buf);
-          ap = ap_buf;
-        }
+        pack_a_panel<kMr>(a, ic, pc, mc, kc, ap);
         if (sgd != nullptr) {
           // Along each kMr-row stripe, strip after strip, so consecutive
           // tiles step contiguous runs of w and v. Down each strip (the
@@ -477,7 +431,7 @@ void panel_task(const AView& a, const float* b, std::size_t ldb, bool tb,
 template <class Traits, class BElem = float>
 void panel_run(const AView& a, const float* b, std::size_t ldb, bool tb,
                float* c, std::size_t m, std::size_t k, std::size_t n,
-               const Epilogue* epi, const float* packed_a,
+               const Epilogue* epi,
                const std::type_identity_t<BElem>* packed_b,
                const TileSgd* sgd = nullptr) {
   constexpr std::size_t kMr = Traits::kMr;
@@ -505,9 +459,8 @@ void panel_run(const AView& a, const float* b, std::size_t ldb, bool tb,
       const std::size_t i1 = row_blocks * (r + 1) / grid.rows * kMc;
       const std::size_t j0 = strips * s / grid.cols * kNr;
       const std::size_t j1 = strips * (s + 1) / grid.cols * kNr;
-      panel_task<Traits, BElem>(a, b, ldb, tb, c, m, k, n, epi, packed_a,
-                                packed_b, i0, i1 < m ? i1 : m, j0,
-                                j1 < n ? j1 : n, sgd);
+      panel_task<Traits, BElem>(a, b, ldb, tb, c, k, n, epi, packed_b, i0,
+                                i1 < m ? i1 : m, j0, j1 < n ? j1 : n, sgd);
     }
   };
   common::parallel_for(pool, 0, grid.rows * grid.cols, /*grain=*/2,

@@ -31,17 +31,6 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& out) {
-  ORCO_CHECK(a.rank() == 2 && b.rank() == 2 && out.rank() == 2,
-             "matmul_accumulate requires rank-2 operands");
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  ORCO_CHECK(b.dim(0) == k && out.dim(0) == m && out.dim(1) == n,
-             "matmul_accumulate shape mismatch");
-  OBS_SCOPED_SPAN(obs::KernelOp::kGemm, gemm_flops(m, k, n));
-  current_backend().gemm(a.data().data(), b.data().data(), out.data().data(),
-                         m, k, n);
-}
-
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   ORCO_CHECK(a.rank() == 2 && b.rank() == 2,
              "matmul_tn requires rank-2 operands, got "
@@ -102,38 +91,11 @@ Tensor gemm_bias_act(const Tensor& a, const Tensor& b, const Tensor& bias,
   return c;
 }
 
-Tensor gemm_rowbias_act(const Tensor& a, const Tensor& b, const Tensor& bias,
-                        EpilogueAct act, float leaky_alpha) {
-  ORCO_CHECK(a.rank() == 2 && b.rank() == 2,
-             "gemm_rowbias_act requires rank-2 operands, got "
-                 << shape_to_string(a.shape()) << " x "
-                 << shape_to_string(b.shape()));
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  ORCO_CHECK(b.dim(0) == k, "gemm_rowbias_act inner dim mismatch: "
-                                << shape_to_string(a.shape()) << " x "
-                                << shape_to_string(b.shape()));
-  ORCO_CHECK(bias.rank() == 1 && bias.dim(0) == m,
-             "gemm_rowbias_act bias must be rank-1 of length "
-                 << m << ", got " << shape_to_string(bias.shape()));
-  Tensor c({m, n});
-  Epilogue epi;
-  epi.bias = bias.data().data();
-  epi.bias_per_row = true;
-  epi.act = act;
-  epi.leaky_alpha = leaky_alpha;
-  OBS_SCOPED_SPAN(obs::KernelOp::kGemmFused, gemm_flops(m, k, n));
-  current_backend().gemm_fused(a.data().data(), b.data().data(),
-                               c.data().data(), m, k, n,
-                               /*transpose_b=*/false, epi);
-  return c;
-}
-
 Tensor gemm_bias_act_prepacked(const Tensor& a, const PackedWeights& w,
                                const Tensor& bias, EpilogueAct act,
                                float leaky_alpha) {
   ORCO_CHECK(a.rank() == 2, "gemm_bias_act_prepacked requires rank-2 input, "
                                 << "got " << shape_to_string(a.shape()));
-  ORCO_CHECK(w.side == 'B', "gemm_bias_act_prepacked wants a pack_b weight");
   const std::size_t m = a.dim(0), k = a.dim(1), n = w.cols;
   ORCO_CHECK(w.rows == k, "gemm_bias_act_prepacked inner dim mismatch: "
                               << shape_to_string(a.shape()) << " x packed "
@@ -151,49 +113,6 @@ Tensor gemm_bias_act_prepacked(const Tensor& a, const PackedWeights& w,
   current_backend().gemm_prepacked(a.data().data(), w, c.data().data(), m, k,
                                    n, epi);
   return c;
-}
-
-Tensor gemm_rowbias_act_prepacked(const PackedWeights& w, const Tensor& b,
-                                  const Tensor& bias, EpilogueAct act,
-                                  float leaky_alpha) {
-  ORCO_CHECK(b.rank() == 2, "gemm_rowbias_act_prepacked requires rank-2 "
-                                << "input, got "
-                                << shape_to_string(b.shape()));
-  ORCO_CHECK(w.side == 'A', "gemm_rowbias_act_prepacked wants a pack_a "
-                                << "weight");
-  const std::size_t m = w.rows, k = w.cols, n = b.dim(1);
-  ORCO_CHECK(b.dim(0) == k, "gemm_rowbias_act_prepacked inner dim mismatch: "
-                                << "packed " << w.rows << "x" << w.cols
-                                << " x " << shape_to_string(b.shape()));
-  ORCO_CHECK(bias.rank() == 1 && bias.dim(0) == m,
-             "gemm_rowbias_act_prepacked bias must be rank-1 of length "
-                 << m << ", got " << shape_to_string(bias.shape()));
-  Tensor c({m, n});
-  Epilogue epi;
-  epi.bias = bias.data().data();
-  epi.bias_per_row = true;
-  epi.act = act;
-  epi.leaky_alpha = leaky_alpha;
-  OBS_SCOPED_SPAN(obs::KernelOp::kGemmPrepacked, gemm_flops(m, k, n));
-  current_backend().gemm_prepacked(b.data().data(), w, c.data().data(), m, k,
-                                   n, epi);
-  return c;
-}
-
-Tensor matvec(const Tensor& w, const Tensor& x) {
-  ORCO_CHECK(w.rank() == 2 && x.rank() == 1, "matvec wants (m x n) * (n)");
-  const std::size_t m = w.dim(0), n = w.dim(1);
-  ORCO_CHECK(x.dim(0) == n, "matvec dim mismatch: " << n << " vs " << x.dim(0));
-  Tensor y({m});
-  const auto wd = w.data();
-  const auto xd = x.data();
-  for (std::size_t i = 0; i < m; ++i) {
-    double acc = 0.0;
-    const float* wi = wd.data() + i * n;
-    for (std::size_t j = 0; j < n; ++j) acc += static_cast<double>(wi[j]) * xd[j];
-    y[i] = static_cast<float>(acc);
-  }
-  return y;
 }
 
 }  // namespace orco::tensor

@@ -1,9 +1,11 @@
-// GEMM entry points. The dense layers and the im2col-based convolutions
-// reduce to these; every call routes through the pluggable kernel backend
-// selected via tensor/backend.h (reference ikj kernel or the packed-panel
-// simd kernel). Large problems split across the global thread pool
-// (tensor/backend.h, set_gemm_parallelism); small ones run inline on the
-// calling thread. Either way every value is the same.
+// Tensor-level GEMM entry points: the layers' backward passes call the
+// three plain products, and bench/micro_ops times the two fused Dense
+// entries. Layer inference calls the Backend directly. Every call routes
+// through the pluggable kernel backend selected via tensor/backend.h
+// (reference ikj kernel or the packed-panel simd kernel). Large problems
+// split across the global thread pool unless the calling thread turned
+// that off (tensor/backend.h, set_thread_gemm_parallelism); small ones run
+// inline on the calling thread. Either way every value is the same.
 #pragma once
 
 #include "tensor/backend.h"
@@ -20,9 +22,6 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b);
 /// C = A (m x k) * B^T (n x k -> k x n).
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
-/// out += A (m x k) * B (k x n); out must already be (m x n).
-void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& out);
-
 /// C = act(A (m x k) * B^T + bias), with B row-major (n x k) and bias of
 /// length n added per output column — the Dense layer in one fused pass
 /// (GEMM, bias and activation applied while output tiles are hot) instead
@@ -30,13 +29,6 @@ void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& out);
 Tensor gemm_bias_act(const Tensor& a, const Tensor& b, const Tensor& bias,
                      EpilogueAct act = EpilogueAct::kNone,
                      float leaky_alpha = 0.01f);
-
-/// C = act(A (m x k) * B (k x n) + bias), with bias of length m added per
-/// output row — the im2col convolution (filters x columns, one bias per
-/// output channel) in one fused pass.
-Tensor gemm_rowbias_act(const Tensor& a, const Tensor& b, const Tensor& bias,
-                        EpilogueAct act = EpilogueAct::kNone,
-                        float leaky_alpha = 0.01f);
 
 /// C = act(A (m x k) * W + bias) with W prepacked by pack_b on the current
 /// backend (logical k x n) — the Dense serving path without the per-call
@@ -46,16 +38,5 @@ Tensor gemm_bias_act_prepacked(const Tensor& a, const PackedWeights& w,
                                const Tensor& bias,
                                EpilogueAct act = EpilogueAct::kNone,
                                float leaky_alpha = 0.01f);
-
-/// C = act(W * B (k x n) + bias) with W prepacked by pack_a on the current
-/// backend (logical m x k) and bias of length m per output row — the
-/// im2col convolution with a prepacked filter matrix.
-Tensor gemm_rowbias_act_prepacked(const PackedWeights& w, const Tensor& b,
-                                  const Tensor& bias,
-                                  EpilogueAct act = EpilogueAct::kNone,
-                                  float leaky_alpha = 0.01f);
-
-/// y = W (m x n) * x (n) as rank-1 tensors.
-Tensor matvec(const Tensor& w, const Tensor& x);
 
 }  // namespace orco::tensor

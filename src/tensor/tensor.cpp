@@ -12,7 +12,10 @@ namespace orco::tensor {
 std::size_t shape_numel(const Shape& shape) {
   if (shape.empty()) return 0;
   std::size_t n = 1;
-  for (const auto d : shape) n *= d;
+  for (const auto d : shape) {
+    ORCO_CHECK(!__builtin_mul_overflow(n, d, &n),
+               "shape " << shape_to_string(shape) << " overflows size_t");
+  }
   return n;
 }
 

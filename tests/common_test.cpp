@@ -205,6 +205,33 @@ TEST(SerializeTest, UnderrunThrows) {
   ByteReader r(w.bytes());
   (void)r.read_u32();
   EXPECT_THROW((void)r.read_u32(), std::invalid_argument);
+
+  // A length prefix the buffer cannot hold is refused before anything is
+  // sized from it: no 2^40-element allocation, no length_error on
+  // UINT64_MAX. Four payload bytes follow each prefix.
+  for (const std::uint64_t prefix :
+       {std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    SCOPED_TRACE(prefix);
+    ByteWriter hostile;
+    hostile.write_u64(prefix);
+    hostile.write_u32(7);
+    EXPECT_THROW((void)ByteReader(hostile.bytes()).read_f32_vector(),
+                 std::invalid_argument);
+    EXPECT_THROW((void)ByteReader(hostile.bytes()).read_string(),
+                 std::invalid_argument);
+    EXPECT_THROW((void)ByteReader(hostile.bytes()).read_bytes(),
+                 std::invalid_argument);
+  }
+  // Zero-length reads return empty values and consume only the prefix.
+  ByteWriter empty;
+  empty.write_f32_span({});
+  empty.write_string("");
+  empty.write_bytes({});
+  ByteReader er(empty.bytes());
+  EXPECT_TRUE(er.read_f32_vector().empty());
+  EXPECT_TRUE(er.read_string().empty());
+  EXPECT_TRUE(er.read_bytes().empty());
+  EXPECT_TRUE(er.exhausted());
 }
 
 TEST(SerializeTest, FileRoundTrip) {

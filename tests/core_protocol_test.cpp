@@ -76,6 +76,18 @@ TEST(MessagesTest, TruncatedBufferThrows) {
   bytes.resize(bytes.size() / 2);
   EXPECT_THROW((void)LatentBatchMsg::deserialize(bytes),
                std::invalid_argument);
+
+  // Dims {2^57 + 1, 128} with 128 floats: the element count wraps to 128
+  // in 64 bits, so only an overflow-checked shape refuses the batch.
+  common::ByteWriter w;
+  w.write_u64(0);  // round
+  w.write_u64(2);  // rank
+  w.write_u64((std::uint64_t{1} << 57) + 1);
+  w.write_u64(128);
+  const std::vector<float> values(128, 0.5f);
+  w.write_f32_span(values);
+  EXPECT_THROW((void)LatentBatchMsg::deserialize(w.bytes()),
+               std::invalid_argument);
 }
 
 TEST(AggregatorTest, NoiseAppliedOnlyInTraining) {

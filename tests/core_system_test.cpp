@@ -167,7 +167,7 @@ TEST(SystemTest, PooledTrainingRoundsMatchSerialBitwise) {
     std::vector<Tensor> state;  // weights, then SGD velocities
   };
   auto run = [&](bool pooled) {
-    tensor::set_gemm_parallelism(pooled);
+    tensor::set_thread_gemm_parallelism(pooled);
     OrcoDcsSystem sys(cfg);
     Trained out;
     for (std::size_t r = 0; r < kRounds; ++r) {

@@ -335,6 +335,15 @@ TEST(ColdStoreTest, TruncatedRecordIsRejected) {
   std::memcpy(format1.data() + 4, &old_format, sizeof old_format);
   common::write_file(store.path_for(5), format1);
   EXPECT_THROW((void)store.load(5), std::exception);
+
+  // An encoder blob whose length prefix claims 2^40 bytes is refused as
+  // malformed input before anything is sized from it. The prefix follows
+  // the magic, format, tenant id and model version (4 + 4 + 8 + 8 bytes).
+  std::vector<std::byte> huge_blob = full;
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  std::memcpy(huge_blob.data() + 24, &huge, sizeof huge);
+  common::write_file(store.path_for(5), huge_blob);
+  EXPECT_THROW((void)store.load(5), std::invalid_argument);
 }
 
 TEST(CheckpointTest, SaveIsAtomicAndTruncatedLoadThrows) {

@@ -77,9 +77,9 @@ class CountAllocs {
 class SerialSimdScope {
  public:
   SerialSimdScope() : scope_(&tensor::simd_backend()) {
-    tensor::set_gemm_parallelism(false);
+    tensor::set_thread_gemm_parallelism(false);
   }
-  ~SerialSimdScope() { tensor::set_gemm_parallelism(true); }
+  ~SerialSimdScope() { tensor::set_thread_gemm_parallelism(true); }
 
  private:
   tensor::BackendScope scope_;

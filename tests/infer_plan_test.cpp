@@ -121,7 +121,6 @@ TEST(InferPlanTest, CompileDropsIdentityAndFusesActivations) {
     EXPECT_TRUE(op.fused) << "op " << i;
     EXPECT_EQ(op.act, acts[i]) << "op " << i;
     ASSERT_NE(op.dense, nullptr) << "op " << i;
-    EXPECT_EQ(op.conv, nullptr) << "op " << i;
     // Panels packed at compile, pinned to the compile backend.
     ASSERT_NE(op.packed, nullptr) << "op " << i;
     EXPECT_EQ(op.packed->owner, &tensor::simd_backend()) << "op " << i;
@@ -161,10 +160,13 @@ TEST(InferPlanTest, ConvChainMatchesForwardBitwiseOnAllBackends) {
     model.emplace<nn::ConvTranspose2d>(4, 1, 2, 2, 0, 4, 4, rng);
     model.emplace<nn::Sigmoid>();
     const auto plan = InferPlan::compile(model, backend);
-    // Conv2d op carries panels; pool / transpose run the generic entries.
+    // Only Dense packs: the Conv2d op reads its filter live through the
+    // generic fused entry with its ReLU folded in, and pool / transpose run
+    // the generic entries too.
     ASSERT_EQ(plan->size(), 3u);
-    EXPECT_NE(plan->ops()[0].conv, nullptr);
-    EXPECT_NE(plan->ops()[0].packed, nullptr);
+    EXPECT_EQ(plan->ops()[0].packed, nullptr);
+    EXPECT_TRUE(plan->ops()[0].fused);
+    EXPECT_EQ(plan->ops()[0].act, tensor::EpilogueAct::kReLU);
 
     InferContext ctx;
     Tensor got;

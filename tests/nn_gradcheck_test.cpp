@@ -54,9 +54,9 @@ class GradCheckSuite : public ::testing::TestWithParam<GradCase> {
  protected:
   void SetUp() override {
     // Serial GEMM keeps the finite-difference probes bit-stable.
-    tensor::set_gemm_parallelism(false);
+    tensor::set_thread_gemm_parallelism(false);
   }
-  void TearDown() override { tensor::set_gemm_parallelism(true); }
+  void TearDown() override { tensor::set_thread_gemm_parallelism(true); }
 };
 
 TEST_P(GradCheckSuite, AnalyticMatchesNumeric) {

@@ -1,6 +1,9 @@
 // Weight serialisation round-trip and mismatch handling.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/model_io.h"
@@ -67,6 +70,20 @@ TEST(ModelIoTest, CorruptMagicThrows) {
   auto a = make_model(11);
   auto bytes = save_params(*a);
   bytes[0] = std::byte{0x00};
+  EXPECT_THROW(load_params(*a, bytes), std::invalid_argument);
+}
+
+TEST(ModelIoTest, HostileRankIsRefusedBeforeSizingTheShape) {
+  // The first param's stored rank follows the magic, the param count and
+  // the param's length-prefixed name.
+  auto a = make_model(13);
+  auto bytes = save_params(*a);
+  const std::size_t rank_at = 4 + 8 + 8 + a->params().front().name.size();
+  std::uint64_t rank = 0;
+  std::memcpy(&rank, bytes.data() + rank_at, sizeof rank);
+  ASSERT_EQ(rank, 2u);
+  rank = std::uint64_t{1} << 40;
+  std::memcpy(bytes.data() + rank_at, &rank, sizeof rank);
   EXPECT_THROW(load_params(*a, bytes), std::invalid_argument);
 }
 

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <map>
@@ -602,6 +603,63 @@ TEST(TraceTest, ExportAllWritesConfiguredFiles) {
   std::stringstream json;
   json << json_in.rdbuf();
   EXPECT_TRUE(MiniJson(json.str()).parse());
+
+  // The second writer: a ServerRuntime whose obs_export names three files
+  // writes them once, at shutdown, after its workers join.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "obs_runtime_export";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  core::SystemConfig sys_cfg;
+  sys_cfg.orco.input_dim = 64;
+  sys_cfg.orco.latent_dim = 16;
+  sys_cfg.orco.decoder_layers = 2;
+  sys_cfg.orco.seed = 42;
+  sys_cfg.field.device_count = 8;
+  sys_cfg.field.radio_range_m = 60.0;
+  serve::ServeConfig serve_cfg;
+  serve_cfg.shard_count = 1;
+  serve_cfg.obs_export.metrics_json_path = (dir / "metrics.json").string();
+  serve_cfg.obs_export.prometheus_path = (dir / "metrics.prom").string();
+  serve_cfg.obs_export.trace_path = (dir / "trace.json").string();
+  constexpr int kRequests = 5;
+  {
+    serve::ServerRuntime runtime(serve_cfg);
+    runtime.register_cluster(
+        3, std::make_shared<core::OrcoDcsSystem>(sys_cfg));
+    runtime.start();
+    common::Pcg32 rng(8);
+    std::vector<std::future<serve::DecodeResponse>> futures;
+    for (int i = 0; i < kRequests; ++i) {
+      futures.push_back(runtime.submit(3, tensor::Tensor::randn({16}, rng)));
+    }
+    for (auto& f : futures) {
+      ASSERT_EQ(f.get().status, serve::ResponseStatus::kOk);
+    }
+    for (const auto& file : {"metrics.json", "metrics.prom", "trace.json"}) {
+      EXPECT_FALSE(std::filesystem::exists(dir / file))
+          << file << " written before shutdown";
+    }
+    runtime.shutdown();
+  }
+  for (const auto& file : {"metrics.json", "metrics.prom", "trace.json"}) {
+    EXPECT_TRUE(std::filesystem::exists(dir / file)) << file;
+  }
+  std::ifstream runtime_trace_in(serve_cfg.obs_export.trace_path);
+  std::stringstream runtime_trace;
+  runtime_trace << runtime_trace_in.rdbuf();
+  EXPECT_TRUE(MiniJson(runtime_trace.str()).parse());
+  std::ifstream runtime_json_in(serve_cfg.obs_export.metrics_json_path);
+  std::stringstream runtime_json;
+  runtime_json << runtime_json_in.rdbuf();
+  EXPECT_TRUE(MiniJson(runtime_json.str()).parse());
+  const std::string text = runtime_json.str();
+  const std::string key = "\"serve.submitted\": ";
+  const std::size_t at = text.find(key);
+  ASSERT_NE(at, std::string::npos) << text;
+  EXPECT_EQ(std::stoll(text.substr(at + key.size())), kRequests) << text;
+  std::filesystem::remove_all(dir);
+  tc.clear();
 }
 
 }  // namespace

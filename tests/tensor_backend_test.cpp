@@ -265,16 +265,23 @@ TEST(SimdParityTest, BatchedRowsMatchSingleRowDecodeBitwise) {
 }
 
 TEST(BackendParityTest, AccumulateAddsIntoExistingOnBothBackends) {
+  // gemm and gemm_tn add into a pre-filled C; Dense::backward's gemm_tn
+  // accumulates dW straight into the gradient.
   common::Pcg32 rng(33);
   const Tensor a = Tensor::randn({9, 37}, rng);
   const Tensor b = Tensor::randn({37, 21}, rng);
+  const Tensor at = a.transposed();  // gemm_tn's (k x m) source of A
   const Tensor base = Tensor::randn({9, 21}, rng);
   const Tensor expected = base + naive_matmul(a, b);
   for (const char* name : kAllBackends) {
-    tensor::BackendScope scope(tensor::find_backend(name));
+    const tensor::Backend& be = *tensor::find_backend(name);
     Tensor c = base;
-    tensor::matmul_accumulate(a, b, c);
-    EXPECT_TRUE(c.allclose(expected, 1e-3f)) << name;
+    be.gemm(a.data().data(), b.data().data(), c.data().data(), 9, 37, 21);
+    EXPECT_TRUE(c.allclose(expected, 1e-3f)) << name << " gemm";
+    Tensor c_tn = base;
+    be.gemm_tn(at.data().data(), b.data().data(), c_tn.data().data(), 9, 37,
+               21);
+    EXPECT_TRUE(c_tn.allclose(expected, 1e-3f)) << name << " gemm_tn";
   }
 }
 
@@ -321,14 +328,22 @@ TEST(FusedEpilogueTest, GemmRowBiasActMatchesUnfusedPipeline) {
   const Tensor w = Tensor::randn({13, 27}, rng);   // (outC, inC*K*K)
   const Tensor cols = Tensor::randn({27, 50}, rng);  // (inC*K*K, OH*OW)
   const Tensor bias = Tensor::randn({13}, rng);
+  // The Conv2d epilogue: one bias per output row, then the activation.
+  tensor::Epilogue epi;
+  epi.bias = bias.data().data();
+  epi.bias_per_row = true;
+  epi.act = tensor::EpilogueAct::kReLU;
   for (const char* name : kAllBackends) {
-    tensor::BackendScope scope(tensor::find_backend(name));
+    const tensor::Backend* backend = tensor::find_backend(name);
+    tensor::BackendScope scope(backend);
     Tensor unfused = tensor::matmul(w, cols);
     for (std::size_t i = 0; i < unfused.dim(0); ++i) {
       for (auto& v : unfused.row(i)) v += bias[i];
     }
-    const Tensor fused = tensor::gemm_rowbias_act(
-        w, cols, bias, tensor::EpilogueAct::kReLU);
+    Tensor fused({13, 50});
+    backend->gemm_fused(w.data().data(), cols.data().data(),
+                        fused.data().data(), 13, 27, 50,
+                        /*transpose_b=*/false, epi);
     const Tensor expected =
         unfused.map([](float v) { return v > 0.0f ? v : 0.0f; });
     EXPECT_TRUE(fused.allclose(expected, 1e-6f)) << name;
@@ -444,25 +459,6 @@ TEST(PrepackedTest, GemmPrepackedMatchesGemmFusedBitwiseOnBothBackends) {
   }
 }
 
-TEST(PrepackedTest, RowBiasPrepackedMatchesUnpackedBitwise) {
-  common::Pcg32 rng(42);
-  const Tensor w = Tensor::randn({13, 27}, rng);     // (outC, inC*K*K)
-  const Tensor cols = Tensor::randn({27, 50}, rng);  // (inC*K*K, OH*OW)
-  const Tensor bias = Tensor::randn({13}, rng);
-  const Shape s{13, 27, 50};
-  for (const char* name : kAllBackends) {
-    const tensor::Backend* backend = tensor::find_backend(name);
-    tensor::BackendScope scope(backend);
-    const Tensor fused =
-        tensor::gemm_rowbias_act(w, cols, bias, tensor::EpilogueAct::kReLU);
-    const tensor::PackedWeights packed =
-        backend->pack_a(w.data().data(), 13, 27);
-    const Tensor prepacked = tensor::gemm_rowbias_act_prepacked(
-        packed, cols, bias, tensor::EpilogueAct::kReLU);
-    ExpectBitwiseEqual(prepacked, fused, "rowbias prepacked", s);
-  }
-}
-
 TEST(PrepackedTest, DensePlanPackMatchesUnpackedAndTracksMutation) {
   common::Pcg32 rng(43);
   nn::Sequential model;
@@ -509,26 +505,6 @@ TEST(PrepackedTest, DensePlanPackMatchesUnpackedAndTracksMutation) {
   // invalidate_weight_cache() alone must also mark the plan stale.
   dense.invalidate_weight_cache();
   EXPECT_TRUE(fresh->weights_stale());
-}
-
-TEST(PrepackedTest, Conv2dPlanPackMatchesUnpackedBitwise) {
-  common::Pcg32 rng(44);
-  nn::Conv2d conv(2, 5, 3, 1, 1, 8, 8, rng);
-  const Tensor x = Tensor::randn({3, 2 * 8 * 8}, rng);
-  const Shape s{5, 18, 64};
-  for (const char* name : kAllBackends) {
-    const tensor::Backend* backend = tensor::find_backend(name);
-    tensor::BackendScope scope(backend);
-    const Tensor unpacked = conv.infer(x);
-    std::uint64_t version = 0;
-    const auto packed = conv.plan_pack(*backend, version);
-    EXPECT_EQ(version, conv.weight_version()) << name;
-    nn::InferContext ctx;
-    Tensor out;
-    conv.infer_packed_into(x, out, *packed, tensor::EpilogueAct::kNone, 0.01f,
-                           ctx);
-    ExpectBitwiseEqual(out, unpacked, "plan-packed conv", s);
-  }
 }
 
 TEST(PrepackedTest, MismatchedBackendPackIsRejected) {
@@ -873,7 +849,7 @@ TEST(GemmTnSgdTest, EqualsGemmTnIntoZeroedCThenSgdUpdateBitwise) {
                      std::to_string(update.weight_decay));
         for (const bool pooled : {false, true}) {
           SCOPED_TRACE(pooled ? "pooled" : "serial");
-          tensor::set_gemm_parallelism(pooled);
+          tensor::set_thread_gemm_parallelism(pooled);
           Tensor want_w = w0, grad;
           nn::Sgd sgd({{"w", &want_w, &grad}}, update.lr, update.momentum,
                       update.weight_decay);
@@ -896,7 +872,7 @@ TEST(GemmTnSgdTest, EqualsGemmTnIntoZeroedCThenSgdUpdateBitwise) {
       }
     }
   }
-  tensor::set_gemm_parallelism(true);
+  tensor::set_thread_gemm_parallelism(true);
 }
 
 TEST(FusedEpilogueTest, ActivationEpilogueMapping) {

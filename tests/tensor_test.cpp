@@ -203,10 +203,13 @@ TEST(MatmulTest, TransposedVariants) {
 }
 
 TEST(MatmulTest, AccumulateAddsIntoExisting) {
+  // Backend GEMMs accumulate into C: Dense::backward's gemm_tn adds dW
+  // straight into the gradient.
   const Tensor a = Tensor::from2d({{1, 0}, {0, 1}});
   const Tensor b = Tensor::from2d({{2, 3}, {4, 5}});
   Tensor c({2, 2}, 1.0f);
-  matmul_accumulate(a, b, c);
+  current_backend().gemm(a.data().data(), b.data().data(), c.data().data(),
+                         2, 2, 2);
   EXPECT_TRUE(c.allclose(Tensor::from2d({{3, 4}, {5, 6}})));
 }
 
@@ -217,14 +220,15 @@ TEST(MatmulTest, DimensionMismatchThrows) {
                std::invalid_argument);
 }
 
-/// Runs `gemm` (writing into its argument) once with pooled GEMMs off and
-/// once on, and reports whether the two results agree bit for bit.
+/// Runs `gemm` (writing into its argument) once with this thread's pooled
+/// GEMMs off and once on, and reports whether the two results agree bit
+/// for bit.
 template <typename Gemm>
 bool pooled_equals_serial(std::size_t m, std::size_t n, Gemm&& gemm) {
   std::vector<float> serial(m * n, 0.5f), pooled(m * n, 0.5f);
-  set_gemm_parallelism(false);
+  set_thread_gemm_parallelism(false);
   gemm(serial.data());
-  set_gemm_parallelism(true);
+  set_thread_gemm_parallelism(true);
   gemm(pooled.data());
   return std::memcmp(serial.data(), pooled.data(),
                      serial.size() * sizeof(float)) == 0;
@@ -238,9 +242,9 @@ TEST(MatmulTest, ParallelMatchesSerial) {
   {
     const Tensor a = Tensor::randn({256, 600}, rng);
     const Tensor b = Tensor::randn({600, 280}, rng);
-    set_gemm_parallelism(false);
+    set_thread_gemm_parallelism(false);
     const Tensor serial = matmul(a, b);
-    set_gemm_parallelism(true);
+    set_thread_gemm_parallelism(true);
     EXPECT_TRUE(serial.allclose(matmul(a, b), 0.0f));
   }
   // Shapes the pooled split cuts differently: a few rows, part of a row
@@ -287,21 +291,8 @@ TEST(MatmulTest, ParallelMatchesSerial) {
       EXPECT_TRUE(pooled_equals_serial(m, n, [&](float* c) {
         backend->gemm_prepacked(pa, packed_b, c, m, k, n, epi);
       }));
-      const PackedWeights packed_a = backend->pack_a(pa, m, k);
-      EXPECT_TRUE(pooled_equals_serial(m, n, [&](float* c) {
-        backend->gemm_prepacked(pb, packed_a, c, m, k, n, epi);
-      }));
     }
   }
-}
-
-TEST(MatvecTest, MatchesMatmul) {
-  common::Pcg32 rng(24);
-  const Tensor w = Tensor::randn({6, 4}, rng);
-  const Tensor x = Tensor::randn({4}, rng);
-  const Tensor y = matvec(w, x);
-  const Tensor y2 = matmul(w, x.reshaped({4, 1}));
-  for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(y[i], y2.at(i, 0), 1e-4f);
 }
 
 // ---- im2col ----------------------------------------------------------------

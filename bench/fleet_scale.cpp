@@ -1,6 +1,6 @@
 // Fleet scale-out bench: ~100k registered tenants on one box.
 //
-// Drives an EdgeFleet (consistent-hash routing, warm/cold tiering, delta
+// Drives an EdgeFleet (fixed-hash routing, warm/cold tiering, delta
 // replication) and measures the tiering contract in three phases:
 //
 //   1. registration — 100k tenants register without materializing anything;
@@ -76,7 +76,6 @@ FleetConfig fleet_config(std::size_t cells, std::size_t warm_capacity,
                          const std::string& cold_dir) {
   FleetConfig cfg;
   cfg.replicas = cells;
-  cfg.vnodes = 96;
   cfg.warm_capacity = warm_capacity;
   cfg.cold_dir = cold_dir;
   cfg.system = tenant_template();
@@ -389,7 +388,7 @@ int main() {
   std::ofstream json("BENCH_fleet.json");
   json << "{\n";
   json << "  \"config\": {\"tenants\": " << tenants
-       << ", \"cells\": " << cfg.replicas << ", \"vnodes\": " << cfg.vnodes
+       << ", \"cells\": " << cfg.replicas
        << ", \"warm_capacity\": " << warm_capacity
        << ", \"churn_requests\": " << churn_requests
        << ", \"hot_requests\": " << hot_requests

@@ -1,16 +1,16 @@
 // Tour of src/fleet: one process serving far more tenants than fit in RAM.
 //
 // An EdgeFleet fronts two edge cells. Tenants are routed to cells by a
-// consistent-hash ring, published decoder snapshots are delta-replicated to
-// the next cell on the ring, and only a bounded warm set of tenants stays
-// materialized — the rest live as checkpoint files in the cold tier and
-// reactivate transparently (and bitwise-identically) on their next request.
+// fixed hash of their id, published decoder snapshots are delta-replicated
+// to the next cell by index, and only a bounded warm set of tenants stays
+// materialized — the rest live in the cold tier and reactivate
+// transparently (and bitwise-identically) on their next request.
 //
 // The tour walks: registration (free), a fine-tune of one tenant,
 // first-touch activation, LRU demotion under a tiny warm capacity (only
-// the changed tenant writes a checkpoint; the rest are rebuilt from their
-// seeds), a cold wake that restores the trained weights from that
-// checkpoint, and the replication counters that show deltas flowing.
+// the changed tenant writes a cold record; the rest are rebuilt from
+// their seeds), a cold wake that restores the trained weights from that
+// record, and the replication counters that show deltas flowing.
 //
 // Build & run:  ./build/examples/fleet_tour
 // Exits 1 when the cold wake does not restore the tenant bit for bit.
@@ -34,7 +34,6 @@ int main() {
 
   fleet::FleetConfig cfg;
   cfg.replicas = 2;        // two in-process edge cells
-  cfg.vnodes = 64;         // ring granularity
   cfg.warm_capacity = 3;   // only 3 tenants materialized at once
   cfg.cold_dir = cold_dir;
   cfg.trainer_threads = 1;  // each cell gets a trainer runtime
@@ -48,7 +47,7 @@ int main() {
   for (ClusterId id = 1; id <= 6; ++id) {
     fl.register_tenant(id);
     std::cout << "  tenant " << id << " -> cell " << fl.owner_of(id)
-              << " (ring)\n";
+              << " (hash)\n";
   }
   std::cout << "  registered " << fl.registered_count() << ", resident "
             << fl.resident_count() << "\n\n";
@@ -57,7 +56,7 @@ int main() {
   common::Pcg32 rng(11);
 
   std::cout << "phase 2: fine-tune tenant 1 on its cell's trainer (a changed "
-            << "tenant is the only kind whose demotion writes a checkpoint)\n";
+            << "tenant is the only kind whose demotion writes a cold record)\n";
   const ClusterId probe = 1;
   fl.warm(probe);
   const data::Dataset window("tour", data::ImageGeometry{1, 8, 8},
@@ -84,15 +83,15 @@ int main() {
   }
   const fleet::FleetStats after_sweep = fl.stats();
   std::cout << "  cold builds " << after_sweep.cold_builds << ", demotions "
-            << after_sweep.demotions << ", checkpoints written "
+            << after_sweep.demotions << ", cold records written "
             << fl.cold_store().saves() << " (to " << cold_dir << ")\n\n";
 
   std::cout << "phase 4: the demoted, trained tenant wakes from its "
-            << "checkpoint, bitwise-identical\n";
+            << "cold record, bitwise-identical\n";
   const auto woken = fl.submit(probe, latent).get();
   std::cout << "  tenant " << probe << " resident again: status "
             << serve::to_string(woken.status) << ", model v"
-            << woken.model_version << ", checkpoints read "
+            << woken.model_version << ", cold records read "
             << fl.cold_store().loads() << "\n";
   const tensor::Tensor& before = trained.reconstruction;
   const tensor::Tensor& after = woken.reconstruction;
@@ -113,7 +112,7 @@ int main() {
   table.add_row({"cold builds", std::to_string(stats.cold_builds)});
   table.add_row({"cold wakes", std::to_string(stats.cold_wakes)});
   table.add_row({"demotions", std::to_string(stats.demotions)});
-  table.add_row({"checkpoints written",
+  table.add_row({"cold records written",
                  std::to_string(fl.cold_store().saves())});
   table.add_row({"snapshots replicated",
                  std::to_string(stats.deltas_shipped + stats.full_ships)});

@@ -11,14 +11,6 @@
 
 namespace orco::common {
 
-void write_file(const std::string& path, std::span<const std::byte> bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot open for write: " + path);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out) throw std::runtime_error("short write: " + path);
-}
-
 namespace {
 
 /// Writes all of `bytes` to `fd`, resuming after short writes and EINTR.

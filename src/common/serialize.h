@@ -92,6 +92,13 @@ class ByteReader {
     return out;
   }
 
+  /// A length-prefixed array of `elem_size`-byte elements (a string, or the
+  /// values write_f32_span wrote), viewed in place instead of copied. The
+  /// view has no alignment: copy values out with memcpy.
+  std::span<const std::byte> read_view(std::size_t elem_size) {
+    return take(read_length(elem_size) * elem_size);
+  }
+
   std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
   bool exhausted() const noexcept { return remaining() == 0; }
 
@@ -114,25 +121,29 @@ class ByteReader {
     return static_cast<std::size_t>(n);
   }
 
-  void read_raw(void* p, std::size_t n) {
+  std::span<const std::byte> take(std::size_t n) {
     ORCO_CHECK(n <= remaining(), "byte buffer underrun: want "
                                      << n << " at " << pos_ << "/"
                                      << bytes_.size());
-    if (n == 0) return;  // an empty vector's data() may be null
-    std::memcpy(p, bytes_.data() + pos_, n);
+    const std::span<const std::byte> out = bytes_.subspan(pos_, n);
     pos_ += n;
+    return out;
+  }
+
+  void read_raw(void* p, std::size_t n) {
+    const std::span<const std::byte> src = take(n);
+    if (n == 0) return;  // an empty vector's data() may be null
+    std::memcpy(p, src.data(), n);
   }
 
   std::span<const std::byte> bytes_;
   std::size_t pos_ = 0;
 };
 
-/// Writes/reads a whole buffer to/from a file. Throws std::runtime_error on
-/// I/O failure.
-void write_file(const std::string& path, std::span<const std::byte> bytes);
+/// Reads a whole file. Throws std::runtime_error on I/O failure.
 std::vector<std::byte> read_file(const std::string& path);
 
-/// Crash-safe variant: writes to `path + ".tmp"` in the same directory,
+/// Writes a whole buffer to `path + ".tmp"` in the same directory,
 /// fsyncs it, renames it over `path` and fsyncs the directory, so readers
 /// (and a restart after a crash) see either the old file or the complete
 /// new one — never a torn prefix. Throws std::runtime_error on any failure,

@@ -26,11 +26,6 @@ DataAggregator::DataAggregator(std::unique_ptr<nn::Sequential> encoder,
                                          config.momentum);
 }
 
-void DataAggregator::set_noise_variance(float variance) {
-  ORCO_CHECK(variance >= 0.0f, "noise variance must be non-negative");
-  noise_sigma_ = std::sqrt(variance);
-}
-
 LatentBatchMsg DataAggregator::encode_batch(const Tensor& batch,
                                             std::uint64_t round,
                                             bool training) {

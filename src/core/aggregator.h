@@ -56,8 +56,6 @@ class DataAggregator {
   std::size_t train_flops(std::size_t batch) const;
 
   float noise_sigma() const noexcept { return noise_sigma_; }
-  /// Adjusts latent-noise level (Fig. 7 sweeps this).
-  void set_noise_variance(float variance);
 
  private:
   std::unique_ptr<nn::Sequential> encoder_;

@@ -66,7 +66,7 @@ class EdgeServer {
   /// free equivalent of a snapshot's plan. Compiled lazily on first decode
   /// for the caller's current backend, and recompiled (weights repacked)
   /// when that backend is not the plan's or whenever the decoder's weight
-  /// versions moved since compile: train_step, checkpoint loads and
+  /// versions moved since compile: train_step, nn::load_params and
   /// mutable-accessor edits all bump versions, so a stale plan can never
   /// serve old panels. Callers may hold the returned plan across batches;
   /// it stays valid (merely superseded) after a rebuild.
@@ -85,7 +85,7 @@ class EdgeServer {
   }
 
   /// Restores the decoder generation counter — the cold-tier reactivation
-  /// path: the fleet rebuilds a demoted tenant from its checkpoint and
+  /// path: the fleet rebuilds a demoted tenant from its cold record and
   /// continues the version sequence where it left off, so registry
   /// publishes stay strictly monotonic across demote/wake cycles. Callers
   /// must not race this with train_step.

@@ -1,7 +1,6 @@
 #include "core/system.h"
 
 #include "common/check.h"
-#include "common/serialize.h"
 #include "core/distributed_encoding.h"
 #include "core/models.h"
 #include "data/dataloader.h"
@@ -110,7 +109,6 @@ float OrcoDcsSystem::evaluate_loss(const data::Dataset& dataset,
 }
 
 namespace {
-constexpr std::uint32_t kCheckpointMagic = 0x4f444353u;  // "ODCS"
 
 /// Rebuilds `build(config)`'s layer chain and copies `source`'s parameters
 /// into it via the model_io round-trip (names/shapes validated there).
@@ -133,33 +131,6 @@ std::unique_ptr<nn::Sequential> OrcoDcsSystem::export_decoder_clone() {
 
 std::unique_ptr<nn::Sequential> OrcoDcsSystem::export_encoder_clone() {
   return clone_model(aggregator_->encoder(), config_.orco, &build_encoder);
-}
-
-void OrcoDcsSystem::save_checkpoint(const std::string& path) {
-  common::ByteWriter writer;
-  writer.write_u32(kCheckpointMagic);
-  writer.write_u64(config_.orco.input_dim);
-  writer.write_u64(config_.orco.latent_dim);
-  writer.write_bytes(nn::save_params(aggregator_->encoder()));
-  writer.write_bytes(nn::save_params(edge_->decoder()));
-  // Atomic temp-file-then-rename: a crash mid-write (e.g. during a fleet
-  // cold-tier demotion) must never leave a torn checkpoint where the old
-  // one was.
-  common::write_file_atomic(path, writer.bytes());
-}
-
-void OrcoDcsSystem::load_checkpoint(const std::string& path) {
-  const auto bytes = common::read_file(path);
-  common::ByteReader reader(bytes);
-  ORCO_CHECK(reader.read_u32() == kCheckpointMagic, "bad checkpoint magic");
-  ORCO_CHECK(reader.read_u64() == config_.orco.input_dim,
-             "checkpoint input_dim mismatch");
-  ORCO_CHECK(reader.read_u64() == config_.orco.latent_dim,
-             "checkpoint latent_dim mismatch");
-  const auto encoder_blob = reader.read_bytes();
-  const auto decoder_blob = reader.read_bytes();
-  nn::load_params(aggregator_->encoder(), encoder_blob);
-  nn::load_params(edge_->decoder(), decoder_blob);
 }
 
 }  // namespace orco::core

@@ -71,13 +71,6 @@ class OrcoDcsSystem {
   /// when the monitor demands a training relaunch.
   bool monitor_observe(float loss) { return monitor_.should(*this, loss); }
 
-  /// Persists the trained encoder + decoder weights to one checkpoint file.
-  /// Crash-safe: written to a temp file and atomically renamed into place,
-  /// so a reader never observes a torn checkpoint. Restoring requires an
-  /// identically-configured system.
-  void save_checkpoint(const std::string& path);
-  void load_checkpoint(const std::string& path);
-
   /// Deep-copies the current decoder / encoder into a freshly built model
   /// with identical weights (bitwise: parameters are copied through the
   /// model_io round-trip, and build_* reconstructs the exact layer chain).

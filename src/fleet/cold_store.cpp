@@ -10,8 +10,8 @@ namespace orco::fleet {
 
 namespace {
 
-// "OFLT" — distinct from the system checkpoint magic so a fleet record can
-// never be mistaken for an OrcoDcsSystem checkpoint (or vice versa).
+// "OFLT" — distinct from save_params's "ORCO", so a bare weight blob is
+// never read as a record (or a record as a blob).
 constexpr std::uint32_t kColdMagic = 0x4f464c54;
 // load() refuses any other format; format 1 records also carry a per-tenant
 // QoS policy block that this layout has no field for.

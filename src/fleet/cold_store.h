@@ -1,15 +1,17 @@
 // ColdStore — the fleet's on-disk cold tier for demoted tenants.
 //
 // A demoted tenant's serving state collapses to one record: the encoder +
-// decoder weights (model_io framing) and the decoder generation counter.
+// decoder weights (nn::save_params blobs) and the decoder generation
+// counter. This record is the repository's one persisted model format.
 // Everything else — registry slot, queue lane, prepacked weight panels — is
 // derived state that reactivation rebuilds. The fleet writes back: a record
 // is written only when a tenant changed since it was woken, and a tenant
-// without one is in its template state. Records are written crash-safely (temp file,
-// fsync, atomic rename, directory fsync — common::write_file_atomic, shared
-// with OrcoDcsSystem::save_checkpoint), so a crash mid-demotion leaves
-// either the previous record or the complete new one, never a torn file; a
-// torn/truncated read throws instead of yielding garbage weights.
+// without one is in its template state. Records are written crash-safely
+// (temp file, fsync, atomic rename, directory fsync —
+// common::write_file_atomic), so a crash mid-demotion leaves either the
+// previous record or the complete new one, never a torn file; a
+// torn/truncated read throws instead of yielding garbage weights, and
+// nn::load_params refuses a malformed blob before it writes any weight.
 #pragma once
 
 #include <atomic>

@@ -26,7 +26,6 @@ constexpr std::uint64_t kDemoteDrainUs = 200000;
 
 EdgeFleet::EdgeFleet(const FleetConfig& config)
     : config_(config),
-      ring_(config.replicas, config.vnodes),
       residency_(config.warm_capacity),
       cold_(config.cold_dir) {
   ORCO_CHECK(config.replicas > 0, "a fleet needs at least one cell");
@@ -116,13 +115,13 @@ std::future<serve::DecodeResponse> EdgeFleet::submit(ClusterId id,
   if (t == nullptr) {
     return immediate(serve::ResponseStatus::kUnknownCluster);
   }
-  // ORCO_HOT_PATH BEGIN (fleet route-and-submit fast path: consistent-hash
+  // ORCO_HOT_PATH BEGIN (fleet route-and-submit fast path: fixed-hash
   // route + residency touch + the inflight/demoting store-load fence — a
   // handful of atomics, no lock, no allocation. The inflight increment
   // must happen before the serving/demoting loads (both seq_cst): either
   // this submit sees a demotion and diverts, or the demoter's drain wait
   // sees this submit.)
-  const std::uint32_t cell_index = ring_.route(id);
+  const std::uint32_t cell_index = owner_of(id);
   t->last_touch.store(residency_.tick(), std::memory_order_relaxed);
   t->inflight.fetch_add(1, std::memory_order_seq_cst);
   const bool fast = t->serving.load(std::memory_order_seq_cst) &&
@@ -223,11 +222,12 @@ void EdgeFleet::ensure_warm(ClusterId id, TenantState& t) {
 }
 
 void EdgeFleet::activate(ClusterId id, TenantState& t) {
-  const std::uint32_t cell_index = ring_.route(id);
+  const std::uint32_t cell_index = owner_of(id);
   Cell& cell = *cells_[cell_index];
   core::SystemConfig system_config = config_.system;
   // Distinct deterministic initial weights per tenant.
-  system_config.orco.seed = HashRing::mix(system_config.orco.seed ^ id);
+  system_config.orco.seed =
+      common::SplitMix64(system_config.orco.seed ^ id).next();
   auto system = std::make_shared<core::OrcoDcsSystem>(system_config);
   bool loaded = false;
   if (cold_.contains(id)) {
@@ -293,7 +293,7 @@ bool EdgeFleet::demote(ClusterId id) {
   common::Stopwatch timer;
   common::MutexLock lock(t->mu);
   if (!t->warm || t->waking) return false;
-  const std::uint32_t cell_index = ring_.route(id);
+  const std::uint32_t cell_index = owner_of(id);
   Cell& cell = *cells_[cell_index];
   t->demoting.store(true, std::memory_order_seq_cst);
   const auto abort_demotion = [&]() {

@@ -4,9 +4,10 @@
 // stack (ServerRuntime + ModelRegistry, optionally a TrainerRuntime).
 // Three mechanisms make ~100k registered tenants servable on one box:
 //
-//   Routing    — a consistent-hash ring (HashRing) maps every tenant id to
-//                its owning cell. Topology is fixed at construction; the
-//                per-request route is a mix + binary search, lock-free.
+//   Routing    — a fixed hash maps every tenant id to its owning cell:
+//                splitmix64(id) modulo the cell count. Topology is fixed
+//                at construction, so the per-request route is one mix and
+//                one modulo, lock-free.
 //   Tiering    — registration is O(1) bookkeeping; a tenant materializes
 //                (OrcoDcsSystem + registry slot + prepacked decoder) only
 //                when traffic arrives, and an LRU residency manager demotes
@@ -22,7 +23,7 @@
 //                at most one disk read.
 //   Replication— every cell registry publish fans out a delta-encoded
 //                snapshot image (SnapshotDelta, changed layer blobs only)
-//                to the next cell on the ring, so a follower holds a
+//                to the next cell by index, so a follower holds a
 //                byte-identical standby image without deep-copying
 //                unchanged parameters. Standby images are held only while
 //                the tenant is warm, so they are bounded by warm_capacity.
@@ -69,10 +70,10 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/rng.h"
 #include "common/thread_annotations.h"
 #include "core/system.h"
 #include "fleet/cold_store.h"
-#include "fleet/hash_ring.h"
 #include "fleet/replication.h"
 #include "fleet/residency.h"
 #include "obs/metrics.h"
@@ -84,19 +85,15 @@ namespace orco::fleet {
 using tensor::Tensor;
 
 struct FleetConfig {
-  /// Edge cells. Fixed for the fleet's lifetime (the ring's bounded-remap
-  /// property is what makes growing a fleet cheap across process
-  /// generations: a restarted fleet with one more cell re-routes only
-  /// ~1/(n+1) of the tenants, whose state follows them through the cold
-  /// store).
+  /// Edge cells. Fixed for the fleet's lifetime. A fleet restarted with
+  /// another count re-routes most tenants; their state follows them
+  /// through the cold store, which every cell shares.
   std::size_t replicas = 2;
-  /// Ring points per cell; more vnodes -> smoother per-cell load.
-  std::size_t vnodes = 96;
   /// Max materialized tenants fleet-wide; beyond it the LRU sweep demotes.
   std::size_t warm_capacity = 64;
   /// Cold-tier directory (created if missing).
   std::string cold_dir = "fleet-cold";
-  /// Fan snapshot publishes out to the ring-successor cell as deltas.
+  /// Fan snapshot publishes out to the next cell by index as deltas.
   bool replicate = true;
   /// Per-cell serving template. model_registry is overwritten with the
   /// cell's own registry; set per_tenant_telemetry=false for large fleets.
@@ -170,7 +167,12 @@ class EdgeFleet {
   /// tenant warm and serving.
   bool demote(ClusterId id);
 
-  std::uint32_t owner_of(ClusterId id) const { return ring_.route(id); }
+  /// The cell serving `id`: splitmix64(id) modulo the cell count. The
+  /// same mix derives each tenant's template seed.
+  std::uint32_t owner_of(ClusterId id) const {
+    return static_cast<std::uint32_t>(common::SplitMix64(id).next() %
+                                      cells_.size());
+  }
   bool resident(ClusterId id) const;
   std::size_t resident_count() const { return residency_.warm_count(); }
   std::size_t registered_count() const {
@@ -195,7 +197,6 @@ class EdgeFleet {
   /// Blobs are shared, not copied.
   SnapshotImage replicated_image(std::size_t i, ClusterId id) const;
 
-  const HashRing& ring() const noexcept { return ring_; }
   const ColdStore& cold_store() const noexcept { return cold_; }
   const FleetConfig& config() const noexcept { return config_; }
   FleetStats stats() const;
@@ -257,18 +258,17 @@ class EdgeFleet {
   /// Demotes LRU victims until the warm set fits (skipping `except`).
   void admit(ClusterId id);
   bool evict_one(ClusterId except);
-  /// Publish-hook target: image the snapshot, ship a delta to the ring
-  /// successor, fold it into the follower's standby image.
+  /// Publish-hook target: image the snapshot, ship a delta to the
+  /// follower, fold it into the follower's standby image.
   void replicate(std::size_t owner, ClusterId tenant,
                  const train::ModelSnapshot& snapshot);
-  /// The cell holding `owner`'s standby images: its ring successor.
+  /// The cell holding `owner`'s standby images: the next one by index.
   Cell& follower_of(std::size_t owner) {
     return *cells_[(owner + 1) % cells_.size()];
   }
   void refresh_population_gauges();
 
   FleetConfig config_;
-  HashRing ring_;
   ResidencyManager residency_;
   ColdStore cold_;
   std::vector<std::unique_ptr<Cell>> cells_;

@@ -174,11 +174,4 @@ common::Table InferPlan::op_profile_table() const {
   return table;
 }
 
-void InferPlan::reset_op_profile() const {
-  for (std::size_t i = 0; i < ops_.size(); ++i) {
-    timers_[i].ns.store(0, std::memory_order_relaxed);
-    timers_[i].calls.store(0, std::memory_order_relaxed);
-  }
-}
-
 }  // namespace orco::nn

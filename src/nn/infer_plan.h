@@ -37,7 +37,7 @@
 // EdgeServer compiles lazily for the registry-free decode path and
 // recompiles when the caller's backend is not the plan's or when
 // weights_stale() reports a Dense weight-version bump (training steps,
-// checkpoint loads). A compiled plan is immutable: it holds const
+// nn::load_params). A compiled plan is immutable: it holds const
 // pointers into the model, so the model must outlive it and structural
 // mutation (Sequential::add) after compile is not supported.
 //
@@ -119,7 +119,7 @@ class InferPlan {
                      InferContext& ctx) const;
 
   /// True when any Dense op's pre-packed panels no longer match its
-  /// layer's live weight version (a training step or checkpoint load
+  /// layer's live weight version (a training step or nn::load_params
   /// happened since compile). Owners of mutable models (EdgeServer) check
   /// this to decide when to recompile; snapshot plans are immutable and
   /// never stale.
@@ -140,8 +140,6 @@ class InferPlan {
   /// enabled: op | kernel | calls | total ms | mean us. Rows with zero
   /// calls are omitted.
   common::Table op_profile_table() const;
-  /// Zeroes the per-op profile accumulators.
-  void reset_op_profile() const;
 
  private:
   InferPlan() = default;

@@ -120,7 +120,7 @@ class Layer {
   }
 
   /// Records a weight mutation made outside the layer's own API (an
-  /// optimizer stepping through ParamView pointers, a checkpoint load):
+  /// optimizer stepping through ParamView pointers, nn::load_params):
   /// Dense, the one layer an InferPlan packs, bumps its weight version, so
   /// plans compiled before the mutation report weights_stale(). Every other
   /// layer ignores it: a plan reads its weights live.

@@ -1,5 +1,8 @@
 #include "nn/model_io.h"
 
+#include <cstring>
+#include <string_view>
+
 #include "common/check.h"
 
 namespace orco::nn {
@@ -25,45 +28,46 @@ std::vector<std::byte> save_params(Layer& model) {
 }
 
 void load_params(Layer& model, std::span<const std::byte> bytes) {
-  common::ByteReader reader(bytes);
-  ORCO_CHECK(reader.read_u32() == kMagic, "bad model file magic");
   auto params = model.params();
-  const std::uint64_t count = reader.read_u64();
-  ORCO_CHECK(count == params.size(), "model has " << params.size()
-                                                  << " params, file has "
-                                                  << count);
-  for (auto& p : params) {
-    const std::string name = reader.read_string();
-    ORCO_CHECK(name == p.name,
-               "param order mismatch: expected " << p.name << ", got " << name);
-    const std::uint64_t rank = reader.read_u64();
-    ORCO_CHECK(rank == p.value->rank(), "rank mismatch for "
-                                            << name << ": file has " << rank
-                                            << ", model has "
-                                            << p.value->rank());
-    tensor::Shape shape(rank);
-    for (auto& d : shape) d = reader.read_u64();
-    ORCO_CHECK(shape == p.value->shape(),
-               "shape mismatch for " << name << ": "
-                                     << tensor::shape_to_string(shape) << " vs "
-                                     << tensor::shape_to_string(p.value->shape()));
-    const auto data = reader.read_f32_vector();
-    ORCO_CHECK(data.size() == p.value->numel(),
-               "data size mismatch for " << name << ": file has "
-                                         << data.size() << " values, model has "
-                                         << p.value->numel());
-    std::copy(data.begin(), data.end(), p.value->data().begin());
+  // The first walk checks the whole blob; only the second copies values,
+  // each tensor straight out of the blob. So a malformed blob throws before
+  // any value changes.
+  for (const bool copy : {false, true}) {
+    common::ByteReader reader(bytes);
+    ORCO_CHECK(reader.read_u32() == kMagic, "bad model file magic");
+    const std::uint64_t count = reader.read_u64();
+    ORCO_CHECK(count == params.size(), "model has " << params.size()
+                                                    << " params, file has "
+                                                    << count);
+    for (auto& p : params) {
+      const std::span<const std::byte> name_bytes = reader.read_view(1);
+      const std::string_view name(
+          reinterpret_cast<const char*>(name_bytes.data()), name_bytes.size());
+      ORCO_CHECK(name == p.name, "param order mismatch: expected "
+                                     << p.name << ", got " << name);
+      const std::uint64_t rank = reader.read_u64();
+      ORCO_CHECK(rank == p.value->rank(), "rank mismatch for "
+                                              << name << ": file has " << rank
+                                              << ", model has "
+                                              << p.value->rank());
+      tensor::Shape shape(rank);
+      for (auto& d : shape) d = reader.read_u64();
+      ORCO_CHECK(shape == p.value->shape(),
+                 "shape mismatch for "
+                     << name << ": " << tensor::shape_to_string(shape)
+                     << " vs " << tensor::shape_to_string(p.value->shape()));
+      const std::span<const std::byte> values = reader.read_view(sizeof(float));
+      ORCO_CHECK(values.size() == p.value->numel() * sizeof(float),
+                 "data size mismatch for "
+                     << name << ": file has " << values.size() / sizeof(float)
+                     << " values, model has " << p.value->numel());
+      if (copy && !values.empty()) {
+        std::memcpy(p.value->data().data(), values.data(), values.size());
+      }
+    }
+    ORCO_CHECK(reader.exhausted(), "model blob has " << reader.remaining()
+                                                     << " trailing bytes");
   }
-}
-
-void save_params_file(Layer& model, const std::string& path) {
-  const auto bytes = save_params(model);
-  common::write_file(path, bytes);
-}
-
-void load_params_file(Layer& model, const std::string& path) {
-  const auto bytes = common::read_file(path);
-  load_params(model, bytes);
 }
 
 }  // namespace orco::nn

@@ -1,11 +1,11 @@
 // Model weight (de)serialisation.
 //
-// Beyond checkpointing, this is how the orchestrator measures the broadcast
-// cost of distributing the trained encoder to IoT devices (paper §III-C):
-// the serialised size is the wire size.
+// save_params's blob is the persisted weight format: the fleet's cold
+// records carry one per model (fleet/cold_store.h), and publish clones
+// copy weights through it. It is also how the orchestrator measures the
+// broadcast cost of distributing the trained encoder to IoT devices
+// (paper §III-C): the serialised size is the wire size.
 #pragma once
-
-#include <string>
 
 #include "common/serialize.h"
 #include "nn/layer.h"
@@ -15,11 +15,10 @@ namespace orco::nn {
 /// Serialises all parameters of `model` (names, shapes, data) into bytes.
 std::vector<std::byte> save_params(Layer& model);
 
-/// Restores parameters saved by save_params; shapes and names must match.
+/// Restores parameters saved by save_params. All or nothing: the whole
+/// blob is checked first (magic, parameter count, names, ranks, shapes,
+/// value counts, no trailing bytes), and a blob that fails any check
+/// throws std::invalid_argument with every value of `model` unchanged.
 void load_params(Layer& model, std::span<const std::byte> bytes);
-
-/// File convenience wrappers.
-void save_params_file(Layer& model, const std::string& path);
-void load_params_file(Layer& model, const std::string& path);
 
 }  // namespace orco::nn

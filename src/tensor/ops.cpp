@@ -69,62 +69,4 @@ float mse(const Tensor& a, const Tensor& b) {
   return static_cast<float>(acc / static_cast<double>(a.numel()));
 }
 
-Tensor concat_rows(const std::vector<Tensor>& parts) {
-  ORCO_CHECK(!parts.empty(), "concat_rows of an empty part list");
-  ORCO_CHECK(parts.front().rank() == 2,
-             "concat_rows: part 0 must be rank 2, got "
-                 << shape_to_string(parts.front().shape()));
-  const std::size_t cols = parts.front().dim(1);
-  std::size_t rows = 0;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    const Tensor& p = parts[i];
-    ORCO_CHECK(p.rank() == 2, "concat_rows: part " << i
-                                                   << " must be rank 2, got "
-                                                   << shape_to_string(p.shape()));
-    ORCO_CHECK(p.dim(1) == cols, "concat_rows: part "
-                                     << i << " has " << p.dim(1)
-                                     << " columns, want " << cols);
-    rows += p.dim(0);
-  }
-  ORCO_CHECK(rows > 0, "concat_rows: every part has zero rows");
-  Tensor out({rows, cols});
-  std::size_t r = 0;
-  for (const auto& p : parts) {
-    std::copy(p.data().begin(), p.data().end(),
-              out.data().begin() + static_cast<std::ptrdiff_t>(r * cols));
-    r += p.dim(0);
-  }
-  return out;
-}
-
-Tensor stack_rows(const std::vector<Tensor>& parts) {
-  ORCO_CHECK(!parts.empty(), "stack_rows of an empty part list");
-  const std::size_t cols = parts.front().numel();
-  ORCO_CHECK(cols > 0, "stack_rows: part 0 is empty (shape "
-                           << shape_to_string(parts.front().shape()) << ")");
-  if (parts.size() == 1) {
-    // Single-part fast path: one copy straight off the sole tensor (the
-    // general path below zero-initialises a fresh buffer first and then
-    // copies over it). An un-coalesced serve batch hits this per request.
-    const Tensor& p = parts.front();
-    ORCO_CHECK(p.rank() == 1 || (p.rank() == 2 && p.dim(0) == 1),
-               "stack_rows: part 0 has shape " << shape_to_string(p.shape())
-                                               << ", want a single row");
-    return p.reshaped({1, cols});
-  }
-  Tensor out({parts.size(), cols});
-  std::size_t r = 0;
-  for (const auto& p : parts) {
-    ORCO_CHECK((p.rank() == 1 || (p.rank() == 2 && p.dim(0) == 1)) &&
-                   p.numel() == cols,
-               "stack_rows: part " << r << " has shape "
-                                   << shape_to_string(p.shape())
-                                   << ", want length " << cols);
-    std::copy(p.data().begin(), p.data().end(),
-              out.data().begin() + static_cast<std::ptrdiff_t>(r * cols));
-    ++r;
-  }
-  return out;
-}
-
 }  // namespace orco::tensor

@@ -20,12 +20,4 @@ Tensor clamp(const Tensor& t, float lo, float hi);
 /// Mean of (a-b)^2 over all elements.
 float mse(const Tensor& a, const Tensor& b);
 
-/// Concatenates rank-2 tensors along dim 0 (columns must agree).
-Tensor concat_rows(const std::vector<Tensor>& parts);
-
-/// Stacks rank-1 tensors of equal length into a (parts, length) batch — the
-/// entry point for coalescing independent per-request vectors into one
-/// batched inference call. Rank-2 (1, length) parts are accepted too.
-Tensor stack_rows(const std::vector<Tensor>& parts);
-
 }  // namespace orco::tensor

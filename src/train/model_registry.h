@@ -118,7 +118,7 @@ class ModelRegistry {
   /// Outstanding Entry shared_ptrs stay valid — a shard's in-flight batch
   /// finishes on its pinned snapshot — but a re-registered tenant starts
   /// from a fresh slot, so its first publish after reactivation only has
-  /// to beat the version persisted in its checkpoint, not whatever the
+  /// to beat the version persisted in its cold record, not whatever the
   /// dead slot last held. Returns false when the tenant was never seen.
   bool remove(ClusterId cluster);
 

@@ -234,13 +234,6 @@ bool TrainerRuntime::observe_loss(ClusterId cluster, float loss) {
   return triggered;
 }
 
-std::uint64_t TrainerRuntime::publish_now(ClusterId cluster) {
-  Tenant* tenant = find_tenant(cluster);
-  ORCO_CHECK(tenant != nullptr, "unknown tenant " << cluster);
-  common::MutexLock train_lock(tenant->train_mu);
-  return export_and_publish(cluster, *tenant);
-}
-
 std::uint64_t TrainerRuntime::export_and_publish(ClusterId cluster,
                                                  Tenant& tenant) {
   // Publishes are rare (one per completed job) — trace every one so a

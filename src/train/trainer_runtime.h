@@ -115,10 +115,6 @@ class TrainerRuntime {
   /// baseline exists are ignored (returns false).
   bool observe_loss(ClusterId cluster, float loss);
 
-  /// Exports the tenant's current weights and publishes them immediately
-  /// (no training). Returns the published version.
-  std::uint64_t publish_now(ClusterId cluster);
-
   /// Launches the worker threads. Idempotent until shutdown().
   void start();
 

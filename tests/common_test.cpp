@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <numeric>
 #include <set>
@@ -197,6 +198,18 @@ TEST(SerializeTest, RoundTripsVectorsAndStrings) {
   ByteReader r(w.bytes());
   EXPECT_EQ(r.read_f32_vector(), (std::vector<float>{1.0f, 2.0f, 3.0f}));
   EXPECT_EQ(r.read_string(), "orcodcs");
+
+  // read_view hands out the same payloads in place, each one starting
+  // right after its length prefix.
+  ByteReader v(w.bytes());
+  const std::span<const std::byte> floats = v.read_view(sizeof(float));
+  EXPECT_EQ(floats.data(), w.bytes().data() + 8);
+  ASSERT_EQ(floats.size(), 3 * sizeof(float));
+  float third = 0.0f;
+  std::memcpy(&third, floats.data() + 2 * sizeof(float), sizeof third);
+  EXPECT_EQ(third, 3.0f);
+  EXPECT_EQ(v.read_view(1).size(), 7u);
+  EXPECT_TRUE(v.exhausted());
 }
 
 TEST(SerializeTest, UnderrunThrows) {
@@ -221,6 +234,8 @@ TEST(SerializeTest, UnderrunThrows) {
                  std::invalid_argument);
     EXPECT_THROW((void)ByteReader(hostile.bytes()).read_bytes(),
                  std::invalid_argument);
+    EXPECT_THROW((void)ByteReader(hostile.bytes()).read_view(1),
+                 std::invalid_argument);
   }
   // Zero-length reads return empty values and consume only the prefix.
   ByteWriter empty;
@@ -232,13 +247,14 @@ TEST(SerializeTest, UnderrunThrows) {
   EXPECT_TRUE(er.read_string().empty());
   EXPECT_TRUE(er.read_bytes().empty());
   EXPECT_TRUE(er.exhausted());
+  EXPECT_TRUE(ByteReader(empty.bytes()).read_view(sizeof(float)).empty());
 }
 
 TEST(SerializeTest, FileRoundTrip) {
   ByteWriter w;
   w.write_string("persist me");
   const std::string path = ::testing::TempDir() + "/orco_serialize_test.bin";
-  write_file(path, w.bytes());
+  write_file_atomic(path, w.bytes());
   const auto bytes = read_file(path);
   ByteReader r(bytes);
   EXPECT_EQ(r.read_string(), "persist me");

@@ -1,7 +1,7 @@
 // Seeded mutation test over the byte decoders that read input from outside
 // the process: the five protocol messages, a save_params blob, a kFixed8
-// latent payload, a ColdStore record and an OrcoDcsSystem checkpoint (the
-// last two through their files in a temp directory).
+// latent payload and a ColdStore record (through its file in a temp
+// directory).
 //
 // Each case starts from a valid encoding and decodes a few thousand
 // mutants of it:
@@ -13,12 +13,15 @@
 // Every decode must either return or throw std::invalid_argument, the
 // ORCO_CHECK outcome of malformed input. Any other exception fails the
 // case; built with -DORCO_SANITIZE=address,undefined, so does every memory
-// error, oversized allocation or null memcpy the sanitizers see.
+// error, oversized allocation or null memcpy the sanitizers see. A
+// save_params blob that load_params refuses must also leave the target
+// model's weights as they were.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <stdexcept>
@@ -138,6 +141,15 @@ core::SystemConfig tiny_system() {
   return cfg;
 }
 
+/// Writes `bytes` over `path` in place, without the fsyncs of
+/// common::write_file_atomic: thousands of mutants are planted per case.
+void plant_file(const std::string& path, const Bytes& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  if (!out) throw std::runtime_error("cannot plant " + path);
+}
+
 std::string fresh_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
   std::filesystem::remove_all(dir);
@@ -181,8 +193,22 @@ TEST(DecodeMutationTest, SavedParams) {
   target.emplace<nn::Dense>(6, 4, rng);
   target.emplace<nn::ReLU>();
   target.emplace<nn::Dense>(4, 3, rng);
+  // load_params is all or nothing: after any throw the target's weights
+  // are the ones it had before the call. A change escapes as
+  // std::logic_error, which fuzz() counts against the case.
   fuzz("save_params blob", valid,
-       [&](const Bytes& b) { nn::load_params(target, b); }, 21);
+       [&](const Bytes& b) {
+         const Bytes before = nn::save_params(target);
+         try {
+           nn::load_params(target, b);
+         } catch (...) {
+           if (nn::save_params(target) != before) {
+             throw std::logic_error("a refused blob changed the model");
+           }
+           throw;
+         }
+       },
+       21);
 }
 
 TEST(DecodeMutationTest, Fixed8LatentPayload) {
@@ -217,30 +243,13 @@ TEST(DecodeMutationTest, ColdStoreRecordAndItsWake) {
   core::OrcoDcsSystem target(tiny_system());
   fuzz("ColdStore record", valid,
        [&](const Bytes& b) {
-         common::write_file(store.path_for(9), b);
+         plant_file(store.path_for(9), b);
          const fleet::ColdRecord loaded = store.load(9);
          nn::load_params(target.aggregator().encoder(),
                          loaded.encoder_params);
          nn::load_params(target.edge().decoder(), loaded.decoder_params);
        },
        41);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(DecodeMutationTest, SystemCheckpoint) {
-  const std::string dir = fresh_dir("orco_mutation_checkpoint");
-  const std::string path = dir + "/system.ckpt";
-  core::OrcoDcsSystem system(tiny_system());
-  system.save_checkpoint(path);
-  const Bytes valid = common::read_file(path);
-  ASSERT_LT(valid.size(), 1024u);
-  core::OrcoDcsSystem target(tiny_system());
-  fuzz("OrcoDcsSystem checkpoint", valid,
-       [&](const Bytes& b) {
-         common::write_file(path, b);
-         target.load_checkpoint(path);
-       },
-       51);
   std::filesystem::remove_all(dir);
 }
 

@@ -1,12 +1,11 @@
-// Tests for the multi-edge fleet (src/fleet): consistent-hash ring
-// properties (balance + bounded remap), delta-encoded snapshot replication
+// Tests for the multi-edge fleet (src/fleet): fixed-hash routing (the
+// owner formula, balance, determinism), delta-encoded snapshot replication
 // (changed-blobs-only shipping, zero-copy apply), the crash-safe cold tier
-// (ColdStore + OrcoDcsSystem checkpoint atomicity, truncated-file
-// rejection), warm/cold tiering (bounded residency, write-back demotion,
-// bitwise-equal cold wake, single-flight thundering-herd collapse, a failed
-// cold write that leaves the tenant serving, standby images only for warm
-// tenants) and the runtime/trainer unregister paths the fleet's demotion
-// relies on.
+// (ColdStore write atomicity, truncated-file rejection), warm/cold tiering
+// (bounded residency, write-back demotion, bitwise-equal cold wake,
+// single-flight thundering-herd collapse, a failed cold write that leaves
+// the tenant serving, standby images only for warm tenants) and the
+// runtime/trainer unregister paths the fleet's demotion relies on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -65,7 +64,6 @@ core::SystemConfig tiny_system() {
 FleetConfig tiny_fleet(const std::string& cold_dir) {
   FleetConfig cfg;
   cfg.replicas = 2;
-  cfg.vnodes = 64;
   cfg.warm_capacity = 8;
   cfg.cold_dir = cold_dir;
   cfg.system = tiny_system();
@@ -137,82 +135,37 @@ std::vector<DecodeResponse> herd_submit(EdgeFleet& fleet, ClusterId id,
   return responses;
 }
 
-// ---- hash ring --------------------------------------------------------------
+// ---- routing ----------------------------------------------------------------
 
-TEST(HashRingTest, BalancesLoadAcrossReplicas) {
-  constexpr std::size_t kReplicas = 4;
+TEST(FleetRoutingTest, OwnerIsSplitMixModuloCellsAndBalancesLoad) {
+  constexpr std::size_t kCells = 4;
   constexpr std::size_t kKeys = 20000;
-  HashRing ring(kReplicas, /*vnodes=*/128);
-  std::vector<std::size_t> counts(kReplicas, 0);
+  FleetConfig cfg = tiny_fleet(fresh_dir("routing"));
+  cfg.replicas = kCells;
+  const EdgeFleet fleet(cfg);
+  const EdgeFleet twin(cfg);
+  ASSERT_EQ(fleet.cell_count(), kCells);
+  std::vector<std::size_t> counts(kCells, 0);
   for (std::size_t k = 0; k < kKeys; ++k) {
-    ++counts[ring.route(k * 2654435761ULL + 7)];
+    const ClusterId id = k * 2654435761ULL + 7;
+    const std::uint32_t owner = fleet.owner_of(id);
+    ASSERT_EQ(owner, common::SplitMix64(id).next() % kCells) << "id " << id;
+    // Routing depends on the id and the cell count alone.
+    ASSERT_EQ(twin.owner_of(id), owner) << "id " << id;
+    ++counts[owner];
   }
-  const double expected = static_cast<double>(kKeys) / kReplicas;
+  const double expected = static_cast<double>(kKeys) / kCells;
   double chi2 = 0.0;
-  for (std::size_t r = 0; r < kReplicas; ++r) {
-    const double dev = static_cast<double>(counts[r]) - expected;
+  for (std::size_t c = 0; c < kCells; ++c) {
+    const double dev = static_cast<double>(counts[c]) - expected;
     chi2 += dev * dev / expected;
-    // Per-replica share within 35% of fair — with 128 vnodes the share's
-    // coefficient of variation is ~1/sqrt(128) ~ 9%, so this is a ~4 sigma
-    // bound, while a degenerate ring (one replica owning half the space)
-    // deviates by 100%.
-    EXPECT_NEAR(static_cast<double>(counts[r]), expected, 0.35 * expected)
-        << "replica " << r;
+    // Under a uniform hash one standard deviation of a cell's count is
+    // sqrt(n p (1 - p)) ~ 61 keys, 1.2% of fair, so this is a ~4 sigma
+    // bound; one cell owning half the keys deviates by 100%.
+    EXPECT_NEAR(static_cast<double>(counts[c]), expected, 0.05 * expected)
+        << "cell " << c;
   }
-  EXPECT_LT(chi2, 2500.0);
-}
-
-TEST(HashRingTest, AddingReplicaMovesOnlyKeysToNewReplica) {
-  constexpr std::size_t kKeys = 20000;
-  HashRing before(4, 128);
-  HashRing after = before;
-  after.add_replica(4);
-  std::size_t moved = 0;
-  for (std::size_t k = 0; k < kKeys; ++k) {
-    const std::uint64_t key = k * 0x9e3779b97f4a7c15ULL + 3;
-    const std::uint32_t a = before.route(key);
-    const std::uint32_t b = after.route(key);
-    if (a != b) {
-      ++moved;
-      // Consistency: a key that changes owner can only have been claimed
-      // by the new replica's points.
-      EXPECT_EQ(b, 4u) << "key moved between pre-existing replicas";
-    }
-  }
-  // Fair share of a 5th replica is 20%; bound with generous slack.
-  EXPECT_GT(moved, 0u);
-  EXPECT_LT(static_cast<double>(moved) / kKeys, 0.35);
-}
-
-TEST(HashRingTest, RemovingReplicaMovesOnlyItsKeys) {
-  constexpr std::size_t kKeys = 20000;
-  HashRing before(4, 128);
-  HashRing after = before;
-  ASSERT_TRUE(after.remove_replica(2));
-  ASSERT_FALSE(after.remove_replica(2));
-  std::size_t moved = 0;
-  for (std::size_t k = 0; k < kKeys; ++k) {
-    const std::uint64_t key = k * 0x9e3779b97f4a7c15ULL + 3;
-    const std::uint32_t a = before.route(key);
-    const std::uint32_t b = after.route(key);
-    if (a == 2u) {
-      ++moved;
-      EXPECT_NE(b, 2u);
-    } else {
-      // Every other tenant keeps its owner — the property that makes
-      // topology changes cheap for warm state.
-      EXPECT_EQ(a, b);
-    }
-  }
-  EXPECT_LT(static_cast<double>(moved) / kKeys, 0.35);
-}
-
-TEST(HashRingTest, RoutingIsDeterministic) {
-  HashRing a(3, 96);
-  HashRing b(3, 96);
-  for (std::uint64_t key = 0; key < 512; ++key) {
-    EXPECT_EQ(a.route(key), b.route(key));
-  }
+  EXPECT_LT(chi2, 30.0);
 }
 
 // ---- delta replication ------------------------------------------------------
@@ -282,7 +235,17 @@ TEST(ReplicationTest, LoadImageRestoresWeightsBitwise) {
   }
 }
 
-// ---- cold store + crash-safe checkpoints ------------------------------------
+// ---- cold store -------------------------------------------------------------
+
+/// Writes `bytes` over `path` in place: the torn or foreign file that
+/// ColdStore's atomic rename never leaves behind (no fsync, so planting
+/// one costs a test nothing).
+void plant_file(const std::string& path, std::span<const std::byte> bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << "cannot write " << path;
+}
 
 TEST(ColdStoreTest, RoundTripsRecordAtomically) {
   ColdStore store(fresh_dir("cold_roundtrip"));
@@ -320,12 +283,12 @@ TEST(ColdStoreTest, TruncatedRecordIsRejected) {
 
   // Simulate the torn write the atomic rename prevents.
   const auto full = common::read_file(store.path_for(5));
-  common::write_file(store.path_for(5),
-                     std::span<const std::byte>(full).first(full.size() / 2));
+  plant_file(store.path_for(5),
+             std::span<const std::byte>(full).first(full.size() / 2));
   EXPECT_THROW((void)store.load(5), std::exception);
 
   // Wrong-tenant file is rejected too.
-  common::write_file(store.path_for(6), full);
+  plant_file(store.path_for(6), full);
   EXPECT_THROW((void)store.load(6), std::exception);
 
   // So is a format-1 record (the layout that still carried a QoS policy):
@@ -333,7 +296,7 @@ TEST(ColdStoreTest, TruncatedRecordIsRejected) {
   std::vector<std::byte> format1 = full;
   const std::uint32_t old_format = 1;
   std::memcpy(format1.data() + 4, &old_format, sizeof old_format);
-  common::write_file(store.path_for(5), format1);
+  plant_file(store.path_for(5), format1);
   EXPECT_THROW((void)store.load(5), std::exception);
 
   // An encoder blob whose length prefix claims 2^40 bytes is refused as
@@ -342,27 +305,8 @@ TEST(ColdStoreTest, TruncatedRecordIsRejected) {
   std::vector<std::byte> huge_blob = full;
   const std::uint64_t huge = std::uint64_t{1} << 40;
   std::memcpy(huge_blob.data() + 24, &huge, sizeof huge);
-  common::write_file(store.path_for(5), huge_blob);
+  plant_file(store.path_for(5), huge_blob);
   EXPECT_THROW((void)store.load(5), std::invalid_argument);
-}
-
-TEST(CheckpointTest, SaveIsAtomicAndTruncatedLoadThrows) {
-  core::OrcoDcsSystem system(tiny_system());
-  const std::string path =
-      ::testing::TempDir() + "/orco_fleet_ckpt_atomic.bin";
-  system.save_checkpoint(path);
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"))
-      << "save_checkpoint must rename its temp file away";
-
-  const auto full = common::read_file(path);
-  common::write_file(path,
-                     std::span<const std::byte>(full).first(full.size() / 2));
-  core::OrcoDcsSystem other(tiny_system());
-  EXPECT_THROW(other.load_checkpoint(path), std::exception);
-
-  // The intact bytes restore fine — the failure above was the truncation.
-  common::write_file(path, full);
-  other.load_checkpoint(path);
 }
 
 // ---- residency --------------------------------------------------------------
@@ -656,7 +600,7 @@ TEST(FleetTest, ReplicatesSnapshotsToFollowerWithDeltas) {
   // twin produces a bitwise-identical image — the delta must carry zero
   // blobs and the follower must keep aliasing every standby blob.
   core::SystemConfig twin_cfg = cfg.system;
-  twin_cfg.orco.seed = HashRing::mix(twin_cfg.orco.seed ^ id);
+  twin_cfg.orco.seed = common::SplitMix64(twin_cfg.orco.seed ^ id).next();
   core::OrcoDcsSystem twin(twin_cfg);
   auto snapshot = std::make_shared<train::ModelSnapshot>();
   snapshot->version = 5;

@@ -1,7 +1,7 @@
 // Numerical gradient checks for every trainable and routing layer.
 //
 // Each case builds a layer, runs the central-difference harness from
-// nn/gradcheck.h on random inputs, and asserts both parameter and input
+// gradcheck.h on random inputs, and asserts both parameter and input
 // gradients match the analytic backward pass. This is the correctness
 // anchor for the whole training stack.
 #include <gtest/gtest.h>
@@ -14,10 +14,11 @@
 #include "nn/conv2d.h"
 #include "nn/conv_transpose2d.h"
 #include "nn/dense.h"
-#include "nn/gradcheck.h"
 #include "nn/pooling.h"
 #include "nn/sequential.h"
 #include "tensor/matmul.h"
+
+#include "gradcheck.h"
 
 namespace orco::nn {
 namespace {
@@ -65,11 +66,11 @@ TEST_P(GradCheckSuite, AnalyticMatchesNumeric) {
   const auto layer = param.make(rng);
   const auto report =
       param.separated_input
-          ? gradcheck_layer_with_input(*layer,
-                                       separated_values(param.input_shape, rng),
-                                       rng, 1e-2f, param.tolerance)
-          : gradcheck_layer(*layer, param.input_shape, rng, 1e-2f,
-                            param.tolerance);
+          ? testutil::gradcheck_layer_with_input(
+                *layer, separated_values(param.input_shape, rng), rng, 1e-2f,
+                param.tolerance)
+          : testutil::gradcheck_layer(*layer, param.input_shape, rng, 1e-2f,
+                                      param.tolerance);
   EXPECT_TRUE(report.ok) << param.name << ": param rel err "
                          << report.max_param_rel_error << ", input rel err "
                          << report.max_input_rel_error;

@@ -1,11 +1,13 @@
 // Cross-cutting property tests: algebraic laws the kernels must satisfy for
-// every shape/seed (parameterised sweeps), plus checkpointing round-trips.
+// every shape/seed (parameterised sweeps), plus weight round-trips through
+// the persisted format (nn::save_params blobs).
 #include <gtest/gtest.h>
 
 #include "core/orcodcs.h"
 #include "data/synthetic_mnist.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
+#include "nn/model_io.h"
 #include "tensor/matmul.h"
 #include "tensor/ops.h"
 #include "wsn/radio.h"
@@ -172,6 +174,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MessageFuzzSuite,
 
 // ---- checkpointing -------------------------------------------------------------
 
+/// A system's weights in the one persisted format, a save_params blob per
+/// model: what a fleet cold record carries.
+struct SavedWeights {
+  std::vector<std::byte> encoder, decoder;
+};
+
+SavedWeights save_weights(core::OrcoDcsSystem& sys) {
+  return {nn::save_params(sys.aggregator().encoder()),
+          nn::save_params(sys.edge().decoder())};
+}
+
+void load_weights(core::OrcoDcsSystem& sys, const SavedWeights& saved) {
+  nn::load_params(sys.aggregator().encoder(), saved.encoder);
+  nn::load_params(sys.edge().decoder(), saved.decoder);
+}
+
 core::SystemConfig checkpoint_config() {
   core::SystemConfig cfg;
   cfg.orco.input_dim = 784;
@@ -189,12 +207,11 @@ TEST(CheckpointTest, RoundTripRestoresReconstructions) {
 
   core::OrcoDcsSystem trained(checkpoint_config());
   (void)trained.train_online(train, 2);
-  const std::string path = ::testing::TempDir() + "/orco_checkpoint_test.bin";
-  trained.save_checkpoint(path);
+  const SavedWeights saved = save_weights(trained);
 
   core::OrcoDcsSystem fresh(checkpoint_config());
   const auto before = fresh.reconstruct(train.images().slice_rows(0, 4));
-  fresh.load_checkpoint(path);
+  load_weights(fresh, saved);
   const auto after = fresh.reconstruct(train.images().slice_rows(0, 4));
   const auto reference = trained.reconstruct(train.images().slice_rows(0, 4));
   EXPECT_FALSE(before.allclose(reference, 1e-5f));
@@ -203,13 +220,13 @@ TEST(CheckpointTest, RoundTripRestoresReconstructions) {
 
 TEST(CheckpointTest, MismatchedConfigurationRejected) {
   core::OrcoDcsSystem sys(checkpoint_config());
-  const std::string path = ::testing::TempDir() + "/orco_checkpoint_test2.bin";
-  sys.save_checkpoint(path);
+  const SavedWeights saved = save_weights(sys);
 
+  // Another latent width gives the encoder's weight another shape.
   auto other_cfg = checkpoint_config();
   other_cfg.orco.latent_dim = 64;
   core::OrcoDcsSystem other(other_cfg);
-  EXPECT_THROW(other.load_checkpoint(path), std::invalid_argument);
+  EXPECT_THROW(load_weights(other, saved), std::invalid_argument);
 }
 
 TEST(CheckpointTest, TrainingCanResumeFromCheckpoint) {
@@ -220,11 +237,10 @@ TEST(CheckpointTest, TrainingCanResumeFromCheckpoint) {
   core::OrcoDcsSystem sys(checkpoint_config());
   (void)sys.train_online(train, 2);
   const float loss_before = sys.evaluate_loss(train);
-  const std::string path = ::testing::TempDir() + "/orco_checkpoint_test3.bin";
-  sys.save_checkpoint(path);
+  const SavedWeights saved = save_weights(sys);
 
   core::OrcoDcsSystem resumed(checkpoint_config());
-  resumed.load_checkpoint(path);
+  load_weights(resumed, saved);
   EXPECT_NEAR(resumed.evaluate_loss(train), loss_before, 1e-5f);
   (void)resumed.train_online(train, 2);
   EXPECT_LT(resumed.evaluate_loss(train), loss_before);

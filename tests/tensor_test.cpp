@@ -421,47 +421,6 @@ TEST(OpsTest, MseKnownValue) {
   EXPECT_FLOAT_EQ(mse(a, b), 12.5f);
 }
 
-TEST(OpsTest, ConcatRows) {
-  const Tensor a = Tensor::from2d({{1, 2}});
-  const Tensor b = Tensor::from2d({{3, 4}, {5, 6}});
-  const Tensor c = concat_rows({a, b});
-  EXPECT_EQ(c.dim(0), 3u);
-  EXPECT_EQ(c.at(2, 1), 6.0f);
-  EXPECT_THROW((void)concat_rows({a, Tensor({1, 3})}), std::invalid_argument);
-}
-
-TEST(OpsTest, ConcatRowsRejectsMalformedInput) {
-  EXPECT_THROW((void)concat_rows({}), std::invalid_argument);
-  // Rank mismatches anywhere in the list, including the first part.
-  EXPECT_THROW((void)concat_rows({Tensor::from({1, 2, 3})}),
-               std::invalid_argument);
-  const Tensor a = Tensor::from2d({{1, 2}});
-  EXPECT_THROW((void)concat_rows({a, Tensor::from({1, 2})}),
-               std::invalid_argument);
-}
-
-TEST(OpsTest, StackRowsSingleInputFastPath) {
-  // Regression for the single-part fast path: the sole tensor is copied
-  // straight through (no zero-init + overwrite), for both accepted ranks,
-  // and malformed single parts are still rejected.
-  const Tensor flat = Tensor::from({1, 2, 3});
-  const Tensor s1 = stack_rows({flat});
-  ASSERT_EQ(s1.rank(), 2u);
-  EXPECT_EQ(s1.dim(0), 1u);
-  EXPECT_EQ(s1.dim(1), 3u);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(s1[i], flat[i]);
-
-  const Tensor row = Tensor::from2d({{4, 5, 6}});
-  const Tensor s2 = stack_rows({row});
-  ASSERT_EQ(s2.rank(), 2u);
-  EXPECT_EQ(s2.dim(0), 1u);
-  EXPECT_EQ(s2.dim(1), 3u);
-  EXPECT_EQ(s2.at(0, 2), 6.0f);
-
-  // A rank-2 multi-row sole part is malformed, same as on the general path.
-  EXPECT_THROW((void)stack_rows({Tensor({2, 3})}), std::invalid_argument);
-}
-
 TEST(TensorTest, RowCopyExtractsOneRow) {
   const Tensor t = Tensor::from2d({{1, 2, 3}, {4, 5, 6}});
   const Tensor r = t.row_copy(1);
@@ -487,19 +446,6 @@ TEST(TensorTest, ResizeChangesNumelAndReusesCapacity) {
   t.resize({16, 16});  // genuine growth
   EXPECT_EQ(t.numel(), 256u);
   EXPECT_EQ(t.dim(0), 16u);
-}
-
-TEST(OpsTest, StackRowsRejectsMalformedInput) {
-  EXPECT_THROW((void)stack_rows({}), std::invalid_argument);
-  EXPECT_THROW((void)stack_rows({Tensor{}}), std::invalid_argument);
-  const Tensor a = Tensor::from({1, 2, 3});
-  // Width mismatch and a rank-2 multi-row part are both rejected.
-  EXPECT_THROW((void)stack_rows({a, Tensor::from({1, 2})}),
-               std::invalid_argument);
-  EXPECT_THROW((void)stack_rows({a, Tensor({2, 3})}), std::invalid_argument);
-  const Tensor s = stack_rows({a, Tensor::from({4, 5, 6})});
-  EXPECT_EQ(s.dim(0), 2u);
-  EXPECT_EQ(s.at(1, 2), 6.0f);
 }
 
 }  // namespace

@@ -17,6 +17,10 @@ Rules
 3. todo-tags: every TODO/FIXME in src/, tests/, bench/, examples/ carries
    an issue tag — ``TODO(#123)`` or ``TODO(name)`` — so stale intentions
    stay attributable.
+4. includers: every header under src/ is included by some file outside
+   tests/ other than its own .cpp (src/, bench/, examples/ or
+   orcobench/). A header only tests include is test code shipped in the
+   library: move it under tests/ (as tests/gradcheck.h) or delete it.
 
 Exit status: 0 clean, 1 violations found, 2 usage/internal error.
 
@@ -60,11 +64,14 @@ TODO_TAGGED_RE = re.compile(r"\b(?:TODO|FIXME)\s*\([^)]+\)")
 
 SOURCE_DIRS = ["src", "tests", "bench", "examples"]
 SOURCE_EXTS = {".h", ".hpp", ".cpp", ".cc"}
+# Rule 4: the trees whose includes count as a header's users.
+INCLUDER_DIRS = ["src", "bench", "examples", "orcobench"]
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 
 
-def source_files(root: str) -> list[str]:
+def source_files(root: str, dirs: list[str] = SOURCE_DIRS) -> list[str]:
     out = []
-    for d in SOURCE_DIRS:
+    for d in dirs:
         base = os.path.join(root, d)
         if not os.path.isdir(base):
             continue
@@ -136,6 +143,32 @@ def check_todo_tags(root: str) -> list[str]:
     return errors
 
 
+def check_includers(root: str) -> list[str]:
+    src = os.path.join(root, "src")
+    headers = {
+        os.path.relpath(p, src): p
+        for p in source_files(root, ["src"])
+        if os.path.splitext(p)[1] in {".h", ".hpp"}
+    }
+    used = set()
+    for path in source_files(root, INCLUDER_DIRS):
+        with open(path, encoding="utf-8") as f:
+            for line in f:
+                m = INCLUDE_RE.match(line)
+                if m is None or m.group(1) not in headers:
+                    continue
+                header = headers[m.group(1)]
+                own_cpp = os.path.splitext(header)[0] + ".cpp"
+                if path not in (header, own_cpp):
+                    used.add(m.group(1))
+    return [
+        f"{os.path.relpath(p, root)}: no includer outside tests/ and its "
+        f"own .cpp (move it under tests/ or delete it)"
+        for inc, p in sorted(headers.items())
+        if inc not in used
+    ]
+
+
 def check_headers(root: str, cxx: str, jobs: int) -> list[str]:
     headers = [
         p
@@ -178,6 +211,7 @@ def check_headers(root: str, cxx: str, jobs: int) -> list[str]:
 def run_all(root: str, cxx: str, jobs: int, skip_headers: bool) -> list[str]:
     errors = check_hot_paths(root)
     errors += check_todo_tags(root)
+    errors += check_includers(root)
     if not skip_headers:
         errors += check_headers(root, cxx, jobs)
     return errors
@@ -234,6 +268,25 @@ def self_test(cxx: str, jobs: int) -> int:
             failures.append(f"todo rule missed the seeded untagged TODO: {got}")
         if any("tagged" in e and "todo.cpp" not in e for e in got):
             failures.append(f"todo rule flagged unexpected files: {got}")
+
+        # Rule 4: a header that only its own .cpp and a test include.
+        os.makedirs(os.path.join(root, "tests"))
+        for rel, text in [
+            ("src/selftest/only_tested.h", "#pragma once\nint only_tested();\n"),
+            ("src/selftest/only_tested.cpp",
+             '#include "selftest/only_tested.h"\n'
+             "int only_tested() { return 1; }\n"),
+            ("tests/only_tested_test.cpp",
+             '#include "selftest/only_tested.h"\n'),
+        ]:
+            with open(os.path.join(root, rel), "w", encoding="utf-8") as f:
+                f.write(text)
+        got = check_includers(root)
+        if not any("only_tested.h" in e for e in got):
+            failures.append(f"includer rule missed the test-only header: {got}")
+        if any("common/mutex.h" in e for e in got):
+            failures.append(
+                f"includer rule flagged a header hot.cpp includes: {got}")
 
     if failures:
         print("check_invariants self-test FAILED:", file=sys.stderr)

@@ -1,7 +1,7 @@
 // Fleet scale-out bench: ~100k registered tenants on one box.
 //
-// Drives an EdgeFleet (fixed-hash routing, warm/cold tiering, delta
-// replication) and measures the tiering contract in three phases:
+// Drives an EdgeFleet (fixed-hash routing, warm/cold tiering) and
+// measures the tiering contract in three phases:
 //
 //   1. registration — 100k tenants register without materializing anything;
 //   2. churn — a Zipf-skewed closed-loop stream over the full tenant
@@ -355,7 +355,6 @@ int main() {
   // phase above must stay within kHotP99Bar of this.
   FleetConfig base_cfg =
       fleet_config(/*cells=*/1, kHotRanks * 2, temp_dir("baseline"));
-  base_cfg.replicate = false;
   EdgeFleet baseline(base_cfg);
   for (std::size_t id = 0; id < kHotRanks; ++id) {
     baseline.register_tenant(static_cast<fleet::ClusterId>(id));
@@ -423,10 +422,7 @@ int main() {
        << ", \"demotions\": " << stats.demotions
        << ", \"demotion_aborts\": " << stats.demotion_aborts
        << ", \"capacity_overrides\": " << stats.capacity_overrides
-       << ", \"wake_coalesced\": " << stats.wake_coalesced
-       << ", \"deltas_shipped\": " << stats.deltas_shipped
-       << ", \"full_ships\": " << stats.full_ships
-       << ", \"delta_bytes\": " << stats.delta_bytes << "},\n";
+       << ", \"wake_coalesced\": " << stats.wake_coalesced << "},\n";
   json << "  \"contract\": {\"hot_p99_ratio\": " << hot_p99_ratio
        << ", \"hot_p99_bar\": " << kHotP99Bar
        << ", \"hot_p99_pass\": " << (hot_p99_pass ? "true" : "false")

@@ -1,8 +1,7 @@
 // Tour of src/fleet: one process serving far more tenants than fit in RAM.
 //
 // An EdgeFleet fronts two edge cells. Tenants are routed to cells by a
-// fixed hash of their id, published decoder snapshots are delta-replicated
-// to the next cell by index, and only a bounded warm set of tenants stays
+// fixed hash of their id, and only a bounded warm set of tenants stays
 // materialized — the rest live in the cold tier and reactivate
 // transparently (and bitwise-identically) on their next request.
 //
@@ -10,7 +9,7 @@
 // first-touch activation, LRU demotion under a tiny warm capacity (only
 // the changed tenant writes a cold record; the rest are rebuilt from
 // their seeds), a cold wake that restores the trained weights from that
-// record, and the replication counters that show deltas flowing.
+// record, and the fleet's lifecycle counters.
 //
 // Build & run:  ./build/examples/fleet_tour
 // Exits 1 when the cold wake does not restore the tenant bit for bit.
@@ -114,9 +113,6 @@ int main() {
   table.add_row({"demotions", std::to_string(stats.demotions)});
   table.add_row({"cold records written",
                  std::to_string(fl.cold_store().saves())});
-  table.add_row({"snapshots replicated",
-                 std::to_string(stats.deltas_shipped + stats.full_ships)});
-  table.add_row({"delta bytes", std::to_string(stats.delta_bytes)});
   table.print(std::cout);
 
   fl.shutdown();

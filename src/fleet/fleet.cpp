@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "nn/infer_context.h"
 #include "nn/model_io.h"
 #include "obs/fleet_metrics.h"
 
@@ -45,13 +44,6 @@ EdgeFleet::EdgeFleet(const FleetConfig& config)
     serve::ServeConfig serve_config = config_.serve;
     serve_config.model_registry = cell->registry;
     cell->runtime = std::make_unique<serve::ServerRuntime>(serve_config);
-    if (config_.replicate && config_.replicas > 1) {
-      cell->registry->set_publish_hook(
-          [this, i](ClusterId tenant,
-                    const std::shared_ptr<const train::ModelSnapshot>& snap) {
-            replicate(i, tenant, *snap);
-          });
-    }
     cells_.push_back(std::move(cell));
   }
 }
@@ -71,10 +63,8 @@ void EdgeFleet::shutdown() {
   if (stopped_.exchange(true)) return;
   accepting_.store(false, std::memory_order_release);
   for (auto& cell : cells_) {
-    // Trainers first so their final publishes land before serving drains;
-    // then drop the hook so nothing fans out into a dying fleet.
+    // Trainers first so their final publishes land before serving drains.
     if (cell->trainer != nullptr) cell->trainer->shutdown();
-    cell->registry->set_publish_hook(nullptr);
     cell->runtime->shutdown();
   }
 }
@@ -243,13 +233,12 @@ void EdgeFleet::activate(ClusterId id, TenantState& t) {
   // Read before the trainer can see the system: a fine-tune job submitted
   // right after registration must count as a change to write back.
   const std::uint64_t durable_version = system->model_version();
+  // Either way the tenant's first snapshot is live in the cell registry
+  // before the submit fast path opens.
   if (cell.trainer != nullptr) {
-    // Registration publishes the tenant's first snapshot (prepack-warmed)
-    // in the cell registry: a warm tenant has a live snapshot before the
-    // submit fast path opens.
-    cell.trainer->register_tenant(id, system);
+    cell.trainer->register_tenant(id, system);  // publishes the snapshot
   } else {
-    publish_snapshot(cell, id, *system);
+    cell.registry->publish(id, train::export_snapshot(*system));
   }
   cell.runtime->register_cluster(id, system);
   bool demoted_before = false;
@@ -269,32 +258,13 @@ void EdgeFleet::activate(ClusterId id, TenantState& t) {
   refresh_population_gauges();
 }
 
-void EdgeFleet::publish_snapshot(Cell& cell, ClusterId id,
-                                 core::OrcoDcsSystem& system) {
-  // Trainer-less cells still serve through registry snapshots (that is
-  // what replication images); mirror TrainerRuntime::export_and_publish.
-  const core::OrcoConfig& orco = system.config().orco;
-  auto snapshot = std::make_shared<train::ModelSnapshot>();
-  snapshot->version = system.edge().model_version();
-  // publish() compiles the snapshot's plan (packing the weights) before the
-  // swap, so the first post-publish decode pays no packing cost.
-  snapshot->decoder =
-      std::shared_ptr<const nn::Sequential>(system.export_decoder_clone());
-  snapshot->encoder =
-      std::shared_ptr<const nn::Sequential>(system.export_encoder_clone());
-  snapshot->latent_dim = orco.latent_dim;
-  snapshot->output_dim = orco.input_dim;
-  cell.registry->publish(id, std::move(snapshot));
-}
-
 bool EdgeFleet::demote(ClusterId id) {
   TenantState* const t = find_tenant(id);
   if (t == nullptr) return false;
   common::Stopwatch timer;
   common::MutexLock lock(t->mu);
   if (!t->warm || t->waking) return false;
-  const std::uint32_t cell_index = owner_of(id);
-  Cell& cell = *cells_[cell_index];
+  Cell& cell = *cells_[owner_of(id)];
   t->demoting.store(true, std::memory_order_seq_cst);
   const auto abort_demotion = [&]() {
     t->demoting.store(false, std::memory_order_seq_cst);
@@ -358,22 +328,9 @@ bool EdgeFleet::demote(ClusterId id) {
   }
   // Phase 5 — evict derived state: registry slot (shards finish in-flight
   // batches on their pinned snapshots), runtime registration + queue lane,
-  // the follower's standby image (the record or the template seed is the
-  // durable copy; the next activation's publish ships a full image), and
-  // the system itself (prepacked panels, caches, optimizer state).
+  // and the system itself (prepacked panels, caches, optimizer state).
   cell.registry->remove(id);
   cell.runtime->unregister_cluster(id);
-  {
-    common::MutexLock repl_lock(repl_mu_);
-    // Invalidate the publisher-side replication base: the first publish
-    // after reactivation ships a full image, not a delta on stale state.
-    last_shipped_.erase(id);
-  }
-  {
-    Cell& follower = follower_of(cell_index);
-    common::MutexLock images_lock(follower.images_mu);
-    follower.images.erase(id);
-  }
   t->system.reset();
   t->warm = false;
   t->demoted = true;
@@ -431,55 +388,6 @@ bool EdgeFleet::evict_one(ClusterId except) {
   return false;
 }
 
-void EdgeFleet::replicate(std::size_t owner, ClusterId tenant,
-                          const train::ModelSnapshot& snapshot) {
-  if (cells_.size() < 2 || snapshot.decoder == nullptr) return;
-  // The one deep copy of the pipeline: serialize the published decoder
-  // into an immutable per-param image. Everything downstream aliases.
-  SnapshotImage image = image_of(*snapshot.decoder, snapshot.version);
-  SnapshotDelta delta;
-  {
-    common::MutexLock lock(repl_mu_);
-    const auto it = last_shipped_.find(tenant);
-    if (it != last_shipped_.end() && it->second.version >= image.version) {
-      return;  // stale publish raced a newer ship; nothing to do
-    }
-    if (it != last_shipped_.end() &&
-        it->second.params.size() == image.params.size()) {
-      delta = make_delta(it->second, image);
-      deltas_shipped_.fetch_add(1, std::memory_order_relaxed);
-      delta_bytes_.fetch_add(delta.byte_size(), std::memory_order_relaxed);
-      obs::fleet_metrics().deltas_shipped->inc();
-      obs::fleet_metrics().delta_bytes->inc(delta.byte_size());
-    } else {
-      delta = full_delta(image);
-      full_ships_.fetch_add(1, std::memory_order_relaxed);
-      obs::fleet_metrics().full_ships->inc();
-    }
-    delta.tenant = tenant;
-    last_shipped_[tenant] = image;  // shares blobs; no byte copy
-  }
-  Cell& follower = follower_of(owner);
-  common::MutexLock lock(follower.images_mu);
-  SnapshotImage& standby = follower.images[tenant];
-  if (standby.version >= delta.version) return;
-  if (delta.full() || standby.version != delta.base_version) {
-    // No usable base on the follower (first ship, or it missed a
-    // generation): install the image wholesale — a blob-sharing
-    // assignment, not a byte copy.
-    standby = std::move(image);
-  } else {
-    standby = apply_delta(standby, delta);
-  }
-}
-
-SnapshotImage EdgeFleet::replicated_image(std::size_t i, ClusterId id) const {
-  const Cell& cell = *cells_[i];
-  common::MutexLock lock(cell.images_mu);
-  const auto it = cell.images.find(id);
-  return it == cell.images.end() ? SnapshotImage{} : it->second;
-}
-
 FleetStats EdgeFleet::stats() const {
   FleetStats s;
   s.registered = registered_.load(std::memory_order_relaxed);
@@ -490,9 +398,6 @@ FleetStats EdgeFleet::stats() const {
   s.demotions = demotions_.load(std::memory_order_relaxed);
   s.demotion_aborts = demotion_aborts_.load(std::memory_order_relaxed);
   s.capacity_overrides = capacity_overrides_.load(std::memory_order_relaxed);
-  s.deltas_shipped = deltas_shipped_.load(std::memory_order_relaxed);
-  s.delta_bytes = delta_bytes_.load(std::memory_order_relaxed);
-  s.full_ships = full_ships_.load(std::memory_order_relaxed);
   return s;
 }
 

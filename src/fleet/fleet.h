@@ -2,7 +2,8 @@
 //
 // One process-wide facade over N in-process edge cells, each a full serving
 // stack (ServerRuntime + ModelRegistry, optionally a TrainerRuntime).
-// Three mechanisms make ~100k registered tenants servable on one box:
+// Every tenant lives on exactly one cell. Two mechanisms make ~100k
+// registered tenants servable on one box:
 //
 //   Routing    — a fixed hash maps every tenant id to its owning cell:
 //                splitmix64(id) modulo the cell count. Topology is fixed
@@ -21,12 +22,6 @@
 //                reactivates it; concurrent wakers coalesce onto one
 //                activation (single-flight), so a thundering herd costs
 //                at most one disk read.
-//   Replication— every cell registry publish fans out a delta-encoded
-//                snapshot image (SnapshotDelta, changed layer blobs only)
-//                to the next cell by index, so a follower holds a
-//                byte-identical standby image without deep-copying
-//                unchanged parameters. Standby images are held only while
-//                the tenant is warm, so they are bounded by warm_capacity.
 //
 // Warm/cold lifecycle and its invalidation rules:
 //
@@ -46,11 +41,10 @@
 //     (refused unless quiescent), and — only when the decoder generation
 //     moved past the durable one — serialize encoder + decoder + version
 //     to the cold store (fsync + atomic rename). Then drop the registry
-//     slot, runtime registration, the follower's standby image,
-//     caches and prepacked panels with the system itself. Any contention
-//     aborts the demotion — the tenant simply stays warm and the next
-//     sweep retries. So does a failed cold write: the tenant re-registers
-//     with its trainer and keeps serving.
+//     slot, runtime registration, caches and prepacked panels with the
+//     system itself. Any contention aborts the demotion — the tenant
+//     simply stays warm and the next sweep retries. So does a failed cold
+//     write: the tenant re-registers with its trainer and keeps serving.
 //
 // Thread-safety: submit() may race register_tenant(), demote() and other
 // submits arbitrarily; the fast path takes no lock (see ORCO_HOT_PATH in
@@ -74,7 +68,6 @@
 #include "common/thread_annotations.h"
 #include "core/system.h"
 #include "fleet/cold_store.h"
-#include "fleet/replication.h"
 #include "fleet/residency.h"
 #include "obs/metrics.h"
 #include "serve/server_runtime.h"
@@ -85,16 +78,16 @@ namespace orco::fleet {
 using tensor::Tensor;
 
 struct FleetConfig {
-  /// Edge cells. Fixed for the fleet's lifetime. A fleet restarted with
-  /// another count re-routes most tenants; their state follows them
-  /// through the cold store, which every cell shares.
+  /// The number of edge cells. Each tenant lives on exactly one, so
+  /// nothing is replicated; the field keeps its name because the
+  /// repository benchmark sets it. Fixed for the fleet's lifetime. A fleet
+  /// restarted with another count re-routes most tenants; their state
+  /// follows them through the cold store, which every cell shares.
   std::size_t replicas = 2;
   /// Max materialized tenants fleet-wide; beyond it the LRU sweep demotes.
   std::size_t warm_capacity = 64;
   /// Cold-tier directory (created if missing).
   std::string cold_dir = "fleet-cold";
-  /// Fan snapshot publishes out to the next cell by index as deltas.
-  bool replicate = true;
   /// Per-cell serving template. model_registry is overwritten with the
   /// cell's own registry; set per_tenant_telemetry=false for large fleets.
   serve::ServeConfig serve;
@@ -125,8 +118,11 @@ struct FleetStats {
   /// Demotions that yielded (busy tenant) or whose cold write failed.
   std::uint64_t demotion_aborts = 0;
   std::uint64_t capacity_overrides = 0;
+  /// Always 0: the fleet replicates nothing. Kept only because the
+  /// repository benchmark still prints them (orcobench/src/
+  /// fleet_workload.cpp); they go when the benchmark drops those rows.
   std::uint64_t deltas_shipped = 0;
-  std::uint64_t delta_bytes = 0;     // payload bytes of those deltas
+  std::uint64_t delta_bytes = 0;
   std::uint64_t full_ships = 0;
 };
 
@@ -192,11 +188,6 @@ class EdgeFleet {
     return cells_[i]->registry;
   }
 
-  /// The standby image cell `i` holds for `id` via delta replication
-  /// (empty image when none arrived, or once the tenant was demoted).
-  /// Blobs are shared, not copied.
-  SnapshotImage replicated_image(std::size_t i, ClusterId id) const;
-
   const ColdStore& cold_store() const noexcept { return cold_; }
   const FleetConfig& config() const noexcept { return config_; }
   FleetStats stats() const;
@@ -206,14 +197,12 @@ class EdgeFleet {
   }
 
  private:
-  /// One edge cell: registry + optional trainer + serving runtime + the
-  /// standby images replicated to it.
+  /// One edge cell: registry + optional trainer + serving runtime. It
+  /// holds the tenants owner_of() routes to it, and no others.
   struct Cell {
     std::shared_ptr<train::ModelRegistry> registry;
     std::unique_ptr<train::TrainerRuntime> trainer;  // may be null
     std::unique_ptr<serve::ServerRuntime> runtime;
-    mutable common::Mutex images_mu;
-    std::map<ClusterId, SnapshotImage> images ORCO_GUARDED_BY(images_mu);
   };
 
   /// Per-tenant lifecycle state. Created at registration, never destroyed
@@ -253,19 +242,9 @@ class EdgeFleet {
   /// Builds/loads + registers the tenant on its cell. Runs on the one
   /// thread that won the wake race (t.waking set), without t.mu held.
   void activate(ClusterId id, TenantState& t);
-  /// Mirrors TrainerRuntime's export path for trainer-less cells.
-  void publish_snapshot(Cell& cell, ClusterId id, core::OrcoDcsSystem& sys);
   /// Demotes LRU victims until the warm set fits (skipping `except`).
   void admit(ClusterId id);
   bool evict_one(ClusterId except);
-  /// Publish-hook target: image the snapshot, ship a delta to the
-  /// follower, fold it into the follower's standby image.
-  void replicate(std::size_t owner, ClusterId tenant,
-                 const train::ModelSnapshot& snapshot);
-  /// The cell holding `owner`'s standby images: the next one by index.
-  Cell& follower_of(std::size_t owner) {
-    return *cells_[(owner + 1) % cells_.size()];
-  }
   void refresh_population_gauges();
 
   FleetConfig config_;
@@ -276,10 +255,6 @@ class EdgeFleet {
   mutable common::SharedMutex tenants_mu_;
   std::unordered_map<ClusterId, std::unique_ptr<TenantState>> tenants_
       ORCO_GUARDED_BY(tenants_mu_);
-
-  /// Publisher-side replication memory: last image shipped per tenant.
-  common::Mutex repl_mu_;
-  std::map<ClusterId, SnapshotImage> last_shipped_ ORCO_GUARDED_BY(repl_mu_);
 
   std::atomic<bool> accepting_{true};
   std::atomic<bool> started_{false};
@@ -292,9 +267,6 @@ class EdgeFleet {
   std::atomic<std::uint64_t> demotions_{0};
   std::atomic<std::uint64_t> demotion_aborts_{0};
   std::atomic<std::uint64_t> capacity_overrides_{0};
-  std::atomic<std::uint64_t> deltas_shipped_{0};
-  std::atomic<std::uint64_t> delta_bytes_{0};
-  std::atomic<std::uint64_t> full_ships_{0};
 
   obs::Histogram cold_wake_hist_{2};
   obs::Histogram demote_hist_{1};

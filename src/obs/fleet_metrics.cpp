@@ -10,9 +10,6 @@ FleetMetrics& fleet_metrics() {
     m.wake_coalesced = reg.counter("fleet.wake_coalesced");
     m.demotions = reg.counter("fleet.demotions");
     m.demotion_aborts = reg.counter("fleet.demotion_aborts");
-    m.deltas_shipped = reg.counter("fleet.deltas_shipped");
-    m.delta_bytes = reg.counter("fleet.delta_bytes");
-    m.full_ships = reg.counter("fleet.full_ships");
     m.tenants_registered = reg.gauge("fleet.tenants_registered");
     m.tenants_resident = reg.gauge("fleet.tenants_resident");
     m.tenants_cold = reg.gauge("fleet.tenants_cold");

@@ -18,11 +18,6 @@ struct FleetMetrics {
   Counter* demotions;         // tenants demoted to the cold tier
   Counter* demotion_aborts;   // demotions abandoned (tenant busy mid-drain)
 
-  // Replication counters.
-  Counter* deltas_shipped;    // incremental snapshot deltas applied
-  Counter* delta_bytes;       // payload bytes those deltas carried
-  Counter* full_ships;        // full-image ships (no usable follower base)
-
   // Population gauges.
   Gauge* tenants_registered;
   Gauge* tenants_resident;    // warm (materialized) tenants

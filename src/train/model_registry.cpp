@@ -31,14 +31,11 @@ std::uint64_t ModelRegistry::publish(ClusterId cluster,
              "snapshot for cluster " << cluster << " has no decoder");
   ORCO_CHECK(snapshot->latent_dim > 0 && snapshot->output_dim > 0,
              "snapshot dims must be positive");
-  if (snapshot->plan == nullptr) {
-    // Compile once per published version, outside the lock — the plan is
-    // what shards execute, so every snapshot must carry one. It packs for
-    // the publisher's current backend, the process default shards share.
-    snapshot->plan = nn::InferPlan::compile(*snapshot->decoder);
-  }
-  std::shared_ptr<const ModelSnapshot> installed;
-  PublishHook hook;
+  // Compile once per published version, outside the lock: the plan is what
+  // shards execute, and packing the weights here means the first post-swap
+  // decode pays no packing cost. It packs for the publisher's current
+  // backend, the process default shards share.
+  snapshot->plan = nn::InferPlan::compile(*snapshot->decoder);
   std::uint64_t version = 0;
   {
     // Serialize publishers per registry (publishes are rare — one per
@@ -54,24 +51,16 @@ std::uint64_t ModelRegistry::publish(ClusterId cluster,
                    << " after " << previous->version);
     snapshot->published_at = std::chrono::steady_clock::now();
     version = snapshot->version;
-    installed = std::shared_ptr<const ModelSnapshot>(std::move(snapshot));
-    slot->store(installed);
+    slot->store(std::move(snapshot));
     slot->swaps_.fetch_add(1, std::memory_order_relaxed);
     total_published_.fetch_add(1, std::memory_order_relaxed);
-    hook = publish_hook_;  // copy: the hook runs outside the lock
   }
-  if (hook) hook(cluster, installed);
   return version;
 }
 
 bool ModelRegistry::remove(ClusterId cluster) {
   common::MutexLock lock(mu_);
   return entries_.erase(cluster) > 0;
-}
-
-void ModelRegistry::set_publish_hook(PublishHook hook) {
-  common::MutexLock lock(mu_);
-  publish_hook_ = std::move(hook);
 }
 
 std::size_t ModelRegistry::size() const {

@@ -13,13 +13,14 @@
 //
 // Layering: this header depends on nn/ only, so serve/ can hold registry
 // entries while train/'s TrainerRuntime (which depends on core/ and serve/)
-// produces them.
+// produces them. Every published snapshot is built by one function,
+// train::export_snapshot (trainer_runtime.h): it reads an OrcoDcsSystem, so
+// it cannot live here. The trainer and the fleet both publish through it.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 
@@ -45,10 +46,9 @@ struct ModelSnapshot {
   std::size_t output_dim = 0;
   /// Compiled-once inference plan over `decoder` — the executor every
   /// shard pinning this snapshot runs, on the backend it was compiled for
-  /// (see nn/infer_plan.h). Publishers may pre-compile and warm it
-  /// (TrainerRuntime does); ModelRegistry::publish compiles it under the
-  /// publisher's current backend when absent, so a published snapshot
-  /// always carries one. Immutable and shared like the snapshot.
+  /// (see nn/infer_plan.h). ModelRegistry::publish compiles it under the
+  /// publisher's current backend, so a published snapshot always carries
+  /// one. Immutable and shared like the snapshot.
   std::shared_ptr<const nn::InferPlan> plan;
   std::chrono::steady_clock::time_point published_at;
 
@@ -109,8 +109,8 @@ class ModelRegistry {
   /// Atomically installs `snapshot` as the tenant's serving model. Versions
   /// must be strictly increasing per tenant (they mirror the tenant
   /// EdgeServer's train-step counter); a stale or duplicate version throws
-  /// and leaves the current snapshot in place. `published_at` is stamped
-  /// here. Returns the published version.
+  /// and leaves the current snapshot in place. `plan` is compiled and
+  /// `published_at` stamped here. Returns the published version.
   std::uint64_t publish(ClusterId cluster,
                         std::shared_ptr<ModelSnapshot> snapshot);
 
@@ -121,15 +121,6 @@ class ModelRegistry {
   /// to beat the version persisted in its cold record, not whatever the
   /// dead slot last held. Returns false when the tenant was never seen.
   bool remove(ClusterId cluster);
-
-  /// Called after every successful publish — outside the registry lock, on
-  /// the publishing thread — with the tenant and the installed snapshot.
-  /// The fleet hangs its delta-replication fan-out here. One hook per
-  /// registry; replace with nullptr to clear. Hooks must not publish back
-  /// into this registry for the same tenant (infinite recursion).
-  using PublishHook =
-      std::function<void(ClusterId, const std::shared_ptr<const ModelSnapshot>&)>;
-  void set_publish_hook(PublishHook hook);
 
   std::size_t size() const;
   /// Total snapshots published across all tenants.
@@ -142,7 +133,6 @@ class ModelRegistry {
   /// under its own entry lock, never under this one.
   mutable common::Mutex mu_;
   std::map<ClusterId, std::shared_ptr<Entry>> entries_ ORCO_GUARDED_BY(mu_);
-  PublishHook publish_hook_ ORCO_GUARDED_BY(mu_);
   std::atomic<std::uint64_t> total_published_{0};
 };
 

@@ -234,41 +234,37 @@ bool TrainerRuntime::observe_loss(ClusterId cluster, float loss) {
   return triggered;
 }
 
-std::uint64_t TrainerRuntime::export_and_publish(ClusterId cluster,
-                                                 Tenant& tenant) {
-  // Publishes are rare (one per completed job) — trace every one so a
-  // hot-swap window is findable in the timeline without sampling luck.
-  obs::ScopedSpan span("train.publish", "train", obs::trace_enabled(),
-                       /*id=*/0, /*tenant=*/cluster);
-  core::OrcoDcsSystem& system = *tenant.system;
+std::shared_ptr<ModelSnapshot> export_snapshot(core::OrcoDcsSystem& system) {
   const core::OrcoConfig& orco = system.config().orco;
   auto snapshot = std::make_shared<ModelSnapshot>();
-  snapshot->version = system.edge().model_version();
-  const auto current = registry_->current(cluster);
-  if (current != nullptr && current->version >= snapshot->version) {
-    // Nothing trained since the last publish (e.g. a zero-round job):
-    // re-publishing the same generation would only churn caches.
-    return 0;
-  }
+  snapshot->version = system.model_version();
   snapshot->decoder =
       std::shared_ptr<const nn::Sequential>(system.export_decoder_clone());
-  {
-    // Compile the snapshot's inference plan before the swap, on the process
-    // backend the serving shards share — packing the decoder weights at
-    // publish time, so the first post-swap decode pays no packing cost
-    // (repacking inline on the serve path is a tail-latency spike exactly
-    // at the swap edge). One 1-row pass warms the plan's arena reservation
-    // and the context buffers that post-swap decodes will reuse.
-    snapshot->plan = nn::InferPlan::compile(*snapshot->decoder);
-    const tensor::Tensor warm_latent({1, orco.latent_dim});
-    tensor::Tensor warm_out;
-    snapshot->plan->run(warm_latent, warm_out, tenant.infer_ctx);
-  }
   snapshot->encoder =
       std::shared_ptr<const nn::Sequential>(system.export_encoder_clone());
   snapshot->latent_dim = orco.latent_dim;
   snapshot->output_dim = orco.input_dim;
-  return registry_->publish(cluster, std::move(snapshot));
+  return snapshot;
+}
+
+std::uint64_t TrainerRuntime::export_and_publish(ClusterId cluster,
+                                                 Tenant& tenant) {
+  // Publishes are rare (one per completed job) — trace every one so a
+  // hot-swap window is findable in the timeline without sampling luck. The
+  // span's n is the published version (0 when nothing was published).
+  obs::ScopedSpan span("train.publish", "train", obs::trace_enabled(),
+                       /*id=*/0, /*tenant=*/cluster);
+  const auto current = registry_->current(cluster);
+  if (current != nullptr &&
+      current->version >= tenant.system->model_version()) {
+    // Nothing trained since the last publish (e.g. a zero-round job):
+    // re-publishing the same generation would only churn caches.
+    return 0;
+  }
+  const std::uint64_t version =
+      registry_->publish(cluster, export_snapshot(*tenant.system));
+  span.set_n(version);
+  return version;
 }
 
 void TrainerRuntime::worker_loop() {

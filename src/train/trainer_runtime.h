@@ -18,11 +18,10 @@
 //     would head-of-line-block decode batches — a training round can
 //     outlast a whole serve p99 budget;
 //   * when a job finishes, the freshly trained encoder/decoder pair is
-//     cloned into an immutable ModelSnapshot stamped with the EdgeServer's
-//     model version and atomically published to the ModelRegistry — the
-//     serving shards hot-swap to it between batches, with prepacked weight
-//     panels already warmed so the first post-swap decode pays no packing
-//     cost.
+//     cloned into an immutable ModelSnapshot (export_snapshot below) and
+//     atomically published to the ModelRegistry, which packs its weight
+//     panels before the swap — the serving shards hot-swap to it between
+//     batches, and the first post-swap decode pays no packing cost.
 //
 // Ownership rule: once a tenant is registered here, its OrcoDcsSystem is
 // mutated only by trainer threads; serving must go through the registry
@@ -49,6 +48,14 @@
 #include "train/train_job.h"
 
 namespace orco::train {
+
+/// The one way a tenant's live weights become a ModelSnapshot, for the
+/// trainer and the fleet alike: bitwise clones of the system's decoder and
+/// encoder (OrcoDcsSystem::export_*_clone), stamped with its model version.
+/// ModelRegistry::publish compiles the plan. The caller must be the
+/// system's only writer for the call (the trainer holds the tenant's
+/// train_mu; the fleet calls it before the tenant is registered anywhere).
+std::shared_ptr<ModelSnapshot> export_snapshot(core::OrcoDcsSystem& system);
 
 struct TrainerConfig {
   /// Background trainer threads. Keep this well below the serving shard
@@ -154,9 +161,9 @@ class TrainerRuntime {
     /// A drift-triggered job is queued or running; suppresses duplicate
     /// auto-enqueues while the relaunch is still in flight.
     std::atomic<bool> drift_job_inflight{false};
-    /// Inference memory for the validation/export path (evaluate_loss
-    /// sweeps, snapshot warm-up decodes), reused across this tenant's jobs
-    /// so repeat fine-tunes stop hammering the allocator.
+    /// Inference memory for the validation path (evaluate_loss sweeps),
+    /// reused across this tenant's jobs so repeat fine-tunes stop
+    /// hammering the allocator.
     nn::InferContext infer_ctx ORCO_GUARDED_BY(train_mu);
 
     explicit Tenant(std::shared_ptr<core::OrcoDcsSystem> sys);
@@ -172,8 +179,9 @@ class TrainerRuntime {
   std::future<TrainResult> enqueue(TrainJob&& job);
   void worker_loop();
   TrainResult run_job(const TrainJob& job);
-  /// Clones + warms + publishes the tenant's current weights (the
-  /// train_mu hold makes this call the only system writer).
+  /// Publishes export_snapshot of the tenant's current weights unless the
+  /// registry already holds that version (returns 0 then). The train_mu
+  /// hold makes this call the only system writer.
   std::uint64_t export_and_publish(ClusterId cluster, Tenant& tenant)
       ORCO_REQUIRES(tenant.train_mu);
 

@@ -1,10 +1,9 @@
 // Tests for the multi-edge fleet (src/fleet): fixed-hash routing (the
-// owner formula, balance, determinism), delta-encoded snapshot replication
-// (changed-blobs-only shipping, zero-copy apply), the crash-safe cold tier
+// owner formula, balance, determinism), the crash-safe cold tier
 // (ColdStore write atomicity, truncated-file rejection), warm/cold tiering
 // (bounded residency, write-back demotion, bitwise-equal cold wake,
 // single-flight thundering-herd collapse, a failed cold write that leaves
-// the tenant serving, standby images only for warm tenants) and the
+// the tenant serving), published snapshots that nothing mutates, and the
 // runtime/trainer unregister paths the fleet's demotion relies on.
 #include <gtest/gtest.h>
 
@@ -15,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -166,73 +166,6 @@ TEST(FleetRoutingTest, OwnerIsSplitMixModuloCellsAndBalancesLoad) {
         << "cell " << c;
   }
   EXPECT_LT(chi2, 30.0);
-}
-
-// ---- delta replication ------------------------------------------------------
-
-TEST(ReplicationTest, DeltaShipsOnlyChangedParamsAndAppliesWithoutCopies) {
-  core::OrcoDcsSystem system(tiny_system());
-  nn::Sequential& decoder = system.edge().decoder();
-  const SnapshotImage base = image_of(decoder, 1);
-  ASSERT_GT(base.params.size(), 1u);
-
-  // Perturb exactly one parameter tensor.
-  decoder.params()[0].value->data()[0] += 1.0f;
-  decoder.invalidate_weight_cache();
-  const SnapshotImage next = image_of(decoder, 2);
-
-  const std::uint64_t copies_before = blob_copy_count();
-  const SnapshotDelta delta = make_delta(base, next);
-  const SnapshotImage applied = apply_delta(base, delta);
-  EXPECT_EQ(blob_copy_count(), copies_before)
-      << "make_delta/apply_delta must only alias blobs, never copy bytes";
-
-  ASSERT_EQ(delta.changed.size(), 1u);
-  EXPECT_EQ(delta.changed_index[0], 0u);
-  EXPECT_EQ(delta.param_count, base.params.size());
-  EXPECT_FALSE(delta.full());
-  EXPECT_EQ(delta.byte_size(), next.params[0].bytes->size());
-
-  ASSERT_EQ(applied.params.size(), next.params.size());
-  EXPECT_EQ(applied.version, 2u);
-  // Changed slot aliases the delta's blob; unchanged slots alias the base.
-  EXPECT_EQ(applied.params[0].bytes.get(), next.params[0].bytes.get());
-  for (std::size_t i = 1; i < applied.params.size(); ++i) {
-    EXPECT_EQ(applied.params[i].bytes.get(), base.params[i].bytes.get());
-  }
-  // Materialized bytes are exactly the next generation's.
-  for (std::size_t i = 0; i < applied.params.size(); ++i) {
-    EXPECT_TRUE(*applied.params[i].bytes == *next.params[i].bytes);
-  }
-}
-
-TEST(ReplicationTest, BaseVersionMismatchThrows) {
-  core::OrcoDcsSystem system(tiny_system());
-  nn::Sequential& decoder = system.edge().decoder();
-  const SnapshotImage v1 = image_of(decoder, 1);
-  decoder.params()[0].value->data()[0] += 1.0f;
-  decoder.invalidate_weight_cache();
-  const SnapshotImage v2 = image_of(decoder, 2);
-  const SnapshotDelta delta = make_delta(v1, v2);
-  // A follower holding v2 (not the delta's base v1) must reject.
-  EXPECT_THROW((void)apply_delta(v2, delta), std::exception);
-}
-
-TEST(ReplicationTest, LoadImageRestoresWeightsBitwise) {
-  core::OrcoDcsSystem trained(tiny_system());
-  trained.edge().decoder().params()[0].value->data()[0] += 0.5f;
-  trained.edge().decoder().invalidate_weight_cache();
-  const SnapshotImage image = image_of(trained.edge().decoder(), 7);
-
-  auto fresh_cfg = tiny_system();
-  fresh_cfg.orco.seed = 99;  // different init; load_image must overwrite it
-  core::OrcoDcsSystem fresh(fresh_cfg);
-  load_image(fresh.edge().decoder(), image);
-  const SnapshotImage round_trip = image_of(fresh.edge().decoder(), 7);
-  ASSERT_EQ(round_trip.params.size(), image.params.size());
-  for (std::size_t i = 0; i < image.params.size(); ++i) {
-    EXPECT_TRUE(*round_trip.params[i].bytes == *image.params[i].bytes);
-  }
 }
 
 // ---- cold store -------------------------------------------------------------
@@ -580,77 +513,6 @@ TEST(FleetTest, FailedColdWriteAbortsDemotionAndKeepsServing) {
   EXPECT_TRUE(woken.reconstruction.allclose(trained.reconstruction, 0.0f));
 }
 
-TEST(FleetTest, ReplicatesSnapshotsToFollowerWithDeltas) {
-  FleetConfig cfg = tiny_fleet(fresh_dir("replication"));
-  EdgeFleet fleet(cfg);
-  const ClusterId id = 4;
-  fleet.register_tenant(id);
-  fleet.start();
-  fleet.warm(id);
-
-  const std::uint32_t owner = fleet.owner_of(id);
-  const std::size_t follower = (owner + 1) % fleet.cell_count();
-  const SnapshotImage standby_v1 = fleet.replicated_image(follower, id);
-  ASSERT_FALSE(standby_v1.empty()) << "activation publish must replicate";
-  EXPECT_EQ(standby_v1.version, 1u);
-  EXPECT_GE(fleet.stats().full_ships, 1u);
-
-  // Re-publish the same weights at a later version: the tenant's system is
-  // seeded deterministically from (template seed, id), so an identical
-  // twin produces a bitwise-identical image — the delta must carry zero
-  // blobs and the follower must keep aliasing every standby blob.
-  core::SystemConfig twin_cfg = cfg.system;
-  twin_cfg.orco.seed = common::SplitMix64(twin_cfg.orco.seed ^ id).next();
-  core::OrcoDcsSystem twin(twin_cfg);
-  auto snapshot = std::make_shared<train::ModelSnapshot>();
-  snapshot->version = 5;
-  snapshot->decoder =
-      std::shared_ptr<const nn::Sequential>(twin.export_decoder_clone());
-  snapshot->latent_dim = kLatentDim;
-  snapshot->output_dim = kInputDim;
-  const std::uint64_t deltas_before = fleet.stats().deltas_shipped;
-  fleet.cell_registry(owner)->publish(id, std::move(snapshot));
-
-  const SnapshotImage standby_v5 = fleet.replicated_image(follower, id);
-  EXPECT_EQ(standby_v5.version, 5u);
-  const FleetStats stats = fleet.stats();
-  EXPECT_EQ(stats.deltas_shipped, deltas_before + 1);
-  EXPECT_EQ(stats.delta_bytes, 0u) << "identical weights must ship no bytes";
-  ASSERT_EQ(standby_v5.params.size(), standby_v1.params.size());
-  for (std::size_t i = 0; i < standby_v5.params.size(); ++i) {
-    EXPECT_EQ(standby_v5.params[i].bytes.get(), standby_v1.params[i].bytes.get())
-        << "unchanged standby blob " << i << " was re-copied";
-  }
-}
-
-TEST(FleetTest, DemotionDropsTheFollowersStandbyImage) {
-  FleetConfig cfg = tiny_fleet(fresh_dir("standby_bounded"));
-  EdgeFleet fleet(cfg);
-  const ClusterId id = 6;
-  fleet.register_tenant(id);
-  fleet.start();
-  fleet.warm(id);
-  const std::size_t follower = (fleet.owner_of(id) + 1) % fleet.cell_count();
-  const SnapshotImage shipped = fleet.replicated_image(follower, id);
-  ASSERT_FALSE(shipped.empty());
-  const std::uint64_t full_ships = fleet.stats().full_ships;
-
-  ASSERT_TRUE(fleet.demote(id));
-  EXPECT_TRUE(fleet.replicated_image(follower, id).empty())
-      << "a cold tenant's standby image must be dropped";
-
-  // The wake's publish ships a full image again.
-  fleet.warm(id);
-  const SnapshotImage reshipped = fleet.replicated_image(follower, id);
-  ASSERT_FALSE(reshipped.empty());
-  EXPECT_EQ(reshipped.version, shipped.version);
-  EXPECT_EQ(fleet.stats().full_ships, full_ships + 1);
-  ASSERT_EQ(reshipped.params.size(), shipped.params.size());
-  for (std::size_t i = 0; i < shipped.params.size(); ++i) {
-    EXPECT_TRUE(*reshipped.params[i].bytes == *shipped.params[i].bytes);
-  }
-}
-
 TEST(FleetTest, TrainedFleetServesOneCoherentVersionPerRequest) {
   FleetConfig cfg = tiny_fleet(fresh_dir("trained"));
   cfg.trainer_threads = 1;
@@ -696,6 +558,54 @@ TEST(FleetTest, TrainedFleetServesOneCoherentVersionPerRequest) {
   const DecodeResponse woken = fleet.submit(id, Tensor({1, kLatentDim})).get();
   ASSERT_EQ(woken.status, ResponseStatus::kOk);
   EXPECT_GE(woken.model_version, result.published_version);
+}
+
+TEST(FleetTest, PublishedSnapshotsStayUnmutated) {
+  // A published snapshot is immutable: whatever reaches a cell registry,
+  // its plan's packed panels still match the decoder they were packed
+  // from. Checked after every kind of publish, with one tenant per cell.
+  for (const std::size_t trainer_threads : {std::size_t{0}, std::size_t{1}}) {
+    SCOPED_TRACE(trainer_threads == 0 ? "trainer-less cells"
+                                      : "trainer-backed cells");
+    FleetConfig cfg = tiny_fleet(
+        fresh_dir("unmutated_" + std::to_string(trainer_threads)));
+    cfg.trainer_threads = trainer_threads;
+    EdgeFleet fleet(cfg);
+    ASSERT_GE(fleet.cell_count(), 2u);
+    std::vector<ClusterId> ids(fleet.cell_count(), 0);
+    for (ClusterId id = 1, found = 0; found < ids.size(); ++id) {
+      ClusterId& slot = ids[fleet.owner_of(id)];
+      if (slot == 0) {
+        slot = id;
+        ++found;
+      }
+    }
+    const auto expect_fresh_plan = [&](ClusterId id, const char* publish) {
+      const auto snapshot =
+          fleet.cell_registry(fleet.owner_of(id))->current(id);
+      ASSERT_NE(snapshot, nullptr) << publish << ", tenant " << id;
+      ASSERT_NE(snapshot->plan, nullptr) << publish << ", tenant " << id;
+      EXPECT_FALSE(snapshot->plan->weights_stale())
+          << publish << " mutated the published decoder of tenant " << id;
+    };
+    for (const ClusterId id : ids) fleet.register_tenant(id);
+    fleet.start();
+    for (const ClusterId id : ids) {
+      fleet.warm(id);
+      expect_fresh_plan(id, trainer_threads == 0 ? "activation"
+                                                 : "trainer registration");
+      if (trainer_threads > 0) {
+        ASSERT_GT(fine_tune(fleet, id, 40 + id), 1u);
+        expect_fresh_plan(id, "fine-tune publish");
+      }
+      // Trainer-less, the rewake builds from the template; trainer-backed,
+      // it loads the fine-tuned record and registers with the trainer.
+      ASSERT_TRUE(demote_eventually(fleet, id));
+      fleet.warm(id);
+      expect_fresh_plan(id, "rewake");
+    }
+    EXPECT_EQ(fleet.cold_store().loads(), trainer_threads * ids.size());
+  }
 }
 
 // ---- unregister paths the fleet's demotion depends on -----------------------

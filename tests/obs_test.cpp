@@ -30,6 +30,8 @@
 #include "serve/serve.h"
 #include "tensor/matmul.h"
 
+#include "trace_spans.h"
+
 namespace orco {
 namespace {
 
@@ -128,54 +130,9 @@ struct MiniJson {
   }
 };
 
-/// Extracted span fields for the trace-tree assertions. The test parser
-/// leans on the exporter's stable key order ("name" first, then ts/dur/
-/// args) only for extraction; well-formedness is checked by MiniJson.
-struct SpanRec {
-  std::string name;
-  long long ts = 0;
-  long long dur = 0;
-  unsigned long long id = 0;
-  unsigned long long tenant = 0;
-};
-
-long long field_ll(const std::string& obj, const std::string& key) {
-  const auto at = obj.find("\"" + key + "\": ");
-  if (at == std::string::npos) return 0;
-  return std::stoll(obj.substr(at + key.size() + 4));
-}
-
-std::string field_str(const std::string& obj, const std::string& key) {
-  const auto at = obj.find("\"" + key + "\": \"");
-  if (at == std::string::npos) return {};
-  const auto start = at + key.size() + 5;
-  return obj.substr(start, obj.find('"', start) - start);
-}
-
-std::vector<SpanRec> parse_spans(const std::string& trace_json) {
-  std::vector<SpanRec> out;
-  std::size_t at = trace_json.find("{\"name\": ");
-  while (at != std::string::npos) {
-    const std::size_t close = trace_json.find("}}", at);
-    const std::string obj = trace_json.substr(at, close - at + 2);
-    SpanRec rec;
-    rec.name = field_str(obj, "name");
-    rec.ts = field_ll(obj, "ts");
-    rec.dur = field_ll(obj, "dur");
-    rec.id = static_cast<unsigned long long>(field_ll(obj, "id"));
-    rec.tenant = static_cast<unsigned long long>(field_ll(obj, "tenant"));
-    out.push_back(rec);
-    at = trace_json.find("{\"name\": ", close);
-  }
-  return out;
-}
-
-/// Installs an ObsConfig for the test body and restores defaults after.
-class ScopedObsConfig {
- public:
-  explicit ScopedObsConfig(const obs::ObsConfig& cfg) { obs::configure(cfg); }
-  ~ScopedObsConfig() { obs::configure(obs::ObsConfig{}); }
-};
+using testutil::parse_spans;
+using testutil::ScopedObsConfig;
+using testutil::SpanRec;
 
 // ---- metrics ---------------------------------------------------------------
 

@@ -5,20 +5,24 @@
 // is answered by exactly one coherent model generation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/models.h"
+#include "obs/config.h"
+#include "obs/trace.h"
 #include "serve/serve.h"
 #include "tensor/backend.h"
 #include "train/train.h"
 
 #include "bf16_oracle.h"
+#include "trace_spans.h"
 
 // Instrumented builds run the background fine-tune an order of magnitude
 // slower; wall-clock deadlines that wait on it must stretch accordingly.
@@ -70,21 +74,13 @@ data::Dataset small_dataset(std::size_t count, std::uint64_t seed) {
                        std::vector<std::size_t>(count, 0));
 }
 
-/// Freezes `system`'s current weights into a snapshot at an explicit
-/// version (tests drive versions by hand; TrainerRuntime stamps the
-/// EdgeServer's real model_version).
+/// export_snapshot at an explicit version (tests drive versions by hand;
+/// TrainerRuntime publishes the EdgeServer's real model_version). publish()
+/// compiles the plan, so the stress test decodes through packed panels.
 std::shared_ptr<ModelSnapshot> snapshot_of(core::OrcoDcsSystem& system,
                                            std::uint64_t version) {
-  auto snapshot = std::make_shared<ModelSnapshot>();
+  auto snapshot = export_snapshot(system);
   snapshot->version = version;
-  // publish() compiles the snapshot's plan, so the stress test decodes
-  // through packed panels.
-  snapshot->decoder =
-      std::shared_ptr<const nn::Sequential>(system.export_decoder_clone());
-  snapshot->encoder =
-      std::shared_ptr<const nn::Sequential>(system.export_encoder_clone());
-  snapshot->latent_dim = kLatentDim;
-  snapshot->output_dim = kInputDim;
   return snapshot;
 }
 
@@ -327,20 +323,18 @@ TEST(TrainerTest, RejectsInvalidJobsAndResolvesQueuedJobsOnShutdown) {
 }
 
 TEST(TrainerTest, JobsRunAndPublishInSubmitOrder) {
+  // Every publish leaves a train.publish span carrying the tenant and, as
+  // n, the version it published. The worker's spans, read after shutdown
+  // joined it, are its publishes in the order it made them.
+  obs::ObsConfig traced;
+  traced.trace_sample_rate = 1.0;
+  const testutil::ScopedObsConfig scoped(traced);
+  obs::TraceCollector::instance().clear();
   TrainerConfig tcfg;
   tcfg.worker_threads = 1;
   TrainerRuntime trainer(tcfg);
   trainer.register_tenant(1, make_tenant(1));
   trainer.register_tenant(2, make_tenant(2));
-  using Publish = std::pair<ClusterId, std::uint64_t>;  // tenant, version
-  std::mutex mu;
-  std::vector<Publish> published;
-  trainer.registry()->set_publish_hook(
-      [&](ClusterId cluster,
-          const std::shared_ptr<const ModelSnapshot>& snapshot) {
-        std::lock_guard<std::mutex> lock(mu);
-        published.emplace_back(cluster, snapshot->version);
-      });
 
   // Queued before start(), so the one worker finds all three waiting.
   const std::vector<ClusterId> submitted = {2, 1, 2};
@@ -351,6 +345,7 @@ TEST(TrainerTest, JobsRunAndPublishInSubmitOrder) {
   trainer.start();
   // Versions tell tenant 2's two jobs apart: each job's publish must land
   // in submit order.
+  using Publish = std::pair<ClusterId, std::uint64_t>;  // tenant, version
   std::vector<Publish> expected;
   for (std::size_t i = 0; i < submitted.size(); ++i) {
     const TrainResult result = jobs[i].get();
@@ -358,7 +353,23 @@ TEST(TrainerTest, JobsRunAndPublishInSubmitOrder) {
     expected.emplace_back(submitted[i], result.published_version);
   }
   trainer.shutdown();
-  std::lock_guard<std::mutex> lock(mu);
+
+  std::ostringstream json;
+  obs::TraceCollector::instance().write_chrome_json(json);
+  std::vector<testutil::SpanRec> spans = testutil::parse_spans(json.str());
+  std::stable_sort(spans.begin(), spans.end(),
+                   [](const auto& a, const auto& b) { return a.ts < b.ts; });
+  // Only the worker runs jobs; registration published on this thread.
+  const auto job = std::find_if(spans.begin(), spans.end(), [](const auto& s) {
+    return s.name == "train.job";
+  });
+  ASSERT_NE(job, spans.end()) << "the worker traced no job";
+  std::vector<Publish> published;
+  for (const testutil::SpanRec& span : spans) {
+    if (span.name == "train.publish" && span.tid == job->tid) {
+      published.emplace_back(span.tenant, span.n);
+    }
+  }
   EXPECT_EQ(published, expected);
 }
 

@@ -21,6 +21,10 @@ Rules
    tests/ other than its own .cpp (src/, bench/, examples/ or
    orcobench/). A header only tests include is test code shipped in the
    library: move it under tests/ (as tests/gradcheck.h) or delete it.
+5. const-cast: under src/, ``const_cast`` appears only as
+   ``const_cast<T*>(this)``, the idiom a const overload uses to share its
+   non-const twin's body. Any other cast away of const can mutate what a
+   caller handed out as immutable (a published snapshot's decoder, say).
 
 Exit status: 0 clean, 1 violations found, 2 usage/internal error.
 
@@ -67,6 +71,11 @@ SOURCE_EXTS = {".h", ".hpp", ".cpp", ".cc"}
 # Rule 4: the trees whose includes count as a header's users.
 INCLUDER_DIRS = ["src", "bench", "examples", "orcobench"]
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+# Rule 5: every const_cast, and the one form of it that is allowed.
+CONST_CAST_RE = re.compile(r"\bconst_cast\b")
+CONST_CAST_THIS_RE = re.compile(
+    r"\bconst_cast\s*<\s*[\w:]+\s*\*\s*>\s*\(\s*this\s*\)"
+)
 
 
 def source_files(root: str, dirs: list[str] = SOURCE_DIRS) -> list[str]:
@@ -169,6 +178,22 @@ def check_includers(root: str) -> list[str]:
     ]
 
 
+def check_const_casts(root: str) -> list[str]:
+    errors = []
+    for path in source_files(root, ["src"]):
+        rel = os.path.relpath(path, root)
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                code = strip_line_comment(line)
+                casts = len(CONST_CAST_RE.findall(code))
+                if casts > len(CONST_CAST_THIS_RE.findall(code)):
+                    errors.append(
+                        f"{rel}:{lineno}: const_cast other than "
+                        f"const_cast<T*>(this): {line.strip()}"
+                    )
+    return errors
+
+
 def check_headers(root: str, cxx: str, jobs: int) -> list[str]:
     headers = [
         p
@@ -212,6 +237,7 @@ def run_all(root: str, cxx: str, jobs: int, skip_headers: bool) -> list[str]:
     errors = check_hot_paths(root)
     errors += check_todo_tags(root)
     errors += check_includers(root)
+    errors += check_const_casts(root)
     if not skip_headers:
         errors += check_headers(root, cxx, jobs)
     return errors
@@ -287,6 +313,26 @@ def self_test(cxx: str, jobs: int) -> int:
         if any("common/mutex.h" in e for e in got):
             failures.append(
                 f"includer rule flagged a header hot.cpp includes: {got}")
+
+        # Rule 5: a const_cast of a const reference, beside the allowed
+        # const-overload idiom.
+        with open(
+            os.path.join(root, "src", "selftest", "cast.cpp"), "w",
+            encoding="utf-8",
+        ) as f:
+            f.write(
+                "struct Box {\n"
+                "  int& at() { return v; }\n"
+                "  const int& at() const { return const_cast<Box*>(this)->at(); }\n"
+                "  int v = 0;\n"
+                "};\n"
+                "void poke(const Box& box) { const_cast<Box&>(box).v = 1; }\n"
+            )
+        flagged = [e for e in check_const_casts(root) if "cast.cpp" in e]
+        if len(flagged) != 1 or "cast.cpp:6:" not in flagged[0]:
+            failures.append(
+                f"const-cast rule missed the seeded cast or flagged the "
+                f"const-overload idiom: {flagged}")
 
     if failures:
         print("check_invariants self-test FAILED:", file=sys.stderr)

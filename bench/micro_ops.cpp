@@ -4,6 +4,7 @@
 // backend per shape — so kernel PRs have a committed baseline to beat, then
 // runs the registered google-benchmark suite.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -173,6 +174,46 @@ void BM_DcsnetTrainRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DcsnetTrainRound);
+
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+// One GTSRB-shaped tenant build, as orcobench's serve_closed_gtsrb set-up
+// builds eight (3072 -> 512 encoder, 512 -> 1792 -> 1792 -> 3072 decoder,
+// 11.2 M weights): the seeded xavier_uniform fill and the first touch of
+// 45 MB of storage. Like that set-up, it keeps eight tenants alive at a
+// time, so every build faults in fresh memory; each group of eight is
+// destroyed with the timer paused. Wall time, since the fill runs on the
+// pool; `minflt_per_build` counts the minor page faults of all threads.
+void BM_BuildGtsrbTenant(benchmark::State& state) {
+  constexpr std::size_t kKept = 8;
+  core::SystemConfig cfg;
+  cfg.orco.input_dim = 3072;
+  cfg.orco.latent_dim = 512;
+  cfg.orco.decoder_layers = 3;
+  cfg.orco.noise_variance = 0.01f;
+  cfg.field.device_count = 24;
+  cfg.field.radio_range_m = 45.0;
+  std::vector<std::unique_ptr<core::OrcoDcsSystem>> kept;
+  long faults = 0;
+  for (auto _ : state) {
+    ++cfg.orco.seed;
+    const long before = minor_faults();
+    kept.push_back(std::make_unique<core::OrcoDcsSystem>(cfg));
+    faults += minor_faults() - before;
+    if (kept.size() == kKept) {
+      state.PauseTiming();
+      kept.clear();
+      state.ResumeTiming();
+    }
+  }
+  state.counters["minflt_per_build"] = benchmark::Counter(
+      static_cast<double>(faults) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_BuildGtsrbTenant)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_MessageRoundTrip(benchmark::State& state) {
   common::Pcg32 rng(8);

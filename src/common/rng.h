@@ -53,17 +53,41 @@ class Pcg32 {
 
   result_type next() {
     const std::uint64_t old = state_;
-    state_ = old * 6364136223846793005ULL + inc_;
+    state_ = old * kMultiplier + inc_;
     const auto xorshifted =
         static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
     const auto rot = static_cast<std::uint32_t>(old >> 59u);
     return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
   }
 
+  /// Skips the next `n` draws of next() in O(log n) steps: afterwards the
+  /// generator is in the state n calls of next() would have left it in.
+  /// Brown, "Random number generation with arbitrary strides" (1994), the
+  /// jump pcg-cpp's advance() makes. tensor::fill_uniform starts each chunk
+  /// of a parallel fill from a copy advanced to that chunk's first draw.
+  void advance(std::uint64_t n) {
+    std::uint64_t step_mult = kMultiplier;
+    std::uint64_t step_plus = inc_;
+    std::uint64_t mult = 1;
+    std::uint64_t plus = 0;
+    for (; n > 0; n >>= 1) {
+      if ((n & 1u) != 0) {
+        mult *= step_mult;
+        plus = plus * step_mult + step_plus;
+      }
+      step_plus = (step_mult + 1) * step_plus;
+      step_mult *= step_mult;
+    }
+    state_ = mult * state_ + plus;
+  }
+
   /// Uniform double in [0, 1).
   double uniform() { return next() * (1.0 / 4294967296.0); }
 
-  /// Uniform float in [lo, hi).
+  /// Uniform float in [lo, hi]. The double draw lies in [0, 1), but its
+  /// rounding to float gives 1.0f when next() >= 2^32 - 128, so `hi` itself
+  /// comes out about once in 2^25 draws (Pcg32(1)'s draw 59,630,664 is one).
+  /// The value is kept, not clamped: every seeded weight depends on it.
   float uniform(float lo, float hi) {
     return lo + static_cast<float>(uniform()) * (hi - lo);
   }
@@ -81,6 +105,8 @@ class Pcg32 {
   Pcg32 split();
 
  private:
+  static constexpr std::uint64_t kMultiplier = 6364136223846793005ULL;
+
   std::uint64_t state_ = 0;
   std::uint64_t inc_ = 0;
   bool has_cached_ = false;

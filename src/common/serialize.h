@@ -71,13 +71,6 @@ class ByteReader {
   float read_f32() { return read_pod<float>(); }
   double read_f64() { return read_pod<double>(); }
 
-  std::vector<float> read_f32_vector() {
-    const std::size_t n = read_length(sizeof(float));
-    std::vector<float> out(n);
-    read_raw(out.data(), n * sizeof(float));
-    return out;
-  }
-
   std::string read_string() {
     const std::size_t n = read_length(1);
     std::string out(n, '\0');
@@ -85,16 +78,10 @@ class ByteReader {
     return out;
   }
 
-  std::vector<std::byte> read_bytes() {
-    const std::size_t n = read_length(1);
-    std::vector<std::byte> out(n);
-    read_raw(out.data(), n);
-    return out;
-  }
-
-  /// A length-prefixed array of `elem_size`-byte elements (a string, or the
-  /// values write_f32_span wrote), viewed in place instead of copied. The
-  /// view has no alignment: copy values out with memcpy.
+  /// A length-prefixed array of `elem_size`-byte elements (a string, a
+  /// write_bytes blob, or the values write_f32_span wrote), viewed in place
+  /// instead of copied. The view has no alignment: copy values out with
+  /// memcpy.
   std::span<const std::byte> read_view(std::size_t elem_size) {
     return take(read_length(elem_size) * elem_size);
   }

@@ -1,5 +1,7 @@
 #include "core/messages.h"
 
+#include <cstring>
+
 #include "common/check.h"
 
 namespace orco::core {
@@ -15,8 +17,16 @@ Tensor read_tensor(common::ByteReader& reader) {
   ORCO_CHECK(rank <= 4, "tensor rank too large: " << rank);
   tensor::Shape shape(rank);
   for (auto& d : shape) d = reader.read_u64();
-  auto data = reader.read_f32_vector();
-  return Tensor(std::move(shape), std::move(data));
+  // Checked against the shape before the tensor is sized from it.
+  const std::span<const std::byte> values = reader.read_view(sizeof(float));
+  const std::size_t numel = tensor::shape_numel(shape);
+  ORCO_CHECK(values.size() / sizeof(float) == numel,
+             "data size " << values.size() / sizeof(float)
+                          << " does not match shape "
+                          << tensor::shape_to_string(shape));
+  Tensor out(std::move(shape));
+  if (numel > 0) std::memcpy(out.data().data(), values.data(), values.size());
+  return out;
 }
 
 std::vector<std::byte> LatentBatchMsg::serialize() const {

@@ -39,9 +39,10 @@ void ColdStore::save(ClusterId id, const ColdRecord& record) {
   saves_.fetch_add(1, std::memory_order_relaxed);
 }
 
-ColdRecord ColdStore::load(ClusterId id) const {
-  const std::vector<std::byte> bytes = common::read_file(path_for(id));
-  common::ByteReader reader(bytes);
+LoadedRecord ColdStore::load(ClusterId id) const {
+  LoadedRecord record;
+  record.file = common::read_file(path_for(id));
+  common::ByteReader reader(record.file);
   const std::uint32_t magic = reader.read_u32();
   ORCO_CHECK(magic == kColdMagic,
              "cold record magic mismatch: got 0x" << std::hex << magic);
@@ -51,10 +52,9 @@ ColdRecord ColdStore::load(ClusterId id) const {
   const std::uint64_t stored_id = reader.read_u64();
   ORCO_CHECK(stored_id == id, "cold record for tenant " << stored_id
                                                         << " read as " << id);
-  ColdRecord record;
   record.model_version = reader.read_u64();
-  record.encoder_params = reader.read_bytes();
-  record.decoder_params = reader.read_bytes();
+  record.encoder_params = reader.read_view(1);
+  record.decoder_params = reader.read_view(1);
   ORCO_CHECK(reader.exhausted(),
              "cold record for tenant " << id << " has trailing bytes");
   loads_.fetch_add(1, std::memory_order_relaxed);

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,23 @@ struct ColdRecord {
   std::vector<std::byte> decoder_params;
 };
 
+/// A record as ColdStore::load read it: the file's bytes, read once, and
+/// the two weight blobs viewed in place for nn::load_params. Move-only, so
+/// the views never outlive or lose the buffer they point into (a moved
+/// vector keeps its storage).
+struct LoadedRecord {
+  LoadedRecord() = default;
+  LoadedRecord(LoadedRecord&&) = default;
+  LoadedRecord& operator=(LoadedRecord&&) = default;
+  LoadedRecord(const LoadedRecord&) = delete;
+  LoadedRecord& operator=(const LoadedRecord&) = delete;
+
+  std::uint64_t model_version = 1;
+  std::span<const std::byte> encoder_params;  // views into `file`
+  std::span<const std::byte> decoder_params;
+  std::vector<std::byte> file;
+};
+
 class ColdStore {
  public:
   /// Creates `dir` (and parents) if missing.
@@ -42,8 +60,9 @@ class ColdStore {
   /// tenant's mutex across demotion.
   void save(ClusterId id, const ColdRecord& record);
 
-  /// Reads and validates a record; throws on missing/torn/mismatched files.
-  ColdRecord load(ClusterId id) const;
+  /// Reads and validates a record; throws on missing/torn/mismatched files
+  /// (magic, format, tenant id, both length prefixes, trailing bytes).
+  LoadedRecord load(ClusterId id) const;
 
   bool contains(ClusterId id) const;
   /// Deletes the record; false when none existed.

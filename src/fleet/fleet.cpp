@@ -221,7 +221,7 @@ void EdgeFleet::activate(ClusterId id, TenantState& t) {
   auto system = std::make_shared<core::OrcoDcsSystem>(system_config);
   bool loaded = false;
   if (cold_.contains(id)) {
-    const ColdRecord record = cold_.load(id);
+    const LoadedRecord record = cold_.load(id);
     nn::load_params(system->aggregator().encoder(), record.encoder_params);
     nn::load_params(system->edge().decoder(), record.decoder_params);
     // Continue the decoder generation sequence where the demoted tenant

@@ -10,7 +10,7 @@ void xavier_uniform(tensor::Tensor& w, std::size_t fan_in, std::size_t fan_out,
                     common::Pcg32& rng) {
   ORCO_CHECK(fan_in + fan_out > 0, "xavier_uniform fan sum must be positive");
   const float a = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-  for (auto& v : w.data()) v = rng.uniform(-a, a);
+  tensor::fill_uniform(w.data(), rng, -a, a);
 }
 
 void he_normal(tensor::Tensor& w, std::size_t fan_in, common::Pcg32& rng) {

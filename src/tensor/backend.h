@@ -38,6 +38,8 @@
 #include <string>
 #include <vector>
 
+#include "tensor/buffer.h"
+
 namespace orco::tensor {
 
 /// Activation applied by a fused GEMM epilogue. Semantics match the
@@ -125,13 +127,15 @@ inline float from_bf16(std::uint16_t h) {
 /// stores it in `bf16`, 2 bytes per weight plus the zero padding of the
 /// last kNr strip, and widens each value back to f32 inside the
 /// micro-kernel; the base pack_b (reference) keeps its row-major f32
-/// layout in `data` and stores the rounded values there.
+/// layout in `data` and stores the rounded values there. Both are
+/// tensor/buffer.h buffers: 64-byte aligned, and a GTSRB decoder's larger
+/// panels (from 2 MiB) sit on huge-page-advised mappings of their own.
 struct PackedWeights {
   const Backend* owner = nullptr;
   std::size_t rows = 0;  // k: logical rows of the packed B
   std::size_t cols = 0;  // n: logical cols of the packed B
-  std::vector<float> data;          // base-layout f32 B
-  std::vector<std::uint16_t> bf16;  // bf16 B panels of the panel backend
+  Buffer<float> data;          // base-layout f32 B
+  Buffer<std::uint16_t> bf16;  // bf16 B panels of the panel backend
 };
 
 /// Per-row affine dequantization parameters for gemm_quantized: row i of
@@ -296,6 +300,9 @@ void apply_epilogue(float* c, std::size_t m, std::size_t n,
 /// pool queue; serve::ServerRuntime turns it off on its shard workers,
 /// which already occupy the cores; scheduling-sensitive measurements and
 /// the tests that pin pooled == serial turn it off on their own thread.
+/// The same switch decides whether fill_uniform (tensor.h, so every
+/// xavier_uniform weight init) runs its chunks on the pool: a tenant built
+/// on a shard or trainer thread fills inline, with the same values.
 void set_thread_gemm_parallelism(bool enabled);
 bool thread_gemm_parallelism();
 

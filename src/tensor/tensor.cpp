@@ -6,6 +6,8 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
+#include "tensor/backend.h"
 
 namespace orco::tensor {
 
@@ -17,6 +19,26 @@ std::size_t shape_numel(const Shape& shape) {
                "shape " << shape_to_string(shape) << " overflows size_t");
   }
   return n;
+}
+
+void fill_uniform(std::span<float> out, common::Pcg32& rng, float lo,
+                  float hi) {
+  const std::size_t n = out.size();
+  const std::size_t chunks = (n + kFillChunk - 1) / kFillChunk;
+  // Fills chunks [c0, c1) from one copy of rng jumped to chunk c0's draw.
+  const auto fill_chunks = [&](std::size_t c0, std::size_t c1) {
+    common::Pcg32 chunk_rng = rng;
+    chunk_rng.advance(c0 * kFillChunk);
+    const std::size_t end = std::min(n, c1 * kFillChunk);
+    for (std::size_t i = c0 * kFillChunk; i < end; ++i) {
+      out[i] = chunk_rng.uniform(lo, hi);
+    }
+  };
+  common::ThreadPool* pool = chunks >= 2 && thread_gemm_parallelism()
+                                 ? &common::ThreadPool::global()
+                                 : nullptr;
+  common::parallel_for(pool, 0, chunks, /*grain=*/2, fill_chunks);
+  rng.advance(n);
 }
 
 std::string shape_to_string(const Shape& shape) {
@@ -36,11 +58,19 @@ Tensor::Tensor(Shape shape)
 Tensor::Tensor(Shape shape, float fill)
     : shape_(std::move(shape)), data_(shape_numel(shape_), fill) {}
 
-Tensor::Tensor(Shape shape, std::vector<float> data)
-    : shape_(std::move(shape)), data_(std::move(data)) {
-  ORCO_CHECK(data_.size() == shape_numel(shape_),
-             "data size " << data_.size() << " does not match shape "
-                          << shape_to_string(shape_));
+Tensor::Tensor(Shape shape, const std::vector<float>& data)
+    : Tensor(copy_of(std::move(shape), data.data(),
+                     data.data() + data.size())) {}
+
+Tensor Tensor::copy_of(Shape shape, const float* first, const float* last) {
+  const auto n = static_cast<std::size_t>(last - first);
+  ORCO_CHECK(n == shape_numel(shape), "data size " << n
+                                                   << " does not match shape "
+                                                   << shape_to_string(shape));
+  Tensor out;
+  out.shape_ = std::move(shape);
+  out.data_.assign(first, last);
+  return out;
 }
 
 Tensor Tensor::randn(Shape shape, common::Pcg32& rng, float mean,
@@ -54,25 +84,25 @@ Tensor Tensor::randn(Shape shape, common::Pcg32& rng, float mean,
 
 Tensor Tensor::uniform(Shape shape, common::Pcg32& rng, float lo, float hi) {
   Tensor out(std::move(shape));
-  for (auto& v : out.data_) v = rng.uniform(lo, hi);
+  fill_uniform(out.data(), rng, lo, hi);
   return out;
 }
 
 Tensor Tensor::from(std::initializer_list<float> values) {
-  return Tensor({values.size()}, std::vector<float>(values));
+  return copy_of({values.size()}, values.begin(), values.end());
 }
 
 Tensor Tensor::from2d(
     std::initializer_list<std::initializer_list<float>> rows) {
   ORCO_CHECK(rows.size() > 0, "from2d requires at least one row");
   const std::size_t cols = rows.begin()->size();
-  std::vector<float> data;
-  data.reserve(rows.size() * cols);
+  Tensor out({rows.size(), cols});
+  float* dst = out.data_.data();
   for (const auto& r : rows) {
     ORCO_CHECK(r.size() == cols, "ragged initialiser list");
-    data.insert(data.end(), r.begin(), r.end());
+    dst = std::copy(r.begin(), r.end(), dst);
   }
-  return Tensor({rows.size(), cols}, std::move(data));
+  return out;
 }
 
 std::size_t Tensor::dim(std::size_t d) const {
@@ -156,18 +186,15 @@ Tensor Tensor::slice_rows(std::size_t begin, std::size_t end) const {
   ORCO_CHECK(begin <= end && end <= shape_[0],
              "bad row range [" << begin << "," << end << ") of " << shape_[0]);
   const std::size_t cols = shape_[1];
-  std::vector<float> out(data_.begin() + static_cast<std::ptrdiff_t>(begin * cols),
-                         data_.begin() + static_cast<std::ptrdiff_t>(end * cols));
-  return Tensor({end - begin, cols}, std::move(out));
+  return copy_of({end - begin, cols}, data_.data() + begin * cols,
+                 data_.data() + end * cols);
 }
 
 Tensor Tensor::row_copy(std::size_t i) const {
   ORCO_CHECK(rank() == 2, "row_copy requires rank 2");
   ORCO_CHECK(i < shape_[0], "row " << i << " out of " << shape_[0]);
   const std::size_t cols = shape_[1];
-  std::vector<float> out(data_.begin() + static_cast<std::ptrdiff_t>(i * cols),
-                         data_.begin() + static_cast<std::ptrdiff_t>((i + 1) * cols));
-  return Tensor({cols}, std::move(out));
+  return copy_of({cols}, data_.data() + i * cols, data_.data() + (i + 1) * cols);
 }
 
 Tensor Tensor::slice_outer(std::size_t n) const {
@@ -182,9 +209,8 @@ Tensor Tensor::slice_outer(std::size_t n) const {
     inner.assign(1, 1);
   }
   const std::size_t stride = shape_numel(inner);
-  std::vector<float> out(data_.begin() + static_cast<std::ptrdiff_t>(n * stride),
-                         data_.begin() + static_cast<std::ptrdiff_t>((n + 1) * stride));
-  return Tensor(std::move(inner), std::move(out));
+  return copy_of(std::move(inner), data_.data() + n * stride,
+                 data_.data() + (n + 1) * stride);
 }
 
 void Tensor::set_outer(std::size_t n, const Tensor& src) {

@@ -4,7 +4,9 @@
 // the synthetic datasets, and the orchestration protocol all move data as
 // Tensors. Only float32 and contiguous layout are supported — the models in
 // the paper (dense + small conv nets on 28x28/32x32 images) need nothing
-// more, and the simplicity keeps every kernel easy to verify.
+// more, and the simplicity keeps every kernel easy to verify. Storage comes
+// from tensor/buffer.h: 64-byte aligned, and a tensor of 2 MiB or more sits
+// on its own huge-page-advised mapping.
 #pragma once
 
 #include <cstddef>
@@ -14,10 +16,24 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "tensor/buffer.h"
 
 namespace orco::tensor {
 
 using Shape = std::vector<std::size_t>;
+
+/// Values per chunk of fill_uniform: the unit one pool task fills.
+inline constexpr std::size_t kFillChunk = std::size_t{1} << 16;
+
+/// out[i] = rng.uniform(lo, hi) from the generator's i-th draw, so the
+/// values, and `rng`'s state afterwards, equal the serial loop's bit for
+/// bit. Chunk c (kFillChunk values) fills from a copy of `rng` advanced by
+/// c * kFillChunk draws (Pcg32::advance); with at least 2 chunks and the
+/// calling thread's pool switch on (set_thread_gemm_parallelism, backend.h)
+/// the chunks run on ThreadPool::global(), otherwise inline. At the end
+/// `rng` is advanced by out.size(). Values lie in [lo, hi] (Pcg32::uniform).
+void fill_uniform(std::span<float> out, common::Pcg32& rng, float lo,
+                  float hi);
 
 /// Number of elements implied by a shape (empty shape -> 0 elements).
 std::size_t shape_numel(const Shape& shape);
@@ -36,8 +52,9 @@ class Tensor {
   /// Constant-filled tensor.
   Tensor(Shape shape, float fill);
 
-  /// Takes ownership of `data`; data.size() must equal shape's numel.
-  Tensor(Shape shape, std::vector<float> data);
+  /// Copies `data` into the tensor's storage; data.size() must equal
+  /// shape's numel.
+  Tensor(Shape shape, const std::vector<float>& data);
 
   // -- factories --------------------------------------------------------
 
@@ -49,7 +66,8 @@ class Tensor {
   static Tensor randn(Shape shape, common::Pcg32& rng, float mean = 0.0f,
                       float stddev = 1.0f);
 
-  /// I.i.d. U[lo, hi) entries.
+  /// I.i.d. U[lo, hi] entries (fill_uniform: chunked, pooled, and equal
+  /// to the serial draw order bit for bit).
   static Tensor uniform(Shape shape, common::Pcg32& rng, float lo = 0.0f,
                         float hi = 1.0f);
 
@@ -183,8 +201,11 @@ class Tensor {
  private:
   void check_same_shape(const Tensor& rhs, const char* op) const;
 
+  /// A tensor holding a copy of [first, last), which must hold shape's numel.
+  static Tensor copy_of(Shape shape, const float* first, const float* last);
+
   Shape shape_;
-  std::vector<float> data_;
+  Buffer<float> data_;
 };
 
 }  // namespace orco::tensor

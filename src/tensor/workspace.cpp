@@ -1,24 +1,17 @@
 #include "tensor/workspace.h"
 
 #include <algorithm>
-#include <cstdint>
 
 #include "common/check.h"
 
 namespace orco::tensor {
 
-namespace {
-
-constexpr std::size_t kAlignBytes = 64;
-
-}  // namespace
-
 float* Workspace::alloc(std::size_t n) {
   const std::size_t need = aligned(std::max<std::size_t>(n, 1));
   while (block_ < blocks_.size()) {
-    Block& b = blocks_[block_];
-    if (offset_ + need <= b.size) {
-      float* p = b.base + offset_;
+    Buffer<float>& b = blocks_[block_];
+    if (offset_ + need <= b.size()) {
+      float* p = b.data() + offset_;
       offset_ += need;
       note_high_water();
       return p;
@@ -38,18 +31,11 @@ float* Workspace::alloc(std::size_t n) {
   // times a cold arena spills before it fits its workload.
   const std::size_t grown =
       std::max({kMinBlockFloats, need, 2 * capacity()});
-  Block block;
-  block.storage.resize(grown + kAlignFloats);
-  auto addr = reinterpret_cast<std::uintptr_t>(block.storage.data());
-  const std::size_t pad =
-      (kAlignBytes - addr % kAlignBytes) % kAlignBytes / sizeof(float);
-  block.base = block.storage.data() + pad;
-  block.size = grown;
-  blocks_.push_back(std::move(block));
+  blocks_.emplace_back(grown);
   block_ = blocks_.size() - 1;
   offset_ = need;
   note_high_water();
-  return blocks_.back().base;
+  return blocks_.back().data();
 }
 
 void Workspace::rewind(Mark m) {
@@ -78,30 +64,23 @@ void Workspace::reserve(std::size_t floats) {
              "Workspace::reserve with live allocations (reset() first)");
   const std::size_t want =
       std::max(kMinBlockFloats, aligned(std::max(floats, high_water_)));
-  if (blocks_.size() == 1 && blocks_.front().size >= want) return;
+  if (blocks_.size() == 1 && blocks_.front().size() >= want) return;
   blocks_.clear();
-  Block block;
-  block.storage.resize(want + kAlignFloats);
-  auto addr = reinterpret_cast<std::uintptr_t>(block.storage.data());
-  const std::size_t pad =
-      (kAlignBytes - addr % kAlignBytes) % kAlignBytes / sizeof(float);
-  block.base = block.storage.data() + pad;
-  block.size = want;
-  blocks_.push_back(std::move(block));
+  blocks_.emplace_back(want);
   block_ = 0;
   offset_ = 0;
 }
 
 std::size_t Workspace::capacity() const noexcept {
   std::size_t total = 0;
-  for (const auto& b : blocks_) total += b.size;
+  for (const auto& b : blocks_) total += b.size();
   return total;
 }
 
 std::size_t Workspace::used() const noexcept {
   std::size_t total = 0;
   for (std::size_t i = 0; i < block_ && i < blocks_.size(); ++i) {
-    total += blocks_[i].size;
+    total += blocks_[i].size();
   }
   return total + offset_;
 }

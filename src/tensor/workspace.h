@@ -18,11 +18,16 @@
 //
 // Thread-safety: none — a Workspace belongs to exactly one thread at a
 // time (the per-shard-worker InferContext rule). Alignment: every alloc()
-// is 64-byte aligned so vectorized kernels never straddle cache lines.
+// is 64-byte aligned so vectorized kernels never straddle cache lines;
+// blocks come from tensor/buffer.h, which aligns them, and every alloc()
+// is rounded to a 64-byte multiple. A block of 2 MiB or more is a mapping
+// of its own; keeping the slab across passes maps it once.
 #pragma once
 
 #include <cstddef>
 #include <vector>
+
+#include "tensor/buffer.h"
 
 namespace orco::tensor {
 
@@ -75,7 +80,7 @@ class Workspace {
   /// Largest used() ever observed (what reset() coalesces to).
   std::size_t high_water() const noexcept { return high_water_; }
 
-  /// Heap blocks currently owned — 1 in steady state; >1 only between an
+  /// Blocks currently owned — 1 in steady state; >1 only between an
   /// overflow and the next reset().
   std::size_t block_count() const noexcept { return blocks_.size(); }
 
@@ -85,16 +90,10 @@ class Workspace {
   static std::size_t aligned_floats(std::size_t n) { return aligned(n); }
 
  private:
-  struct Block {
-    std::vector<float> storage;  // size + alignment slack
-    float* base = nullptr;       // 64-byte-aligned cursor into storage
-    std::size_t size = 0;        // usable floats at base
-  };
-
   /// Smallest first block: one 28x28 image of scratch.
   static constexpr std::size_t kMinBlockFloats = 1024;
   /// 64-byte alignment in floats.
-  static constexpr std::size_t kAlignFloats = 16;
+  static constexpr std::size_t kAlignFloats = kBufferAlign / sizeof(float);
 
   static std::size_t aligned(std::size_t n) {
     return (n + kAlignFloats - 1) / kAlignFloats * kAlignFloats;
@@ -105,7 +104,7 @@ class Workspace {
     if (u > high_water_) high_water_ = u;
   }
 
-  std::vector<Block> blocks_;
+  std::vector<Buffer<float>> blocks_;
   std::size_t block_ = 0;   // block the bump pointer lives in
   std::size_t offset_ = 0;  // bump offset within blocks_[block_]
   std::size_t high_water_ = 0;

@@ -16,6 +16,7 @@
 #include "data/metrics.h"
 #include "data/synthetic_gtsrb.h"
 #include "data/synthetic_mnist.h"
+#include "nn/model_io.h"
 #include "obs/config.h"
 #include "obs/profile.h"
 #include "serve/serve.h"
@@ -202,6 +203,29 @@ TEST(SystemTest, PooledTrainingRoundsMatchSerialBitwise) {
       EXPECT_TRUE(same_bits(serial.state[i], pooled.state[i])) << "tensor " << i;
     }
   }
+}
+
+TEST(SystemTest, PooledBuildSavesTheSameBytesAsInlineBuild) {
+  // Decoder 64 -> 1024 -> 784: its layers hold 65536 and 802816 weights,
+  // 1 and 12.25 fill chunks, so with the pool switch on the second one's
+  // xavier_uniform fill splits across the pool.
+  SystemConfig cfg = small_system();
+  cfg.orco.latent_dim = 64;
+  cfg.orco.decoder_layers = 2;
+  cfg.orco.decoder_hidden_dim = 1024;
+  ASSERT_GT(cfg.orco.decoder_hidden_dim * cfg.orco.input_dim,
+            tensor::kFillChunk);
+  const auto build = [&](bool pooled) {
+    tensor::set_thread_gemm_parallelism(pooled);
+    OrcoDcsSystem sys(cfg);
+    return std::pair{nn::save_params(sys.aggregator().encoder()),
+                     nn::save_params(sys.edge().decoder())};
+  };
+  const auto pooled = build(true);
+  const auto inline_built = build(false);
+  tensor::set_thread_gemm_parallelism(true);
+  EXPECT_TRUE(pooled.first == inline_built.first) << "encoder bytes differ";
+  EXPECT_TRUE(pooled.second == inline_built.second) << "decoder bytes differ";
 }
 
 // Copies every parameter value of `src` into `dst`, a model of the same

@@ -244,7 +244,7 @@ TEST(DecodeMutationTest, ColdStoreRecordAndItsWake) {
   fuzz("ColdStore record", valid,
        [&](const Bytes& b) {
          plant_file(store.path_for(9), b);
-         const fleet::ColdRecord loaded = store.load(9);
+         const fleet::LoadedRecord loaded = store.load(9);
          nn::load_params(target.aggregator().encoder(),
                          loaded.encoder_params);
          nn::load_params(target.edge().decoder(), loaded.decoder_params);

@@ -7,6 +7,7 @@
 // runtime/trainer unregister paths the fleet's demotion relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -194,10 +195,10 @@ TEST(ColdStoreTest, RoundTripsRecordAtomically) {
   EXPECT_FALSE(std::filesystem::exists(store.path_for(77) + ".tmp"))
       << "atomic write must not leave its temp file behind";
 
-  const ColdRecord loaded = store.load(77);
+  const LoadedRecord loaded = store.load(77);
   EXPECT_EQ(loaded.model_version, 17u);
-  EXPECT_TRUE(loaded.encoder_params == record.encoder_params);
-  EXPECT_TRUE(loaded.decoder_params == record.decoder_params);
+  EXPECT_TRUE(std::ranges::equal(loaded.encoder_params, record.encoder_params));
+  EXPECT_TRUE(std::ranges::equal(loaded.decoder_params, record.decoder_params));
   EXPECT_EQ(store.saves(), 1u);
   EXPECT_EQ(store.loads(), 1u);
 

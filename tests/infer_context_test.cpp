@@ -4,11 +4,15 @@
 // steady-state decode through a warmed context performs zero heap
 // allocations (the acceptance bar for the serving shard's decode stage).
 //
-// This TU owns the test binary's global operator new/delete replacement;
-// counting is scoped per thread so gtest's own allocations never leak into
-// a measurement.
+// This TU owns the test binary's global operator new/delete replacement,
+// the plain and the std::align_val_t forms (tensor storage below 2 MiB takes
+// aligned operator new); counting is scoped per thread so gtest's own
+// allocations never leak into a measurement. Buffers of 2 MiB and more are
+// mappings that bypass operator new (tensor/buffer.h), so the counter adds
+// tensor::buffer_mappings() to what it saw.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -28,6 +32,7 @@
 #include "obs/config.h"
 #include "obs/trace.h"
 #include "tensor/backend.h"
+#include "tensor/buffer.h"
 #include "tensor/workspace.h"
 
 #include "bf16_oracle.h"
@@ -43,16 +48,40 @@ void* counted_alloc(std::size_t size) {
   throw std::bad_alloc();
 }
 
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+  if (t_count_allocs) ++t_alloc_count;
+  const auto alignment = static_cast<std::size_t>(align);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  const std::size_t rounded =
+      std::max<std::size_t>(1, (size + alignment - 1) / alignment) * alignment;
+  if (void* p = std::aligned_alloc(alignment, rounded)) return p;
+  throw std::bad_alloc();
+}
+
 }  // namespace
 
 // Global replacements: every operator new in the test binary funnels
 // through the counter (only armed on the measuring thread, inside a scope).
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace orco {
 namespace {
@@ -61,15 +90,22 @@ using nn::InferContext;
 using tensor::Tensor;
 using tensor::Workspace;
 
-/// Arms the allocation counter for the current thread for its scope.
+/// Arms the allocation counter for the current thread for its scope. The
+/// count is this thread's operator new calls plus the large-buffer mappings
+/// the process made meanwhile (the measured decodes run on this thread).
 class CountAllocs {
  public:
-  CountAllocs() {
+  CountAllocs() : mappings_before_(tensor::buffer_mappings()) {
     t_alloc_count = 0;
     t_count_allocs = true;
   }
   ~CountAllocs() { t_count_allocs = false; }
-  static std::uint64_t count() { return t_alloc_count; }
+  std::uint64_t count() const {
+    return t_alloc_count + (tensor::buffer_mappings() - mappings_before_);
+  }
+
+ private:
+  std::uint64_t mappings_before_;
 };
 
 /// Serial, simd-backend kernels for deterministic measurements: no pool
@@ -303,7 +339,7 @@ TEST(ZeroAllocTest, WarmedPlanExecutorMakesNoHeapAllocations) {
   {
     CountAllocs counter;
     for (int i = 0; i < 16; ++i) plan->run(x, out, ctx);
-    allocs = CountAllocs::count();
+    allocs = counter.count();
   }
   EXPECT_EQ(allocs, 0u);
 
@@ -313,7 +349,7 @@ TEST(ZeroAllocTest, WarmedPlanExecutorMakesNoHeapAllocations) {
   {
     CountAllocs counter;
     for (int i = 0; i < 16; ++i) plan->run(small, out, ctx);
-    small_allocs = CountAllocs::count();
+    small_allocs = counter.count();
   }
   EXPECT_EQ(small_allocs, 0u);
 
@@ -336,7 +372,7 @@ TEST(ZeroAllocTest, WarmedPlanExecutorMakesNoHeapAllocations) {
     for (int i = 0; i < 16; ++i) {
       plan->run_quantized(codes.data(), qh, 8, 16, out, ctx);
     }
-    q_allocs = CountAllocs::count();
+    q_allocs = counter.count();
   }
   EXPECT_EQ(q_allocs, 0u);
   EXPECT_EQ(out.dim(1), 64u);
@@ -348,7 +384,7 @@ TEST(ZeroAllocTest, WarmedPlanExecutorMakesNoHeapAllocations) {
     for (int i = 0; i < 16; ++i) {
       plan->run_quantized(codes.data(), qh, 3, 16, out, ctx);
     }
-    q_small_allocs = CountAllocs::count();
+    q_small_allocs = counter.count();
   }
   EXPECT_EQ(q_small_allocs, 0u);
 }
@@ -376,7 +412,7 @@ TEST(ZeroAllocTest, WarmedConvPlanExecutorMakesNoHeapAllocations) {
   {
     CountAllocs counter;
     for (int i = 0; i < 8; ++i) plan->run(x, out, ctx);
-    allocs = CountAllocs::count();
+    allocs = counter.count();
   }
   EXPECT_EQ(allocs, 0u);
 
@@ -386,7 +422,7 @@ TEST(ZeroAllocTest, WarmedConvPlanExecutorMakesNoHeapAllocations) {
   {
     CountAllocs counter;
     for (int i = 0; i < 8; ++i) plan->run(small, out, ctx);
-    small_allocs = CountAllocs::count();
+    small_allocs = counter.count();
   }
   EXPECT_EQ(small_allocs, 0u);
 }
@@ -438,7 +474,7 @@ TEST(ZeroAllocTest, NestedChainDecodesZeroAllocAndBitwiseEqualToFlat) {
   {
     CountAllocs counter;
     for (int i = 0; i < 16; ++i) plan->run(x, out, ctx);
-    allocs = CountAllocs::count();
+    allocs = counter.count();
   }
   EXPECT_EQ(allocs, 0u);
 }
@@ -494,7 +530,7 @@ TEST(ZeroAllocTest, ClusterShardStyleSteadyStateDecodeIsAllocationFree) {
     CountAllocs counter;
     for (int i = 0; i < 16; ++i) decode_batch(8);
     for (int i = 0; i < 16; ++i) decode_batch(3);  // partial batches too
-    allocs = CountAllocs::count();
+    allocs = counter.count();
   }
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(decode_out.dim(1), 64u);
@@ -544,7 +580,7 @@ TEST(ZeroAllocTest, SteadyStateDecodeStaysAllocationFreeWithObservabilityOn) {
   {
     CountAllocs counter;
     for (int i = 0; i < 16; ++i) decode_batch(8);
-    allocs = CountAllocs::count();
+    allocs = counter.count();
   }
   obs::configure(obs::ObsConfig{});
   EXPECT_EQ(allocs, 0u);

@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "tensor/backend.h"
+#include "tensor/buffer.h"
 #include "tensor/im2col.h"
 #include "tensor/matmul.h"
 #include "tensor/ops.h"
@@ -446,6 +448,107 @@ TEST(TensorTest, ResizeChangesNumelAndReusesCapacity) {
   t.resize({16, 16});  // genuine growth
   EXPECT_EQ(t.numel(), 256u);
   EXPECT_EQ(t.dim(0), 16u);
+}
+
+// ---- seeded fill and storage -----------------------------------------------
+
+bool aligned_to(const void* p, std::size_t alignment) {
+  return reinterpret_cast<std::uintptr_t>(p) % alignment == 0;
+}
+
+TEST(FillUniformTest, ChunkedFillEqualsSerialLoopBitwise) {
+  const std::size_t sizes[] = {0,          1,          kFillChunk - 1,
+                               kFillChunk, kFillChunk + 1,
+                               3 * kFillChunk + 7};
+  for (const bool pooled : {true, false}) {
+    set_thread_gemm_parallelism(pooled);
+    for (const std::size_t n : sizes) {
+      SCOPED_TRACE("n=" + std::to_string(n) + (pooled ? " pooled" : " inline"));
+      common::Pcg32 serial_rng(31, 5);
+      std::vector<float> serial(n);
+      for (auto& v : serial) v = serial_rng.uniform(-0.75f, 0.25f);
+
+      common::Pcg32 rng(31, 5);
+      std::vector<float> filled(n, -9.0f);
+      fill_uniform(filled, rng, -0.75f, 0.25f);
+      if (n > 0) {
+        EXPECT_EQ(
+            std::memcmp(filled.data(), serial.data(), n * sizeof(float)), 0);
+      }
+      for (int i = 0; i < 8; ++i) EXPECT_EQ(rng.next(), serial_rng.next());
+    }
+  }
+  set_thread_gemm_parallelism(true);
+}
+
+TEST(BufferTest, SmallBuffersAre64ByteAlignedAndLargeOnes2MiB) {
+  for (const std::size_t bytes :
+       {std::size_t{1}, std::size_t{63}, std::size_t{4096},
+        kLargeBufferBytes - 1, kLargeBufferBytes, kLargeBufferBytes + 1,
+        3 * kLargeBufferBytes + 12345}) {
+    SCOPED_TRACE("bytes=" + std::to_string(bytes));
+    auto* p = static_cast<unsigned char*>(allocate_buffer(bytes));
+    EXPECT_TRUE(aligned_to(p, kBufferAlign));
+    if (bytes >= kLargeBufferBytes) {
+      EXPECT_TRUE(aligned_to(p, kLargeBufferBytes));
+    }
+    p[0] = 1;  // every byte up to the requested size is usable
+    p[bytes - 1] = 2;
+    free_buffer(p, bytes);
+  }
+  const Tensor small({3, 5});
+  const Tensor large({kLargeBufferBytes / sizeof(float) + 16});
+  EXPECT_TRUE(aligned_to(small.data().data(), kBufferAlign));
+  EXPECT_TRUE(aligned_to(large.data().data(), kLargeBufferBytes));
+  // Packed panels come from the same allocator (1024 x 1024 bf16 = 2 MiB).
+  common::Pcg32 rng(3);
+  const Tensor w = Tensor::uniform({1024, 1024}, rng, -1.0f, 1.0f);
+  const PackedWeights packed = simd_backend().pack_b(
+      w.data().data(), 1024, 1024, /*transpose_b=*/true);
+  EXPECT_TRUE(aligned_to(packed.bf16.data(), kLargeBufferBytes));
+}
+
+TEST(BufferTest, CopyMoveAndResizeKeepValues) {
+  common::Pcg32 rng(11);
+  // Above and below the mapping threshold.
+  for (const std::size_t n :
+       {std::size_t{1000}, kLargeBufferBytes / sizeof(float) + 1000}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const Tensor original = Tensor::uniform({n}, rng, -1.0f, 1.0f);
+    Tensor copy = original;
+    EXPECT_TRUE(copy.allclose(original, 0.0f));
+    Tensor assigned({7});
+    assigned = original;
+    EXPECT_TRUE(assigned.allclose(original, 0.0f));
+
+    const float* storage = copy.data().data();
+    Tensor moved = std::move(copy);
+    EXPECT_EQ(moved.data().data(), storage);
+    EXPECT_TRUE(moved.allclose(original, 0.0f));
+
+    // Growth past capacity moves the values to new storage; shrinking and
+    // regrowing within capacity keeps them in place.
+    moved.resize({2 * n});
+    EXPECT_EQ(std::memcmp(moved.data().data(), original.data().data(),
+                          n * sizeof(float)),
+              0);
+    EXPECT_EQ(moved[2 * n - 1], 0.0f);
+    moved.resize({n / 2});
+    EXPECT_EQ(std::memcmp(moved.data().data(), original.data().data(),
+                          n / 2 * sizeof(float)),
+              0);
+  }
+}
+
+TEST(BufferTest, VectorConstructionCopiesValues) {
+  const std::vector<float> values = {1.5f, -2.0f, 0.25f, 8.0f, -0.0f, 3.0f};
+  const Tensor t({2, 3}, values);
+  ASSERT_EQ(t.numel(), values.size());
+  EXPECT_EQ(std::memcmp(t.data().data(), values.data(),
+                        values.size() * sizeof(float)),
+            0);
+  EXPECT_TRUE(aligned_to(t.data().data(), kBufferAlign));
+  EXPECT_THROW((void)Tensor({4}, values), std::invalid_argument);
 }
 
 }  // namespace

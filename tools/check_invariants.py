@@ -25,6 +25,10 @@ Rules
    ``const_cast<T*>(this)``, the idiom a const overload uses to share its
    non-const twin's body. Any other cast away of const can mutate what a
    caller handed out as immutable (a published snapshot's decoder, say).
+6. mapping: under src/, ``mmap``, ``munmap`` and ``madvise`` appear only
+   in src/tensor/buffer.cpp, the allocator behind tensor storage, packed
+   panels and Workspace blocks, so the allocation policy (which buffers
+   get their own huge-page-advised mapping) stays in one place.
 
 Exit status: 0 clean, 1 violations found, 2 usage/internal error.
 
@@ -76,6 +80,9 @@ CONST_CAST_RE = re.compile(r"\bconst_cast\b")
 CONST_CAST_THIS_RE = re.compile(
     r"\bconst_cast\s*<\s*[\w:]+\s*\*\s*>\s*\(\s*this\s*\)"
 )
+# Rule 6: the memory-mapping calls, and the one TU allowed to make them.
+MAPPING_RE = re.compile(r"\b(?:mmap|munmap|madvise)\b")
+MAPPING_TU = os.path.join("src", "tensor", "buffer.cpp")
 
 
 def source_files(root: str, dirs: list[str] = SOURCE_DIRS) -> list[str]:
@@ -194,6 +201,22 @@ def check_const_casts(root: str) -> list[str]:
     return errors
 
 
+def check_mappings(root: str) -> list[str]:
+    errors = []
+    for path in source_files(root, ["src"]):
+        rel = os.path.relpath(path, root)
+        if rel == MAPPING_TU:
+            continue
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                if MAPPING_RE.search(strip_line_comment(line)):
+                    errors.append(
+                        f"{rel}:{lineno}: mmap/munmap/madvise outside "
+                        f"{MAPPING_TU}: {line.strip()}"
+                    )
+    return errors
+
+
 def check_headers(root: str, cxx: str, jobs: int) -> list[str]:
     headers = [
         p
@@ -238,6 +261,7 @@ def run_all(root: str, cxx: str, jobs: int, skip_headers: bool) -> list[str]:
     errors += check_todo_tags(root)
     errors += check_includers(root)
     errors += check_const_casts(root)
+    errors += check_mappings(root)
     if not skip_headers:
         errors += check_headers(root, cxx, jobs)
     return errors
@@ -333,6 +357,26 @@ def self_test(cxx: str, jobs: int) -> int:
             failures.append(
                 f"const-cast rule missed the seeded cast or flagged the "
                 f"const-overload idiom: {flagged}")
+
+        # Rule 6: a madvise outside the allocator's TU, beside the same call
+        # in that TU and a mention in a comment.
+        os.makedirs(os.path.join(root, "src", "tensor"))
+        for rel, text in [
+            ("src/selftest/mapped.cpp",
+             "#include <sys/mman.h>\n"
+             "// Comments may name munmap.\n"
+             "void advise(void* p) { madvise(p, 4096, MADV_WILLNEED); }\n"),
+            (MAPPING_TU,
+             "#include <sys/mman.h>\n"
+             "void advise(void* p) { madvise(p, 4096, MADV_HUGEPAGE); }\n"),
+        ]:
+            with open(os.path.join(root, rel), "w", encoding="utf-8") as f:
+                f.write(text)
+        got = check_mappings(root)
+        if len(got) != 1 or "mapped.cpp:3:" not in got[0]:
+            failures.append(
+                f"mapping rule missed the seeded madvise or flagged the "
+                f"allocator's TU or a comment: {got}")
 
     if failures:
         print("check_invariants self-test FAILED:", file=sys.stderr)
